@@ -2,34 +2,33 @@
 
 A run is accepting when it takes accepting *transitions* infinitely often
 (rather than visiting accepting states).  The module provides lasso-word
-membership, emptiness with witness extraction, intersection, complementation
-and containment, plus an exhaustive lasso-membership survey used as a
+membership, emptiness with witness extraction, trimming, containment with a
+counterexample lasso, and an exhaustive lasso-membership survey used as a
 brute-force oracle by the test suite.
 
 States and alphabet symbols are opaque hashable values; textual dumps relabel
 states with stable integer ids.
 
-Two independent complementation engines are provided.  The default is
-rank-based: it tracks the reachable-state set, nondeterministically switches
-to guessing a tight level ranking per step, and verifies with a breakpoint
-set that every thread of the rejected word stabilises at an odd rank.  The
-second engine is Ramsey-based: it tracks the three-valued transition matrix
-of the word read so far (no path / path / path through an accepting
-transition), guesses a decomposition u·v1·v2·… whose blocks all share one
-idempotent matrix, and accepts when that matrix pair admits no accepting run.
-Both constructions can blow up (the ranking one as O((0.76·n)^n), the Ramsey
-one as the matrix semigroup, worst case 3^(n^2)), so every entry point that
-builds a complement takes a state cap and raises :class:`SizeGuard` instead
-of diverging.
+Containment L(a) ⊆ L(b) builds no complement.  It is the Ramsey closure of
+size-change termination (Lee, Jones and Ben-Amram, POPL 2001) in the form
+Fogarty and Vardi give for Büchi containment (TACAS 2009): the three-valued
+transition matrices of ``b`` (no path / path / path through an accepting
+transition) over the words of ``a``'s runs are closed under composition, and
+an idempotent matrix on an accepting loop of ``a`` that no reachable state
+set of ``b`` can use is a counterexample.  Loops are composed from segments,
+the runs of ``a`` between its feedback states, so one long cycle is one
+element.  The closure can still be large (worst case 3^(n^2) matrices), so
+:func:`contains` takes a cap and raises :class:`SizeGuard` instead of
+diverging.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .syntax import HflError
@@ -306,52 +305,7 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[LassoWord]]:
 
 
 # ---------------------------------------------------------------------------
-# intersection (two-phase product)
-# ---------------------------------------------------------------------------
-
-
-def intersect(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
-    """Product automaton accepting the intersection of the two languages.
-
-    Phase 0 waits for an accepting transition of the first automaton, phase 1
-    for one of the second; the transition completing phase 1 is accepting, so
-    it is taken infinitely often exactly when both automata accept.
-    """
-    if a.alphabet != b.alphabet:
-        raise BuchiError("intersection requires identical alphabets")
-    initial = [
-        (p, q, 0)
-        for p in sorted(a.initial, key=_key)
-        for q in sorted(b.initial, key=_key)
-    ]
-    seen = set(initial)
-    queue = deque(initial)
-    transitions: set[Transition] = set()
-    accepting: set[Transition] = set()
-    while queue:
-        p, q, phase = queue.popleft()
-        for sym, p2, acc_a in a._by_source.get(p, ()):
-            for q2, acc_b in b.moves(q, sym):
-                if phase == 0:
-                    nxt = (p2, q2, 1 if acc_a else 0)
-                    mark = False
-                else:
-                    nxt = (p2, q2, 0 if acc_b else 1)
-                    mark = acc_b
-                t = ((p, q, phase), sym, nxt)
-                transitions.add(t)
-                if mark:
-                    accepting.add(t)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return BuchiAutomaton(
-        frozenset(seen), a.alphabet, frozenset(transitions),
-        frozenset(initial), frozenset(accepting))
-
-
-# ---------------------------------------------------------------------------
-# three-valued transition matrices (for complementation and the survey)
+# three-valued transition matrices (for containment and the survey)
 # ---------------------------------------------------------------------------
 #
 # A matrix entry over a fixed state order says, for a finite word w:
@@ -396,70 +350,43 @@ def _mat_mul(a: _Mat, b: _Mat) -> _Mat:
 def _symbol_matrices(a: BuchiAutomaton) -> tuple[tuple[State, ...], dict[Symbol, _Mat]]:
     order = a._sorted_states
     pos = {q: i for i, q in enumerate(order)}
-    n = len(order)
-    mats = {}
-    for sym in sorted(a.alphabet, key=_key):
-        p1 = [0] * n
-        p2 = [0] * n
-        for (src, s, dst) in a.transitions:
-            if s != sym:
-                continue
-            i, j = pos[src], pos[dst]
-            p1[i] |= 1 << j
-            if (src, s, dst) in a.accepting:
-                p2[i] |= 1 << j
-        mats[sym] = _Mat(tuple(p1), tuple(p2))
-    return order, mats
+    p1 = {sym: [0] * len(order) for sym in a.alphabet}
+    p2 = {sym: [0] * len(order) for sym in a.alphabet}
+    for t in a.transitions:
+        src, sym, dst = t
+        p1[sym][pos[src]] |= 1 << pos[dst]
+        if t in a.accepting:
+            p2[sym][pos[src]] |= 1 << pos[dst]
+    return order, {sym: _Mat(tuple(p1[sym]), tuple(p2[sym])) for sym in a.alphabet}
 
 
-def _semigroup(generators: Mapping[Symbol, _Mat], cap: int) -> list[_Mat]:
-    """All products of one or more generators, in discovery order."""
-    seen: dict[_Mat, None] = {}
-    queue = deque()
-    for sym in sorted(generators, key=_key):
-        m = generators[sym]
-        if m not in seen:
-            seen[m] = None
-            queue.append(m)
-    gens = [generators[sym] for sym in sorted(generators, key=_key)]
-    while queue:
-        m = queue.popleft()
-        for g in gens:
-            prod = _mat_mul(m, g)
-            if prod not in seen:
-                if len(seen) >= cap:
-                    raise SizeGuard(
-                        f"transition-matrix semigroup exceeds {cap} elements")
-                seen[prod] = None
-                queue.append(prod)
-    return list(seen)
+def _image(mask: int, m: _Mat) -> int:
+    """States reachable through ``m`` from any state in ``mask``."""
+    out = 0
+    while mask:
+        j = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out |= m.p1[j]
+    return out
 
 
-def _pair_accepts(initial_mask: int, prefix: _Mat, loop: _Mat) -> bool:
-    """Does some word in prefix-class · (loop-class)^omega have an accepting run?
+def _loop_entries(loop: _Mat) -> int:
+    """States from which ``(loop-class)^omega`` has an accepting run.
 
-    True iff an initial state reaches, via the prefix matrix, a state that can
-    reach (in at most one loop step, which suffices for idempotent loops) a
-    state with a self entry of value 2.
+    For an idempotent ``loop`` that is the set of states reaching, in one
+    loop step, a state with a self entry of value 2: from there every further
+    block can return to it through an accepting transition.
     """
-    n = len(loop.p1)
-    d2 = 0
-    for s in range(n):
-        if (loop.p2[s] >> s) & 1:
-            d2 |= 1 << s
-    if not d2:
-        return False
-    qmask = 0
-    for q in range(n):
-        if loop.p1[q] & d2:
-            qmask |= 1 << q
-    x = initial_mask
-    while x:
-        j = (x & -x).bit_length() - 1
-        x &= x - 1
-        if prefix.p1[j] & qmask:
-            return True
-    return False
+    good = 0
+    for s, row in enumerate(loop.p2):
+        if (row >> s) & 1:
+            good |= 1 << s
+    entries = 0
+    if good:
+        for q, row in enumerate(loop.p1):
+            if row & good:
+                entries |= 1 << q
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -517,420 +444,142 @@ def trim(a: BuchiAutomaton) -> BuchiAutomaton:
         frozenset(t for t in a.accepting if t[0] in useful and t[2] in useful))
 
 
-def bisim_quotient(a: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by strong bisimulation (acceptance-aware); language-preserving.
-
-    Two states are merged when they have, recursively, the same set of
-    (symbol, accepting?, successor-class) moves.  Classes are numbered in a
-    stable order so the result is deterministic.
-    """
-    order = a._sorted_states
-    cls: dict[State, int] = {q: 0 for q in order}
-    while True:
-        sigs: dict[State, frozenset] = {
-            q: frozenset(
-                (sym, acc, cls[dst]) for sym, dst, acc in a._by_source.get(q, ()))
-            for q in order
-        }
-        renum: dict[tuple[int, frozenset], int] = {}
-        nxt: dict[State, int] = {}
-        for q in order:
-            key = (cls[q], sigs[q])
-            if key not in renum:
-                renum[key] = len(renum)
-            nxt[q] = renum[key]
-        if nxt == cls:
-            break
-        cls = nxt
-    transitions: set[Transition] = set()
-    accepting: set[Transition] = set()
-    for q in order:
-        for sym, acc, dcls in sigs[q]:
-            t = (cls[q], sym, dcls)
-            if acc:
-                accepting.add(t)
-            transitions.add(t)
-    # a class can carry both an accepting and a plain edge between the same
-    # endpoints; the accepting variant subsumes the other
-    return BuchiAutomaton(
-        frozenset(cls.values()), a.alphabet, frozenset(transitions),
-        frozenset(cls[q] for q in a.initial), frozenset(accepting))
-
-
 # ---------------------------------------------------------------------------
-# complementation
+# containment (Ramsey closure over feedback-state segments)
 # ---------------------------------------------------------------------------
 
+Word = tuple[Symbol, ...]
+Element = tuple[State, State, bool, _Mat]
+"""(source, target, accepting?, matrix): what a run of one automaton between
+two of its states does to the other automaton, over some word."""
 
-def complement_ramsey(a: BuchiAutomaton, *, max_states: int = 50_000) -> BuchiAutomaton:
-    """Ramsey-based complement (used as a cross-check for the default engine).
 
-    Every infinite word factors as u·v1·v2·… where all blocks share one
-    idempotent transition matrix R; with P the matrix of u, the original
-    automaton accepts either every word with such a factorization or none of
-    them, decided by :func:`_pair_accepts`.  The complement guesses the
-    factorization for a rejecting pair (P, R) and emits an accepting
-    transition at every block boundary.
+class _Cap:
+    """One count of stored prefixes, segments and loop elements."""
 
-    State bound: |S|+1 prefix states plus |E|·(|S|+1) block states, where S is
-    the matrix semigroup of the alphabet (worst case 3^(n^2)) and E its
-    idempotents; the ``max_states`` cap raises :class:`SizeGuard` before the
-    construction explodes.
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.used = 0
+
+    def take(self) -> None:
+        if self.used >= self.limit:
+            raise SizeGuard(
+                f"containment exceeds {self.limit} stored prefixes, "
+                "segments and loop elements")
+        self.used += 1
+
+
+def _feedback_states(a: BuchiAutomaton) -> set[State]:
+    """Targets of depth-first back edges from the initial states.
+
+    The first state of a reachable cycle that the search discovers has every
+    other state of the cycle below it, so the cycle edge into it is a back
+    edge: every reachable cycle passes one of these states.
     """
-    order, gens = _symbol_matrices(a)
-    pos = {q: i for i, q in enumerate(order)}
-    initial_mask = 0
-    for q in a.initial:
-        initial_mask |= 1 << pos[q]
-    semigroup = _semigroup(gens, max_states)
-    idempotents = [m for m in semigroup if _mat_mul(m, m) == m]
-    identity = _mat_identity(len(order))
-    syms = sorted(a.alphabet, key=_key)
-    gen_list = [gens[s] for s in syms]
+    on_stack: set[State] = set()
+    done: set[State] = set()
+    feedback: set[State] = set()
+    for root in a._sorted_states:
+        if root not in a.initial or root in done:
+            continue
+        on_stack.add(root)
+        work = [(root, iter(a._by_source[root]))]
+        while work:
+            q, it = work[-1]
+            for _sym, dst, _acc in it:
+                if dst in on_stack:
+                    feedback.add(dst)
+                elif dst not in done:
+                    on_stack.add(dst)
+                    work.append((dst, iter(a._by_source[dst])))
+                    break
+            else:
+                work.pop()
+                on_stack.discard(q)
+                done.add(q)
+    return feedback
 
-    rejecting_cache: dict[_Mat, tuple[_Mat, ...]] = {}
 
-    def rejecting_loops(prefix: _Mat) -> tuple[_Mat, ...]:
-        # Switches are restricted to linked pairs (prefix·loop == prefix):
-        # postponing the switch by one block turns any rejecting pair into a
-        # linked rejecting pair, so this loses no words.
-        got = rejecting_cache.get(prefix)
-        if got is None:
-            got = tuple(
-                r for r in idempotents
-                if _mat_mul(prefix, r) == prefix
-                and not _pair_accepts(initial_mask, prefix, r))
-            rejecting_cache[prefix] = got
-        return got
-
-    # Right-Cayley predecessor table over the semigroup, for pruning block
-    # states whose loop matrix has become unreachable (such runs can never
-    # take another accepting transition, so dropping them keeps the language).
-    sg_index = {m: i for i, m in enumerate(semigroup)}
-    preds: list[list[int]] = [[] for _ in semigroup]
-    for i, m in enumerate(semigroup):
-        for g in gen_list:
-            preds[sg_index[_mat_mul(m, g)]].append(i)
-    backreach_cache: dict[_Mat, frozenset[_Mat]] = {}
-
-    def can_still_complete(loop: _Mat) -> frozenset[_Mat]:
-        got = backreach_cache.get(loop)
-        if got is None:
-            seen = {sg_index[loop]}
-            queue = deque(seen)
-            while queue:
-                x = queue.popleft()
-                for p in preds[x]:
-                    if p not in seen:
-                        seen.add(p)
-                        queue.append(p)
-            got = frozenset(semigroup[i] for i in seen) | {identity}
-            backreach_cache[loop] = got
-        return got
-
-    start: State = ("prefix", identity)
-    seen: set[State] = {start}
-    queue: deque[State] = deque([start])
-    transitions: set[Transition] = set()
-    accepting: set[Transition] = set()
-
-    def emit(src: State, sym: Symbol, dst: State, acc: bool) -> None:
-        t = (src, sym, dst)
-        transitions.add(t)
-        if acc:
-            accepting.add(t)
-        if dst not in seen:
-            if len(seen) >= max_states:
-                raise SizeGuard(f"complement exceeds {max_states} states")
-            seen.add(dst)
-            queue.append(dst)
-
+def _prefixes(a: BuchiAutomaton, gens: Mapping[Symbol, _Mat], start: int,
+              cap: _Cap) -> dict[tuple[State, int], Word]:
+    """A shortest word to each reachable (a-state, b-state mask) pair."""
+    words: dict[tuple[State, int], Word] = {}
+    queue: deque[tuple[State, int]] = deque()
+    for q in a._sorted_states:
+        if q in a.initial:
+            cap.take()
+            words[(q, start)] = ()
+            queue.append((q, start))
     while queue:
-        st = queue.popleft()
-        if st[0] == "prefix":
-            prefix = st[1]
-            for sym in syms:
-                step = gens[sym]
-                emit(st, sym, ("prefix", _mat_mul(prefix, step)), False)
-                for loop in rejecting_loops(prefix):
-                    # the symbol starts the first block; after the switch the
-                    # guessed prefix matrix no longer matters, so block states
-                    # only carry (loop, current block matrix)
-                    if step in can_still_complete(loop):
-                        emit(st, sym, ("block", loop, step), False)
-                    if step == loop:
-                        # ... and may already complete it
-                        emit(st, sym, ("block", loop, identity), True)
-        else:
-            _tag, loop, cur = st
-            for sym in syms:
-                nxt = _mat_mul(cur, gens[sym])
-                if nxt in can_still_complete(loop):
-                    emit(st, sym, ("block", loop, nxt), False)
-                if nxt == loop:
-                    emit(st, sym, ("block", loop, identity), True)
-
-    raw = BuchiAutomaton(
-        frozenset(seen), a.alphabet, frozenset(transitions),
-        frozenset([start]), frozenset(accepting))
-    return bisim_quotient(trim(raw))
+        pair = queue.popleft()
+        q, mask = pair
+        for sym, dst, _acc in a._by_source[q]:
+            nxt = (dst, _image(mask, gens[sym]))
+            if nxt not in words:
+                cap.take()
+                words[nxt] = words[pair] + (sym,)
+                queue.append(nxt)
+    return words
 
 
-@lru_cache(maxsize=None)
-def _tight_vectors(bounds: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    """All tight rank vectors within per-slot parity bounds.
+def _segments(a: BuchiAutomaton, gens: Mapping[Symbol, _Mat], identity: _Mat,
+              feedback: set[State], cap: _Cap) -> dict[Element, Word]:
+    """Runs of ``a`` from a feedback state to the next, with a shortest word.
 
-    ``bounds[i] = (even_cap, odd_cap)``: slot i may hold any even value up to
-    ``even_cap`` or any odd value up to ``odd_cap``.  A vector is tight when
-    its maximum is odd and every odd value below the maximum also occurs; the
-    empty vector is vacuously tight.
+    Between two feedback states a run repeats no state, so each search ends.
     """
-    choices = []
-    for even_cap, odd_cap in bounds:
-        vals = list(range(0, even_cap + 1, 2)) + list(range(1, odd_cap + 1, 2))
-        if not vals:
-            return ()
-        choices.append(sorted(vals))
-    out = []
-    for vec in itertools.product(*choices):
-        if vec:
-            top = max(vec)
-            if top % 2 == 0:
-                continue
-            present = set(vec)
-            if any(r not in present for r in range(1, top, 2)):
-                continue
-        out.append(vec)
-    return tuple(out)
+    segments: dict[Element, Word] = {}
+    for f in sorted(feedback, key=_key):
+        start = (f, False, identity)
+        words: dict[tuple[State, bool, _Mat], Word] = {start: ()}
+        queue = deque([start])
+        while queue:
+            item = queue.popleft()
+            q, acc, m = item
+            for sym, dst, acc2 in a._by_source[q]:
+                nxt = (dst, acc or acc2, _mat_mul(m, gens[sym]))
+                if dst in feedback:
+                    seg = (f, *nxt)
+                    if seg not in segments:
+                        cap.take()
+                        segments[seg] = words[item] + (sym,)
+                elif nxt not in words:
+                    cap.take()
+                    words[nxt] = words[item] + (sym,)
+                    queue.append(nxt)
+    return segments
 
 
-def _subset_successor(
-        a: BuchiAutomaton, group: tuple[State, ...], sym: Symbol,
-) -> tuple[State, ...]:
-    """Image of a simultaneous-state set under one symbol, in stable order."""
-    out: set[State] = set()
-    for q in group:
-        for dst, _acc in a.moves(q, sym):
-            out.add(dst)
-    return tuple(sorted(out, key=_key))
+def _loops(segments: Mapping[Element, Word], cap: _Cap) -> dict[Element, Word]:
+    """The closure of the segments under composition, with shortest words.
 
-
-def _rank_transitions(
-        a: BuchiAutomaton, state: State, sym: Symbol, max_rank: int,
-) -> list[tuple[State, bool]]:
-    """One-symbol successors of a lazy rank-complement state.
-
-    States are either ``("set", group)`` — tracking every run of ``a`` — or
-    ``("rank", ((q, rank), ...), breakpoint_bits)`` after the guessed switch.
-    Returns ``(destination, accepting)`` pairs.
+    Elements are settled in order of word length, so the word an element has
+    when it is settled is a shortest one.
     """
-    out: list[tuple[State, bool]] = []
-    if state[0] == "set":
-        nxt = _subset_successor(a, state[1], sym)
-        out.append((("set", nxt), False))
-        # switch into the ranking phase with any tight first guess
-        caps = ((max_rank, max_rank - 1),) * len(nxt)
-        for vec in _tight_vectors(caps):
-            out.append((("rank", tuple(zip(nxt, vec)), (0,) * len(nxt)), False))
-        return out
-    _tag, ranked, obits = state
-    rank = dict(ranked)
-    breakpoint_set = {q for (q, _), bit in zip(ranked, obits) if bit}
-    per: dict[State, tuple[int, int]] = {}
-    from_breakpoint: set[State] = set()
-    for q in rank:
-        for q2, acc in a.moves(q, sym):
-            even_cap, odd_cap = per.get(q2, (max_rank, max_rank - 1))
-            even_cap = min(even_cap, rank[q])
-            odd_cap = min(odd_cap, rank[q] - 1 if acc else rank[q])
-            per[q2] = (even_cap, odd_cap)
-            if q in breakpoint_set:
-                from_breakpoint.add(q2)
-    nxt = tuple(sorted(per, key=_key))
-    reset = not breakpoint_set
-    for vec in _tight_vectors(tuple(per[q2] for q2 in nxt)):
-        if reset:
-            bits = tuple(int(v % 2 == 0) for v in vec)
-        else:
-            bits = tuple(
-                int(v % 2 == 0 and q2 in from_breakpoint)
-                for q2, v in zip(nxt, vec))
-        out.append((("rank", tuple(zip(nxt, vec)), bits), reset))
-    return out
-
-
-def complement_rank(a: BuchiAutomaton, *, max_states: int = 50_000) -> BuchiAutomaton:
-    """Rank-based complement (the default engine).
-
-    If the automaton rejects a word, its run dag admits a ranking by
-    {0,…,2n} in which every edge weakly decreases the rank, every accepting
-    edge either decreases it strictly or lands on an even rank, and every
-    infinite path eventually stabilises at an odd rank; conversely such a
-    ranking rules out accepting runs, because a path that has stabilised at an
-    odd rank can take no further accepting edges.  Moreover the level
-    rankings of a rejected word are eventually *tight*: the maximum rank is
-    odd and every odd rank below it is used.
-
-    The complement therefore runs a subset construction, nondeterministically
-    switches to guessing one tight level ranking per step (each successor's
-    rank bounded by its predecessors' ranks, strictly or to an even value
-    across accepting edges), and checks odd stabilisation with a breakpoint
-    set holding the even-ranked states not yet shown to go odd; transitions
-    out of an empty breakpoint set are accepting.  Worst case O((0.76·n)^n)
-    states; the ``max_states`` cap raises :class:`SizeGuard` beyond that.
-
-    Ranks are bounded by twice the *width* (the largest reachable
-    simultaneous-state set) rather than twice the state count: the peeling
-    that produces the ranking removes at least one state per level and round,
-    so it finishes within `width` rounds.  This keeps the construction small
-    on large-but-narrow automata.
-    """
-    syms = sorted(a.alphabet, key=_key)
-    start: State = ("set", tuple(sorted(a.initial, key=_key)))
-
-    # deterministic subset flow, explored first to learn the width
-    groups: set[tuple[State, ...]] = {start[1]}
-    gqueue: deque[tuple[State, ...]] = deque([start[1]])
-    while gqueue:
-        g = gqueue.popleft()
-        for sym in syms:
-            nxt = _subset_successor(a, g, sym)
-            if nxt not in groups:
-                if len(groups) >= max_states:
-                    raise SizeGuard(f"complement exceeds {max_states} states")
-                groups.add(nxt)
-                gqueue.append(nxt)
-    max_rank = 2 * max(len(g) for g in groups)
-
-    seen: set[State] = {start}
-    queue: deque[State] = deque([start])
-    transitions: set[Transition] = set()
-    accepting: set[Transition] = set()
-
-    while queue:
-        st = queue.popleft()
-        for sym in syms:
-            for dst, acc in _rank_transitions(a, st, sym, max_rank):
-                t = (st, sym, dst)
-                transitions.add(t)
-                if acc:
-                    accepting.add(t)
-                if dst not in seen:
-                    if len(seen) >= max_states:
-                        raise SizeGuard(
-                            f"complement exceeds {max_states} states")
-                    seen.add(dst)
-                    queue.append(dst)
-
-    raw = BuchiAutomaton(
-        frozenset(seen), a.alphabet, frozenset(transitions),
-        frozenset([start]), frozenset(accepting))
-    return bisim_quotient(trim(raw))
-
-
-def complement(
-    a: BuchiAutomaton,
-    *,
-    max_states: int = 50_000,
-    method: str = "rank",
-) -> BuchiAutomaton:
-    """An automaton for the complement language over the same alphabet.
-
-    ``method`` selects the engine: ``"rank"`` (default, scales with the
-    number of tight rankings) or ``"ramsey"`` (scales with the transition
-    matrix semigroup; kept as an independent cross-check).
-    """
-    if method == "rank":
-        return complement_rank(a, max_states=max_states)
-    if method == "ramsey":
-        return complement_ramsey(a, max_states=max_states)
-    raise BuchiError(f"unknown complement method: {method!r}")
-
-
-def _product_rank_complement(
-    a: BuchiAutomaton, b: BuchiAutomaton, *, max_states: int = 50_000,
-) -> BuchiAutomaton:
-    """Rank-based complement of ``b``, built only where ``a`` can drive it.
-
-    Explores complement states in lockstep with ``a``, expanding a
-    ``(complement state, symbol)`` pair only when some product-reachable
-    state of ``a`` enables that symbol.  Every transition of the full product
-    a ∩ complement(b) touches an expanded pair, so intersecting ``a`` with
-    the result is equivalent to intersecting with the full complement — while
-    skipping the (often vast) part of the complement reachable only via
-    symbol sequences ``a`` never produces.
-    """
-    start: State = ("set", tuple(sorted(b.initial, key=_key)))
-
-    def a_moves_by_symbol(qa: State) -> dict[Symbol, list[State]]:
-        by_sym: dict[Symbol, list[State]] = {}
-        for sym, dst, _acc in a._by_source.get(qa, ()):
-            by_sym.setdefault(sym, []).append(dst)
-        return by_sym
-
-    # pass 1: subset flow restricted to the product, to learn the width
-    pairs: set[tuple[State, tuple[State, ...]]] = set()
-    pqueue: deque[tuple[State, tuple[State, ...]]] = deque()
-    for qa in sorted(a.initial, key=_key):
-        pairs.add((qa, start[1]))
-        pqueue.append((qa, start[1]))
-    width = len(start[1])
-    flow: dict[tuple[tuple[State, ...], Symbol], tuple[State, ...]] = {}
-    while pqueue:
-        qa, g = pqueue.popleft()
-        for sym, dsts in a_moves_by_symbol(qa).items():
-            key = (g, sym)
-            nxt = flow.get(key)
-            if nxt is None:
-                nxt = flow[key] = _subset_successor(b, g, sym)
-            for qa2 in dsts:
-                pair = (qa2, nxt)
-                if pair not in pairs:
-                    if len(pairs) >= max_states:
-                        raise SizeGuard(
-                            f"complement exceeds {max_states} states")
-                    pairs.add(pair)
-                    width = max(width, len(nxt))
-                    pqueue.append(pair)
-    max_rank = 2 * width
-
-    # pass 2: the same product walk, now over full complement states
-    comp_states: set[State] = {start}
-    comp_trans: set[Transition] = set()
-    comp_acc: set[Transition] = set()
-    comp_succ: dict[tuple[State, Symbol], list[State]] = {}
-    seen: set[tuple[State, State]] = set()
-    queue: deque[tuple[State, State]] = deque()
-    for qa in sorted(a.initial, key=_key):
-        seen.add((qa, start))
-        queue.append((qa, start))
-    while queue:
-        qa, c = queue.popleft()
-        for sym, dsts in a_moves_by_symbol(qa).items():
-            key = (c, sym)
-            succs = comp_succ.get(key)
-            if succs is None:
-                succs = comp_succ[key] = []
-                for c2, acc in _rank_transitions(b, c, sym, max_rank):
-                    t = (c, sym, c2)
-                    comp_trans.add(t)
-                    if acc:
-                        comp_acc.add(t)
-                    succs.append(c2)
-                    if c2 not in comp_states:
-                        if len(comp_states) >= max_states:
-                            raise SizeGuard(
-                                f"complement exceeds {max_states} states")
-                        comp_states.add(c2)
-            for qa2 in dsts:
-                for c2 in succs:
-                    pair = (qa2, c2)
-                    if pair not in seen:
-                        seen.add(pair)
-                        queue.append(pair)
-    return BuchiAutomaton(
-        frozenset(comp_states), a.alphabet, frozenset(comp_trans),
-        frozenset([start]), frozenset(comp_acc))
+    by_source: dict[State, list[tuple[Element, Word]]] = {}
+    for seg, word in segments.items():
+        by_source.setdefault(seg[0], []).append((seg, word))
+    best = dict(segments)
+    heap = [(len(word), i, seg) for i, (seg, word) in enumerate(segments.items())]
+    tick = len(heap)
+    settled: dict[Element, Word] = {}
+    while heap:
+        _len, _tick, elem = heapq.heappop(heap)
+        if elem in settled:
+            continue
+        word = settled[elem] = best[elem]
+        src, dst, acc, m = elem
+        for (_mid, to, acc2, m2), word2 in by_source.get(dst, ()):
+            prod = (src, to, acc or acc2, _mat_mul(m, m2))
+            longer = word + word2
+            old = best.get(prod)
+            if old is None:
+                cap.take()
+            if old is None or len(longer) < len(old):
+                best[prod] = longer
+                heapq.heappush(heap, (len(longer), tick, prod))
+                tick += 1
+    return settled
 
 
 def contains(
@@ -938,24 +587,60 @@ def contains(
     b: BuchiAutomaton,
     *,
     max_states: int = 50_000,
-    method: str = "rank",
 ) -> tuple[bool, Optional[LassoWord]]:
     """Language containment L(a) ⊆ L(b), with a counterexample lasso if not.
 
-    Decided as emptiness of a ∩ complement(b); the counterexample is accepted
-    by ``a`` and rejected by ``b``.  ``method`` picks the complementation
-    engine (see :func:`complement`); the rank engine builds the complement
-    lazily, restricted to the part of it that ``a`` can reach.
+    Decided without complementing ``b``, by the Ramsey argument.  Take a word
+    w accepted by ``a`` along a run ρ and rejected by ``b``.  ρ passes
+    feedback states (:func:`_feedback_states`) infinitely often, and cuts w
+    at those visits into segments.  Colour each pair of cuts i < j by
+    (ρ_i, ρ_j, whether ρ takes an accepting transition between them, the
+    three-valued matrix of ``b`` on the word between them).  By Ramsey's
+    theorem there are infinitely many cuts whose pairs all share one colour
+    (p, p, acc, E).  Two adjacent pairs compose to a third, so E·E = E, and
+    acc holds because ρ accepts.  So w = u·v1·v2·… where ``u`` leads ``a``
+    to p and ``b`` to a state set M, and every block v_k is a composition of
+    segments with matrix E.  Since ``b`` rejects w, no state of M reaches in
+    one E step a state with a self entry of value 2.  Conversely, any such
+    prefix pair (p, M) with word u and idempotent accepting loop element at p
+    with word v gives u·v^omega, which ``a`` accepts and ``b`` rejects.
+
+    So the decision closes three finite tables, each keeping a shortest
+    word: the reachable (a-state, b-state set) prefix pairs; the segments of
+    ``a`` between feedback states; and the closure of the segments under
+    composition.  One cycle through one feedback state is a single segment,
+    so the closure does not grow with cycle length.  The counterexample is
+    the shortest such (u, v), with the end of u rotated into v while both
+    end in the same symbol.  ``max_states`` caps the prefixes, the segments
+    and partial segments, and the loop elements together; going past it
+    raises :class:`SizeGuard`.
     """
     if a.alphabet != b.alphabet:
         raise BuchiError("containment requires identical alphabets")
-    if method == "rank":
-        comp = _product_rank_complement(a, b, max_states=max_states)
-    else:
-        comp = complement(b, max_states=max_states, method=method)
-    gap = intersect(a, comp)
-    empty, witness = is_empty(gap)
-    return empty, witness
+    order, gens = _symbol_matrices(b)
+    start = sum(1 << i for i, q in enumerate(order) if q in b.initial)
+    cap = _Cap(max_states)
+    feedback = _feedback_states(a)
+    prefixes_at: dict[State, list[tuple[int, Word]]] = {}
+    for (q, mask), u in _prefixes(a, gens, start, cap).items():
+        if q in feedback:
+            prefixes_at.setdefault(q, []).append((mask, u))
+    segments = _segments(a, gens, _mat_identity(len(order)), feedback, cap)
+    found: Optional[tuple[Word, Word]] = None
+    for (src, dst, acc, m), v in _loops(segments, cap).items():
+        if src != dst or not acc or _mat_mul(m, m) != m:
+            continue
+        entries = _loop_entries(m)
+        for mask, u in prefixes_at.get(src, ()):
+            if not mask & entries and (
+                    found is None or len(u) + len(v) < sum(map(len, found))):
+                found = (u, v)
+    if found is None:
+        return True, None
+    u, v = found
+    while u and u[-1] == v[-1]:
+        u, v = u[:-1], (u[-1],) + v[:-1]
+    return False, LassoWord(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,13 +795,7 @@ def survey_lassos(a: BuchiAutomaton, max_u: int, max_v: int) -> LassoSurvey:
         nxt: list[tuple[tuple[Symbol, ...], int]] = []
         for word, mask in layer:
             for sym in syms:
-                rows = gens[sym].p1
-                out = 0
-                x = mask
-                while x:
-                    j = (x & -x).bit_length() - 1
-                    x &= x - 1
-                    out |= rows[j]
+                out = _image(mask, gens[sym])
                 key = word + (sym,)
                 prefix_reach[key] = out
                 nxt.append((key, out))

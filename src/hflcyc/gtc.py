@@ -24,7 +24,6 @@ from typing import Iterator, Optional, Union
 
 from .buchi import (
     BuchiAutomaton,
-    LassoWord,
     SizeGuard,
     contains,
     make_automaton,
@@ -323,27 +322,6 @@ def build_gtc_automaton(pp: PreProof, *, max_states: int = 50_000
 # ---------------------------------------------------------------------------
 
 
-def _contains_robust(a: BuchiAutomaton, b: BuchiAutomaton, max_states: int
-                     ) -> tuple[bool, Optional[LassoWord]]:
-    """Containment via the product-driven rank engine, Ramsey as fallback.
-
-    The rank complement explored in lockstep with the path automaton stays
-    narrow on trace automata; the Ramsey engine is a differently-shaped
-    backstop for inputs where the ranking construction blows past the cap.
-    """
-    try:
-        return contains(a, b, max_states=max_states, method="rank")
-    except SizeGuard:
-        return contains(a, b, max_states=max_states, method="ramsey")
-
-
-def _strip_redundant_laps(prefix: tuple[str, ...], cycle: tuple[str, ...]
-                          ) -> tuple[str, ...]:
-    while len(prefix) >= len(cycle) and prefix[-len(cycle):] == cycle:
-        prefix = prefix[:-len(cycle)]
-    return prefix
-
-
 def check_gtc(pp: PreProof, *, max_states: int = 50_000
               ) -> tuple[bool, Optional[Lasso]]:
     """Decide whether every infinite path carries a good trace.
@@ -352,19 +330,21 @@ def check_gtc(pp: PreProof, *, max_states: int = 50_000
     language, else ``(False, lasso)`` with an ultimately periodic
     counterexample path (no left mu-trace / right nu-trace on any tail).
     Raises :class:`GtcUnknown` when a state cap was exceeded — never a wrong
-    boolean.
+    boolean — and :class:`GtcError` when an open leaf has no back edge.
     """
+    for leaf in pp.open_leaves():
+        if leaf.id not in pp.back_edges:
+            raise GtcError(f"open leaf {leaf.id!r} has no back edge")
     path_aut = build_path_automaton(pp)
     try:
         trace_aut = trim(build_gtc_automaton(pp, max_states=max_states))
-        ok, word = _contains_robust(path_aut, trace_aut, max_states)
+        ok, word = contains(path_aut, trace_aut, max_states=max_states)
     except (SizeGuard, StateExplosionGuard) as exc:
         raise GtcUnknown(f"undecided within the state cap: {exc}") from exc
     if ok:
         return True, None
     assert word is not None
-    cycle = tuple(word.v)
-    return False, Lasso(_strip_redundant_laps(tuple(word.u), cycle), cycle)
+    return False, Lasso(word.u, word.v)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,10 @@ def loads_preproof(text: str) -> PreProof:
         if head == "back":
             if len(form) != 3:
                 raise ProofFormatError("(back ...) takes a leaf id and a target id")
-            back[_atom_param(form[1], "leaf id")] = _atom_param(form[2], "target id")
+            leaf_id = _atom_param(form[1], "leaf id")
+            if leaf_id in back:
+                raise ProofFormatError(f"duplicate (back ...) form for leaf {leaf_id!r}")
+            back[leaf_id] = _atom_param(form[2], "target id")
             continue
         if head != "node":
             raise ProofFormatError(f"unknown top-level form {head!r}")

@@ -1,4 +1,4 @@
-"""Büchi automata: membership, emptiness, products, complement, surveys."""
+"""Büchi automata: membership, emptiness, containment, trimming, surveys."""
 
 import random
 
@@ -10,13 +10,9 @@ from hflcyc.buchi import (
     LassoWord,
     SizeGuard,
     accepts_lasso,
-    complement,
-    complement_ramsey,
-    complement_rank,
     contains,
     dump_automaton,
     enumerate_lassos,
-    intersect,
     is_empty,
     make_automaton,
     survey_lassos,
@@ -64,11 +60,10 @@ def random_automaton(rng: random.Random, max_states: int = 4,
     return make_automaton(states, alphabet, trans, initial, acc)
 
 
-def agree(x: BuchiAutomaton, y: BuchiAutomaton, max_u: int, max_v: int,
-          negate: bool = False) -> bool:
+def agree(x: BuchiAutomaton, y: BuchiAutomaton, max_u: int, max_v: int) -> bool:
     sx = survey_lassos(x, max_u, max_v)
     sy = survey_lassos(y, max_u, max_v)
-    return all(sx.accepts(w) == (sy.accepts(w) ^ negate) for w in sx.lassos())
+    return all(sx.accepts(w) == sy.accepts(w) for w in sx.lassos())
 
 
 class TestMembership:
@@ -159,81 +154,6 @@ class TestSurvey:
         assert len(list(enumerate_lassos(["a"], 0, 3))) == 3
 
 
-class TestIntersect:
-    def test_alphabet_mismatch(self):
-        with pytest.raises(BuchiError, match="alphabet"):
-            intersect(nothing(["a"]), nothing(["a", "b"]))
-
-    def test_with_everything_is_identity(self):
-        rng = random.Random(11)
-        for _ in range(15):
-            a = random_automaton(rng)
-            assert agree(intersect(a, everything()), a, 3, 3)
-
-    def test_with_empty_is_empty(self):
-        rng = random.Random(12)
-        for _ in range(10):
-            a = random_automaton(rng)
-            assert is_empty(intersect(a, nothing()))[0]
-
-    def test_random_conjunction(self):
-        rng = random.Random(13)
-        for _ in range(15):
-            a = random_automaton(rng)
-            b = random_automaton(rng)
-            sa = survey_lassos(a, 3, 3)
-            sb = survey_lassos(b, 3, 3)
-            si = survey_lassos(intersect(a, b), 3, 3)
-            for w in sa.lassos():
-                assert si.accepts(w) == (sa.accepts(w) and sb.accepts(w))
-
-
-class TestComplement:
-    def test_of_everything_is_empty(self):
-        assert is_empty(complement(everything()))[0]
-
-    def test_of_empty_is_everything(self):
-        c = complement(nothing())
-        survey = survey_lassos(c, 3, 3)
-        assert all(survey.accepts(w) for w in survey.lassos())
-
-    def test_random_negation(self):
-        rng = random.Random(0xC0FF)
-        for _ in range(20):
-            a = random_automaton(rng)
-            assert agree(complement(a), a, 4, 4, negate=True)
-
-    def test_three_letter_negation(self):
-        rng = random.Random(0xFACE)
-        for _ in range(5):
-            a = random_automaton(rng, alphabet=("a", "b", "c"))
-            assert agree(complement(a), a, 3, 3, negate=True)
-
-    def test_engines_agree(self):
-        rng = random.Random(0xD1CE)
-        compared = 0
-        while compared < 12:
-            a = random_automaton(rng, max_states=3)
-            try:
-                slow = complement_ramsey(a, max_states=8000)
-            except SizeGuard:
-                continue  # cross-check only where the slow engine is small
-            assert agree(complement_rank(a), slow, 4, 4)
-            compared += 1
-
-    def test_size_guard_rank(self):
-        with pytest.raises(SizeGuard):
-            complement_rank(infinitely_many_b(), max_states=3)
-
-    def test_size_guard_ramsey(self):
-        with pytest.raises(SizeGuard):
-            complement_ramsey(infinitely_many_b(), max_states=3)
-
-    def test_unknown_method(self):
-        with pytest.raises(BuchiError, match="unknown complement method"):
-            complement(nothing(), method="subset")
-
-
 class TestContains:
     def test_reflexive(self):
         rng = random.Random(21)
@@ -248,11 +168,12 @@ class TestContains:
         assert accepts_lasso(everything(), wit)
         assert not accepts_lasso(nothing(), wit)
 
-    def test_random_agreement(self):
-        rng = random.Random(22)
-        for _ in range(15):
-            a = random_automaton(rng)
-            b = random_automaton(rng)
+    @staticmethod
+    def check_agreement(alphabet, seed, pairs):
+        rng = random.Random(seed)
+        for _ in range(pairs):
+            a = random_automaton(rng, alphabet=alphabet)
+            b = random_automaton(rng, alphabet=alphabet)
             ok, wit = contains(a, b)
             sa = survey_lassos(a, 4, 4)
             sb = survey_lassos(b, 4, 4)
@@ -263,19 +184,29 @@ class TestContains:
                 assert accepts_lasso(a, wit)
                 assert not accepts_lasso(b, wit)
 
-    def test_methods_agree(self):
-        rng = random.Random(23)
-        compared = 0
-        while compared < 10:
-            a = random_automaton(rng, max_states=3)
-            b = random_automaton(rng, max_states=3)
-            try:
-                slow_ok, _ = contains(a, b, max_states=8000, method="ramsey")
-            except SizeGuard:
-                continue
-            fast_ok, _ = contains(a, b, method="rank")
-            assert fast_ok == slow_ok
-            compared += 1
+    def test_random_agreement(self):
+        self.check_agreement(("a", "b"), 22, 15)
+        self.check_agreement(("a", "b"), 23, 40)
+
+    def test_three_letter_agreement(self):
+        self.check_agreement(("a", "b", "c"), 24, 25)
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(BuchiError, match="alphabet"):
+            contains(nothing(["a"]), nothing(["a", "b"]))
+
+    def test_size_guard(self):
+        # 2 prefixes fit under the cap; the segments do not
+        with pytest.raises(SizeGuard, match="exceeds 3 stored") as info:
+            contains(infinitely_many_b(), infinitely_many_b(), max_states=3)
+        assert info.traceback[-2].name == "_segments"
+
+    def test_size_guard_closure(self):
+        # 2 prefixes and 4 segments fit under the cap; the loop elements do not
+        with pytest.raises(SizeGuard, match="exceeds 6 stored") as info:
+            contains(infinitely_many_b(), infinitely_many_b(), max_states=6)
+        assert info.traceback[-2].name == "_loops"
+        assert contains(infinitely_many_b(), infinitely_many_b(), max_states=8)[0]
 
 
 class TestStateAcceptance:
@@ -314,8 +245,6 @@ class TestDumps:
         rng = random.Random(51)
         a = random_automaton(rng)
         assert dump_automaton(a) == dump_automaton(a)
-        c = complement(a)
-        assert dump_automaton(c) == dump_automaton(c)
 
     def test_dot_export(self):
         a = infinitely_many_b()

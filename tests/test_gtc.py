@@ -28,6 +28,7 @@ from hflcyc.kernel import (
     Axiom,
     DerivTree,
     ExR,
+    NuR,
     OccurrenceRef,
     PreProof,
     validate_preproof,
@@ -69,6 +70,22 @@ def sigma_free_loop_proof() -> PreProof:
     swapped = "|- S 0 = S 0, 0 = 0"
     tree = node("r", s, ExR(0), node("m", swapped, ExR(0), leaf("b", s)))
     return PreProof(tree, {"b": "r"})
+
+
+def rotation_proof(k: int) -> PreProof:
+    """``|- nu t. t`` k times: one ``NuR``, then ``ExR`` moves it to the end.
+
+    Valid: every occurrence is unfolded once every k laps.
+    """
+    rules = [NuR()] + [ExR(i) for i in range(k - 1)]
+    seqs = [ps("|- " + ", ".join(["nu t:O. t"] * k))]
+    for rule in rules:
+        (premise,) = rule.premises_of(seqs[-1])
+        seqs.append(premise)
+    tree = DerivTree(f"n{k}", seqs[k], None)
+    for i in reversed(range(k)):
+        tree = DerivTree(f"n{i}", seqs[i], rules[i], (tree,))
+    return PreProof(tree, {f"n{k}": "n0"})
 
 
 def closed_proof() -> PreProof:
@@ -279,16 +296,19 @@ class TestCheckGtc:
         pp = sigma_free_loop_proof()
         ok, lasso = check_gtc(pp)
         assert not ok
-        assert set(lasso.cycle) == {"r", "m", "b"}
+        assert lasso == Lasso((), ("r", "m", "b"))
         assert not lasso_good(pp, lasso)
 
     def test_figure_eight_witness_alternates_good_cycles(self):
         pp = figure_eight_proof()
         ok, lasso = check_gtc(pp)
         assert not ok
-        # the witness must weave both loops: each on its own is good
-        assert any(n.startswith("u") for n in lasso.cycle)
-        assert any(n.startswith("v") for n in lasso.cycle)
+        # the witness must weave both loops: each on its own is good; one
+        # lap of each is the shortest weave
+        loop_a = ("r", "u1", "u2", "u3", "u4", "u5", "u6", "u7")
+        loop_b = ("r", "v1", "v2", "v3", "v4", "v5", "v6", "v7")
+        assert lasso.prefix == ()
+        assert sorted(lasso.cycle) == sorted(loop_a + loop_b)
         assert not lasso_good(pp, lasso)
         for simple in enumerate_simple_lassos(pp):
             assert lasso_good(pp, simple)
@@ -305,6 +325,16 @@ class TestCheckGtc:
     def test_unknown_on_tiny_state_cap(self, golden):
         with pytest.raises(GtcUnknown, match="state cap"):
             check_gtc(golden, max_states=4)
+
+    def test_four_occurrence_rotation(self):
+        pp = rotation_proof(4)
+        assert check_cyclic_proof(pp) == Accepted()
+        with pytest.raises(GtcUnknown, match="state cap"):
+            check_gtc(pp, max_states=4)
+
+    def test_open_leaf_without_back_edge_is_named(self, golden):
+        with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
+            check_gtc(PreProof(golden.tree, {}))
 
 
 class TestCheckCyclicProof:

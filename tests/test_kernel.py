@@ -414,6 +414,8 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") (rule Cut) (children))', "Cut takes one"),
         ('(node n0 (seq "p |- p") (rule ExL x) (children))', "position parameter"),
         ('(back n0)', "takes a leaf id"),
+        ('(node n0 (seq "p |- p") open)\n(back n0 n0)\n(back n0 n1)',
+         "duplicate (back ...) form for leaf 'n0'"),
         ('', "no (node ...)"),
     ])
     def test_format_errors(self, bad, hint):
