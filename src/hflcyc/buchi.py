@@ -7,7 +7,10 @@ counterexample lasso, and an exhaustive lasso-membership survey used as a
 brute-force oracle by the test suite.
 
 States and alphabet symbols are opaque hashable values; textual dumps relabel
-states with stable integer ids.
+states with stable integer ids.  The trace automaton of :mod:`hflcyc.gtc`
+numbers its states as ints in discovery order (0 is the idle state) and keeps
+a table that decodes each int back to its tracked occurrence, so trimming,
+containment and the cached lookup tables here hash and sort only small ints.
 
 Containment L(a) ⊆ L(b) builds no complement.  It is the Ramsey closure of
 size-change termination (Lee, Jones and Ben-Amram, POPL 2001) in the form
@@ -401,20 +404,18 @@ def trim(a: BuchiAutomaton) -> BuchiAutomaton:
     an accepting transition whose endpoints share a strongly connected
     component.  Removing the rest preserves the language.
     """
-    reach: set[State] = set()
-    queue = deque(q for q in a._sorted_states if q in a.initial)
-    reach.update(queue)
+    out: dict[State, set[State]] = {}
+    for src, _sym, dst in a.transitions:
+        out.setdefault(src, set()).add(dst)
+    reach = set(a.initial)
+    queue = deque(reach)
     while queue:
-        q = queue.popleft()
-        for _sym, dst, _acc in a._by_source.get(q, ()):
+        for dst in out.get(queue.popleft(), ()):
             if dst not in reach:
                 reach.add(dst)
                 queue.append(dst)
-    succs = {
-        q: [dst for _s, dst, _a in a._by_source.get(q, ()) if dst in reach]
-        for q in reach
-    }
-    comp = _scc_ids(sorted(reach, key=_key), succs)
+    succs = {q: [dst for dst in out.get(q, ()) if dst in reach] for q in reach}
+    comp = _scc_ids(list(reach), succs)
     core = {
         src
         for (src, _sym, dst) in a.accepting
@@ -429,7 +430,7 @@ def trim(a: BuchiAutomaton) -> BuchiAutomaton:
         for dst in succs[q]:
             preds[dst].append(q)
     useful = set(core)
-    queue = deque(sorted(core, key=_key))
+    queue = deque(core)
     while queue:
         q = queue.popleft()
         for p in preds[q]:

@@ -19,7 +19,7 @@ hashable without renaming.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .buchi import (
@@ -32,6 +32,7 @@ from .buchi import (
 from .kernel import (
     LEFT,
     RIGHT,
+    DerivTree,
     OccPos,
     OccurrenceRef,
     PreProof,
@@ -44,7 +45,6 @@ from .trace import (
     MU,
     NU,
     Lasso,
-    OccurrenceStep,
     occurrence_steps,
     render_annotated,
     replay_annotations,
@@ -61,6 +61,7 @@ __all__ = [
     "STAR",
     "Star",
     "StateExplosionGuard",
+    "TraceAutomaton",
     "Tracked",
     "build_gtc_automaton",
     "build_path_automaton",
@@ -168,13 +169,21 @@ def marked_formula(pp: PreProof, state: Tracked) -> MarkedFormula:
 # ---------------------------------------------------------------------------
 
 
+def _require_back_edges(pp: PreProof) -> None:
+    for node in pp.nodes.values():
+        if node.is_open() and node.id not in pp.back_edges:
+            raise GtcError(f"open leaf {node.id!r} has no back edge")
+
+
 def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
     """A Büchi automaton accepting exactly the infinite paths of the proof.
 
     States mirror the proof nodes, every transition reads its source node and
     is accepting, and runs start at the root; closed leaves have no outgoing
-    transitions, so a closed proof tree yields the empty language.
+    transitions, so a closed proof tree yields the empty language.  Raises
+    :class:`GtcError` when an open leaf has no back edge.
     """
+    _require_back_edges(pp)
     ids = sorted(pp.nodes)
     transitions = [(n, n, m) for n in ids for m in successors(pp, n)]
     return make_automaton(ids, ids, transitions, [pp.tree.id], transitions)
@@ -192,40 +201,16 @@ def _sequent_occurrences(seq: Sequent) -> Iterator[OccPos]:
         yield (RIGHT, j)
 
 
-def _single_mark_states(pp: PreProof, node_id: str) -> list[Tracked]:
+_Key = tuple[str, str, int, frozenset[Path]]
+"""A tracked state while the automaton is built: node, side, index, marks."""
+
+
+def _single_mark_states(pp: PreProof, node_id: str) -> list[_Key]:
     """Every way to start tracking at a node: one marked operator each."""
     seq = pp.node(node_id).seq
-    out: list[Tracked] = []
-    for side, index in _sequent_occurrences(seq):
-        formula = seq.left[index] if side == LEFT else seq.right[index]
-        for p in sigma_paths(formula):
-            out.append(Tracked(OccurrenceRef(node_id, side, index),
-                               frozenset((p,))))
-    return out
-
-
-class _StepTable:
-    """Per-(node, branch) occurrence steps with precomputed inverses."""
-
-    def __init__(self, pp: PreProof):
-        self.pp = pp
-        self._cache: dict[tuple[str, int],
-                          dict[OccPos, list[tuple[OccurrenceStep,
-                                                  dict[Path, tuple[Path, ...]]]]]] = {}
-
-    def for_branch(self, node_id: str, branch: int
-                   ) -> dict[OccPos, list[tuple[OccurrenceStep,
-                                                dict[Path, tuple[Path, ...]]]]]:
-        key = (node_id, branch)
-        got = self._cache.get(key)
-        if got is None:
-            node = self.pp.node(node_id)
-            got = {}
-            for step in occurrence_steps(node.seq, node.rule, branch):
-                got.setdefault(step.conclusion_pos, []).append(
-                    (step, step.inverse()))
-            self._cache[key] = got
-        return got
+    return [(node_id, side, index, frozenset((p,)))
+            for side, index in _sequent_occurrences(seq)
+            for p in sigma_paths((seq.left if side == LEFT else seq.right)[index])]
 
 
 def _good_unfold(side: str, sigma_kind: Optional[str]) -> bool:
@@ -233,8 +218,15 @@ def _good_unfold(side: str, sigma_kind: Optional[str]) -> bool:
             or (sigma_kind == NU and side == RIGHT))
 
 
+@dataclass(frozen=True)
+class TraceAutomaton(BuchiAutomaton):
+    """A trace automaton whose states are ints; state ``i`` is ``decode[i]``."""
+
+    decode: tuple[GtcState, ...] = field(default=(), compare=False, repr=False)
+
+
 def build_gtc_automaton(pp: PreProof, *, max_states: int = 50_000
-                        ) -> BuchiAutomaton:
+                        ) -> TraceAutomaton:
     """The trace automaton over proof-node symbols.
 
     From the idle state the automaton either ignores the input or, while
@@ -253,68 +245,83 @@ def build_gtc_automaton(pp: PreProof, *, max_states: int = 50_000
     - track-head transitions are accepting exactly when they unfold a left mu
       or a right nu; every other transition is not accepting.
 
+    States are numbered as ints in the order the search discovers them: 0 is
+    :data:`STAR`, and ``decode[i]`` is the :class:`Tracked` state numbered
+    ``i``.  So trimming and containment hash small ints, not dataclasses.
+
     States whose mark set would become empty are dropped: such a state can
     never see another track-head, so the accepted language is unchanged.
-    Raises :class:`StateExplosionGuard` over ``max_states`` states.
+    Raises :class:`StateExplosionGuard` over ``max_states`` states and
+    :class:`GtcError` when an open leaf has no back edge.
     """
+    _require_back_edges(pp)
     ids = sorted(pp.nodes)
-    entries = {m: _single_mark_states(pp, m) for m in ids}
-    steps = _StepTable(pp)
 
-    seen: set[GtcState] = {STAR}
-    queue: deque[Tracked] = deque()
-    transitions: set[tuple[GtcState, str, GtcState]] = set()
-    accepting: set[tuple[GtcState, str, GtcState]] = set()
+    number: dict[_Key, int] = {}
+    decode: list[GtcState] = [STAR]
+    queue: deque[tuple[int, _Key]] = deque()
+    transitions: set[tuple[int, str, int]] = set()
+    accepting: set[tuple[int, str, int]] = set()
 
-    def emit(src: GtcState, sym: str, dst: GtcState, acc: bool) -> None:
-        t = (src, sym, dst)
-        transitions.add(t)
-        if acc:
-            accepting.add(t)
-        if dst not in seen:
-            if len(seen) >= max_states:
+    def state(key: _Key) -> int:
+        q = number.get(key)
+        if q is None:
+            if len(decode) >= max_states:
                 raise StateExplosionGuard(
                     f"trace automaton exceeds {max_states} states")
-            seen.add(dst)
-            assert isinstance(dst, Tracked)
-            queue.append(dst)
+            q = number[key] = len(decode)
+            node_id, side, index, marks = key
+            decode.append(Tracked(OccurrenceRef(node_id, side, index), marks))
+            queue.append((q, key))
+        return q
 
+    steps: dict[tuple[str, int], dict[OccPos, list]] = {}
+
+    def steps_from(node: DerivTree, branch: int, occ: OccPos) -> list:
+        """(step, inverse transport) for each step of ``occ`` into a branch."""
+        got = steps.get((node.id, branch))
+        if got is None:
+            got = steps[node.id, branch] = {}
+            for step in occurrence_steps(node.seq, node.rule, branch):
+                got.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
+        return got.get(occ, [])
+
+    def emit(src: int, sym: str, dst: int, acc: bool = False) -> None:
+        transitions.add((src, sym, dst))
+        if acc:
+            accepting.add((src, sym, dst))
+
+    entries = {m: _single_mark_states(pp, m) for m in ids}
     for n in ids:
-        emit(STAR, n, STAR, False)
+        emit(0, n, 0)
         for m in successors(pp, n):
-            for t in entries[m]:
-                emit(STAR, n, t, False)
+            for key in entries[m]:
+                emit(0, n, state(key))
 
     while queue:
-        st = queue.popleft()
-        node_id = st.occ.node
+        src, (node_id, side, index, marks) = queue.popleft()
         node = pp.node(node_id)
-        side, index = st.occ.side, st.occ.index
         if node.is_open():
-            target = pp.back_edges[node_id]
-            emit(st, node_id,
-                 Tracked(OccurrenceRef(target, side, index), st.marks), False)
+            emit(src, node_id, state((pp.back_edges[node_id], side, index, marks)))
             continue
         for branch, child in enumerate(node.children):
-            for step, inv in steps.for_branch(node_id, branch).get((side, index), ()):
-                occ2 = OccurrenceRef(child.id, *step.premise_pos)
-                rest = st.marks
-                if step.consumed_head is not None and step.consumed_head in st.marks:
+            for step, inv in steps_from(node, branch, (side, index)):
+                at = (child.id, *step.premise_pos)
+                rest = marks
+                if step.consumed_head is not None and step.consumed_head in marks:
                     if step.copy_roots:
-                        emit(st, node_id,
-                             Tracked(occ2, frozenset(step.copy_roots)),
+                        emit(src, node_id, state((*at, frozenset(step.copy_roots))),
                              _good_unfold(side, step.sigma_kind))
-                    rest = st.marks - {step.consumed_head}
+                    rest = marks - {step.consumed_head}
                 transported: set[Path] = set()
                 for c in rest:
                     transported.update(inv.get(c, ()))
                 if transported:
-                    emit(st, node_id,
-                         Tracked(occ2, frozenset(transported)), False)
+                    emit(src, node_id, state((*at, frozenset(transported))))
 
-    return BuchiAutomaton(
-        frozenset(seen), frozenset(ids), frozenset(transitions),
-        frozenset([STAR]), frozenset(accepting))
+    return TraceAutomaton(
+        frozenset(range(len(decode))), frozenset(ids), frozenset(transitions),
+        frozenset([0]), frozenset(accepting), tuple(decode))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +339,6 @@ def check_gtc(pp: PreProof, *, max_states: int = 50_000
     Raises :class:`GtcUnknown` when a state cap was exceeded — never a wrong
     boolean — and :class:`GtcError` when an open leaf has no back edge.
     """
-    for leaf in pp.open_leaves():
-        if leaf.id not in pp.back_edges:
-            raise GtcError(f"open leaf {leaf.id!r} has no back edge")
     path_aut = build_path_automaton(pp)
     try:
         trace_aut = trim(build_gtc_automaton(pp, max_states=max_states))

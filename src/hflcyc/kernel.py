@@ -102,8 +102,9 @@ class Rule:
 
     def occurrence_map(self, conclusion: Sequent, premise_index: int) -> dict[OccPos, Optional[OccPos]]:
         """Map each premise position to the conclusion position it is
-        relevant to (None = fresh)."""
-        raise NotImplementedError
+        relevant to (None = fresh).  By default each premise formula
+        descends from the conclusion formula at the same position."""
+        return _identity_map(conclusion)
 
 
 @dataclass(frozen=True)
@@ -257,14 +258,12 @@ class Subst(Rule):
             raise SchemaMismatch(None, sequent_to_str(want), sequent_to_str(conclusion))
         return (self.source,)
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 @dataclass(frozen=True)
 class Mono(Rule):
     """Gamma, phi[psi/x] |- phi[chi/x], Delta from k copies of
-    Gamma, psi y~ |- chi y~, Delta (k = free occurrences of x in phi)."""
+    Gamma, psi y~ |- chi y~, Delta (k = free occurrences of x in phi).
+    The occurrence map is the identity: both principals keep their index."""
 
     tag: ClassVar[str] = "Mono"
     formula: Expr = None  # type: ignore[assignment]  # phi
@@ -299,10 +298,6 @@ class Mono(Rule):
         prem = Sequent(ctx_l + (make_app(self.lower, *args),),
                        (make_app(self.upper, *args),) + ctx_r)
         return (prem,) * self.premise_count()
-
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)  # both principals sit at the same indices
-        return out
 
 
 @dataclass(frozen=True)
@@ -364,9 +359,6 @@ class OrL(Rule):
         return (Sequent(conclusion.left[:-1] + (phi.lhs,), conclusion.right),
                 Sequent(conclusion.left[:-1] + (phi.rhs,), conclusion.right))
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 @dataclass(frozen=True)
 class OrR(Rule):
@@ -416,9 +408,6 @@ class AndR(Rule):
         return (Sequent(conclusion.left, (phi.lhs,) + conclusion.right[1:]),
                 Sequent(conclusion.left, (phi.rhs,) + conclusion.right[1:]))
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 def _head_step_rule(conclusion: Sequent, side: str, kind, step) -> Sequent:
     """Shared shape for the lambda/fixed-point left and right rules."""
@@ -444,9 +433,6 @@ class LamL(Rule):
     def premises_of(self, conclusion):
         return (_head_step_rule(conclusion, LEFT, Lam, beta_head),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 @dataclass(frozen=True)
 class LamR(Rule):
@@ -454,9 +440,6 @@ class LamR(Rule):
 
     def premises_of(self, conclusion):
         return (_head_step_rule(conclusion, RIGHT, Lam, beta_head),)
-
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
 
 
 @dataclass(frozen=True)
@@ -466,9 +449,6 @@ class MuL(Rule):
     def premises_of(self, conclusion):
         return (_head_step_rule(conclusion, LEFT, Mu, unfold),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 @dataclass(frozen=True)
 class MuR(Rule):
@@ -476,9 +456,6 @@ class MuR(Rule):
 
     def premises_of(self, conclusion):
         return (_head_step_rule(conclusion, RIGHT, Mu, unfold),)
-
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
 
 
 @dataclass(frozen=True)
@@ -488,9 +465,6 @@ class NuL(Rule):
     def premises_of(self, conclusion):
         return (_head_step_rule(conclusion, LEFT, Nu, unfold),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 @dataclass(frozen=True)
 class NuR(Rule):
@@ -498,9 +472,6 @@ class NuR(Rule):
 
     def premises_of(self, conclusion):
         return (_head_step_rule(conclusion, RIGHT, Nu, unfold),)
-
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
 
 
 @dataclass(frozen=True)
@@ -549,9 +520,6 @@ class P2(Rule):
         return (Sequent(conclusion.left[:-1] + (Eq(phi.lhs.arg, phi.rhs.arg),),
                         conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        return _identity_map(conclusion)
-
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     Axiom, Cut, WkL, WkR, CtrL, CtrR, ExL, ExR, Subst, Mono,
@@ -573,13 +541,18 @@ def check_rule(conclusion: Sequent, rule: Rule, premises: list[Sequent] | tuple[
             raise SchemaMismatch(i, sequent_to_str(want), sequent_to_str(got))
 
 
-def relevant_occurrences(conclusion: Sequent, rule: Rule,
-                         premise_index: int) -> dict[OccPos, Optional[OccPos]]:
+def relevant_occurrences(conclusion: Sequent, rule: Rule, premise_index: int,
+                         premises: Optional[tuple[Sequent, ...]] = None
+                         ) -> dict[OccPos, Optional[OccPos]]:
     """For one premise of a rule application, the map sending each premise
     occurrence to the conclusion occurrence it is relevant to (None when the
-    premise formula has no ancestor, e.g. cut formulas and (Nat)'s N x)."""
-    n = len(rule.premises_of(conclusion))
-    if not 0 <= premise_index < n:
+    premise formula has no ancestor, e.g. cut formulas and (Nat)'s N x).
+
+    ``premises`` is ``rule.premises_of(conclusion)`` when the caller has it.
+    """
+    if premises is None:
+        premises = rule.premises_of(conclusion)
+    if not 0 <= premise_index < len(premises):
         raise KernelError(f"premise index {premise_index} out of range for {rule.tag}")
     return rule.occurrence_map(conclusion, premise_index)
 
@@ -611,9 +584,12 @@ class DerivTree:
         return self.rule is None
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """Every node of the tree in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)

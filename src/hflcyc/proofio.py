@@ -23,7 +23,8 @@ Formulas and sequents are quoted strings in the concrete syntax of the
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import re
+from typing import Iterator, Optional
 
 from .syntax import Expr, HflError, Sequent, parse_expr, parse_sequent, sequent_to_str, to_str
 from .kernel import (
@@ -44,41 +45,32 @@ class Quoted(str):
     """A string literal, as opposed to a bare atom."""
 
 
-def _lex(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "()":
-            yield (c, i)
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ProofFormatError(_where(text, i, "unterminated string literal"))
-            yield (Quoted("".join(out)), i)
-            i = j + 1
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n();"':
-            j += 1
-        yield (text[i:j], i)
-        i = j
+# Every character is in one match (blanks, a comment, a parenthesis, a string
+# literal, an atom, or the opening quote of an unterminated string), so a
+# token's position is the total length of the matches before it.
+_SEXP_RE = re.compile(r'[ \t\r\n]+|;[^\n]*|[()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^ \t\r\n();"]+|"',
+                      re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _lex(text: str) -> Iterator[tuple[str, str, int]]:
+    """(kind, token, position) for each parenthesis, atom and string literal.
+
+    A parenthesis is its own kind; a string literal is unescaped and
+    :class:`Quoted`.
+    """
+    pos = 0
+    for tok in _SEXP_RE.findall(text):
+        first = tok[0]
+        if first == '"':
+            if len(tok) == 1:
+                raise ProofFormatError(_where(text, pos, "unterminated string literal"))
+            yield "string", Quoted(_ESCAPE.sub(r"\1", tok[1:-1])), pos
+        elif first in "()":
+            yield first, first, pos
+        elif first not in " \t\r\n;":
+            yield "atom", tok, pos
+        pos += len(tok)
 
 
 def _where(text: str, pos: int, message: str) -> str:
@@ -89,12 +81,12 @@ def _where(text: str, pos: int, message: str) -> str:
 
 def _read_forms(text: str) -> list:
     stack: list[list] = [[]]
-    for tok, pos in _lex(text):
-        if tok == "(" and not isinstance(tok, Quoted):
+    for kind, tok, pos in _lex(text):
+        if kind == "(":
             new: list = []
             stack[-1].append(new)
             stack.append(new)
-        elif tok == ")" and not isinstance(tok, Quoted):
+        elif kind == ")":
             if len(stack) == 1:
                 raise ProofFormatError(_where(text, pos, "unbalanced ')'"))
             stack.pop()
@@ -268,28 +260,42 @@ def loads_preproof(text: str) -> PreProof:
     if len(roots) != 1:
         raise ProofFormatError(f"expected exactly one root node, found {sorted(roots)}")
 
-    building: set[str] = set()
-
-    def build(node_id: str) -> DerivTree:
-        if node_id not in raw_nodes:
-            raise ProofFormatError(f"child id {node_id!r} has no (node ...) form")
-        if node_id in building:
-            raise ProofFormatError(f"node {node_id!r} is its own ancestor")
-        building.add(node_id)
-        seq, rule_form, kids = raw_nodes[node_id]
-        children = tuple(build(k) for k in kids)
-        building.discard(node_id)
-        if rule_form is None:
-            return DerivTree(node_id, seq, None, ())
-        rule = rule_from_form(rule_form, [c.seq for c in children])
-        return DerivTree(node_id, seq, rule, children)
-
-    tree = build(roots[0])
+    tree = _build_tree(raw_nodes, roots[0])
     seen = {n.id for n in tree.walk()}
     orphans = set(raw_nodes) - seen
     if orphans:
         raise ProofFormatError(f"nodes not reachable from the root: {sorted(orphans)}")
     return PreProof(tree, back)
+
+
+def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
+                root: str) -> DerivTree:
+    """The tree below ``root``, built without recursion.
+
+    Each node is entered, then left after its children in order, so errors
+    come in the order of a recursive build.
+    """
+    built: list[DerivTree] = []  # finished subtrees whose parent is pending
+    path: set[str] = set()
+    stack = [(root, False)]
+    while stack:
+        node_id, leaving = stack.pop()
+        if not leaving:
+            if node_id not in raw_nodes:
+                raise ProofFormatError(f"child id {node_id!r} has no (node ...) form")
+            if node_id in path:
+                raise ProofFormatError(f"node {node_id!r} is its own ancestor")
+            path.add(node_id)
+            stack.append((node_id, True))
+            stack.extend((k, False) for k in reversed(raw_nodes[node_id][2]))
+            continue
+        path.discard(node_id)
+        seq, rule_form, kids = raw_nodes[node_id]
+        first = len(built) - len(kids)
+        children, built[first:] = tuple(built[first:]), []
+        rule = None if rule_form is None else rule_from_form(rule_form, [c.seq for c in children])
+        built.append(DerivTree(node_id, seq, rule, children))
+    return built[0]
 
 
 def dumps_preproof(pp: PreProof) -> str:

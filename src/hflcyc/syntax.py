@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Simple types
@@ -265,16 +264,28 @@ def replace_at(e: Expr, path: Path, sub: Expr) -> Expr:
     return rebuild(e, tuple(kids))
 
 
-def iter_subexprs(e: Expr, path: Path = ()) -> Iterator[tuple[Path, Expr]]:
-    """All (path, subexpression) pairs in preorder."""
-    yield path, e
-    for i, kid in enumerate(children(e)):
-        yield from iter_subexprs(kid, path + (i,))
-
-
 def sigma_paths(e: Expr) -> tuple[Path, ...]:
     """Paths of every fixed-point operator in preorder."""
-    return tuple(p for p, sub in iter_subexprs(e) if isinstance(sub, FIXPOINTS))
+    out: list[Path] = []
+    _sigma_walk(e, (), out)
+    return tuple(out)
+
+
+def _sigma_walk(e: Expr, path: Path, out: list[Path]) -> None:
+    while True:  # the last child is walked by this loop, the others recursively
+        t = type(e)
+        if t is Mu or t is Nu:
+            out.append(path)
+        if t is App:
+            _sigma_walk(e.fn, path + (0,), out)
+            e, path = e.arg, path + (1,)
+        elif t is Var or t is Zero:
+            return
+        else:
+            kids = children(e)
+            for i in range(len(kids) - 1):
+                _sigma_walk(kids[i], path + (i,), out)
+            e, path = kids[-1], path + (len(kids) - 1,)
 
 
 def free_vars(e: Expr) -> frozenset[str]:
@@ -363,18 +374,50 @@ def canonical(e: Expr) -> Expr:
     return go(e, {}, 0)
 
 
-@lru_cache(maxsize=65536)
-def _canonical_cached(e: Expr) -> Expr:
+def alpha_key(e: Expr) -> Expr:
+    """A hashable canonical representative of e's alpha-class."""
     return canonical(e)
 
 
-def alpha_key(e: Expr) -> Expr:
-    """A hashable canonical representative of e's alpha-class."""
-    return _canonical_cached(e)
-
-
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    return a is b or alpha_key(a) == alpha_key(b)
+    """Alpha-equivalence, by one simultaneous walk over both expressions.
+
+    A bound name is compared by the depth of the binder that binds it and a
+    free name by its text, so the answer is that of comparing canonical forms.
+    """
+    return a is b or _alpha(a, b, {}, {}, 0)
+
+
+def _alpha(a: Expr, b: Expr, env_a: dict[str, int], env_b: dict[str, int],
+           depth: int) -> bool:
+    while True:
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is Var:
+            level = env_a.get(a.name)
+            return level == env_b.get(b.name) and (level is not None or a.name == b.name)
+        if t is Zero:
+            return True
+        if t is Succ:
+            a, b = a.arg, b.arg
+        elif t is App:
+            if not _alpha(a.fn, b.fn, env_a, env_b, depth):
+                return False
+            a, b = a.arg, b.arg
+        elif t is Eq or t is Or or t is And:
+            if not _alpha(a.lhs, b.lhs, env_a, env_b, depth):
+                return False
+            a, b = a.rhs, b.rhs
+        elif t is Lam or t is Mu or t is Nu:
+            if a.var_type != b.var_type:
+                return False
+            env_a = {**env_a, a.var: depth}
+            env_b = {**env_b, b.var: depth}
+            depth += 1
+            a, b = a.body, b.body
+        else:
+            raise TypeError(f"not an expression: {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +770,14 @@ def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[
     Known types may be supplied in env; the result extends it.  Raises
     HflTypeError when a free variable's type is not fully determined.
     """
-    uni = _Unifier()
     full: dict[str, SimpleType] = dict(env or {})
+    try:  # when every free variable's type is known, no unifier is needed
+        for phi in formulas:
+            _expect(phi, _infer(phi, full, None), PROP, None)
+        return full
+    except UnboundVariable:
+        pass
+    uni = _Unifier()
     metas: dict[str, _TMeta] = {}
     for phi in formulas:
         for name in free_vars(phi):
@@ -739,17 +788,16 @@ def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[
         _expect(phi, _infer(phi, scope, uni), PROP, uni)
     for name, meta in metas.items():
         ty = uni.resolve(meta)
-        if any(isinstance(t, _TMeta) for _, t in _iter_types(ty)) or isinstance(ty, _TMeta):
+        if _has_meta(ty):
             raise HflTypeError(f"cannot determine the type of free variable {name!r}")
         full[name] = ty
     return full
 
 
-def _iter_types(ty: SimpleType):
-    yield (), ty
+def _has_meta(ty: SimpleType) -> bool:
     if isinstance(ty, Arrow):
-        yield from _iter_types(ty.arg)
-        yield from _iter_types(ty.result)
+        return _has_meta(ty.arg) or _has_meta(ty.result)
+    return isinstance(ty, _TMeta)
 
 
 # ---------------------------------------------------------------------------
@@ -767,15 +815,6 @@ class Sequent:
     def __str__(self) -> str:
         return sequent_to_str(self)
 
-    def formulas(self) -> Iterator[tuple[str, int, Expr]]:
-        for i, phi in enumerate(self.left):
-            yield "L", i, phi
-        for i, phi in enumerate(self.right):
-            yield "R", i, phi
-
-    def get(self, side: str, index: int) -> Expr:
-        return (self.left if side == "L" else self.right)[index]
-
     def free_vars(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for phi in self.left + self.right:
@@ -787,12 +826,9 @@ def sequent(left=(), right=()) -> Sequent:
     return Sequent(tuple(left), tuple(right))
 
 
-def sequent_alpha_key(seq: Sequent):
-    return (tuple(alpha_key(f) for f in seq.left), tuple(alpha_key(f) for f in seq.right))
-
-
 def sequent_alpha_eq(a: Sequent, b: Sequent) -> bool:
-    return sequent_alpha_key(a) == sequent_alpha_key(b)
+    return (len(a.left) == len(b.left) and len(a.right) == len(b.right)
+            and all(map(alpha_eq, a.left + a.right, b.left + b.right)))
 
 
 def check_sequent(seq: Sequent, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:
@@ -804,46 +840,39 @@ def check_sequent(seq: Sequent, env: Optional[Mapping[str, SimpleType]] = None) 
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# Every character is in one match (blanks and comments, an operator, a number,
+# a name, punctuation, or one character that starts no token), so a token's
+# position is the total length of the matches before it.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|\#[^\n]*)
-    | (?P<arrow>->)
-    | (?P<orop>\\/)
-    | (?P<andop>/\\)
-    | (?P<lam>\\)
-    | (?P<turnstile>\|-|⊢)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<punct>[().:,=])
-    """,
-    re.VERBOSE,
-)
+    r"\s+|\#[^\n]*|->|\\/|/\\|\\|\|-|⊢|\d+|[A-Za-z_][A-Za-z0-9_']*|[().:,=]|.",
+    re.DOTALL)
 
-_KEYWORDS = {"mu", "nu", "Z", "S"}
+_KINDS = {"->": "arrow", "\\/": "orop", "/\\": "andop", "\\": "lam",
+          "|-": "turnstile", "⊢": "turnstile", "mu": "mu", "nu": "nu", "Z": "Z",
+          "S": "S", **dict.fromkeys("().:,=", "punct")}
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+Token = tuple[str, str, int]
+"""(kind, text, position); a keyword's kind is its own text."""
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise HflSyntaxError(f"unexpected character {text[pos]!r}", text, pos)
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            tok_text = m.group()
-            if kind == "ident" and tok_text in _KEYWORDS:
-                kind = tok_text
-            toks.append(_Tok(kind, tok_text, pos))
-        pos = m.end()
-    toks.append(_Tok("eof", "", len(text)))
+    for tok in _TOKEN_RE.findall(text):
+        kind = _KINDS.get(tok)
+        if kind is None:
+            first = tok[0]
+            if first in _NAME_START:
+                kind = "ident"
+            elif first.isdecimal():
+                kind = "num"
+            elif not (first.isspace() or first == "#"):
+                raise HflSyntaxError(f"unexpected character {tok!r}", text, pos)
+        if kind:
+            toks.append((kind, tok, pos))
+        pos += len(tok)
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -854,92 +883,92 @@ class _Parser:
         self.i = 0
 
     # -- helpers --
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.toks[self.i]
 
-    def next(self) -> _Tok:
+    def next(self) -> Token:
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str = "") -> _Tok:
+    def expect(self, kind: str, what: str = "") -> Token:
         tok = self.next()
-        if tok.kind != kind and tok.text != kind:
+        if tok[0] != kind and tok[1] != kind:
             raise HflSyntaxError(
-                f"expected {what or kind!r}, found {tok.text or 'end of input'!r}",
-                self.text, tok.pos)
+                f"expected {what or kind!r}, found {tok[1] or 'end of input'!r}",
+                self.text, tok[2])
         return tok
 
     def fail(self, message: str):
-        raise HflSyntaxError(message, self.text, self.peek().pos)
+        raise HflSyntaxError(message, self.text, self.peek()[2])
 
     # -- types --
     def type_atom(self) -> SimpleType:
-        tok = self.next()
-        if tok.text == "(":
+        kind, text, pos = self.next()
+        if text == "(":
             ty = self.type_expr()
             self.expect(")", ")")
             return ty
-        if tok.kind == "ident" and tok.text == "N":
+        if kind == "ident" and text == "N":
             return NAT
-        if tok.kind == "ident" and tok.text == "O":
+        if kind == "ident" and text == "O":
             return PROP
-        raise HflSyntaxError(f"expected a type, found {tok.text!r}", self.text, tok.pos)
+        raise HflSyntaxError(f"expected a type, found {text!r}", self.text, pos)
 
     def type_expr(self) -> SimpleType:
         left = self.type_atom()
-        if self.peek().kind == "arrow":
+        if self.peek()[0] == "arrow":
             tok = self.next()
             try:
                 return Arrow(left, self.type_expr())
             except HflTypeError as exc:
-                raise HflSyntaxError(str(exc), self.text, tok.pos) from None
+                raise HflSyntaxError(str(exc), self.text, tok[2]) from None
         return left
 
     # -- expressions --
     def expr(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "lam":
+        if tok[0] == "lam":
             self.next()
-            name = self.expect("ident", "a variable").text
+            name = self.expect("ident", "a variable")[1]
             self.expect(":", ":")
             ty = self.type_expr()
             self.expect(".", ".")
             return Lam(name, ty, self.expr())
-        if tok.kind in ("mu", "nu"):
+        if tok[0] in ("mu", "nu"):
             self.next()
-            name = self.expect("ident", "a variable").text
+            name = self.expect("ident", "a variable")[1]
             self.expect(":", ":")
             ty = self.type_expr()
             self.expect(".", ".")
             body = self.expr()
             try:
-                return (Mu if tok.kind == "mu" else Nu)(name, ty, body)
+                return (Mu if tok[0] == "mu" else Nu)(name, ty, body)
             except HflTypeError as exc:
-                raise HflSyntaxError(str(exc), self.text, tok.pos) from None
+                raise HflSyntaxError(str(exc), self.text, tok[2]) from None
         return self.or_expr()
 
     def or_expr(self) -> Expr:
         left = self.and_expr()
-        while self.peek().kind == "orop":
+        while self.peek()[0] == "orop":
             self.next()
-            if self.peek().kind in ("lam", "mu", "nu"):
+            if self.peek()[0] in ("lam", "mu", "nu"):
                 return Or(left, self.expr())  # binder body extends maximally
             left = Or(left, self.and_expr())
         return left
 
     def and_expr(self) -> Expr:
         left = self.eq_expr()
-        while self.peek().kind == "andop":
+        while self.peek()[0] == "andop":
             self.next()
-            if self.peek().kind in ("lam", "mu", "nu"):
+            if self.peek()[0] in ("lam", "mu", "nu"):
                 return And(left, self.expr())
             left = And(left, self.eq_expr())
         return left
 
     def eq_expr(self) -> Expr:
         left = self.app_expr()
-        if self.peek().text == "=":
+        if self.peek()[1] == "=":
             self.next()
             return Eq(left, self.app_expr())
         return left
@@ -947,37 +976,37 @@ class _Parser:
     def app_expr(self) -> Expr:
         head = self.atom()
         while True:
-            tok = self.peek()
-            if tok.kind in ("ident", "num", "Z", "S") or tok.text == "(":
+            kind, text, _pos = self.peek()
+            if kind in ("ident", "num", "Z", "S") or text == "(":
                 head = App(head, self.atom())
             else:
                 break
         return head
 
     def atom(self) -> Expr:
-        tok = self.next()
-        if tok.text == "(":
+        kind, text, pos = self.next()
+        if text == "(":
             e = self.expr()
             self.expect(")", ")")
             return e
-        if tok.kind == "Z":
+        if kind == "Z":
             return Zero()
-        if tok.kind == "S":
+        if kind == "S":
             # S binds to the immediately following atom: S x, S (f y), S S x.
             return Succ(self.atom())
-        if tok.kind == "num":
-            return numeral(int(tok.text))
-        if tok.kind == "ident":
-            return Var(tok.text)
-        raise HflSyntaxError(f"expected an expression, found {tok.text or 'end of input'!r}",
-                             self.text, tok.pos)
+        if kind == "num":
+            return numeral(int(text))
+        if kind == "ident":
+            return Var(text)
+        raise HflSyntaxError(f"expected an expression, found {text or 'end of input'!r}",
+                             self.text, pos)
 
     # -- sequents --
     def formula_list(self, stop_kinds: tuple[str, ...]) -> tuple[Expr, ...]:
-        if self.peek().kind in stop_kinds:
+        if self.peek()[0] in stop_kinds:
             return ()
         items = [self.expr()]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.next()
             items.append(self.expr())
         return tuple(items)
@@ -989,33 +1018,29 @@ class _Parser:
         return Sequent(left, right)
 
 
-def parse_expr(text: str) -> Expr:
+def _parse_all(text: str, rule):
     p = _Parser(text)
-    e = p.expr()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
-    return e
+    out = rule(p)
+    if p.peek()[0] != "eof":
+        p.fail(f"unexpected trailing input {p.peek()[1]!r}")
+    return out
+
+
+def parse_expr(text: str) -> Expr:
+    return _parse_all(text, _Parser.expr)
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(text)
-    seq = p.sequent()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
-    return seq
+    return _parse_all(text, _Parser.sequent)
 
 
 def parse_type(text: str) -> SimpleType:
-    p = _Parser(text)
-    ty = p.type_expr()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
-    return ty
+    return _parse_all(text, _Parser.type_expr)
 
 
 def parse(text: str) -> Union[Expr, Sequent]:
     """Parse a formula, a term, or (when a turnstile is present) a sequent."""
-    if any(t.kind == "turnstile" for t in _tokenize(text)):
+    if any(t[0] == "turnstile" for t in _tokenize(text)):
         return parse_sequent(text)
     return parse_expr(text)
 
@@ -1027,11 +1052,18 @@ def parse(text: str) -> Union[Expr, Sequent]:
 # Precedence levels: binder bodies 0, \/ 1, /\ 2, = 3, application 4, atoms 5.
 
 
-def to_str(e: Expr) -> str:
-    return _print(e, 0)
+def to_str(e: Expr, notes: Optional[Mapping[Path, tuple[int, ...]]] = None) -> str:
+    """The concrete syntax of e.  With ``notes``, the fixed-point operator at
+    each path p carries ``notes[p]`` in braces (nothing when it is empty)."""
+    return _print(e, 0, (), notes)
 
 
-def _print(e: Expr, level: int) -> str:
+# separator, precedence, and the levels of the two operands
+_BINARY = {Eq: (" = ", 3, 4, 4), Or: (" \\/ ", 1, 1, 2), And: (" /\\ ", 2, 2, 3),
+           App: (" ", 4, 4, 5)}
+
+
+def _print(e: Expr, level: int, path: Path, notes) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Zero):
@@ -1040,21 +1072,20 @@ def _print(e: Expr, level: int) -> str:
         n = numeral_value(e)
         if n is not None:
             return str(n)
-        return _wrap(f"S {_print(e.arg, 5)}", 4, level)
-    if isinstance(e, Eq):
-        return _wrap(f"{_print(e.lhs, 4)} = {_print(e.rhs, 4)}", 3, level)
-    if isinstance(e, Or):
-        return _wrap(f"{_print(e.lhs, 1)} \\/ {_print(e.rhs, 2)}", 1, level)
-    if isinstance(e, And):
-        return _wrap(f"{_print(e.lhs, 2)} /\\ {_print(e.rhs, 3)}", 2, level)
-    if isinstance(e, Lam):
-        return _wrap(f"\\{e.var}:{type_to_str(e.var_type)}. {_print(e.body, 0)}", 0, level)
-    if isinstance(e, Mu):
-        return _wrap(f"mu {e.var}:{type_to_str(e.var_type)}. {_print(e.body, 0)}", 0, level)
-    if isinstance(e, Nu):
-        return _wrap(f"nu {e.var}:{type_to_str(e.var_type)}. {_print(e.body, 0)}", 0, level)
-    if isinstance(e, App):
-        return _wrap(f"{_print(e.fn, 4)} {_print(e.arg, 5)}", 4, level)
+        return _wrap(f"S {_print(e.arg, 5, path + (0,), notes)}", 4, level)
+    if isinstance(e, BINDERS):
+        head = "\\"
+        if isinstance(e, FIXPOINTS):
+            note = notes[path] if notes is not None else ()
+            label = "{" + ".".join(map(str, note)) + "}" if note else ""
+            head = ("mu" if isinstance(e, Mu) else "nu") + label + " "
+        body = _print(e.body, 0, path + (0,), notes)
+        return _wrap(f"{head}{e.var}:{type_to_str(e.var_type)}. {body}", 0, level)
+    if type(e) in _BINARY:
+        sep, prec, left, right = _BINARY[type(e)]
+        lhs, rhs = children(e)
+        return _wrap(_print(lhs, left, path + (0,), notes) + sep
+                     + _print(rhs, right, path + (1,), notes), prec, level)
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -47,7 +47,6 @@ from .syntax import (
     subexpr_at,
     substitute_traced,
     to_str,
-    type_to_str,
     unfold_traced,
 )
 
@@ -192,8 +191,9 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int) -> tuple[Occu
     ancestor (fresh premise formulas - cut formulas, (Nat)'s instance - have
     none).  Raises on schema violations or an out-of-range branch.
     """
-    occ_map = relevant_occurrences(conclusion, rule, branch)
-    premise = rule.premises_of(conclusion)[branch]
+    premises = rule.premises_of(conclusion)
+    occ_map = relevant_occurrences(conclusion, rule, branch, premises)
+    premise = premises[branch]
     tag = rule.tag
     n_left = len(conclusion.left)
 
@@ -591,14 +591,11 @@ def lasso_good(pp: PreProof, lasso: Lasso) -> bool:
 def _tree_paths(pp: PreProof) -> dict[str, tuple[str, ...]]:
     """Node id -> the (unique) tree path from the root down to it."""
     out: dict[str, tuple[str, ...]] = {}
-
-    def walk(node, acc: tuple[str, ...]) -> None:
-        acc = acc + (node.id,)
-        out[node.id] = acc
-        for c in node.children:
-            walk(c, acc)
-
-    walk(pp.tree, ())
+    stack = [(pp.tree, ())]
+    while stack:
+        node, above = stack.pop()
+        out[node.id] = path = above + (node.id,)
+        stack.extend((c, path) for c in reversed(node.children))
     return out
 
 
@@ -701,41 +698,7 @@ def gtc_bruteforce(pp: PreProof, max_back_edges: Optional[int] = None,
 
 def render_annotated(af: AnnotatedFormula) -> str:
     """Pretty-print with each operator's sequence in braces (empty = none)."""
-
-    def go(e: Expr, path: Path, level: int) -> str:
-        from .syntax import And, App, Eq, Lam, Or, Succ, Var, Zero, numeral_value
-
-        def wrap(s: str, prec: int) -> str:
-            return s if prec >= level else f"({s})"
-
-        if isinstance(e, Var):
-            return e.name
-        if isinstance(e, Zero):
-            return "Z"
-        if isinstance(e, Succ):
-            n = numeral_value(e)
-            if n is not None:
-                return str(n)
-            return wrap(f"S {go(e.arg, path + (0,), 5)}", 4)
-        if isinstance(e, Eq):
-            return wrap(f"{go(e.lhs, path + (0,), 4)} = {go(e.rhs, path + (1,), 4)}", 3)
-        if isinstance(e, Or):
-            return wrap(f"{go(e.lhs, path + (0,), 1)} \\/ {go(e.rhs, path + (1,), 2)}", 1)
-        if isinstance(e, And):
-            return wrap(f"{go(e.lhs, path + (0,), 2)} /\\ {go(e.rhs, path + (1,), 3)}", 2)
-        if isinstance(e, Lam):
-            return wrap(f"\\{e.var}:{type_to_str(e.var_type)}. {go(e.body, path + (0,), 0)}", 0)
-        if isinstance(e, (Mu, Nu)):
-            word = "mu" if isinstance(e, Mu) else "nu"
-            note = af.notes[path]
-            label = "{" + ".".join(str(k) for k in note) + "}" if note else ""
-            return wrap(f"{word}{label} {e.var}:{type_to_str(e.var_type)}. "
-                        f"{go(e.body, path + (0,), 0)}", 0)
-        if isinstance(e, App):
-            return wrap(f"{go(e.fn, path + (0,), 4)} {go(e.arg, path + (1,), 5)}", 4)
-        raise TypeError(f"not an expression: {e!r}")
-
-    return go(af.formula, (), 0)
+    return to_str(af.formula, af.notes)
 
 
 def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef,

@@ -33,7 +33,7 @@ from hflcyc.kernel import (
     PreProof,
     validate_preproof,
 )
-from hflcyc.proofio import load_preproof
+from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
 from hflcyc.syntax import parse_expr, sigma_paths
 from hflcyc.trace import (
     Lasso,
@@ -86,6 +86,20 @@ def rotation_proof(k: int) -> PreProof:
     for i in reversed(range(k)):
         tree = DerivTree(f"n{i}", seqs[i], rules[i], (tree,))
     return PreProof(tree, {f"n{k}": "n0"})
+
+
+def exr_chain_proof(n: int) -> PreProof:
+    """n ``ExR`` nodes in a row on ``|- 0 = 0, 0 = 0``, then a back edge.
+
+    Deeper than Python's default recursion limit for n over 1000; it has
+    no fixed point, so it is structurally valid but fails the trace
+    condition on its one cycle.
+    """
+    seq = ps("|- 0 = 0, 0 = 0")
+    tree = DerivTree(f"c{n}", seq, None)
+    for i in reversed(range(n)):
+        tree = DerivTree(f"c{i}", seq, ExR(0), (tree,))
+    return PreProof(tree, {f"c{n}": "c0"})
 
 
 def closed_proof() -> PreProof:
@@ -222,17 +236,18 @@ class TestTraceAutomaton:
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_star_ignores_every_symbol(self, name, pp):
         a = build_gtc_automaton(pp)
-        assert a.initial == frozenset({STAR})
+        assert a.initial == frozenset({0})
+        assert a.decode[0] == STAR
         for n in pp.nodes:
-            assert (STAR, n, STAR) in a.transitions
-            assert (STAR, n, STAR) not in a.accepting
+            assert (0, n, 0) in a.transitions
+            assert (0, n, 0) not in a.accepting
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_entries_carry_exactly_one_mark(self, name, pp):
         a = build_gtc_automaton(pp)
         for (src, _sym, dst) in a.transitions:
-            if src == STAR and isinstance(dst, Tracked):
-                assert len(dst.marks) == 1
+            if a.decode[src] == STAR and isinstance(a.decode[dst], Tracked):
+                assert len(a.decode[dst].marks) == 1
 
     def test_accepting_transitions_by_fixture(self):
         # only left-mu / right-nu track-heads accept: the right-mu loop has
@@ -243,14 +258,17 @@ class TestTraceAutomaton:
 
     def test_sigma_free_proof_has_no_tracked_states(self):
         a = build_gtc_automaton(sigma_free_loop_proof())
-        assert a.states == frozenset({STAR})
+        assert a.states == frozenset({0})
+        assert a.decode == (STAR,)
         assert not a.accepting
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_tracked_states_are_well_formed(self, name, pp):
-        for q in build_gtc_automaton(pp).states:
-            if isinstance(q, Tracked):
-                marked_formula(pp, q)  # validates index and mark positions
+        a = build_gtc_automaton(pp)
+        assert a.states == frozenset(range(len(a.decode)))
+        for q in a.states:
+            if isinstance(a.decode[q], Tracked):
+                marked_formula(pp, a.decode[q])  # validates index and marks
 
     def test_explosion_guard(self, golden):
         with pytest.raises(StateExplosionGuard):
@@ -336,6 +354,11 @@ class TestCheckGtc:
         with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
             check_gtc(PreProof(golden.tree, {}))
 
+    @pytest.mark.parametrize("build", [build_path_automaton, build_gtc_automaton])
+    def test_builders_name_the_open_leaf(self, golden, build):
+        with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
+            build(PreProof(golden.tree, {}))
+
 
 class TestCheckCyclicProof:
     def test_golden_accepted(self, golden):
@@ -355,6 +378,17 @@ class TestCheckCyclicProof:
         assert res.issues == ()
         assert res.lasso == Lasso((), ("n0", "n1"))
         assert "(n0 n1)^ω" in res.detail
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        pp = exr_chain_proof(1201)
+        assert validate_preproof(pp) == []
+        res = check_cyclic_proof(pp)
+        assert isinstance(res, Rejected) and res.kind == "trace"
+        assert res.lasso == Lasso((), tuple(f"c{i}" for i in range(1202)))
+        text = dumps_preproof(pp)
+        again = loads_preproof(text)
+        assert len(again.nodes) == 1202
+        assert dumps_preproof(again) == text
 
     def test_structural_check_runs_first(self):
         # an invalid proof with a bad trace still reports the structural issue

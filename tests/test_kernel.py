@@ -411,6 +411,8 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") (rule WkL) (children n1))', "no (node ...) form"),
         ('(node n0 (seq "p |- p") (rule Axiom) (children)', "unbalanced"),
         ('(node n0 (seq "p |- p) (rule Axiom) (children))', "unterminated"),
+        ('(node n0\n  (seq "p |- p) (rule Axiom) (children))\n',
+         "line 2, column 8: unterminated string literal"),
         ('(node n0 (seq "p |- p") (rule Cut) (children))', "Cut takes one"),
         ('(node n0 (seq "p |- p") (rule ExL x) (children))', "position parameter"),
         ('(back n0)', "takes a leaf id"),

@@ -90,6 +90,10 @@ def test_parse_comments_and_unicode_turnstile():
 def test_parse_errors_are_positioned():
     with pytest.raises(HflSyntaxError, match="line 2"):
         parse_expr("p \\/\n (q")
+    with pytest.raises(HflSyntaxError) as err:
+        parse_expr("p \\/\n  q $ r")
+    assert str(err.value) == "unexpected character '$' (line 2, column 5)"
+    assert err.value.pos == 9
     with pytest.raises(HflSyntaxError):
         parse_expr("mu x:N. x = Z")     # N-typed fixed point
     with pytest.raises(HflSyntaxError):
@@ -125,6 +129,70 @@ def test_alpha_eq_basic():
     assert not alpha_eq(a, parse_expr("mu X:O. X \\/ nu Y:O. X"))
     assert not alpha_eq(a, parse_expr("nu X:O. X \\/ nu Y:O. Y"))
     assert not alpha_eq(parse_expr("\\x:N. p x"), parse_expr("\\x:O. p x"))
+
+
+@pytest.mark.parametrize("a,b,equal", [
+    ("\\x:N. p x", "\\y:N. p y", True),
+    ("\\x:N. \\x:N. p x", "\\x:N. \\y:N. p y", True),   # shadowing
+    ("\\x:N. \\x:N. p x", "\\x:N. \\y:N. p x", False),
+    ("\\x:N. p x", "\\x:O. p x", False),                # binder type
+    ("\\x:N. p x y", "\\y:N. p y x", False),            # free and bound swapped
+    ("mu X:O. X \\/ x", "mu x:O. x \\/ X", False),
+    ("p x", "p y", False),
+])
+def test_alpha_eq_fixtures(a, b, equal):
+    ea, eb = parse_expr(a), parse_expr(b)
+    assert alpha_eq(ea, eb) == alpha_eq(eb, ea) == equal
+    assert (canonical(ea) == canonical(eb)) == equal
+
+
+def _binder_paths(e):
+    return [p for p, s in _preorder(e) if isinstance(s, (Lam, Mu, Nu))]
+
+
+def _swap_names(e, x, y):
+    """e with the names x and y exchanged everywhere, binders included."""
+    swap = {x: y, y: x}
+    if isinstance(e, Var):
+        return Var(swap.get(e.name, e.name))
+    kids = tuple(_swap_names(k, x, y) for k in children(e))
+    if isinstance(e, (Lam, Mu, Nu)):
+        return type(e)(swap.get(e.var, e.var), e.var_type, kids[0])
+    return e if not kids else type(e)(*kids)
+
+
+@st.composite
+def alpha_pairs(draw):
+    """A formula and a variant: renamed, shadowed, retyped or name-swapped."""
+    a = draw(exprs)
+    outer = draw(st.sampled_from(NAMES))
+    inner = draw(st.sampled_from(NAMES))   # equal to outer: shadowing
+    a = Lam(outer, NAT, Lam(inner, PROP, a))
+    path = draw(st.sampled_from(_binder_paths(a)))
+    bound = subexpr_at(a, path)
+    kind = draw(st.sampled_from(["rename", "rebind", "retype", "swap", "other"]))
+    if kind == "rename":  # a true alpha-variant: the fresh name occurs nowhere
+        sub = type(bound)("fresh", bound.var_type,
+                          substitute(bound.body, {bound.var: Var("fresh")}))
+    elif kind == "rebind":  # the binder's name alone changes: may capture
+        sub = type(bound)(draw(st.sampled_from(NAMES)), bound.var_type, bound.body)
+    elif kind == "retype":
+        new_type = draw(types)
+        if isinstance(bound, (Mu, Nu)) and new_type == NAT:
+            new_type = PROP
+        sub = type(bound)(bound.var, new_type, bound.body)
+    elif kind == "swap":  # exchange the bound name with a (possibly) free one
+        sub = _swap_names(bound, bound.var, draw(st.sampled_from(NAMES)))
+    else:
+        return a, draw(exprs)
+    return a, replace_at(a, path, sub)
+
+
+@settings(max_examples=200)
+@given(alpha_pairs())
+def test_alpha_eq_agrees_with_canonical_forms(pair):
+    a, b = pair
+    assert alpha_eq(a, b) == (canonical(a) == canonical(b)) == alpha_eq(b, a)
 
 
 @settings(max_examples=200)

@@ -176,6 +176,14 @@ class TestOccurrenceSteps:
         with pytest.raises(KernelError):
             occurrence_steps(ps("p |- p, q"), WkR(), 1)
 
+    def test_premises_rebuilt_once(self, monkeypatch):
+        calls = []
+        rebuild = WkR.premises_of
+        monkeypatch.setattr(WkR, "premises_of",
+                            lambda rule, seq: calls.append(seq) or rebuild(rule, seq))
+        occurrence_steps(ps("p |- p, q"), WkR(), 0)
+        assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # annotate_step
