@@ -645,40 +645,6 @@ def contains(
 
 
 # ---------------------------------------------------------------------------
-# state-based acceptance view
-# ---------------------------------------------------------------------------
-
-
-def with_state_acceptance(
-    a: BuchiAutomaton,
-) -> tuple[BuchiAutomaton, frozenset[State]]:
-    """Equivalent automaton whose acceptance is a set of states.
-
-    Each state is paired with a flag recording whether the transition that
-    entered it was accepting; a run visits flagged states infinitely often
-    exactly when the original run takes accepting transitions infinitely
-    often.  The returned automaton re-encodes the flagged states as accepting
-    transitions (all transitions into them), so it is directly usable with
-    :func:`accepts_lasso`; the flagged state set is returned alongside.
-    """
-    states = {(q, False) for q in a.states} | {(q, True) for q in a.states}
-    transitions: set[Transition] = set()
-    accepting: set[Transition] = set()
-    for (src, sym, dst) in a.transitions:
-        flag = (src, sym, dst) in a.accepting
-        for b in (False, True):
-            t = ((src, b), sym, (dst, flag))
-            transitions.add(t)
-            if flag:
-                accepting.add(t)
-    flagged = frozenset((q, True) for q in a.states)
-    auto = BuchiAutomaton(
-        frozenset(states), a.alphabet, frozenset(transitions),
-        frozenset((q, False) for q in a.initial), frozenset(accepting))
-    return auto, flagged
-
-
-# ---------------------------------------------------------------------------
 # exhaustive lasso survey (brute-force membership oracle)
 # ---------------------------------------------------------------------------
 
@@ -726,12 +692,6 @@ class LassoSurvey:
         except KeyError:
             raise BuchiError("lasso outside the surveyed rectangle") from None
         return bool(reach & trap)
-
-    def prefixes(self) -> Iterator[tuple[Symbol, ...]]:
-        return iter(self._prefix_reach)
-
-    def periods(self) -> Iterator[tuple[Symbol, ...]]:
-        return iter(self._period_trap)
 
     def lassos(self) -> Iterator[LassoWord]:
         for u in self._prefix_reach:

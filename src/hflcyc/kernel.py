@@ -4,8 +4,8 @@ Every rule is represented by a small frozen dataclass carrying exactly the
 parameters needed to reconstruct its premises from its conclusion, so
 checking an inference is deterministic: rebuild the expected premises and
 compare with the supplied ones up to alpha-equivalence.  No unification or
-parameter inference happens here; proof producers (files, elaborators, the
-searcher) must spell parameters out.
+parameter inference happens here; proof producers (proof files, generators)
+must spell parameters out.
 
 Conventions, fixed once for the whole code base:
   - the principal formula of a left rule is the LAST formula of the left

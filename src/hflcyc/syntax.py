@@ -374,11 +374,6 @@ def canonical(e: Expr) -> Expr:
     return go(e, {}, 0)
 
 
-def alpha_key(e: Expr) -> Expr:
-    """A hashable canonical representative of e's alpha-class."""
-    return canonical(e)
-
-
 def alpha_eq(a: Expr, b: Expr) -> bool:
     """Alpha-equivalence, by one simultaneous walk over both expressions.
 
@@ -442,39 +437,21 @@ def substitute(e: Expr, subst: Mapping[str, Expr]) -> Expr:
     Binders are renamed (deterministically) only when they would capture a
     free variable of a live replacement.
     """
-
-    def go(e: Expr, sub: Mapping[str, Expr]) -> Expr:
-        live = {x: r for x, r in sub.items() if x in free_vars(e)}
-        if not live:
-            return e
-        if isinstance(e, Var):
-            return live.get(e.name, e)
-        if isinstance(e, BINDERS):
-            inner = {x: r for x, r in live.items() if x != e.var}
-            if not inner:
-                return e
-            repl_fvs: frozenset[str] = frozenset()
-            for repl in inner.values():
-                repl_fvs |= free_vars(repl)
-            var, body = e.var, e.body
-            if var in repl_fvs:
-                avoid = repl_fvs | free_vars(body) | frozenset(inner)
-                new = _fresh_variant(var, avoid | {var})
-                body = go(body, {var: Var(new)})
-                var = new
-            return type(e)(var, e.var_type, go(body, inner))
-        return rebuild(e, tuple(go(k, live) for k in children(e)))
-
-    return go(e, dict(subst)) if subst else e
+    return _substitute(e, subst, None)
 
 
-# --- traced substitution -----------------------------------------------------
+# --- the substitution walk ---------------------------------------------------
 #
-# The trace/gtc machinery needs to know, for every fixed-point operator of
-# e[subst], whether it comes from the skeleton of e or sits inside the j-th
-# substituted copy of some replacement (occurrences numbered per variable in
-# preorder).  Capture-avoiding renaming preserves tree structure, so origins
-# are exact path correspondences.
+# substitute and substitute_traced are one walk, _substitute.  It descends only
+# into subtrees where some substituted variable is free, and renames a binder
+# only when it would capture a free variable of a replacement; the renaming is
+# itself a substitution by the same walk.  The trace/gtc machinery also needs
+# to know, for every fixed-point operator of e[subst], whether it comes from
+# the skeleton of e or sits inside the j-th substituted copy of some
+# replacement (occurrences numbered per variable in preorder).  Renaming
+# preserves tree structure, so a skeleton operator keeps its path and origins
+# are exact path correspondences.  The walk records them only when it is given
+# a dict to fill, so the kernel's untraced substitutions pay nothing for them.
 
 
 @dataclass(frozen=True)
@@ -498,52 +475,48 @@ SigmaOrigin = Union[FromSkeleton, FromCopy]
 
 
 def substitute_traced(e: Expr, subst: Mapping[str, Expr]) -> tuple[Expr, dict[Path, SigmaOrigin]]:
-    """Like substitute, but also reports an origin for each fixed-point
-    operator position of the result.  The result expression is structurally
-    identical to substitute(e, subst)."""
+    """substitute(e, subst) together with an origin for each fixed-point
+    operator position of the result."""
     origins: dict[Path, SigmaOrigin] = {}
+    return _substitute(e, subst, origins), origins
+
+
+def _substitute(e: Expr, subst: Mapping[str, Expr],
+                origins: Optional[dict[Path, SigmaOrigin]]) -> Expr:
+    """The capture-avoiding substitution walk; fills `origins` unless None."""
     counters: dict[str, int] = {}
 
-    def go(e: Expr, sub: Mapping[str, Expr], path: Path, src: Path) -> Expr:
+    def go(e: Expr, sub: Mapping[str, Expr], path: Path) -> Expr:
         live = {x: r for x, r in sub.items() if x in free_vars(e)}
         if not live:
-            for p in sigma_paths(e):
-                origins[path + p] = FromSkeleton(src + p)
+            if origins is not None:
+                for p in sigma_paths(e):
+                    origins[path + p] = FromSkeleton(path + p)
             return e
         if isinstance(e, Var):  # e.name is a live key
             repl = live[e.name]
-            copy = counters.get(e.name, 0)
-            counters[e.name] = copy + 1
-            for p in sigma_paths(repl):
-                origins[path + p] = FromCopy(e.name, copy, p)
+            if origins is not None:
+                copy = counters.get(e.name, 0)
+                counters[e.name] = copy + 1
+                for p in sigma_paths(repl):
+                    origins[path + p] = FromCopy(e.name, copy, p)
             return repl
         if isinstance(e, BINDERS):
-            inner = {x: r for x, r in live.items() if x != e.var}
-            # inner is nonempty: some live key is free in e, hence under the binder
+            # every live key is free in e, so none is e.var
             repl_fvs: frozenset[str] = frozenset()
-            for repl in inner.values():
+            for repl in live.values():
                 repl_fvs |= free_vars(repl)
             var, body = e.var, e.body
             if var in repl_fvs:
-                avoid = repl_fvs | free_vars(body) | frozenset(inner)
-                new = _fresh_variant(var, avoid | {var})
-                body = substitute(body, {var: Var(new)})
+                new = _fresh_variant(var, repl_fvs | free_vars(body))
+                body = _substitute(body, {var: Var(new)}, None)
                 var = new
-            if isinstance(e, FIXPOINTS):
-                origins[path] = FromSkeleton(src)
-            return type(e)(var, e.var_type, go(body, inner, path + (0,), src + (0,)))
-        if isinstance(e, FIXPOINTS):
-            origins[path] = FromSkeleton(src)
-        kids = tuple(
-            go(k, live, path + (i,), src + (i,)) for i, k in enumerate(children(e))
-        )
-        return rebuild(e, kids)
+            if origins is not None and isinstance(e, FIXPOINTS):
+                origins[path] = FromSkeleton(path)
+            return type(e)(var, e.var_type, go(body, live, path + (0,)))
+        return rebuild(e, tuple(go(k, live, path + (i,)) for i, k in enumerate(children(e))))
 
-    result = go(e, dict(subst), (), ()) if subst else e
-    if not subst:
-        for p in sigma_paths(e):
-            origins[p] = FromSkeleton(p)
-    return result, origins
+    return go(e, subst, ())
 
 
 def count_occurrences(e: Expr, x: str) -> int:
@@ -558,20 +531,30 @@ def count_occurrences(e: Expr, x: str) -> int:
 # --- head reduction steps ---------------------------------------------------
 
 
+def _head_redex(e: Expr, beta: bool) -> tuple[Expr, Expr, tuple[Expr, ...]]:
+    """Split e at its head redex, a lambda when `beta` and else a fixed point,
+    into the head binder, the expression substituted for its variable and
+    the arguments kept after the step."""
+    head, args = app_spine(e)
+    if beta:
+        if not isinstance(head, Lam) or not args:
+            raise HflError(f"no head beta-redex in {to_str(e)!r}")
+        return head, args[0], args[1:]
+    if not isinstance(head, FIXPOINTS):
+        raise HflError(f"head of {to_str(e)!r} is not a fixed-point")
+    return head, head, args
+
+
 def beta_head(e: Expr) -> Expr:
     """One beta step on the head redex: (\\x. phi) psi psi_vec -> phi[psi/x] psi_vec."""
-    head, args = app_spine(e)
-    if not isinstance(head, Lam) or not args:
-        raise HflError(f"no head beta-redex in {to_str(e)!r}")
-    return make_app(substitute(head.body, {head.var: args[0]}), *args[1:])
+    head, repl, rest = _head_redex(e, beta=True)
+    return make_app(substitute(head.body, {head.var: repl}), *rest)
 
 
 def unfold(e: Expr) -> Expr:
     """Unfold a fixed-point head: (sigma x. phi) psi_vec -> phi[sigma x. phi/x] psi_vec."""
-    head, args = app_spine(e)
-    if not isinstance(head, FIXPOINTS):
-        raise HflError(f"head of {to_str(e)!r} is not a fixed-point")
-    return make_app(substitute(head.body, {head.var: head}), *args)
+    head, repl, rest = _head_redex(e, beta=False)
+    return make_app(substitute(head.body, {head.var: repl}), *rest)
 
 
 @dataclass(frozen=True)
@@ -582,15 +565,18 @@ class HeadStep:
     sources maps every sigma-path of `result` to the sigma-path of the source
     expression it descends from.  For an unfold, the consumed operator sits at
     `head_path` in the source; its descendants in the result are exactly the
-    roots of the substituted copies, listed in `copy_roots`.  For a beta step
-    head_path is None and copy_roots is empty: every result operator has a
-    unique source and no operator is consumed or duplicated at the root.
+    roots of the substituted copies, listed in `copy_roots`, and sigma_kind
+    is "mu" or "nu" as it is a least or a greatest fixed point.  For a beta
+    step head_path and sigma_kind are None and copy_roots is empty: every
+    result operator has a unique source and no operator is consumed or
+    duplicated at the root.
     """
 
     result: Expr
     sources: dict[Path, Path]
     head_path: Optional[Path]
     copy_roots: tuple[Path, ...]
+    sigma_kind: Optional[str]
 
 
 def _spine_arg_sources(e: Expr, kept_args: int, sources: dict[Path, Path]) -> None:
@@ -610,23 +596,7 @@ def _spine_arg_sources(e: Expr, kept_args: int, sources: dict[Path, Path]) -> No
 
 def beta_head_traced(e: Expr) -> HeadStep:
     """beta_head together with the sigma-position correspondence."""
-    head, args = app_spine(e)
-    if not isinstance(head, Lam) or not args:
-        raise HflError(f"no head beta-redex in {to_str(e)!r}")
-    core, origins = substitute_traced(head.body, {head.var: args[0]})
-    rest = args[1:]
-    result = make_app(core, *rest)
-    sources: dict[Path, Path] = {}
-    _spine_arg_sources(e, len(rest), sources)
-    core_prefix = (0,) * len(rest)
-    lam_body_prefix = (0,) * len(args) + (0,)       # head at (0,)*len(args), body below
-    arg0_prefix = (0,) * (len(args) - 1) + (1,)      # innermost applied argument
-    for p, origin in origins.items():
-        if isinstance(origin, FromSkeleton):
-            sources[core_prefix + p] = lam_body_prefix + origin.src
-        else:
-            sources[core_prefix + p] = arg0_prefix + origin.src
-    return HeadStep(result, sources, None, ())
+    return _head_step_traced(e, beta=True)
 
 
 def unfold_traced(e: Expr) -> HeadStep:
@@ -636,26 +606,33 @@ def unfold_traced(e: Expr) -> HeadStep:
     skeleton and once inside each substituted copy; the head itself descends
     exactly to the copy roots.
     """
-    head, args = app_spine(e)
-    if not isinstance(head, FIXPOINTS):
-        raise HflError(f"head of {to_str(e)!r} is not a fixed-point")
-    core, origins = substitute_traced(head.body, {head.var: head})
-    result = make_app(core, *args)
+    return _head_step_traced(e, beta=False)
+
+
+def _head_step_traced(e: Expr, beta: bool) -> HeadStep:
+    head, repl, rest = _head_redex(e, beta)
+    origins: dict[Path, SigmaOrigin] = {}
+    result = make_app(_substitute(head.body, {head.var: repl}, origins), *rest)
     sources: dict[Path, Path] = {}
-    _spine_arg_sources(e, len(args), sources)
-    core_prefix = (0,) * len(args)
-    head_path = (0,) * len(args)
+    _spine_arg_sources(e, len(rest), sources)
+    core_prefix = (0,) * len(rest)
+    # a beta redex's head is applied to the replacement as well, as the
+    # innermost argument; an unfolded head is the replacement itself
+    head_path = core_prefix + (0,) if beta else core_prefix
+    repl_path = core_prefix + (1,) if beta else head_path
     copy_roots: list[Path] = []
     for p, origin in origins.items():
         rp = core_prefix + p
         if isinstance(origin, FromSkeleton):
             sources[rp] = head_path + (0,) + origin.src
         else:
-            # origin.src is a sigma-path of the head itself: () is its root
-            sources[rp] = head_path + origin.src
-            if origin.src == ():
+            sources[rp] = repl_path + origin.src
+            if not beta and origin.src == ():  # the root of a copy of the head
                 copy_roots.append(rp)
-    return HeadStep(result, sources, head_path, tuple(sorted(copy_roots)))
+    if beta:
+        return HeadStep(result, sources, None, (), None)
+    return HeadStep(result, sources, head_path, tuple(sorted(copy_roots)),
+                    "mu" if isinstance(head, Mu) else "nu")
 
 
 # ---------------------------------------------------------------------------
@@ -687,21 +664,21 @@ class _Unifier:
             return Arrow(self.resolve(ty.arg), self.resolve(ty.result))
         return ty
 
-    def unify(self, a: SimpleType, b: SimpleType, where: Expr) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
+    def unify(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
+        found, want = self.resolve(found), self.resolve(want)
+        if found == want:
             return
-        if isinstance(a, _TMeta):
-            self.sol[a.id] = b
+        if isinstance(found, _TMeta):
+            self.sol[found.id] = want
             return
-        if isinstance(b, _TMeta):
-            self.sol[b.id] = a
+        if isinstance(want, _TMeta):
+            self.sol[want.id] = found
             return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            self.unify(a.arg, b.arg, where)
-            self.unify(a.result, b.result, where)
+        if isinstance(found, Arrow) and isinstance(want, Arrow):
+            self.unify(found.arg, want.arg, where)
+            self.unify(found.result, want.result, where)
             return
-        raise IllTyped(where, type_to_str(a), type_to_str(b))
+        raise IllTyped(where, type_to_str(want), type_to_str(found))
 
 
 def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier]) -> SimpleType:
@@ -742,7 +719,7 @@ def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier]) -> Simp
         arg_ty = _infer(e.arg, env, uni)
         if uni:
             result = uni.fresh()
-            uni.unify(fn_ty, Arrow(arg_ty, result), e)
+            uni.unify(Arrow(arg_ty, result), fn_ty, e)
             return result
         if not isinstance(fn_ty, Arrow):
             raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))

@@ -85,6 +85,7 @@ class ExplosionGuard(HflError):
 
 Annotation = tuple[int, ...]
 
+# the sigma_kind values of syntax.HeadStep
 MU = "mu"
 NU = "nu"
 
@@ -179,9 +180,9 @@ def _identity_transport(pf: Expr, cf: Expr) -> dict[Path, Path]:
     return {q: q for q in ppaths}
 
 
-_HEAD_STEPS = {"LamL": (LEFT, False), "LamR": (RIGHT, False),
-               "MuL": (LEFT, True), "MuR": (RIGHT, True),
-               "NuL": (LEFT, True), "NuR": (RIGHT, True)}
+_HEAD_STEPS = {"LamL": (LEFT, beta_head_traced), "LamR": (RIGHT, beta_head_traced),
+               "MuL": (LEFT, unfold_traced), "MuR": (RIGHT, unfold_traced),
+               "NuL": (LEFT, unfold_traced), "NuR": (RIGHT, unfold_traced)}
 
 
 def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int) -> tuple[OccurrenceStep, ...]:
@@ -252,16 +253,12 @@ def _build_step(tag: str, rule: Rule, branch: int, n_left: int,
         return OccurrenceStep(ppos, cpos, {q: prefix + q for q in sigma_paths(pf)})
 
     if tag in _HEAD_STEPS:
-        principal_side, is_fixpoint = _HEAD_STEPS[tag]
+        principal_side, head_step = _HEAD_STEPS[tag]
         principal = (LEFT, n_left - 1) if principal_side == LEFT else (RIGHT, 0)
         if ppos == principal:
-            if is_fixpoint:
-                hs = unfold_traced(cf)
-                kind = MU if isinstance(subexpr_at(cf, hs.head_path), Mu) else NU
-                return OccurrenceStep(ppos, cpos, hs.sources, hs.head_path,
-                                      hs.copy_roots, kind)
-            hs = beta_head_traced(cf)
-            return OccurrenceStep(ppos, cpos, hs.sources)
+            hs = head_step(cf)
+            return OccurrenceStep(ppos, cpos, hs.sources, hs.head_path,
+                                  hs.copy_roots, hs.sigma_kind)
         return OccurrenceStep(ppos, cpos, _identity_transport(pf, cf))
 
     # Structural rules and remaining context positions copy annotations.

@@ -18,7 +18,6 @@ from hflcyc.buchi import (
     survey_lassos,
     to_dot,
     trim,
-    with_state_acceptance,
 )
 
 
@@ -207,16 +206,6 @@ class TestContains:
             contains(infinitely_many_b(), infinitely_many_b(), max_states=6)
         assert info.traceback[-2].name == "_loops"
         assert contains(infinitely_many_b(), infinitely_many_b(), max_states=8)[0]
-
-
-class TestStateAcceptance:
-    def test_round_trip_preserves_membership(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            a = random_automaton(rng)
-            view, flagged = with_state_acceptance(a)
-            assert all((q, True) in flagged for q in a.states)
-            assert agree(view, a, 3, 3)
 
 
 class TestTrim:

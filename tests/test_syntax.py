@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from hflcyc.syntax import (
     NAT, PROP, App, Arrow, Eq, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
-    And, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq, alpha_key,
-    app_spine, arrow, beta_head, beta_head_traced, canonical, children,
-    count_occurrences, derived_encodings, free_vars, infer_env, infer_type,
-    make_app, numeral, numeral_value, parse, parse_expr, parse_sequent,
-    parse_type, replace_at, sequent, sequent_alpha_eq, sigma_paths,
-    subexpr_at, substitute, substitute_traced, to_str, type_to_str, unfold,
-    unfold_traced, FromSkeleton, FromCopy,
+    And, IllTyped, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
+    app_spine, arrow, beta_head, beta_head_traced, canonical, check_sequent,
+    children, count_occurrences, derived_encodings, free_vars, infer_env,
+    infer_type, make_app, numeral, numeral_value, parse, parse_expr,
+    parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
+    sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
+    type_to_str, unfold, unfold_traced, FromSkeleton, FromCopy,
 )
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,47 @@ def test_traced_substitution_agrees_and_covers(e, x, r):
             assert subexpr_at(r, o.src) == node  # copies are verbatim
 
 
+def _naive_substitute(e, subst):
+    """e[subst] by replacing every occurrence of a name in subst, with no
+    renaming: right only when no binder of e has such a name."""
+    if isinstance(e, Var):
+        return subst.get(e.name, e)
+    return rebuild(e, tuple(_naive_substitute(k, subst) for k in children(e)))
+
+
+@st.composite
+def capturing_substitutions(draw):
+    """(e, subst) where a binder of e captures a free variable of a replacement
+    unless it is renamed: e contains \\y:T. (x \\/ e' y z) and x's replacement
+    mentions y.  A z like y_2 is what a renaming of y may capture next."""
+    names = NAMES + ["y_2", "y_3"]
+    y = draw(st.sampled_from(["y", "y_2"]))
+    z = draw(st.sampled_from(["y", "y_2", "y_3", "a"]).filter(lambda n: n != y))
+    x = draw(st.sampled_from(["a", "b", "x", "p"]).filter(lambda n: n != z))
+    binder = draw(st.sampled_from([Lam, Mu, Nu]))
+    ty = draw(types.filter(lambda t: binder is Lam or t != NAT))
+    inner = binder(y, ty, Or(Var(x), make_app(draw(exprs), Var(y), Var(z))))
+    e = draw(st.sampled_from([
+        inner, Lam(draw(st.sampled_from(names)), NAT, inner), And(draw(exprs), inner)]))
+    subst = {x: draw(st.sampled_from([Var(y), Succ(Var(y)), Or(Var(x), Var(y)),
+                                      App(Var(y), Var("y_2"))]))}
+    if draw(st.booleans()):  # a second, simultaneous replacement
+        subst[draw(st.sampled_from(names))] = draw(terms)
+    return e, subst
+
+
+@settings(max_examples=200)
+@given(st.one_of(capturing_substitutions(),
+                 st.tuples(exprs, st.dictionaries(st.sampled_from(NAMES), terms, max_size=2))))
+def test_substitution_agrees_with_naive_substitution_on_canonical_forms(case):
+    # canonical bound names cannot occur in a replacement, so on a canonical
+    # form plain replacement captures nothing
+    e, subst = case
+    expected = _naive_substitute(canonical(e), subst)
+    assert alpha_eq(substitute(e, subst), expected)
+    assert alpha_eq(substitute_traced(e, subst)[0], expected)
+
+
 def test_head_steps():
     nu_loop = parse_expr("nu f:(O -> O) -> O. \\g:O -> O. g (f g)")
     idf = parse_expr("\\a:O. a")
@@ -288,12 +329,18 @@ def test_head_steps():
         "(\\g:O -> O. g ((nu f:(O -> O) -> O. \\g:O -> O. g (f g)) g)) (\\a:O. a)")
     assert step.head_path == (0,)
     assert step.copy_roots == ((0, 0, 1, 0),)
+    assert step.sigma_kind == "nu"
     assert set(step.sources) == set(sigma_paths(step.result))
 
     step2 = beta_head_traced(step.result)
     assert step2.result == beta_head(step.result)
     assert step2.head_path is None
+    assert step2.sigma_kind is None
     assert set(step2.sources) == set(sigma_paths(step2.result))
+
+    mu_step = unfold_traced(parse_expr("(mu X:N -> O. \\y:N. y = Z \\/ X (S y)) Z"))
+    assert mu_step.sigma_kind == "mu"
+    assert mu_step.head_path == (0,)
 
 
 @settings(max_examples=150)
@@ -351,6 +398,19 @@ def test_infer_env():
     # a genuinely underdetermined variable type
     with pytest.raises(HflTypeError):
         infer_env([App(Var("f"), Var("u"))])
+
+
+@pytest.mark.parametrize("text,expected,found", [
+    ("|- p (S (Z = Z))", "N", "O"),
+    ("|- p Z /\\ p (Z = Z)", "N", "O"),
+    ("|- p Z \\/ S Z", "O", "N"),
+])
+def test_unifier_names_expected_and_found_as_the_direct_checker(text, expected, found):
+    seq = parse_sequent(text)
+    for env in (None, {"p": arrow(NAT, PROP)}):  # through the unifier, then directly
+        with pytest.raises(IllTyped) as err:
+            check_sequent(seq, env)
+        assert (err.value.expected, err.value.found) == (expected, found)
 
 
 def test_type_preservation_under_substitution():
