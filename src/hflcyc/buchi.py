@@ -75,12 +75,6 @@ class LassoWord:
     def spine(self) -> tuple[Symbol, ...]:
         return self.u + self.v
 
-    def symbol_at(self, i: int) -> Symbol:
-        """Symbol at position i of the infinite word."""
-        if i < len(self.u):
-            return self.u[i]
-        return self.v[(i - len(self.u)) % len(self.v)]
-
 
 @dataclass(frozen=True)
 class BuchiAutomaton:

@@ -3,17 +3,16 @@
 Two Büchi automata share the alphabet of proof-node ids.  The path automaton
 accepts exactly the infinite walks of the proof graph from the root.  The
 trace automaton accepts the paths along which some occurrence thread
-eventually carries a left mu-trace or a right nu-trace; it tracks one formula
-occurrence at a time, with the fixed-point operators that currently carry the
-thread marked.  The global trace condition holds exactly when every path is
-so covered, i.e. when the path language is contained in the trace language;
-a failure is witnessed by an ultimately periodic counterexample path.
+eventually carries a left mu-trace or a right nu-trace; each of its states
+follows one fixed-point operator position of one formula occurrence, as the
+brute-force oracle of :mod:`hflcyc.trace` does.  The global trace condition
+holds exactly when every path is so covered, i.e. when the path language is
+contained in the trace language; a failure is witnessed by an ultimately
+periodic counterexample path.
 
 The symbol read on a transition is the *source* node of the path step; both
 automata use the same convention, so the containment test is unaffected by
-it.  Marked formulas are represented by the set of marked operator positions
-attached to a formula occurrence, which keeps the state space finite and
-hashable without renaming.
+it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .kernel import (
     successors,
     validate_preproof,
 )
-from .syntax import Expr, HflError, Path, Sequent, sigma_paths, to_str
+from .syntax import HflError, Path, Sequent, sigma_paths
 from .trace import (
     MU,
     NU,
@@ -56,11 +55,9 @@ __all__ = [
     "GtcError",
     "GtcState",
     "GtcUnknown",
-    "MarkedFormula",
     "Rejected",
     "STAR",
     "Star",
-    "StateExplosionGuard",
     "TraceAutomaton",
     "Tracked",
     "build_gtc_automaton",
@@ -68,17 +65,12 @@ __all__ = [
     "check_cyclic_proof",
     "check_gtc",
     "counterexample_report",
-    "marked_formula",
     "render_lasso",
 ]
 
 
 class GtcError(HflError):
-    """Malformed marked formula or tracked state."""
-
-
-class StateExplosionGuard(GtcError):
-    """The trace-automaton construction exceeded its configured state cap."""
+    """The trace condition of a pre-proof could not be decided."""
 
 
 class GtcUnknown(GtcError):
@@ -105,63 +97,14 @@ STAR = Star()
 
 
 @dataclass(frozen=True)
-class MarkedFormula:
-    """A formula with a set of marked fixed-point operator positions.
-
-    Stripping the marks (taking ``formula``) recovers the plain formula; the
-    marks must be operator positions of it.
-    """
-
-    formula: Expr
-    marks: frozenset[Path]
-
-    def __post_init__(self) -> None:
-        bad = set(self.marks) - set(sigma_paths(self.formula))
-        if bad:
-            raise GtcError(
-                f"marks {sorted(bad)} are not operator positions of "
-                f"{to_str(self.formula)!r}")
-
-    def strip(self) -> Expr:
-        return self.formula
-
-    def describe(self) -> str:
-        at = ",".join("." + ".".join(map(str, p)) if p else "<root>"
-                      for p in sorted(self.marks))
-        return f"{to_str(self.formula)} marked at {{{at}}}"
-
-
-@dataclass(frozen=True)
 class Tracked:
-    """A tracked occurrence together with its marked operator positions."""
+    """A tracked occurrence together with the operator position it follows."""
 
     occ: OccurrenceRef
-    marks: frozenset[Path]
-
-    def __post_init__(self) -> None:
-        if not self.marks:
-            raise GtcError("a tracked state needs at least one mark")
-
-    def __repr__(self) -> str:
-        paths = ";".join(".".join(map(str, p)) or "e" for p in sorted(self.marks))
-        return (f"Tracked({self.occ.node},{self.occ.side},{self.occ.index},"
-                f"[{paths}])")
+    mark: Path
 
 
 GtcState = Union[Star, Tracked]
-
-
-def _occurrence_formula(pp: PreProof, occ: OccurrenceRef) -> Expr:
-    seq = pp.node(occ.node).seq
-    row = seq.left if occ.side == LEFT else seq.right
-    if not 0 <= occ.index < len(row):
-        raise GtcError(f"no occurrence {occ} in node {occ.node!r}")
-    return row[occ.index]
-
-
-def marked_formula(pp: PreProof, state: Tracked) -> MarkedFormula:
-    """The marked formula carried by a tracked state (marks validated)."""
-    return MarkedFormula(_occurrence_formula(pp, state.occ), state.marks)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +113,15 @@ def marked_formula(pp: PreProof, state: Tracked) -> MarkedFormula:
 
 
 def _require_back_edges(pp: PreProof) -> None:
-    for node in pp.nodes.values():
-        if node.is_open() and node.id not in pp.back_edges:
-            raise GtcError(f"open leaf {node.id!r} has no back edge")
+    nodes = pp.nodes
+    for node in nodes.values():
+        if node.is_open():
+            target = pp.back_edges.get(node.id)
+            if target is None:
+                raise GtcError(f"open leaf {node.id!r} has no back edge")
+            if target not in nodes:
+                raise GtcError(f"back edge {node.id!r} -> {target!r} "
+                               f"targets a missing node")
 
 
 def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
@@ -181,7 +130,8 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
     States mirror the proof nodes, every transition reads its source node and
     is accepting, and runs start at the root; closed leaves have no outgoing
     transitions, so a closed proof tree yields the empty language.  Raises
-    :class:`GtcError` when an open leaf has no back edge.
+    :class:`GtcError` when an open leaf has no back edge or a back edge
+    targets a missing node.
     """
     _require_back_edges(pp)
     ids = sorted(pp.nodes)
@@ -201,14 +151,14 @@ def _sequent_occurrences(seq: Sequent) -> Iterator[OccPos]:
         yield (RIGHT, j)
 
 
-_Key = tuple[str, str, int, frozenset[Path]]
-"""A tracked state while the automaton is built: node, side, index, marks."""
+_Key = tuple[str, str, int, Path]
+"""A tracked state while the automaton is built: node, side, index, mark."""
 
 
 def _single_mark_states(pp: PreProof, node_id: str) -> list[_Key]:
-    """Every way to start tracking at a node: one marked operator each."""
+    """Every way to start tracking at a node: one operator position each."""
     seq = pp.node(node_id).seq
-    return [(node_id, side, index, frozenset((p,)))
+    return [(node_id, side, index, p)
             for side, index in _sequent_occurrences(seq)
             for p in sigma_paths((seq.left if side == LEFT else seq.right)[index])]
 
@@ -225,34 +175,38 @@ class TraceAutomaton(BuchiAutomaton):
     decode: tuple[GtcState, ...] = field(default=(), compare=False, repr=False)
 
 
-def build_gtc_automaton(pp: PreProof, *, max_states: int = 50_000
-                        ) -> TraceAutomaton:
+def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
     """The trace automaton over proof-node symbols.
 
     From the idle state the automaton either ignores the input or, while
-    reading node ``n``, starts tracking any occurrence of any successor node
-    with exactly one marked operator.  A tracked state moves only on its own
-    node's symbol:
+    reading node ``n``, starts tracking any operator position ``p`` of any
+    occurrence of any successor node.  A tracked state moves only on its own
+    node's symbol: at a back edge to the same occurrence and position, and
+    at a rule to every premise position ``q`` that descends from ``p``
+    through the rule's occurrence correspondence.  When the rule unfolds
+    ``p`` itself, these ``q`` are the substituted copies, and the
+    transition is accepting exactly when it unfolds a left mu or a right nu;
+    every other transition is not accepting.
 
-    - non-principal steps transport marks through the occurrence
-      correspondence of the rule (duplicating across copies, dying when every
-      marked position is dropped);
-    - a principal fixed-point step whose head is marked chooses between
-      *track-head* — drop all other marks and mark exactly the copies
-      substituted for the recursion variable — and *keep-other-copies* —
-      unmark the head and transport the remaining marks through the
-      unfolding;
-    - track-head transitions are accepting exactly when they unfold a left mu
-      or a right nu; every other transition is not accepting.
+    Following one operator per state accepts the same paths as following a
+    set of them, the marked-set construction.  There the marks move
+    independently: each mark of the next set descends from a mark of the
+    current one, and an unfolding of a mark either follows it alone to its
+    descendants, which are exactly the substituted copies (see
+    ``OccurrenceStep``), accepting when the unfolding is good, or drops it.
+    So a one-operator run lifts to a set run whose sets hold its operator,
+    accepting where it does.  Conversely, after an accepting step of a set
+    run every later mark descends from the operator that step unfolded; a
+    chain of marks through the whole run exists by König's lemma, and it
+    passes through every accepting step, so it is an accepting one-operator
+    run.  Hence there are at most 1 + Σ|operator positions| states over all
+    occurrences, linear in the proof.
 
     States are numbered as ints in the order the search discovers them: 0 is
     :data:`STAR`, and ``decode[i]`` is the :class:`Tracked` state numbered
     ``i``.  So trimming and containment hash small ints, not dataclasses.
-
-    States whose mark set would become empty are dropped: such a state can
-    never see another track-head, so the accepted language is unchanged.
-    Raises :class:`StateExplosionGuard` over ``max_states`` states and
-    :class:`GtcError` when an open leaf has no back edge.
+    Raises :class:`GtcError` when an open leaf has no back edge or a back
+    edge targets a missing node.
     """
     _require_back_edges(pp)
     ids = sorted(pp.nodes)
@@ -266,12 +220,9 @@ def build_gtc_automaton(pp: PreProof, *, max_states: int = 50_000
     def state(key: _Key) -> int:
         q = number.get(key)
         if q is None:
-            if len(decode) >= max_states:
-                raise StateExplosionGuard(
-                    f"trace automaton exceeds {max_states} states")
             q = number[key] = len(decode)
-            node_id, side, index, marks = key
-            decode.append(Tracked(OccurrenceRef(node_id, side, index), marks))
+            node_id, side, index, mark = key
+            decode.append(Tracked(OccurrenceRef(node_id, side, index), mark))
             queue.append((q, key))
         return q
 
@@ -299,25 +250,16 @@ def build_gtc_automaton(pp: PreProof, *, max_states: int = 50_000
                 emit(0, n, state(key))
 
     while queue:
-        src, (node_id, side, index, marks) = queue.popleft()
+        src, (node_id, side, index, mark) = queue.popleft()
         node = pp.node(node_id)
         if node.is_open():
-            emit(src, node_id, state((pp.back_edges[node_id], side, index, marks)))
+            emit(src, node_id, state((pp.back_edges[node_id], side, index, mark)))
             continue
         for branch, child in enumerate(node.children):
             for step, inv in steps_from(node, branch, (side, index)):
-                at = (child.id, *step.premise_pos)
-                rest = marks
-                if step.consumed_head is not None and step.consumed_head in marks:
-                    if step.copy_roots:
-                        emit(src, node_id, state((*at, frozenset(step.copy_roots))),
-                             _good_unfold(side, step.sigma_kind))
-                    rest = marks - {step.consumed_head}
-                transported: set[Path] = set()
-                for c in rest:
-                    transported.update(inv.get(c, ()))
-                if transported:
-                    emit(src, node_id, state((*at, frozenset(transported))))
+                acc = mark == step.consumed_head and _good_unfold(side, step.sigma_kind)
+                for q in inv.get(mark, ()):
+                    emit(src, node_id, state((child.id, *step.premise_pos, q)), acc)
 
     return TraceAutomaton(
         frozenset(range(len(decode))), frozenset(ids), frozenset(transitions),
@@ -337,13 +279,14 @@ def check_gtc(pp: PreProof, *, max_states: int = 50_000
     language, else ``(False, lasso)`` with an ultimately periodic
     counterexample path (no left mu-trace / right nu-trace on any tail).
     Raises :class:`GtcUnknown` when a state cap was exceeded — never a wrong
-    boolean — and :class:`GtcError` when an open leaf has no back edge.
+    boolean — and :class:`GtcError` when an open leaf has no back edge or a
+    back edge targets a missing node.
     """
     path_aut = build_path_automaton(pp)
     try:
-        trace_aut = trim(build_gtc_automaton(pp, max_states=max_states))
+        trace_aut = trim(build_gtc_automaton(pp))
         ok, word = contains(path_aut, trace_aut, max_states=max_states)
-    except (SizeGuard, StateExplosionGuard) as exc:
+    except SizeGuard as exc:
         raise GtcUnknown(f"undecided within the state cap: {exc}") from exc
     if ok:
         return True, None

@@ -609,7 +609,10 @@ class PreProof:
         return out
 
     def node(self, node_id: str) -> DerivTree:
-        return self.nodes[node_id]
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise KernelError(f"no node {node_id!r} in the pre-proof")
+        return node
 
     def open_leaves(self) -> list[DerivTree]:
         return [n for n in self.tree.walk() if n.is_open()]

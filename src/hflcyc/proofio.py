@@ -317,7 +317,3 @@ def load_preproof(path) -> PreProof:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_preproof(fh.read())
 
-
-def save_preproof(path, pp: PreProof) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_preproof(pp))

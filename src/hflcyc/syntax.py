@@ -66,15 +66,6 @@ def arrow(*types: SimpleType) -> SimpleType:
     return result
 
 
-def argument_types(ty: SimpleType) -> tuple[SimpleType, ...]:
-    """The list of argument types of a (curried) proposition type."""
-    args: list[SimpleType] = []
-    while isinstance(ty, Arrow):
-        args.append(ty.arg)
-        ty = ty.result
-    return tuple(args)
-
-
 def type_to_str(ty: SimpleType) -> str:
     if isinstance(ty, NatType):
         return "N"

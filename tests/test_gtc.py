@@ -4,39 +4,38 @@ from pathlib import Path
 
 import pytest
 
-from hflcyc.buchi import LassoWord, accepts_lasso, is_empty, trim
+from hflcyc.buchi import LassoWord, accepts_lasso, is_empty
 from hflcyc.gtc import (
     STAR,
     Accepted,
     GtcError,
     GtcUnknown,
-    MarkedFormula,
     Rejected,
     Star,
-    StateExplosionGuard,
     Tracked,
     build_gtc_automaton,
     build_path_automaton,
     check_cyclic_proof,
     check_gtc,
     counterexample_report,
-    marked_formula,
     render_lasso,
 )
 from hflcyc.kernel import (
-    RIGHT,
+    LEFT,
     Axiom,
     DerivTree,
     ExR,
+    KernelError,
     NuR,
-    OccurrenceRef,
     PreProof,
     validate_preproof,
 )
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
-from hflcyc.syntax import parse_expr, sigma_paths
+from hflcyc.syntax import sigma_paths
 from hflcyc.trace import (
     Lasso,
+    _tree_paths,
+    enumerate_closed_walks,
     enumerate_simple_lassos,
     gtc_bruteforce,
     lasso_good,
@@ -117,6 +116,7 @@ def all_fixtures():
         ("branching", branching_loop_proof()),
         ("sigma_free", sigma_free_loop_proof()),
         ("figure_eight", figure_eight_proof()),
+        ("rotation3", rotation_proof(3)),
     ]
 
 
@@ -125,7 +125,7 @@ FIXTURE_IDS = [name for name, _ in FIXTURES]
 
 
 # ---------------------------------------------------------------------------
-# states and marked formulas
+# states
 # ---------------------------------------------------------------------------
 
 
@@ -133,37 +133,6 @@ class TestStates:
     def test_star_is_a_singleton_value(self):
         assert Star() == STAR
         assert repr(STAR) == "Star"
-
-    def test_tracked_requires_a_mark(self):
-        with pytest.raises(GtcError, match="at least one mark"):
-            Tracked(OccurrenceRef("n0", RIGHT, 0), frozenset())
-
-    def test_tracked_repr_lists_marks(self):
-        t = Tracked(OccurrenceRef("n0", RIGHT, 0), frozenset({(0,), ()}))
-        assert repr(t) == "Tracked(n0,right,0,[e;0])"
-
-    def test_marks_must_be_operator_positions(self):
-        f = parse_expr("mu t:O. t")
-        assert MarkedFormula(f, frozenset({()})).strip() == f
-        with pytest.raises(GtcError, match="not operator positions"):
-            MarkedFormula(f, frozenset({(1, 2)}))
-
-    def test_describe_mentions_every_mark(self):
-        f = parse_expr("mu t:O. t")
-        d = MarkedFormula(f, frozenset({()})).describe()
-        assert "mu t:O. t" in d and "<root>" in d
-
-    def test_marked_formula_of_a_state(self):
-        pp = self_loop_proof("nu")
-        mf = marked_formula(pp, Tracked(OccurrenceRef("n0", RIGHT, 0),
-                                        frozenset({()})))
-        assert mf.strip() == parse_expr("nu t:O. t")
-
-    def test_marked_formula_rejects_bad_index(self):
-        pp = self_loop_proof("nu")
-        with pytest.raises(GtcError, match="no occurrence"):
-            marked_formula(pp, Tracked(OccurrenceRef("n0", RIGHT, 3),
-                                       frozenset({()})))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +183,12 @@ class TestPathAutomaton:
 
 
 def reachable_state_bound(pp: PreProof) -> int:
+    """STAR plus one state per operator position of every occurrence."""
     total = 1
     for nid in pp.nodes:
         seq = pp.node(nid).seq
         for f in (*seq.left, *seq.right):
-            total += 2 ** len(sigma_paths(f))
+            total += len(sigma_paths(f))
     return total
 
 
@@ -230,7 +200,7 @@ class TestTraceAutomaton:
 
     def test_golden_size_is_stable(self, golden):
         a = build_gtc_automaton(golden)
-        assert len(a.states) == 13
+        assert len(a.states) == 12
         assert len(a.accepting) == 1
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
@@ -242,16 +212,10 @@ class TestTraceAutomaton:
             assert (0, n, 0) in a.transitions
             assert (0, n, 0) not in a.accepting
 
-    @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
-    def test_entries_carry_exactly_one_mark(self, name, pp):
-        a = build_gtc_automaton(pp)
-        for (src, _sym, dst) in a.transitions:
-            if a.decode[src] == STAR and isinstance(a.decode[dst], Tracked):
-                assert len(a.decode[dst].marks) == 1
-
     def test_accepting_transitions_by_fixture(self):
-        # only left-mu / right-nu track-heads accept: the right-mu loop has
-        # none, its nu twin and the left-mu loop exactly one each
+        # only left-mu / right-nu unfoldings of the followed operator accept:
+        # the right-mu loop has none, its nu twin and the left-mu loop
+        # exactly one each
         assert len(build_gtc_automaton(self_loop_proof("mu")).accepting) == 0
         assert len(build_gtc_automaton(self_loop_proof("nu")).accepting) == 1
         assert len(build_gtc_automaton(left_mu_loop_proof()).accepting) == 1
@@ -266,13 +230,11 @@ class TestTraceAutomaton:
     def test_tracked_states_are_well_formed(self, name, pp):
         a = build_gtc_automaton(pp)
         assert a.states == frozenset(range(len(a.decode)))
-        for q in a.states:
-            if isinstance(a.decode[q], Tracked):
-                marked_formula(pp, a.decode[q])  # validates index and marks
-
-    def test_explosion_guard(self, golden):
-        with pytest.raises(StateExplosionGuard):
-            build_gtc_automaton(golden, max_states=4)
+        for state in a.decode[1:]:
+            assert isinstance(state, Tracked)
+            seq = pp.node(state.occ.node).seq
+            row = seq.left if state.occ.side == LEFT else seq.right
+            assert state.mark in sigma_paths(row[state.occ.index])
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +244,11 @@ class TestTraceAutomaton:
 
 class TestBridge:
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
-    def test_simple_lassos_agree_with_classification(self, name, pp):
+    def test_closed_walks_agree_with_classification(self, name, pp):
         a = build_gtc_automaton(pp)
-        for lasso in enumerate_simple_lassos(pp):
+        paths = _tree_paths(pp)
+        for cycle in enumerate_closed_walks(pp, max_back_edges=3):
+            lasso = Lasso(paths[cycle[0]][:-1], cycle)
             got = accepts_lasso(a, LassoWord(lasso.prefix, lasso.cycle))
             assert got == lasso_good(pp, lasso), lasso
 
@@ -354,6 +318,10 @@ class TestCheckGtc:
         with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
             check_gtc(PreProof(golden.tree, {}))
 
+    def test_dangling_back_edge_target_is_named(self, golden):
+        with pytest.raises(GtcError, match="'n4' -> 'zz' targets a missing node"):
+            check_gtc(PreProof(golden.tree, {"n4": "zz"}))
+
     @pytest.mark.parametrize("build", [build_path_automaton, build_gtc_automaton])
     def test_builders_name_the_open_leaf(self, golden, build):
         with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
@@ -416,6 +384,10 @@ class TestReporting:
         assert lines[0] == "counterexample path: (n0 n1)^ω"
         assert "thread from n0 right:0:" in lines
         assert any("mu{0} t:O. t" in ln for ln in lines)
+
+    def test_report_names_a_dangling_node(self, golden):
+        with pytest.raises(KernelError, match="no node 'zz'"):
+            counterexample_report(golden, Lasso((), ("zz",)))
 
     def test_counterexample_report_marks_dead_threads(self):
         pp = sigma_free_loop_proof()

@@ -24,9 +24,8 @@ from hflcyc.kernel import (
     validate_preproof,
 )
 from hflcyc.proofio import load_preproof
-from hflcyc.syntax import alpha_eq, sigma_paths, subexpr_at
+from hflcyc.syntax import alpha_eq, sigma_paths
 from hflcyc.trace import (
-    AnnotatedFormula,
     ExplosionGuard,
     FiniteOrNotATrace,
     Lasso,
@@ -377,6 +376,15 @@ class TestGoldenLoop:
     def test_lasso_good_and_bruteforce(self, golden_loop):
         assert lasso_good(golden_loop, Lasso((), GOLDEN_CYCLE))
         assert gtc_bruteforce(golden_loop) is True
+
+    def test_dangling_lasso_node_is_named(self, golden_loop):
+        with pytest.raises(KernelError, match="no node 'zz'"):
+            lasso_good(golden_loop, Lasso((), ("zz",)))
+
+    def test_bruteforce_names_a_dangling_back_edge(self, golden_loop):
+        pp = PreProof(golden_loop.tree, {"n4": "zz"})
+        with pytest.raises(TraceError, match="'n4' -> 'zz' names a missing node"):
+            gtc_bruteforce(pp)
 
     def test_single_simple_lasso(self, golden_loop):
         assert enumerate_simple_lassos(golden_loop) == [Lasso((), GOLDEN_CYCLE)]
