@@ -32,7 +32,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import HflError
 
@@ -309,61 +309,75 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[LassoWord]]:
 #   0 - no w-labelled path between the states,
 #   1 - a path exists,
 #   2 - a path through an accepting transition exists.
-# Rows are stored as two bit masks: ``p1`` (entry >= 1) and ``p2`` (entry = 2),
-# with p2 row-wise contained in p1.
+# A row is two bit masks: ``p1`` (entry >= 1) and ``p2`` (entry = 2), with p2
+# contained in p1.  A matrix stores only its non-zero rows, as ``(i, p1, p2)``
+# triples in increasing order of i, so equal matrices are equal tuples.  A
+# product looks the rows of its right factor up by index, in a ``_Rows`` dict
+# ``i -> (p1, p2)``, and costs the non-zero rows of its left factor times
+# their bits: one step of a run along a long cycle touches the few states
+# that move, not every state of the automaton.
+
+_Mat = tuple[tuple[int, int, int], ...]
+_Rows = dict[int, tuple[int, int]]
 
 
-class _Mat(NamedTuple):
-    p1: tuple[int, ...]
-    p2: tuple[int, ...]
+def _rows(m: _Mat) -> _Rows:
+    return {i: (r1, r2) for i, r1, r2 in m}
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _mat_identity(n: int) -> _Mat:
-    return _Mat(tuple(1 << i for i in range(n)), (0,) * n)
+    return tuple((i, 1 << i, 0) for i in range(n))
 
 
-def _mat_mul(a: _Mat, b: _Mat) -> _Mat:
-    p1 = []
-    p2 = []
-    for r1, r2 in zip(a.p1, a.p2):
-        o1 = 0
-        o2 = 0
+def _mat_mul(a: _Mat, b: _Rows) -> _Mat:
+    out = []
+    for i, r1, r2 in a:
+        o1 = o2 = 0
         x = r1
         while x:
-            j = (x & -x).bit_length() - 1
-            x &= x - 1
-            o1 |= b.p1[j]
-            o2 |= b.p2[j]
-        x = r2
-        while x:
-            j = (x & -x).bit_length() - 1
-            x &= x - 1
-            o2 |= b.p1[j]
-        p1.append(o1)
-        p2.append(o2)
-    return _Mat(tuple(p1), tuple(p2))
+            low = x & -x
+            x ^= low
+            row = b.get(low.bit_length() - 1)
+            if row is not None:
+                o1 |= row[0]
+                # through an accepting step of either factor
+                o2 |= row[0] if r2 & low else row[1]
+        if o1:
+            out.append((i, o1, o2))
+    return tuple(out)
 
 
-def _symbol_matrices(a: BuchiAutomaton) -> tuple[tuple[State, ...], dict[Symbol, _Mat]]:
+def _symbol_matrices(a: BuchiAutomaton) -> tuple[tuple[State, ...], dict[Symbol, _Rows]]:
+    """The state order and each symbol's one-step matrix.
+
+    Built from the transitions: a symbol's matrix has a row for each state
+    that moves on it, and a symbol no transition reads has an empty one.
+    """
     order = a._sorted_states
     pos = {q: i for i, q in enumerate(order)}
-    p1 = {sym: [0] * len(order) for sym in a.alphabet}
-    p2 = {sym: [0] * len(order) for sym in a.alphabet}
+    gens: dict[Symbol, _Rows] = {sym: {} for sym in a.alphabet}
     for t in a.transitions:
         src, sym, dst = t
-        p1[sym][pos[src]] |= 1 << pos[dst]
-        if t in a.accepting:
-            p2[sym][pos[src]] |= 1 << pos[dst]
-    return order, {sym: _Mat(tuple(p1[sym]), tuple(p2[sym])) for sym in a.alphabet}
+        i, bit = pos[src], 1 << pos[dst]
+        r1, r2 = gens[sym].get(i, (0, 0))
+        gens[sym][i] = (r1 | bit, r2 | bit if t in a.accepting else r2)
+    return order, gens
 
 
-def _image(mask: int, m: _Mat) -> int:
+def _image(mask: int, m: _Rows) -> int:
     """States reachable through ``m`` from any state in ``mask``."""
     out = 0
-    while mask:
-        j = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out |= m.p1[j]
+    for j in _bits(mask):
+        row = m.get(j)
+        if row is not None:
+            out |= row[0]
     return out
 
 
@@ -375,13 +389,13 @@ def _loop_entries(loop: _Mat) -> int:
     block can return to it through an accepting transition.
     """
     good = 0
-    for s, row in enumerate(loop.p2):
-        if (row >> s) & 1:
+    for s, _r1, r2 in loop:
+        if (r2 >> s) & 1:
             good |= 1 << s
     entries = 0
     if good:
-        for q, row in enumerate(loop.p1):
-            if row & good:
+        for q, r1, _r2 in loop:
+            if r1 & good:
                 entries |= 1 << q
     return entries
 
@@ -495,7 +509,7 @@ def _feedback_states(a: BuchiAutomaton) -> set[State]:
     return feedback
 
 
-def _prefixes(a: BuchiAutomaton, gens: Mapping[Symbol, _Mat], start: int,
+def _prefixes(a: BuchiAutomaton, gens: Mapping[Symbol, _Rows], start: int,
               cap: _Cap) -> dict[tuple[State, int], Word]:
     """A shortest word to each reachable (a-state, b-state mask) pair."""
     words: dict[tuple[State, int], Word] = {}
@@ -517,7 +531,7 @@ def _prefixes(a: BuchiAutomaton, gens: Mapping[Symbol, _Mat], start: int,
     return words
 
 
-def _segments(a: BuchiAutomaton, gens: Mapping[Symbol, _Mat], identity: _Mat,
+def _segments(a: BuchiAutomaton, gens: Mapping[Symbol, _Rows], identity: _Mat,
               feedback: set[State], cap: _Cap) -> dict[Element, Word]:
     """Runs of ``a`` from a feedback state to the next, with a shortest word.
 
@@ -551,9 +565,9 @@ def _loops(segments: Mapping[Element, Word], cap: _Cap) -> dict[Element, Word]:
     Elements are settled in order of word length, so the word an element has
     when it is settled is a shortest one.
     """
-    by_source: dict[State, list[tuple[Element, Word]]] = {}
+    by_source: dict[State, list[tuple[Element, Word, _Rows]]] = {}
     for seg, word in segments.items():
-        by_source.setdefault(seg[0], []).append((seg, word))
+        by_source.setdefault(seg[0], []).append((seg, word, _rows(seg[3])))
     best = dict(segments)
     heap = [(len(word), i, seg) for i, (seg, word) in enumerate(segments.items())]
     tick = len(heap)
@@ -564,8 +578,8 @@ def _loops(segments: Mapping[Element, Word], cap: _Cap) -> dict[Element, Word]:
             continue
         word = settled[elem] = best[elem]
         src, dst, acc, m = elem
-        for (_mid, to, acc2, m2), word2 in by_source.get(dst, ()):
-            prod = (src, to, acc or acc2, _mat_mul(m, m2))
+        for (_mid, to, acc2, _m2), word2, rows2 in by_source.get(dst, ()):
+            prod = (src, to, acc or acc2, _mat_mul(m, rows2))
             longer = word + word2
             old = best.get(prod)
             if old is None:
@@ -604,11 +618,14 @@ def contains(
     word: the reachable (a-state, b-state set) prefix pairs; the segments of
     ``a`` between feedback states; and the closure of the segments under
     composition.  One cycle through one feedback state is a single segment,
-    so the closure does not grow with cycle length.  The counterexample is
-    the shortest such (u, v), with the end of u rotated into v while both
-    end in the same symbol.  ``max_states`` caps the prefixes, the segments
-    and partial segments, and the loop elements together; going past it
-    raises :class:`SizeGuard`.
+    so the closure does not grow with cycle length.  The matrices of ``b``
+    are built from its transitions and keep only their non-zero rows, so a
+    step of a segment costs the rows that move, not every state of ``b``:
+    on a cycle along which ``b`` follows a few threads, few rows move.  The
+    counterexample is the shortest such (u, v), with the end of u rotated
+    into v while both end in the same symbol.  ``max_states`` caps the
+    prefixes, the segments and partial segments, and the loop elements
+    together; going past it raises :class:`SizeGuard`.
     """
     if a.alphabet != b.alphabet:
         raise BuchiError("containment requires identical alphabets")
@@ -623,7 +640,7 @@ def contains(
     segments = _segments(a, gens, _mat_identity(len(order)), feedback, cap)
     found: Optional[tuple[Word, Word]] = None
     for (src, dst, acc, m), v in _loops(segments, cap).items():
-        if src != dst or not acc or _mat_mul(m, m) != m:
+        if src != dst or not acc or _mat_mul(m, _rows(m)) != m:
             continue
         entries = _loop_entries(m)
         for mask, u in prefixes_at.get(src, ()):
@@ -698,27 +715,18 @@ def _trap_mask(mat: _Mat) -> int:
 
     Treating the matrix as the one-step graph, a state is in the trap when it
     reaches (in ≥ 0 steps) a strongly connected component containing an
-    internal edge of value 2.
+    internal edge of value 2.  A state with a zero row has no successor, so
+    it is in no such component and reaches none.
     """
-    n = len(mat.p1)
-    nodes = list(range(n))
-    succs = {
-        i: [j for j in range(n) if (mat.p1[i] >> j) & 1] for i in nodes
-    }
-    comp = _scc_ids(nodes, succs)
+    rows = _rows(mat)
+    succs = {i: list(_bits(r1)) for i, (r1, _r2) in rows.items()}
+    comp = _scc_ids(list(rows), succs)
     groups: dict[int, int] = {}
-    for i in nodes:
+    for i in rows:
         groups[comp[i]] = groups.get(comp[i], 0) | (1 << i)
     seed = 0
     for mask in groups.values():
-        x = mask
-        good = False
-        while x and not good:
-            i = (x & -x).bit_length() - 1
-            x &= x - 1
-            if mat.p2[i] & mask:
-                good = True
-        if good:
+        if any(rows[i][1] & mask for i in _bits(mask)):
             seed |= mask
     if not seed:
         return 0
@@ -726,9 +734,9 @@ def _trap_mask(mat: _Mat) -> int:
     changed = True
     while changed:
         changed = False
-        for i in nodes:
+        for i, (r1, _r2) in rows.items():
             bit = 1 << i
-            if not (trap & bit) and (mat.p1[i] & trap):
+            if not (trap & bit) and (r1 & trap):
                 trap |= bit
                 changed = True
     return trap

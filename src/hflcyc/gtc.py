@@ -155,12 +155,16 @@ _Key = tuple[str, str, int, Path]
 """A tracked state while the automaton is built: node, side, index, mark."""
 
 
-def _single_mark_states(pp: PreProof, node_id: str) -> list[_Key]:
+def _occurrence_sigmas(seq: Sequent) -> dict[OccPos, tuple[Path, ...]]:
+    """The operator positions of each formula of a sequent, by position."""
+    return {(side, index): sigma_paths((seq.left if side == LEFT else seq.right)[index])
+            for side, index in _sequent_occurrences(seq)}
+
+
+def _single_mark_states(node_id: str, sigmas: dict[OccPos, tuple[Path, ...]]) -> list[_Key]:
     """Every way to start tracking at a node: one operator position each."""
-    seq = pp.node(node_id).seq
     return [(node_id, side, index, p)
-            for side, index in _sequent_occurrences(seq)
-            for p in sigma_paths((seq.left if side == LEFT else seq.right)[index])]
+            for (side, index), paths in sigmas.items() for p in paths]
 
 
 def _good_unfold(side: str, sigma_kind: Optional[str]) -> bool:
@@ -226,6 +230,7 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
             queue.append((q, key))
         return q
 
+    sigmas = {n: _occurrence_sigmas(pp.node(n).seq) for n in ids}
     steps: dict[tuple[str, int], dict[OccPos, list]] = {}
 
     def steps_from(node: DerivTree, branch: int, occ: OccPos) -> list:
@@ -233,7 +238,9 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
         got = steps.get((node.id, branch))
         if got is None:
             got = steps[node.id, branch] = {}
-            for step in occurrence_steps(node.seq, node.rule, branch):
+            for step in occurrence_steps(node.seq, node.rule, branch,
+                                         inference=pp.inference(node.id),
+                                         sigmas=sigmas[node.id]):
                 got.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
         return got.get(occ, [])
 
@@ -242,7 +249,7 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
         if acc:
             accepting.add((src, sym, dst))
 
-    entries = {m: _single_mark_states(pp, m) for m in ids}
+    entries = {m: _single_mark_states(m, sigmas[m]) for m in ids}
     for n in ids:
         emit(0, n, 0)
         for m in successors(pp, n):

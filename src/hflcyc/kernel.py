@@ -17,7 +17,9 @@ Conventions, fixed once for the whole code base:
 Each rule also knows its occurrence map — for a premise, which formula of
 the conclusion every premise formula descends from (None when the formula
 appears out of thin air, e.g. a cut formula).  The trace machinery builds
-on these maps.
+on these maps.  A pre-proof keeps each node's :class:`Inference` (premises,
+and the traced head step of a lambda or fixed-point rule) once computed, so
+validation and the trace automaton share one head step per node.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from functools import cached_property
 from typing import ClassVar, Mapping, Optional
 
 from .syntax import (
-    And, App, Eq, Expr, HflError, HflTypeError, Lam, Mu, Nu, Or, Sequent,
-    Succ, Var, Zero, app_spine, alpha_eq, beta_head, check_sequent,
-    count_occurrences, free_vars, is_term_shaped, make_app, nat_pred,
-    sequent, sequent_alpha_eq, sequent_to_str, substitute, to_str, unfold,
+    And, App, Eq, Expr, HeadStep, HflError, HflTypeError, Lam, Mu, Nu, Or,
+    Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
+    free_vars, head_step, is_term_shaped, make_app, nat_pred,
+    sequent_alpha_eq, sequent_to_str, substitute, to_str,
 )
 
 LEFT = "left"
@@ -91,6 +93,16 @@ def _identity_map(seq: Sequent) -> dict[OccPos, OccPos]:
 
 
 @dataclass(frozen=True)
+class Inference:
+    """A rule applied to one conclusion: its premises and, for the lambda and
+    fixed-point rules, the traced head step that reduces the principal
+    formula (None for every other rule)."""
+
+    premises: tuple[Sequent, ...]
+    head_step: Optional[HeadStep] = None
+
+
+@dataclass(frozen=True)
 class Rule:
     """Base class; subclasses define tag, premise reconstruction and the
     premise-to-conclusion occurrence correspondence."""
@@ -99,6 +111,10 @@ class Rule:
 
     def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
         raise NotImplementedError
+
+    def inference(self, conclusion: Sequent) -> Inference:
+        """The premises for the conclusion, with the head step if any."""
+        return Inference(self.premises_of(conclusion))
 
     def occurrence_map(self, conclusion: Sequent, premise_index: int) -> dict[OccPos, Optional[OccPos]]:
         """Map each premise position to the conclusion position it is
@@ -409,69 +425,75 @@ class AndR(Rule):
                 Sequent(conclusion.left, (phi.rhs,) + conclusion.right[1:]))
 
 
-def _head_step_rule(conclusion: Sequent, side: str, kind, step) -> Sequent:
-    """Shared shape for the lambda/fixed-point left and right rules."""
-    principal = (_need_left(conclusion, "a principal left formula") if side == LEFT
-                 else _need_right(conclusion, "a principal right formula"))
-    head, args = app_spine(principal)
-    if kind is Lam:
-        if not (isinstance(head, Lam) and args):
-            raise SchemaMismatch(None, "(\\x. phi) psi psi_vec", to_str(principal))
-    elif not isinstance(head, kind):
-        want = "(mu x. phi) psi_vec" if kind is Mu else "(nu x. phi) psi_vec"
-        raise SchemaMismatch(None, want, to_str(principal))
-    reduced = step(principal)
-    if side == LEFT:
-        return Sequent(conclusion.left[:-1] + (reduced,), conclusion.right)
-    return Sequent(conclusion.left, (reduced,) + conclusion.right[1:])
+_REDEX_SHAPES = {Lam: "(\\x. phi) psi psi_vec", Mu: "(mu x. phi) psi_vec",
+                 Nu: "(nu x. phi) psi_vec"}
 
 
 @dataclass(frozen=True)
-class LamL(Rule):
+class HeadStepRule(Rule):
+    """Shared shape of the lambda and fixed-point left and right rules: the
+    premise replaces the principal formula, on ``side``, by one head step on
+    its ``kind`` redex."""
+
+    side: ClassVar[str]
+    kind: ClassVar[type]
+
+    def inference(self, conclusion):
+        principal = (_need_left(conclusion, "a principal left formula") if self.side == LEFT
+                     else _need_right(conclusion, "a principal right formula"))
+        step = head_step(principal, self.kind)
+        if step is None:
+            raise SchemaMismatch(None, _REDEX_SHAPES[self.kind], to_str(principal))
+        if self.side == LEFT:
+            premise = Sequent(conclusion.left[:-1] + (step.result,), conclusion.right)
+        else:
+            premise = Sequent(conclusion.left, (step.result,) + conclusion.right[1:])
+        return Inference((premise,), step)
+
+    def premises_of(self, conclusion):
+        return self.inference(conclusion).premises
+
+
+@dataclass(frozen=True)
+class LamL(HeadStepRule):
     tag: ClassVar[str] = "LamL"
-
-    def premises_of(self, conclusion):
-        return (_head_step_rule(conclusion, LEFT, Lam, beta_head),)
+    side: ClassVar[str] = LEFT
+    kind: ClassVar[type] = Lam
 
 
 @dataclass(frozen=True)
-class LamR(Rule):
+class LamR(HeadStepRule):
     tag: ClassVar[str] = "LamR"
-
-    def premises_of(self, conclusion):
-        return (_head_step_rule(conclusion, RIGHT, Lam, beta_head),)
+    side: ClassVar[str] = RIGHT
+    kind: ClassVar[type] = Lam
 
 
 @dataclass(frozen=True)
-class MuL(Rule):
+class MuL(HeadStepRule):
     tag: ClassVar[str] = "MuL"
-
-    def premises_of(self, conclusion):
-        return (_head_step_rule(conclusion, LEFT, Mu, unfold),)
+    side: ClassVar[str] = LEFT
+    kind: ClassVar[type] = Mu
 
 
 @dataclass(frozen=True)
-class MuR(Rule):
+class MuR(HeadStepRule):
     tag: ClassVar[str] = "MuR"
-
-    def premises_of(self, conclusion):
-        return (_head_step_rule(conclusion, RIGHT, Mu, unfold),)
+    side: ClassVar[str] = RIGHT
+    kind: ClassVar[type] = Mu
 
 
 @dataclass(frozen=True)
-class NuL(Rule):
+class NuL(HeadStepRule):
     tag: ClassVar[str] = "NuL"
-
-    def premises_of(self, conclusion):
-        return (_head_step_rule(conclusion, LEFT, Nu, unfold),)
+    side: ClassVar[str] = LEFT
+    kind: ClassVar[type] = Nu
 
 
 @dataclass(frozen=True)
-class NuR(Rule):
+class NuR(HeadStepRule):
     tag: ClassVar[str] = "NuR"
-
-    def premises_of(self, conclusion):
-        return (_head_step_rule(conclusion, RIGHT, Nu, unfold),)
+    side: ClassVar[str] = RIGHT
+    kind: ClassVar[type] = Nu
 
 
 @dataclass(frozen=True)
@@ -532,7 +554,11 @@ RULES: dict[str, type[Rule]] = {cls.tag: cls for cls in RULE_CLASSES}
 def check_rule(conclusion: Sequent, rule: Rule, premises: list[Sequent] | tuple[Sequent, ...]) -> None:
     """Raise SchemaMismatch / SideConditionViolated unless the premises are
     exactly the rule's premises for the conclusion (up to alpha)."""
-    expected = rule.premises_of(conclusion)
+    _check_premises(rule, rule.premises_of(conclusion), premises)
+
+
+def _check_premises(rule: Rule, expected: tuple[Sequent, ...],
+                    premises: list[Sequent] | tuple[Sequent, ...]) -> None:
     if len(expected) != len(premises):
         raise SchemaMismatch(None, f"{len(expected)} premises ({rule.tag})",
                              f"{len(premises)} premises")
@@ -598,6 +624,8 @@ class PreProof:
 
     tree: DerivTree
     back_edges: Mapping[str, str] = field(default_factory=dict)
+    _inferences: dict[str, Inference] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def nodes(self) -> dict[str, DerivTree]:
@@ -613,6 +641,21 @@ class PreProof:
         if node is None:
             raise KernelError(f"no node {node_id!r} in the pre-proof")
         return node
+
+    def inference(self, node_id: str) -> Inference:
+        """The inference at a closed node, computed once per pre-proof.
+
+        Validation and the trace automaton both read it, so each head step
+        is taken once per check.  Raises the rule's :class:`KernelError`
+        when the rule does not apply; a failure is not kept.
+        """
+        got = self._inferences.get(node_id)
+        if got is None:
+            node = self.node(node_id)
+            if node.rule is None:
+                raise KernelError(f"node {node_id!r} is an open leaf")
+            got = self._inferences[node_id] = node.rule.inference(node.seq)
+        return got
 
     def open_leaves(self) -> list[DerivTree]:
         return [n for n in self.tree.walk() if n.is_open()]
@@ -649,7 +692,8 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
                 issues.append(ValidationIssue(node.id, "open leaf with children"))
             continue
         try:
-            check_rule(node.seq, node.rule, [c.seq for c in node.children])
+            _check_premises(node.rule, pp.inference(node.id).premises,
+                            [c.seq for c in node.children])
         except KernelError as exc:
             issues.append(ValidationIssue(node.id, f"{node.rule.tag}: {exc}"))
 

@@ -436,13 +436,16 @@ def substitute(e: Expr, subst: Mapping[str, Expr]) -> Expr:
 # substitute and substitute_traced are one walk, _substitute.  It descends only
 # into subtrees where some substituted variable is free, and renames a binder
 # only when it would capture a free variable of a replacement; the renaming is
-# itself a substitution by the same walk.  The trace/gtc machinery also needs
-# to know, for every fixed-point operator of e[subst], whether it comes from
-# the skeleton of e or sits inside the j-th substituted copy of some
-# replacement (occurrences numbered per variable in preorder).  Renaming
-# preserves tree structure, so a skeleton operator keeps its path and origins
-# are exact path correspondences.  The walk records them only when it is given
-# a dict to fill, so the kernel's untraced substitutions pay nothing for them.
+# itself a substitution by the same walk.  Which substituted variables are free
+# in each subtree is found by one bottom-up pass before the walk (_key_tree),
+# and again only for a renamed body, so without renaming a substitution is
+# linear in e.  The trace/gtc machinery also needs to know, for every
+# fixed-point operator of e[subst], whether it comes from the skeleton of e or
+# sits inside the j-th substituted copy of some replacement (occurrences
+# numbered per variable in preorder).  Renaming preserves tree structure, so a
+# skeleton operator keeps its path and origins are exact path correspondences.
+# The walk records them only when it is given a dict to fill, so untraced
+# substitutions pay nothing for them.
 
 
 @dataclass(frozen=True)
@@ -472,13 +475,38 @@ def substitute_traced(e: Expr, subst: Mapping[str, Expr]) -> tuple[Expr, dict[Pa
     return _substitute(e, subst, origins), origins
 
 
+_KeyTree = Optional[tuple[frozenset[str], tuple["_KeyTree", ...]]]
+"""The substituted names free in an expression, with the same for each of its
+children; None where no substituted name is free."""
+
+
+def _key_tree(e: Expr, keys: frozenset[str]) -> _KeyTree:
+    """The members of ``keys`` free in e and in each of its subexpressions,
+    found in one bottom-up pass over e."""
+    t = type(e)
+    if t is Var:
+        return (frozenset((e.name,)), ()) if e.name in keys else None
+    if t is Zero:
+        return None
+    kids = tuple([_key_tree(k, keys) for k in children(e)])
+    free: Optional[frozenset[str]] = None
+    for kid in kids:
+        if kid is not None:
+            free = kid[0] if free is None else free | kid[0]
+    if free is not None and (t is Lam or t is Mu or t is Nu):
+        free = free - {e.var}
+    return (free, kids) if free else None
+
+
 def _substitute(e: Expr, subst: Mapping[str, Expr],
                 origins: Optional[dict[Path, SigmaOrigin]]) -> Expr:
     """The capture-avoiding substitution walk; fills `origins` unless None."""
     counters: dict[str, int] = {}
+    keys = frozenset(subst)
+    repl_fvs = {x: free_vars(r) for x, r in subst.items()}
 
-    def go(e: Expr, sub: Mapping[str, Expr], path: Path) -> Expr:
-        live = {x: r for x, r in sub.items() if x in free_vars(e)}
+    def go(e: Expr, free: _KeyTree, sub: Mapping[str, Expr], path: Path) -> Expr:
+        live = {} if free is None else {x: r for x, r in sub.items() if x in free[0]}
         if not live:
             if origins is not None:
                 for p in sigma_paths(e):
@@ -494,20 +522,22 @@ def _substitute(e: Expr, subst: Mapping[str, Expr],
             return repl
         if isinstance(e, BINDERS):
             # every live key is free in e, so none is e.var
-            repl_fvs: frozenset[str] = frozenset()
-            for repl in live.values():
-                repl_fvs |= free_vars(repl)
-            var, body = e.var, e.body
-            if var in repl_fvs:
-                new = _fresh_variant(var, repl_fvs | free_vars(body))
+            avoid: frozenset[str] = frozenset()
+            for x in live:
+                avoid |= repl_fvs[x]
+            var, body, body_free = e.var, e.body, free[1][0]
+            if var in avoid:
+                new = _fresh_variant(var, avoid | free_vars(body))
                 body = _substitute(body, {var: Var(new)}, None)
+                body_free = _key_tree(body, keys)
                 var = new
             if origins is not None and isinstance(e, FIXPOINTS):
                 origins[path] = FromSkeleton(path)
-            return type(e)(var, e.var_type, go(body, live, path + (0,)))
-        return rebuild(e, tuple(go(k, live, path + (i,)) for i, k in enumerate(children(e))))
+            return type(e)(var, e.var_type, go(body, body_free, live, path + (0,)))
+        return rebuild(e, tuple(go(k, kf, live, path + (i,))
+                                for i, (k, kf) in enumerate(zip(children(e), free[1]))))
 
-    return go(e, subst, ())
+    return go(e, _key_tree(e, keys), subst, ())
 
 
 def count_occurrences(e: Expr, x: str) -> int:
@@ -522,30 +552,40 @@ def count_occurrences(e: Expr, x: str) -> int:
 # --- head reduction steps ---------------------------------------------------
 
 
-def _head_redex(e: Expr, beta: bool) -> tuple[Expr, Expr, tuple[Expr, ...]]:
-    """Split e at its head redex, a lambda when `beta` and else a fixed point,
-    into the head binder, the expression substituted for its variable and
-    the arguments kept after the step."""
+def _head_redex(e: Expr, kind) -> Optional[tuple[Expr, Expr, tuple[Expr, ...]]]:
+    """Split e at its head redex into the head binder, the expression
+    substituted for its variable and the arguments kept after the step.
+
+    ``kind`` is the class (or tuple of classes) the head must be: Lam for a
+    beta-redex, which also needs an argument, or Mu, Nu or FIXPOINTS for an
+    unfolding.  None when e has no such redex.
+    """
     head, args = app_spine(e)
-    if beta:
-        if not isinstance(head, Lam) or not args:
-            raise HflError(f"no head beta-redex in {to_str(e)!r}")
-        return head, args[0], args[1:]
-    if not isinstance(head, FIXPOINTS):
-        raise HflError(f"head of {to_str(e)!r} is not a fixed-point")
+    if not isinstance(head, kind):
+        return None
+    if isinstance(head, Lam):
+        return (head, args[0], args[1:]) if args else None
     return head, head, args
+
+
+def _reduce(head: Expr, repl: Expr, rest: tuple[Expr, ...]) -> Expr:
+    return make_app(substitute(head.body, {head.var: repl}), *rest)
 
 
 def beta_head(e: Expr) -> Expr:
     """One beta step on the head redex: (\\x. phi) psi psi_vec -> phi[psi/x] psi_vec."""
-    head, repl, rest = _head_redex(e, beta=True)
-    return make_app(substitute(head.body, {head.var: repl}), *rest)
+    redex = _head_redex(e, Lam)
+    if redex is None:
+        raise HflError(f"no head beta-redex in {to_str(e)!r}")
+    return _reduce(*redex)
 
 
 def unfold(e: Expr) -> Expr:
     """Unfold a fixed-point head: (sigma x. phi) psi_vec -> phi[sigma x. phi/x] psi_vec."""
-    head, repl, rest = _head_redex(e, beta=False)
-    return make_app(substitute(head.body, {head.var: repl}), *rest)
+    redex = _head_redex(e, FIXPOINTS)
+    if redex is None:
+        raise HflError(f"head of {to_str(e)!r} is not a fixed-point")
+    return _reduce(*redex)
 
 
 @dataclass(frozen=True)
@@ -585,23 +625,19 @@ def _spine_arg_sources(e: Expr, kept_args: int, sources: dict[Path, Path]) -> No
         p = p + (0,)
 
 
-def beta_head_traced(e: Expr) -> HeadStep:
-    """beta_head together with the sigma-position correspondence."""
-    return _head_step_traced(e, beta=True)
+def head_step(e: Expr, kind) -> Optional[HeadStep]:
+    """The head step of e with its sigma-position correspondence, when e's
+    head redex is a ``kind`` (as for :func:`_head_redex`), else None.
 
-
-def unfold_traced(e: Expr) -> HeadStep:
-    """unfold together with the sigma-position correspondence.
-
-    Every operator inside the consumed head's body appears once in the result
-    skeleton and once inside each substituted copy; the head itself descends
-    exactly to the copy roots.
+    This is the only redex check of the lambda and fixed-point rules: the
+    kernel turns None into its schema error and keeps the step.
     """
-    return _head_step_traced(e, beta=False)
+    redex = _head_redex(e, kind)
+    return None if redex is None else _head_step_traced(e, *redex)
 
 
-def _head_step_traced(e: Expr, beta: bool) -> HeadStep:
-    head, repl, rest = _head_redex(e, beta)
+def _head_step_traced(e: Expr, head: Expr, repl: Expr, rest: tuple[Expr, ...]) -> HeadStep:
+    beta = isinstance(head, Lam)
     origins: dict[Path, SigmaOrigin] = {}
     result = make_app(_substitute(head.body, {head.var: repl}, origins), *rest)
     sources: dict[Path, Path] = {}
@@ -671,8 +707,21 @@ class _Unifier:
             return
         raise IllTyped(where, type_to_str(want), type_to_str(found))
 
+    def unify_if_possible(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
+        """Unify the two types when they unify; else leave the solution as it was."""
+        saved = dict(self.sol)
+        try:
+            self.unify(found, want, where)
+        except HflTypeError:
+            self.sol = saved
 
-def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier]) -> SimpleType:
+
+def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier],
+           want: Optional[SimpleType] = None) -> SimpleType:
+    """The type of e.  With a unifier, ``want`` is the type the context will
+    require of e, if known: an application learns its result type from it
+    before it checks its argument, as the direct checker, which knows every
+    type, would."""
     if isinstance(e, Var):
         try:
             return env[e.name]
@@ -681,15 +730,15 @@ def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier]) -> Simp
     if isinstance(e, Zero):
         return NAT
     if isinstance(e, Succ):
-        _expect(e.arg, _infer(e.arg, env, uni), NAT, uni)
+        _check(e.arg, NAT, env, uni)
         return NAT
     if isinstance(e, Eq):
-        _expect(e.lhs, _infer(e.lhs, env, uni), NAT, uni)
-        _expect(e.rhs, _infer(e.rhs, env, uni), NAT, uni)
+        _check(e.lhs, NAT, env, uni)
+        _check(e.rhs, NAT, env, uni)
         return PROP
     if isinstance(e, (Or, And)):
-        _expect(e.lhs, _infer(e.lhs, env, uni), PROP, uni)
-        _expect(e.rhs, _infer(e.rhs, env, uni), PROP, uni)
+        _check(e.lhs, PROP, env, uni)
+        _check(e.rhs, PROP, env, uni)
         return PROP
     if isinstance(e, Lam):
         inner = dict(env)
@@ -702,22 +751,29 @@ def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier]) -> Simp
     if isinstance(e, FIXPOINTS):
         inner = dict(env)
         inner[e.var] = e.var_type
-        body_ty = _infer(e.body, inner, uni)
-        _expect(e.body, body_ty, e.var_type, uni)
+        _check(e.body, e.var_type, inner, uni)
         return e.var_type
     if isinstance(e, App):
         fn_ty = _infer(e.fn, env, uni)
         arg_ty = _infer(e.arg, env, uni)
         if uni:
-            result = uni.fresh()
-            uni.unify(Arrow(arg_ty, result), fn_ty, e)
-            return result
+            fn_ty = uni.resolve(fn_ty)
+            if isinstance(fn_ty, _TMeta):
+                fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
+                uni.unify(fn_ty, meta, e)
         if not isinstance(fn_ty, Arrow):
             raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
-        if fn_ty.arg != arg_ty:
-            raise IllTyped(e.arg, type_to_str(fn_ty.arg), type_to_str(arg_ty))
+        if uni and want is not None:
+            uni.unify_if_possible(fn_ty.result, want, e)
+        _expect(e.arg, arg_ty, fn_ty.arg, uni)
         return fn_ty.result
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _check(e: Expr, want: SimpleType, env: dict[str, SimpleType],
+           uni: Optional[_Unifier]) -> None:
+    """Require e to have type ``want``."""
+    _expect(e, _infer(e, env, uni, want), want, uni)
 
 
 def _expect(where: Expr, found: SimpleType, want: SimpleType, uni: Optional[_Unifier]) -> None:
@@ -741,7 +797,7 @@ def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[
     full: dict[str, SimpleType] = dict(env or {})
     try:  # when every free variable's type is known, no unifier is needed
         for phi in formulas:
-            _expect(phi, _infer(phi, full, None), PROP, None)
+            _check(phi, PROP, full, None)
         return full
     except UnboundVariable:
         pass
@@ -753,7 +809,7 @@ def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[
                 metas[name] = uni.fresh()
     scope = {**full, **metas}
     for phi in formulas:
-        _expect(phi, _infer(phi, scope, uni), PROP, uni)
+        _check(phi, PROP, scope, uni)
     for name, meta in metas.items():
         ty = uni.resolve(meta)
         if _has_meta(ty):

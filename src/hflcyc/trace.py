@@ -22,6 +22,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 from .kernel import (
     LEFT,
     RIGHT,
+    Inference,
     Mono,
     OccPos,
     OccurrenceRef,
@@ -35,19 +36,18 @@ from .syntax import (
     Expr,
     FromCopy,
     FromSkeleton,
+    HeadStep,
     HflError,
     Mu,
     Nu,
     Path,
     Sequent,
     alpha_eq,
-    beta_head_traced,
     sequent_to_str,
     sigma_paths,
     subexpr_at,
     substitute_traced,
     to_str,
-    unfold_traced,
 )
 
 __all__ = [
@@ -165,8 +165,7 @@ def _formula_at(seq: Sequent, pos: OccPos) -> Expr:
     return row[index]
 
 
-def _identity_transport(pf: Expr, cf: Expr) -> dict[Path, Path]:
-    ppaths, cpaths = sigma_paths(pf), sigma_paths(cf)
+def _identity_transport(ppaths: tuple[Path, ...], cpaths: tuple[Path, ...]) -> dict[Path, Path]:
     if set(ppaths) != set(cpaths):
         raise TraceError(
             "operator positions changed across a copying step: "
@@ -174,22 +173,26 @@ def _identity_transport(pf: Expr, cf: Expr) -> dict[Path, Path]:
     return {q: q for q in ppaths}
 
 
-_HEAD_STEPS = {"LamL": (LEFT, beta_head_traced), "LamR": (RIGHT, beta_head_traced),
-               "MuL": (LEFT, unfold_traced), "MuR": (RIGHT, unfold_traced),
-               "NuL": (LEFT, unfold_traced), "NuR": (RIGHT, unfold_traced)}
-
-
-def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int) -> tuple[OccurrenceStep, ...]:
+def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
+                     inference: Optional[Inference] = None,
+                     sigmas: Optional[Mapping[OccPos, tuple[Path, ...]]] = None
+                     ) -> tuple[OccurrenceStep, ...]:
     """All occurrence steps from a conclusion into one premise of a rule.
 
     There is exactly one step per premise occurrence that has a conclusion
     ancestor (fresh premise formulas - cut formulas, (Nat)'s instance - have
     none).  Raises on schema violations or an out-of-range branch.
+
+    ``inference`` is ``rule.inference(conclusion)`` and ``sigmas`` maps each
+    conclusion position to the operator positions of its formula, when the
+    caller has them; the steps are then built without a second head step or
+    operator walk of the conclusion.
     """
-    premises = rule.premises_of(conclusion)
+    if inference is None:
+        inference = rule.inference(conclusion)
+    premises = inference.premises
     occ_map = relevant_occurrences(conclusion, rule, branch, premises)
     premise = premises[branch]
-    tag = rule.tag
     n_left = len(conclusion.left)
 
     steps: list[OccurrenceStep] = []
@@ -201,15 +204,20 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int) -> tuple[Occu
             continue
         pf = _formula_at(premise, ppos)
         cf = _formula_at(conclusion, cpos)
-        step = _build_step(tag, rule, branch, n_left, ppos, cpos, pf, cf)
-        _check_step(step, pf, cf)
+        ppaths = sigma_paths(pf)
+        cpaths = sigma_paths(cf) if sigmas is None else sigmas[cpos]
+        step = _build_step(rule, inference.head_step, branch, n_left, ppos, cpos,
+                           pf, ppaths, cpaths)
+        _check_step(step, pf, cf, ppaths, cpaths)
         steps.append(step)
     return tuple(steps)
 
 
-def _build_step(tag: str, rule: Rule, branch: int, n_left: int,
-                ppos: OccPos, cpos: OccPos, pf: Expr, cf: Expr) -> OccurrenceStep:
+def _build_step(rule: Rule, hs: Optional[HeadStep], branch: int, n_left: int,
+                ppos: OccPos, cpos: OccPos, pf: Expr, ppaths: tuple[Path, ...],
+                cpaths: tuple[Path, ...]) -> OccurrenceStep:
     side, index = ppos
+    tag = rule.tag
 
     if tag == "Subst":
         assert isinstance(rule, Subst)
@@ -227,46 +235,41 @@ def _build_step(tag: str, rule: Rule, branch: int, n_left: int,
             transport = {spine + o.src: rp for rp, o in origins.items()
                          if isinstance(o, FromCopy) and o.copy == branch}
             return OccurrenceStep(ppos, cpos, transport)
-        return OccurrenceStep(ppos, cpos, _identity_transport(pf, cf))
-
-    if tag in ("EqL", "P2"):
-        # Only terms change; operator positions are untouched.
-        return OccurrenceStep(ppos, cpos, _identity_transport(pf, cf))
+        return OccurrenceStep(ppos, cpos, _identity_transport(ppaths, cpaths))
 
     if tag == "OrL" and ppos == (LEFT, n_left - 1):
         prefix = (branch,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in sigma_paths(pf)})
+        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
     if tag == "OrR" and side == RIGHT and index in (0, 1):
         prefix = (index,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in sigma_paths(pf)})
+        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
     if tag == "AndL" and side == LEFT and index in (n_left - 1, n_left):
         prefix = (0,) if index == n_left - 1 else (1,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in sigma_paths(pf)})
+        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
     if tag == "AndR" and ppos == (RIGHT, 0):
         prefix = (branch,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in sigma_paths(pf)})
+        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
 
-    if tag in _HEAD_STEPS:
-        principal_side, head_step = _HEAD_STEPS[tag]
-        principal = (LEFT, n_left - 1) if principal_side == LEFT else (RIGHT, 0)
+    if hs is not None:  # a lambda or fixed-point rule (kernel.HeadStepRule)
+        principal = (LEFT, n_left - 1) if rule.side == LEFT else (RIGHT, 0)
         if ppos == principal:
-            hs = head_step(cf)
             return OccurrenceStep(ppos, cpos, hs.sources, hs.head_path,
                                   hs.copy_roots, hs.sigma_kind)
-        return OccurrenceStep(ppos, cpos, _identity_transport(pf, cf))
 
-    # Structural rules and remaining context positions copy annotations.
-    return OccurrenceStep(ppos, cpos, _identity_transport(pf, cf))
+    # Structural rules, EqL and P2 (only terms change) and the remaining
+    # context positions copy annotations.
+    return OccurrenceStep(ppos, cpos, _identity_transport(ppaths, cpaths))
 
 
-def _check_step(step: OccurrenceStep, pf: Expr, cf: Expr) -> None:
-    if set(step.transport) != set(sigma_paths(pf)):
+def _check_step(step: OccurrenceStep, pf: Expr, cf: Expr,
+                ppaths: tuple[Path, ...], cpaths: tuple[Path, ...]) -> None:
+    if set(step.transport) != set(ppaths):
         raise TraceError(
             f"transport of {step} is not total on the premise formula "
             f"{to_str(pf)!r}")
-    cpaths = set(sigma_paths(cf))
+    cset = set(cpaths)
     for q, p in step.transport.items():
-        if p not in cpaths:
+        if p not in cset:
             raise TraceError(
                 f"transport image {p} is not an operator position of "
                 f"{to_str(cf)!r}")

@@ -59,6 +59,37 @@ def random_automaton(rng: random.Random, max_states: int = 4,
     return make_automaton(states, alphabet, trans, initial, acc)
 
 
+def cycle(n: int) -> BuchiAutomaton:
+    """One cycle reading n distinct symbols s0 ... s(n-1), every step accepting."""
+    syms = [f"s{i}" for i in range(n)]
+    trans = [(i, syms[i], (i + 1) % n) for i in range(n)]
+    return make_automaton(range(n), syms, trans, [0], trans)
+
+
+def thread_along(n: int, accepting: str) -> BuchiAutomaton:
+    """An idle state that reads every symbol of :func:`cycle` and may start,
+    at any position, a thread ``(lap, i)`` that follows the cycle.
+
+    The thread's steps accept at position 0 of every lap (``"every_lap"``),
+    never (``"never"``), or on its first lap only (``"first_lap"``: after
+    position n - 1 the thread moves on to a second copy of the cycle, which
+    it never leaves and which does not accept).
+    """
+    syms = [f"s{i}" for i in range(n)]
+    trans = [("idle", s, "idle") for s in syms]
+    trans += [("idle", syms[i], (1, (i + 1) % n)) for i in range(n)]
+    acc = []
+    for lap in (1, 2) if accepting == "first_lap" else (1,):
+        for i in range(n):
+            wraps = accepting == "first_lap" and i == n - 1
+            t = ((lap, i), syms[i], (2 if wraps else lap, (i + 1) % n))
+            trans.append(t)
+            if (accepting == "every_lap" and i == 0) or (accepting == "first_lap" and lap == 1):
+                acc.append(t)
+    states = {t[0] for t in trans} | {t[2] for t in trans}
+    return make_automaton(states, syms, trans, ["idle"], acc)
+
+
 def agree(x: BuchiAutomaton, y: BuchiAutomaton, max_u: int, max_v: int) -> bool:
     sx = survey_lassos(x, max_u, max_v)
     sy = survey_lassos(y, max_u, max_v)
@@ -189,6 +220,23 @@ class TestContains:
 
     def test_three_letter_agreement(self):
         self.check_agreement(("a", "b", "c"), 24, 25)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("accepting,contained", [
+        ("every_lap", True), ("never", False), ("first_lap", False)])
+    def test_thread_along_a_long_cycle(self, n, accepting, contained):
+        # a segment step moves a few rows of a matrix over 2n + 1 states
+        a, b = cycle(n), thread_along(n, accepting)
+        lap = LassoWord((), tuple(f"s{i}" for i in range(n)))
+        assert accepts_lasso(a, lap)
+        assert accepts_lasso(b, lap) == contained
+        ok, wit = contains(a, b)
+        assert ok == contained
+        if ok:
+            assert wit is None
+        else:
+            assert accepts_lasso(a, wit)
+            assert not accepts_lasso(b, wit)
 
     def test_alphabet_mismatch(self):
         with pytest.raises(BuchiError, match="alphabet"):

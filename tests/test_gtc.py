@@ -20,11 +20,13 @@ from hflcyc.gtc import (
     counterexample_report,
     render_lasso,
 )
+import hflcyc.kernel as kernel
 from hflcyc.kernel import (
     LEFT,
     Axiom,
     DerivTree,
     ExR,
+    HeadStepRule,
     KernelError,
     NuR,
     PreProof,
@@ -357,6 +359,21 @@ class TestCheckCyclicProof:
         again = loads_preproof(text)
         assert len(again.nodes) == 1202
         assert dumps_preproof(again) == text
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_each_head_step_is_taken_once(self, monkeypatch, validate):
+        # validation and the trace automaton share each node's inference,
+        # and check_gtc alone computes what it needs
+        taken = []
+        real = kernel.head_step
+        monkeypatch.setattr(kernel, "head_step",
+                            lambda e, kind: taken.append(e) or real(e, kind))
+        pp = load_preproof(CORPUS / "higher_order_loop.hflp")
+        if validate:
+            assert check_cyclic_proof(pp) == Accepted()
+        else:
+            assert check_gtc(pp) == (True, None)
+        assert len(taken) == sum(isinstance(n.rule, HeadStepRule) for n in pp.tree.walk()) == 4
 
     def test_structural_check_runs_first(self):
         # an invalid proof with a bad trace still reports the structural issue

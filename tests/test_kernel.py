@@ -145,6 +145,15 @@ class TestRuleSchemas:
         with pytest.raises(SchemaMismatch):
             check_rule(ps("nu x:O. x |- p"), MuL(), [ps("nu x:O. x |- p")])
 
+    def test_head_step_schema_wording(self):
+        with pytest.raises(SchemaMismatch) as err:
+            check_rule(ps("|- p \\/ q"), LamR(), [ps("|- p \\/ q")])
+        assert str(err.value) == "conclusion: expected (\\x. phi) psi psi_vec, found p \\/ q"
+        with pytest.raises(SchemaMismatch) as err:
+            check_rule(ps("|- (mu x:O -> O. x) p"), NuR(), [ps("|- (mu x:O -> O. x) p")])
+        assert str(err.value) == ("conclusion: expected (nu x. phi) psi_vec, "
+                                  "found (mu x:O -> O. x) p")
+
     def test_laml_requires_redex(self):
         with pytest.raises(SchemaMismatch):
             check_rule(ps("p \\/ q |- r"), LamL(), [ps("p |- r")])

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hflcyc.syntax import (
     NAT, PROP, App, Arrow, Eq, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
     And, IllTyped, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
-    app_spine, arrow, beta_head, beta_head_traced, canonical, check_sequent,
-    children, count_occurrences, derived_encodings, free_vars, infer_env,
+    FIXPOINTS, app_spine, arrow, beta_head, canonical, check_sequent,
+    children, count_occurrences, derived_encodings, free_vars, head_step, infer_env,
     infer_type, make_app, numeral, numeral_value, parse, parse_expr,
     parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
     sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
-    type_to_str, unfold, unfold_traced, FromSkeleton, FromCopy,
+    type_to_str, unfold, FromSkeleton, FromCopy,
 )
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_substitution_agrees_with_naive_substitution_on_canonical_forms(case):
 def test_head_steps():
     nu_loop = parse_expr("nu f:(O -> O) -> O. \\g:O -> O. g (f g)")
     idf = parse_expr("\\a:O. a")
-    step = unfold_traced(App(nu_loop, idf))
+    step = head_step(App(nu_loop, idf), Nu)
     assert step.result == unfold(App(nu_loop, idf))
     assert step.result == parse_expr(
         "(\\g:O -> O. g ((nu f:(O -> O) -> O. \\g:O -> O. g (f g)) g)) (\\a:O. a)")
@@ -332,22 +332,27 @@ def test_head_steps():
     assert step.sigma_kind == "nu"
     assert set(step.sources) == set(sigma_paths(step.result))
 
-    step2 = beta_head_traced(step.result)
+    step2 = head_step(step.result, Lam)
     assert step2.result == beta_head(step.result)
     assert step2.head_path is None
     assert step2.sigma_kind is None
     assert set(step2.sources) == set(sigma_paths(step2.result))
 
-    mu_step = unfold_traced(parse_expr("(mu X:N -> O. \\y:N. y = Z \\/ X (S y)) Z"))
+    mu_step = head_step(parse_expr("(mu X:N -> O. \\y:N. y = Z \\/ X (S y)) Z"), FIXPOINTS)
     assert mu_step.sigma_kind == "mu"
     assert mu_step.head_path == (0,)
+
+    # no redex of the asked kind: a mu head for Nu, a lambda with no argument
+    assert head_step(App(nu_loop, idf), Mu) is None
+    assert head_step(idf, Lam) is None
+    assert head_step(step.result, FIXPOINTS) is None
 
 
 @settings(max_examples=150)
 @given(exprs)
 def test_unfold_traced_total_on_sigma_heads(e):
     wrapped = App(Nu("loop", Arrow(PROP, PROP), Lam("z", PROP, e)), Var("q"))
-    step = unfold_traced(wrapped)
+    step = head_step(wrapped, FIXPOINTS)
     assert step.result == unfold(wrapped)
     assert set(step.sources) == set(sigma_paths(step.result))
     assert all(src in set(sigma_paths(wrapped)) for src in step.sources.values())
@@ -404,13 +409,17 @@ def test_infer_env():
     ("|- p (S (Z = Z))", "N", "O"),
     ("|- p Z /\\ p (Z = Z)", "N", "O"),
     ("|- p Z \\/ S Z", "O", "N"),
+    ("|- p (p Z)", "N", "O"),
 ])
 def test_unifier_names_expected_and_found_as_the_direct_checker(text, expected, found):
     seq = parse_sequent(text)
+    named = []
     for env in (None, {"p": arrow(NAT, PROP)}):  # through the unifier, then directly
         with pytest.raises(IllTyped) as err:
             check_sequent(seq, env)
         assert (err.value.expected, err.value.found) == (expected, found)
+        named.append(to_str(err.value.subject))
+    assert named[0] == named[1]
 
 
 def test_type_preservation_under_substitution():
