@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .buchi import (
     BuchiAutomaton,
@@ -31,7 +31,6 @@ from .buchi import (
 from .kernel import (
     LEFT,
     RIGHT,
-    DerivTree,
     OccPos,
     OccurrenceRef,
     PreProof,
@@ -39,12 +38,12 @@ from .kernel import (
     successors,
     validate_preproof,
 )
-from .syntax import HflError, Path, Sequent, sigma_paths
+from .syntax import HflError, Path
 from .trace import (
     MU,
     NU,
     Lasso,
-    occurrence_steps,
+    node_steps,
     render_annotated,
     replay_annotations,
 )
@@ -144,21 +143,8 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def _sequent_occurrences(seq: Sequent) -> Iterator[OccPos]:
-    for i in range(len(seq.left)):
-        yield (LEFT, i)
-    for j in range(len(seq.right)):
-        yield (RIGHT, j)
-
-
 _Key = tuple[str, str, int, Path]
 """A tracked state while the automaton is built: node, side, index, mark."""
-
-
-def _occurrence_sigmas(seq: Sequent) -> dict[OccPos, tuple[Path, ...]]:
-    """The operator positions of each formula of a sequent, by position."""
-    return {(side, index): sigma_paths((seq.left if side == LEFT else seq.right)[index])
-            for side, index in _sequent_occurrences(seq)}
 
 
 def _single_mark_states(node_id: str, sigmas: dict[OccPos, tuple[Path, ...]]) -> list[_Key]:
@@ -209,8 +195,11 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
     States are numbered as ints in the order the search discovers them: 0 is
     :data:`STAR`, and ``decode[i]`` is the :class:`Tracked` state numbered
     ``i``.  So trimming and containment hash small ints, not dataclasses.
-    Raises :class:`GtcError` when an open leaf has no back edge or a back
-    edge targets a missing node.
+    Operator positions and occurrence steps are read from the pre-proof's
+    tables (:meth:`~hflcyc.kernel.PreProof.positions`,
+    :func:`~hflcyc.trace.node_steps`), so nodes that share a sequent share
+    them.  Raises :class:`GtcError` when an open leaf has no back edge or a
+    back edge targets a missing node.
     """
     _require_back_edges(pp)
     ids = sorted(pp.nodes)
@@ -230,26 +219,12 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
             queue.append((q, key))
         return q
 
-    sigmas = {n: _occurrence_sigmas(pp.node(n).seq) for n in ids}
-    steps: dict[tuple[str, int], dict[OccPos, list]] = {}
-
-    def steps_from(node: DerivTree, branch: int, occ: OccPos) -> list:
-        """(step, inverse transport) for each step of ``occ`` into a branch."""
-        got = steps.get((node.id, branch))
-        if got is None:
-            got = steps[node.id, branch] = {}
-            for step in occurrence_steps(node.seq, node.rule, branch,
-                                         inference=pp.inference(node.id),
-                                         sigmas=sigmas[node.id]):
-                got.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
-        return got.get(occ, [])
-
     def emit(src: int, sym: str, dst: int, acc: bool = False) -> None:
         transitions.add((src, sym, dst))
         if acc:
             accepting.add((src, sym, dst))
 
-    entries = {m: _single_mark_states(m, sigmas[m]) for m in ids}
+    entries = {m: _single_mark_states(m, pp.positions(pp.node(m).seq)) for m in ids}
     for n in ids:
         emit(0, n, 0)
         for m in successors(pp, n):
@@ -263,7 +238,7 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
             emit(src, node_id, state((pp.back_edges[node_id], side, index, mark)))
             continue
         for branch, child in enumerate(node.children):
-            for step, inv in steps_from(node, branch, (side, index)):
+            for step, inv in node_steps(pp, node, branch).get((side, index), ()):
                 acc = mark == step.consumed_head and _good_unfold(side, step.sigma_kind)
                 for q in inv.get(mark, ()):
                     emit(src, node_id, state((child.id, *step.premise_pos, q)), acc)
@@ -364,8 +339,7 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
     lines = [f"counterexample path: {render_lasso(lasso)}"]
     start_node = lasso.cycle[0]
     lap = lasso.cycle + (lasso.cycle[0],)
-    seq = pp.node(start_node).seq
-    for side, index in _sequent_occurrences(seq):
+    for side, index in pp.positions(pp.node(start_node).seq):
         ref = OccurrenceRef(start_node, side, index)
         lines.append(f"thread from {start_node} {side}:{index}:")
         entries = replay_annotations(pp, lap, ref)

@@ -17,22 +17,24 @@ Conventions, fixed once for the whole code base:
 Each rule also knows its occurrence map — for a premise, which formula of
 the conclusion every premise formula descends from (None when the formula
 appears out of thin air, e.g. a cut formula).  The trace machinery builds
-on these maps.  A pre-proof keeps each node's :class:`Inference` (premises,
-and the traced head step of a lambda or fixed-point rule) once computed, so
-validation and the trace automaton share one head step per node.
+on these maps.  A pre-proof keeps the :class:`Inference` (premises, and the
+traced head step of a lambda or fixed-point rule) of each distinct
+(conclusion, rule) pair once computed, so validation and the trace automaton
+share one head step, and nodes with one sequent object and equal rules share
+it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Mapping, Optional
+from typing import Any, ClassVar, Mapping, Optional
 
 from .syntax import (
     And, App, Eq, Expr, HeadStep, HflError, HflTypeError, Lam, Mu, Nu, Or,
-    Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
+    Path, Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
     free_vars, head_step, is_term_shaped, make_app, nat_pred,
-    sequent_alpha_eq, sequent_to_str, substitute, to_str,
+    sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, to_str,
 )
 
 LEFT = "left"
@@ -618,14 +620,37 @@ class DerivTree:
             stack.extend(reversed(node.children))
 
 
+def _table() -> Any:
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class PreProof:
-    """A derivation tree plus a back-edge target for every open leaf."""
+    """A derivation tree plus a back-edge target for every open leaf.
+
+    A pre-proof also keeps, for its whole life, the work a check does on each
+    distinct sequent, so that work is done once per sequent object and not
+    once per node:
+
+    - the :class:`Inference` of each (conclusion, rule) pair;
+    - the operator positions of each sequent (:meth:`positions`);
+    - the occurrence steps of each (inference, branch) pair, in
+      ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads.
+
+    The tables are keyed by object identity (``id``), never by the recursive
+    hash of the frozen syntax dataclasses.  The pre-proof holds every object
+    whose id is a key (a sequent in its table entry, an inference in the
+    first table), so no id is reused while the pre-proof lives.  Equal but
+    distinct sequent objects get separate entries with equal contents;
+    :func:`hflcyc.proofio.loads_preproof` gives equal sequents one object,
+    so a loaded pre-proof shares them.
+    """
 
     tree: DerivTree
     back_edges: Mapping[str, str] = field(default_factory=dict)
-    _inferences: dict[str, Inference] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _inferences: dict[int, tuple[Sequent, list[tuple[Rule, Inference]]]] = _table()
+    _positions: dict[int, tuple[Sequent, dict[OccPos, tuple[Path, ...]]]] = _table()
+    step_table: dict[tuple[int, int], Any] = _table()
 
     @cached_property
     def nodes(self) -> dict[str, DerivTree]:
@@ -643,19 +668,36 @@ class PreProof:
         return node
 
     def inference(self, node_id: str) -> Inference:
-        """The inference at a closed node, computed once per pre-proof.
+        """The inference at a closed node, computed once per pre-proof for
+        each sequent object and equal rule.
 
         Validation and the trace automaton both read it, so each head step
         is taken once per check.  Raises the rule's :class:`KernelError`
         when the rule does not apply; a failure is not kept.
         """
-        got = self._inferences.get(node_id)
-        if got is None:
-            node = self.node(node_id)
-            if node.rule is None:
-                raise KernelError(f"node {node_id!r} is an open leaf")
-            got = self._inferences[node_id] = node.rule.inference(node.seq)
+        node = self.node(node_id)
+        rule, seq = node.rule, node.seq
+        if rule is None:
+            raise KernelError(f"node {node_id!r} is an open leaf")
+        entry = self._inferences.get(id(seq))
+        known = () if entry is None else entry[1]
+        for other, got in known:
+            if other is rule or other == rule:
+                return got
+        got = rule.inference(seq)
+        self._inferences.setdefault(id(seq), (seq, []))[1].append((rule, got))
         return got
+
+    def positions(self, seq: Sequent) -> dict[OccPos, tuple[Path, ...]]:
+        """The operator positions of each formula of a sequent, by position,
+        computed once per sequent object."""
+        entry = self._positions.get(id(seq))
+        if entry is None:
+            entry = self._positions[id(seq)] = (seq, {
+                (side, index): sigma_paths(formula)
+                for side, row in ((LEFT, seq.left), (RIGHT, seq.right))
+                for index, formula in enumerate(row)})
+        return entry[1]
 
     def open_leaves(self) -> list[DerivTree]:
         return [n for n in self.tree.walk() if n.is_open()]
@@ -670,10 +712,25 @@ class ValidationIssue:
         return f"{self.node}: {self.message}"
 
 
+def _error_once(memo: dict, key, check, error: type[HflError]) -> Optional[str]:
+    """The message of the ``error`` that ``check()`` raises, or None; run
+    once per key of ``memo``."""
+    if key not in memo:
+        try:
+            check()
+            memo[key] = None
+        except error as exc:
+            memo[key] = str(exc)
+    return memo[key]
+
+
 def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     """Check every inference, every sequent's typing, and every back edge.
 
-    Returns all problems found (empty list = valid pre-proof).
+    Each sequent object is typed once, and each inference is compared once
+    with each tuple of child sequent objects; every failing node still gets
+    its own issue.  Returns all problems found (empty list = valid
+    pre-proof).
     """
     issues: list[ValidationIssue] = []
     try:
@@ -681,21 +738,29 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     except KernelError as exc:
         return [ValidationIssue("<tree>", str(exc))]
 
+    typed: dict[int, Optional[str]] = {}
+    compared: dict[tuple[int, ...], Optional[str]] = {}
     for node in pp.tree.walk():
-        try:
-            check_sequent(node.seq)
-        except HflTypeError as exc:
-            issues.append(ValidationIssue(node.id, f"ill-typed sequent: {exc}"))
+        seq, rule = node.seq, node.rule
+        bad = _error_once(typed, id(seq), lambda: check_sequent(seq), HflTypeError)
+        if bad is not None:
+            issues.append(ValidationIssue(node.id, f"ill-typed sequent: {bad}"))
             continue
-        if node.rule is None:
+        if rule is None:
             if node.children:
                 issues.append(ValidationIssue(node.id, "open leaf with children"))
             continue
         try:
-            _check_premises(node.rule, pp.inference(node.id).premises,
-                            [c.seq for c in node.children])
+            inference = pp.inference(node.id)
         except KernelError as exc:
-            issues.append(ValidationIssue(node.id, f"{node.rule.tag}: {exc}"))
+            issues.append(ValidationIssue(node.id, f"{rule.tag}: {exc}"))
+            continue
+        kids = [c.seq for c in node.children]
+        bad = _error_once(compared, (id(inference), *map(id, kids)),
+                          lambda: _check_premises(rule, inference.premises, kids),
+                          KernelError)
+        if bad is not None:
+            issues.append(ValidationIssue(node.id, f"{rule.tag}: {bad}"))
 
     open_ids = {n.id for n in pp.open_leaves()}
     for leaf_id in open_ids:

@@ -213,8 +213,17 @@ def rule_to_form(rule: Rule) -> list:
 
 
 def loads_preproof(text: str) -> PreProof:
+    """The pre-proof written in ``text``, in the grammar of this module.
+
+    Each distinct ``(seq "...")`` string is parsed once, and every node that
+    carries it gets that one :class:`Sequent` object.  So the pre-proof's
+    tables, keyed by object identity for its whole life (see
+    :class:`~hflcyc.kernel.PreProof`), do each sequent's work once.  Raises
+    :class:`ProofFormatError` or the parser's :class:`HflError` on bad input.
+    """
     raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]] = {}
     back: dict[str, str] = {}
+    sequents: dict[str, Sequent] = {}
     for form in _read_forms(text):
         if not (isinstance(form, list) and form):
             raise ProofFormatError(f"expected a (node ...) or (back ...) form, got {form!r}")
@@ -238,7 +247,10 @@ def loads_preproof(text: str) -> PreProof:
         if not (isinstance(seq_form, list) and len(seq_form) == 2 and seq_form[0] == "seq"
                 and isinstance(seq_form[1], Quoted)):
             raise ProofFormatError(f"node {node_id}: expected (seq \"...\")")
-        seq = parse_sequent(str(seq_form[1]))
+        seq_text = str(seq_form[1])
+        seq = sequents.get(seq_text)
+        if seq is None:
+            seq = sequents[seq_text] = parse_sequent(seq_text)
         rest = form[3:]
         if rest == ["open"]:
             raw_nodes[node_id] = (seq, None, [])

@@ -851,8 +851,8 @@ def sequent(left=(), right=()) -> Sequent:
 
 
 def sequent_alpha_eq(a: Sequent, b: Sequent) -> bool:
-    return (len(a.left) == len(b.left) and len(a.right) == len(b.right)
-            and all(map(alpha_eq, a.left + a.right, b.left + b.right)))
+    return a is b or (len(a.left) == len(b.left) and len(a.right) == len(b.right)
+                      and all(map(alpha_eq, a.left + a.right, b.left + b.right)))
 
 
 def check_sequent(seq: Sequent, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:

@@ -15,13 +15,13 @@ oracle for the automata-based decision procedure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .kernel import (
     LEFT,
     RIGHT,
+    DerivTree,
     Inference,
     Mono,
     OccPos,
@@ -69,6 +69,7 @@ __all__ = [
     "fresh_counter",
     "gtc_bruteforce",
     "lasso_good",
+    "node_steps",
     "occurrence_steps",
     "render_annotated",
     "replay_annotations",
@@ -105,14 +106,17 @@ class AnnotatedFormula:
     """A formula whose fixed-point operators each carry a number sequence.
 
     notes has exactly the operator positions of formula as keys; stripping the
-    annotations (taking .formula) recovers the plain formula.
+    annotations (taking .formula) recovers the plain formula.  positions are
+    the formula's operator positions when the caller has them (a pre-proof
+    keeps them for each sequent); they are computed when not given.
     """
 
     formula: Expr
     notes: Mapping[Path, Annotation]
+    positions: Optional[tuple[Path, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        want = set(sigma_paths(self.formula))
+        want = set(sigma_paths(self.formula) if self.positions is None else self.positions)
         got = set(self.notes)
         if want != got:
             raise TraceError(
@@ -120,9 +124,15 @@ class AnnotatedFormula:
                 f"positions {sorted(want)} of {to_str(self.formula)!r}")
 
 
-def annotate_root(formula: Expr) -> AnnotatedFormula:
-    """The starting annotation: every operator carries the empty sequence."""
-    return AnnotatedFormula(formula, {p: () for p in sigma_paths(formula)})
+def annotate_root(formula: Expr, positions: Optional[tuple[Path, ...]] = None
+                  ) -> AnnotatedFormula:
+    """The starting annotation: every operator carries the empty sequence.
+
+    ``positions`` are the formula's operator positions, when the caller has
+    them."""
+    if positions is None:
+        positions = sigma_paths(formula)
+    return AnnotatedFormula(formula, dict.fromkeys(positions, ()), positions)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +285,29 @@ def _check_step(step: OccurrenceStep, pf: Expr, cf: Expr,
                 f"{to_str(cf)!r}")
 
 
-@lru_cache(maxsize=4096)
-def _steps_cached(conclusion: Sequent, rule: Rule, branch: int) -> tuple[OccurrenceStep, ...]:
-    return occurrence_steps(conclusion, rule, branch)
+StepsByOcc = Mapping[OccPos, tuple[tuple[OccurrenceStep, dict[Path, tuple[Path, ...]]], ...]]
+"""A node's steps into one premise, each with its inverse, by conclusion
+occurrence."""
+
+
+def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
+    """The occurrence steps from a closed node of ``pp`` into one premise.
+
+    They are computed once per (inference, branch) pair and kept in the
+    pre-proof's ``step_table``, so nodes that share a sequent object and an
+    equal rule share them.  Raises like :func:`occurrence_steps`; a failure
+    is not kept.
+    """
+    inference = pp.inference(node.id)
+    key = (id(inference), branch)
+    got = pp.step_table.get(key)
+    if got is None:
+        by_occ: dict[OccPos, list] = {}
+        for step in occurrence_steps(node.seq, node.rule, branch, inference=inference,
+                                     sigmas=pp.positions(node.seq)):
+            by_occ.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
+        got = pp.step_table[key] = {occ: tuple(v) for occ, v in by_occ.items()}
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +330,8 @@ def annotate_step(tau: AnnotatedFormula, rule: Rule, branch: int,
     if not alpha_eq(tau.formula, cf):
         raise TraceError(
             f"annotated formula does not match the occurrence at {pos}")
-    candidates = [s for s in _steps_cached(conclusion, rule, branch)
+    inference = rule.inference(conclusion)
+    candidates = [s for s in occurrence_steps(conclusion, rule, branch, inference=inference)
                   if s.conclusion_pos == pos]
     if target is not None:
         candidates = [s for s in candidates if s.premise_pos == target]
@@ -316,8 +347,15 @@ def annotate_step(tau: AnnotatedFormula, rule: Rule, branch: int,
     step = candidates[0]
 
     if premise_formula is None:
-        premise_formula = _formula_at(rule.premises_of(conclusion)[branch],
-                                      step.premise_pos)
+        premise_formula = _formula_at(inference.premises[branch], step.premise_pos)
+    return _apply_step(tau, step, fresh, premise_formula)
+
+
+def _apply_step(tau: AnnotatedFormula, step: OccurrenceStep, fresh: Iterator[int],
+                premise_formula: Expr,
+                positions: Optional[tuple[Path, ...]] = None) -> AnnotatedFormula:
+    """The annotated premise occurrence that ``step`` makes of ``tau``;
+    ``positions`` are the premise formula's operator positions, if known."""
     new_notes: dict[Path, Annotation] = {}
     if step.consumed_head is not None:
         k = next(fresh)
@@ -330,7 +368,7 @@ def annotate_step(tau: AnnotatedFormula, rule: Rule, branch: int,
     else:
         for q, p in step.transport.items():
             new_notes[q] = tau.notes[p]
-    return AnnotatedFormula(premise_formula, new_notes)
+    return AnnotatedFormula(premise_formula, new_notes, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +404,7 @@ def _check_lasso(pp: PreProof, lasso: Lasso) -> None:
                 f"lasso step {spine[i]} -> {spine[j]} is not an edge")
 
 
-def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[tuple[OccurrenceStep, ...]]:
+def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[StepsByOcc]:
     """Steps for the i-th lasso edge; None means a back edge (pure copy)."""
     spine = lasso.spine
     cur = pp.node(spine[i])
@@ -374,7 +412,7 @@ def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[tuple[Occurrence
     if cur.is_open():
         return None
     branch = [c.id for c in cur.children].index(nxt)
-    return _steps_cached(cur.seq, cur.rule, branch)
+    return node_steps(pp, cur, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +455,6 @@ class _LassoGraph:
         self.lasso = lasso
         self.spine = lasso.spine
         self._edges = [_edge_steps(pp, lasso, i) for i in range(len(self.spine))]
-        self._inverses: list[dict[OccPos, list[tuple[OccurrenceStep, dict[Path, tuple[Path, ...]]]]]] = []
-        for esteps in self._edges:
-            by_occ: dict[OccPos, list[tuple[OccurrenceStep, dict[Path, tuple[Path, ...]]]]] = {}
-            if esteps is not None:
-                for st in esteps:
-                    by_occ.setdefault(st.conclusion_pos, []).append((st, st.inverse()))
-            self._inverses.append(by_occ)
 
     def node_formula(self, i: int, occ: OccPos) -> Expr:
         return _formula_at(self.pp.node(self.spine[i]).seq, occ)
@@ -431,10 +462,11 @@ class _LassoGraph:
     def successors_of(self, state: _AState) -> list[tuple[_AState, bool, Optional[str]]]:
         """(next state, grows, kind-of-grow) triples."""
         i, j = state.pos, self.lasso.successor_index(state.pos)
-        if self._edges[i] is None:  # back edge: same occurrence, same position
+        edge = self._edges[i]
+        if edge is None:  # back edge: same occurrence, same position
             return [(_AState(j, state.occ, state.sigma), False, None)]
         out: list[tuple[_AState, bool, Optional[str]]] = []
-        for st, inv in self._inverses[i].get(state.occ, ()):
+        for st, inv in edge.get(state.occ, ()):
             grows = state.sigma == st.consumed_head
             for q in inv.get(state.sigma, ()):
                 out.append((_AState(j, st.premise_pos, q), grows,
@@ -524,15 +556,13 @@ class _LassoGraph:
         first = states[0]
         af = annotate_root(self.node_formula(first.pos, first.occ))
         for a, b in zip(states, states[1:]):
-            i = a.pos
-            node = self.pp.node(self.spine[i])
-            if self._edges[i] is None:
-                af = AnnotatedFormula(self.node_formula(b.pos, b.occ), dict(af.notes))
+            edge = self._edges[a.pos]
+            formula = self.node_formula(b.pos, b.occ)
+            if edge is None:
+                af = AnnotatedFormula(formula, dict(af.notes))
                 continue
-            branch = [c.id for c in node.children].index(self.spine[b.pos])
-            af = annotate_step(af, node.rule, branch, fresh,
-                               conclusion=node.seq, pos=a.occ, target=b.occ,
-                               premise_formula=self.node_formula(b.pos, b.occ))
+            step = next(st for st, _ in edge[a.occ] if st.premise_pos == b.occ)
+            af = _apply_step(af, step, fresh, formula)
         return af.notes[states[-1].sigma]
 
 
@@ -711,27 +741,26 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef,
     if nodes[0] != start.node:
         raise TraceError("the path must begin at the start occurrence's node")
     occ: OccPos = (start.side, start.index)
-    af = annotate_root(_formula_at(pp.node(nodes[0]).seq, occ))
+    seq = pp.node(nodes[0]).seq
+    af = annotate_root(_formula_at(seq, occ), pp.positions(seq)[occ])
     out = [(nodes[0], occ, af)]
     for cur_id, nxt_id in zip(nodes, nodes[1:]):
         cur = pp.node(cur_id)
         if nxt_id not in successors(pp, cur_id):
             raise TraceError(f"{cur_id} -> {nxt_id} is not an edge")
+        nxt_seq = pp.node(nxt_id).seq
         if cur.is_open():  # back edge: copy everything
-            nxt_formula = _formula_at(pp.node(nxt_id).seq, occ)
-            af = AnnotatedFormula(nxt_formula, dict(af.notes))
+            af = AnnotatedFormula(_formula_at(nxt_seq, occ), dict(af.notes),
+                                  pp.positions(nxt_seq)[occ])
             out.append((nxt_id, occ, af))
             continue
         branch = [c.id for c in cur.children].index(nxt_id)
-        steps = [s for s in _steps_cached(cur.seq, cur.rule, branch)
-                 if s.conclusion_pos == occ]
+        steps = node_steps(pp, cur, branch).get(occ)
         if not steps:
             break
-        step = sorted(steps, key=lambda s: (s.premise_pos[0], s.premise_pos[1]))[0]
-        af = annotate_step(af, cur.rule, branch, fresh, conclusion=cur.seq,
-                           pos=occ, target=step.premise_pos,
-                           premise_formula=_formula_at(pp.node(nxt_id).seq,
-                                                       step.premise_pos))
+        step = min((s for s, _ in steps), key=lambda s: s.premise_pos)
         occ = step.premise_pos
+        af = _apply_step(af, step, fresh, _formula_at(nxt_seq, occ),
+                         pp.positions(nxt_seq)[occ])
         out.append((nxt_id, occ, af))
     return out

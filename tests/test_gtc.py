@@ -28,11 +28,19 @@ from hflcyc.kernel import (
     ExR,
     HeadStepRule,
     KernelError,
+    MuL,
+    MuR,
+    NuL,
     NuR,
+    OrL,
+    OrR,
     PreProof,
+    Rule,
+    WkR,
     validate_preproof,
 )
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
+from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bounded
 from hflcyc.syntax import sigma_paths
 from hflcyc.trace import (
     Lasso,
@@ -43,7 +51,7 @@ from hflcyc.trace import (
     lasso_good,
 )
 
-from test_kernel import ps
+from test_kernel import ps, unrolled_loop
 from test_trace import (
     branching_loop_proof,
     figure_eight_proof,
@@ -124,6 +132,91 @@ def all_fixtures():
 
 FIXTURES = all_fixtures()
 FIXTURE_IDS = [name for name, _ in FIXTURES]
+
+
+# ---------------------------------------------------------------------------
+# alternating fixed points
+# ---------------------------------------------------------------------------
+
+
+def unfolding_loop(root: str, rules: list[Rule], target: str) -> PreProof:
+    """Single-premise ``rules`` from ``root``, each premise computed by the
+    kernel, then a back edge from the last premise to ``target``."""
+    seqs = [ps(root)]
+    for rule in rules:
+        (premise,) = rule.premises_of(seqs[-1])
+        seqs.append(premise)
+    n = len(rules)
+    tree = DerivTree(f"n{n}", seqs[n], None)
+    for i in reversed(range(n)):
+        tree = DerivTree(f"n{i}", seqs[i], rules[i], (tree,))
+    return PreProof(tree, {f"n{n}": target})
+
+
+def split_loop(root: str, outer: Rule, inner: Rule) -> PreProof:
+    """``outer`` and ``inner`` unfold the left formula, then ``OrL`` splits the
+    disjunction; its left premise goes back to the root and its right one
+    back to the ``inner`` node."""
+    s0 = ps(root)
+    (s1,) = outer.premises_of(s0)
+    (s2,) = inner.premises_of(s1)
+    back_root, back_inner = OrL().premises_of(s2)
+    tree = DerivTree("n0", s0, outer, (DerivTree("n1", s1, inner, (
+        DerivTree("n2", s2, OrL(), (DerivTree("n3", back_root, None),
+                                    DerivTree("n4", back_inner, None))),)),))
+    return PreProof(tree, {"n3": "n0", "n4": "n1"})
+
+
+def alternation_probes():
+    """Each probe nests a fixed point in one of the other kind and unfolds
+    both on a cycle: (name, pre-proof, accepted, root valid at K = 3, witness
+    lasso)."""
+    return [
+        ("mu_nu_right", unfolding_loop("|- mu X:O. nu Y:O. X", [MuR(), NuR()], "n0"),
+         False, False, Lasso((), ("n0", "n1", "n2"))),
+        ("nu_mu_right", unfolding_loop("|- nu Y:O. mu X:O. Y", [NuR(), MuR()], "n0"),
+         True, True, None),
+        # following the inner mu across unfoldings of the outer nu would be unsound
+        ("nu_mu_left", split_loop("nu Y:O. mu X:O. Y \\/ X |-", NuL(), MuL()),
+         False, False, Lasso((), ("n0", "n1", "n2", "n3"))),
+        ("mu_nu_left", split_loop("mu X:O. nu Y:O. X \\/ Y |-", MuL(), NuL()),
+         False, False, Lasso(("n0",), ("n1", "n2", "n4"))),
+        # a right mu loop, so not a proof, though its root is valid
+        ("nu_mu_right_via_x", unfolding_loop("|- nu Y:O. mu X:O. Y \\/ X",
+                                             [NuR(), MuR(), OrR(), WkR()], "n1"),
+         False, True, Lasso(("n0",), ("n1", "n2", "n3", "n4"))),
+        ("mu_nu_right_via_y", unfolding_loop("|- mu X:O. nu Y:O. X \\/ Y",
+                                             [MuR(), NuR(), OrR(), WkR()], "n1"),
+         True, True, None),
+    ]
+
+
+ALTERNATION = alternation_probes()
+ALTERNATION_IDS = [name for name, *_ in ALTERNATION]
+
+
+class TestAlternation:
+    @pytest.mark.parametrize("name,pp,accepted,valid,lasso", ALTERNATION, ids=ALTERNATION_IDS)
+    def test_verdict_and_witness(self, name, pp, accepted, valid, lasso):
+        assert validate_preproof(pp) == []
+        res = check_cyclic_proof(pp)
+        if accepted:
+            assert res == Accepted()
+        else:
+            assert isinstance(res, Rejected) and res.kind == "trace"
+            assert res.lasso == lasso
+            assert not lasso_good(pp, lasso)
+
+    @pytest.mark.parametrize("name,pp,accepted,valid,lasso", ALTERNATION, ids=ALTERNATION_IDS)
+    def test_agrees_with_brute_force(self, name, pp, accepted, valid, lasso):
+        assert check_gtc(pp)[0] == gtc_bruteforce(pp) == accepted
+
+    @pytest.mark.parametrize("name,pp,accepted,valid,lasso", ALTERNATION, ids=ALTERNATION_IDS)
+    def test_bounded_semantics_never_refutes_an_accepted_root(self, name, pp, accepted, valid, lasso):
+        verdict = check_validity_bounded(pp.tree.seq, BoundedDomain(3))
+        assert isinstance(verdict, Valid if valid else Invalid)
+        if accepted:
+            assert not isinstance(verdict, Invalid)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +468,55 @@ class TestCheckCyclicProof:
             assert check_gtc(pp) == (True, None)
         assert len(taken) == sum(isinstance(n.rule, HeadStepRule) for n in pp.tree.walk()) == 4
 
+    @pytest.mark.parametrize("loaded", [True, False])
+    def test_each_distinct_head_step_is_taken_once(self, monkeypatch, loaded):
+        # three laps of the corpus loop repeat its four sequents and rules
+        taken = []
+        real = kernel.head_step
+        monkeypatch.setattr(kernel, "head_step",
+                            lambda e, kind: taken.append(e) or real(e, kind))
+        pp = unrolled_loop(3)
+        if loaded:
+            pp = loads_preproof(dumps_preproof(pp))
+        assert check_cyclic_proof(pp) == Accepted()
+        assert sum(isinstance(n.rule, HeadStepRule) for n in pp.tree.walk()) == 12
+        assert len(taken) == 4
+
     def test_structural_check_runs_first(self):
         # an invalid proof with a bad trace still reports the structural issue
         pp = self_loop_proof("mu")
         broken = PreProof(pp.tree, {})
         res = check_cyclic_proof(broken)
         assert isinstance(res, Rejected) and res.kind == "structural"
+
+
+# ---------------------------------------------------------------------------
+# shared sequents: a loaded copy checks the same
+# ---------------------------------------------------------------------------
+
+
+# fresh pre-proofs, so no check of another test has filled their tables
+DIFFERENTIAL = (all_fixtures()
+                + [(f"rotation{k}", rotation_proof(k)) for k in (2, 4)]
+                + [("exr_chain50", exr_chain_proof(50))]
+                + [(name, pp) for name, pp, *_ in alternation_probes()])
+
+
+def outcome(pp: PreProof):
+    """Verdict, trace automaton and counterexample report of one check."""
+    res = check_cyclic_proof(pp)
+    aut = build_gtc_automaton(pp)
+    report = None
+    if isinstance(res, Rejected) and res.lasso is not None:
+        report = counterexample_report(pp, res.lasso)
+    return res, aut.states, aut.transitions, aut.accepting, aut.decode, report
+
+
+@pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
+def test_loaded_copy_checks_the_same(name, pp):
+    # the in-memory pre-proof has one sequent object per node, mostly; the
+    # loaded one has one per distinct sequent text
+    assert outcome(loads_preproof(dumps_preproof(pp))) == outcome(pp)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from hflcyc.proofio import (
     rule_from_form, rule_to_form,
 )
 from hflcyc.semantics import BoundedDomain, Valid, check_validity_bounded
+import hflcyc.kernel as kernel
+import hflcyc.proofio as proofio
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -311,6 +313,16 @@ def loop_proof() -> PreProof:
     return load_preproof(CORPUS / "higher_order_loop.hflp")
 
 
+def unrolled_loop(laps: int) -> PreProof:
+    """The corpus loop unrolled ``laps`` times: every lap has the first
+    lap's four sequent objects and rules, then one back edge to the root."""
+    lap = [loop_proof().node(f"n{i}") for i in range(4)]
+    tree = DerivTree(f"m{4 * laps}", lap[0].seq, None)
+    for k in reversed(range(4 * laps)):
+        tree = DerivTree(f"m{k}", lap[k % 4].seq, lap[k % 4].rule, (tree,))
+    return PreProof(tree, {f"m{4 * laps}": "m0"})
+
+
 class TestPreProofs:
     def test_golden_loop_proof_validates(self):
         assert validate_preproof(loop_proof()) == []
@@ -383,6 +395,71 @@ class TestPreProofs:
         root = DerivTree("root", ps("r, p \\/ q |- s"), OrL(), (k0, k1))
         issues = validate_preproof(PreProof(root, {"k0": "root"}))
         assert len(issues) >= 2  # bad inference and missing back edge
+
+
+class TestSharing:
+    """A loaded pre-proof has one object per distinct sequent, and each
+    sequent's work is done once; every failing node is still reported."""
+
+    def test_equal_sequent_texts_load_to_one_object(self):
+        pp = loop_proof()
+        assert pp.node("n0").seq is pp.node("n4").seq
+        assert pp.node("n0").seq is not pp.node("n1").seq
+        again = loads_preproof(dumps_preproof(unrolled_loop(3)))
+        assert len(again.nodes) == 13
+        assert len({id(n.seq) for n in again.tree.walk()}) == 4
+
+    def test_each_distinct_sequent_is_parsed_and_typed_once(self, monkeypatch):
+        text = dumps_preproof(unrolled_loop(3))
+        parsed, typed = [], []
+        real_parse, real_check = proofio.parse_sequent, kernel.check_sequent
+        monkeypatch.setattr(proofio, "parse_sequent",
+                            lambda t: parsed.append(t) or real_parse(t))
+        monkeypatch.setattr(kernel, "check_sequent",
+                            lambda seq: typed.append(seq) or real_check(seq))
+        pp = loads_preproof(text)
+        assert validate_preproof(pp) == []
+        assert len(parsed) == len(set(parsed)) == 4
+        assert len(typed) == len({id(seq) for seq in typed}) == 4
+
+    def test_one_ill_typed_sequent_is_reported_at_each_node(self):
+        # x used both as a natural and as a proposition, at two nodes
+        seq = ps("x = Z, x |- x, x")
+        tree = DerivTree("r", seq, ExR(0), (DerivTree("c", seq, None),))
+        pp = loads_preproof(dumps_preproof(PreProof(tree, {"c": "r"})))
+        assert pp.tree.seq is pp.node("c").seq
+        issues = validate_preproof(pp)
+        assert [i.node for i in issues] == ["r", "c"]
+        assert all(i.message.startswith("ill-typed sequent: ") for i in issues)
+        assert issues[0].message == issues[1].message
+
+    @pytest.mark.parametrize("other_child,target", [("s \\/ s |- t", "r"), ("s |- t", "a")],
+                             ids=["different", "same"])
+    def test_one_conclusion_and_rule_is_compared_at_each_node(self, other_child, target):
+        # a and b share conclusion and rule; each has a wrong child, which
+        # may be the same one
+        tree = DerivTree("r", ps("s \\/ s |- t"), OrL(), (
+            DerivTree("a", ps("s |- t"), WkR(), (DerivTree("a1", ps("s |- t"), None),)),
+            DerivTree("b", ps("s |- t"), WkR(), (DerivTree("b1", ps(other_child), None),))))
+        pp = loads_preproof(dumps_preproof(PreProof(tree, {"a1": "a", "b1": target})))
+        assert pp.node("a").seq is pp.node("b").seq
+        assert pp.inference("a") is pp.inference("b")
+        issues = validate_preproof(pp)
+        assert [i.node for i in issues] == ["a", "b"]
+        for issue, child in zip(issues, ["s |- t", other_child]):
+            assert issue.message == f"WkR: premise 0: expected s |-, found {child}"
+
+    def test_a_rule_that_fails_is_reported_at_each_node(self):
+        seq = ps("s |- t")
+        tree = DerivTree("r", ps("s \\/ s |- t"), OrL(), (
+            DerivTree("a", seq, OrR(), (DerivTree("a1", seq, None),)),
+            DerivTree("b", seq, OrR(), (DerivTree("b1", seq, None),))))
+        pp = loads_preproof(dumps_preproof(PreProof(tree, {"a1": "a", "b1": "b"})))
+        issues = validate_preproof(pp)
+        assert [i.node for i in issues] == ["a", "b"]
+        assert all(i.message.startswith("OrR: conclusion: expected") for i in issues)
+        with pytest.raises(SchemaMismatch):
+            pp.inference("a")
 
 
 class TestProofFiles:

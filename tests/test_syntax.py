@@ -230,6 +230,19 @@ def test_sequent_alpha():
     assert not sequent_alpha_eq(s1, parse_sequent("nu Y:O. Y |- mu X:O. X"))
 
 
+def test_one_sequent_object_is_alpha_equal_without_a_walk(monkeypatch):
+    # a sequent shared by a back edge's leaf and target is compared in O(1)
+    import hflcyc.syntax as syntax
+    text = "mu X:O. X |- nu Y:O. Y, p"
+    seq = parse_sequent(text)
+    compared = []
+    monkeypatch.setattr(syntax, "alpha_eq", lambda a, b: compared.append(a) or True)
+    assert sequent_alpha_eq(seq, seq)
+    assert compared == []
+    assert sequent_alpha_eq(seq, parse_sequent(text))
+    assert len(compared) == 3
+
+
 # ---------------------------------------------------------------------------
 # substitution
 # ---------------------------------------------------------------------------
