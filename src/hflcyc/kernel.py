@@ -106,10 +106,15 @@ class Inference:
 
 @dataclass(frozen=True)
 class Rule:
-    """Base class; subclasses define tag, premise reconstruction and the
-    premise-to-conclusion occurrence correspondence."""
+    """Base class; subclasses define premise reconstruction and the
+    premise-to-conclusion occurrence correspondence.  A rule's tag, its name
+    in the proof format, is its class name."""
 
-    tag: ClassVar[str] = "?"
+    tag: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.tag = cls.__name__
 
     def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
         raise NotImplementedError
@@ -127,8 +132,6 @@ class Rule:
 
 @dataclass(frozen=True)
 class Axiom(Rule):
-    tag: ClassVar[str] = "Axiom"
-
     def premises_of(self, conclusion):
         if (len(conclusion.left) != 1 or len(conclusion.right) != 1
                 or not alpha_eq(conclusion.left[0], conclusion.right[0])):
@@ -138,7 +141,6 @@ class Axiom(Rule):
 
 @dataclass(frozen=True)
 class Cut(Rule):
-    tag: ClassVar[str] = "Cut"
     formula: Expr = None  # type: ignore[assignment]
 
     def premises_of(self, conclusion):
@@ -160,8 +162,6 @@ class Cut(Rule):
 
 @dataclass(frozen=True)
 class WkL(Rule):
-    tag: ClassVar[str] = "WkL"
-
     def premises_of(self, conclusion):
         _need_left(conclusion, "Gamma, phi |-")
         return (Sequent(conclusion.left[:-1], conclusion.right),)
@@ -174,8 +174,6 @@ class WkL(Rule):
 
 @dataclass(frozen=True)
 class WkR(Rule):
-    tag: ClassVar[str] = "WkR"
-
     def premises_of(self, conclusion):
         _need_right(conclusion, "|- phi, Delta")
         return (Sequent(conclusion.left, conclusion.right[1:]),)
@@ -190,8 +188,6 @@ class WkR(Rule):
 
 @dataclass(frozen=True)
 class CtrL(Rule):
-    tag: ClassVar[str] = "CtrL"
-
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi |-")
         return (Sequent(conclusion.left + (phi,), conclusion.right),)
@@ -205,8 +201,6 @@ class CtrL(Rule):
 
 @dataclass(frozen=True)
 class CtrR(Rule):
-    tag: ClassVar[str] = "CtrR"
-
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- phi, Delta")
         return (Sequent(conclusion.left, (phi,) + conclusion.right),)
@@ -222,7 +216,6 @@ class CtrR(Rule):
 
 @dataclass(frozen=True)
 class ExL(Rule):
-    tag: ClassVar[str] = "ExL"
     pos: int = 0  # index of the earlier of the two swapped formulas
 
     def premises_of(self, conclusion):
@@ -242,7 +235,6 @@ class ExL(Rule):
 
 @dataclass(frozen=True)
 class ExR(Rule):
-    tag: ClassVar[str] = "ExR"
     pos: int = 0
 
     def premises_of(self, conclusion):
@@ -264,7 +256,6 @@ class ExR(Rule):
 class Subst(Rule):
     """conclusion = source[mapping]; the premise is the source sequent."""
 
-    tag: ClassVar[str] = "Subst"
     source: Sequent = None  # type: ignore[assignment]
     mapping: tuple[tuple[str, Expr], ...] = ()
 
@@ -283,7 +274,6 @@ class Mono(Rule):
     Gamma, psi y~ |- chi y~, Delta (k = free occurrences of x in phi).
     The occurrence map is the identity: both principals keep their index."""
 
-    tag: ClassVar[str] = "Mono"
     formula: Expr = None  # type: ignore[assignment]  # phi
     var: str = ""
     lower: Expr = None  # type: ignore[assignment]  # psi
@@ -325,7 +315,6 @@ class EqL(Rule):
     principal formula; the premise fills the same holes with (rhs, lhs).
     """
 
-    tag: ClassVar[str] = "EqL"
     hole_l: str = ""  # template variable filled with lhs in the conclusion
     hole_r: str = ""  # template variable filled with rhs in the conclusion
     lhs: Expr = None  # type: ignore[assignment]
@@ -357,8 +346,6 @@ class EqL(Rule):
 
 @dataclass(frozen=True)
 class EqR(Rule):
-    tag: ClassVar[str] = "EqR"
-
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- t = t, Delta")
         if not (isinstance(phi, Eq) and alpha_eq(phi.lhs, phi.rhs)):
@@ -368,8 +355,6 @@ class EqR(Rule):
 
 @dataclass(frozen=True)
 class OrL(Rule):
-    tag: ClassVar[str] = "OrL"
-
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi \\/ psi |-")
         if not isinstance(phi, Or):
@@ -380,8 +365,6 @@ class OrL(Rule):
 
 @dataclass(frozen=True)
 class OrR(Rule):
-    tag: ClassVar[str] = "OrR"
-
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- phi \\/ psi, Delta")
         if not isinstance(phi, Or):
@@ -400,8 +383,6 @@ class OrR(Rule):
 
 @dataclass(frozen=True)
 class AndL(Rule):
-    tag: ClassVar[str] = "AndL"
-
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi /\\ psi |-")
         if not isinstance(phi, And):
@@ -417,8 +398,6 @@ class AndL(Rule):
 
 @dataclass(frozen=True)
 class AndR(Rule):
-    tag: ClassVar[str] = "AndR"
-
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- phi /\\ psi, Delta")
         if not isinstance(phi, And):
@@ -458,42 +437,36 @@ class HeadStepRule(Rule):
 
 @dataclass(frozen=True)
 class LamL(HeadStepRule):
-    tag: ClassVar[str] = "LamL"
     side: ClassVar[str] = LEFT
     kind: ClassVar[type] = Lam
 
 
 @dataclass(frozen=True)
 class LamR(HeadStepRule):
-    tag: ClassVar[str] = "LamR"
     side: ClassVar[str] = RIGHT
     kind: ClassVar[type] = Lam
 
 
 @dataclass(frozen=True)
 class MuL(HeadStepRule):
-    tag: ClassVar[str] = "MuL"
     side: ClassVar[str] = LEFT
     kind: ClassVar[type] = Mu
 
 
 @dataclass(frozen=True)
 class MuR(HeadStepRule):
-    tag: ClassVar[str] = "MuR"
     side: ClassVar[str] = RIGHT
     kind: ClassVar[type] = Mu
 
 
 @dataclass(frozen=True)
 class NuL(HeadStepRule):
-    tag: ClassVar[str] = "NuL"
     side: ClassVar[str] = LEFT
     kind: ClassVar[type] = Nu
 
 
 @dataclass(frozen=True)
 class NuR(HeadStepRule):
-    tag: ClassVar[str] = "NuR"
     side: ClassVar[str] = RIGHT
     kind: ClassVar[type] = Nu
 
@@ -502,7 +475,6 @@ class NuR(HeadStepRule):
 class Nat(Rule):
     """Gamma |- Delta from Gamma, N x |- Delta (x a natural-number variable)."""
 
-    tag: ClassVar[str] = "Nat"
     var: str = ""
 
     def premises_of(self, conclusion):
@@ -517,8 +489,6 @@ class Nat(Rule):
 
 @dataclass(frozen=True)
 class P1(Rule):
-    tag: ClassVar[str] = "P1"
-
     def premises_of(self, conclusion):
         ok = (len(conclusion.left) == 1 and not conclusion.right
               and isinstance(conclusion.left[0], Eq)
@@ -532,8 +502,6 @@ class P1(Rule):
 
 @dataclass(frozen=True)
 class P2(Rule):
-    tag: ClassVar[str] = "P2"
-
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, S s = S t |-")
         ok = (isinstance(phi, Eq) and isinstance(phi.lhs, Succ)

@@ -65,7 +65,7 @@ def _lex(text: str) -> Iterator[tuple[str, str, int]]:
         if first == '"':
             if len(tok) == 1:
                 raise ProofFormatError(_where(text, pos, "unterminated string literal"))
-            yield "string", Quoted(_ESCAPE.sub(r"\1", tok[1:-1])), pos
+            yield "string", Quoted(_ESCAPE.sub(lambda m: m[1], tok[1:-1])), pos
         elif first in "()":
             yield first, first, pos
         elif first not in " \t\r\n;":

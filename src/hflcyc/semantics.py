@@ -17,6 +17,13 @@ are decided correctly, never saturated.  NatOverflow is raised where the
 bound genuinely bites: when an enumerated (tabulated) function standing in
 for a free variable is applied beyond {0..K}, the oracle answers Unknown
 rather than guessing.
+
+The same interpreter gives the approximants of the paper's soundness
+argument: ``eval(phi, alphas={p: a})`` replaces the fixed point at sigma-path
+p of phi by its a-th approximant, the a-th Kleene iterate of its functional
+from the unit.  On a finite lattice and a monotone functional that iterate
+equals the transfinite join of f(mu^b) over b < a (meet for nu), and from
+the lattice height on it is the fixed point itself.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Iterator, Mapping, Optional, Union
 from .syntax import (
     And, App, Arrow, Eq, Expr, HflError, Lam, Mu, Nu, Or,
     Path, PropType, NatType, Sequent, SimpleType, Succ, Var, Zero,
-    infer_env, type_to_str,
+    free_vars, infer_env, type_to_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -114,35 +121,12 @@ class Closure(SemFun):
     var: str
     body: Expr
     env: tuple  # sorted tuple of (name, value) pairs
+    alphas: tuple = ()  # (path, alpha) pairs of approximants, relative to body
 
     def apply(self, dom, arg):
         env = dict(self.env)
         env[self.var] = arg
-        return dom._eval(self.body, env)
-
-
-@dataclass(frozen=True)
-class JoinFun(SemFun):
-    parts: tuple  # nonempty tuple of SemFun
-
-    def apply(self, dom, arg):
-        out = None
-        for f in self.parts:
-            v = dom.apply(f, arg)
-            out = v if out is None else dom.join_value(out, v)
-        return out
-
-
-@dataclass(frozen=True)
-class MeetFun(SemFun):
-    parts: tuple
-
-    def apply(self, dom, arg):
-        out = None
-        for f in self.parts:
-            v = dom.apply(f, arg)
-            out = v if out is None else dom.meet_value(out, v)
-        return out
+        return dom._eval(self.body, env, dict(self.alphas))
 
 
 @dataclass(frozen=True)
@@ -339,16 +323,6 @@ class BoundedDomain:
         return all(self.leq_value(self.apply(a, x), self.apply(b, x), ty.result)
                    for x in self.elements(ty.arg))
 
-    def join_value(self, a: Value, b: Value) -> Value:
-        if isinstance(a, bool):
-            return a or b
-        return a if a is b else JoinFun((a, b))
-
-    def meet_value(self, a: Value, b: Value) -> Value:
-        if isinstance(a, bool):
-            return a and b
-        return a if a is b else MeetFun((a, b))
-
     def value_key(self, v: Value, ty: SimpleType):
         """A hashable extensional key (forces tabulation of closures)."""
         if isinstance(ty, NatType):
@@ -398,11 +372,14 @@ class BoundedDomain:
         if self._steps > self.fuel:
             raise DomainTooLarge(f"evaluation exceeded {self.fuel} steps")
 
-    def eval(self, phi: Expr, rho: Optional[Mapping[str, Value]] = None) -> Value:
-        """Interpret phi under valuation rho in the truncated model."""
+    def eval(self, phi: Expr, rho: Optional[Mapping[str, Value]] = None,
+             alphas: Optional[Mapping[Path, int]] = None) -> Value:
+        """Interpret phi under valuation rho in the truncated model, with the
+        fixed point at each sigma-path p in alphas replaced by its
+        alphas[p]-th approximant."""
         self._steps = 0
         self._app_cache.clear()
-        return self._eval(phi, dict(rho or {}))
+        return self._eval(phi, dict(rho or {}), dict(alphas or {}))
 
     def _guard(self, ty: SimpleType, is_mu: bool, v: Value) -> Value:
         """Wrap a fixed-point iterate so naturals beyond K resolve to its unit."""
@@ -412,7 +389,9 @@ class BoundedDomain:
             return v
         return GuardFun(ty, is_mu, v)
 
-    def _eval(self, e: Expr, env: dict) -> Value:
+    def _eval(self, e: Expr, env: dict, alphas: dict) -> Value:
+        """Interpret e; alphas maps sigma-paths relative to e to approximant
+        indices, and each child is passed only the entries below it."""
         self._tick()
         if isinstance(e, Var):
             try:
@@ -422,137 +401,46 @@ class BoundedDomain:
         if isinstance(e, Zero):
             return 0
         if isinstance(e, Succ):
-            return self._eval(e.arg, env) + 1
+            return self._eval(e.arg, env, _below(alphas, 0)) + 1
         if isinstance(e, Eq):
-            return self._eval(e.lhs, env) == self._eval(e.rhs, env)
+            return (self._eval(e.lhs, env, _below(alphas, 0))
+                    == self._eval(e.rhs, env, _below(alphas, 1)))
         if isinstance(e, Or):
-            return self._eval(e.lhs, env) or self._eval(e.rhs, env)
+            return (self._eval(e.lhs, env, _below(alphas, 0))
+                    or self._eval(e.rhs, env, _below(alphas, 1)))
         if isinstance(e, And):
-            return self._eval(e.lhs, env) and self._eval(e.rhs, env)
+            return (self._eval(e.lhs, env, _below(alphas, 0))
+                    and self._eval(e.rhs, env, _below(alphas, 1)))
         if isinstance(e, Lam):
-            return Closure(e.var, e.body, _pack_env(env, e.body, e.var))
+            return Closure(e.var, e.body, _pack_env(env, e.body, e.var),
+                           tuple(_below(alphas, 0).items()))
         if isinstance(e, App):
-            return self.apply(self._eval(e.fn, env), self._eval(e.arg, env))
+            return self.apply(self._eval(e.fn, env, _below(alphas, 0)),
+                              self._eval(e.arg, env, _below(alphas, 1)))
         if isinstance(e, (Mu, Nu)):
+            # the alpha-th approximant is the alpha-th Kleene iterate; the
+            # lattice height of iterates reaches the fixed point
             is_mu = isinstance(e, Mu)
-            steps = self.height(e.var_type)
+            steps = alphas.get((), self.height(e.var_type))
+            body_alphas = _below(alphas, 0)
             v = self.bottom(e.var_type) if is_mu else self.top(e.var_type)
             for _ in range(steps):
                 inner = dict(env)
                 inner[e.var] = self._guard(e.var_type, is_mu, v)
-                v = self._eval(e.body, inner)
-            return self._guard(e.var_type, is_mu, v)
-        raise HflError(f"cannot evaluate {e!r}")
-
-    def eval_approx(self, phi: Expr, rho: Optional[Mapping[str, Value]] = None,
-                    alphas: Optional[Mapping[Path, int]] = None,
-                    method: str = "chain") -> Value:
-        """Evaluate with the fixed points at the given sigma-paths replaced by
-        their alpha-th approximants.
-
-        method "chain" uses f^a = f(f^(a-1)); method "join" uses the general
-        recurrence f^a = join over b<a of f(f^b) (meet for Nu).  On finite
-        lattices the two coincide.
-        """
-        self._steps = 0
-        self._app_cache.clear()
-        if method not in ("chain", "join"):
-            raise ValueError(f"unknown approximant method {method!r}")
-        return self._eval_approx(phi, dict(rho or {}), dict(alphas or {}), (), method)
-
-    def _eval_approx(self, e: Expr, env: dict, alphas: dict, path: Path, method: str) -> Value:
-        self._tick()
-        if isinstance(e, (Mu, Nu)) and path in alphas:
-            alpha = alphas[path]
-            is_mu = isinstance(e, Mu)
-
-            def f_of(v: Value) -> Value:
-                inner = dict(env)
-                inner[e.var] = self._guard(e.var_type, is_mu, v)
-                # approximant indices apply only to the annotated operator
-                # itself; nested annotated operators are resolved by their
-                # own paths
-                return self._eval_approx(e.body, inner, alphas, path + (0,), method)
-
-            unit = self.bottom(e.var_type) if is_mu else self.top(e.var_type)
-            if method == "chain":
-                v = unit
-                for _ in range(alpha):
-                    v = f_of(v)
-                return self._guard(e.var_type, is_mu, v)
-            # general recurrence: accumulate f(f^b) for all b < alpha
-            combine = self.join_value if is_mu else self.meet_value
-            iterates = [unit]
-            for b in range(alpha):
-                acc = unit
-                for w in iterates[: b + 1]:
-                    acc = combine(acc, f_of(w))
-                iterates.append(acc)
-            return self._guard(e.var_type, is_mu, iterates[alpha])
-        if isinstance(e, Var):
-            try:
-                return env[e.name]
-            except KeyError:
-                raise HflError(f"no value for free variable {e.name!r}") from None
-        if isinstance(e, Zero):
-            return 0
-        if isinstance(e, Succ):
-            return self._eval_approx(e.arg, env, alphas, path + (0,), method) + 1
-        if isinstance(e, Eq):
-            return (self._eval_approx(e.lhs, env, alphas, path + (0,), method)
-                    == self._eval_approx(e.rhs, env, alphas, path + (1,), method))
-        if isinstance(e, Or):
-            return (self._eval_approx(e.lhs, env, alphas, path + (0,), method)
-                    or self._eval_approx(e.rhs, env, alphas, path + (1,), method))
-        if isinstance(e, And):
-            return (self._eval_approx(e.lhs, env, alphas, path + (0,), method)
-                    and self._eval_approx(e.rhs, env, alphas, path + (1,), method))
-        if isinstance(e, Lam):
-            if any(p[: len(path) + 1] == path + (0,) for p in alphas):
-                # approximants below a lambda: evaluate eagerly is impossible,
-                # so capture the remaining annotation context in a closure
-                return _ApproxClosure(e.var, e.body, _pack_env(env, e.body, e.var),
-                                      _narrow(alphas, path + (0,)), method)
-            return Closure(e.var, e.body, _pack_env(env, e.body, e.var))
-        if isinstance(e, App):
-            fn = self._eval_approx(e.fn, env, alphas, path + (0,), method)
-            arg = self._eval_approx(e.arg, env, alphas, path + (1,), method)
-            return self.apply(fn, arg)
-        if isinstance(e, (Mu, Nu)):
-            is_mu = isinstance(e, Mu)
-            steps = self.height(e.var_type)
-            v = self.bottom(e.var_type) if is_mu else self.top(e.var_type)
-            for _ in range(steps):
-                inner = dict(env)
-                inner[e.var] = self._guard(e.var_type, is_mu, v)
-                v = self._eval_approx(e.body, inner, alphas, path + (0,), method)
+                v = self._eval(e.body, inner, body_alphas)
             return self._guard(e.var_type, is_mu, v)
         raise HflError(f"cannot evaluate {e!r}")
 
 
-@dataclass(frozen=True)
-class _ApproxClosure(SemFun):
-    var: str
-    body: Expr
-    env: tuple
-    alphas: tuple  # tuple of (path, alpha) pairs relative to body
-    method: str
-
-    def apply(self, dom, arg):
-        env = dict(self.env)
-        env[self.var] = arg
-        return dom._eval_approx(self.body, env, dict(self.alphas), (), self.method)
-
-
-def _narrow(alphas: dict, prefix: Path) -> tuple:
-    k = len(prefix)
-    return tuple((p[k:], a) for p, a in alphas.items() if p[:k] == prefix)
+def _below(alphas: dict, child: int) -> dict:
+    """The entries of alphas under the given child, relative to it."""
+    if not alphas:
+        return alphas
+    return {p[1:]: a for p, a in alphas.items() if p and p[0] == child}
 
 
 def _pack_env(env: dict, body: Expr, bound: str) -> tuple:
     """Shrink a closure environment to the body's free variables."""
-    from .syntax import free_vars
-
     needed = free_vars(body) - {bound}
     return tuple(sorted((x, v) for x, v in env.items() if x in needed))
 

@@ -317,8 +317,7 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
 
 def annotate_step(tau: AnnotatedFormula, rule: Rule, branch: int,
                   fresh: Iterator[int], *, conclusion: Sequent, pos: OccPos,
-                  target: Optional[OccPos] = None,
-                  premise_formula: Optional[Expr] = None) -> AnnotatedFormula:
+                  target: Optional[OccPos] = None) -> AnnotatedFormula:
     """Push the annotated occurrence tau at `pos` through one rule application.
 
     Returns the annotated successor occurrence in premise `branch`.  When the
@@ -345,9 +344,7 @@ def annotate_step(tau: AnnotatedFormula, rule: Rule, branch: int,
             f"{rule.tag}; pass target= to choose one of "
             f"{[s.premise_pos for s in candidates]}")
     step = candidates[0]
-
-    if premise_formula is None:
-        premise_formula = _formula_at(inference.premises[branch], step.premise_pos)
+    premise_formula = _formula_at(inference.premises[branch], step.premise_pos)
     return _apply_step(tau, step, fresh, premise_formula)
 
 
@@ -689,11 +686,11 @@ def enumerate_closed_walks(pp: PreProof, max_back_edges: Optional[int] = None,
     return sorted(walks)
 
 
-def enumerate_simple_lassos(pp: PreProof, cap: int = 50_000) -> list[Lasso]:
+def enumerate_simple_lassos(pp: PreProof) -> list[Lasso]:
     """Lassos whose cycle visits no node twice, each with its tree prefix."""
     paths = _tree_paths(pp)
     out = []
-    for cycle in enumerate_closed_walks(pp, cap=cap):
+    for cycle in enumerate_closed_walks(pp):
         if len(set(cycle)) != len(cycle):
             continue
         prefix = paths[cycle[0]][:-1]
@@ -701,18 +698,18 @@ def enumerate_simple_lassos(pp: PreProof, cap: int = 50_000) -> list[Lasso]:
     return out
 
 
-def gtc_bruteforce(pp: PreProof, max_back_edges: Optional[int] = None,
-                   cap: int = 50_000) -> bool:
+def gtc_bruteforce(pp: PreProof) -> bool:
     """Decide the soundness gate by checking every enumerated cycle.
 
-    True iff every closed walk (up to the back-edge bound) has a tail with a
-    left mu-trace or right nu-trace.  Ultimately periodic paths suffice to
-    separate the relevant path languages, and whether a lasso is good depends
-    only on its cycle, so prefixes are irrelevant.  Small instances only;
-    raises ExplosionGuard beyond the cap.
+    True iff every closed walk (with at most one back-edge traversal more than
+    there are back edges) has a tail with a left mu-trace or right nu-trace.
+    Ultimately periodic paths suffice to separate the relevant path
+    languages, and whether a lasso is good depends only on its cycle, so
+    prefixes are irrelevant.  Small instances only; raises ExplosionGuard
+    beyond the cap of ``enumerate_closed_walks``.
     """
     paths = _tree_paths(pp)
-    for cycle in enumerate_closed_walks(pp, max_back_edges, cap):
+    for cycle in enumerate_closed_walks(pp):
         prefix = paths[cycle[0]][:-1]
         if not lasso_good(pp, Lasso(prefix, cycle)):
             return False
@@ -729,17 +726,15 @@ def render_annotated(af: AnnotatedFormula) -> str:
     return to_str(af.formula, af.notes)
 
 
-def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef,
-                       fresh: Optional[Iterator[int]] = None
+def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
                        ) -> list[tuple[str, OccPos, AnnotatedFormula]]:
     """Follow one occurrence thread along consecutive nodes, annotating as it
     goes; at a branching successor the first one (in sequent order) is taken.
     Stops early if the occurrence has no successor.  Returns one entry per
     node reached."""
-    if fresh is None:
-        fresh = fresh_counter()
     if nodes[0] != start.node:
         raise TraceError("the path must begin at the start occurrence's node")
+    fresh = fresh_counter()
     occ: OccPos = (start.side, start.index)
     seq = pp.node(nodes[0]).seq
     af = annotate_root(_formula_at(seq, occ), pp.positions(seq)[occ])

@@ -482,6 +482,16 @@ class TestProofFiles:
         again = loads_preproof(text)
         assert sequent_alpha_eq(again.tree.seq, leaf.seq)
 
+    def test_string_escapes_round_trip(self):
+        # \" and \\ unescape to the character; any other escaped character
+        # stands for itself
+        forms = proofio._read_forms(r'(a "x\"y\\z\q")')
+        assert forms == [["a", 'x"y\\zq']]
+        assert isinstance(forms[0][1], proofio.Quoted)
+        again = proofio._write_form(forms[0])
+        assert again == r'(a "x\"y\\zq")'
+        assert proofio._read_forms(again) == forms
+
     def test_comments_and_whitespace(self):
         text = ('; a comment\n(node n0\n  (seq "p |- p")\n'
                 '  (rule Axiom) (children))\n')
@@ -528,8 +538,9 @@ class TestProofFiles:
         check_rule(pp.tree.seq, pp.tree.rule, [pp.tree.children[0].seq])
 
     def test_registry_covers_all_tags(self):
-        assert set(RULES) == {
-            "Axiom", "Cut", "WkL", "WkR", "CtrL", "CtrR", "ExL", "ExR",
-            "Subst", "Mono", "EqL", "EqR", "OrL", "OrR", "AndL", "AndR",
-            "LamL", "LamR", "MuL", "MuR", "NuL", "NuR", "Nat", "P1", "P2",
-        }
+        assert sorted(RULES) == [
+            "AndL", "AndR", "Axiom", "CtrL", "CtrR", "Cut", "EqL", "EqR",
+            "ExL", "ExR", "LamL", "LamR", "Mono", "MuL", "MuR", "Nat", "NuL",
+            "NuR", "OrL", "OrR", "P1", "P2", "Subst", "WkL", "WkR",
+        ]
+        assert all(cls.tag == tag == cls.__name__ for tag, cls in RULES.items())

@@ -1,13 +1,19 @@
-"""Packaging metadata: what ``pyproject.toml`` declares must exist."""
+"""Packaging: what ``pyproject.toml`` declares must exist, and the checker
+imports only what it needs."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+SRC = ROOT / "src"
 
 
 def test_script_entries_import_to_callables():
@@ -18,3 +24,16 @@ def test_script_entries_import_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r} -> {target!r} is not callable"
+
+
+def test_checker_imports_leave_out_the_semantics_oracle():
+    # what a benchmark worker imports: the bounded semantics is a test
+    # oracle and must stay off the checker's start-up path
+    code = ("import sys, hflcyc.gtc, hflcyc.proofio; "
+            "print('hflcyc.semantics' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

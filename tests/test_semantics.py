@@ -14,6 +14,11 @@ from hflcyc.semantics import (
 )
 
 ENC = derived_encodings()
+# nu X. \x. X (S x): every approximant is top
+NU_C = Nu("X", arrow(NAT, PROP), Lam("x", NAT, App(Var("X"), Succ(Var("x")))))
+# nu X. \x. exists x'. x = S x' /\ X x': the a-th approximant is x >= a
+NU_DESCENT = Nu("X", arrow(NAT, PROP), Lam("x", NAT, exists_nat(
+    "x'", And(Eq(Var("x"), Succ(Var("x'"))), App(Var("X"), Var("x'"))))))
 
 
 @pytest.fixture(scope="module")
@@ -149,23 +154,19 @@ class TestFixpoints:
         # exactly when alpha >= m+1
         for m in range(4):
             for alpha in range(7):
-                want = alpha >= m + 1
-                for method in ("chain", "join"):
-                    got = d5.eval_approx(App(ENC["nat"], numeral(m)),
-                                         alphas={(0,): alpha}, method=method)
-                    assert got == want, (m, alpha, method)
+                got = d5.eval(App(ENC["nat"], numeral(m)), alphas={(0,): alpha})
+                assert got == (alpha >= m + 1), (m, alpha)
 
     def test_alpha_zero_is_unit(self, d5):
-        assert d5.eval_approx(App(ENC["nat"], numeral(0)), alphas={(0,): 0}) is False
-        nu_c = Nu("X", arrow(NAT, PROP), Lam("x", NAT, App(Var("X"), Succ(Var("x")))))
-        assert d5.eval_approx(App(nu_c, Zero()), alphas={(0,): 0}) is True
+        assert d5.eval(App(ENC["nat"], numeral(0)), alphas={(0,): 0}) is False
+        assert d5.eval(App(NU_C, Zero()), alphas={(0,): 0}) is True
 
     def test_approximant_at_height_equals_eval(self):
         d = BoundedDomain(4)
         h = d.height(arrow(NAT, PROP))
         for m in range(5):
             e = App(ENC["nat"], numeral(m))
-            assert d.eval_approx(e, alphas={(0,): h}) == d.eval(e)
+            assert d.eval(e, alphas={(0,): h}) == d.eval(e)
 
     def test_iteration_stabilizes_past_height(self):
         # Kleene: once the height is reached the iterates are the fixed point
@@ -174,20 +175,35 @@ class TestFixpoints:
         ty = arrow(NAT, PROP)
         key_fix = d.value_key(d.eval(ENC["nat"]), ty)
         for extra in (0, 1, 3):
-            key_alpha = d.value_key(d.eval_approx(ENC["nat"], alphas={(): h + extra}), ty)
+            key_alpha = d.value_key(d.eval(ENC["nat"], alphas={(): h + extra}), ty)
             assert key_alpha == key_fix
 
-    def test_chain_and_join_methods_agree(self):
+    @pytest.mark.parametrize("e,is_mu", [
+        (ENC["nat"], True),
+        (NU_C, False),
+        (NU_DESCENT, False),
+    ], ids=["nat", "nu_c", "nu_descent"])
+    def test_approximants_are_monotone_in_alpha(self, e, is_mu):
+        # mu^a rises and nu^a falls with a, and from the lattice height on
+        # the approximant is the fixed point
         d = BoundedDomain(3)
-        for alpha in range(5):
-            for m in range(4):
-                e = App(ENC["nat"], numeral(m))
-                assert (d.eval_approx(e, alphas={(0,): alpha}, method="chain")
-                        == d.eval_approx(e, alphas={(0,): alpha}, method="join"))
+        ty = arrow(NAT, PROP)
+        h = d.height(ty)
+        approx = [d.eval(e, alphas={(): a}) for a in range(h + 3)]
+        for lo, hi in zip(approx, approx[1:]):
+            assert d.leq_value(lo, hi, ty) if is_mu else d.leq_value(hi, lo, ty)
+        key_fix = d.value_key(d.eval(e), ty)
+        assert all(d.value_key(v, ty) == key_fix for v in approx[h:])
 
-    def test_unknown_method_rejected(self, d5):
-        with pytest.raises(ValueError):
-            d5.eval_approx(ENC["top"], method="newton")
+    def test_descending_nu_approximants_are_strict(self):
+        # nu X. \x. exists x'. x = S x' /\ X x' holds at m in its a-th
+        # approximant exactly when m >= a; its fixed point is empty
+        d = BoundedDomain(3)
+        for a in range(5):
+            for m in range(4):
+                got = d.eval(App(NU_DESCENT, numeral(m)), alphas={(0,): a})
+                assert got == (m >= a), (a, m)
+        assert not any(d.eval(App(NU_DESCENT, numeral(m))) for m in range(4))
 
     def test_higher_order_fixpoints(self, d5):
         body = Lam("f", arrow(PROP, PROP), App(Var("f"), App(Var("X"), Var("f"))))
