@@ -4,13 +4,16 @@ A run is accepting when it takes accepting *transitions* infinitely often
 (rather than visiting accepting states).  The module provides lasso-word
 membership, emptiness with witness extraction, trimming, containment with a
 counterexample lasso, and an exhaustive lasso-membership survey used as a
-brute-force oracle by the test suite.
+brute-force oracle by the test suite.  :class:`Lasso` is the one type of an
+ultimately periodic word: what these functions take and return, and the
+counterexample path that :mod:`hflcyc.gtc` reports.
 
 States and alphabet symbols are opaque hashable values; textual dumps relabel
 states with stable integer ids.  The trace automaton of :mod:`hflcyc.gtc`
 numbers its states as ints in discovery order (0 is the idle state) and keeps
-a table that decodes each int back to its tracked occurrence, so trimming,
-containment and the cached lookup tables here hash and sort only small ints.
+a table that decodes each int back to the ``(node, side, index, mark)`` key
+it was built from, so trimming, containment and the cached lookup tables
+here hash and sort only small ints.
 
 Containment L(a) ⊆ L(b) builds no complement.  It is the Ramsey closure of
 size-change termination (Lee, Jones and Ben-Amram, POPL 2001) in the form
@@ -42,7 +45,7 @@ Transition = tuple[State, Symbol, State]
 
 
 class BuchiError(HflError):
-    """Malformed automaton, alphabet mismatch, or bad lasso word."""
+    """Malformed automaton, alphabet mismatch, or bad lasso."""
 
 
 class SizeGuard(BuchiError):
@@ -59,21 +62,30 @@ def _key(x: object) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class LassoWord:
-    """The ultimately periodic word ``u · v^omega``."""
+class Lasso:
+    """The ultimately periodic word ``prefix · cycle^omega``.
 
-    u: tuple[Symbol, ...]
-    v: tuple[Symbol, ...]
+    Over proof-node ids it is a path of a proof: :func:`contains` returns one
+    as the counterexample of :func:`hflcyc.gtc.check_gtc`, and the oracles of
+    :mod:`hflcyc.trace` classify the traces along one.
+    """
+
+    prefix: tuple[Symbol, ...]
+    cycle: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.u, tuple) or not isinstance(self.v, tuple):
+        if not isinstance(self.prefix, tuple) or not isinstance(self.cycle, tuple):
             raise BuchiError("lasso parts must be tuples")
-        if not self.v:
-            raise BuchiError("lasso period must be nonempty")
+        if not self.cycle:
+            raise BuchiError("a lasso needs a nonempty cycle")
 
     @property
     def spine(self) -> tuple[Symbol, ...]:
-        return self.u + self.v
+        return self.prefix + self.cycle
+
+    def successor_index(self, i: int) -> int:
+        """The spine position after ``i``: the end of the cycle wraps to its start."""
+        return i + 1 if i + 1 < len(self.prefix) + len(self.cycle) else len(self.prefix)
 
 
 @dataclass(frozen=True)
@@ -196,19 +208,16 @@ def _scc_ids(nodes: list, succs: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def accepts_lasso(a: BuchiAutomaton, w: LassoWord) -> bool:
-    """Does the automaton accept ``u · v^omega``?
+def accepts_lasso(a: BuchiAutomaton, w: Lasso) -> bool:
+    """Does the automaton accept ``prefix · cycle^omega``?
 
     Decided on the finite product of the automaton with the lasso positions,
     looking for a reachable cycle that contains an accepting transition.
     """
-    for sym in w.spine:
+    spine = w.spine
+    for sym in spine:
         if sym not in a.alphabet:
             raise BuchiError(f"lasso symbol {sym!r} is not in the alphabet")
-    total = len(w.spine)
-
-    def succ_pos(i: int) -> int:
-        return i + 1 if i + 1 < total else len(w.u)
 
     # reachable product nodes
     start = [(q, 0) for q in a._sorted_states if q in a.initial]
@@ -218,8 +227,8 @@ def accepts_lasso(a: BuchiAutomaton, w: LassoWord) -> bool:
     accepting_edges: list[tuple[tuple[State, int], tuple[State, int]]] = []
     while queue:
         q, i = queue.popleft()
-        sym = w.spine[i]
-        nxt_i = succ_pos(i)
+        sym = spine[i]
+        nxt_i = w.successor_index(i)
         outs = edges.setdefault((q, i), [])
         for dst, acc in a.moves(q, sym):
             node = (dst, nxt_i)
@@ -268,7 +277,7 @@ def _bfs_path(
     return None
 
 
-def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[LassoWord]]:
+def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[Lasso]]:
     """Emptiness, with an accepted lasso as witness when nonempty.
 
     The language is nonempty exactly when some accepting transition lies on a
@@ -297,7 +306,7 @@ def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[LassoWord]]:
             prefix = _bfs_path(a, a.initial, src)
             back = _bfs_path(a, [dst], src, allowed=scc)
             assert prefix is not None and back is not None
-            return False, LassoWord(prefix, (sym,) + back)
+            return False, Lasso(prefix, (sym,) + back)
     return True, None
 
 
@@ -596,7 +605,7 @@ def contains(
     b: BuchiAutomaton,
     *,
     max_states: int = 50_000,
-) -> tuple[bool, Optional[LassoWord]]:
+) -> tuple[bool, Optional[Lasso]]:
     """Language containment L(a) ⊆ L(b), with a counterexample lasso if not.
 
     Decided without complementing ``b``, by the Ramsey argument.  Take a word
@@ -652,7 +661,7 @@ def contains(
     u, v = found
     while u and u[-1] == v[-1]:
         u, v = u[:-1], (u[-1],) + v[:-1]
-    return False, LassoWord(u, v)
+    return False, Lasso(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +671,9 @@ def contains(
 
 def enumerate_lassos(
     alphabet: Iterable[Symbol], max_u: int, max_v: int
-) -> Iterator[LassoWord]:
-    """All lassos with |u| ≤ max_u and 1 ≤ |v| ≤ max_v, in a stable order."""
+) -> Iterator[Lasso]:
+    """All lassos with |prefix| ≤ max_u and 1 ≤ |cycle| ≤ max_v, in a stable
+    order."""
     syms = sorted(set(alphabet), key=_key)
 
     def words(limit: int, min_len: int) -> Iterator[tuple[Symbol, ...]]:
@@ -677,17 +687,18 @@ def enumerate_lassos(
 
     for u in words(max_u, 0):
         for v in words(max_v, 1):
-            yield LassoWord(u, v)
+            yield Lasso(u, v)
 
 
 @dataclass(frozen=True)
 class LassoSurvey:
     """Membership of every lasso in a rectangle of word lengths.
 
-    ``accepts(u, v)`` answers in O(1) from two precomputed tables: for each
-    prefix u, the set of states reachable from the initial states; for each
-    period v, the set of states from which some number of whole-v jumps
-    reaches a state lying on a v-cycle through an accepting transition.
+    ``accepts(lasso)`` answers in O(1) from two precomputed tables: for each
+    prefix, the set of states reachable from the initial states; for each
+    cycle, the set of states from which some number of whole-cycle jumps
+    reaches a state lying on a cycle-labelled loop through an accepting
+    transition.
     """
 
     alphabet: tuple[Symbol, ...]
@@ -696,18 +707,18 @@ class LassoSurvey:
     _prefix_reach: Mapping[tuple[Symbol, ...], int] = field(repr=False)
     _period_trap: Mapping[tuple[Symbol, ...], int] = field(repr=False)
 
-    def accepts(self, w: LassoWord) -> bool:
+    def accepts(self, w: Lasso) -> bool:
         try:
-            reach = self._prefix_reach[w.u]
-            trap = self._period_trap[w.v]
+            reach = self._prefix_reach[w.prefix]
+            trap = self._period_trap[w.cycle]
         except KeyError:
             raise BuchiError("lasso outside the surveyed rectangle") from None
         return bool(reach & trap)
 
-    def lassos(self) -> Iterator[LassoWord]:
+    def lassos(self) -> Iterator[Lasso]:
         for u in self._prefix_reach:
             for v in self._period_trap:
-                yield LassoWord(u, v)
+                yield Lasso(u, v)
 
 
 def _trap_mask(mat: _Mat) -> int:
@@ -743,7 +754,7 @@ def _trap_mask(mat: _Mat) -> int:
 
 
 def survey_lassos(a: BuchiAutomaton, max_u: int, max_v: int) -> LassoSurvey:
-    """Exhaustive lasso membership for all |u| ≤ max_u, 1 ≤ |v| ≤ max_v."""
+    """Exhaustive lasso membership for all |prefix| ≤ max_u, 1 ≤ |cycle| ≤ max_v."""
     order, gens = _symbol_matrices(a)
     pos = {q: i for i, q in enumerate(order)}
     syms = sorted(a.alphabet, key=_key)

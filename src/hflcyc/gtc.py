@@ -23,6 +23,7 @@ from typing import Optional, Union
 
 from .buchi import (
     BuchiAutomaton,
+    Lasso,
     SizeGuard,
     contains,
     make_automaton,
@@ -31,7 +32,6 @@ from .buchi import (
 from .kernel import (
     LEFT,
     RIGHT,
-    OccPos,
     OccurrenceRef,
     PreProof,
     ValidationIssue,
@@ -42,7 +42,6 @@ from .syntax import HflError, Path
 from .trace import (
     MU,
     NU,
-    Lasso,
     node_steps,
     render_annotated,
     replay_annotations,
@@ -52,13 +51,9 @@ __all__ = [
     "Accepted",
     "CheckResult",
     "GtcError",
-    "GtcState",
     "GtcUnknown",
     "Rejected",
-    "STAR",
-    "Star",
     "TraceAutomaton",
-    "Tracked",
     "build_gtc_automaton",
     "build_path_automaton",
     "check_cyclic_proof",
@@ -77,33 +72,6 @@ class GtcUnknown(GtcError):
 
     Raised instead of returning a possibly wrong boolean.
     """
-
-
-# ---------------------------------------------------------------------------
-# states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Star:
-    """The idle automaton state: no occurrence is being tracked yet."""
-
-    def __repr__(self) -> str:
-        return "Star"
-
-
-STAR = Star()
-
-
-@dataclass(frozen=True)
-class Tracked:
-    """A tracked occurrence together with the operator position it follows."""
-
-    occ: OccurrenceRef
-    mark: Path
-
-
-GtcState = Union[Star, Tracked]
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +112,8 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
 
 
 _Key = tuple[str, str, int, Path]
-"""A tracked state while the automaton is built: node, side, index, mark."""
-
-
-def _single_mark_states(node_id: str, sigmas: dict[OccPos, tuple[Path, ...]]) -> list[_Key]:
-    """Every way to start tracking at a node: one operator position each."""
-    return [(node_id, side, index, p)
-            for (side, index), paths in sigmas.items() for p in paths]
+"""A tracked state: node, side and index of an occurrence, and the operator
+position (mark) of it that the state follows."""
 
 
 def _good_unfold(side: str, sigma_kind: Optional[str]) -> bool:
@@ -160,9 +123,13 @@ def _good_unfold(side: str, sigma_kind: Optional[str]) -> bool:
 
 @dataclass(frozen=True)
 class TraceAutomaton(BuchiAutomaton):
-    """A trace automaton whose states are ints; state ``i`` is ``decode[i]``."""
+    """A trace automaton whose states are ints.
 
-    decode: tuple[GtcState, ...] = field(default=(), compare=False, repr=False)
+    ``decode[i]`` is the ``(node, side, index, mark)`` key of tracked state
+    ``i``, and ``decode[0]`` is None: state 0 is idle, tracking nothing.
+    """
+
+    decode: tuple[Optional[_Key], ...] = field(default=(), compare=False, repr=False)
 
 
 def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
@@ -193,8 +160,9 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
     occurrences, linear in the proof.
 
     States are numbered as ints in the order the search discovers them: 0 is
-    :data:`STAR`, and ``decode[i]`` is the :class:`Tracked` state numbered
-    ``i``.  So trimming and containment hash small ints, not dataclasses.
+    the idle state, and ``decode[i]`` is the ``(node, side, index, mark)``
+    key of the state numbered ``i``.  So trimming and containment hash small
+    ints, not tuples.
     Operator positions and occurrence steps are read from the pre-proof's
     tables (:meth:`~hflcyc.kernel.PreProof.positions`,
     :func:`~hflcyc.trace.node_steps`), so nodes that share a sequent share
@@ -205,7 +173,7 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
     ids = sorted(pp.nodes)
 
     number: dict[_Key, int] = {}
-    decode: list[GtcState] = [STAR]
+    decode: list[Optional[_Key]] = [None]
     queue: deque[tuple[int, _Key]] = deque()
     transitions: set[tuple[int, str, int]] = set()
     accepting: set[tuple[int, str, int]] = set()
@@ -214,8 +182,7 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
         q = number.get(key)
         if q is None:
             q = number[key] = len(decode)
-            node_id, side, index, mark = key
-            decode.append(Tracked(OccurrenceRef(node_id, side, index), mark))
+            decode.append(key)
             queue.append((q, key))
         return q
 
@@ -224,7 +191,11 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
         if acc:
             accepting.add((src, sym, dst))
 
-    entries = {m: _single_mark_states(m, pp.positions(pp.node(m).seq)) for m in ids}
+    # from the idle state, start to follow any operator position of a node
+    entries = {m: [(m, side, index, p)
+                   for (side, index), paths in pp.positions(pp.node(m).seq).items()
+                   for p in paths]
+               for m in ids}
     for n in ids:
         emit(0, n, 0)
         for m in successors(pp, n):
@@ -267,13 +238,9 @@ def check_gtc(pp: PreProof, *, max_states: int = 50_000
     path_aut = build_path_automaton(pp)
     try:
         trace_aut = trim(build_gtc_automaton(pp))
-        ok, word = contains(path_aut, trace_aut, max_states=max_states)
+        return contains(path_aut, trace_aut, max_states=max_states)
     except SizeGuard as exc:
         raise GtcUnknown(f"undecided within the state cap: {exc}") from exc
-    if ok:
-        return True, None
-    assert word is not None
-    return False, Lasso(word.u, word.v)
 
 
 @dataclass(frozen=True)

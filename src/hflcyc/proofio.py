@@ -141,7 +141,9 @@ def rule_from_form(parts: list, child_sequents: list[Sequent]) -> Rule:
             raise ProofFormatError("Cut takes one formula parameter")
         return Cut(_expr_param(args[0], "Cut formula"))
     if cls in (ExL, ExR):
-        if len(args) != 1 or not str(args[0]).isdigit():
+        # a bare atom of ASCII digits: str.isdigit alone also accepts "²"
+        if (len(args) != 1 or isinstance(args[0], (list, Quoted))
+                or not (args[0].isascii() and args[0].isdigit())):
             raise ProofFormatError(f"{tag} takes one position parameter")
         return cls(int(args[0]))
     if cls is Subst:

@@ -14,6 +14,7 @@ are disambiguated by type inference, not by a stored tag.  Alpha-equivalence
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -692,20 +693,25 @@ class _Unifier:
         return ty
 
     def unify(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
+        """Unify the two types, or raise naming both whole, as the direct
+        checker does, however deep inside them they differ."""
+        if not self._unify(found, want):
+            raise IllTyped(where, type_to_str(self.resolve(want)),
+                           type_to_str(self.resolve(found)))
+
+    def _unify(self, found: SimpleType, want: SimpleType) -> bool:
         found, want = self.resolve(found), self.resolve(want)
         if found == want:
-            return
+            return True
         if isinstance(found, _TMeta):
             self.sol[found.id] = want
-            return
+            return True
         if isinstance(want, _TMeta):
             self.sol[want.id] = found
-            return
+            return True
         if isinstance(found, Arrow) and isinstance(want, Arrow):
-            self.unify(found.arg, want.arg, where)
-            self.unify(found.result, want.result, where)
-            return
-        raise IllTyped(where, type_to_str(want), type_to_str(found))
+            return self._unify(found.arg, want.arg) and self._unify(found.result, want.result)
+        return False
 
     def unify_if_possible(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
         """Unify the two types when they unify; else leave the solution as it was."""
@@ -856,8 +862,15 @@ def sequent_alpha_eq(a: Sequent, b: Sequent) -> bool:
 
 
 def check_sequent(seq: Sequent, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:
-    """Type-check every member formula at type O; returns the inferred env."""
-    return infer_env(seq.left + seq.right, env)
+    """Type-check every member formula at type O; returns the inferred env.
+
+    A formula nested deeper than the type checker's recursion can follow is
+    an :class:`HflTypeError`.
+    """
+    try:
+        return infer_env(seq.left + seq.right, env)
+    except RecursionError:
+        raise HflTypeError("formula nested too deeply to type-check") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1032,13 @@ class _Parser:
             # S binds to the immediately following atom: S x, S (f y), S S x.
             return Succ(self.atom())
         if kind == "num":
+            # S^n Z is n terms deep, and no recursive walk of a term goes
+            # deeper than the interpreter's recursion limit
+            limit = sys.getrecursionlimit()
+            if len(text.lstrip("0")) > len(str(limit)) or int(text) > limit:
+                raise HflSyntaxError(f"numeral larger than {limit}, "
+                                     "the deepest term the checker can walk",
+                                     self.text, pos)
             return numeral(int(text))
         if kind == "ident":
             return Var(text)
@@ -1044,7 +1064,10 @@ class _Parser:
 
 def _parse_all(text: str, rule):
     p = _Parser(text)
-    out = rule(p)
+    try:
+        out = rule(p)
+    except RecursionError:  # the descent takes several frames per nesting level
+        raise HflSyntaxError("input nested too deeply", text, p.peek()[2]) from None
     if p.peek()[0] != "eof":
         p.fail(f"unexpected trailing input {p.peek()[1]!r}")
     return out

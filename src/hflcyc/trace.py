@@ -7,9 +7,10 @@ all other rules copy sequences through the relevant-occurrence
 correspondence.  A trace along an infinite path is classified by whether some
 sequence chain on a mu (resp. nu) operator grows forever.
 
-The classifier works on lassos (ultimately periodic paths) and is kept
-independent of the automata modules so that it can serve as a small-instance
-oracle for the automata-based decision procedure.
+The classifier works on lassos (ultimately periodic paths), of the one
+:class:`~hflcyc.buchi.Lasso` type that the automata return and that this
+module re-exports.  It uses none of the automata algorithms, so that it can
+serve as a small-instance oracle for the automata-based decision procedure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
+from .buchi import Lasso
 from .kernel import (
     LEFT,
     RIGHT,
@@ -373,25 +375,6 @@ def _apply_step(tau: AnnotatedFormula, step: OccurrenceStep, fresh: Iterator[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lasso:
-    """An ultimately periodic path: prefix then cycle repeated forever."""
-
-    prefix: tuple[str, ...]
-    cycle: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cycle:
-            raise TraceError("a lasso needs a nonempty cycle")
-
-    @property
-    def spine(self) -> tuple[str, ...]:
-        return self.prefix + self.cycle
-
-    def successor_index(self, i: int) -> int:
-        return i + 1 if i + 1 < len(self.spine) else len(self.prefix)
-
-
 def _check_lasso(pp: PreProof, lasso: Lasso) -> None:
     spine = lasso.spine
     for i in range(len(spine)):
@@ -471,18 +454,15 @@ class _LassoGraph:
         return out
 
     def initial_states(self, positions: Sequence[int], kind: str,
-                       side: Optional[str] = None) -> list[_AState]:
+                       side: str) -> list[_AState]:
         inits: list[_AState] = []
         want = Mu if kind == MU else Nu
         for i in positions:
             seq = self.pp.node(self.spine[i]).seq
-            rows = ((LEFT, seq.left), (RIGHT, seq.right)) if side is None \
-                else ((side, seq.left if side == LEFT else seq.right),)
-            for s, row in rows:
-                for idx, f in enumerate(row):
-                    for p in sigma_paths(f):
-                        if isinstance(subexpr_at(f, p), want):
-                            inits.append(_AState(i, (s, idx), p))
+            for idx, f in enumerate(seq.left if side == LEFT else seq.right):
+                for p in sigma_paths(f):
+                    if isinstance(subexpr_at(f, p), want):
+                        inits.append(_AState(i, (side, idx), p))
         return inits
 
     def growing_witness(self, inits: Sequence[_AState], kind: str

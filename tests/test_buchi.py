@@ -7,7 +7,7 @@ import pytest
 from hflcyc.buchi import (
     BuchiAutomaton,
     BuchiError,
-    LassoWord,
+    Lasso,
     SizeGuard,
     accepts_lasso,
     contains,
@@ -104,30 +104,34 @@ class TestMembership:
 
     def test_accepting_self_loop(self):
         a = make_automaton([0], ["a"], [(0, "a", 0)], [0], [(0, "a", 0)])
-        assert accepts_lasso(a, LassoWord((), ("a",)))
+        assert accepts_lasso(a, Lasso((), ("a",)))
 
     def test_infinitely_many_b(self):
         a = infinitely_many_b()
-        assert accepts_lasso(a, LassoWord(("a",), ("a", "b")))
-        assert not accepts_lasso(a, LassoWord(("b",), ("a",)))
+        assert accepts_lasso(a, Lasso(("a",), ("a", "b")))
+        assert not accepts_lasso(a, Lasso(("b",), ("a",)))
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(BuchiError, match="not in the alphabet"):
-            accepts_lasso(nothing(), LassoWord((), ("z",)))
+            accepts_lasso(nothing(), Lasso((), ("z",)))
 
     def test_empty_period_rejected(self):
         with pytest.raises(BuchiError, match="nonempty"):
-            LassoWord(("a",), ())
+            Lasso(("a",), ())
+
+    def test_lasso_parts_must_be_tuples(self):
+        with pytest.raises(BuchiError, match="tuples"):
+            Lasso(["a"], ("a",))
 
     def test_no_initial_states(self):
         a = make_automaton([0], ["a"], [(0, "a", 0)], [], [(0, "a", 0)])
-        assert not accepts_lasso(a, LassoWord((), ("a",)))
+        assert not accepts_lasso(a, Lasso((), ("a",)))
 
     def test_prefix_accepting_transition_does_not_count(self):
         # the only accepting transition is taken once, never again
         a = make_automaton(
             [0, 1], ["a"], [(0, "a", 1), (1, "a", 1)], [0], [(0, "a", 1)])
-        assert not accepts_lasso(a, LassoWord(("a",), ("a",)))
+        assert not accepts_lasso(a, Lasso(("a",), ("a",)))
 
 
 class TestEmptiness:
@@ -139,7 +143,7 @@ class TestEmptiness:
             [0, 1], ["a", "b"], [(0, "a", 1), (1, "b", 1)], [0], [(1, "b", 1)])
         empty, wit = is_empty(a)
         assert not empty
-        assert wit == LassoWord(("a",), ("b",))
+        assert wit == Lasso(("a",), ("b",))
         assert accepts_lasso(a, wit)
 
     def test_unreachable_loop(self):
@@ -162,7 +166,7 @@ class TestEmptiness:
                 assert not any(survey.accepts(w) for w in survey.lassos())
             else:
                 assert accepts_lasso(a, wit)
-                assert survey_lassos(a, len(wit.u), len(wit.v)).accepts(wit)
+                assert survey_lassos(a, len(wit.prefix), len(wit.cycle)).accepts(wit)
 
 
 class TestSurvey:
@@ -177,7 +181,7 @@ class TestSurvey:
     def test_rectangle_enforced(self):
         survey = survey_lassos(nothing(), 1, 1)
         with pytest.raises(BuchiError, match="outside"):
-            survey.accepts(LassoWord(("a", "a"), ("b",)))
+            survey.accepts(Lasso(("a", "a"), ("b",)))
 
     def test_enumeration_counts(self):
         assert len(list(enumerate_lassos(["a", "b"], 2, 2))) == 7 * 6
@@ -227,7 +231,7 @@ class TestContains:
     def test_thread_along_a_long_cycle(self, n, accepting, contained):
         # a segment step moves a few rows of a matrix over 2n + 1 states
         a, b = cycle(n), thread_along(n, accepting)
-        lap = LassoWord((), tuple(f"s{i}" for i in range(n)))
+        lap = Lasso((), tuple(f"s{i}" for i in range(n)))
         assert accepts_lasso(a, lap)
         assert accepts_lasso(b, lap) == contained
         ok, wit = contains(a, b)

@@ -1,18 +1,16 @@
 """Path/trace automata and the decision of the global trace condition."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from hflcyc.buchi import LassoWord, accepts_lasso, is_empty
+from hflcyc.buchi import accepts_lasso, is_empty
 from hflcyc.gtc import (
-    STAR,
     Accepted,
     GtcError,
     GtcUnknown,
     Rejected,
-    Star,
-    Tracked,
     build_gtc_automaton,
     build_path_automaton,
     check_cyclic_proof,
@@ -220,17 +218,6 @@ class TestAlternation:
 
 
 # ---------------------------------------------------------------------------
-# states
-# ---------------------------------------------------------------------------
-
-
-class TestStates:
-    def test_star_is_a_singleton_value(self):
-        assert Star() == STAR
-        assert repr(STAR) == "Star"
-
-
-# ---------------------------------------------------------------------------
 # the path automaton
 # ---------------------------------------------------------------------------
 
@@ -245,9 +232,9 @@ class TestPathAutomaton:
 
     def test_golden_accepts_exactly_the_loop(self, golden):
         a = build_path_automaton(golden)
-        assert accepts_lasso(a, LassoWord((), GOLDEN_CYCLE))
-        assert not accepts_lasso(a, LassoWord((), ("n0", "n0")))
-        assert not accepts_lasso(a, LassoWord((), ("n1", "n0", "n2", "n3", "n4")))
+        assert accepts_lasso(a, Lasso((), GOLDEN_CYCLE))
+        assert not accepts_lasso(a, Lasso((), ("n0", "n0")))
+        assert not accepts_lasso(a, Lasso((), ("n1", "n0", "n2", "n3", "n4")))
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_every_simple_lasso_is_in_the_language(self, name, pp):
@@ -255,7 +242,7 @@ class TestPathAutomaton:
         lassos = list(enumerate_simple_lassos(pp))
         assert lassos
         for lasso in lassos:
-            assert accepts_lasso(a, LassoWord(lasso.prefix, lasso.cycle))
+            assert accepts_lasso(a, lasso)
 
     def test_closed_proof_has_empty_path_language(self):
         a = build_path_automaton(closed_proof())
@@ -267,9 +254,9 @@ class TestPathAutomaton:
         a = build_path_automaton(pp)
         loop_a = ("r", "u1", "u2", "u3", "u4", "u5", "u6", "u7")
         loop_b = ("r", "v1", "v2", "v3", "v4", "v5", "v6", "v7")
-        assert accepts_lasso(a, LassoWord((), loop_a))
-        assert accepts_lasso(a, LassoWord((), loop_b))
-        assert accepts_lasso(a, LassoWord((), loop_a + loop_b))
+        assert accepts_lasso(a, Lasso((), loop_a))
+        assert accepts_lasso(a, Lasso((), loop_b))
+        assert accepts_lasso(a, Lasso((), loop_a + loop_b))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +265,7 @@ class TestPathAutomaton:
 
 
 def reachable_state_bound(pp: PreProof) -> int:
-    """STAR plus one state per operator position of every occurrence."""
+    """The idle state plus one state per operator position of every occurrence."""
     total = 1
     for nid in pp.nodes:
         seq = pp.node(nid).seq
@@ -302,7 +289,7 @@ class TestTraceAutomaton:
     def test_star_ignores_every_symbol(self, name, pp):
         a = build_gtc_automaton(pp)
         assert a.initial == frozenset({0})
-        assert a.decode[0] == STAR
+        assert a.decode[0] is None
         for n in pp.nodes:
             assert (0, n, 0) in a.transitions
             assert (0, n, 0) not in a.accepting
@@ -318,18 +305,17 @@ class TestTraceAutomaton:
     def test_sigma_free_proof_has_no_tracked_states(self):
         a = build_gtc_automaton(sigma_free_loop_proof())
         assert a.states == frozenset({0})
-        assert a.decode == (STAR,)
+        assert a.decode == (None,)
         assert not a.accepting
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_tracked_states_are_well_formed(self, name, pp):
         a = build_gtc_automaton(pp)
         assert a.states == frozenset(range(len(a.decode)))
-        for state in a.decode[1:]:
-            assert isinstance(state, Tracked)
-            seq = pp.node(state.occ.node).seq
-            row = seq.left if state.occ.side == LEFT else seq.right
-            assert state.mark in sigma_paths(row[state.occ.index])
+        for node_id, side, index, mark in a.decode[1:]:
+            seq = pp.node(node_id).seq
+            row = seq.left if side == LEFT else seq.right
+            assert mark in sigma_paths(row[index])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +330,7 @@ class TestBridge:
         paths = _tree_paths(pp)
         for cycle in enumerate_closed_walks(pp, max_back_edges=3):
             lasso = Lasso(paths[cycle[0]][:-1], cycle)
-            got = accepts_lasso(a, LassoWord(lasso.prefix, lasso.cycle))
+            got = accepts_lasso(a, lasso)
             assert got == lasso_good(pp, lasso), lasso
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
@@ -433,6 +419,14 @@ class TestCheckCyclicProof:
         assert isinstance(res, Rejected)
         assert res.kind == "structural"
         assert res.issues and res.lasso is None
+
+    def test_formula_too_deep_to_type_check_is_structural(self):
+        # the type checker takes two frames per S, so this numeral is too deep
+        n = sys.getrecursionlimit() // 2
+        res = check_cyclic_proof(loads_preproof(f'(node n0 (seq "|- {n} = {n}") (rule EqR))'))
+        assert isinstance(res, Rejected) and res.kind == "structural"
+        assert [str(issue) for issue in res.issues] == [
+            "n0: ill-typed sequent: formula nested too deeply to type-check"]
 
     def test_bad_trace_is_reported_with_lasso(self):
         res = check_cyclic_proof(self_loop_proof("mu"))

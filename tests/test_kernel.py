@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from hflcyc.syntax import (
-    App, Eq, Sequent, Succ, Var, Zero, nat_pred, parse_expr, parse_sequent,
-    sequent, sequent_alpha_eq, sequent_to_str,
+    App, Eq, HflSyntaxError, Sequent, Succ, Var, Zero, nat_pred, parse_expr,
+    parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
 )
 from hflcyc.kernel import (
     LEFT, RIGHT, RULES, Axiom, AndL, AndR, CtrL, CtrR, Cut, DerivTree, EqL,
@@ -511,6 +511,7 @@ class TestProofFiles:
          "line 2, column 8: unterminated string literal"),
         ('(node n0 (seq "p |- p") (rule Cut) (children))', "Cut takes one"),
         ('(node n0 (seq "p |- p") (rule ExL x) (children))', "position parameter"),
+        ('(node n0 (seq "p |- p") (rule ExL ²) (children))', "position parameter"),
         ('(back n0)', "takes a leaf id"),
         ('(node n0 (seq "p |- p") open)\n(back n0 n0)\n(back n0 n1)',
          "duplicate (back ...) form for leaf 'n0'"),
@@ -520,6 +521,11 @@ class TestProofFiles:
         with pytest.raises(ProofFormatError) as err:
             loads_preproof(bad)
         assert hint in str(err.value)
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        seq = "|- " + "(" * 1000 + "p" + ")" * 1000
+        with pytest.raises(HflSyntaxError, match="nested too deeply"):
+            loads_preproof(f'(node n0 (seq "{seq}") (rule Axiom))')
 
     def test_child_cycle_rejected(self):
         text = ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'

@@ -3,6 +3,7 @@ imports only what it needs."""
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,15 @@ def test_script_entries_import_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r} -> {target!r} is not callable"
+
+
+def test_every_exported_name_exists():
+    # a deletion can leave its name behind in a module's __all__
+    import hflcyc
+    for info in pkgutil.iter_modules(hflcyc.__path__):
+        module = importlib.import_module(f"hflcyc.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
 def test_checker_imports_leave_out_the_semantics_oracle():

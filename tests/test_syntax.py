@@ -1,5 +1,8 @@
 """Parser, printer, alpha-equivalence, substitution and typing tests."""
 
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +103,22 @@ def test_parse_errors_are_positioned():
         parse_type("N -> N")             # N result
     with pytest.raises(HflSyntaxError):
         parse_expr("f ) x")
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(HflSyntaxError, match="nested too deeply"):
+        parse_sequent("|- " + "(" * 1000 + "p" + ")" * 1000)
+
+
+def test_numeral_too_deep_to_walk_is_rejected_at_its_position():
+    # S^n Z has depth n: one past the recursion limit is too deep, and the
+    # literal below would take 10^8 Succ nodes if it were built
+    start = time.perf_counter()
+    for n in (sys.getrecursionlimit() + 1, 99999999):
+        with pytest.raises(HflSyntaxError, match="numeral larger") as err:
+            parse_sequent(f"|- Z = Z \\/ {n} = {n}")
+        assert err.value.pos == 12
+    assert time.perf_counter() - start < 1
 
 
 def test_numerals_print_as_decimals():
@@ -418,16 +437,23 @@ def test_infer_env():
         infer_env([App(Var("f"), Var("u"))])
 
 
+# sequents whose p has type O in the direct check, not N -> O: the argument
+# is an arrow of the wrong type, and the error names both arrows whole
+P_IS_A_FORMULA = ("|- p \\/ (\\f:N->O. f Z) (\\x:O. x)", "p |- (\\f:N->O. f Z) (\\x:O. x)")
+
+
 @pytest.mark.parametrize("text,expected,found", [
     ("|- p (S (Z = Z))", "N", "O"),
     ("|- p Z /\\ p (Z = Z)", "N", "O"),
     ("|- p Z \\/ S Z", "O", "N"),
     ("|- p (p Z)", "N", "O"),
+    *((text, "N -> O", "O -> O") for text in P_IS_A_FORMULA),
 ])
 def test_unifier_names_expected_and_found_as_the_direct_checker(text, expected, found):
     seq = parse_sequent(text)
+    p_type = PROP if text in P_IS_A_FORMULA else arrow(NAT, PROP)
     named = []
-    for env in (None, {"p": arrow(NAT, PROP)}):  # through the unifier, then directly
+    for env in (None, {"p": p_type}):  # through the unifier, then directly
         with pytest.raises(IllTyped) as err:
             check_sequent(seq, env)
         assert (err.value.expected, err.value.found) == (expected, found)

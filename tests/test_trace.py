@@ -23,6 +23,7 @@ from hflcyc.kernel import (
     relevant_occurrences,
     validate_preproof,
 )
+from hflcyc.buchi import BuchiError
 from hflcyc.proofio import load_preproof
 from hflcyc.syntax import alpha_eq, sigma_paths
 from hflcyc.trace import (
@@ -529,7 +530,7 @@ class TestEnumerationLimits:
         pp = self_loop_proof("nu")
         with pytest.raises(TraceError):
             lasso_good(pp, Lasso((), ("n0",)))
-        with pytest.raises(TraceError):
+        with pytest.raises(BuchiError):
             Lasso((), ())
 
     def test_acyclic_proof_is_vacuously_good(self):
