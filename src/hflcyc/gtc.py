@@ -38,12 +38,18 @@ from .kernel import (
     successors,
     validate_preproof,
 )
-from .syntax import HflError, Path
+from .syntax import (
+    HflError,
+    Path,
+    Template,
+    annotation_label,
+    fill_template,
+    print_template,
+)
 from .trace import (
     MU,
     NU,
     node_steps,
-    render_annotated,
     replay_annotations,
 )
 
@@ -302,16 +308,36 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
     The node-id line is followed, for each occurrence of the cycle's first
     node, by the annotated replay of one full lap (plus re-entry), showing
     where each candidate thread stops or fails to grow.
+
+    Each distinct formula object of the replay is printed once, as a
+    :func:`~hflcyc.syntax.print_template`, and each distinct annotation is
+    labelled once; a line fills its formula's template with its labels.  A
+    loaded pre-proof shares its sequent objects, so a long lap over a few
+    sequents prints a few formulas.
     """
     lines = [f"counterexample path: {render_lasso(lasso)}"]
     start_node = lasso.cycle[0]
     lap = lasso.cycle + (lasso.cycle[0],)
+    # keyed by id: every formula replayed belongs to a sequent of pp
+    templates: dict[int, Template] = {}
+    labels: dict[tuple[int, ...], str] = {}
+
+    def label(note: tuple[int, ...]) -> str:
+        text = labels.get(note)
+        if text is None:
+            text = labels[note] = annotation_label(note)
+        return text
+
     for side, index in pp.positions(pp.node(start_node).seq):
         ref = OccurrenceRef(start_node, side, index)
         lines.append(f"thread from {start_node} {side}:{index}:")
         entries = replay_annotations(pp, lap, ref)
         for node_id, occ, af in entries:
-            lines.append(f"  {node_id}  {occ[0]}:{occ[1]}  {render_annotated(af)}")
+            template = templates.get(id(af.formula))
+            if template is None:
+                template = templates[id(af.formula)] = print_template(af.formula)
+            text = fill_template(template, {p: label(n) for p, n in af.notes.items()})
+            lines.append(f"  {node_id}  {occ[0]}:{occ[1]}  {text}")
         if len(entries) < len(lap):
             lines.append("  (thread ends: occurrence has no successor)")
     return "\n".join(lines)

@@ -19,11 +19,20 @@ The root is the unique node that is nobody's child.  Rule parameters:
 
 Formulas and sequents are quoted strings in the concrete syntax of the
 `syntax` module; backslash and double quote are escaped with a backslash.
+
+Reading costs one table lookup per repeated string: the text is split into
+tokens by one regular-expression pass, each distinct string literal is
+unescaped once, and each distinct ``(seq "...")`` string is parsed once, so
+nodes with equal sequent texts share one :class:`Sequent`.  A malformed text
+raises :class:`ProofFormatError`; the line and column of the offending token
+are found only then.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
+from operator import length_hint
 from typing import Iterator, Optional
 
 from .syntax import Expr, HflError, Sequent, parse_expr, parse_sequent, sequent_to_str, to_str
@@ -45,56 +54,67 @@ class Quoted(str):
     """A string literal, as opposed to a bare atom."""
 
 
-# Every character is in one match (blanks, a comment, a parenthesis, a string
-# literal, an atom, or the opening quote of an unterminated string), so a
-# token's position is the total length of the matches before it.
-_SEXP_RE = re.compile(r'[ \t\r\n]+|;[^\n]*|[()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^ \t\r\n();"]+|"',
-                      re.DOTALL)
+# A token is a parenthesis, a string literal, a comment, an atom, or the
+# opening quote of an unterminated string.  Only blanks match none of these,
+# and findall skips them.
+_TOKEN_RE = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|;[^\n]*|[^ \t\r\n();"]+|"',
+                       re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _lex(text: str) -> Iterator[tuple[str, str, int]]:
-    """(kind, token, position) for each parenthesis, atom and string literal.
-
-    A parenthesis is its own kind; a string literal is unescaped and
-    :class:`Quoted`.
-    """
-    pos = 0
-    for tok in _SEXP_RE.findall(text):
-        first = tok[0]
-        if first == '"':
-            if len(tok) == 1:
-                raise ProofFormatError(_where(text, pos, "unterminated string literal"))
-            yield "string", Quoted(_ESCAPE.sub(lambda m: m[1], tok[1:-1])), pos
-        elif first in "()":
-            yield first, first, pos
-        elif first not in " \t\r\n;":
-            yield "atom", tok, pos
-        pos += len(tok)
-
-
-def _where(text: str, pos: int, message: str) -> str:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return f"line {line}, column {col}: {message}"
+def _unquote(token: str) -> Quoted:
+    """The string a string-literal token stands for."""
+    body = token[1:-1]
+    if "\\" in body:
+        body = _ESCAPE.sub(lambda m: m[1], body)
+    return Quoted(body)
 
 
 def _read_forms(text: str) -> list:
-    stack: list[list] = [[]]
-    for kind, tok, pos in _lex(text):
-        if kind == "(":
+    """The forms of ``text``: a parenthesised form is a list, an atom a str,
+    and a string literal a :class:`Quoted`.
+
+    Tokens come from one ``findall``; each distinct string-literal token is
+    unescaped once, and equal literals read as one object.  A line and column
+    are computed only for an error.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    strings: dict[str, Quoted] = {}
+    forms: list = []
+    top, stack = forms, []
+    it = iter(tokens)
+    for tok in it:
+        first = tok[0]
+        if first == "(":
             new: list = []
-            stack[-1].append(new)
-            stack.append(new)
-        elif kind == ")":
-            if len(stack) == 1:
-                raise ProofFormatError(_where(text, pos, "unbalanced ')'"))
-            stack.pop()
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
+            top.append(new)
+            stack.append(top)
+            top = new
+        elif first == ")":
+            if not stack:
+                raise ProofFormatError(_where(text, tokens, it, "unbalanced ')'"))
+            top = stack.pop()
+        elif first == '"':
+            quoted = strings.get(tok)
+            if quoted is None:
+                if len(tok) == 1:
+                    raise ProofFormatError(_where(text, tokens, it, "unterminated string literal"))
+                quoted = strings[tok] = _unquote(tok)
+            top.append(quoted)
+        elif first != ";":
+            top.append(tok)
+    if stack:
         raise ProofFormatError("unbalanced '(' at end of input")
-    return stack[0]
+    return forms
+
+
+def _where(text: str, tokens: list[str], it: Iterator[str], message: str) -> str:
+    """``message`` at the line and column of the token ``it`` read last."""
+    index = len(tokens) - length_hint(it) - 1
+    pos = next(islice(_TOKEN_RE.finditer(text), index, None)).start()
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return f"line {line}, column {col}: {message}"
 
 
 def _quote(s: str) -> str:
@@ -217,7 +237,8 @@ def rule_to_form(rule: Rule) -> list:
 def loads_preproof(text: str) -> PreProof:
     """The pre-proof written in ``text``, in the grammar of this module.
 
-    Each distinct ``(seq "...")`` string is parsed once, and every node that
+    The text is read in one pass (see :func:`_read_forms`), and each distinct
+    ``(seq "...")`` string is unescaped and parsed once: every node that
     carries it gets that one :class:`Sequent` object.  So the pre-proof's
     tables, keyed by object identity for its whole life (see
     :class:`~hflcyc.kernel.PreProof`), do each sequent's work once.  Raises
@@ -225,7 +246,7 @@ def loads_preproof(text: str) -> PreProof:
     """
     raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]] = {}
     back: dict[str, str] = {}
-    sequents: dict[str, Sequent] = {}
+    sequents: dict[Quoted, Sequent] = {}
     for form in _read_forms(text):
         if not (isinstance(form, list) and form):
             raise ProofFormatError(f"expected a (node ...) or (back ...) form, got {form!r}")
@@ -249,10 +270,9 @@ def loads_preproof(text: str) -> PreProof:
         if not (isinstance(seq_form, list) and len(seq_form) == 2 and seq_form[0] == "seq"
                 and isinstance(seq_form[1], Quoted)):
             raise ProofFormatError(f"node {node_id}: expected (seq \"...\")")
-        seq_text = str(seq_form[1])
-        seq = sequents.get(seq_text)
+        seq = sequents.get(seq_form[1])
         if seq is None:
-            seq = sequents[seq_text] = parse_sequent(seq_text)
+            seq = sequents[seq_form[1]] = parse_sequent(str(seq_form[1]))
         rest = form[3:]
         if rest == ["open"]:
             raw_nodes[node_id] = (seq, None, [])
@@ -274,23 +294,23 @@ def loads_preproof(text: str) -> PreProof:
     if len(roots) != 1:
         raise ProofFormatError(f"expected exactly one root node, found {sorted(roots)}")
 
-    tree = _build_tree(raw_nodes, roots[0])
-    seen = {n.id for n in tree.walk()}
-    orphans = set(raw_nodes) - seen
+    tree, seen = _build_tree(raw_nodes, roots[0])
+    orphans = raw_nodes.keys() - seen
     if orphans:
         raise ProofFormatError(f"nodes not reachable from the root: {sorted(orphans)}")
     return PreProof(tree, back)
 
 
 def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
-                root: str) -> DerivTree:
-    """The tree below ``root``, built without recursion.
+                root: str) -> tuple[DerivTree, set[str]]:
+    """The tree below ``root``, built without recursion, and the ids in it.
 
     Each node is entered, then left after its children in order, so errors
     come in the order of a recursive build.
     """
     built: list[DerivTree] = []  # finished subtrees whose parent is pending
     path: set[str] = set()
+    seen: set[str] = set()
     stack = [(root, False)]
     while stack:
         node_id, leaving = stack.pop()
@@ -300,6 +320,7 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
             if node_id in path:
                 raise ProofFormatError(f"node {node_id!r} is its own ancestor")
             path.add(node_id)
+            seen.add(node_id)
             stack.append((node_id, True))
             stack.extend((k, False) for k in reversed(raw_nodes[node_id][2]))
             continue
@@ -309,7 +330,7 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
         children, built[first:] = tuple(built[first:]), []
         rule = None if rule_form is None else rule_from_form(rule_form, [c.seq for c in children])
         built.append(DerivTree(node_id, seq, rule, children))
-    return built[0]
+    return built[0], seen
 
 
 def dumps_preproof(pp: PreProof) -> str:

@@ -736,7 +736,9 @@ def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier],
     if isinstance(e, Zero):
         return NAT
     if isinstance(e, Succ):
-        _check(e.arg, NAT, env, uni)
+        while isinstance(e, Succ):  # a numeral types in a loop, however long
+            e = e.arg
+        _check(e, NAT, env, uni)
         return NAT
     if isinstance(e, Eq):
         _check(e.lhs, NAT, env, uni)
@@ -1101,43 +1103,95 @@ def parse(text: str) -> Union[Expr, Sequent]:
 
 def to_str(e: Expr, notes: Optional[Mapping[Path, tuple[int, ...]]] = None) -> str:
     """The concrete syntax of e.  With ``notes``, the fixed-point operator at
-    each path p carries ``notes[p]`` in braces (nothing when it is empty)."""
-    return _print(e, 0, (), notes)
+    each path p carries ``notes[p]`` in braces (nothing when it is empty).
 
+    This fills a :func:`print_template` with each note's
+    :func:`annotation_label`; a caller that prints one formula under many
+    annotations keeps its template and fills that instead.
+    """
+    labels = None if notes is None else {p: annotation_label(n) for p, n in notes.items()}
+    return fill_template(print_template(e), labels)
+
+
+def annotation_label(note: tuple[int, ...]) -> str:
+    """``{1.2.3}`` for the annotation (1, 2, 3); nothing for the empty one."""
+    return "{" + ".".join(map(str, note)) + "}" if note else ""
+
+
+Template = tuple[tuple[str, ...], tuple[Path, ...]]
+"""A printed formula with a gap after each fixed-point keyword, where its
+annotation goes: the text pieces around the gaps, and the operator path of
+each gap, in order."""
 
 # separator, precedence, and the levels of the two operands
 _BINARY = {Eq: (" = ", 3, 4, 4), Or: (" \\/ ", 1, 1, 2), And: (" /\\ ", 2, 2, 3),
            App: (" ", 4, 4, 5)}
 
 
-def _print(e: Expr, level: int, path: Path, notes) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Zero):
-        return "Z"
-    if isinstance(e, Succ):
-        n = numeral_value(e)
-        if n is not None:
-            return str(n)
-        return _wrap(f"S {_print(e.arg, 5, path + (0,), notes)}", 4, level)
-    if isinstance(e, BINDERS):
-        head = "\\"
-        if isinstance(e, FIXPOINTS):
-            note = notes[path] if notes is not None else ()
-            label = "{" + ".".join(map(str, note)) + "}" if note else ""
-            head = ("mu" if isinstance(e, Mu) else "nu") + label + " "
-        body = _print(e.body, 0, path + (0,), notes)
-        return _wrap(f"{head}{e.var}:{type_to_str(e.var_type)}. {body}", 0, level)
-    if type(e) in _BINARY:
-        sep, prec, left, right = _BINARY[type(e)]
-        lhs, rhs = children(e)
-        return _wrap(_print(lhs, left, path + (0,), notes) + sep
-                     + _print(rhs, right, path + (1,), notes), prec, level)
-    raise TypeError(f"not an expression: {e!r}")
+def print_template(e: Expr) -> Template:
+    """The concrete syntax of e with a gap for each fixed-point annotation,
+    printed in one walk without recursion."""
+    pieces: list[str] = []
+    paths: list[Path] = []
+    out: list[str] = []
+    # pending work, last first: text, a gap (a 1-tuple of its path), or an
+    # (expression, level, path) triple
+    todo: list = [(e, 0, ())]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        if len(item) == 1:
+            pieces.append("".join(out))
+            out = []
+            paths.append(item[0])
+            continue
+        e, level, path = item
+        if isinstance(e, Var):
+            out.append(e.name)
+            continue
+        if isinstance(e, Zero):
+            out.append("Z")
+            continue
+        if isinstance(e, Succ):
+            n = numeral_value(e)
+            if n is not None:
+                out.append(str(n))
+                continue
+            prec, parts = 4, ["S ", (e.arg, 5, path + (0,))]
+        elif isinstance(e, BINDERS):
+            binding = f" {e.var}:{type_to_str(e.var_type)}. "
+            body = (e.body, 0, path + (0,))
+            prec = 0
+            if isinstance(e, FIXPOINTS):
+                parts = ["mu" if isinstance(e, Mu) else "nu", (path,), binding, body]
+            else:
+                parts = ["\\" + binding[1:], body]
+        elif type(e) in _BINARY:
+            sep, prec, left, right = _BINARY[type(e)]
+            lhs, rhs = children(e)
+            parts = [(lhs, left, path + (0,)), sep, (rhs, right, path + (1,))]
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        if prec < level:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    pieces.append("".join(out))
+    return tuple(pieces), tuple(paths)
 
 
-def _wrap(s: str, prec: int, level: int) -> str:
-    return s if prec >= level else f"({s})"
+def fill_template(template: Template, labels: Optional[Mapping[Path, str]]) -> str:
+    """The text of a template with the gap at each path p filled by
+    ``labels[p]``, or with every gap empty when ``labels`` is None."""
+    pieces, paths = template
+    if labels is None:
+        return "".join(pieces)
+    out = [pieces[0]]
+    for path, piece in zip(paths, pieces[1:]):
+        out.append(labels[path])
+        out.append(piece)
+    return "".join(out)
 
 
 def sequent_to_str(seq: Sequent) -> str:

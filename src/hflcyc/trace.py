@@ -711,31 +711,36 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
     """Follow one occurrence thread along consecutive nodes, annotating as it
     goes; at a branching successor the first one (in sequent order) is taken.
     Stops early if the occurrence has no successor.  Returns one entry per
-    node reached."""
+    node reached.  Raises :class:`TraceError` when two consecutive nodes are
+    not an edge of the proof graph."""
     if nodes[0] != start.node:
         raise TraceError("the path must begin at the start occurrence's node")
     fresh = fresh_counter()
     occ: OccPos = (start.side, start.index)
-    seq = pp.node(nodes[0]).seq
-    af = annotate_root(_formula_at(seq, occ), pp.positions(seq)[occ])
-    out = [(nodes[0], occ, af)]
-    for cur_id, nxt_id in zip(nodes, nodes[1:]):
-        cur = pp.node(cur_id)
-        if nxt_id not in successors(pp, cur_id):
-            raise TraceError(f"{cur_id} -> {nxt_id} is not an edge")
-        nxt_seq = pp.node(nxt_id).seq
+    cur = pp.node(nodes[0])
+    af = annotate_root(_formula_at(cur.seq, occ), pp.positions(cur.seq)[occ])
+    out = [(cur.id, occ, af)]
+    for nxt_id in itertools.islice(nodes, 1, None):
         if cur.is_open():  # back edge: copy everything
-            af = AnnotatedFormula(_formula_at(nxt_seq, occ), dict(af.notes),
-                                  pp.positions(nxt_seq)[occ])
+            if pp.back_edges.get(cur.id) != nxt_id:
+                raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
+            cur = pp.node(nxt_id)
+            af = AnnotatedFormula(_formula_at(cur.seq, occ), dict(af.notes),
+                                  pp.positions(cur.seq)[occ])
             out.append((nxt_id, occ, af))
             continue
-        branch = [c.id for c in cur.children].index(nxt_id)
+        for branch, child in enumerate(cur.children):
+            if child.id == nxt_id:
+                break
+        else:
+            raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
         steps = node_steps(pp, cur, branch).get(occ)
         if not steps:
             break
         step = min((s for s, _ in steps), key=lambda s: s.premise_pos)
         occ = step.premise_pos
-        af = _apply_step(af, step, fresh, _formula_at(nxt_seq, occ),
-                         pp.positions(nxt_seq)[occ])
+        cur = child
+        af = _apply_step(af, step, fresh, _formula_at(cur.seq, occ),
+                         pp.positions(cur.seq)[occ])
         out.append((nxt_id, occ, af))
     return out

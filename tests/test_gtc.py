@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hflcyc.buchi import accepts_lasso, is_empty
+import hflcyc.gtc as gtc
 from hflcyc.gtc import (
     Accepted,
     GtcError,
@@ -23,6 +24,7 @@ from hflcyc.kernel import (
     LEFT,
     Axiom,
     DerivTree,
+    EqR,
     ExR,
     HeadStepRule,
     KernelError,
@@ -39,7 +41,7 @@ from hflcyc.kernel import (
 )
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
 from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bounded
-from hflcyc.syntax import sigma_paths
+from hflcyc.syntax import Eq, Or, Sequent, Zero, sigma_paths
 from hflcyc.trace import (
     Lasso,
     _tree_paths,
@@ -187,6 +189,64 @@ def alternation_probes():
                                              [MuR(), NuR(), OrR(), WkR()], "n1"),
          True, True, None),
     ]
+
+
+def rejected_fixtures():
+    """(name, pre-proof) for each fixture the trace condition rejects."""
+    return ([("mu_loop", self_loop_proof("mu")), ("sigma_free", sigma_free_loop_proof())]
+            + [(name, pp) for name, pp, accepted, *_ in alternation_probes() if not accepted])
+
+
+# the whole counterexample report of each rejected fixture
+REPORTS = {
+    "mu_loop": """\
+counterexample path: (n0 n1)^ω
+thread from n0 right:0:
+  n0  right:0  mu t:O. t
+  n1  right:0  mu{0} t:O. t
+  n0  right:0  mu{0} t:O. t""",
+    "sigma_free": """\
+counterexample path: (r m b)^ω
+thread from r right:0:
+  r  right:0  Z = Z
+  m  right:1  Z = Z
+  b  right:0  Z = Z
+  r  right:0  Z = Z
+thread from r right:1:
+  r  right:1  1 = 1
+  m  right:0  1 = 1
+  b  right:1  1 = 1
+  r  right:1  1 = 1""",
+    "mu_nu_right": """\
+counterexample path: (n0 n1 n2)^ω
+thread from n0 right:0:
+  n0  right:0  mu X:O. nu Y:O. X
+  n1  right:0  nu Y:O. mu{0} X:O. nu Y:O. X
+  n2  right:0  mu{0} X:O. nu Y:O. X
+  n0  right:0  mu{0} X:O. nu Y:O. X""",
+    "nu_mu_left": """\
+counterexample path: (n0 n1 n2 n3)^ω
+thread from n0 left:0:
+  n0  left:0  nu Y:O. mu X:O. Y \\/ X
+  n1  left:0  mu X:O. (nu{0} Y:O. mu X:O. Y \\/ X) \\/ X
+  n2  left:0  (nu{0} Y:O. mu X:O. Y \\/ X) \\/ (mu{1} X:O. (nu{0} Y:O. mu X:O. Y \\/ X) \\/ X)
+  n3  left:0  nu{0} Y:O. mu X:O. Y \\/ X
+  n0  left:0  nu{0} Y:O. mu X:O. Y \\/ X""",
+    "mu_nu_left": """\
+counterexample path: n0 (n1 n2 n4)^ω
+thread from n1 left:0:
+  n1  left:0  nu Y:O. (mu X:O. nu Y:O. X \\/ Y) \\/ Y
+  n2  left:0  (mu X:O. nu Y:O. X \\/ Y) \\/ (nu{0} Y:O. (mu X:O. nu Y:O. X \\/ Y) \\/ Y)
+  n4  left:0  nu{0} Y:O. (mu X:O. nu Y:O. X \\/ Y) \\/ Y
+  n1  left:0  nu{0} Y:O. (mu X:O. nu Y:O. X \\/ Y) \\/ Y""",
+    "nu_mu_right_via_x": """\
+counterexample path: n0 (n1 n2 n3 n4)^ω
+thread from n1 right:0:
+  n1  right:0  mu X:O. (nu Y:O. mu X:O. Y \\/ X) \\/ X
+  n2  right:0  (nu Y:O. mu X:O. Y \\/ X) \\/ (mu{0} X:O. (nu Y:O. mu X:O. Y \\/ X) \\/ X)
+  n3  right:0  nu Y:O. mu X:O. Y \\/ X
+  (thread ends: occurrence has no successor)""",
+}
 
 
 ALTERNATION = alternation_probes()
@@ -421,12 +481,20 @@ class TestCheckCyclicProof:
         assert res.issues and res.lasso is None
 
     def test_formula_too_deep_to_type_check_is_structural(self):
-        # the type checker takes two frames per S, so this numeral is too deep
-        n = sys.getrecursionlimit() // 2
-        res = check_cyclic_proof(loads_preproof(f'(node n0 (seq "|- {n} = {n}") (rule EqR))'))
+        # the type checker takes two frames per level of a right-nested
+        # disjunction, so this one is too deep
+        deep = Eq(Zero(), Zero())
+        for _ in range(sys.getrecursionlimit()):
+            deep = Or(Eq(Zero(), Zero()), deep)
+        res = check_cyclic_proof(PreProof(DerivTree("n0", Sequent((), (deep,)), EqR())))
         assert isinstance(res, Rejected) and res.kind == "structural"
         assert [str(issue) for issue in res.issues] == [
             "n0: ill-typed sequent: formula nested too deeply to type-check"]
+
+    def test_large_numeral_is_accepted(self):
+        # a numeral types in a loop, not one frame per S
+        pp = loads_preproof('(node n0 (seq "|- 500 = 500") (rule EqR))')
+        assert check_cyclic_proof(pp) == Accepted()
 
     def test_bad_trace_is_reported_with_lasso(self):
         res = check_cyclic_proof(self_loop_proof("mu"))
@@ -541,3 +609,28 @@ class TestReporting:
         _ok, lasso = check_gtc(pp)
         report = counterexample_report(pp, lasso)
         assert "counterexample path:" in report
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in_memory", "loaded"])
+    @pytest.mark.parametrize("name", list(REPORTS))
+    def test_whole_report(self, name, loaded):
+        pp = dict(rejected_fixtures())[name]
+        if loaded:
+            pp = loads_preproof(dumps_preproof(pp))
+        res = check_cyclic_proof(pp)
+        assert isinstance(res, Rejected) and res.kind == "trace"
+        assert counterexample_report(pp, res.lasso) == REPORTS[name]
+
+    def test_one_template_per_distinct_formula(self, monkeypatch):
+        # three laps of the loop with nu f read as mu f: a rejected cycle of
+        # 13 nodes over four shared sequents, one formula each
+        text = (dumps_preproof(unrolled_loop(3))
+                .replace("nu f", "mu f").replace("(rule NuR)", "(rule MuR)"))
+        pp = loads_preproof(text)
+        res = check_cyclic_proof(pp)
+        assert isinstance(res, Rejected) and len(res.lasso.cycle) == 13
+        built = []
+        real = gtc.print_template
+        monkeypatch.setattr(gtc, "print_template", lambda e: built.append(e) or real(e))
+        report = counterexample_report(pp, res.lasso)
+        assert len(report.splitlines()) == 1 + 1 + 14
+        assert len(built) == len({id(e) for e in built}) == 4

@@ -516,11 +516,38 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") open)\n(back n0 n0)\n(back n0 n1)',
          "duplicate (back ...) form for leaf 'n0'"),
         ('', "no (node ...)"),
+        # positions: a stray ')' after a complete form
+        ('(node n0 (seq "p |- p") (rule Axiom) (children))\n  )',
+         "line 2, column 3: unbalanced ')'"),
+        # an unterminated string after repeated equal (seq "...") strings
+        ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'
+         '(node n1 (seq "p |- p") (rule WkL) (children n2))\n'
+         '(node n2 (seq "p |- p) (rule Axiom))\n',
+         "line 3, column 15: unterminated string literal"),
+        # a comment's quote and parenthesis are not tokens
+        ('; a "comment (\n(node n0 (seq "p |- p") (rule Axiom) (children)))\n',
+         "line 2, column 49: unbalanced ')'"),
+        # CRLF line endings: a carriage return ends no line
+        ('(node n0 (seq "p |- p") (rule Axiom)\r\n  (children))\r\n)\r\n',
+         "line 3, column 1: unbalanced ')'"),
+        ('(node n0\r\n  (seq "p |- p) (rule Axiom) (children))\r\n',
+         "line 2, column 8: unterminated string literal"),
     ])
     def test_format_errors(self, bad, hint):
         with pytest.raises(ProofFormatError) as err:
             loads_preproof(bad)
         assert hint in str(err.value)
+
+    def test_each_distinct_string_is_unescaped_once(self, monkeypatch):
+        # five laps: 21 nodes over the loop's four sequent strings
+        text = dumps_preproof(unrolled_loop(5))
+        calls = []
+        real = proofio._unquote
+        monkeypatch.setattr(proofio, "_unquote", lambda tok: calls.append(tok) or real(tok))
+        pp = loads_preproof(text)
+        assert len(pp.nodes) == 21
+        assert len(calls) == len(set(calls)) == 4
+        assert len({id(n.seq) for n in pp.tree.walk()}) == 4
 
     def test_deep_nesting_is_a_syntax_error(self):
         seq = "|- " + "(" * 1000 + "p" + ")" * 1000
