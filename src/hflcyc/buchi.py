@@ -2,18 +2,17 @@
 
 A run is accepting when it takes accepting *transitions* infinitely often
 (rather than visiting accepting states).  The module provides lasso-word
-membership, emptiness with witness extraction, trimming, containment with a
-counterexample lasso, and an exhaustive lasso-membership survey used as a
-brute-force oracle by the test suite.  :class:`Lasso` is the one type of an
-ultimately periodic word: what these functions take and return, and the
-counterexample path that :mod:`hflcyc.gtc` reports.
+membership, trimming, containment with a counterexample lasso, and an
+exhaustive lasso-membership survey used as a brute-force oracle by the test
+suite.  :class:`Lasso` is the one type of an ultimately periodic word: what
+these functions take and return, and the counterexample path that
+:mod:`hflcyc.gtc` reports.
 
-States and alphabet symbols are opaque hashable values; textual dumps relabel
-states with stable integer ids.  The trace automaton of :mod:`hflcyc.gtc`
-numbers its states as ints in discovery order (0 is the idle state) and keeps
-a table that decodes each int back to the ``(node, side, index, mark)`` key
-it was built from, so trimming, containment and the cached lookup tables
-here hash and sort only small ints.
+States and alphabet symbols are opaque hashable values.  The trace automaton
+of :mod:`hflcyc.gtc` numbers its states as ints in discovery order (0 is the
+idle state) and keeps a table that decodes each int back to the
+``(node, side, index, mark)`` key it was built from, so trimming, containment
+and the cached lookup tables here hash and sort only small ints.
 
 Containment L(a) ⊆ L(b) builds no complement.  It is the Ramsey closure of
 size-change termination (Lee, Jones and Ben-Amram, POPL 2001) in the form
@@ -242,72 +241,6 @@ def accepts_lasso(a: BuchiAutomaton, w: Lasso) -> bool:
         return False
     comp = _scc_ids(sorted(seen, key=_key), edges)
     return any(comp[x] == comp[y] for x, y in accepting_edges)
-
-
-def _bfs_path(
-    a: BuchiAutomaton,
-    sources: Iterable[State],
-    target: State,
-    allowed: Optional[set[State]] = None,
-) -> Optional[tuple[Symbol, ...]]:
-    """Symbols of a shortest path from any source to the target."""
-    parents: dict[State, Optional[tuple[State, Symbol]]] = {}
-    queue = deque()
-    for s in sorted(set(sources), key=_key):
-        if allowed is not None and s not in allowed:
-            continue
-        parents[s] = None
-        queue.append(s)
-    while queue:
-        q = queue.popleft()
-        if q == target:
-            word: list[Symbol] = []
-            cur = q
-            while parents[cur] is not None:
-                prev, sym = parents[cur]  # type: ignore[misc]
-                word.append(sym)
-                cur = prev
-            return tuple(reversed(word))
-        for sym, dst, _acc in a._by_source.get(q, ()):
-            if allowed is not None and dst not in allowed:
-                continue
-            if dst not in parents:
-                parents[dst] = (q, sym)
-                queue.append(dst)
-    return None
-
-
-def is_empty(a: BuchiAutomaton) -> tuple[bool, Optional[Lasso]]:
-    """Emptiness, with an accepted lasso as witness when nonempty.
-
-    The language is nonempty exactly when some accepting transition lies on a
-    cycle reachable from an initial state.
-    """
-    reach: set[State] = set()
-    queue = deque(q for q in a._sorted_states if q in a.initial)
-    reach.update(queue)
-    while queue:
-        q = queue.popleft()
-        for _sym, dst, _acc in a._by_source.get(q, ()):
-            if dst not in reach:
-                reach.add(dst)
-                queue.append(dst)
-    if not reach:
-        return True, None
-    succs = {
-        q: [dst for _s, dst, _a in a._by_source.get(q, ()) if dst in reach]
-        for q in reach
-    }
-    comp = _scc_ids(sorted(reach, key=_key), succs)
-    for t in sorted(a.accepting, key=_key):
-        src, sym, dst = t
-        if src in reach and dst in reach and comp[src] == comp[dst]:
-            scc = {q for q in reach if comp[q] == comp[src]}
-            prefix = _bfs_path(a, a.initial, src)
-            back = _bfs_path(a, [dst], src, allowed=scc)
-            assert prefix is not None and back is not None
-            return False, Lasso(prefix, (sym,) + back)
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -814,40 +747,3 @@ def survey_lassos(a: BuchiAutomaton, max_u: int, max_v: int) -> LassoSurvey:
         mlayer = nxt_layer
 
     return LassoSurvey(tuple(syms), max_u, max_v, prefix_reach, period_trap)
-
-
-# ---------------------------------------------------------------------------
-# textual dumps
-# ---------------------------------------------------------------------------
-
-
-def _state_ids(a: BuchiAutomaton) -> Mapping[State, int]:
-    return {q: i for i, q in enumerate(a._sorted_states)}
-
-
-def dump_automaton(a: BuchiAutomaton) -> str:
-    """Line-based dump: states, initial, transitions; ``*`` marks accepting."""
-    ids = _state_ids(a)
-    lines = [f"states: {len(ids)}"]
-    lines.append("alphabet: " + " ".join(str(s) for s in sorted(a.alphabet, key=_key)))
-    lines.append("initial: " + " ".join(str(ids[q]) for q in sorted(a.initial, key=_key)))
-    for t in sorted(a.transitions, key=lambda t: (_key(t[0]), _key(t[1]), _key(t[2]))):
-        src, sym, dst = t
-        star = " *" if t in a.accepting else ""
-        lines.append(f"trans: {ids[src]} {sym} {ids[dst]}{star}")
-    return "".join(line + "\n" for line in lines)
-
-
-def to_dot(a: BuchiAutomaton) -> str:
-    """Graph description for visualization tools (accepting edges bold)."""
-    ids = _state_ids(a)
-    lines = ["digraph buchi {", "  rankdir=LR;"]
-    for q in a._sorted_states:
-        shape = "doublecircle" if q in a.initial else "circle"
-        lines.append(f'  n{ids[q]} [label="{ids[q]}", shape={shape}];')
-    for t in sorted(a.transitions, key=lambda t: (_key(t[0]), _key(t[1]), _key(t[2]))):
-        src, sym, dst = t
-        style = ', style=bold, color="#b03030"' if t in a.accepting else ""
-        lines.append(f'  n{ids[src]} -> n{ids[dst]} [label="{sym}"{style}];')
-    lines.append("}")
-    return "".join(line + "\n" for line in lines)

@@ -171,8 +171,8 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
     ints, not tuples.
     Operator positions and occurrence steps are read from the pre-proof's
     tables (:meth:`~hflcyc.kernel.PreProof.positions`,
-    :func:`~hflcyc.trace.node_steps`), so nodes that share a sequent share
-    them.  Raises :class:`GtcError` when an open leaf has no back edge or a
+    :func:`~hflcyc.trace.node_steps`), so nodes with equal sequents share
+    them, whether the pre-proof was loaded or built in memory.  Raises :class:`GtcError` when an open leaf has no back edge or a
     back edge targets a missing node.
     """
     _require_back_edges(pp)
@@ -199,7 +199,7 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
 
     # from the idle state, start to follow any operator position of a node
     entries = {m: [(m, side, index, p)
-                   for (side, index), paths in pp.positions(pp.node(m).seq).items()
+                   for (side, index), paths in pp.positions(m).items()
                    for p in paths]
                for m in ids}
     for n in ids:
@@ -312,7 +312,7 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
     Each distinct formula object of the replay is printed once, as a
     :func:`~hflcyc.syntax.print_template`, and each distinct annotation is
     labelled once; a line fills its formula's template with its labels.  A
-    loaded pre-proof shares its sequent objects, so a long lap over a few
+    pre-proof holds one object per sequent value, so a long lap over a few
     sequents prints a few formulas.
     """
     lines = [f"counterexample path: {render_lasso(lasso)}"]
@@ -328,7 +328,7 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
             text = labels[note] = annotation_label(note)
         return text
 
-    for side, index in pp.positions(pp.node(start_node).seq):
+    for side, index in pp.positions(start_node):
         ref = OccurrenceRef(start_node, side, index)
         lines.append(f"thread from {start_node} {side}:{index}:")
         entries = replay_annotations(pp, lap, ref)

@@ -20,8 +20,9 @@ appears out of thin air, e.g. a cut formula).  The trace machinery builds
 on these maps.  A pre-proof keeps the :class:`Inference` (premises, and the
 traced head step of a lambda or fixed-point rule) of each distinct
 (conclusion, rule) pair once computed, so validation and the trace automaton
-share one head step, and nodes with one sequent object and equal rules share
-it too.
+share one head step.  A pre-proof gives equal sequents one object when it is
+made, so nodes with equal sequents and equal rules share that work too,
+whether the tree was loaded or built in memory.
 """
 
 from __future__ import annotations
@@ -592,13 +593,85 @@ def _table() -> Any:
     return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+def _value_key(seq: Sequent) -> tuple:
+    """A key that two sequents share exactly when they are equal as values.
+
+    It is the number of left formulas, then every formula in preorder: each
+    node's class, with the name of a variable and the name and type of a
+    binder.  Classes fix how many children follow, so the key is injective;
+    printed text is not (``Var("3")`` prints as the numeral 3).  It is built
+    without recursion, because the recursive ``==`` and ``hash`` of the
+    syntax dataclasses overflow on a deep formula such as the numeral 600.
+    """
+    out: list = [len(seq.left)]
+    todo = [*reversed(seq.right), *reversed(seq.left)]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        out.append(t)
+        if t is Var:
+            out.append(e.name)
+        elif t is Succ:
+            todo.append(e.arg)
+        elif t is App:
+            todo += (e.arg, e.fn)
+        elif t is Eq or t is Or or t is And:
+            todo += (e.rhs, e.lhs)
+        elif t is Lam or t is Mu or t is Nu:
+            out += (e.var, e.var_type)
+            todo.append(e.body)
+        elif t is not Zero:
+            raise TypeError(f"not an expression: {e!r}")
+    return tuple(out)
+
+
+def _share_sequents(tree: DerivTree) -> DerivTree:
+    """``tree`` with one object for each sequent value: the first in preorder.
+
+    Each distinct sequent object is keyed once (:func:`_value_key`), so a
+    tree that already shares its sequents costs one walk and is returned as
+    it is.  Otherwise the tree is rebuilt, without recursion.
+    """
+    first: dict[tuple, Sequent] = {}
+    shared: dict[int, Sequent] = {}  # id of each sequent object -> its value's object
+    changed = False
+    for node in tree.walk():
+        seq = node.seq
+        got = shared.get(id(seq))
+        if got is None:
+            got = shared[id(seq)] = first.setdefault(_value_key(seq), seq)
+        if got is not seq:
+            changed = True
+    if not changed:
+        return tree
+    built: list[DerivTree] = []  # finished subtrees whose parent is pending
+    stack = [(tree, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if not leaving:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+            continue
+        first_kid = len(built) - len(node.children)
+        kids, built[first_kid:] = tuple(built[first_kid:]), []
+        built.append(DerivTree(node.id, shared[id(node.seq)], node.rule, kids))
+    return built[0]
+
+
 @dataclass(frozen=True)
 class PreProof:
     """A derivation tree plus a back-edge target for every open leaf.
 
+    Making a pre-proof gives equal sequents one object (equal as values, not
+    merely alpha-equivalent, since a report prints bound names): ``tree`` is
+    the given tree with each node's sequent replaced by the first equal one
+    in preorder, rebuilt only if that changed a node.  So a proof built in
+    memory, whose ``Rule.premises_of`` returns new objects at every node,
+    shares its sequents as a loaded one does.
+
     A pre-proof also keeps, for its whole life, the work a check does on each
-    distinct sequent, so that work is done once per sequent object and not
-    once per node:
+    distinct sequent, so that work is done once per sequent and not once per
+    node:
 
     - the :class:`Inference` of each (conclusion, rule) pair;
     - the operator positions of each sequent (:meth:`positions`);
@@ -606,19 +679,19 @@ class PreProof:
       ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads.
 
     The tables are keyed by object identity (``id``), never by the recursive
-    hash of the frozen syntax dataclasses.  The pre-proof holds every object
-    whose id is a key (a sequent in its table entry, an inference in the
-    first table), so no id is reused while the pre-proof lives.  Equal but
-    distinct sequent objects get separate entries with equal contents;
-    :func:`hflcyc.proofio.loads_preproof` gives equal sequents one object,
-    so a loaded pre-proof shares them.
+    hash of the frozen syntax dataclasses.  Every key is the id of a sequent
+    that ``tree`` holds or of an inference that the first table holds, so no
+    id is reused while the pre-proof lives.
     """
 
     tree: DerivTree
     back_edges: Mapping[str, str] = field(default_factory=dict)
-    _inferences: dict[int, tuple[Sequent, list[tuple[Rule, Inference]]]] = _table()
-    _positions: dict[int, tuple[Sequent, dict[OccPos, tuple[Path, ...]]]] = _table()
+    _inferences: dict[int, list[tuple[Rule, Inference]]] = _table()
+    _positions: dict[int, dict[OccPos, tuple[Path, ...]]] = _table()
     step_table: dict[tuple[int, int], Any] = _table()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tree", _share_sequents(self.tree))
 
     @cached_property
     def nodes(self) -> dict[str, DerivTree]:
@@ -637,7 +710,7 @@ class PreProof:
 
     def inference(self, node_id: str) -> Inference:
         """The inference at a closed node, computed once per pre-proof for
-        each sequent object and equal rule.
+        each sequent and equal rule.
 
         Validation and the trace automaton both read it, so each head step
         is taken once per check.  Raises the rule's :class:`KernelError`
@@ -647,25 +720,25 @@ class PreProof:
         rule, seq = node.rule, node.seq
         if rule is None:
             raise KernelError(f"node {node_id!r} is an open leaf")
-        entry = self._inferences.get(id(seq))
-        known = () if entry is None else entry[1]
+        known = self._inferences.setdefault(id(seq), [])
         for other, got in known:
             if other is rule or other == rule:
                 return got
         got = rule.inference(seq)
-        self._inferences.setdefault(id(seq), (seq, []))[1].append((rule, got))
+        known.append((rule, got))
         return got
 
-    def positions(self, seq: Sequent) -> dict[OccPos, tuple[Path, ...]]:
-        """The operator positions of each formula of a sequent, by position,
-        computed once per sequent object."""
-        entry = self._positions.get(id(seq))
-        if entry is None:
-            entry = self._positions[id(seq)] = (seq, {
+    def positions(self, node_id: str) -> dict[OccPos, tuple[Path, ...]]:
+        """The operator positions of each formula of a node's sequent, by
+        position, computed once per sequent."""
+        seq = self.node(node_id).seq
+        got = self._positions.get(id(seq))
+        if got is None:
+            got = self._positions[id(seq)] = {
                 (side, index): sigma_paths(formula)
                 for side, row in ((LEFT, seq.left), (RIGHT, seq.right))
-                for index, formula in enumerate(row)})
-        return entry[1]
+                for index, formula in enumerate(row)}
+        return got
 
     def open_leaves(self) -> list[DerivTree]:
         return [n for n in self.tree.walk() if n.is_open()]
@@ -755,8 +828,12 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
 
 def successors(pp: PreProof, node_id: str) -> tuple[str, ...]:
     """The nodes a path may step to next: children, or the back-edge target
-    for an open leaf, or nothing for a closed leaf."""
+    for an open leaf, or nothing for a closed leaf.  Raises
+    :class:`KernelError` for an open leaf without a back edge."""
     node = pp.node(node_id)
     if node.is_open():
-        return (pp.back_edges[node.id],)
+        target = pp.back_edges.get(node.id)
+        if target is None:
+            raise KernelError(f"open leaf {node.id!r} has no back edge")
+        return (target,)
     return tuple(c.id for c in node.children)

@@ -22,10 +22,11 @@ Formulas and sequents are quoted strings in the concrete syntax of the
 
 Reading costs one table lookup per repeated string: the text is split into
 tokens by one regular-expression pass, each distinct string literal is
-unescaped once, and each distinct ``(seq "...")`` string is parsed once, so
-nodes with equal sequent texts share one :class:`Sequent`.  A malformed text
-raises :class:`ProofFormatError`; the line and column of the offending token
-are found only then.
+unescaped once, and each distinct ``(seq "...")`` string is parsed once.  A
+malformed text raises :class:`ProofFormatError`; the line and column of the
+offending token are found only then.  Giving equal sequents one object is
+not the reader's job: :class:`~hflcyc.kernel.PreProof` does it for every
+pre-proof, loaded or built in memory.
 """
 
 from __future__ import annotations
@@ -238,10 +239,9 @@ def loads_preproof(text: str) -> PreProof:
     """The pre-proof written in ``text``, in the grammar of this module.
 
     The text is read in one pass (see :func:`_read_forms`), and each distinct
-    ``(seq "...")`` string is unescaped and parsed once: every node that
-    carries it gets that one :class:`Sequent` object.  So the pre-proof's
-    tables, keyed by object identity for its whole life (see
-    :class:`~hflcyc.kernel.PreProof`), do each sequent's work once.  Raises
+    ``(seq "...")`` string is unescaped and parsed once, because parsing is
+    the dearest part of a load.  Equal sequents get one object when the
+    :class:`~hflcyc.kernel.PreProof` is made, as for any pre-proof.  Raises
     :class:`ProofFormatError` or the parser's :class:`HflError` on bad input.
     """
     raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]] = {}

@@ -1159,7 +1159,9 @@ def print_template(e: Expr) -> Template:
             if n is not None:
                 out.append(str(n))
                 continue
-            prec, parts = 4, ["S ", (e.arg, 5, path + (0,))]
+            # the parser reads S S x, so a chain of S takes no parentheses
+            arg_level = 4 if isinstance(e.arg, Succ) else 5
+            prec, parts = 4, ["S ", (e.arg, arg_level, path + (0,))]
         elif isinstance(e, BINDERS):
             binding = f" {e.var}:{type_to_str(e.var_type)}. "
             body = (e.body, 0, path + (0,))

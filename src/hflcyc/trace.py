@@ -296,9 +296,9 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
     """The occurrence steps from a closed node of ``pp`` into one premise.
 
     They are computed once per (inference, branch) pair and kept in the
-    pre-proof's ``step_table``, so nodes that share a sequent object and an
-    equal rule share them.  Raises like :func:`occurrence_steps`; a failure
-    is not kept.
+    pre-proof's ``step_table``, so nodes with equal sequents and equal rules
+    share them: a pre-proof holds one object per sequent value.  Raises like
+    :func:`occurrence_steps`; a failure is not kept.
     """
     inference = pp.inference(node.id)
     key = (id(inference), branch)
@@ -306,7 +306,7 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
     if got is None:
         by_occ: dict[OccPos, list] = {}
         for step in occurrence_steps(node.seq, node.rule, branch, inference=inference,
-                                     sigmas=pp.positions(node.seq)):
+                                     sigmas=pp.positions(node.id)):
             by_occ.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
         got = pp.step_table[key] = {occ: tuple(v) for occ, v in by_occ.items()}
     return got
@@ -718,7 +718,7 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
     fresh = fresh_counter()
     occ: OccPos = (start.side, start.index)
     cur = pp.node(nodes[0])
-    af = annotate_root(_formula_at(cur.seq, occ), pp.positions(cur.seq)[occ])
+    af = annotate_root(_formula_at(cur.seq, occ), pp.positions(cur.id)[occ])
     out = [(cur.id, occ, af)]
     for nxt_id in itertools.islice(nodes, 1, None):
         if cur.is_open():  # back edge: copy everything
@@ -726,7 +726,7 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
                 raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
             cur = pp.node(nxt_id)
             af = AnnotatedFormula(_formula_at(cur.seq, occ), dict(af.notes),
-                                  pp.positions(cur.seq)[occ])
+                                  pp.positions(cur.id)[occ])
             out.append((nxt_id, occ, af))
             continue
         for branch, child in enumerate(cur.children):
@@ -741,6 +741,6 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
         occ = step.premise_pos
         cur = child
         af = _apply_step(af, step, fresh, _formula_at(cur.seq, occ),
-                         pp.positions(cur.seq)[occ])
+                         pp.positions(cur.id)[occ])
         out.append((nxt_id, occ, af))
     return out

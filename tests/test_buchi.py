@@ -1,4 +1,4 @@
-"""Büchi automata: membership, emptiness, containment, trimming, surveys."""
+"""Büchi automata: membership, containment, trimming, surveys."""
 
 import random
 
@@ -11,12 +11,9 @@ from hflcyc.buchi import (
     SizeGuard,
     accepts_lasso,
     contains,
-    dump_automaton,
     enumerate_lassos,
-    is_empty,
     make_automaton,
     survey_lassos,
-    to_dot,
     trim,
 )
 
@@ -134,41 +131,6 @@ class TestMembership:
         assert not accepts_lasso(a, Lasso(("a",), ("a",)))
 
 
-class TestEmptiness:
-    def test_no_accepting_transitions(self):
-        assert is_empty(nothing()) == (True, None)
-
-    def test_accepting_loop_with_witness(self):
-        a = make_automaton(
-            [0, 1], ["a", "b"], [(0, "a", 1), (1, "b", 1)], [0], [(1, "b", 1)])
-        empty, wit = is_empty(a)
-        assert not empty
-        assert wit == Lasso(("a",), ("b",))
-        assert accepts_lasso(a, wit)
-
-    def test_unreachable_loop(self):
-        a = make_automaton(
-            [0, 1], ["a"], [(1, "a", 1)], [0], [(1, "a", 1)])
-        assert is_empty(a) == (True, None)
-
-    def test_accepting_transition_off_cycle(self):
-        a = make_automaton(
-            [0, 1], ["a"], [(0, "a", 1), (1, "a", 1)], [0], [(0, "a", 1)])
-        assert is_empty(a) == (True, None)
-
-    def test_random_agreement_with_enumeration(self):
-        rng = random.Random(0xB0C41)
-        for _ in range(60):
-            a = random_automaton(rng)
-            empty, wit = is_empty(a)
-            survey = survey_lassos(a, 4, 4)
-            if empty:
-                assert not any(survey.accepts(w) for w in survey.lassos())
-            else:
-                assert accepts_lasso(a, wit)
-                assert survey_lassos(a, len(wit.prefix), len(wit.cycle)).accepts(wit)
-
-
 class TestSurvey:
     def test_matches_direct_membership(self):
         rng = random.Random(7)
@@ -269,26 +231,3 @@ class TestTrim:
 
     def test_empty_language_trims_to_nothing(self):
         assert trim(nothing()).states == frozenset()
-
-
-class TestDumps:
-    def test_dump_format(self):
-        a = make_automaton(
-            [0, 1], ["a", "b"], [(0, "a", 1), (1, "b", 0)], [0], [(1, "b", 0)])
-        assert dump_automaton(a) == (
-            "states: 2\n"
-            "alphabet: a b\n"
-            "initial: 0\n"
-            "trans: 0 a 1\n"
-            "trans: 1 b 0 *\n")
-
-    def test_dump_deterministic(self):
-        rng = random.Random(51)
-        a = random_automaton(rng)
-        assert dump_automaton(a) == dump_automaton(a)
-
-    def test_dot_export(self):
-        a = infinitely_many_b()
-        dot = to_dot(a)
-        assert dot.startswith("digraph")
-        assert "style=bold" in dot

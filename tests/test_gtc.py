@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hflcyc.buchi import accepts_lasso, is_empty
+from hflcyc.buchi import accepts_lasso, trim
 import hflcyc.gtc as gtc
 from hflcyc.gtc import (
     Accepted,
@@ -51,7 +51,7 @@ from hflcyc.trace import (
     lasso_good,
 )
 
-from test_kernel import ps, unrolled_loop
+from test_kernel import built_loop, ps, unrolled_loop
 from test_trace import (
     branching_loop_proof,
     figure_eight_proof,
@@ -305,9 +305,8 @@ class TestPathAutomaton:
             assert accepts_lasso(a, lasso)
 
     def test_closed_proof_has_empty_path_language(self):
-        a = build_path_automaton(closed_proof())
-        empty, witness = is_empty(a)
-        assert empty and witness is None
+        # no state of the path automaton lies on an accepting run
+        assert trim(build_path_automaton(closed_proof())).states == frozenset()
 
     def test_figure_eight_accepts_the_composite_alternation(self):
         pp = figure_eight_proof()
@@ -544,6 +543,17 @@ class TestCheckCyclicProof:
         assert sum(isinstance(n.rule, HeadStepRule) for n in pp.tree.walk()) == 12
         assert len(taken) == 4
 
+    def test_each_distinct_head_step_of_a_built_proof_is_taken_once(self, monkeypatch):
+        # as above, with a new sequent object at every node until the
+        # pre-proof is made
+        pp = built_loop(3)
+        taken = []
+        real = kernel.head_step
+        monkeypatch.setattr(kernel, "head_step",
+                            lambda e, kind: taken.append(e) or real(e, kind))
+        assert check_cyclic_proof(pp) == Accepted()
+        assert len(taken) == 4
+
     def test_structural_check_runs_first(self):
         # an invalid proof with a bad trace still reports the structural issue
         pp = self_loop_proof("mu")
@@ -561,6 +571,7 @@ class TestCheckCyclicProof:
 DIFFERENTIAL = (all_fixtures()
                 + [(f"rotation{k}", rotation_proof(k)) for k in (2, 4)]
                 + [("exr_chain50", exr_chain_proof(50))]
+                + [(f"built_loop3_{fix}", built_loop(3, fix)) for fix in ("nu", "mu")]
                 + [(name, pp) for name, pp, *_ in alternation_probes()])
 
 
@@ -576,8 +587,8 @@ def outcome(pp: PreProof):
 
 @pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
 def test_loaded_copy_checks_the_same(name, pp):
-    # the in-memory pre-proof has one sequent object per node, mostly; the
-    # loaded one has one per distinct sequent text
+    # both share equal sequents, so the loaded copy differs only in which
+    # equal objects it holds; nothing a check shows may depend on them
     assert outcome(loads_preproof(dumps_preproof(pp))) == outcome(pp)
 
 
@@ -634,3 +645,14 @@ class TestReporting:
         report = counterexample_report(pp, res.lasso)
         assert len(report.splitlines()) == 1 + 1 + 14
         assert len(built) == len({id(e) for e in built}) == 4
+
+    def test_one_template_per_distinct_formula_of_a_built_proof(self, monkeypatch):
+        pp = built_loop(3, "mu")
+        res = check_cyclic_proof(pp)
+        assert isinstance(res, Rejected) and len(res.lasso.cycle) == 13
+        built = []
+        real = gtc.print_template
+        monkeypatch.setattr(gtc, "print_template", lambda e: built.append(e) or real(e))
+        report = counterexample_report(pp, res.lasso)
+        assert len(built) == len({id(e) for e in built}) == 4
+        assert report == counterexample_report(loads_preproof(dumps_preproof(pp)), res.lasso)

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from hflcyc.syntax import (
-    App, Eq, HflSyntaxError, Sequent, Succ, Var, Zero, nat_pred, parse_expr,
-    parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
+    App, Eq, HflSyntaxError, Sequent, Succ, Var, Zero, nat_pred, numeral,
+    parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
 )
 from hflcyc.kernel import (
     LEFT, RIGHT, RULES, Axiom, AndL, AndR, CtrL, CtrR, Cut, DerivTree, EqL,
@@ -323,6 +323,23 @@ def unrolled_loop(laps: int) -> PreProof:
     return PreProof(tree, {f"m{4 * laps}": "m0"})
 
 
+def built_loop(laps: int, fix: str = "nu") -> PreProof:
+    """The corpus loop unrolled ``laps`` times, with ``nu f`` read as
+    ``fix f``, built as generated proofs are: each premise is computed by
+    ``Rule.premises_of``, so before the pre-proof is made every node has its
+    own sequent object."""
+    seqs = [ps(sequent_to_str(loop_proof().tree.seq).replace("nu f", f"{fix} f"))]
+    rules = [NuR() if fix == "nu" else MuR(), LamR(), MuR(), LamR()] * laps
+    for rule in rules:
+        (premise,) = rule.premises_of(seqs[-1])
+        seqs.append(premise)
+    assert len({id(seq) for seq in seqs}) == len(seqs)
+    tree = DerivTree(f"m{len(rules)}", seqs[-1], None)
+    for k in reversed(range(len(rules))):
+        tree = DerivTree(f"m{k}", seqs[k], rules[k], (tree,))
+    return PreProof(tree, {f"m{len(rules)}": "m0"})
+
+
 class TestPreProofs:
     def test_golden_loop_proof_validates(self):
         assert validate_preproof(loop_proof()) == []
@@ -332,6 +349,11 @@ class TestPreProofs:
         assert successors(pp, "n0") == ("n1",)
         assert successors(pp, "n3") == ("n4",)
         assert successors(pp, "n4") == ("n0",)  # open leaf follows its back edge
+
+    def test_open_leaf_without_back_edge_has_no_successors(self):
+        pp = PreProof(loop_proof().tree, {})
+        with pytest.raises(KernelError, match="open leaf 'n4' has no back edge"):
+            successors(pp, "n4")
 
     def test_axiom_node_has_no_successors(self):
         leaf = DerivTree("a0", ps("p |- p"), Axiom(), ())
@@ -398,8 +420,64 @@ class TestPreProofs:
 
 
 class TestSharing:
-    """A loaded pre-proof has one object per distinct sequent, and each
-    sequent's work is done once; every failing node is still reported."""
+    """A pre-proof has one object per distinct sequent, loaded or built in
+    memory, and each sequent's work is done once; every failing node is
+    still reported."""
+
+    @pytest.mark.parametrize("fix", ["nu", "mu"])
+    def test_equal_sequents_built_in_memory_share_one_object(self, fix):
+        pp = built_loop(3, fix)
+        assert len(pp.nodes) == 13
+        assert len({id(n.seq) for n in pp.tree.walk()}) == 4
+        assert pp.node("m12").seq is pp.node("m8").seq is pp.tree.seq
+        assert dumps_preproof(pp) == dumps_preproof(loads_preproof(dumps_preproof(pp)))
+
+    def test_a_shared_tree_is_kept_as_it_is(self):
+        pp = built_loop(3)
+        assert PreProof(pp.tree, pp.back_edges).tree is pp.tree
+        loaded = loads_preproof(dumps_preproof(pp))
+        assert PreProof(loaded.tree, loaded.back_edges).tree is loaded.tree
+
+    def test_a_rebuilt_tree_keeps_ids_rules_and_order(self):
+        seq = ps("|- p, q")
+        tree = DerivTree("r", seq, Cut(pe("q")), (
+            DerivTree("a", ps("|- p, q"), None), DerivTree("k", ps("|- q"), None)))
+        pp = PreProof(tree)
+        assert pp.tree is not tree and pp.node("a").seq is pp.tree.seq is seq
+        assert [(n.id, n.rule, n.seq) for n in pp.tree.walk()] == [
+            (n.id, n.rule, n.seq) for n in tree.walk()]
+
+    @pytest.mark.parametrize("text,other", [
+        ("|- 3 = 3", Sequent((), (Eq(Var("3"), Var("3")),))),  # prints alike
+        ("|- nu t:O. t", ps("|- nu s:O. s")),  # alpha-equivalent
+        ("p |- q", ps("p, q |-")),
+    ], ids=["variable-numeral", "bound-names", "sides"])
+    def test_distinct_values_stay_apart(self, text, other):
+        seq = ps(text)
+        tree = DerivTree("r", seq, WkR(), (DerivTree("a", other, None),
+                                          DerivTree("b", ps(text), None)))
+        pp = PreProof(tree)
+        assert pp.node("a").seq is other and pp.node("b").seq is seq
+        assert pp.node("a").seq != seq
+
+    def test_a_deep_numeral_is_shared_without_recursion(self):
+        # the dataclasses' own == and hash recurse once per S
+        def deep():
+            return Eq(numeral(600), numeral(600))
+        seq = Sequent((), (deep(), deep()))
+        tree = DerivTree("r", seq, ExR(0), (DerivTree("c", Sequent((), (deep(), deep())), EqR()),))
+        pp = PreProof(tree)
+        assert pp.node("c").seq is pp.tree.seq
+        assert validate_preproof(pp) == []
+
+    def test_each_distinct_sequent_built_in_memory_is_typed_once(self, monkeypatch):
+        pp = built_loop(3)
+        typed = []
+        real_check = kernel.check_sequent
+        monkeypatch.setattr(kernel, "check_sequent",
+                            lambda seq: typed.append(seq) or real_check(seq))
+        assert validate_preproof(pp) == []
+        assert len(typed) == len({id(seq) for seq in typed}) == 4
 
     def test_equal_sequent_texts_load_to_one_object(self):
         pp = loop_proof()
@@ -475,6 +553,18 @@ class TestProofFiles:
         pp = loop_proof()
         text = dumps_preproof(pp)
         assert dumps_preproof(loads_preproof(text)) == text
+
+    def test_a_long_chain_of_successors_loads_back(self):
+        # printed S S ... x, without one parenthesis level per S
+        chain = Var("x")
+        for _ in range(200):
+            chain = Succ(chain)
+        pp = PreProof(DerivTree("n0", Sequent((), (Eq(chain, chain),)), EqR()))
+        text = dumps_preproof(pp)
+        assert "S (" not in text
+        again = loads_preproof(text)
+        assert again.tree.seq == pp.tree.seq
+        assert dumps_preproof(again) == text
 
     def test_escapes_survive(self):
         leaf = DerivTree("z", ps("(\\a:O. a) p |- p"), None)

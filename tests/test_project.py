@@ -36,14 +36,40 @@ def test_every_exported_name_exists():
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
-def test_checker_imports_leave_out_the_semantics_oracle():
-    # what a benchmark worker imports: the bounded semantics is a test
-    # oracle and must stay off the checker's start-up path
-    code = ("import sys, hflcyc.gtc, hflcyc.proofio; "
-            "print('hflcyc.semantics' in sys.modules)")
+def _python(code: str) -> str:
+    """What ``code`` prints, run by a fresh interpreter that imports from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_checker_imports_leave_out_the_semantics_oracle():
+    # what a benchmark worker imports: the bounded semantics is a test
+    # oracle and must stay off the checker's start-up path
+    out = _python("import sys, hflcyc.gtc, hflcyc.proofio; "
+                  "print('hflcyc.semantics' in sys.modules)")
     assert out.strip() == "False"
+
+
+# Each @dataclass generates and execs its methods at import, most of the
+# checker's start-up time; lower this ceiling when a change removes some.
+DATACLASS_CEILING = 62
+
+
+def test_checker_imports_process_few_dataclasses():
+    code = """
+import dataclasses
+count = 0
+process = dataclasses._process_class
+def counted(*args, **kwargs):
+    global count
+    count += 1
+    return process(*args, **kwargs)
+dataclasses._process_class = counted
+import hflcyc.gtc, hflcyc.proofio
+print(count)
+"""
+    count = int(_python(code))
+    assert 0 < count <= DATACLASS_CEILING

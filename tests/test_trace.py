@@ -533,6 +533,14 @@ class TestEnumerationLimits:
         with pytest.raises(BuchiError):
             Lasso((), ())
 
+    def test_open_leaf_without_back_edge_is_named(self):
+        pp = PreProof(node("r", "|- nu t:O. t", NuR(), leaf("l", "|- nu t:O. t")), {})
+        lasso = Lasso((), ("r", "l"))
+        with pytest.raises(KernelError, match="open leaf 'l' has no back edge"):
+            lasso_good(pp, lasso)
+        with pytest.raises(KernelError, match="open leaf 'l' has no back edge"):
+            classify_lasso_trace(pp, lasso, OccurrenceRef("r", RIGHT, 0))
+
     def test_acyclic_proof_is_vacuously_good(self):
         tree = node("a", "p |- p", Axiom())
         pp = PreProof(tree, {})
