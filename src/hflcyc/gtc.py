@@ -172,8 +172,9 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
     Operator positions and occurrence steps are read from the pre-proof's
     tables (:meth:`~hflcyc.kernel.PreProof.positions`,
     :func:`~hflcyc.trace.node_steps`), so nodes with equal sequents share
-    them, whether the pre-proof was loaded or built in memory.  Raises :class:`GtcError` when an open leaf has no back edge or a
-    back edge targets a missing node.
+    them, whether the pre-proof was loaded or built in memory.  Raises
+    :class:`GtcError` when an open leaf has no back edge or a back edge
+    targets a missing node.
     """
     _require_back_edges(pp)
     ids = sorted(pp.nodes)

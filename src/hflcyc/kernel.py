@@ -17,12 +17,11 @@ Conventions, fixed once for the whole code base:
 Each rule also knows its occurrence map — for a premise, which formula of
 the conclusion every premise formula descends from (None when the formula
 appears out of thin air, e.g. a cut formula).  The trace machinery builds
-on these maps.  A pre-proof keeps the :class:`Inference` (premises, and the
-traced head step of a lambda or fixed-point rule) of each distinct
-(conclusion, rule) pair once computed, so validation and the trace automaton
-share one head step.  A pre-proof gives equal sequents one object when it is
-made, so nodes with equal sequents and equal rules share that work too,
-whether the tree was loaded or built in memory.
+on these maps.  A pre-proof gives equal sequents one object, and equal
+rules one object, whether it was loaded or built in memory.  It keeps the
+:class:`Inference` (premises, and the traced head step of a lambda or
+fixed-point rule) of each distinct (conclusion, rule) pair, so validation,
+the trace automaton and all nodes with that pair share one head step.
 """
 
 from __future__ import annotations
@@ -593,18 +592,18 @@ def _table() -> Any:
     return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _value_key(seq: Sequent) -> tuple:
-    """A key that two sequents share exactly when they are equal as values.
-
-    It is the number of left formulas, then every formula in preorder: each
-    node's class, with the name of a variable and the name and type of a
-    binder.  Classes fix how many children follow, so the key is injective;
-    printed text is not (``Var("3")`` prints as the numeral 3).  It is built
-    without recursion, because the recursive ``==`` and ``hash`` of the
-    syntax dataclasses overflow on a deep formula such as the numeral 600.
+def _value_key(value) -> tuple:
+    """A key that two sequents, or two rules, share exactly when they are
+    equal as values: each node's class in preorder, then a variable's name, a
+    binder's name and type, a tuple's length, or any other leaf (a name, a
+    position) as it is, before the node's children or a sequent's or rule's
+    fields (``__match_args__``).  A class fixes what follows it, so the key is
+    injective; printed text is not (``Var("3")`` prints as 3).  It is built
+    without recursion: the dataclasses' own ``==`` and ``hash`` overflow on
+    a deep formula such as the numeral 600.
     """
-    out: list = [len(seq.left)]
-    todo = [*reversed(seq.right), *reversed(seq.left)]
+    out: list = []
+    todo = [value]
     while todo:
         e = todo.pop()
         t = type(e)
@@ -620,29 +619,29 @@ def _value_key(seq: Sequent) -> tuple:
         elif t is Lam or t is Mu or t is Nu:
             out += (e.var, e.var_type)
             todo.append(e.body)
+        elif t is tuple:
+            out.append(len(e))
+            todo += reversed(e)
+        elif t is Sequent or isinstance(e, Rule):
+            todo += [getattr(e, name) for name in reversed(t.__match_args__)]
         elif t is not Zero:
-            raise TypeError(f"not an expression: {e!r}")
+            out.append(e)
     return tuple(out)
 
 
-def _share_sequents(tree: DerivTree) -> DerivTree:
-    """``tree`` with one object for each sequent value: the first in preorder.
-
-    Each distinct sequent object is keyed once (:func:`_value_key`), so a
-    tree that already shares its sequents costs one walk and is returned as
-    it is.  Otherwise the tree is rebuilt, without recursion.
+def _share_values(tree: DerivTree) -> DerivTree:
+    """``tree`` with one object for each sequent value and each rule value,
+    the first in preorder.  Each distinct object is keyed once
+    (:func:`_value_key`), and the tree is rebuilt, without recursion, only if
+    that changes a node: a shared tree costs one walk.
     """
-    first: dict[tuple, Sequent] = {}
-    shared: dict[int, Sequent] = {}  # id of each sequent object -> its value's object
-    changed = False
+    objs: dict[int, Any] = {}  # each distinct sequent and rule, in preorder
     for node in tree.walk():
-        seq = node.seq
-        got = shared.get(id(seq))
-        if got is None:
-            got = shared[id(seq)] = first.setdefault(_value_key(seq), seq)
-        if got is not seq:
-            changed = True
-    if not changed:
+        objs[id(node.seq)] = node.seq
+        objs[id(node.rule)] = node.rule
+    first: dict[tuple, Any] = {}
+    shared = {i: first.setdefault(_value_key(obj), obj) for i, obj in objs.items()}
+    if all(shared[i] is obj for i, obj in objs.items()):
         return tree
     built: list[DerivTree] = []  # finished subtrees whose parent is pending
     stack = [(tree, False)]
@@ -654,7 +653,7 @@ def _share_sequents(tree: DerivTree) -> DerivTree:
             continue
         first_kid = len(built) - len(node.children)
         kids, built[first_kid:] = tuple(built[first_kid:]), []
-        built.append(DerivTree(node.id, shared[id(node.seq)], node.rule, kids))
+        built.append(DerivTree(node.id, shared[id(node.seq)], shared[id(node.rule)], kids))
     return built[0]
 
 
@@ -662,16 +661,14 @@ def _share_sequents(tree: DerivTree) -> DerivTree:
 class PreProof:
     """A derivation tree plus a back-edge target for every open leaf.
 
-    Making a pre-proof gives equal sequents one object (equal as values, not
-    merely alpha-equivalent, since a report prints bound names): ``tree`` is
-    the given tree with each node's sequent replaced by the first equal one
-    in preorder, rebuilt only if that changed a node.  So a proof built in
-    memory, whose ``Rule.premises_of`` returns new objects at every node,
-    shares its sequents as a loaded one does.
+    Making a pre-proof gives equal sequents one object and equal rules one
+    object (equal as values, not merely alpha-equivalent, since a report
+    prints bound names): in ``tree`` each node holds the first equal ones in
+    preorder.  So a proof built in memory, whose ``Rule.premises_of`` returns
+    new objects at every node, shares its sequents and rules as a loaded one.
 
-    A pre-proof also keeps, for its whole life, the work a check does on each
-    distinct sequent, so that work is done once per sequent and not once per
-    node:
+    A pre-proof also keeps, for its whole life, the work a check does once
+    per distinct sequent rather than once per node:
 
     - the :class:`Inference` of each (conclusion, rule) pair;
     - the operator positions of each sequent (:meth:`positions`);
@@ -679,19 +676,19 @@ class PreProof:
       ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads.
 
     The tables are keyed by object identity (``id``), never by the recursive
-    hash of the frozen syntax dataclasses.  Every key is the id of a sequent
-    that ``tree`` holds or of an inference that the first table holds, so no
-    id is reused while the pre-proof lives.
+    hash of the frozen syntax dataclasses.  Every key is made of the ids of
+    sequents and rules that ``tree`` holds or of an inference that the first
+    table holds, so no id is reused while the pre-proof lives.
     """
 
     tree: DerivTree
     back_edges: Mapping[str, str] = field(default_factory=dict)
-    _inferences: dict[int, list[tuple[Rule, Inference]]] = _table()
+    _inferences: dict[tuple[int, int], Inference] = _table()
     _positions: dict[int, dict[OccPos, tuple[Path, ...]]] = _table()
     step_table: dict[tuple[int, int], Any] = _table()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tree", _share_sequents(self.tree))
+        object.__setattr__(self, "tree", _share_values(self.tree))
 
     @cached_property
     def nodes(self) -> dict[str, DerivTree]:
@@ -710,7 +707,7 @@ class PreProof:
 
     def inference(self, node_id: str) -> Inference:
         """The inference at a closed node, computed once per pre-proof for
-        each sequent and equal rule.
+        each sequent and rule, which equal nodes share as objects.
 
         Validation and the trace automaton both read it, so each head step
         is taken once per check.  Raises the rule's :class:`KernelError`
@@ -720,12 +717,10 @@ class PreProof:
         rule, seq = node.rule, node.seq
         if rule is None:
             raise KernelError(f"node {node_id!r} is an open leaf")
-        known = self._inferences.setdefault(id(seq), [])
-        for other, got in known:
-            if other is rule or other == rule:
-                return got
-        got = rule.inference(seq)
-        known.append((rule, got))
+        key = (id(seq), id(rule))
+        got = self._inferences.get(key)
+        if got is None:
+            got = self._inferences[key] = rule.inference(seq)
         return got
 
     def positions(self, node_id: str) -> dict[OccPos, tuple[Path, ...]]:

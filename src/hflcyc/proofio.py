@@ -22,11 +22,11 @@ Formulas and sequents are quoted strings in the concrete syntax of the
 
 Reading costs one table lookup per repeated string: the text is split into
 tokens by one regular-expression pass, each distinct string literal is
-unescaped once, and each distinct ``(seq "...")`` string is parsed once.  A
-malformed text raises :class:`ProofFormatError`; the line and column of the
-offending token are found only then.  Giving equal sequents one object is
-not the reader's job: :class:`~hflcyc.kernel.PreProof` does it for every
-pre-proof, loaded or built in memory.
+unescaped once, each distinct ``(seq "...")`` string is parsed once, and each
+distinct ``(rule ...)`` form is built once.  A malformed text raises
+:class:`ProofFormatError`; the line and column of the offending token are
+found only then.  These tables only save work: giving equal sequents and
+rules one object is :class:`~hflcyc.kernel.PreProof`'s job.
 """
 
 from __future__ import annotations
@@ -187,9 +187,8 @@ def rule_from_form(parts: list, child_sequents: list[Sequent]) -> Rule:
                     _expr_param(args[3], "Mono upper bound"),
                     tuple(_atom_param(y, "Mono fresh name") for y in args[4]))
     if cls is EqL:
-        if (len(args) != 6 or not isinstance(args[4], list)
-                or not isinstance(args[5], list)
-                or not args[4][:1] == ["left"] or not args[5][:1] == ["right"]):
+        # a string's slice is a string, so only a list passes these checks
+        if len(args) != 6 or args[4][:1] != ["left"] or args[5][:1] != ["right"]:
             raise ProofFormatError(
                 'EqL takes <hole-l> <hole-r> "<lhs>" "<rhs>" (left ...) (right ...)')
         return EqL(_atom_param(args[0], "EqL hole"),
@@ -238,11 +237,11 @@ def rule_to_form(rule: Rule) -> list:
 def loads_preproof(text: str) -> PreProof:
     """The pre-proof written in ``text``, in the grammar of this module.
 
-    The text is read in one pass (see :func:`_read_forms`), and each distinct
+    The text is read in one pass (see :func:`_read_forms`).  Each distinct
     ``(seq "...")`` string is unescaped and parsed once, because parsing is
-    the dearest part of a load.  Equal sequents get one object when the
-    :class:`~hflcyc.kernel.PreProof` is made, as for any pre-proof.  Raises
-    :class:`ProofFormatError` or the parser's :class:`HflError` on bad input.
+    the dearest part of a load, and each distinct ``(rule ...)`` form is built
+    once, so the :class:`~hflcyc.kernel.PreProof` finds the tree shared.
+    Raises :class:`ProofFormatError` or the parser's :class:`HflError`.
     """
     raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]] = {}
     back: dict[str, str] = {}
@@ -301,6 +300,21 @@ def loads_preproof(text: str) -> PreProof:
     return PreProof(tree, back)
 
 
+def _form_key(form: list) -> tuple:
+    """``form`` flat, without recursion: a list as its length, then its items,
+    and a string literal as a 1-tuple, so ``"x"`` stays apart from ``x``."""
+    out: list = []
+    todo = [form]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            out.append(len(x))
+            todo += reversed(x)
+        else:
+            out.append((x,) if isinstance(x, Quoted) else x)
+    return tuple(out)
+
+
 def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
                 root: str) -> tuple[DerivTree, set[str]]:
     """The tree below ``root``, built without recursion, and the ids in it.
@@ -309,6 +323,7 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
     come in the order of a recursive build.
     """
     built: list[DerivTree] = []  # finished subtrees whose parent is pending
+    rules: dict[tuple, Rule] = {}  # one object per distinct (rule ...) form
     path: set[str] = set()
     seen: set[str] = set()
     stack = [(root, False)]
@@ -328,7 +343,14 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
         seq, rule_form, kids = raw_nodes[node_id]
         first = len(built) - len(kids)
         children, built[first:] = tuple(built[first:]), []
-        rule = None if rule_form is None else rule_from_form(rule_form, [c.seq for c in children])
+        rule = None
+        if rule_form is not None:
+            key = _form_key(rule_form)
+            if rule_form[:1] == ["Subst"]:  # the source is the child's sequent
+                key += tuple(id(c.seq) for c in children)
+            if key not in rules:
+                rules[key] = rule_from_form(rule_form, [c.seq for c in children])
+            rule = rules[key]
         built.append(DerivTree(node_id, seq, rule, children))
     return built[0], seen
 

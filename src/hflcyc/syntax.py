@@ -677,15 +677,24 @@ class _TMeta(SimpleType):
 
 
 class _Unifier:
-    def __init__(self) -> None:
+    def __init__(self, free: Optional[dict[str, _TMeta]] = None) -> None:
         self.sol: dict[int, SimpleType] = {}
         self._next = 0
+        self.free = free  # a metavariable per free variable met, or None: unbound
 
     def fresh(self) -> _TMeta:
         self._next += 1
         return _TMeta(self._next)
 
+    def free_var(self, name: str) -> _TMeta:
+        """The metavariable of the free variable ``name``, made when first met."""
+        if self.free is None:
+            raise UnboundVariable(name)
+        return self.free.get(name) or self.free.setdefault(name, self.fresh())
+
     def resolve(self, ty: SimpleType) -> SimpleType:
+        if not self.sol:  # nothing solved: a closed formula types with no copying
+            return ty
         while isinstance(ty, _TMeta) and ty.id in self.sol:
             ty = self.sol[ty.id]
         if isinstance(ty, Arrow):
@@ -693,8 +702,8 @@ class _Unifier:
         return ty
 
     def unify(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
-        """Unify the two types, or raise naming both whole, as the direct
-        checker does, however deep inside them they differ."""
+        """Unify the two types, or raise naming both whole, as far as they
+        are solved, however deep inside them they differ."""
         if not self._unify(found, want):
             raise IllTyped(where, type_to_str(self.resolve(want)),
                            type_to_str(self.resolve(found)))
@@ -713,26 +722,21 @@ class _Unifier:
             return self._unify(found.arg, want.arg) and self._unify(found.result, want.result)
         return False
 
-    def unify_if_possible(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
+    def unify_if_possible(self, found: SimpleType, want: SimpleType) -> None:
         """Unify the two types when they unify; else leave the solution as it was."""
         saved = dict(self.sol)
-        try:
-            self.unify(found, want, where)
-        except HflTypeError:
+        if not self._unify(found, want):
             self.sol = saved
 
 
-def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier],
+def _infer(e: Expr, env: dict[str, SimpleType], uni: _Unifier,
            want: Optional[SimpleType] = None) -> SimpleType:
-    """The type of e.  With a unifier, ``want`` is the type the context will
-    require of e, if known: an application learns its result type from it
-    before it checks its argument, as the direct checker, which knows every
-    type, would."""
+    """The type of e, as far as ``uni`` has solved it.  ``want`` is the type
+    the context will require of e, if known: an application learns its result
+    type from it before it checks its argument, so an inferred free variable
+    is blamed at the same subterm as a declared one."""
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
+        return env.get(e.name) or uni.free_var(e.name)
     if isinstance(e, Zero):
         return NAT
     if isinstance(e, Succ):
@@ -749,51 +753,39 @@ def _infer(e: Expr, env: dict[str, SimpleType], uni: Optional[_Unifier],
         _check(e.rhs, PROP, env, uni)
         return PROP
     if isinstance(e, Lam):
-        inner = dict(env)
-        inner[e.var] = e.var_type
+        inner = {**env, e.var: e.var_type}
         body_ty = _infer(e.body, inner, uni)
-        resolved = uni.resolve(body_ty) if uni else body_ty
-        if isinstance(resolved, NatType):
+        if isinstance(uni.resolve(body_ty), NatType):
             raise HflTypeError(f"abstraction body {to_str(e.body)!r} has type N")
         return Arrow(e.var_type, body_ty)
     if isinstance(e, FIXPOINTS):
-        inner = dict(env)
-        inner[e.var] = e.var_type
+        inner = {**env, e.var: e.var_type}
         _check(e.body, e.var_type, inner, uni)
         return e.var_type
     if isinstance(e, App):
         fn_ty = _infer(e.fn, env, uni)
         arg_ty = _infer(e.arg, env, uni)
-        if uni:
-            fn_ty = uni.resolve(fn_ty)
-            if isinstance(fn_ty, _TMeta):
-                fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
-                uni.unify(fn_ty, meta, e)
+        fn_ty = uni.resolve(fn_ty)
+        if isinstance(fn_ty, _TMeta):
+            fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
+            uni.unify(fn_ty, meta, e)
         if not isinstance(fn_ty, Arrow):
             raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
-        if uni and want is not None:
-            uni.unify_if_possible(fn_ty.result, want, e)
-        _expect(e.arg, arg_ty, fn_ty.arg, uni)
+        if want is not None:
+            uni.unify_if_possible(fn_ty.result, want)
+        uni.unify(arg_ty, fn_ty.arg, e.arg)
         return fn_ty.result
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _check(e: Expr, want: SimpleType, env: dict[str, SimpleType],
-           uni: Optional[_Unifier]) -> None:
+def _check(e: Expr, want: SimpleType, env: dict[str, SimpleType], uni: _Unifier) -> None:
     """Require e to have type ``want``."""
-    _expect(e, _infer(e, env, uni, want), want, uni)
-
-
-def _expect(where: Expr, found: SimpleType, want: SimpleType, uni: Optional[_Unifier]) -> None:
-    if uni:
-        uni.unify(found, want, where)
-    elif found != want:
-        raise IllTyped(where, type_to_str(want), type_to_str(found))
+    uni.unify(_infer(e, env, uni, want), want, e)
 
 
 def infer_type(env: Mapping[str, SimpleType], e: Expr) -> SimpleType:
     """The unique type of e under env (syntax-directed; raises on failure)."""
-    return _infer(e, dict(env), None)
+    return _infer(e, dict(env), _Unifier())  # no metavariable: every type is known
 
 
 def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:
@@ -803,22 +795,10 @@ def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[
     HflTypeError when a free variable's type is not fully determined.
     """
     full: dict[str, SimpleType] = dict(env or {})
-    try:  # when every free variable's type is known, no unifier is needed
-        for phi in formulas:
-            _check(phi, PROP, full, None)
-        return full
-    except UnboundVariable:
-        pass
-    uni = _Unifier()
-    metas: dict[str, _TMeta] = {}
+    uni = _Unifier({})
     for phi in formulas:
-        for name in free_vars(phi):
-            if name not in full and name not in metas:
-                metas[name] = uni.fresh()
-    scope = {**full, **metas}
-    for phi in formulas:
-        _check(phi, PROP, scope, uni)
-    for name, meta in metas.items():
+        _check(phi, PROP, full, uni)
+    for name, meta in uni.free.items():
         ty = uni.resolve(meta)
         if _has_meta(ty):
             raise HflTypeError(f"cannot determine the type of free variable {name!r}")

@@ -296,9 +296,10 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
     """The occurrence steps from a closed node of ``pp`` into one premise.
 
     They are computed once per (inference, branch) pair and kept in the
-    pre-proof's ``step_table``, so nodes with equal sequents and equal rules
-    share them: a pre-proof holds one object per sequent value.  Raises like
-    :func:`occurrence_steps`; a failure is not kept.
+    pre-proof's ``step_table``; nodes with equal sequents and equal rules
+    share one inference, as a pre-proof holds one object per sequent value
+    and per rule value.  Raises like :func:`occurrence_steps`; a failure is
+    not kept.
     """
     inference = pp.inference(node.id)
     key = (id(inference), branch)

@@ -1,6 +1,7 @@
 """Tests for the sequent-calculus kernel: rule schemas, occurrence maps,
 pre-proof validation, and the proof file format."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,12 @@ class TestPreProofs:
     def test_golden_loop_proof_validates(self):
         assert validate_preproof(loop_proof()) == []
 
+    def test_a_deep_argument_of_a_free_predicate_is_accepted(self):
+        # as deep as |- N = N, which types the numeral in a loop
+        n = sys.getrecursionlimit() - 5
+        seq = Sequent((App(Var("p"), numeral(n)),), (App(Var("p"), numeral(n)),))
+        assert validate_preproof(PreProof(DerivTree("r", seq, Axiom()))) == []
+
     def test_successors(self):
         pp = loop_proof()
         assert successors(pp, "n0") == ("n1",)
@@ -539,6 +546,59 @@ class TestSharing:
         with pytest.raises(SchemaMismatch):
             pp.inference("a")
 
+    @pytest.mark.parametrize("fix,count", [("nu", 3), ("mu", 2)])
+    def test_equal_rules_share_one_object_built_and_loaded(self, fix, count):
+        # built_loop makes each lap's two LamR apart, and the mu loop's two MuR
+        pp = built_loop(3, fix)
+        loaded = loads_preproof(dumps_preproof(pp))
+        for proof in (pp, loaded):
+            closed = [n for n in proof.tree.walk() if not n.is_open()]
+            assert len(closed) == 12
+            assert len({id(n.rule) for n in closed}) == count
+        assert PreProof(loaded.tree, loaded.back_edges).tree is loaded.tree
+
+    @pytest.mark.parametrize("make_a,make_b", [
+        (lambda: ExL(0), lambda: ExL(1)),
+        (lambda: ExL(0), lambda: ExR(0)),
+        (lambda: Nat("x"), lambda: Nat("y")),
+        (lambda: Cut(Eq(Var("3"), Zero())), lambda: Cut(Eq(numeral(3), Zero()))),
+        (lambda: EqL("h1", "h2", pe("x"), pe("y"), (pe("p h1"), pe("q h2")), ()),
+         lambda: EqL("h1", "h2", pe("x"), pe("y"), (pe("p h1"),), (pe("q h2"),))),
+        (lambda: Mono(pe("w"), "w", pe("p"), pe("q"), ("a", "b")),
+         lambda: Mono(pe("w"), "w", pe("p"), pe("q"), ("ab",))),
+        (lambda: Subst(ps("|- nu t:O. t"), ()), lambda: Subst(ps("|- nu s:O. s"), ())),
+    ], ids=["position", "side", "name", "variable-numeral", "context-split",
+            "fresh-names", "bound-names"])
+    def test_distinct_rules_stay_apart_and_equal_ones_meet(self, make_a, make_b):
+        # a chain of four |- p nodes, by a, b, then equal copies of a and b
+        a, b = make_a(), make_b()
+        tree = DerivTree("n4", ps("|- p"), None)
+        for k, rule in reversed(list(enumerate([a, b, make_a(), make_b()]))):
+            tree = DerivTree(f"n{k}", ps("|- p"), rule, (tree,))
+        pp = PreProof(tree)
+        assert [pp.node(f"n{k}").rule for k in range(4)] == [a, b, a, b]
+        assert pp.node("n0").rule is pp.node("n2").rule is a
+        assert pp.node("n1").rule is pp.node("n3").rule is b
+        assert a != b
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+    def test_equal_deep_rules_are_shared_without_recursion(self, loaded):
+        # two |- p nodes with equal but distinct Cut(600 = 600) rules; the
+        # dataclasses' own == recurses once per S
+        def deep():
+            return Eq(numeral(600), numeral(600))
+        tree = DerivTree("l", ps("|- p"), None)
+        for k in (1, 0):
+            tree = DerivTree(f"c{k}", ps("|- p"), Cut(deep()), (
+                DerivTree(f"e{k}", Sequent((), (deep(), pe("p"))), EqR()),
+                DerivTree(f"w{k}", Sequent((deep(),), (pe("p"),)), WkL(), (tree,))))
+        pp = PreProof(tree, {"l": "c0"})
+        if loaded:
+            pp = loads_preproof(dumps_preproof(pp))
+        assert validate_preproof(pp) == []
+        assert pp.node("c0").rule is pp.node("c1").rule
+        assert pp.inference("c0") is pp.inference("c1")
+
 
 class TestProofFiles:
     @pytest.mark.parametrize("label,conclusion,rule,premises",
@@ -602,6 +662,9 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") (rule Cut) (children))', "Cut takes one"),
         ('(node n0 (seq "p |- p") (rule ExL x) (children))', "position parameter"),
         ('(node n0 (seq "p |- p") (rule ExL ²) (children))', "position parameter"),
+        # a context must be a list, not a string that starts alike
+        ('(node n0 (seq "p |- p") (rule EqL a b "Z" "Z" "left" (right)))', "EqL takes"),
+        ('(node n0 (seq "p |- p") (rule EqL a b "Z" "Z" (left) right))', "EqL takes"),
         ('(back n0)', "takes a leaf id"),
         ('(node n0 (seq "p |- p") open)\n(back n0 n0)\n(back n0 n1)',
          "duplicate (back ...) form for leaf 'n0'"),
@@ -622,6 +685,10 @@ class TestProofFiles:
          "line 3, column 1: unbalanced ')'"),
         ('(node n0\r\n  (seq "p |- p) (rule Axiom) (children))\r\n',
          "line 2, column 8: unterminated string literal"),
+        # a string literal is no atom, though it equals one: n1 is built first
+        ('(node n0 (seq "p |- p") (rule Nat "x") (children n1))\n'
+         '(node n1 (seq "p |- p") (rule Nat x) (children))\n',
+         "Nat variable must be a bare name"),
     ])
     def test_format_errors(self, bad, hint):
         with pytest.raises(ProofFormatError) as err:
@@ -638,6 +705,32 @@ class TestProofFiles:
         assert len(pp.nodes) == 21
         assert len(calls) == len(set(calls)) == 4
         assert len({id(n.seq) for n in pp.tree.walk()}) == 4
+
+    def test_each_distinct_rule_form_is_built_once(self, monkeypatch):
+        # five laps of the mu loop: 20 closed nodes over two rule forms,
+        # built from the leaf up
+        text = dumps_preproof(built_loop(5, "mu"))
+        calls = []
+        real = proofio.rule_from_form
+        monkeypatch.setattr(proofio, "rule_from_form",
+                            lambda parts, kids: calls.append(parts) or real(parts, kids))
+        pp = loads_preproof(text)
+        assert len(pp.nodes) == 21
+        assert calls == [["LamR"], ["MuR"]]
+        assert len({id(n.rule) for n in pp.tree.walk() if not n.is_open()}) == 2
+
+    def test_one_subst_form_is_built_once_per_child_sequent(self):
+        text = (r'(node r (seq "p (S Z) \\/ p (S Z) |- S Z = S Z") (rule OrL) (children a b))'
+                '\n(node a (seq "p (S Z) |- S Z = S Z") (rule Subst (x "S Z")) (children a1))'
+                '\n(node a1 (seq "p x |- x = x") open)'
+                '\n(node b (seq "p (S Z) |- S Z = S Z") (rule Subst (x "S Z")) (children b1))'
+                '\n(node b1 (seq "p x |- S Z = x") open)\n')
+        pp = loads_preproof(text)
+        a, b = pp.node("a"), pp.node("b")
+        assert a.rule.source is a.children[0].seq and b.rule.source is b.children[0].seq
+        assert a.rule is not b.rule
+        for node in (a, b):
+            check_rule(node.seq, node.rule, [node.children[0].seq])
 
     def test_deep_nesting_is_a_syntax_error(self):
         seq = "|- " + "(" * 1000 + "p" + ")" * 1000

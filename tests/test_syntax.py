@@ -437,8 +437,14 @@ def test_infer_env():
         infer_env([App(Var("f"), Var("u"))])
 
 
-# sequents whose p has type O in the direct check, not N -> O: the argument
-# is an arrow of the wrong type, and the error names both arrows whole
+def test_an_undetermined_type_names_the_first_variable_met():
+    # the types of f and u both stay open; the walk meets f first
+    with pytest.raises(HflTypeError, match="free variable 'f'"):
+        infer_env([parse_expr("f u")])
+
+
+# sequents whose p has type O when declared, not N -> O: the argument is an
+# arrow of the wrong type, and the error names both arrows whole
 P_IS_A_FORMULA = ("|- p \\/ (\\f:N->O. f Z) (\\x:O. x)", "p |- (\\f:N->O. f Z) (\\x:O. x)")
 
 
@@ -453,7 +459,7 @@ def test_unifier_names_expected_and_found_as_the_direct_checker(text, expected, 
     seq = parse_sequent(text)
     p_type = PROP if text in P_IS_A_FORMULA else arrow(NAT, PROP)
     named = []
-    for env in (None, {"p": p_type}):  # through the unifier, then directly
+    for env in (None, {"p": p_type}):  # p inferred, then p declared
         with pytest.raises(IllTyped) as err:
             check_sequent(seq, env)
         assert (err.value.expected, err.value.found) == (expected, found)
