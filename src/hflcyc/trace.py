@@ -8,9 +8,10 @@ correspondence.  A trace along an infinite path is classified by whether some
 sequence chain on a mu (resp. nu) operator grows forever.
 
 The classifier works on lassos (ultimately periodic paths), of the one
-:class:`~hflcyc.buchi.Lasso` type that the automata return and that this
-module re-exports.  It uses none of the automata algorithms, so that it can
-serve as a small-instance oracle for the automata-based decision procedure.
+:class:`~hflcyc.buchi.Lasso` type that the decision procedure returns and
+that this module re-exports.  It uses none of the automata algorithms, so
+that it can serve as a small-instance oracle for the automata-based decision
+procedure.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import hflcyc.kernel as kernel
 from hflcyc.kernel import (
     LEFT,
     Axiom,
+    Cut,
     DerivTree,
     EqR,
     ExR,
@@ -36,6 +37,7 @@ from hflcyc.kernel import (
     OrR,
     PreProof,
     Rule,
+    WkL,
     WkR,
     validate_preproof,
 )
@@ -51,7 +53,7 @@ from hflcyc.trace import (
     lasso_good,
 )
 
-from test_kernel import built_loop, ps, unrolled_loop
+from test_kernel import built_loop, pe, ps, unrolled_loop
 from test_trace import (
     branching_loop_proof,
     figure_eight_proof,
@@ -79,6 +81,23 @@ def sigma_free_loop_proof() -> PreProof:
     swapped = "|- S 0 = S 0, 0 = 0"
     tree = node("r", s, ExR(0), node("m", swapped, ExR(0), leaf("b", s)))
     return PreProof(tree, {"b": "r"})
+
+
+def cross_edge_proof(fix: str) -> PreProof:
+    """``|- N, N`` cut on ``N = fix t:O. t``; each branch weakens, unfolds
+    ``N`` and jumps into the other branch.
+
+    The companion of each leaf is not its ancestor.  The ``nu`` variant is
+    a proof; the ``mu`` one is not.
+    """
+    n = f"{fix} t:O. t"
+    two, rule = f"|- {n}, {n}", NuR() if fix == "nu" else MuR()
+    tree = node("r", two, Cut(pe(n)),
+                node("u1", f"|- {n}, {n}, {n}", WkR(),
+                     node("u2", two, rule, leaf("u3", two))),
+                node("v1", f"{n} |- {n}, {n}", WkL(),
+                     node("v2", two, rule, leaf("v3", two))))
+    return PreProof(tree, {"u3": "v2", "v3": "u2"})
 
 
 def rotation_proof(k: int) -> PreProof:
@@ -127,6 +146,8 @@ def all_fixtures():
         ("sigma_free", sigma_free_loop_proof()),
         ("figure_eight", figure_eight_proof()),
         ("rotation3", rotation_proof(3)),
+        ("cross_edge_nu", cross_edge_proof("nu")),
+        ("cross_edge_mu", cross_edge_proof("mu")),
     ]
 
 
@@ -324,8 +345,8 @@ class TestPathAutomaton:
 
 
 def reachable_state_bound(pp: PreProof) -> int:
-    """The idle state plus one state per operator position of every occurrence."""
-    total = 1
+    """One state per operator position of every occurrence."""
+    total = 0
     for nid in pp.nodes:
         seq = pp.node(nid).seq
         for f in (*seq.left, *seq.right):
@@ -341,17 +362,19 @@ class TestTraceAutomaton:
 
     def test_golden_size_is_stable(self, golden):
         a = build_gtc_automaton(golden)
-        assert len(a.states) == 12
+        assert len(a.states) == 11
         assert len(a.accepting) == 1
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_star_ignores_every_symbol(self, name, pp):
+        # no idle state reads every symbol: runs start at the companions'
+        # operator positions, and only there
         a = build_gtc_automaton(pp)
-        assert a.initial == frozenset({0})
-        assert a.decode[0] is None
-        for n in pp.nodes:
-            assert (0, n, 0) in a.transitions
-            assert (0, n, 0) not in a.accepting
+        companions = set(pp.back_edges.values())
+        assert a.initial == {q for q, key in enumerate(a.decode) if key[0] in companions}
+        assert {a.decode[q] for q in a.initial} == {
+            (c, side, index, p) for c in companions
+            for (side, index), paths in pp.positions(c).items() for p in paths}
 
     def test_accepting_transitions_by_fixture(self):
         # only left-mu / right-nu unfoldings of the followed operator accept:
@@ -363,15 +386,15 @@ class TestTraceAutomaton:
 
     def test_sigma_free_proof_has_no_tracked_states(self):
         a = build_gtc_automaton(sigma_free_loop_proof())
-        assert a.states == frozenset({0})
-        assert a.decode == (None,)
+        assert a.states == frozenset()
+        assert a.decode == ()
         assert not a.accepting
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_tracked_states_are_well_formed(self, name, pp):
         a = build_gtc_automaton(pp)
         assert a.states == frozenset(range(len(a.decode)))
-        for node_id, side, index, mark in a.decode[1:]:
+        for node_id, side, index, mark in a.decode:
             seq = pp.node(node_id).seq
             row = seq.left if side == LEFT else seq.right
             assert mark in sigma_paths(row[index])
@@ -385,12 +408,18 @@ class TestTraceAutomaton:
 class TestBridge:
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_closed_walks_agree_with_classification(self, name, pp):
+        # the automaton's runs start at companions, so each walk is read
+        # from its first companion on
         a = build_gtc_automaton(pp)
+        trimmed = trim(a)
+        companions = set(pp.back_edges.values())
         paths = _tree_paths(pp)
         for cycle in enumerate_closed_walks(pp, max_back_edges=3):
             lasso = Lasso(paths[cycle[0]][:-1], cycle)
-            got = accepts_lasso(a, lasso)
-            assert got == lasso_good(pp, lasso), lasso
+            i = next(i for i, n in enumerate(cycle) if n in companions)
+            walk = Lasso((), cycle[i:] + cycle[:i])
+            good = lasso_good(pp, lasso)
+            assert accepts_lasso(a, walk) == accepts_lasso(trimmed, walk) == good, lasso
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_verdict_agrees_with_brute_force(self, name, pp):
@@ -447,6 +476,45 @@ class TestCheckGtc:
     def test_unknown_on_tiny_state_cap(self, golden):
         with pytest.raises(GtcUnknown, match="state cap"):
             check_gtc(golden, max_states=4)
+
+    @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
+    def test_unknown_under_a_cap_of_one(self, name, pp):
+        with pytest.raises(GtcUnknown, match="state cap"):
+            check_gtc(pp, max_states=1)
+
+    def test_size_guard(self):
+        # rotation(3) stores 3 partial segments and 1 segment
+        with pytest.raises(GtcUnknown, match="state cap: stored 3 segments") as info:
+            check_gtc(rotation_proof(3), max_states=3)
+        assert info.traceback[-2].name == "_segments"
+
+    def test_size_guard_closure(self):
+        # the segments fit under the cap; the 4 loop elements do not
+        with pytest.raises(GtcUnknown, match="state cap: stored 7 segments") as info:
+            check_gtc(rotation_proof(3), max_states=7)
+        assert info.traceback[-2].name == "_loops"
+        assert check_gtc(rotation_proof(3), max_states=8) == (True, None)
+
+    @pytest.mark.parametrize("fix", ["nu", "mu"])
+    def test_thread_along_a_long_cycle(self, fix):
+        # one thread along a 257-node cycle: one segment, a few rows moving
+        pp = built_loop(64, fix)
+        res = check_cyclic_proof(pp)
+        if fix == "nu":
+            assert res == Accepted()
+        else:
+            assert isinstance(res, Rejected) and res.kind == "trace"
+            assert res.lasso == Lasso((), tuple(f"m{i}" for i in range(257)))
+
+    def test_cross_edges(self):
+        # each leaf jumps into the other branch of the cut, not to an ancestor
+        nu, mu = cross_edge_proof("nu"), cross_edge_proof("mu")
+        assert validate_preproof(nu) == validate_preproof(mu) == []
+        assert check_cyclic_proof(nu) == Accepted()
+        res = check_cyclic_proof(mu)
+        assert isinstance(res, Rejected) and res.kind == "trace"
+        assert res.lasso == Lasso(("r", "u1"), ("u2", "u3", "v2", "v3"))
+        assert not lasso_good(mu, res.lasso)
 
     def test_four_occurrence_rotation(self):
         pp = rotation_proof(4)
