@@ -482,19 +482,6 @@ class TestCheckGtc:
         with pytest.raises(GtcUnknown, match="state cap"):
             check_gtc(pp, max_states=1)
 
-    def test_size_guard(self):
-        # rotation(3) stores 3 partial segments and 1 segment
-        with pytest.raises(GtcUnknown, match="state cap: stored 3 segments") as info:
-            check_gtc(rotation_proof(3), max_states=3)
-        assert info.traceback[-2].name == "_segments"
-
-    def test_size_guard_closure(self):
-        # the segments fit under the cap; the 4 loop elements do not
-        with pytest.raises(GtcUnknown, match="state cap: stored 7 segments") as info:
-            check_gtc(rotation_proof(3), max_states=7)
-        assert info.traceback[-2].name == "_loops"
-        assert check_gtc(rotation_proof(3), max_states=8) == (True, None)
-
     @pytest.mark.parametrize("fix", ["nu", "mu"])
     def test_thread_along_a_long_cycle(self, fix):
         # one thread along a 257-node cycle: one segment, a few rows moving
