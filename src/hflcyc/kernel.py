@@ -1,6 +1,6 @@
 """Sequent-calculus kernel: rule checking, derivation trees, pre-proofs.
 
-Every rule is represented by a small frozen dataclass carrying exactly the
+Every rule is represented by a small immutable object carrying exactly the
 parameters needed to reconstruct its premises from its conclusion, so
 checking an inference is deterministic: rebuild the expected premises and
 compare with the supplied ones up to alpha-equivalence.  No unification or
@@ -26,7 +26,7 @@ the trace automaton and all nodes with that pair share one head step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Any, ClassVar, Mapping, Optional
 
@@ -104,17 +104,37 @@ class Inference:
     head_step: Optional[HeadStep] = None
 
 
-@dataclass(frozen=True)
 class Rule:
     """Base class; subclasses define premise reconstruction and the
     premise-to-conclusion occurrence correspondence.  A rule's tag, its name
-    in the proof format, is its class name."""
+    in the proof format, is its class name.
 
+    A rule with parameters is a frozen dataclass; one without is a plain,
+    immutable subclass, equal to every instance of its class.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
     tag: ClassVar[str]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.tag = cls.__name__
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
+    def __repr__(self):
+        return f"{self.tag}()"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
         raise NotImplementedError
@@ -130,7 +150,6 @@ class Rule:
         return _identity_map(conclusion)
 
 
-@dataclass(frozen=True)
 class Axiom(Rule):
     def premises_of(self, conclusion):
         if (len(conclusion.left) != 1 or len(conclusion.right) != 1
@@ -160,7 +179,6 @@ class Cut(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class WkL(Rule):
     def premises_of(self, conclusion):
         _need_left(conclusion, "Gamma, phi |-")
@@ -172,7 +190,6 @@ class WkL(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class WkR(Rule):
     def premises_of(self, conclusion):
         _need_right(conclusion, "|- phi, Delta")
@@ -186,7 +203,6 @@ class WkR(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class CtrL(Rule):
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi |-")
@@ -199,7 +215,6 @@ class CtrL(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class CtrR(Rule):
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- phi, Delta")
@@ -344,7 +359,6 @@ class EqL(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class EqR(Rule):
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- t = t, Delta")
@@ -353,7 +367,6 @@ class EqR(Rule):
         return ()
 
 
-@dataclass(frozen=True)
 class OrL(Rule):
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi \\/ psi |-")
@@ -363,7 +376,6 @@ class OrL(Rule):
                 Sequent(conclusion.left[:-1] + (phi.rhs,), conclusion.right))
 
 
-@dataclass(frozen=True)
 class OrR(Rule):
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- phi \\/ psi, Delta")
@@ -381,7 +393,6 @@ class OrR(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class AndL(Rule):
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi /\\ psi |-")
@@ -396,7 +407,6 @@ class AndL(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class AndR(Rule):
     def premises_of(self, conclusion):
         phi = _need_right(conclusion, "|- phi /\\ psi, Delta")
@@ -410,7 +420,6 @@ _REDEX_SHAPES = {Lam: "(\\x. phi) psi psi_vec", Mu: "(mu x. phi) psi_vec",
                  Nu: "(nu x. phi) psi_vec"}
 
 
-@dataclass(frozen=True)
 class HeadStepRule(Rule):
     """Shared shape of the lambda and fixed-point left and right rules: the
     premise replaces the principal formula, on ``side``, by one head step on
@@ -435,37 +444,31 @@ class HeadStepRule(Rule):
         return self.inference(conclusion).premises
 
 
-@dataclass(frozen=True)
 class LamL(HeadStepRule):
     side: ClassVar[str] = LEFT
     kind: ClassVar[type] = Lam
 
 
-@dataclass(frozen=True)
 class LamR(HeadStepRule):
     side: ClassVar[str] = RIGHT
     kind: ClassVar[type] = Lam
 
 
-@dataclass(frozen=True)
 class MuL(HeadStepRule):
     side: ClassVar[str] = LEFT
     kind: ClassVar[type] = Mu
 
 
-@dataclass(frozen=True)
 class MuR(HeadStepRule):
     side: ClassVar[str] = RIGHT
     kind: ClassVar[type] = Mu
 
 
-@dataclass(frozen=True)
 class NuL(HeadStepRule):
     side: ClassVar[str] = LEFT
     kind: ClassVar[type] = Nu
 
 
-@dataclass(frozen=True)
 class NuR(HeadStepRule):
     side: ClassVar[str] = RIGHT
     kind: ClassVar[type] = Nu
@@ -487,7 +490,6 @@ class Nat(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class P1(Rule):
     def premises_of(self, conclusion):
         ok = (len(conclusion.left) == 1 and not conclusion.right
@@ -500,7 +502,6 @@ class P1(Rule):
         return ()
 
 
-@dataclass(frozen=True)
 class P2(Rule):
     def premises_of(self, conclusion):
         phi = _need_left(conclusion, "Gamma, S s = S t |-")

@@ -36,7 +36,9 @@ from itertools import islice
 from operator import length_hint
 from typing import Iterator, Optional
 
-from .syntax import Expr, HflError, Sequent, parse_expr, parse_sequent, sequent_to_str, to_str
+from .syntax import (
+    Expr, HflError, Sequent, line_column, parse_expr, parse_sequent, sequent_to_str, to_str,
+)
 from .kernel import (
     RULES, Cut, DerivTree, EqL, ExL, ExR, Mono, Nat, PreProof, Rule, Subst,
 )
@@ -113,8 +115,7 @@ def _where(text: str, tokens: list[str], it: Iterator[str], message: str) -> str
     """``message`` at the line and column of the token ``it`` read last."""
     index = len(tokens) - length_hint(it) - 1
     pos = next(islice(_TOKEN_RE.finditer(text), index, None)).start()
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    line, col = line_column(text, pos)
     return f"line {line}, column {col}: {message}"
 
 

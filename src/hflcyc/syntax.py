@@ -89,11 +89,15 @@ class HflError(Exception):
     """Base class for all object-language errors."""
 
 
+def line_column(text: str, pos: int) -> tuple[int, int]:
+    """The line and column, both from 1, of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 class HflSyntaxError(HflError):
     def __init__(self, message: str, text: str = "", pos: int = -1):
         if pos >= 0:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+            line, col = line_column(text, pos)
             message = f"{message} (line {line}, column {col})"
         super().__init__(message)
         self.pos = pos
@@ -871,6 +875,18 @@ _KINDS = {"->": "arrow", "\\/": "orop", "/\\": "andop", "\\": "lam",
           "S": "S", **dict.fromkeys("().:,=", "punct")}
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
+# The binary operators, for the printer and the parser: separator, precedence,
+# and the levels of the two operands (binder bodies are at level 0, atoms at 5)
+_BINARY = {Eq: (" = ", 3, 4, 4), Or: (" \\/ ", 1, 1, 2), And: (" /\\ ", 2, 2, 3),
+           App: (" ", 4, 4, 5)}
+_INFIX = {sep.strip(): cls for cls, (sep, *_levels) in _BINARY.items() if sep.strip()}
+_ATOM_LEVEL = _BINARY[App][3]
+# A binder may start an operand up to the level of /\'s right operand: not
+# after = or S, and not as an application's argument.
+_BINDER_LEVEL = _BINARY[And][3]
+_BINDER_KEYWORDS = {"lam": Lam, "mu": Mu, "nu": Nu}
+_ATOM_START = frozenset(("ident", "num", "Z", "S"))  # and "("
+
 Token = tuple[str, str, int]
 """(kind, text, position); a keyword's kind is its own text."""
 
@@ -945,62 +961,36 @@ class _Parser:
         return left
 
     # -- expressions --
-    def expr(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "lam":
+    def expr(self, level: int = 0) -> Expr:
+        """A formula whose operators bind at least as tightly as ``level``,
+        read by precedence climbing over ``_BINARY``: an atom, then each
+        operator of precedence at least ``level`` that can take what is read
+        so far as its left operand, with its right operand read at its right
+        operand's level.  Application is juxtaposition with an atom."""
+        kind, _text, pos = self.peek()
+        if kind in _BINDER_KEYWORDS and level <= _BINDER_LEVEL:
             self.next()
             name = self.expect("ident", "a variable")[1]
             self.expect(":", ":")
             ty = self.type_expr()
             self.expect(".", ".")
-            return Lam(name, ty, self.expr())
-        if tok[0] in ("mu", "nu"):
-            self.next()
-            name = self.expect("ident", "a variable")[1]
-            self.expect(":", ":")
-            ty = self.type_expr()
-            self.expect(".", ".")
-            body = self.expr()
+            body = self.expr()  # extends as far as it can
             try:
-                return (Mu if tok[0] == "mu" else Nu)(name, ty, body)
+                return _BINDER_KEYWORDS[kind](name, ty, body)
             except HflTypeError as exc:
-                raise HflSyntaxError(str(exc), self.text, tok[2]) from None
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.peek()[0] == "orop":
-            self.next()
-            if self.peek()[0] in ("lam", "mu", "nu"):
-                return Or(left, self.expr())  # binder body extends maximally
-            left = Or(left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.eq_expr()
-        while self.peek()[0] == "andop":
-            self.next()
-            if self.peek()[0] in ("lam", "mu", "nu"):
-                return And(left, self.expr())
-            left = And(left, self.eq_expr())
-        return left
-
-    def eq_expr(self) -> Expr:
-        left = self.app_expr()
-        if self.peek()[1] == "=":
-            self.next()
-            return Eq(left, self.app_expr())
-        return left
-
-    def app_expr(self) -> Expr:
-        head = self.atom()
+                raise HflSyntaxError(str(exc), self.text, pos) from None
+        left, prec = self.atom(), _ATOM_LEVEL
         while True:
             kind, text, _pos = self.peek()
-            if kind in ("ident", "num", "Z", "S") or text == "(":
-                head = App(head, self.atom())
-            else:
-                break
-        return head
+            cls = App if kind in _ATOM_START or text == "(" else _INFIX.get(text)
+            if cls is None:
+                return left
+            _sep, op_prec, left_level, right_level = _BINARY[cls]
+            if op_prec < level or prec < left_level:
+                return left
+            if cls is not App:
+                self.next()
+            left, prec = cls(left, self.expr(right_level)), op_prec
 
     def atom(self) -> Expr:
         kind, text, pos = self.next()
@@ -1048,7 +1038,11 @@ def _parse_all(text: str, rule):
     p = _Parser(text)
     try:
         out = rule(p)
-    except RecursionError:  # the descent takes several frames per nesting level
+    except RecursionError:
+        # a parenthesis takes 2 frames, a level of a right-nested \/ or /\
+        # chain 3 and a type arrow 1, so at the default recursion limit about
+        # 495 parentheses or a 331-level chain still parse; deeper input,
+        # formula or type, is refused here
         raise HflSyntaxError("input nested too deeply", text, p.peek()[2]) from None
     if p.peek()[0] != "eof":
         p.fail(f"unexpected trailing input {p.peek()[1]!r}")
@@ -1102,10 +1096,6 @@ Template = tuple[tuple[str, ...], tuple[Path, ...]]
 """A printed formula with a gap after each fixed-point keyword, where its
 annotation goes: the text pieces around the gaps, and the operator path of
 each gap, in order."""
-
-# separator, precedence, and the levels of the two operands
-_BINARY = {Eq: (" = ", 3, 4, 4), Or: (" \\/ ", 1, 1, 2), And: (" /\\ ", 2, 2, 3),
-           App: (" ", 4, 4, 5)}
 
 
 def print_template(e: Expr) -> Template:

@@ -2,12 +2,13 @@
 pre-proof validation, and the proof file format."""
 
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 from hflcyc.syntax import (
-    App, Eq, HflSyntaxError, Sequent, Succ, Var, Zero, nat_pred, numeral,
+    And, App, Eq, HflSyntaxError, Or, Sequent, Succ, Var, Zero, nat_pred, numeral,
     parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
 )
 from hflcyc.kernel import (
@@ -207,6 +208,37 @@ class TestRuleSchemas:
         rule = EqL("h1", "h2", pe("Z = Z"), pe("t"), (), ())
         with pytest.raises(SideConditionViolated):
             rule.premises_of(ps("Z = t |-"))
+
+    @pytest.mark.parametrize("rule,conclusion,message", [
+        (WkL(), "|- p", "expected Gamma, phi |-, found |- p"),
+        (WkR(), "p |-", "expected |- phi, Delta, found p |-"),
+        (ExR(1), "|- p, q", "expected at least 3 right formulas, found |- p, q"),
+        (Mono(pe("w"), "w", pe("p"), pe("q"), ()), "r |- q", "expected p, found r"),
+        (Mono(pe("w"), "w", pe("p"), pe("q"), ()), "p |- r", "expected q, found r"),
+        (EqL("h1", "h2", pe("Z"), pe("x"), (pe("p h1"),), ()), "q Z, Z = x |-",
+         "expected p Z, Z = x |-, found q Z, Z = x |-"),
+        (EqR(), "|- x = y", "expected t = t, found x = y"),
+        (OrL(), "p /\\ q |-", "expected phi \\/ psi, found p /\\ q"),
+        (AndL(), "p \\/ q |-", "expected phi /\\ psi, found p \\/ q"),
+        (AndR(), "|- p \\/ q", "expected phi /\\ psi, found p \\/ q"),
+        (P2(), "x = S y |-", "expected S s = S t, found x = S y"),
+    ], ids=["WkL", "WkR", "ExR", "Mono-left", "Mono-right", "EqL", "EqR", "OrL", "AndL",
+            "AndR", "P2"])
+    def test_a_wrong_conclusion_is_rejected(self, rule, conclusion, message):
+        with pytest.raises(SchemaMismatch) as err:
+            rule.premises_of(ps(conclusion))
+        assert err.value.premise_index is None
+        assert str(err.value) == f"conclusion: {message}"
+
+    def test_a_rule_without_parameters_is_a_frozen_value(self):
+        for rule in (NuR(), Axiom()):
+            with pytest.raises(FrozenInstanceError):
+                rule.pos = 0
+            with pytest.raises(FrozenInstanceError):
+                del rule.tag
+            assert rule == type(rule)() and hash(rule) == hash(type(rule)())
+        assert NuR() != MuR()
+        assert repr(NuR()) == "NuR()"
 
 
 class TestOccurrenceMaps:
@@ -418,6 +450,18 @@ class TestPreProofs:
         issues = validate_preproof(PreProof(root, {}))
         assert any("duplicate" in i.message for i in issues)
 
+    def test_an_open_leaf_has_no_inference(self):
+        pp = loop_proof()
+        with pytest.raises(KernelError, match="node 'n4' is an open leaf"):
+            pp.inference("n4")
+
+    def test_an_open_leaf_with_children_is_reported(self):
+        kid = DerivTree("kid", ps("p |- p"), Axiom())
+        root = DerivTree("root", ps("p |- p"), None, (kid,))
+        issues = validate_preproof(PreProof(root, {}))
+        assert [str(i) for i in issues] == ["root: open leaf with children",
+                                            "root: open leaf without back edge"]
+
     def test_all_issues_listed(self):
         k0 = DerivTree("k0", ps("p |- s"), None)
         k1 = DerivTree("k1", ps("r, q, q |- s"), None)
@@ -626,6 +670,15 @@ class TestProofFiles:
         assert again.tree.seq == pp.tree.seq
         assert dumps_preproof(again) == text
 
+    @pytest.mark.parametrize("connective", [Or, And])
+    def test_a_deep_right_nested_chain_loads_back(self, connective):
+        # printed p \\/ (p \\/ (...)), one parenthesis level per connective
+        chain = Var("x")
+        for _ in range(200):
+            chain = connective(Var("p"), chain)
+        text = dumps_preproof(PreProof(DerivTree("n0", Sequent((), (chain,)), None), {}))
+        assert dumps_preproof(loads_preproof(text)) == text
+
     def test_escapes_survive(self):
         leaf = DerivTree("z", ps("(\\a:O. a) p |- p"), None)
         text = dumps_preproof(PreProof(leaf, {}))
@@ -689,6 +742,29 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") (rule Nat "x") (children n1))\n'
          '(node n1 (seq "p |- p") (rule Nat x) (children))\n',
          "Nat variable must be a bare name"),
+        # a detached two-node cycle below no root
+        ('(node n0 (seq "p |- p") (rule Axiom))\n'
+         '(node a (seq "p |- p") (rule WkL) (children b))\n'
+         '(node b (seq "p |- p") (rule WkL) (children a))',
+         "nodes not reachable from the root: ['a', 'b']"),
+        ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'
+         '(node n1 (seq "p |- p") (rule WkL) (children n2))\n'
+         '(node n2 (seq "p |- p") (rule WkL) (children n1))',
+         "node 'n1' is its own ancestor"),
+        ('(nodes n0 (seq "p |- p") (rule Axiom))', "unknown top-level form 'nodes'"),
+        ('node', "expected a (node ...) or (back ...) form, got 'node'"),
+        ('(node n0)', "(node ...) needs an id and a (seq ...) entry"),
+        ('(node n0 (seq p) (rule Axiom))', 'node n0: expected (seq "...")'),
+        ('(node n0 (seq "p |- p") (children))', "node n0: expected (rule ...) or open"),
+        ('(node n0 (seq "p |- p") (rule Axiom) (kids))', "node n0: expected (children ...)"),
+        ('(node n0 (seq "p |- p") (rule))', "empty (rule) form"),
+        ('(node n0 (seq "p |- p") (rule Subst (x "Z")))', "Subst requires exactly one child"),
+        ('(node n0 (seq "p |- p") (rule Subst (x)) (children n1))\n'
+         '(node n1 (seq "p |- p") open)', "Subst parameters are"),
+        ('(node n0 (seq "p |- p") (rule Mono "p" w "p" "p"))', "Mono takes"),
+        ('(node n0 (seq "p |- p") (rule Nat x y))', "Nat takes one variable parameter"),
+        ('(node n0 (seq "p |- p") (rule Axiom x))', "Axiom takes no parameters"),
+        ('(node n0 (seq "p |- p") (rule Cut p))', "Cut formula must be a quoted formula"),
     ])
     def test_format_errors(self, bad, hint):
         with pytest.raises(ProofFormatError) as err:

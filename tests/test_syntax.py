@@ -1,5 +1,6 @@
 """Parser, printer, alpha-equivalence, substitution and typing tests."""
 
+import itertools
 import sys
 import time
 
@@ -14,8 +15,9 @@ from hflcyc.syntax import (
     infer_type, make_app, numeral, numeral_value, parse, parse_expr,
     parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
     sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
-    type_to_str, unfold, FromSkeleton, FromCopy,
+    type_to_str, unfold, FromSkeleton, FromCopy, sequent_to_str,
 )
+from hflcyc.syntax import _BINARY
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -103,6 +105,36 @@ def test_parse_errors_are_positioned():
         parse_type("N -> N")             # N result
     with pytest.raises(HflSyntaxError):
         parse_expr("f ) x")
+
+
+# tokens of every kind; so that some strings parse, binders come in one piece
+# and names, parentheses and connectives come twice as often
+TOKENS = ["x", "f", "Z", "S", "3", "(", ")", "\\/", "/\\", "=", "\\x:N.", "mu p:O.",
+          "nu g:N->O.", "\\", "mu", ":", ".", "N", "->", ",", "|-", "$",
+          "x", "f", "(", ")", "\\/", "/\\"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(TOKENS), max_size=16))
+def test_token_strings_parse_back_or_raise_a_syntax_error(tokens):
+    text = " ".join(tokens)
+    for source, parse_text, show in ((text, parse_expr, to_str),
+                                     (text, parse_sequent, sequent_to_str),
+                                     (f"{text} |- {text}", parse_sequent, sequent_to_str)):
+        try:
+            printed = show(parse_text(source))
+        except HflSyntaxError:
+            continue
+        # printed text, not trees: == on a deep tree recurses
+        assert show(parse_text(printed)) == printed
+
+
+@pytest.mark.parametrize("outer,inner", list(itertools.product(_BINARY, repeat=2)),
+                         ids=lambda cls: cls.__name__)
+def test_every_pair_of_operators_nests_both_ways(outer, inner):
+    x, y, z = Var("x"), Var("y"), Var("z")
+    for e in (outer(inner(x, y), z), outer(x, inner(y, z))):
+        assert parse_expr(to_str(e)) == e
 
 
 def test_deep_nesting_is_a_syntax_error():
