@@ -17,7 +17,9 @@ condition fails exactly when some idempotent loop at a companion has no
 diagonal entry of value 2.  A failure is witnessed by an ultimately periodic
 counterexample path.
 
-The symbol read on a transition is the *source* node of the path step.
+The symbol read on a transition is the *source* node of the path step.  The
+path and trace automata are both :class:`BuchiAutomaton` values, which
+:func:`trim` prunes and :func:`accepts_lasso` runs on one lasso.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .buchi import (
-    BuchiAutomaton,
-    Lasso,
-    make_automaton,
-    trim,
-)
 from .kernel import (
     LEFT,
     RIGHT,
@@ -54,17 +50,19 @@ from .syntax import (
 from .trace import (
     MU,
     NU,
+    Lasso,
     node_steps,
     replay_annotations,
 )
 
 __all__ = [
     "Accepted",
+    "BuchiAutomaton",
     "CheckResult",
     "GtcError",
     "GtcUnknown",
     "Rejected",
-    "TraceAutomaton",
+    "accepts_lasso",
     "build_gtc_automaton",
     "build_path_automaton",
     "check_cyclic_proof",
@@ -72,6 +70,7 @@ __all__ = [
     "contains",
     "counterexample_report",
     "render_lasso",
+    "trim",
 ]
 
 MAX_STATES = 50_000
@@ -88,6 +87,41 @@ class GtcUnknown(GtcError):
 
     Raised instead of returning a possibly wrong boolean.
     """
+
+
+# ---------------------------------------------------------------------------
+# automata
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BuchiAutomaton:
+    """A nondeterministic Büchi automaton with transition-based acceptance.
+
+    A run is accepting when it takes accepting transitions, ``(src, symbol,
+    dst)`` triples, infinitely often.  The trace automaton numbers its states
+    as ints and ``decode[i]`` is the ``(node, side, index, mark)`` key of
+    state ``i``; the path automaton's states are node ids and it has no
+    ``decode``.
+    """
+
+    states: frozenset
+    alphabet: frozenset
+    transitions: frozenset
+    initial: frozenset
+    accepting: frozenset
+    decode: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.initial <= self.states:
+            raise GtcError("initial states must be states")
+        if not self.accepting <= self.transitions:
+            raise GtcError("accepting transitions must be transitions")
+        for src, sym, dst in self.transitions:
+            if src not in self.states or dst not in self.states:
+                raise GtcError("transition endpoint is not a state")
+            if sym not in self.alphabet:
+                raise GtcError("transition symbol is not in the alphabet")
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +158,9 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
     edge targets a missing node.
     """
     _require_back_edges(pp)
-    ids = sorted(pp.nodes)
-    transitions = [(n, n, m) for n in ids for m in successors(pp, n)]
-    return make_automaton(ids, ids, transitions, [pp.tree.id], transitions)
+    ids = frozenset(pp.nodes)
+    transitions = frozenset((n, n, m) for n in ids for m in successors(pp, n))
+    return BuchiAutomaton(ids, ids, transitions, frozenset([pp.tree.id]), transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +178,7 @@ def _good_unfold(side: str, sigma_kind: Optional[str]) -> bool:
             or (sigma_kind == NU and side == RIGHT))
 
 
-@dataclass(frozen=True)
-class TraceAutomaton(BuchiAutomaton):
-    """A trace automaton whose states are ints.
-
-    ``decode[i]`` is the ``(node, side, index, mark)`` key of state ``i``.
-    """
-
-    decode: tuple[_Key, ...] = field(default=(), compare=False, repr=False)
-
-
-def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
+def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     """The trace automaton over proof-node symbols.
 
     Its initial states follow the operator positions ``p`` of the
@@ -232,9 +256,146 @@ def build_gtc_automaton(pp: PreProof) -> TraceAutomaton:
                 for q in inv.get(mark, ()):
                     emit(src, node_id, state((child.id, *step.premise_pos, q)), acc)
 
-    return TraceAutomaton(
+    return BuchiAutomaton(
         frozenset(range(len(decode))), frozenset(pp.nodes), frozenset(transitions),
         initial, frozenset(accepting), tuple(decode))
+
+
+# ---------------------------------------------------------------------------
+# trimming and lasso membership
+# ---------------------------------------------------------------------------
+
+
+def _scc_ids(nodes: list, succs: Mapping) -> dict:
+    """Map each node to its SCC id (iterative Tarjan).  ``succs[n]`` is an
+    iterable of nodes."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    comp: dict = {}
+    counter = 0
+    next_index = 0
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succs.get(root, ())))]
+        index[root] = low[root] = next_index
+        next_index += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = next_index
+                    next_index += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succs.get(nxt, ()))))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp[member] = counter
+                    if member == node:
+                        break
+                counter += 1
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return comp
+
+
+def trim(a: BuchiAutomaton) -> BuchiAutomaton:
+    """Keep only states that lie on some accepting run.
+
+    A state is useful when it is reachable from an initial state and can reach
+    an accepting transition whose endpoints share a strongly connected
+    component.  Removing the rest preserves the language.
+    """
+    out: dict = {}
+    for src, _sym, dst in a.transitions:
+        out.setdefault(src, set()).add(dst)
+    reach = set(a.initial)
+    queue = deque(reach)
+    while queue:
+        for dst in out.get(queue.popleft(), ()):
+            if dst not in reach:
+                reach.add(dst)
+                queue.append(dst)
+    succs = {q: [dst for dst in out.get(q, ()) if dst in reach] for q in reach}
+    comp = _scc_ids(list(reach), succs)
+    core = {
+        src
+        for (src, _sym, dst) in a.accepting
+        if src in reach and dst in reach and comp[src] == comp[dst]
+    }
+    if not core:
+        return BuchiAutomaton(
+            frozenset(), a.alphabet, frozenset(), frozenset(), frozenset())
+    # backward closure to the accepting cores
+    preds: dict = {q: [] for q in reach}
+    for q in reach:
+        for dst in succs[q]:
+            preds[dst].append(q)
+    useful = set(core)
+    queue = deque(core)
+    while queue:
+        q = queue.popleft()
+        for p in preds[q]:
+            if p not in useful:
+                useful.add(p)
+                queue.append(p)
+    transitions = frozenset(
+        t for t in a.transitions if t[0] in useful and t[2] in useful)
+    return BuchiAutomaton(
+        frozenset(useful), a.alphabet, transitions,
+        frozenset(q for q in a.initial if q in useful),
+        frozenset(t for t in a.accepting if t[0] in useful and t[2] in useful))
+
+
+def accepts_lasso(a: BuchiAutomaton, w: Lasso) -> bool:
+    """Does the automaton accept ``prefix · cycle^omega``?
+
+    Decided on the finite product of the automaton with the lasso positions,
+    looking for a reachable cycle that contains an accepting transition.
+    """
+    spine = w.spine
+    for sym in spine:
+        if sym not in a.alphabet:
+            raise GtcError(f"lasso symbol {sym!r} is not in the alphabet")
+    moves: dict = {}
+    for t in a.transitions:
+        moves.setdefault(t[:2], []).append((t[2], t in a.accepting))
+
+    start = [(q, 0) for q in a.initial]
+    seen = set(start)
+    queue = deque(start)
+    edges: dict = {}
+    accepting_edges = []
+    while queue:
+        q, i = item = queue.popleft()
+        nxt_i = w.successor_index(i)
+        outs = edges[item] = []
+        for dst, acc in moves.get((q, spine[i]), ()):
+            node = (dst, nxt_i)
+            outs.append(node)
+            if acc:
+                accepting_edges.append((item, node))
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    comp = _scc_ids(list(seen), edges)
+    return any(comp[x] == comp[y] for x, y in accepting_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -376,39 +376,45 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
     A bound name is compared by the depth of the binder that binds it and a
     free name by its text, so the answer is that of comparing canonical forms.
     """
-    return a is b or _alpha(a, b, {}, {}, 0)
+    return a is b or _alpha(a, b)
 
 
-def _alpha(a: Expr, b: Expr, env_a: dict[str, int], env_b: dict[str, int],
-           depth: int) -> bool:
-    while True:
-        t = type(a)
-        if t is not type(b):
-            return False
-        if t is Var:
-            level = env_a.get(a.name)
-            return level == env_b.get(b.name) and (level is not None or a.name == b.name)
-        if t is Zero:
-            return True
-        if t is Succ:
-            a, b = a.arg, b.arg
-        elif t is App:
-            if not _alpha(a.fn, b.fn, env_a, env_b, depth):
+def _alpha(a: Expr, b: Expr) -> bool:
+    # The walk follows the last child of each node and keeps the other
+    # children's pairs, with their binder levels, on a stack: a long
+    # application or connective chain needs no recursion.
+    todo: list[tuple[Expr, Expr, dict[str, int], dict[str, int], int]] = [(a, b, {}, {}, 0)]
+    while todo:
+        a, b, env_a, env_b, depth = todo.pop()
+        while True:
+            t = type(a)
+            if t is not type(b):
                 return False
-            a, b = a.arg, b.arg
-        elif t is Eq or t is Or or t is And:
-            if not _alpha(a.lhs, b.lhs, env_a, env_b, depth):
-                return False
-            a, b = a.rhs, b.rhs
-        elif t is Lam or t is Mu or t is Nu:
-            if a.var_type != b.var_type:
-                return False
-            env_a = {**env_a, a.var: depth}
-            env_b = {**env_b, b.var: depth}
-            depth += 1
-            a, b = a.body, b.body
-        else:
-            raise TypeError(f"not an expression: {a!r}")
+            if t is Var:
+                level = env_a.get(a.name)
+                if level != env_b.get(b.name) or (level is None and a.name != b.name):
+                    return False
+                break
+            if t is Zero:
+                break
+            if t is Succ:
+                a, b = a.arg, b.arg
+            elif t is App:
+                todo.append((a.fn, b.fn, env_a, env_b, depth))
+                a, b = a.arg, b.arg
+            elif t is Eq or t is Or or t is And:
+                todo.append((a.lhs, b.lhs, env_a, env_b, depth))
+                a, b = a.rhs, b.rhs
+            elif t is Lam or t is Mu or t is Nu:
+                if a.var_type != b.var_type:
+                    return False
+                env_a = {**env_a, a.var: depth}
+                env_b = {**env_b, b.var: depth}
+                depth += 1
+                a, b = a.body, b.body
+            else:
+                raise TypeError(f"not an expression: {a!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------

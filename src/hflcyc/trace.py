@@ -8,10 +8,9 @@ correspondence.  A trace along an infinite path is classified by whether some
 sequence chain on a mu (resp. nu) operator grows forever.
 
 The classifier works on lassos (ultimately periodic paths), of the one
-:class:`~hflcyc.buchi.Lasso` type that the decision procedure returns and
-that this module re-exports.  It uses none of the automata algorithms, so
-that it can serve as a small-instance oracle for the automata-based decision
-procedure.
+:class:`Lasso` type, which the decision procedure of :mod:`hflcyc.gtc`
+returns.  It uses none of the automata algorithms, so that it can serve as a
+small-instance oracle for the automata-based decision procedure.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .buchi import Lasso
 from .kernel import (
     LEFT,
     RIGHT,
@@ -375,6 +373,33 @@ def _apply_step(tau: AnnotatedFormula, step: OccurrenceStep, fresh: Iterator[int
 # ---------------------------------------------------------------------------
 # Lassos
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Lasso:
+    """The ultimately periodic word ``prefix · cycle^omega``.
+
+    Over proof-node ids it is a path of a proof: :func:`hflcyc.gtc.contains`
+    returns one as the counterexample of :func:`hflcyc.gtc.check_gtc`, and
+    the oracles of this module classify the traces along one.
+    """
+
+    prefix: tuple[str, ...]
+    cycle: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.prefix, tuple) or not isinstance(self.cycle, tuple):
+            raise TraceError("lasso parts must be tuples")
+        if not self.cycle:
+            raise TraceError("a lasso needs a nonempty cycle")
+
+    @property
+    def spine(self) -> tuple[str, ...]:
+        return self.prefix + self.cycle
+
+    def successor_index(self, i: int) -> int:
+        """The spine position after ``i``: the end of the cycle wraps to its start."""
+        return i + 1 if i + 1 < len(self.prefix) + len(self.cycle) else len(self.prefix)
 
 
 def _check_lasso(pp: PreProof, lasso: Lasso) -> None:

@@ -5,18 +5,24 @@ import random
 
 import pytest
 
-from hflcyc.buchi import (
+from hflcyc.gtc import (
     BuchiAutomaton,
-    BuchiError,
-    Lasso,
+    GtcError,
+    GtcUnknown,
     accepts_lasso,
-    make_automaton,
+    build_path_automaton,
+    contains,
     trim,
 )
-from hflcyc.gtc import GtcUnknown, build_path_automaton, contains
 from hflcyc.kernel import DerivTree, ExR, PreProof
+from hflcyc.trace import Lasso, TraceError
 
 from test_kernel import ps
+
+
+def make_automaton(states, alphabet, transitions, initial, accepting) -> BuchiAutomaton:
+    return BuchiAutomaton(frozenset(states), frozenset(alphabet), frozenset(transitions),
+                          frozenset(initial), frozenset(accepting))
 
 
 def nothing(syms=("a", "b")) -> BuchiAutomaton:
@@ -95,6 +101,17 @@ def thread_along(n: int, accepting: str) -> BuchiAutomaton:
     return make_automaton(states, syms, trans, [idle], acc)
 
 
+@pytest.mark.parametrize("args,message", [
+    (([0], ["a"], [], [1], []), "initial states must be states"),
+    (([0], ["a"], [], [0], [(0, "a", 0)]), "accepting transitions must be transitions"),
+    (([0], ["a"], [(0, "a", 1)], [0], []), "transition endpoint is not a state"),
+    (([0], ["a"], [(0, "b", 0)], [0], []), "transition symbol is not in the alphabet"),
+], ids=["initial", "accepting", "endpoint", "symbol"])
+def test_malformed_automaton_rejected(args, message):
+    with pytest.raises(GtcError, match=message):
+        make_automaton(*args)
+
+
 class TestMembership:
     def test_no_accepting_transitions_rejects_everything(self):
         a = nothing()
@@ -111,15 +128,15 @@ class TestMembership:
         assert not accepts_lasso(a, Lasso(("b",), ("a",)))
 
     def test_unknown_symbol_rejected(self):
-        with pytest.raises(BuchiError, match="not in the alphabet"):
+        with pytest.raises(GtcError, match="not in the alphabet"):
             accepts_lasso(nothing(), Lasso((), ("z",)))
 
     def test_empty_period_rejected(self):
-        with pytest.raises(BuchiError, match="nonempty"):
+        with pytest.raises(TraceError, match="nonempty"):
             Lasso(("a",), ())
 
     def test_lasso_parts_must_be_tuples(self):
-        with pytest.raises(BuchiError, match="tuples"):
+        with pytest.raises(TraceError, match="tuples"):
             Lasso(["a"], ("a",))
 
     def test_no_initial_states(self):

@@ -5,19 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from hflcyc.buchi import accepts_lasso, trim
 import hflcyc.gtc as gtc
 from hflcyc.gtc import (
     Accepted,
     GtcError,
     GtcUnknown,
     Rejected,
+    accepts_lasso,
     build_gtc_automaton,
     build_path_automaton,
     check_cyclic_proof,
     check_gtc,
     counterexample_report,
     render_lasso,
+    trim,
 )
 import hflcyc.kernel as kernel
 from hflcyc.kernel import (
@@ -46,6 +47,7 @@ from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bound
 from hflcyc.syntax import Eq, Or, Sequent, Zero, sigma_paths
 from hflcyc.trace import (
     Lasso,
+    TraceError,
     _tree_paths,
     enumerate_closed_walks,
     enumerate_simple_lassos,
@@ -545,6 +547,19 @@ class TestCheckCyclicProof:
         assert [str(issue) for issue in res.issues] == [
             "n0: ill-typed sequent: formula nested too deeply to type-check"]
 
+    @pytest.mark.parametrize("head,link", [("q (mu {}:O. {})", " Z"), ("(mu {}:O. {})", " \\\\/ p")],
+                             ids=["application", "disjunction"])
+    def test_back_edge_between_long_chains_is_structural(self, head, link):
+        # the parser reads these chains in a loop; the back-edge check
+        # compares the leaf with its target without recursion too
+        r, l = (head.format(v, v) + link * 1200 for v in "xy")
+        pp = loads_preproof(f'(node r (seq "|- {r}") (rule WkR) (children l))\n'
+                            f'(node l (seq "|- {l}") open)\n(back l r)\n')
+        res = check_cyclic_proof(pp)
+        assert isinstance(res, Rejected) and res.kind == "structural"
+        assert [str(issue) for issue in res.issues] == [
+            f"{n}: ill-typed sequent: formula nested too deeply to type-check" for n in "rl"]
+
     def test_large_numeral_is_accepted(self):
         # a numeral types in a loop, not one frame per S
         pp = loads_preproof('(node n0 (seq "|- 500 = 500") (rule EqR))')
@@ -669,6 +684,10 @@ class TestReporting:
     def test_report_names_a_dangling_node(self, golden):
         with pytest.raises(KernelError, match="no node 'zz'"):
             counterexample_report(golden, Lasso((), ("zz",)))
+
+    def test_report_names_a_step_that_is_not_an_edge(self, golden):
+        with pytest.raises(TraceError, match="n0 -> n2 is not an edge"):
+            counterexample_report(golden, Lasso((), ("n0", "n2")))
 
     def test_counterexample_report_marks_dead_threads(self):
         pp = sigma_free_loop_proof()

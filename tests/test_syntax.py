@@ -197,6 +197,14 @@ def test_alpha_eq_fixtures(a, b, equal):
     assert (canonical(ea) == canonical(eb)) == equal
 
 
+def test_alpha_eq_walks_a_long_application_chain():
+    # deeper than the recursion limit: the chain's spine is not recursed on
+    args = [Zero()] * 5000
+    a = make_app(Mu("x", PROP, Var("x")), *args)
+    assert alpha_eq(a, make_app(Mu("y", PROP, Var("y")), *args))
+    assert not alpha_eq(a, make_app(Mu("y", PROP, Var("x")), *args))
+
+
 def _binder_paths(e):
     return [p for p, s in _preorder(e) if isinstance(s, (Lam, Mu, Nu))]
 

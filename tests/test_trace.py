@@ -23,7 +23,6 @@ from hflcyc.kernel import (
     relevant_occurrences,
     validate_preproof,
 )
-from hflcyc.buchi import BuchiError
 from hflcyc.proofio import load_preproof
 from hflcyc.syntax import alpha_eq, sigma_paths
 from hflcyc.trace import (
@@ -160,6 +159,16 @@ class TestOccurrenceSteps:
         right0 = [s for s in occurrence_steps(conclusion, rule, 0)
                   if s.premise_pos == (RIGHT, 0)][0]
         assert right0.transport == {(): (0,)}
+
+    def test_mono_context_steps_copy_annotations(self):
+        from hflcyc.kernel import Mono
+
+        rule = Mono(pe("(mu m:O. m) \\/ x"), "x", pe("p"), pe("q"), ())
+        conclusion = ps("nu a:O. a, (mu m:O. m) \\/ p |- (mu m:O. m) \\/ q, mu b:O. b")
+        steps = {s.premise_pos: s for s in occurrence_steps(conclusion, rule, 0)}
+        for pos in ((LEFT, 0), (RIGHT, 1)):
+            assert steps[pos].conclusion_pos == pos
+            assert steps[pos].transport == {(): ()}
 
     def test_equation_rewrite_keeps_operator_positions(self):
         from hflcyc.kernel import EqL
@@ -406,6 +415,17 @@ class TestGoldenLoop:
         assert entries[5][2].notes == entries[4][2].notes
         assert "nu{0.2}" in rendered[6]
 
+    @pytest.mark.parametrize("path,start,message", [
+        (["n1", "n2"], "n0", "must begin at the start occurrence's node"),
+        # an open leaf's one edge is its back edge
+        (["n4", "n1"], "n4", "n4 -> n1 is not an edge"),
+        # a closed node's edges go to its children
+        (["n0", "n2"], "n0", "n0 -> n2 is not an edge"),
+    ], ids=["start", "back_edge", "child"])
+    def test_replay_rejects_a_path_that_is_not_one(self, golden_loop, path, start, message):
+        with pytest.raises(TraceError, match=message):
+            replay_annotations(golden_loop, path, OccurrenceRef(start, RIGHT, 0))
+
     def test_fresh_numbers_never_reused(self, golden_loop):
         path = ["n0", "n1", "n2", "n3", "n4"] * 3 + ["n0", "n1"]
         entries = replay_annotations(golden_loop, path,
@@ -530,7 +550,7 @@ class TestEnumerationLimits:
         pp = self_loop_proof("nu")
         with pytest.raises(TraceError):
             lasso_good(pp, Lasso((), ("n0",)))
-        with pytest.raises(BuchiError):
+        with pytest.raises(TraceError):
             Lasso((), ())
 
     def test_open_leaf_without_back_edge_is_named(self):
