@@ -40,6 +40,7 @@ from .kernel import (
     validate_preproof,
 )
 from .syntax import (
+    Expr,
     HflError,
     Path,
     Template,
@@ -702,17 +703,15 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
     node, by the annotated replay of one full lap (plus re-entry), showing
     where each candidate thread stops or fails to grow.
 
-    Each distinct formula object of the replay is printed once, as a
+    Each distinct formula of the replay is printed once, as a
     :func:`~hflcyc.syntax.print_template`, and each distinct annotation is
-    labelled once; a line fills its formula's template with its labels.  A
-    pre-proof holds one object per sequent value, so a long lap over a few
-    sequents prints a few formulas.
+    labelled once; a line fills its formula's template with its labels.  So
+    a long lap over a few sequents prints a few formulas.
     """
     lines = [f"counterexample path: {render_lasso(lasso)}"]
     start_node = lasso.cycle[0]
     lap = lasso.cycle + (lasso.cycle[0],)
-    # keyed by id: every formula replayed belongs to a sequent of pp
-    templates: dict[int, Template] = {}
+    templates: dict[Expr, Template] = {}
     labels: dict[tuple[int, ...], str] = {}
 
     def label(note: tuple[int, ...]) -> str:
@@ -726,9 +725,9 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
         lines.append(f"thread from {start_node} {side}:{index}:")
         entries = replay_annotations(pp, lap, ref)
         for node_id, occ, af in entries:
-            template = templates.get(id(af.formula))
+            template = templates.get(af.formula)
             if template is None:
-                template = templates[id(af.formula)] = print_template(af.formula)
+                template = templates[af.formula] = print_template(af.formula)
             text = fill_template(template, {p: label(n) for p, n in af.notes.items()})
             lines.append(f"  {node_id}  {occ[0]}:{occ[1]}  {text}")
         if len(entries) < len(lap):

@@ -17,8 +17,9 @@ Conventions, fixed once for the whole code base:
 Each rule also knows its occurrence map — for a premise, which formula of
 the conclusion every premise formula descends from (None when the formula
 appears out of thin air, e.g. a cut formula).  The trace machinery builds
-on these maps.  A pre-proof gives equal sequents one object, and equal
-rules one object, whether it was loaded or built in memory.  It keeps the
+on these maps.  Sequents and rules are interned when they are built
+(:class:`~hflcyc.syntax.Interned`), so equal ones are one object, whether a
+proof was loaded or built in memory.  A pre-proof keeps the
 :class:`Inference` (premises, and the traced head step of a lambda or
 fixed-point rule) of each distinct (conclusion, rule) pair, so validation,
 the trace automaton and all nodes with that pair share one head step.
@@ -26,13 +27,13 @@ the trace automaton and all nodes with that pair share one head step.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, ClassVar, Mapping, Optional
 
 from .syntax import (
-    And, App, Eq, Expr, HeadStep, HflError, HflTypeError, Lam, Mu, Nu, Or,
-    Path, Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
+    And, App, Eq, Expr, HeadStep, HflError, HflTypeError, Interned, Lam, Mu, Nu,
+    Or, Path, Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
     free_vars, head_step, is_term_shaped, make_app, nat_pred,
     sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, to_str,
 )
@@ -104,37 +105,21 @@ class Inference:
     head_step: Optional[HeadStep] = None
 
 
-class Rule:
+class Rule(Interned):
     """Base class; subclasses define premise reconstruction and the
     premise-to-conclusion occurrence correspondence.  A rule's tag, its name
     in the proof format, is its class name.
 
-    A rule with parameters is a frozen dataclass; one without is a plain,
-    immutable subclass, equal to every instance of its class.
+    A rule is interned: its parameters are the fields its class lists in
+    ``__slots__``, and a rule without parameters is one object per class.
     """
 
     __slots__ = ()
-    __match_args__ = ()
     tag: ClassVar[str]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.tag = cls.__name__
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self))
-
-    def __repr__(self):
-        return f"{self.tag}()"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
         raise NotImplementedError
@@ -158,9 +143,9 @@ class Axiom(Rule):
         return ()
 
 
-@dataclass(frozen=True)
 class Cut(Rule):
-    formula: Expr = None  # type: ignore[assignment]
+    __slots__ = ("formula",)
+    formula: Expr
 
     def premises_of(self, conclusion):
         phi = self.formula
@@ -229,9 +214,9 @@ class CtrR(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class ExL(Rule):
-    pos: int = 0  # index of the earlier of the two swapped formulas
+    __slots__ = ("pos",)
+    pos: int  # index of the earlier of the two swapped formulas
 
     def premises_of(self, conclusion):
         left = list(conclusion.left)
@@ -248,9 +233,9 @@ class ExL(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class ExR(Rule):
-    pos: int = 0
+    __slots__ = ("pos",)
+    pos: int
 
     def premises_of(self, conclusion):
         right = list(conclusion.right)
@@ -267,12 +252,12 @@ class ExR(Rule):
         return out
 
 
-@dataclass(frozen=True)
 class Subst(Rule):
     """conclusion = source[mapping]; the premise is the source sequent."""
 
-    source: Sequent = None  # type: ignore[assignment]
-    mapping: tuple[tuple[str, Expr], ...] = ()
+    __slots__ = ("source", "mapping")
+    source: Sequent
+    mapping: tuple[tuple[str, Expr], ...]
 
     def premises_of(self, conclusion):
         subst = dict(self.mapping)
@@ -283,17 +268,17 @@ class Subst(Rule):
         return (self.source,)
 
 
-@dataclass(frozen=True)
 class Mono(Rule):
     """Gamma, phi[psi/x] |- phi[chi/x], Delta from k copies of
     Gamma, psi y~ |- chi y~, Delta (k = free occurrences of x in phi).
     The occurrence map is the identity: both principals keep their index."""
 
-    formula: Expr = None  # type: ignore[assignment]  # phi
-    var: str = ""
-    lower: Expr = None  # type: ignore[assignment]  # psi
-    upper: Expr = None  # type: ignore[assignment]  # chi
-    names: tuple[str, ...] = ()  # the fresh argument vector y~
+    __slots__ = ("formula", "var", "lower", "upper", "names")
+    formula: Expr  # phi
+    var: str
+    lower: Expr  # psi
+    upper: Expr  # chi
+    names: tuple[str, ...]  # the fresh argument vector y~
 
     def premise_count(self) -> int:
         return count_occurrences(self.formula, self.var)
@@ -323,19 +308,19 @@ class Mono(Rule):
         return (prem,) * self.premise_count()
 
 
-@dataclass(frozen=True)
 class EqL(Rule):
     """Rewriting with an equation: the conclusion's contexts are templates
     with two holes filled by (lhs, rhs) plus the equation lhs = rhs as the
     principal formula; the premise fills the same holes with (rhs, lhs).
     """
 
-    hole_l: str = ""  # template variable filled with lhs in the conclusion
-    hole_r: str = ""  # template variable filled with rhs in the conclusion
-    lhs: Expr = None  # type: ignore[assignment]
-    rhs: Expr = None  # type: ignore[assignment]
-    left_ctx: tuple[Expr, ...] = ()
-    right_ctx: tuple[Expr, ...] = ()
+    __slots__ = ("hole_l", "hole_r", "lhs", "rhs", "left_ctx", "right_ctx")
+    hole_l: str  # template variable filled with lhs in the conclusion
+    hole_r: str  # template variable filled with rhs in the conclusion
+    lhs: Expr
+    rhs: Expr
+    left_ctx: tuple[Expr, ...]
+    right_ctx: tuple[Expr, ...]
 
     def premises_of(self, conclusion):
         if self.hole_l == self.hole_r:
@@ -474,11 +459,11 @@ class NuR(HeadStepRule):
     kind: ClassVar[type] = Nu
 
 
-@dataclass(frozen=True)
 class Nat(Rule):
     """Gamma |- Delta from Gamma, N x |- Delta (x a natural-number variable)."""
 
-    var: str = ""
+    __slots__ = ("var",)
+    var: str
 
     def premises_of(self, conclusion):
         return (Sequent(conclusion.left + (App(nat_pred(), Var(self.var)),),
@@ -593,93 +578,23 @@ def _table() -> Any:
     return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _value_key(value) -> tuple:
-    """A key that two sequents, or two rules, share exactly when they are
-    equal as values: each node's class in preorder, then a variable's name, a
-    binder's name and type, a tuple's length, or any other leaf (a name, a
-    position) as it is, before the node's children or a sequent's or rule's
-    fields (``__match_args__``).  A class fixes what follows it, so the key is
-    injective; printed text is not (``Var("3")`` prints as 3).  It is built
-    without recursion: the dataclasses' own ``==`` and ``hash`` overflow on
-    a deep formula such as the numeral 600.
-    """
-    out: list = []
-    todo = [value]
-    while todo:
-        e = todo.pop()
-        t = type(e)
-        out.append(t)
-        if t is Var:
-            out.append(e.name)
-        elif t is Succ:
-            todo.append(e.arg)
-        elif t is App:
-            todo += (e.arg, e.fn)
-        elif t is Eq or t is Or or t is And:
-            todo += (e.rhs, e.lhs)
-        elif t is Lam or t is Mu or t is Nu:
-            out += (e.var, e.var_type)
-            todo.append(e.body)
-        elif t is tuple:
-            out.append(len(e))
-            todo += reversed(e)
-        elif t is Sequent or isinstance(e, Rule):
-            todo += [getattr(e, name) for name in reversed(t.__match_args__)]
-        elif t is not Zero:
-            out.append(e)
-    return tuple(out)
-
-
-def _share_values(tree: DerivTree) -> DerivTree:
-    """``tree`` with one object for each sequent value and each rule value,
-    the first in preorder.  Each distinct object is keyed once
-    (:func:`_value_key`), and the tree is rebuilt, without recursion, only if
-    that changes a node: a shared tree costs one walk.
-    """
-    objs: dict[int, Any] = {}  # each distinct sequent and rule, in preorder
-    for node in tree.walk():
-        objs[id(node.seq)] = node.seq
-        objs[id(node.rule)] = node.rule
-    first: dict[tuple, Any] = {}
-    shared = {i: first.setdefault(_value_key(obj), obj) for i, obj in objs.items()}
-    if all(shared[i] is obj for i, obj in objs.items()):
-        return tree
-    built: list[DerivTree] = []  # finished subtrees whose parent is pending
-    stack = [(tree, False)]
-    while stack:
-        node, leaving = stack.pop()
-        if not leaving:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
-            continue
-        first_kid = len(built) - len(node.children)
-        kids, built[first_kid:] = tuple(built[first_kid:]), []
-        built.append(DerivTree(node.id, shared[id(node.seq)], shared[id(node.rule)], kids))
-    return built[0]
-
-
 @dataclass(frozen=True)
 class PreProof:
     """A derivation tree plus a back-edge target for every open leaf.
 
-    Making a pre-proof gives equal sequents one object and equal rules one
-    object (equal as values, not merely alpha-equivalent, since a report
-    prints bound names): in ``tree`` each node holds the first equal ones in
-    preorder.  So a proof built in memory, whose ``Rule.premises_of`` returns
-    new objects at every node, shares its sequents and rules as a loaded one.
-
-    A pre-proof also keeps, for its whole life, the work a check does once
-    per distinct sequent rather than once per node:
+    Equal sequents and rules (equal as values, not merely alpha-equivalent,
+    since a report prints bound names) are one object, as they are interned.
+    A pre-proof keeps, for its whole life, the work a check does once per
+    distinct sequent rather than once per node:
 
     - the :class:`Inference` of each (conclusion, rule) pair;
     - the operator positions of each sequent (:meth:`positions`);
     - the occurrence steps of each (inference, branch) pair, in
       ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads.
 
-    The tables are keyed by object identity (``id``), never by the recursive
-    hash of the frozen syntax dataclasses.  Every key is made of the ids of
-    sequents and rules that ``tree`` holds or of an inference that the first
-    table holds, so no id is reused while the pre-proof lives.
+    The tables are keyed by the ids of sequents and rules that ``tree``
+    holds, or of an inference that the first table holds, so no id is
+    reused while the pre-proof lives.
     """
 
     tree: DerivTree
@@ -687,9 +602,6 @@ class PreProof:
     _inferences: dict[tuple[int, int], Inference] = _table()
     _positions: dict[int, dict[OccPos, tuple[Path, ...]]] = _table()
     step_table: dict[tuple[int, int], Any] = _table()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tree", _share_values(self.tree))
 
     @cached_property
     def nodes(self) -> dict[str, DerivTree]:
@@ -708,7 +620,7 @@ class PreProof:
 
     def inference(self, node_id: str) -> Inference:
         """The inference at a closed node, computed once per pre-proof for
-        each sequent and rule, which equal nodes share as objects.
+        each sequent and rule.
 
         Validation and the trace automaton both read it, so each head step
         is taken once per check.  Raises the rule's :class:`KernelError`

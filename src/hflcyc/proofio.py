@@ -25,8 +25,8 @@ tokens by one regular-expression pass, each distinct string literal is
 unescaped once, each distinct ``(seq "...")`` string is parsed once, and each
 distinct ``(rule ...)`` form is built once.  A malformed text raises
 :class:`ProofFormatError`; the line and column of the offending token are
-found only then.  These tables only save work: giving equal sequents and
-rules one object is :class:`~hflcyc.kernel.PreProof`'s job.
+found only then.  These tables only save work: equal sequents and rules are
+one object because they are interned when they are built.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def loads_preproof(text: str) -> PreProof:
     The text is read in one pass (see :func:`_read_forms`).  Each distinct
     ``(seq "...")`` string is unescaped and parsed once, because parsing is
     the dearest part of a load, and each distinct ``(rule ...)`` form is built
-    once, so the :class:`~hflcyc.kernel.PreProof` finds the tree shared.
+    once.
     Raises :class:`ProofFormatError` or the parser's :class:`HflError`.
     """
     raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]] = {}

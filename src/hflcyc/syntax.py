@@ -15,15 +15,66 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, Optional, Union
+
+# ---------------------------------------------------------------------------
+# Interned values
+# ---------------------------------------------------------------------------
+
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (cls, *args) -> obj
+
+
+class Interned:
+    """An immutable value that is one object per value (hash-consing:
+    Filliâtre and Conchon, "Type-safe modular hash-consing", 2006).
+
+    ``cls(*args)``, the values of the fields in ``cls.__slots__``, returns
+    the live object made from equal arguments, or makes one, runs its
+    :meth:`_check` and keeps it if that passes.  Interned arguments compare
+    and hash by identity, so building a node never walks its children, and
+    ``==`` is ``is``.  The table holds its objects weakly.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            if len(args) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+            obj = object.__new__(cls)
+            for name, value in zip(cls.__slots__, args):
+                object.__setattr__(obj, name, value)
+            obj._check()
+            _INTERNED[key] = obj
+        return obj
+
+    def _check(self) -> None:
+        """Raise if the fields do not make a value of this class."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # Simple types
 # ---------------------------------------------------------------------------
 
 
-class SimpleType:
+class SimpleType(Interned):
     """Base class for the simple types N, O and A -> T."""
 
     __slots__ = ()
@@ -32,23 +83,20 @@ class SimpleType:
         return type_to_str(self)
 
 
-@dataclass(frozen=True)
 class NatType(SimpleType):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PropType(SimpleType):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Arrow(SimpleType):
     __slots__ = ("arg", "result")
     arg: SimpleType
     result: SimpleType
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if isinstance(self.result, NatType):
             raise HflTypeError("arrow result must be a proposition type, not N")
 
@@ -126,8 +174,8 @@ class IllTyped(HflTypeError):
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Base class of terms and formulas (immutable, structurally hashable)."""
+class Expr(Interned):
+    """Base class of terms and formulas (interned: equal ones are one object)."""
 
     __slots__ = ()
 
@@ -135,45 +183,38 @@ class Expr:
         return to_str(self)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Zero(Expr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Succ(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Eq(Expr):
     __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class Or(Expr):
     __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class And(Expr):
     __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class Lam(Expr):
     __slots__ = ("var", "var_type", "body")
     var: str
@@ -181,35 +222,31 @@ class Lam(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
 class App(Expr):
     __slots__ = ("fn", "arg")
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+def _check_fixpoint(self) -> None:
+    if isinstance(self.var_type, NatType):
+        raise HflTypeError("fixed-point binder cannot have type N")
+
+
 class Mu(Expr):
     __slots__ = ("var", "var_type", "body")
     var: str
     var_type: SimpleType
     body: Expr
-
-    def __post_init__(self) -> None:
-        if isinstance(self.var_type, NatType):
-            raise HflTypeError("fixed-point binder cannot have type N")
+    _check = _check_fixpoint
 
 
-@dataclass(frozen=True)
 class Nu(Expr):
     __slots__ = ("var", "var_type", "body")
     var: str
     var_type: SimpleType
     body: Expr
-
-    def __post_init__(self) -> None:
-        if isinstance(self.var_type, NatType):
-            raise HflTypeError("fixed-point binder cannot have type N")
+    _check = _check_fixpoint
 
 
 FIXPOINTS = (Mu, Nu)
@@ -237,9 +274,7 @@ def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     """Rebuild a node of the same shape with new children."""
     if isinstance(e, (Var, Zero)):
         return e
-    if isinstance(e, Succ):
-        return Succ(*kids)
-    if isinstance(e, (Eq, Or, And, App)):
+    if isinstance(e, (Succ, Eq, Or, And, App)):
         return type(e)(*kids)
     if isinstance(e, BINDERS):
         return type(e)(e.var, e.var_type, kids[0])
@@ -261,49 +296,53 @@ def replace_at(e: Expr, path: Path, sub: Expr) -> Expr:
 
 
 def sigma_paths(e: Expr) -> tuple[Path, ...]:
-    """Paths of every fixed-point operator in preorder."""
+    """Paths of every fixed-point operator in preorder, without recursion:
+    the walk follows each first child, and a second one waits on a stack."""
     out: list[Path] = []
-    _sigma_walk(e, (), out)
+    todo: list[tuple[Expr, Path]] = [(e, ())]
+    while todo:
+        e, path = todo.pop()
+        while True:
+            t = type(e)
+            if t is App:
+                todo.append((e.arg, path + (1,)))
+                e, path = e.fn, path + (0,)
+            elif t is Var or t is Zero:
+                break
+            elif t is Mu or t is Nu:
+                out.append(path)
+                e, path = e.body, path + (0,)
+            else:
+                kids = children(e)
+                if len(kids) == 2:
+                    todo.append((kids[1], path + (1,)))
+                e, path = kids[0], path + (0,)
     return tuple(out)
 
 
-def _sigma_walk(e: Expr, path: Path, out: list[Path]) -> None:
-    while True:  # the last child is walked by this loop, the others recursively
-        t = type(e)
-        if t is Mu or t is Nu:
-            out.append(path)
-        if t is App:
-            _sigma_walk(e.fn, path + (0,), out)
-            e, path = e.arg, path + (1,)
-        elif t is Var or t is Zero:
-            return
-        else:
-            kids = children(e)
-            for i in range(len(kids) - 1):
-                _sigma_walk(kids[i], path + (i,), out)
-            e, path = kids[-1], path + (len(kids) - 1,)
-
-
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, BINDERS):
-        return free_vars(e.body) - {e.var}
-    out: frozenset[str] = frozenset()
-    for kid in children(e):
-        out |= free_vars(kid)
-    return out
+    """The free variables of e, found without recursion: each subexpression
+    waits on a stack with the names bound above it."""
+    out: set[str] = set()
+    todo: list[tuple[Expr, frozenset[str]]] = [(e, frozenset())]
+    while todo:
+        e, bound = todo.pop()
+        t = type(e)
+        if t is Var:
+            if e.name not in bound:
+                out.add(e.name)
+        elif t is Lam or t is Mu or t is Nu:
+            todo.append((e.body, bound | {e.var}))
+        else:
+            todo += [(kid, bound) for kid in children(e)]
+    return frozenset(out)
 
 
 def is_term_shaped(e: Expr) -> bool:
     """True for expressions built only from Var, Z and S (term candidates)."""
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Zero):
-        return True
-    if isinstance(e, Succ):
-        return is_term_shaped(e.arg)
-    return False
+    while isinstance(e, Succ):
+        e = e.arg
+    return isinstance(e, (Var, Zero))
 
 
 def numeral(n: int) -> Expr:
@@ -678,7 +717,6 @@ def _head_step_traced(e: Expr, head: Expr, repl: Expr, rest: tuple[Expr, ...]) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _TMeta(SimpleType):
     """Type metavariable used only inside inference."""
 
@@ -827,10 +865,10 @@ def _has_meta(ty: SimpleType) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sequent:
-    """A pair of ordered formula lists Gamma |- Delta."""
+class Sequent(Interned):
+    """A pair of ordered formula lists Gamma |- Delta (interned)."""
 
+    __slots__ = ("left", "right")
     left: tuple[Expr, ...]
     right: tuple[Expr, ...]
 
@@ -838,10 +876,7 @@ class Sequent:
         return sequent_to_str(self)
 
     def free_vars(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for phi in self.left + self.right:
-            out |= free_vars(phi)
-        return out
+        return frozenset().union(*map(free_vars, self.left + self.right))
 
 
 def sequent(left=(), right=()) -> Sequent:

@@ -495,6 +495,16 @@ class TestCheckGtc:
             assert isinstance(res, Rejected) and res.kind == "trace"
             assert res.lasso == Lasso((), tuple(f"m{i}" for i in range(257)))
 
+    @pytest.mark.parametrize("head,link", [("q (mu {}:O. {})", " Z"), ("(mu {}:O. {})", " \\\\/ p")],
+                             ids=["application", "disjunction"])
+    def test_long_chains_get_a_verdict_without_validation(self, head, link):
+        # the operator positions of a 1,200-link chain are found without
+        # recursion; only type-checking rejects these sequents
+        r, l = (head.format(v, v) + link * 1200 for v in "xy")
+        pp = loads_preproof(f'(node r (seq "|- {r}") (rule WkR) (children l))\n'
+                            f'(node l (seq "|- {l}") open)\n(back l r)\n')
+        assert check_gtc(pp) == (False, Lasso((), ("r", "l")))
+
     def test_cross_edges(self):
         # each leaf jumps into the other branch of the cut, not to an ancestor
         nu, mu = cross_edge_proof("nu"), cross_edge_proof("mu")

@@ -359,14 +359,14 @@ def unrolled_loop(laps: int) -> PreProof:
 def built_loop(laps: int, fix: str = "nu") -> PreProof:
     """The corpus loop unrolled ``laps`` times, with ``nu f`` read as
     ``fix f``, built as generated proofs are: each premise is computed by
-    ``Rule.premises_of``, so before the pre-proof is made every node has its
-    own sequent object."""
+    ``Rule.premises_of``, and equal premises are one object because
+    sequents are interned when they are built."""
     seqs = [ps(sequent_to_str(loop_proof().tree.seq).replace("nu f", f"{fix} f"))]
     rules = [NuR() if fix == "nu" else MuR(), LamR(), MuR(), LamR()] * laps
     for rule in rules:
         (premise,) = rule.premises_of(seqs[-1])
         seqs.append(premise)
-    assert len({id(seq) for seq in seqs}) == len(seqs)
+    assert len({id(seq) for seq in seqs}) == 4 < len(seqs)
     tree = DerivTree(f"m{len(rules)}", seqs[-1], None)
     for k in reversed(range(len(rules))):
         tree = DerivTree(f"m{k}", seqs[k], rules[k], (tree,))
@@ -471,9 +471,9 @@ class TestPreProofs:
 
 
 class TestSharing:
-    """A pre-proof has one object per distinct sequent, loaded or built in
-    memory, and each sequent's work is done once; every failing node is
-    still reported."""
+    """Sequents and rules are interned, so a pre-proof has one object per
+    distinct sequent, loaded or built in memory, and each sequent's work is
+    done once; every failing node is still reported."""
 
     @pytest.mark.parametrize("fix", ["nu", "mu"])
     def test_equal_sequents_built_in_memory_share_one_object(self, fix):
@@ -494,7 +494,7 @@ class TestSharing:
         tree = DerivTree("r", seq, Cut(pe("q")), (
             DerivTree("a", ps("|- p, q"), None), DerivTree("k", ps("|- q"), None)))
         pp = PreProof(tree)
-        assert pp.tree is not tree and pp.node("a").seq is pp.tree.seq is seq
+        assert pp.tree is tree and pp.node("a").seq is pp.tree.seq is seq
         assert [(n.id, n.rule, n.seq) for n in pp.tree.walk()] == [
             (n.id, n.rule, n.seq) for n in tree.walk()]
 
@@ -642,6 +642,31 @@ class TestSharing:
         assert validate_preproof(pp) == []
         assert pp.node("c0").rule is pp.node("c1").rule
         assert pp.inference("c0") is pp.inference("c1")
+
+
+class TestInterning:
+    """Rules are one object per value, like the sequents they apply to."""
+
+    @pytest.mark.parametrize("build", [
+        WkR,
+        lambda: Cut(Eq(numeral(600), numeral(600))),
+        lambda: EqL("h1", "h2", pe("x"), pe("y"), (pe("p h1"),), ()),
+        lambda: Subst(ps("|- nu t:O. t"), (("x", pe("S Z")),)),
+    ], ids=["no-parameters", "deep-cut", "contexts", "source-and-mapping"])
+    def test_equal_rules_are_one_object(self, build):
+        assert build() is build()
+
+    def test_distinct_rules_stay_apart(self):
+        assert ExL(0) is not ExR(0) and ExL(0) != ExR(0)
+        assert ExL(0) is not ExL(1)
+
+    def test_a_rule_with_parameters_is_a_frozen_value(self):
+        rule = Cut(pe("p"))
+        with pytest.raises(FrozenInstanceError):
+            rule.formula = pe("q")
+        with pytest.raises(FrozenInstanceError):
+            del rule.formula
+        assert repr(rule) == "Cut(formula=Var(name='p'))"
 
 
 class TestProofFiles:

@@ -1,8 +1,14 @@
 """Parser, printer, alpha-equivalence, substitution and typing tests."""
 
+import copy
+import functools
+import gc
 import itertools
+import pickle
 import sys
 import time
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +18,13 @@ from hflcyc.syntax import (
     And, IllTyped, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
     FIXPOINTS, app_spine, arrow, beta_head, canonical, check_sequent,
     children, count_occurrences, derived_encodings, free_vars, head_step, infer_env,
+    is_term_shaped,
     infer_type, make_app, numeral, numeral_value, parse, parse_expr,
     parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
     sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
     type_to_str, unfold, FromSkeleton, FromCopy, sequent_to_str,
 )
-from hflcyc.syntax import _BINARY
+from hflcyc.syntax import _BINARY, _INTERNED
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -298,7 +305,8 @@ def test_one_sequent_object_is_alpha_equal_without_a_walk(monkeypatch):
     monkeypatch.setattr(syntax, "alpha_eq", lambda a, b: compared.append(a) or True)
     assert sequent_alpha_eq(seq, seq)
     assert compared == []
-    assert sequent_alpha_eq(seq, parse_sequent(text))
+    assert parse_sequent(text) is seq  # two parses of one text are one object
+    assert sequent_alpha_eq(seq, parse_sequent("mu V:O. V |- nu W:O. W, p"))
     assert len(compared) == 3
 
 
@@ -531,3 +539,91 @@ def test_spine_and_paths():
 def test_sigma_paths_preorder():
     e = parse_expr("(mu X:O. nu Y:O. X) \\/ nu W:O. W")
     assert sigma_paths(e) == ((0,), (0, 0), (1,))
+
+
+# the fixed point sits at the deep end of each chain, below 5,000 links
+LONG_CHAINS = {
+    "application": (lambda: make_app(Mu("x", PROP, Var("x")), *[Var("p")] * 5000), 0),
+    "left-nested-or": (lambda: functools.reduce(Or, [Var("p")] * 5000, Mu("x", PROP, Var("x"))), 0),
+    "right-nested-or": (lambda: functools.reduce(lambda e, _: Or(Var("p"), e), range(5000),
+                                                 Mu("x", PROP, Var("x"))), 1),
+}
+
+
+@pytest.mark.parametrize("build,step", LONG_CHAINS.values(), ids=LONG_CHAINS.keys())
+def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, step):
+    a, b = build(), build()
+    assert free_vars(a) == {"p"}
+    assert Sequent((a,), (b,)).free_vars() == {"p"}
+    assert sigma_paths(a) == ((step,) * 5000,)
+    assert hash(a) == hash(b) and a == b
+
+
+def test_a_long_successor_chain_is_term_shaped():
+    chain = functools.reduce(lambda e, _: Succ(e), range(5000), Var("x"))
+    assert is_term_shaped(chain) and not is_term_shaped(Succ(Or(chain, chain)))
+
+
+# ---------------------------------------------------------------------------
+# interning
+# ---------------------------------------------------------------------------
+
+class TestInterning:
+    """Formulas, types and sequents are one object per value."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: parse_expr("mu X:N -> O. \\y:N. y = S Z \\/ X (S y)"),
+        lambda: Arrow(arrow(NAT, PROP), PROP),
+        lambda: parse_sequent("p, q |- nu t:O. t"),
+        lambda: Eq(numeral(600), numeral(600)),
+    ], ids=["formula", "type", "sequent", "deep-numeral"])
+    def test_equal_constructions_are_one_object(self, build):
+        assert build() is build()
+
+    @pytest.mark.parametrize("make_a,make_b", [
+        (lambda: Var("3"), lambda: numeral(3)),  # print alike
+        (lambda: parse_expr("nu t:O. t"), lambda: parse_expr("nu s:O. s")),  # alpha-equivalent
+        (lambda: Arrow(NAT, PROP), lambda: Arrow(PROP, PROP)),
+        (lambda: parse_sequent("p |- q"), lambda: parse_sequent("p, q |-")),
+    ], ids=["variable-numeral", "bound-names", "argument-type", "sides"])
+    def test_distinct_values_stay_apart(self, make_a, make_b):
+        assert make_a() is not make_b() and make_a() != make_b()
+
+    @pytest.mark.parametrize("cls,args", [(Mu, ("x", NAT, Var("x"))), (Arrow, (PROP, NAT))],
+                             ids=["fixed-point-of-type-N", "arrow-into-N"])
+    def test_an_ill_formed_value_raises_and_is_not_kept(self, cls, args):
+        with pytest.raises(HflTypeError):
+            cls(*args)
+        assert (cls, *args) not in _INTERNED
+
+    def test_a_wrong_number_of_fields_is_a_type_error(self):
+        with pytest.raises(TypeError, match="Var takes the fields"):
+            Var()
+        with pytest.raises(TypeError, match="Sequent takes the fields"):
+            Sequent((Var("p"),))
+
+    @pytest.mark.parametrize("value,field", [(Var("x"), "name"), (parse_sequent("p |- q"), "left")],
+                             ids=["expr", "sequent"])
+    def test_fields_are_frozen(self, value, field):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, Var("y"))
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, field)
+
+    def test_an_unused_value_is_given_back(self):
+        value = Or(Var("given_back"), Eq(Zero(), Zero()))
+        ref = weakref.ref(value)
+        del value
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("value", [parse_expr("mu X:O. X \\/ p"), arrow(NAT, PROP),
+                                       parse_sequent("p |- nu t:O. t")],
+                             ids=["formula", "type", "sequent"])
+    def test_a_copy_is_the_same_object(self, value):
+        assert copy.copy(value) is copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+
+    def test_repr_names_the_fields(self):
+        assert repr(Lam("x", NAT, Var("x"))) == "Lam(var='x', var_type=NatType(), body=Var(name='x'))"
+        assert repr(parse_sequent("|- Z")) == "Sequent(left=(), right=(Zero(),))"
