@@ -34,7 +34,7 @@ from typing import Any, ClassVar, Mapping, Optional
 from .syntax import (
     And, App, Eq, Expr, HeadStep, HflError, HflTypeError, Interned, Lam, Mu, Nu,
     Or, Path, Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
-    free_vars, head_step, is_term_shaped, make_app, nat_pred,
+    head_step, is_term_shaped, make_app, nat_pred,
     sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, to_str,
 )
 
@@ -297,7 +297,7 @@ class Mono(Rule):
         ctx_l, ctx_r = conclusion.left[:-1], conclusion.right[1:]
         used: set[str] = set()
         for f in ctx_l + (self.lower, self.upper) + ctx_r:
-            used |= free_vars(f)
+            used |= f.free
         clash = used & set(self.names)
         if clash:
             raise SideConditionViolated(

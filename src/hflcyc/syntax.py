@@ -175,9 +175,23 @@ class IllTyped(HflTypeError):
 
 
 class Expr(Interned):
-    """Base class of terms and formulas (interned: equal ones are one object)."""
+    """Base class of terms and formulas (interned: equal ones are one object).
 
-    __slots__ = ()
+    ``free`` holds the node's free variables.  It is filled from the
+    children's when the node is made, so it is not a constructor field.
+    """
+
+    __slots__ = ("free",)
+    free: frozenset[str]
+
+    def _check(self) -> None:
+        free = frozenset((self.name,)) if type(self) is Var else frozenset()
+        for kid in children(self):
+            if not kid.free <= free:  # else share the sets already made
+                free = free | kid.free if free else kid.free
+        if isinstance(self, BINDERS) and self.var in free:
+            free = free - {self.var}
+        object.__setattr__(self, "free", free)
 
     def __str__(self) -> str:
         return to_str(self)
@@ -231,6 +245,7 @@ class App(Expr):
 def _check_fixpoint(self) -> None:
     if isinstance(self.var_type, NatType):
         raise HflTypeError("fixed-point binder cannot have type N")
+    Expr._check(self)
 
 
 class Mu(Expr):
@@ -288,11 +303,17 @@ def subexpr_at(e: Expr, path: Path) -> Expr:
 
 
 def replace_at(e: Expr, path: Path, sub: Expr) -> Expr:
-    if not path:
-        return sub
-    kids = list(children(e))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], sub)
-    return rebuild(e, tuple(kids))
+    """e with the subexpression at path replaced by sub: the walk goes down
+    the path, then rebuilds the nodes above sub from the bottom up."""
+    above: list[Expr] = []
+    for i in path:
+        above.append(e)
+        e = children(e)[i]
+    for e, i in zip(reversed(above), reversed(path)):
+        kids = list(children(e))
+        kids[i] = sub
+        sub = rebuild(e, tuple(kids))
+    return sub
 
 
 def sigma_paths(e: Expr) -> tuple[Path, ...]:
@@ -321,21 +342,8 @@ def sigma_paths(e: Expr) -> tuple[Path, ...]:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    """The free variables of e, found without recursion: each subexpression
-    waits on a stack with the names bound above it."""
-    out: set[str] = set()
-    todo: list[tuple[Expr, frozenset[str]]] = [(e, frozenset())]
-    while todo:
-        e, bound = todo.pop()
-        t = type(e)
-        if t is Var:
-            if e.name not in bound:
-                out.add(e.name)
-        elif t is Lam or t is Mu or t is Nu:
-            todo.append((e.body, bound | {e.var}))
-        else:
-            todo += [(kid, bound) for kid in children(e)]
-    return frozenset(out)
+    """The free variables of e, kept on the node when it was made."""
+    return e.free
 
 
 def is_term_shaped(e: Expr) -> bool:
@@ -383,6 +391,38 @@ def make_app(fn: Expr, *args: Expr) -> Expr:
 # Alpha-equivalence
 # ---------------------------------------------------------------------------
 
+
+def _rebuild(e: Expr, ctx, enter) -> Expr:
+    """Rebuild e from the bottom up, without recursion.
+
+    ``enter(node, ctx, path)`` is called on each node in preorder.  It returns
+    the node's result, or the rebuilt node's binder name (None for a node
+    that binds nothing) with one ``(child, ctx, path)`` item per child; the
+    children's results then become the rebuilt node's children.
+    """
+    out: list[Expr] = []
+    todo: list[tuple] = [(e, ctx, ())]
+    while todo:
+        e, ctx, path = todo.pop()
+        if path is None:  # e's children are rebuilt, last on out; ctx is e's binder name
+            if isinstance(e, BINDERS):
+                out.append(type(e)(ctx, e.var_type, out.pop()))
+            else:
+                n = len(children(e))
+                kids = tuple(out[len(out) - n:])
+                del out[len(out) - n:]
+                out.append(rebuild(e, kids))
+            continue
+        step = enter(e, ctx, path)
+        if isinstance(step, Expr):
+            out.append(step)
+        else:
+            var, items = step
+            todo.append((e, var, None))
+            todo += reversed(items)
+    return out[0]
+
+
 # Canonical bound names use a character the lexer rejects, so they can never
 # collide with user-written free variables.
 _CANON = "\x00"
@@ -393,67 +433,28 @@ def canonical(e: Expr) -> Expr:
 
     The result has the same tree structure as the input (paths are stable),
     and two expressions are alpha-equivalent iff their canonical forms are
-    structurally equal.  Free variables are left untouched.
+    one object.  Free variables are left untouched.
     """
 
-    def go(e: Expr, env: Mapping[str, str], depth: int) -> Expr:
-        if isinstance(e, Var):
+    def enter(e: Expr, ctx: tuple[Mapping[str, str], int], path: Path):
+        env, depth = ctx
+        t = type(e)
+        if t is Var:
             return Var(env.get(e.name, e.name))
-        if isinstance(e, BINDERS):
+        if t is Zero:
+            return e
+        if t is Lam or t is Mu or t is Nu:
             fresh = _CANON + str(depth)
-            body = go(e.body, {**env, e.var: fresh}, depth + 1)
-            return type(e)(fresh, e.var_type, body)
-        kids = tuple(go(k, env, depth) for k in children(e))
-        return rebuild(e, kids)
+            return fresh, [(e.body, ({**env, e.var: fresh}, depth + 1), path)]
+        return None, [(kid, ctx, path) for kid in children(e)]
 
-    return go(e, {}, 0)
+    return _rebuild(e, ({}, 0), enter)
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    """Alpha-equivalence, by one simultaneous walk over both expressions.
-
-    A bound name is compared by the depth of the binder that binds it and a
-    free name by its text, so the answer is that of comparing canonical forms.
-    """
-    return a is b or _alpha(a, b)
-
-
-def _alpha(a: Expr, b: Expr) -> bool:
-    # The walk follows the last child of each node and keeps the other
-    # children's pairs, with their binder levels, on a stack: a long
-    # application or connective chain needs no recursion.
-    todo: list[tuple[Expr, Expr, dict[str, int], dict[str, int], int]] = [(a, b, {}, {}, 0)]
-    while todo:
-        a, b, env_a, env_b, depth = todo.pop()
-        while True:
-            t = type(a)
-            if t is not type(b):
-                return False
-            if t is Var:
-                level = env_a.get(a.name)
-                if level != env_b.get(b.name) or (level is None and a.name != b.name):
-                    return False
-                break
-            if t is Zero:
-                break
-            if t is Succ:
-                a, b = a.arg, b.arg
-            elif t is App:
-                todo.append((a.fn, b.fn, env_a, env_b, depth))
-                a, b = a.arg, b.arg
-            elif t is Eq or t is Or or t is And:
-                todo.append((a.lhs, b.lhs, env_a, env_b, depth))
-                a, b = a.rhs, b.rhs
-            elif t is Lam or t is Mu or t is Nu:
-                if a.var_type != b.var_type:
-                    return False
-                env_a = {**env_a, a.var: depth}
-                env_b = {**env_b, b.var: depth}
-                depth += 1
-                a, b = a.body, b.body
-            else:
-                raise TypeError(f"not an expression: {a!r}")
-    return True
+    """Alpha-equivalence: the two canonical forms are one object, since a
+    bound name becomes the level of its binder and a free name stays."""
+    return a is b or canonical(a) is canonical(b)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +484,18 @@ def substitute(e: Expr, subst: Mapping[str, Expr]) -> Expr:
 
 # --- the substitution walk ---------------------------------------------------
 #
-# substitute and substitute_traced are one walk, _substitute.  It descends only
-# into subtrees where some substituted variable is free, and renames a binder
-# only when it would capture a free variable of a replacement; the renaming is
-# itself a substitution by the same walk.  Which substituted variables are free
-# in each subtree is found by one bottom-up pass before the walk (_key_tree),
-# and again only for a renamed body, so without renaming a substitution is
-# linear in e.  The trace/gtc machinery also needs to know, for every
-# fixed-point operator of e[subst], whether it comes from the skeleton of e or
-# sits inside the j-th substituted copy of some replacement (occurrences
-# numbered per variable in preorder).  Renaming preserves tree structure, so a
-# skeleton operator keeps its path and origins are exact path correspondences.
-# The walk records them only when it is given a dict to fill, so untraced
-# substitutions pay nothing for them.
+# substitute and substitute_traced are one walk, _substitute, run by _rebuild.
+# Each node carries its free variables, so the walk keeps, at each node, only
+# the substituted variables free there, and returns a node where none is as it
+# is: a substitution is linear in the part of e it changes.  A binder is renamed
+# only when it would capture a free variable of a live replacement; the
+# renaming is itself a substitution by the same walk.  The trace/gtc machinery
+# also needs to know, for every fixed-point operator of e[subst], whether it
+# comes from the skeleton of e or sits inside the j-th substituted copy of some
+# replacement (occurrences numbered per variable in preorder).  Renaming
+# preserves tree structure, so a skeleton operator keeps its path and origins
+# are exact path correspondences.  The walk records them only when it is given
+# a dict to fill, so untraced substitutions pay nothing for them.
 
 
 @dataclass(frozen=True)
@@ -525,44 +525,20 @@ def substitute_traced(e: Expr, subst: Mapping[str, Expr]) -> tuple[Expr, dict[Pa
     return _substitute(e, subst, origins), origins
 
 
-_KeyTree = Optional[tuple[frozenset[str], tuple["_KeyTree", ...]]]
-"""The substituted names free in an expression, with the same for each of its
-children; None where no substituted name is free."""
-
-
-def _key_tree(e: Expr, keys: frozenset[str]) -> _KeyTree:
-    """The members of ``keys`` free in e and in each of its subexpressions,
-    found in one bottom-up pass over e."""
-    t = type(e)
-    if t is Var:
-        return (frozenset((e.name,)), ()) if e.name in keys else None
-    if t is Zero:
-        return None
-    kids = tuple([_key_tree(k, keys) for k in children(e)])
-    free: Optional[frozenset[str]] = None
-    for kid in kids:
-        if kid is not None:
-            free = kid[0] if free is None else free | kid[0]
-    if free is not None and (t is Lam or t is Mu or t is Nu):
-        free = free - {e.var}
-    return (free, kids) if free else None
-
-
 def _substitute(e: Expr, subst: Mapping[str, Expr],
                 origins: Optional[dict[Path, SigmaOrigin]]) -> Expr:
     """The capture-avoiding substitution walk; fills `origins` unless None."""
     counters: dict[str, int] = {}
-    keys = frozenset(subst)
-    repl_fvs = {x: free_vars(r) for x, r in subst.items()}
 
-    def go(e: Expr, free: _KeyTree, sub: Mapping[str, Expr], path: Path) -> Expr:
-        live = {} if free is None else {x: r for x, r in sub.items() if x in free[0]}
+    def enter(e: Expr, sub: Mapping[str, Expr], path: Path):
+        live = {x: r for x, r in sub.items() if x in e.free}
         if not live:
             if origins is not None:
                 for p in sigma_paths(e):
                     origins[path + p] = FromSkeleton(path + p)
             return e
-        if isinstance(e, Var):  # e.name is a live key
+        t = type(e)
+        if t is Var:  # e.name is a live key
             repl = live[e.name]
             if origins is not None:
                 copy = counters.get(e.name, 0)
@@ -570,33 +546,33 @@ def _substitute(e: Expr, subst: Mapping[str, Expr],
                 for p in sigma_paths(repl):
                     origins[path + p] = FromCopy(e.name, copy, p)
             return repl
-        if isinstance(e, BINDERS):
+        if t is Lam or t is Mu or t is Nu:
             # every live key is free in e, so none is e.var
-            avoid: frozenset[str] = frozenset()
-            for x in live:
-                avoid |= repl_fvs[x]
-            var, body, body_free = e.var, e.body, free[1][0]
+            avoid = frozenset().union(*(r.free for r in live.values()))
+            var, body = e.var, e.body
             if var in avoid:
-                new = _fresh_variant(var, avoid | free_vars(body))
-                body = _substitute(body, {var: Var(new)}, None)
-                body_free = _key_tree(body, keys)
-                var = new
-            if origins is not None and isinstance(e, FIXPOINTS):
+                var = _fresh_variant(var, avoid | body.free)
+                body = _substitute(body, {e.var: Var(var)}, None)
+            if origins is not None and t is not Lam:
                 origins[path] = FromSkeleton(path)
-            return type(e)(var, e.var_type, go(body, body_free, live, path + (0,)))
-        return rebuild(e, tuple(go(k, kf, live, path + (i,))
-                                for i, (k, kf) in enumerate(zip(children(e), free[1]))))
+            return var, [(body, live, path + (0,))]
+        return None, [(kid, live, path + (i,)) for i, kid in enumerate(children(e))]
 
-    return go(e, _key_tree(e, keys), subst, ())
+    return _rebuild(e, subst, enter)
 
 
 def count_occurrences(e: Expr, x: str) -> int:
     """Number of free occurrences of x in e (the Mono premise count)."""
-    if isinstance(e, Var):
-        return 1 if e.name == x else 0
-    if isinstance(e, BINDERS):
-        return 0 if e.var == x else count_occurrences(e.body, x)
-    return sum(count_occurrences(k, x) for k in children(e))
+    n = 0
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if x in e.free:  # a binder of x has no free x
+            if type(e) is Var:
+                n += 1
+            else:
+                todo += children(e)
+    return n
 
 
 # --- head reduction steps ---------------------------------------------------
@@ -876,7 +852,7 @@ class Sequent(Interned):
         return sequent_to_str(self)
 
     def free_vars(self) -> frozenset[str]:
-        return frozenset().union(*map(free_vars, self.left + self.right))
+        return frozenset().union(*(f.free for f in self.left + self.right))
 
 
 def sequent(left=(), right=()) -> Sequent:

@@ -667,8 +667,8 @@ def outcome(pp: PreProof):
 
 @pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
 def test_loaded_copy_checks_the_same(name, pp):
-    # both share equal sequents, so the loaded copy differs only in which
-    # equal objects it holds; nothing a check shows may depend on them
+    # sequents and rules are interned, so the loaded copy holds the very
+    # objects the built one holds and differs only in how it was made
     assert outcome(loads_preproof(dumps_preproof(pp))) == outcome(pp)
 
 

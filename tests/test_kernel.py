@@ -512,7 +512,8 @@ class TestSharing:
         assert pp.node("a").seq != seq
 
     def test_a_deep_numeral_is_shared_without_recursion(self):
-        # the dataclasses' own == and hash recurse once per S
+        # 600 = 600 is 600 levels deep; interned nodes compare and hash by
+        # identity, so sharing its sequent walks none of them
         def deep():
             return Eq(numeral(600), numeral(600))
         seq = Sequent((), (deep(), deep()))
@@ -627,8 +628,8 @@ class TestSharing:
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
     def test_equal_deep_rules_are_shared_without_recursion(self, loaded):
-        # two |- p nodes with equal but distinct Cut(600 = 600) rules; the
-        # dataclasses' own == recurses once per S
+        # two |- p nodes whose Cut(600 = 600) rules are built apart; interning
+        # makes them one object without a walk over the 600-level numerals
         def deep():
             return Eq(numeral(600), numeral(600))
         tree = DerivTree("l", ps("|- p"), None)

@@ -261,6 +261,44 @@ def test_alpha_eq_agrees_with_canonical_forms(pair):
     assert alpha_eq(a, b) == (canonical(a) == canonical(b)) == alpha_eq(b, a)
 
 
+def _naive_alpha_eq(a, b, env_a=None, env_b=None, depth=0):
+    """Alpha-equivalence by one recursive walk over both expressions: a bound
+    name compares by the level of its binder, a free one by its text."""
+    env_a, env_b = env_a or {}, env_b or {}
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        level = env_a.get(a.name)
+        return level == env_b.get(b.name) and (level is not None or a.name == b.name)
+    if isinstance(a, (Lam, Mu, Nu)):
+        return a.var_type == b.var_type and _naive_alpha_eq(
+            a.body, b.body, {**env_a, a.var: depth}, {**env_b, b.var: depth}, depth + 1)
+    return all(_naive_alpha_eq(x, y, env_a, env_b, depth)
+               for x, y in zip(children(a), children(b)))
+
+
+def _naive_free_vars(e):
+    """The free variables of e by one recursive walk."""
+    if isinstance(e, Var):
+        return {e.name}
+    free = set().union(*map(_naive_free_vars, children(e)))
+    return free - {e.var} if isinstance(e, (Lam, Mu, Nu)) else free
+
+
+@settings(max_examples=200)
+@given(alpha_pairs())
+def test_alpha_eq_agrees_with_a_recursive_reference(pair):
+    a, b = pair
+    assert alpha_eq(a, b) == _naive_alpha_eq(a, b) == _naive_alpha_eq(b, a)
+
+
+@settings(max_examples=200)
+@given(exprs)
+def test_free_vars_of_every_subterm_agree_with_a_recursive_reference(e):
+    for _, sub in _preorder(e):
+        assert free_vars(sub) == sub.free == _naive_free_vars(sub)
+
+
 @settings(max_examples=200)
 @given(exprs)
 def test_canonical_preserves_structure_and_free_vars(e):
@@ -541,12 +579,14 @@ def test_sigma_paths_preorder():
     assert sigma_paths(e) == ((0,), (0, 0), (1,))
 
 
-# the fixed point sits at the deep end of each chain, below 5,000 links
+# the fixed point, mu x:O. x unless another is given, sits at the deep end of
+# each chain, below 5,000 links
+MU_X = Mu("x", PROP, Var("x"))
 LONG_CHAINS = {
-    "application": (lambda: make_app(Mu("x", PROP, Var("x")), *[Var("p")] * 5000), 0),
-    "left-nested-or": (lambda: functools.reduce(Or, [Var("p")] * 5000, Mu("x", PROP, Var("x"))), 0),
-    "right-nested-or": (lambda: functools.reduce(lambda e, _: Or(Var("p"), e), range(5000),
-                                                 Mu("x", PROP, Var("x"))), 1),
+    "application": (lambda fix=MU_X: make_app(fix, *[Var("p")] * 5000), 0),
+    "left-nested-or": (lambda fix=MU_X: functools.reduce(Or, [Var("p")] * 5000, fix), 0),
+    "right-nested-or": (lambda fix=MU_X: functools.reduce(lambda e, _: Or(Var("p"), e),
+                                                          range(5000), fix), 1),
 }
 
 
@@ -557,6 +597,24 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     assert Sequent((a,), (b,)).free_vars() == {"p"}
     assert sigma_paths(a) == ((step,) * 5000,)
     assert hash(a) == hash(b) and a == b
+    renamed = build(Mu("y", PROP, Var("y")))
+    assert canonical(a) is canonical(renamed) is not a
+    assert alpha_eq(a, renamed) and not alpha_eq(a, build(Mu("y", PROP, Var("p"))))
+    q = substitute(a, {"p": Var("q")})
+    assert free_vars(q) == {"q"} and sigma_paths(q) == sigma_paths(a)
+    top = Nu("t", PROP, Var("t"))
+    out, origins = substitute_traced(a, {"p": top})
+    assert out is substitute(a, {"p": top}) and len(origins) == 5001
+    assert origins[(step,) * 5000] == FromSkeleton((step,) * 5000)
+    assert {o.copy for o in origins.values() if isinstance(o, FromCopy)} == set(range(5000))
+    assert count_occurrences(a, "p") == 5000 and count_occurrences(a, "x") == 0
+
+
+def test_replace_at_follows_a_long_path_without_recursion():
+    chain = make_app(Var("f"), *[Var("p")] * 5000)
+    assert replace_at(chain, (0,) * 5000, Var("g")) is make_app(Var("g"), *[Var("p")] * 5000)
+    assert replace_at(chain, (0,) * 4999 + (1,), Zero()) is make_app(
+        Var("f"), Zero(), *[Var("p")] * 4999)
 
 
 def test_a_long_successor_chain_is_term_shaped():
@@ -623,6 +681,19 @@ class TestInterning:
     def test_a_copy_is_the_same_object(self, value):
         assert copy.copy(value) is copy.deepcopy(value) is value
         assert pickle.loads(pickle.dumps(value)) is value
+
+    def test_free_variables_are_a_frozen_slot_and_not_a_field(self):
+        e = parse_expr("\\x:N. p x y")
+        assert e.free == {"p", "y"} and e.body.free == {"p", "x", "y"}
+        with pytest.raises(TypeError, match="Var takes the fields"):
+            Var("x", frozenset())
+        with pytest.raises(FrozenInstanceError):
+            e.free = frozenset()
+        with pytest.raises(FrozenInstanceError):
+            del e.free
+        for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert copied.free is e.free
+        assert "free" not in repr(e)
 
     def test_repr_names_the_fields(self):
         assert repr(Lam("x", NAT, Var("x"))) == "Lam(var='x', var_type=NatType(), body=Var(name='x'))"
