@@ -185,11 +185,11 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     Its initial states follow the operator positions ``p`` of the
     occurrences of the companions.  A state moves only on its own node's
     symbol: at a back edge to the same occurrence and position, and at a
-    rule to every premise position ``q`` that descends from ``p`` through
-    the rule's occurrence correspondence.  When the rule unfolds ``p``
-    itself, these ``q`` are the substituted copies, and the transition is
-    accepting exactly when it unfolds a left mu or a right nu; every other
-    transition is not accepting.  An infinite path passes companions
+    rule to every premise position ``q`` that descends from ``p``, as the
+    rule's :meth:`~hflcyc.kernel.Rule.sources` say.  When the rule unfolds
+    ``p`` itself, these ``q`` are the substituted copies, and the transition
+    is accepting exactly when it unfolds a left mu or a right nu; every
+    other transition is not accepting.  An infinite path passes companions
     infinitely often, so any good trace along it is followed from some
     visit to a companion on.
 

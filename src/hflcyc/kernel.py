@@ -14,10 +14,11 @@ Conventions, fixed once for the whole code base:
   - Cut's premises are ordered [Gamma |- phi, Delta ;  Gamma, phi |- Delta];
   - rules never weaken or contract implicitly.
 
-Each rule also knows its occurrence map — for a premise, which formula of
-the conclusion every premise formula descends from (None when the formula
-appears out of thin air, e.g. a cut formula).  The trace machinery builds
-on these maps.  Sequents and rules are interned when they are built
+Each rule also says, next to its premises, where every premise formula and
+its fixed-point operators come from (:meth:`Rule.sources`): the conclusion
+formula it descends from, if any (a cut formula is fresh), and how its
+operators sit in that formula.  The trace machinery builds on these.
+Sequents and rules are interned when they are built
 (:class:`~hflcyc.syntax.Interned`), so equal ones are one object, whether a
 proof was loaded or built in memory.  A pre-proof keeps the
 :class:`Inference` (premises, and the traced head step of a lambda or
@@ -29,13 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, ClassVar, Mapping, Optional
+from typing import Any, ClassVar, Mapping, Optional, Union
 
 from .syntax import (
-    And, App, Eq, Expr, HeadStep, HflError, HflTypeError, Interned, Lam, Mu, Nu,
-    Or, Path, Sequent, Succ, Var, Zero, alpha_eq, check_sequent, count_occurrences,
-    head_step, is_term_shaped, make_app, nat_pred,
-    sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, to_str,
+    And, App, Eq, Expr, FromCopy, FromSkeleton, HeadStep, HflError, HflTypeError,
+    Interned, Lam, Mu, Nu, Or, Path, Sequent, Succ, Var, Zero, alpha_eq,
+    check_sequent, count_occurrences, head_step, is_term_shaped, make_app, nat_pred,
+    sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, substitute_traced,
+    to_str,
 )
 
 LEFT = "left"
@@ -43,6 +45,14 @@ RIGHT = "right"
 
 # occurrence position inside one sequent: (side, index)
 OccPos = tuple[str, int]
+
+# How a premise formula's operators sit in the conclusion formula it comes
+# from: a path to it inside that formula, the inference's head step, or an
+# explicit map from the premise formula's operator positions.
+Link = Union[Path, HeadStep, Mapping[Path, Path]]
+# Where one premise formula comes from: None when it is fresh.
+Source = Optional[tuple[OccPos, Link]]
+Sources = tuple[tuple[Source, ...], tuple[Source, ...]]
 
 
 class KernelError(HflError):
@@ -81,13 +91,12 @@ def _need_right(seq: Sequent, what: str) -> Expr:
     return seq.right[0]
 
 
-def _identity_map(seq: Sequent) -> dict[OccPos, OccPos]:
-    out: dict[OccPos, OccPos] = {}
-    for i in range(len(seq.left)):
-        out[(LEFT, i)] = (LEFT, i)
-    for j in range(len(seq.right)):
-        out[(RIGHT, j)] = (RIGHT, j)
-    return out
+def _last(seq: Sequent) -> OccPos:
+    """The position of a left rule's principal formula."""
+    return LEFT, len(seq.left) - 1
+
+
+_FIRST: OccPos = (RIGHT, 0)  # the position of a right rule's principal formula
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +115,10 @@ class Inference:
 
 
 class Rule(Interned):
-    """Base class; subclasses define premise reconstruction and the
-    premise-to-conclusion occurrence correspondence.  A rule's tag, its name
-    in the proof format, is its class name.
+    """Base class; subclasses define premise reconstruction and, when a
+    premise formula is not a copy of the conclusion formula at its position,
+    where it comes from.  A rule's tag, its name in the proof format, is its
+    class name.
 
     A rule is interned: its parameters are the fields its class lists in
     ``__slots__``, and a rule without parameters is one object per class.
@@ -128,11 +138,19 @@ class Rule(Interned):
         """The premises for the conclusion, with the head step if any."""
         return Inference(self.premises_of(conclusion))
 
-    def occurrence_map(self, conclusion: Sequent, premise_index: int) -> dict[OccPos, Optional[OccPos]]:
-        """Map each premise position to the conclusion position it is
-        relevant to (None = fresh).  By default each premise formula
-        descends from the conclusion formula at the same position."""
-        return _identity_map(conclusion)
+    def sources(self, conclusion: Sequent, inference: Inference, branch: int) -> Sources:
+        """Where each formula of premise ``branch`` comes from, as its left
+        row and its right row: None for a fresh formula (a cut formula), or
+        the conclusion position and the :data:`Link` of the formula it
+        descends from.  A path link is ``()`` for a copy and ``(b,)`` for a
+        formula's immediate subformula ``b``.
+
+        ``inference`` is ``self.inference(conclusion)`` and ``branch`` one of
+        its premises.  By default each premise formula is a copy of the
+        conclusion formula at its position.
+        """
+        return (tuple(((LEFT, i), ()) for i in range(len(conclusion.left))),
+                tuple(((RIGHT, j), ()) for j in range(len(conclusion.right))))
 
 
 class Axiom(Rule):
@@ -152,16 +170,9 @@ class Cut(Rule):
         return (Sequent(conclusion.left, (phi,) + conclusion.right),
                 Sequent(conclusion.left + (phi,), conclusion.right))
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        if premise_index == 0:
-            out = {(s, i): (s, i) for (s, i) in out if s == LEFT}
-            out[(RIGHT, 0)] = None  # the cut formula comes from nowhere
-            for j in range(len(conclusion.right)):
-                out[(RIGHT, j + 1)] = (RIGHT, j)
-        else:
-            out[(LEFT, len(conclusion.left))] = None
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return (left, (None,) + right) if branch == 0 else (left + (None,), right)
 
 
 class WkL(Rule):
@@ -169,10 +180,9 @@ class WkL(Rule):
         _need_left(conclusion, "Gamma, phi |-")
         return (Sequent(conclusion.left[:-1], conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        del out[(LEFT, len(conclusion.left) - 1)]
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left[:-1], right
 
 
 class WkR(Rule):
@@ -180,12 +190,9 @@ class WkR(Rule):
         _need_right(conclusion, "|- phi, Delta")
         return (Sequent(conclusion.left, conclusion.right[1:]),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out: dict[OccPos, Optional[OccPos]] = {
-            (LEFT, i): (LEFT, i) for i in range(len(conclusion.left))}
-        for j in range(len(conclusion.right) - 1):
-            out[(RIGHT, j)] = (RIGHT, j + 1)
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left, right[1:]
 
 
 class CtrL(Rule):
@@ -193,11 +200,9 @@ class CtrL(Rule):
         phi = _need_left(conclusion, "Gamma, phi |-")
         return (Sequent(conclusion.left + (phi,), conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        n = len(conclusion.left)
-        out[(LEFT, n)] = (LEFT, n - 1)  # both copies point at the contraction
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left + left[-1:], right  # both copies descend from phi
 
 
 class CtrR(Rule):
@@ -205,13 +210,9 @@ class CtrR(Rule):
         phi = _need_right(conclusion, "|- phi, Delta")
         return (Sequent(conclusion.left, (phi,) + conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out: dict[OccPos, Optional[OccPos]] = {
-            (LEFT, i): (LEFT, i) for i in range(len(conclusion.left))}
-        out[(RIGHT, 0)] = (RIGHT, 0)
-        for j in range(len(conclusion.right)):
-            out[(RIGHT, j + 1)] = (RIGHT, j)
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left, right[:1] + right
 
 
 class ExL(Rule):
@@ -226,11 +227,10 @@ class ExL(Rule):
         left[self.pos], left[self.pos + 1] = left[self.pos + 1], left[self.pos]
         return (Sequent(tuple(left), conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        out[(LEFT, self.pos)] = (LEFT, self.pos + 1)
-        out[(LEFT, self.pos + 1)] = (LEFT, self.pos)
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        p = self.pos
+        return left[:p] + (left[p + 1], left[p]) + left[p + 2:], right
 
 
 class ExR(Rule):
@@ -245,11 +245,10 @@ class ExR(Rule):
         right[self.pos], right[self.pos + 1] = right[self.pos + 1], right[self.pos]
         return (Sequent(conclusion.left, tuple(right)),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        out[(RIGHT, self.pos)] = (RIGHT, self.pos + 1)
-        out[(RIGHT, self.pos + 1)] = (RIGHT, self.pos)
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        p = self.pos
+        return left, right[:p] + (right[p + 1], right[p]) + right[p + 2:]
 
 
 class Subst(Rule):
@@ -267,11 +266,21 @@ class Subst(Rule):
             raise SchemaMismatch(None, sequent_to_str(want), sequent_to_str(conclusion))
         return (self.source,)
 
+    def sources(self, conclusion, inference, branch):
+        subst = dict(self.mapping)
+
+        def skeleton(f):  # where f's operators are in f[subst]
+            return {o.src: p for p, o in substitute_traced(f, subst)[1].items()
+                    if isinstance(o, FromSkeleton)}
+        return tuple(tuple(((side, i), skeleton(f)) for i, f in enumerate(row))
+                     for side, row in ((LEFT, self.source.left), (RIGHT, self.source.right)))
+
 
 class Mono(Rule):
     """Gamma, phi[psi/x] |- phi[chi/x], Delta from k copies of
     Gamma, psi y~ |- chi y~, Delta (k = free occurrences of x in phi).
-    The occurrence map is the identity: both principals keep their index."""
+    Both principals keep their index, and premise k's psi and chi are the
+    k-th copies of psi and chi in phi[psi/x] and phi[chi/x]."""
 
     __slots__ = ("formula", "var", "lower", "upper", "names")
     formula: Expr  # phi
@@ -307,6 +316,17 @@ class Mono(Rule):
                        (make_app(self.upper, *args),) + ctx_r)
         return (prem,) * self.premise_count()
 
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        spine = (0,) * len(self.names)
+
+        def copy(image):  # where image y~'s operators are in phi[image/x]
+            return {spine + o.src: p
+                    for p, o in substitute_traced(self.formula, {self.var: image})[1].items()
+                    if isinstance(o, FromCopy) and o.copy == branch}
+        return (left[:-1] + ((_last(conclusion), copy(self.lower)),),
+                ((_FIRST, copy(self.upper)),) + right[1:])
+
 
 class EqL(Rule):
     """Rewriting with an equation: the conclusion's contexts are templates
@@ -338,10 +358,9 @@ class EqL(Rule):
         return (Sequent(tuple(substitute(g, up) for g in self.left_ctx),
                         tuple(substitute(d, up) for d in self.right_ctx)),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        del out[(LEFT, len(conclusion.left) - 1)]  # s = t has no premise image
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left[:-1], right  # s = t has no premise image
 
 
 class EqR(Rule):
@@ -360,6 +379,10 @@ class OrL(Rule):
         return (Sequent(conclusion.left[:-1] + (phi.lhs,), conclusion.right),
                 Sequent(conclusion.left[:-1] + (phi.rhs,), conclusion.right))
 
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left[:-1] + ((_last(conclusion), (branch,)),), right
+
 
 class OrR(Rule):
     def premises_of(self, conclusion):
@@ -368,14 +391,9 @@ class OrR(Rule):
             raise SchemaMismatch(None, "phi \\/ psi", to_str(phi))
         return (Sequent(conclusion.left, (phi.lhs, phi.rhs) + conclusion.right[1:]),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out: dict[OccPos, Optional[OccPos]] = {
-            (LEFT, i): (LEFT, i) for i in range(len(conclusion.left))}
-        out[(RIGHT, 0)] = (RIGHT, 0)
-        out[(RIGHT, 1)] = (RIGHT, 0)
-        for j in range(1, len(conclusion.right)):
-            out[(RIGHT, j + 1)] = (RIGHT, j)
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left, ((_FIRST, (0,)), (_FIRST, (1,))) + right[1:]
 
 
 class AndL(Rule):
@@ -385,11 +403,10 @@ class AndL(Rule):
             raise SchemaMismatch(None, "phi /\\ psi", to_str(phi))
         return (Sequent(conclusion.left[:-1] + (phi.lhs, phi.rhs), conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        n = len(conclusion.left)
-        out[(LEFT, n)] = (LEFT, n - 1)  # psi also descends from phi /\ psi
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        principal = _last(conclusion)
+        return left[:-1] + ((principal, (0,)), (principal, (1,))), right
 
 
 class AndR(Rule):
@@ -399,6 +416,10 @@ class AndR(Rule):
             raise SchemaMismatch(None, "phi /\\ psi", to_str(phi))
         return (Sequent(conclusion.left, (phi.lhs,) + conclusion.right[1:]),
                 Sequent(conclusion.left, (phi.rhs,) + conclusion.right[1:]))
+
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left, ((_FIRST, (branch,)),) + right[1:]
 
 
 _REDEX_SHAPES = {Lam: "(\\x. phi) psi psi_vec", Mu: "(mu x. phi) psi_vec",
@@ -427,6 +448,12 @@ class HeadStepRule(Rule):
 
     def premises_of(self, conclusion):
         return self.inference(conclusion).premises
+
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        if self.side == LEFT:
+            return left[:-1] + ((_last(conclusion), inference.head_step),), right
+        return left, ((_FIRST, inference.head_step),) + right[1:]
 
 
 class LamL(HeadStepRule):
@@ -469,10 +496,9 @@ class Nat(Rule):
         return (Sequent(conclusion.left + (App(nat_pred(), Var(self.var)),),
                         conclusion.right),)
 
-    def occurrence_map(self, conclusion, premise_index):
-        out = _identity_map(conclusion)
-        out[(LEFT, len(conclusion.left))] = None  # N x comes from nowhere
-        return out
+    def sources(self, conclusion, inference, branch):
+        left, right = super().sources(conclusion, inference, branch)
+        return left + (None,), right  # N x is fresh
 
 
 class P1(Rule):
@@ -521,22 +547,6 @@ def _check_premises(rule: Rule, expected: tuple[Sequent, ...],
     for i, (want, got) in enumerate(zip(expected, premises)):
         if not sequent_alpha_eq(want, got):
             raise SchemaMismatch(i, sequent_to_str(want), sequent_to_str(got))
-
-
-def relevant_occurrences(conclusion: Sequent, rule: Rule, premise_index: int,
-                         premises: Optional[tuple[Sequent, ...]] = None
-                         ) -> dict[OccPos, Optional[OccPos]]:
-    """For one premise of a rule application, the map sending each premise
-    occurrence to the conclusion occurrence it is relevant to (None when the
-    premise formula has no ancestor, e.g. cut formulas and (Nat)'s N x).
-
-    ``premises`` is ``rule.premises_of(conclusion)`` when the caller has it.
-    """
-    if premises is None:
-        premises = rule.premises_of(conclusion)
-    if not 0 <= premise_index < len(premises):
-        raise KernelError(f"premise index {premise_index} out of range for {rule.tag}")
-    return rule.occurrence_map(conclusion, premise_index)
 
 
 # ---------------------------------------------------------------------------

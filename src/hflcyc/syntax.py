@@ -56,8 +56,28 @@ class Interned:
         """Raise if the fields do not make a value of this class."""
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        """``Cls(field=value, ...)``, written from an explicit stack of
+        pieces (text to copy, or a value to write) that opens interned
+        objects and tuples, so a long chain prints without recursion."""
+        out: list[str] = []
+        todo: list[tuple[bool, object]] = [(False, self)]
+        while todo:
+            is_text, value = todo.pop()
+            if is_text:
+                out.append(value)
+            elif isinstance(value, Interned):
+                pieces = [(True, f"{type(value).__qualname__}(")]
+                for k, name in enumerate(value.__slots__):
+                    pieces += [(True, f"{', ' if k else ''}{name}="), (False, getattr(value, name))]
+                todo += reversed(pieces + [(True, ")")])
+            elif type(value) is tuple:
+                pieces = [(True, "(")]
+                for k, item in enumerate(value):
+                    pieces += [(True, ", "), (False, item)] if k else [(False, item)]
+                todo += reversed(pieces + [(True, ",)" if len(value) == 1 else ")")])
+            else:
+                out.append(repr(value))
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)

@@ -3,9 +3,10 @@
 Every fixed-point operator of a formula carries a finite sequence of natural
 numbers.  When a principal operator is unfolded, the copies substituted for
 its bound variable extend the consumed operator's sequence by a fresh number;
-all other rules copy sequences through the relevant-occurrence
-correspondence.  A trace along an infinite path is classified by whether some
-sequence chain on a mu (resp. nu) operator grows forever.
+all other rules copy sequences to the premise formulas that descend from
+each operator (:meth:`hflcyc.kernel.Rule.sources`).  A trace along an
+infinite path is classified by whether some sequence chain on a mu (resp.
+nu) operator grows forever.
 
 The classifier works on lassos (ultimately periodic paths), of the one
 :class:`Lasso` type, which the decision procedure of :mod:`hflcyc.gtc`
@@ -24,19 +25,15 @@ from .kernel import (
     RIGHT,
     DerivTree,
     Inference,
-    Mono,
+    KernelError,
     OccPos,
     OccurrenceRef,
     PreProof,
     Rule,
-    Subst,
-    relevant_occurrences,
     successors,
 )
 from .syntax import (
     Expr,
-    FromCopy,
-    FromSkeleton,
     HeadStep,
     HflError,
     Mu,
@@ -47,7 +44,6 @@ from .syntax import (
     sequent_to_str,
     sigma_paths,
     subexpr_at,
-    substitute_traced,
     to_str,
 )
 
@@ -176,12 +172,13 @@ def _formula_at(seq: Sequent, pos: OccPos) -> Expr:
     return row[index]
 
 
-def _identity_transport(ppaths: tuple[Path, ...], cpaths: tuple[Path, ...]) -> dict[Path, Path]:
-    if set(ppaths) != set(cpaths):
-        raise TraceError(
-            "operator positions changed across a copying step: "
-            f"{ppaths} vs {cpaths}")
-    return {q: q for q in ppaths}
+def _start_position(pp: PreProof, start: OccurrenceRef) -> OccPos:
+    """The position of a start occurrence, checked against its node."""
+    if start.side not in (LEFT, RIGHT):
+        raise TraceError(f"side {start.side!r} of {start} is neither {LEFT!r} nor {RIGHT!r}")
+    pos = (start.side, start.index)
+    _formula_at(pp.node(start.node).seq, pos)
+    return pos
 
 
 def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
@@ -192,7 +189,12 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
 
     There is exactly one step per premise occurrence that has a conclusion
     ancestor (fresh premise formulas - cut formulas, (Nat)'s instance - have
-    none).  Raises on schema violations or an out-of-range branch.
+    none), in premise order, built from :meth:`~hflcyc.kernel.Rule.sources`.
+    A path link ``l`` sends each operator position ``q`` of the premise
+    formula to ``l + q``; a head step brings its sources, head path, copy
+    roots and kind; an explicit map is the transport as it is.  Raises
+    :class:`KernelError` on schema violations or an out-of-range branch,
+    and :class:`TraceError` when a transport does not fit the formulas.
 
     ``inference`` is ``rule.inference(conclusion)`` and ``sigmas`` maps each
     conclusion position to the operator positions of its formula, when the
@@ -201,75 +203,41 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
     """
     if inference is None:
         inference = rule.inference(conclusion)
-    premises = inference.premises
-    occ_map = relevant_occurrences(conclusion, rule, branch, premises)
-    premise = premises[branch]
-    n_left = len(conclusion.left)
-
+    if not 0 <= branch < len(inference.premises):
+        raise KernelError(f"premise index {branch} out of range for {rule.tag}")
+    premise = inference.premises[branch]
+    rows = rule.sources(conclusion, inference, branch)
     steps: list[OccurrenceStep] = []
-    order = [(LEFT, i) for i in range(len(premise.left))]
-    order += [(RIGHT, j) for j in range(len(premise.right))]
-    for ppos in order:
-        cpos = occ_map.get(ppos)
-        if cpos is None:
-            continue
-        pf = _formula_at(premise, ppos)
-        cf = _formula_at(conclusion, cpos)
-        ppaths = sigma_paths(pf)
-        cpaths = sigma_paths(cf) if sigmas is None else sigmas[cpos]
-        step = _build_step(rule, inference.head_step, branch, n_left, ppos, cpos,
-                           pf, ppaths, cpaths)
-        _check_step(step, pf, cf, ppaths, cpaths)
-        steps.append(step)
+    for side, row, sources in zip((LEFT, RIGHT), (premise.left, premise.right), rows):
+        for index, (pf, source) in enumerate(zip(row, sources, strict=True)):
+            if source is None:
+                continue
+            ppos = (side, index)
+            cpos, link = source
+            cf = _formula_at(conclusion, cpos)
+            ppaths = sigma_paths(pf)
+            cpaths = sigma_paths(cf) if sigmas is None else sigmas[cpos]
+            if isinstance(link, HeadStep):
+                step = OccurrenceStep(ppos, cpos, link.sources, link.head_path,
+                                      link.copy_roots, link.sigma_kind)
+            elif isinstance(link, tuple):
+                step = OccurrenceStep(ppos, cpos, _placed(link, ppaths, cpaths))
+            else:
+                step = OccurrenceStep(ppos, cpos, link)
+            _check_step(step, pf, cf, ppaths, cpaths)
+            steps.append(step)
     return tuple(steps)
 
 
-def _build_step(rule: Rule, hs: Optional[HeadStep], branch: int, n_left: int,
-                ppos: OccPos, cpos: OccPos, pf: Expr, ppaths: tuple[Path, ...],
-                cpaths: tuple[Path, ...]) -> OccurrenceStep:
-    side, index = ppos
-    tag = rule.tag
-
-    if tag == "Subst":
-        assert isinstance(rule, Subst)
-        _, origins = substitute_traced(pf, dict(rule.mapping))
-        transport = {o.src: rp for rp, o in origins.items()
-                     if isinstance(o, FromSkeleton)}
-        return OccurrenceStep(ppos, cpos, transport)
-
-    if tag == "Mono":
-        assert isinstance(rule, Mono)
-        if ppos == (LEFT, n_left - 1) or ppos == (RIGHT, 0):
-            image = rule.lower if side == LEFT else rule.upper
-            _, origins = substitute_traced(rule.formula, {rule.var: image})
-            spine = (0,) * len(rule.names)
-            transport = {spine + o.src: rp for rp, o in origins.items()
-                         if isinstance(o, FromCopy) and o.copy == branch}
-            return OccurrenceStep(ppos, cpos, transport)
-        return OccurrenceStep(ppos, cpos, _identity_transport(ppaths, cpaths))
-
-    if tag == "OrL" and ppos == (LEFT, n_left - 1):
-        prefix = (branch,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
-    if tag == "OrR" and side == RIGHT and index in (0, 1):
-        prefix = (index,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
-    if tag == "AndL" and side == LEFT and index in (n_left - 1, n_left):
-        prefix = (0,) if index == n_left - 1 else (1,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
-    if tag == "AndR" and ppos == (RIGHT, 0):
-        prefix = (branch,)
-        return OccurrenceStep(ppos, cpos, {q: prefix + q for q in ppaths})
-
-    if hs is not None:  # a lambda or fixed-point rule (kernel.HeadStepRule)
-        principal = (LEFT, n_left - 1) if rule.side == LEFT else (RIGHT, 0)
-        if ppos == principal:
-            return OccurrenceStep(ppos, cpos, hs.sources, hs.head_path,
-                                  hs.copy_roots, hs.sigma_kind)
-
-    # Structural rules, EqL and P2 (only terms change) and the remaining
-    # context positions copy annotations.
-    return OccurrenceStep(ppos, cpos, _identity_transport(ppaths, cpaths))
+def _placed(link: Path, ppaths: tuple[Path, ...], cpaths: tuple[Path, ...]) -> dict[Path, Path]:
+    """The premise formula's operator positions placed under ``link``; they
+    must be exactly the conclusion formula's operator positions below it."""
+    transport = {q: link + q for q in ppaths}
+    if set(transport.values()) != {p for p in cpaths if p[:len(link)] == link}:
+        raise TraceError(
+            f"operator positions changed across a copying step at {link}: "
+            f"{ppaths} vs {cpaths}")
+    return transport
 
 
 def _check_step(step: OccurrenceStep, pf: Expr, cf: Expr,
@@ -445,11 +413,8 @@ class FiniteOrNotATrace:
 TraceClass = Union[MuTrace, NuTrace, FiniteOrNotATrace]
 
 
-@dataclass(frozen=True)
-class _AState:
-    pos: int
-    occ: OccPos
-    sigma: Path
+# a tracked operator: (spine position, occurrence, operator position)
+_AState = tuple[int, OccPos, Path]
 
 
 class _LassoGraph:
@@ -468,15 +433,16 @@ class _LassoGraph:
 
     def successors_of(self, state: _AState) -> list[tuple[_AState, bool, Optional[str]]]:
         """(next state, grows, kind-of-grow) triples."""
-        i, j = state.pos, self.lasso.successor_index(state.pos)
+        i, occ, sigma = state
+        j = self.lasso.successor_index(i)
         edge = self._edges[i]
         if edge is None:  # back edge: same occurrence, same position
-            return [(_AState(j, state.occ, state.sigma), False, None)]
+            return [((j, occ, sigma), False, None)]
         out: list[tuple[_AState, bool, Optional[str]]] = []
-        for st, inv in edge.get(state.occ, ()):
-            grows = state.sigma == st.consumed_head
-            for q in inv.get(state.sigma, ()):
-                out.append((_AState(j, st.premise_pos, q), grows,
+        for st, inv in edge.get(occ, ()):
+            grows = sigma == st.consumed_head
+            for q in inv.get(sigma, ()):
+                out.append(((j, st.premise_pos, q), grows,
                             st.sigma_kind if grows else None))
         return out
 
@@ -489,7 +455,7 @@ class _LassoGraph:
             for idx, f in enumerate(seq.left if side == LEFT else seq.right):
                 for p in sigma_paths(f):
                     if isinstance(subexpr_at(f, p), want):
-                        inits.append(_AState(i, (side, idx), p))
+                        inits.append((i, (side, idx), p))
         return inits
 
     def growing_witness(self, inits: Sequence[_AState], kind: str
@@ -557,17 +523,16 @@ class _LassoGraph:
         """Run the concrete annotations along an abstract witness path and
         return the tracked operator's final sequence."""
         fresh = fresh_counter()
-        first = states[0]
-        af = annotate_root(self.node_formula(first.pos, first.occ))
-        for a, b in zip(states, states[1:]):
-            edge = self._edges[a.pos]
-            formula = self.node_formula(b.pos, b.occ)
+        af = annotate_root(self.node_formula(*states[0][:2]))
+        for (i, occ, _), (j, nxt, _) in zip(states, states[1:]):
+            edge = self._edges[i]
+            formula = self.node_formula(j, nxt)
             if edge is None:
                 af = AnnotatedFormula(formula, dict(af.notes))
                 continue
-            step = next(st for st, _ in edge[a.occ] if st.premise_pos == b.occ)
+            step = next(st for st, _ in edge[occ] if st.premise_pos == nxt)
             af = _apply_step(af, step, fresh, formula)
-        return af.notes[states[-1].sigma]
+        return af.notes[states[-1][2]]
 
 
 def classify_lasso_trace(pp: PreProof, lasso: Lasso, start: OccurrenceRef) -> TraceClass:
@@ -578,19 +543,20 @@ def classify_lasso_trace(pp: PreProof, lasso: Lasso, start: OccurrenceRef) -> Tr
     through principal positions infinitely often by construction), else
     FiniteOrNotATrace.  Occurrences on the left prefer the mu answer and
     occurrences on the right the nu answer, matching what the trace condition
-    looks for on each side.
+    looks for on each side.  Raises :class:`TraceError` when ``start`` is not
+    an occurrence of a node on the lasso.
     """
     graph = _LassoGraph(pp, lasso)
     spine = graph.spine
     if start.node not in spine:
         raise TraceError(f"start node {start.node!r} is not on the lasso")
+    occ = _start_position(pp, start)
     pos = spine.index(start.node)
-    formula = graph.node_formula(pos, (start.side, start.index))
+    formula = graph.node_formula(pos, occ)
     order = (MU, NU) if start.side == LEFT else (NU, MU)
     for kind in order:
         want = Mu if kind == MU else Nu
-        inits = [_AState(pos, (start.side, start.index), p)
-                 for p in sigma_paths(formula)
+        inits = [(pos, occ, p) for p in sigma_paths(formula)
                  if isinstance(subexpr_at(formula, p), want)]
         witness = graph.growing_witness(inits, kind)
         if witness is not None:
@@ -738,12 +704,13 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
     """Follow one occurrence thread along consecutive nodes, annotating as it
     goes; at a branching successor the first one (in sequent order) is taken.
     Stops early if the occurrence has no successor.  Returns one entry per
-    node reached.  Raises :class:`TraceError` when two consecutive nodes are
-    not an edge of the proof graph."""
-    if nodes[0] != start.node:
+    node reached.  Raises :class:`TraceError` when ``start`` is not an
+    occurrence of the path's first node, or two consecutive nodes are not an
+    edge of the proof graph."""
+    if not nodes or nodes[0] != start.node:
         raise TraceError("the path must begin at the start occurrence's node")
+    occ = _start_position(pp, start)
     fresh = fresh_counter()
-    occ: OccPos = (start.side, start.index)
     cur = pp.node(nodes[0])
     af = annotate_root(_formula_at(cur.seq, occ), pp.positions(cur.id)[occ])
     out = [(cur.id, occ, af)]

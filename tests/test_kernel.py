@@ -1,4 +1,4 @@
-"""Tests for the sequent-calculus kernel: rule schemas, occurrence maps,
+"""Tests for the sequent-calculus kernel: rule schemas, rule sources,
 pre-proof validation, and the proof file format."""
 
 import sys
@@ -15,13 +15,14 @@ from hflcyc.kernel import (
     LEFT, RIGHT, RULES, Axiom, AndL, AndR, CtrL, CtrR, Cut, DerivTree, EqL,
     EqR, ExL, ExR, KernelError, LamL, LamR, Mono, MuL, MuR, Nat, NuL, NuR,
     OrL, OrR, P1, P2, PreProof, SchemaMismatch, SideConditionViolated, Subst,
-    WkL, WkR, check_rule, relevant_occurrences, successors, validate_preproof,
+    WkL, WkR, check_rule, successors, validate_preproof,
 )
 from hflcyc.proofio import (
     ProofFormatError, dumps_preproof, load_preproof, loads_preproof,
     rule_from_form, rule_to_form,
 )
 from hflcyc.semantics import BoundedDomain, Valid, check_validity_bounded
+from hflcyc.trace import occurrence_steps
 import hflcyc.kernel as kernel
 import hflcyc.proofio as proofio
 
@@ -241,72 +242,83 @@ class TestRuleSchemas:
         assert repr(NuR()) == "NuR()"
 
 
+def _ancestors(conclusion, rule, branch):
+    """Each premise position's conclusion position (None when fresh), read
+    from ``rule.sources``."""
+    left, right = rule.sources(conclusion, rule.inference(conclusion), branch)
+    return {(side, i): None if source is None else source[0]
+            for side, row in ((LEFT, left), (RIGHT, right))
+            for i, source in enumerate(row)}
+
+
 class TestOccurrenceMaps:
+    """Rule.sources: where each premise formula comes from."""
+
     @pytest.mark.parametrize("label,conclusion,rule,premises",
                              [f for f in FIXTURES if f[3]],
                              ids=[f[0] for f in FIXTURES if f[3]])
     def test_total_on_premise_positions(self, label, conclusion, rule, premises):
         for k, prem in enumerate(premises):
-            occ = relevant_occurrences(conclusion, rule, k)
-            want_keys = ({(LEFT, i) for i in range(len(prem.left))}
-                         | {(RIGHT, j) for j in range(len(prem.right))})
-            assert set(occ) == want_keys
-            for img in occ.values():
-                if img is None:
+            left, right = rule.sources(conclusion, rule.inference(conclusion), k)
+            assert len(left) == len(prem.left) and len(right) == len(prem.right)
+            for source in left + right:
+                if source is None:
                     continue
-                side, j = img
+                (side, j), _ = source
                 pool = conclusion.left if side == LEFT else conclusion.right
                 assert 0 <= j < len(pool)
 
     def test_andl_principal(self):
-        occ = relevant_occurrences(ps("r, p /\\ q |- s"), AndL(), 0)
-        assert occ[(LEFT, 1)] == (LEFT, 1)
-        assert occ[(LEFT, 2)] == (LEFT, 1)  # both conjuncts descend from p /\ q
+        conclusion = ps("r, p /\\ q |- s")
+        left, _ = AndL().sources(conclusion, AndL().inference(conclusion), 0)
+        # both conjuncts descend from p /\ q, as its two subformulas
+        assert left == (((LEFT, 0), ()), ((LEFT, 1), (0,)), ((LEFT, 1), (1,)))
 
     def test_orr_principal(self):
-        occ = relevant_occurrences(ps("r |- p \\/ q, s"), OrR(), 0)
-        assert occ[(RIGHT, 0)] == (RIGHT, 0)
-        assert occ[(RIGHT, 1)] == (RIGHT, 0)
-        assert occ[(RIGHT, 2)] == (RIGHT, 1)
+        conclusion = ps("r |- p \\/ q, s")
+        _, right = OrR().sources(conclusion, OrR().inference(conclusion), 0)
+        assert right == (((RIGHT, 0), (0,)), ((RIGHT, 0), (1,)), ((RIGHT, 1), ()))
 
     def test_cut_formula_is_fresh(self):
-        occ0 = relevant_occurrences(ps("p |- q"), Cut(pe("r")), 0)
-        occ1 = relevant_occurrences(ps("p |- q"), Cut(pe("r")), 1)
+        occ0 = _ancestors(ps("p |- q"), Cut(pe("r")), 0)
+        occ1 = _ancestors(ps("p |- q"), Cut(pe("r")), 1)
         assert occ0[(RIGHT, 0)] is None
         assert occ0[(RIGHT, 1)] == (RIGHT, 0)
         assert occ1[(LEFT, 1)] is None
 
     def test_weakened_formula_has_no_preimage(self):
-        occ = relevant_occurrences(ps("p, q |- r"), WkL(), 0)
+        occ = _ancestors(ps("p, q |- r"), WkL(), 0)
         assert (LEFT, 1) not in occ.values()
-        occ = relevant_occurrences(ps("p |- q, r"), WkR(), 0)
+        occ = _ancestors(ps("p |- q, r"), WkR(), 0)
         assert (RIGHT, 0) not in occ.values()
 
     def test_contraction_merges_copies(self):
-        occ = relevant_occurrences(ps("p, q |- r"), CtrL(), 0)
+        occ = _ancestors(ps("p, q |- r"), CtrL(), 0)
         assert occ[(LEFT, 1)] == (LEFT, 1) and occ[(LEFT, 2)] == (LEFT, 1)
-        occ = relevant_occurrences(ps("p |- q, r"), CtrR(), 0)
+        occ = _ancestors(ps("p |- q, r"), CtrR(), 0)
         assert occ[(RIGHT, 0)] == (RIGHT, 0) and occ[(RIGHT, 1)] == (RIGHT, 0)
 
     def test_exchange_swaps(self):
-        occ = relevant_occurrences(ps("p, q, r |- s"), ExL(0), 0)
+        occ = _ancestors(ps("p, q, r |- s"), ExL(0), 0)
         assert occ[(LEFT, 0)] == (LEFT, 1)
         assert occ[(LEFT, 1)] == (LEFT, 0)
         assert occ[(LEFT, 2)] == (LEFT, 2)
 
     def test_nat_premise_formula_is_fresh(self):
-        occ = relevant_occurrences(ps("|- Z = t"), Nat("t"), 0)
+        occ = _ancestors(ps("|- Z = t"), Nat("t"), 0)
         assert occ[(LEFT, 0)] is None
 
     def test_eql_equation_unmapped(self):
         rule = EqL("h1", "h2", pe("S Z"), pe("t"), (pe("p h1"),), (pe("q h1"),))
-        occ = relevant_occurrences(ps("p (S Z), S Z = t |- q (S Z)"), rule, 0)
+        occ = _ancestors(ps("p (S Z), S Z = t |- q (S Z)"), rule, 0)
         assert (LEFT, 1) not in occ.values()
         assert occ[(LEFT, 0)] == (LEFT, 0)
 
     def test_premise_index_out_of_range(self):
-        with pytest.raises(KernelError):
-            relevant_occurrences(ps("p |- p"), Axiom(), 0)
+        with pytest.raises(KernelError, match="premise index 0 out of range for Axiom"):
+            occurrence_steps(ps("p |- p"), Axiom(), 0)
+        with pytest.raises(KernelError, match="premise index 2 out of range for OrL"):
+            occurrence_steps(ps("p \\/ q |- r"), OrL(), 2)
 
 
 class TestLocalSoundness:

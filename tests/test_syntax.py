@@ -608,6 +608,7 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     assert origins[(step,) * 5000] == FromSkeleton((step,) * 5000)
     assert {o.copy for o in origins.values() if isinstance(o, FromCopy)} == set(range(5000))
     assert count_occurrences(a, "p") == 5000 and count_occurrences(a, "x") == 0
+    assert repr(a) == repr(b) and repr(a).count("Var(name='p')") == 5000
 
 
 def test_replace_at_follows_a_long_path_without_recursion():

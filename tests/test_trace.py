@@ -7,6 +7,8 @@ import pytest
 from hflcyc.kernel import (
     LEFT,
     RIGHT,
+    AndL,
+    AndR,
     Axiom,
     Cut,
     DerivTree,
@@ -17,10 +19,11 @@ from hflcyc.kernel import (
     MuR,
     NuR,
     OccurrenceRef,
+    OrL,
+    OrR,
     PreProof,
     WkL,
     WkR,
-    relevant_occurrences,
     validate_preproof,
 )
 from hflcyc.proofio import load_preproof
@@ -59,6 +62,25 @@ def _with_premises(fixtures):
     return [f for f in fixtures if f[3]]
 
 
+# the sides of a disjunction or conjunction whose left side nests a nu in a
+# mu: (rule, conclusion, principal position, {(branch, premise position):
+# transport})
+_OR = "(mu a:O. a \\/ (nu c:O. c)) \\/ (nu b:O. b)"
+_AND = "(mu a:O. a \\/ (nu c:O. c)) /\\ (nu b:O. b)"
+_LHS = {(): (0,), (0, 1): (0, 0, 1)}
+_RHS = {(): (1,)}
+PREFIX_CASES = {
+    "OrL": (OrL(), f"p, {_OR} |- r", (LEFT, 1),
+            {(0, (LEFT, 1)): _LHS, (1, (LEFT, 1)): _RHS}),
+    "OrR": (OrR(), f"p |- {_OR}, r", (RIGHT, 0),
+            {(0, (RIGHT, 0)): _LHS, (0, (RIGHT, 1)): _RHS}),
+    "AndL": (AndL(), f"p, {_AND} |- r", (LEFT, 1),
+             {(0, (LEFT, 1)): _LHS, (0, (LEFT, 2)): _RHS}),
+    "AndR": (AndR(), f"p |- {_AND}, r", (RIGHT, 0),
+             {(0, (RIGHT, 0)): _LHS, (1, (RIGHT, 0)): _RHS}),
+}
+
+
 # ---------------------------------------------------------------------------
 # occurrence_steps
 # ---------------------------------------------------------------------------
@@ -69,13 +91,17 @@ class TestOccurrenceSteps:
                              _with_premises(FIXTURES),
                              ids=[f[0] for f in _with_premises(FIXTURES)])
     def test_one_step_per_descendant_occurrence(self, label, conclusion, rule, premises):
+        inference = rule.inference(conclusion)
         for branch, premise in enumerate(premises):
-            occ_map = relevant_occurrences(conclusion, rule, branch)
+            left, right = rule.sources(conclusion, inference, branch)
+            sources = {(side, i): source for side, row in ((LEFT, left), (RIGHT, right))
+                       for i, source in enumerate(row)}
             steps = occurrence_steps(conclusion, rule, branch)
-            with_sources = {p for p, c in occ_map.items() if c is not None}
-            assert {s.premise_pos for s in steps} == with_sources
+            # in premise order, one for each formula that is not fresh
+            assert [s.premise_pos for s in steps] == [
+                p for p, source in sources.items() if source is not None]
             for s in steps:
-                assert occ_map[s.premise_pos] == s.conclusion_pos
+                assert sources[s.premise_pos][0] == s.conclusion_pos
 
     @pytest.mark.parametrize("label,conclusion,rule,premises",
                              _with_premises(FIXTURES),
@@ -102,16 +128,25 @@ class TestOccurrenceSteps:
                     kind = "mu" if rule.tag.startswith("Mu") else "nu"
                     assert s.sigma_kind == kind
 
-    def test_or_branch_prefixes(self):
-        conclusion = ps("(mu a:O. a) \\/ (nu b:O. b) |- r")
-        from hflcyc.kernel import OrL
+    @pytest.mark.parametrize("rule,conclusion,principal,want",
+                             PREFIX_CASES.values(), ids=PREFIX_CASES.keys())
+    def test_prefix_transports(self, rule, conclusion, principal, want):
+        conclusion = ps(conclusion)
+        got = {(branch, s.premise_pos): s.transport
+               for branch in range(len(rule.premises_of(conclusion)))
+               for s in occurrence_steps(conclusion, rule, branch)
+               if s.conclusion_pos == principal}
+        assert got == want
 
-        s0 = [s for s in occurrence_steps(conclusion, OrL(), 0)
-              if s.premise_pos == (LEFT, 0)][0]
-        s1 = [s for s in occurrence_steps(conclusion, OrL(), 1)
-              if s.premise_pos == (LEFT, 0)][0]
-        assert s0.transport == {(): (0,)}
-        assert s1.transport == {(): (1,)}
+    def test_a_link_must_place_every_operator_below_it(self):
+        class OtherBranchOrL(OrL):
+            def sources(self, conclusion, inference, branch):
+                left, right = super().sources(conclusion, inference, branch)
+                return left[:-1] + ((left[-1][0], (1 - branch,)),), right
+
+        # premise 0's p has no operator, but the mu it is linked to has one
+        with pytest.raises(TraceError, match="operator positions changed"):
+            occurrence_steps(ps("p \\/ (mu a:O. a) |- r"), OtherBranchOrL(), 0)
 
     def test_nu_unfold_head_and_copies(self):
         conclusion = ps("|- (nu f:(O->O)->O. \\g:O->O. g (f g)) (mu x:O->O. \\a:O. a)")
@@ -425,6 +460,20 @@ class TestGoldenLoop:
     def test_replay_rejects_a_path_that_is_not_one(self, golden_loop, path, start, message):
         with pytest.raises(TraceError, match=message):
             replay_annotations(golden_loop, path, OccurrenceRef(start, RIGHT, 0))
+
+    def test_replay_refuses_an_empty_path(self, golden_loop):
+        with pytest.raises(TraceError, match="must begin at the start occurrence's node"):
+            replay_annotations(golden_loop, (), OccurrenceRef("n0", RIGHT, 0))
+
+    def test_replay_refuses_a_start_on_no_side(self, golden_loop):
+        with pytest.raises(TraceError, match="'middle' .* is neither"):
+            replay_annotations(golden_loop, ("n0",), OccurrenceRef("n0", "middle", 0))
+
+    def test_classification_refuses_a_start_on_no_side(self, golden_loop):
+        # such a start was read as a right occurrence
+        with pytest.raises(TraceError, match="'middle' .* is neither"):
+            classify_lasso_trace(golden_loop, Lasso((), GOLDEN_CYCLE),
+                                 OccurrenceRef("n0", "middle", 0))
 
     def test_fresh_numbers_never_reused(self, golden_loop):
         path = ["n0", "n1", "n2", "n3", "n4"] * 3 + ["n0", "n1"]
