@@ -27,7 +27,6 @@ from __future__ import annotations
 import heapq
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .kernel import (
@@ -43,6 +42,7 @@ from .syntax import (
     Expr,
     HflError,
     Path,
+    Record,
     Template,
     annotation_label,
     fill_template,
@@ -95,34 +95,45 @@ class GtcUnknown(GtcError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuchiAutomaton:
+class BuchiAutomaton(Record):
     """A nondeterministic Büchi automaton with transition-based acceptance.
 
     A run is accepting when it takes accepting transitions, ``(src, symbol,
     dst)`` triples, infinitely often.  The trace automaton numbers its states
     as ints and ``decode[i]`` is the ``(node, side, index, mark)`` key of
     state ``i``; the path automaton's states are node ids and it has no
-    ``decode``.
+    ``decode``; ``decode`` is not compared or printed.
     """
 
+    __slots__ = ("states", "alphabet", "transitions", "initial", "accepting", "decode")
+    _compared = ("states", "alphabet", "transitions", "initial", "accepting")
     states: frozenset
     alphabet: frozenset
     transitions: frozenset
     initial: frozenset
     accepting: frozenset
-    decode: tuple = field(default=(), compare=False, repr=False)
+    decode: tuple
 
-    def __post_init__(self) -> None:
-        if not self.initial <= self.states:
+    def __init__(self, states: frozenset, alphabet: frozenset, transitions: frozenset,
+                 initial: frozenset, accepting: frozenset, decode: tuple = ()) -> None:
+        if not initial <= states:
             raise GtcError("initial states must be states")
-        if not self.accepting <= self.transitions:
+        if not accepting <= transitions:
             raise GtcError("accepting transitions must be transitions")
-        for src, sym, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+        for src, sym, dst in transitions:
+            if src not in states or dst not in states:
                 raise GtcError("transition endpoint is not a state")
-            if sym not in self.alphabet:
+            if sym not in alphabet:
                 raise GtcError("transition symbol is not in the alphabet")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "decode", decode)
+
+    def __reduce__(self):
+        return BuchiAutomaton, (*self._values(), self.decode)
 
 
 # ---------------------------------------------------------------------------
@@ -643,23 +654,31 @@ def check_gtc(pp: PreProof, *, max_states: int = MAX_STATES
     return contains(pp, trim(build_gtc_automaton(pp)), max_states=max_states)
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(Record):
     """The pre-proof is structurally valid and satisfies the trace condition."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Rejected:
+
+class Rejected(Record):
     """Why a pre-proof is not a cyclic proof.
 
     ``kind`` is ``"structural"`` (with validation issues) or ``"trace"``
     (with a counterexample lasso).
     """
 
+    __slots__ = _compared = ("kind", "issues", "lasso", "detail")
     kind: str
-    issues: tuple[ValidationIssue, ...] = ()
-    lasso: Optional[Lasso] = None
-    detail: str = ""
+    issues: tuple[ValidationIssue, ...]
+    lasso: Optional[Lasso]
+    detail: str
+
+    def __init__(self, kind: str, issues: tuple[ValidationIssue, ...] = (),
+                 lasso: Optional[Lasso] = None, detail: str = "") -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "issues", issues)
+        object.__setattr__(self, "lasso", lasso)
+        object.__setattr__(self, "detail", detail)
 
 
 CheckResult = Union[Accepted, Rejected]

@@ -28,13 +28,11 @@ the trace automaton and all nodes with that pair share one head step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, ClassVar, Mapping, Optional, Union
 
 from .syntax import (
     And, App, Eq, Expr, FromCopy, FromSkeleton, HeadStep, HflError, HflTypeError,
-    Interned, Lam, Mu, Nu, Or, Path, Sequent, Succ, Var, Zero, alpha_eq,
+    Interned, Lam, Mu, Nu, Or, Path, Record, Sequent, Succ, Var, Zero, alpha_eq,
     check_sequent, count_occurrences, head_step, is_term_shaped, make_app, nat_pred,
     sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, substitute_traced,
     to_str,
@@ -104,14 +102,18 @@ _FIRST: OccPos = (RIGHT, 0)  # the position of a right rule's principal formula
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(Record):
     """A rule applied to one conclusion: its premises and, for the lambda and
     fixed-point rules, the traced head step that reduces the principal
     formula (None for every other rule)."""
 
+    __slots__ = _compared = ("premises", "head_step")
     premises: tuple[Sequent, ...]
-    head_step: Optional[HeadStep] = None
+    head_step: Optional[HeadStep]
+
+    def __init__(self, premises: tuple[Sequent, ...], head_step: Optional[HeadStep] = None) -> None:
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "head_step", head_step)
 
 
 class Rule(Interned):
@@ -554,23 +556,35 @@ def _check_premises(rule: Rule, expected: tuple[Sequent, ...],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OccurrenceRef:
+class OccurrenceRef(Record):
     """A formula occurrence in a named proof node."""
 
+    __slots__ = _compared = ("node", "side", "index")
     node: str
     side: str  # LEFT or RIGHT
     index: int
 
+    def __init__(self, node: str, side: str, index: int) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True)
-class DerivTree:
+
+class DerivTree(Record):
     """A finite derivation tree node.  rule None marks an open leaf."""
 
+    __slots__ = _compared = ("id", "seq", "rule", "children")
     id: str
     seq: Sequent
     rule: Optional[Rule]
-    children: tuple["DerivTree", ...] = ()
+    children: tuple[DerivTree, ...]
+
+    def __init__(self, id: str, seq: Sequent, rule: Optional[Rule],
+                 children: tuple[DerivTree, ...] = ()) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "children", children)
 
     def is_open(self) -> bool:
         return self.rule is None
@@ -584,12 +598,7 @@ class DerivTree:
             stack.extend(reversed(node.children))
 
 
-def _table() -> Any:
-    return field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class PreProof:
+class PreProof(Record):
     """A derivation tree plus a back-edge target for every open leaf.
 
     Equal sequents and rules (equal as values, not merely alpha-equivalent,
@@ -604,22 +613,38 @@ class PreProof:
 
     The tables are keyed by the ids of sequents and rules that ``tree``
     holds, or of an inference that the first table holds, so no id is
-    reused while the pre-proof lives.
+    reused while the pre-proof lives.  They, and the node index
+    (:attr:`nodes`), are not compared, hashed or copied.
     """
 
+    __slots__ = ("tree", "back_edges", "_nodes", "_inferences", "_positions", "step_table")
+    _compared = ("tree", "back_edges")
     tree: DerivTree
-    back_edges: Mapping[str, str] = field(default_factory=dict)
-    _inferences: dict[tuple[int, int], Inference] = _table()
-    _positions: dict[int, dict[OccPos, tuple[Path, ...]]] = _table()
-    step_table: dict[tuple[int, int], Any] = _table()
+    back_edges: Mapping[str, str]
+    _nodes: Optional[dict[str, DerivTree]]
+    _inferences: dict[tuple[int, int], Inference]
+    _positions: dict[int, dict[OccPos, tuple[Path, ...]]]
+    step_table: dict[tuple[int, int], Any]
 
-    @cached_property
+    def __init__(self, tree: DerivTree, back_edges: Optional[Mapping[str, str]] = None) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "back_edges", {} if back_edges is None else back_edges)
+        object.__setattr__(self, "_nodes", None)
+        object.__setattr__(self, "_inferences", {})
+        object.__setattr__(self, "_positions", {})
+        object.__setattr__(self, "step_table", {})
+
+    @property
     def nodes(self) -> dict[str, DerivTree]:
-        out: dict[str, DerivTree] = {}
-        for node in self.tree.walk():
-            if node.id in out:
-                raise KernelError(f"duplicate node id {node.id!r}")
-            out[node.id] = node
+        """Every node by id, found on first use."""
+        out = self._nodes
+        if out is None:
+            out = {}
+            for node in self.tree.walk():
+                if node.id in out:
+                    raise KernelError(f"duplicate node id {node.id!r}")
+                out[node.id] = node
+            object.__setattr__(self, "_nodes", out)
         return out
 
     def node(self, node_id: str) -> DerivTree:
@@ -662,10 +687,14 @@ class PreProof:
         return [n for n in self.tree.walk() if n.is_open()]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Record):
+    __slots__ = _compared = ("node", "message")
     node: str
     message: str
+
+    def __init__(self, node: str, message: str) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.node}: {self.message}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 import sys
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -26,7 +25,50 @@ from typing import Mapping, Optional, Union
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (cls, *args) -> obj
 
 
-class Interned:
+class _Frozen:
+    """What interned values and records share: fields that are set once,
+    when the object is made, and the dataclass ``repr``."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        """``Cls(field=value, ...)``, written from an explicit stack of
+        pieces (text to copy, or a value to write) that opens interned
+        objects, records and tuples, so a long chain prints without
+        recursion."""
+        out: list[str] = []
+        todo: list[tuple[bool, object]] = [(False, self)]
+        while todo:
+            is_text, value = todo.pop()
+            if is_text:
+                out.append(value)
+            elif isinstance(value, _Frozen):
+                names = value.__slots__ if isinstance(value, Interned) else value._compared
+                pieces = [(True, f"{type(value).__qualname__}(")]
+                for k, name in enumerate(names):
+                    pieces += [(True, f"{', ' if k else ''}{name}="), (False, getattr(value, name))]
+                todo += reversed(pieces + [(True, ")")])
+            elif type(value) is tuple:
+                pieces = [(True, "(")]
+                for k, item in enumerate(value):
+                    pieces += [(True, ", "), (False, item)] if k else [(False, item)]
+                todo += reversed(pieces + [(True, ",)" if len(value) == 1 else ")")])
+            else:
+                out.append(repr(value))
+        return "".join(out)
+
+    # dataclasses is imported only to raise: it pulls in inspect and ast,
+    # which nothing on the checker's start-up path needs
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Interned(_Frozen):
     """An immutable value that is one object per value (hash-consing:
     Filliâtre and Conchon, "Type-safe modular hash-consing", 2006).
 
@@ -34,7 +76,8 @@ class Interned:
     the live object made from equal arguments, or makes one, runs its
     :meth:`_check` and keeps it if that passes.  Interned arguments compare
     and hash by identity, so building a node never walks its children, and
-    ``==`` is ``is``.  The table holds its objects weakly.
+    ``==`` is ``is``.  The table holds its objects weakly.  Assigning or
+    deleting a field raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ("__weakref__",)
@@ -55,38 +98,38 @@ class Interned:
     def _check(self) -> None:
         """Raise if the fields do not make a value of this class."""
 
-    def __repr__(self) -> str:
-        """``Cls(field=value, ...)``, written from an explicit stack of
-        pieces (text to copy, or a value to write) that opens interned
-        objects and tuples, so a long chain prints without recursion."""
-        out: list[str] = []
-        todo: list[tuple[bool, object]] = [(False, self)]
-        while todo:
-            is_text, value = todo.pop()
-            if is_text:
-                out.append(value)
-            elif isinstance(value, Interned):
-                pieces = [(True, f"{type(value).__qualname__}(")]
-                for k, name in enumerate(value.__slots__):
-                    pieces += [(True, f"{', ' if k else ''}{name}="), (False, getattr(value, name))]
-                todo += reversed(pieces + [(True, ")")])
-            elif type(value) is tuple:
-                pieces = [(True, "(")]
-                for k, item in enumerate(value):
-                    pieces += [(True, ", "), (False, item)] if k else [(False, item)]
-                todo += reversed(pieces + [(True, ",)" if len(value) == 1 else ")")])
-            else:
-                out.append(repr(value))
-        return "".join(out)
-
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+class Record(_Frozen):
+    """An immutable value that is not interned: two records are equal when
+    they are of one class and their compared fields are equal, as for a
+    frozen dataclass, and the hash is the hash of those fields.
+
+    A subclass lists its fields in ``__slots__`` and, in ``_compared``,
+    those that ``==``, the hash and ``repr`` read; the others are tables or
+    caches.  Its ``__init__`` sets each field with ``object.__setattr__``.
+    A copy or pickle calls the class with the compared fields, so a class
+    whose ``__init__`` takes another field also overrides ``__reduce__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +256,11 @@ class Expr(Interned):
             free = free - {self.var}
         object.__setattr__(self, "free", free)
 
+    def __reduce__(self):
+        """Pickle and copy the distinct nodes below, as one flat list, so a
+        long chain does not recurse; rebuilding gives the live objects back."""
+        return _from_postorder, (_postorder(self),)
+
     def __str__(self) -> str:
         return to_str(self)
 
@@ -314,6 +362,37 @@ def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     if isinstance(e, BINDERS):
         return type(e)(e.var, e.var_type, kids[0])
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _postorder(e: Expr) -> tuple[tuple[type, tuple, tuple[int, ...]], ...]:
+    """The distinct nodes of e, each after its children, as its class, its
+    fields that are not children, and its children's indices in the list.
+    A node's children are its last fields."""
+    index: dict[Expr, int] = {}
+    out: list[tuple[type, tuple, tuple[int, ...]]] = []
+    todo: list[tuple[Expr, bool]] = [(e, False)]
+    while todo:
+        node, kids_done = todo.pop()
+        if node in index:
+            continue
+        kids = children(node)
+        if not kids_done:
+            todo.append((node, True))
+            todo += [(kid, False) for kid in kids]
+            continue
+        names = node.__slots__[:len(node.__slots__) - len(kids)]
+        index[node] = len(out)
+        out.append((type(node), tuple([getattr(node, name) for name in names]),
+                    tuple([index[kid] for kid in kids])))
+    return tuple(out)
+
+
+def _from_postorder(nodes: tuple[tuple[type, tuple, tuple[int, ...]], ...]) -> Expr:
+    """The expression :func:`_postorder` listed."""
+    built: list[Expr] = []
+    for cls, fields, kids in nodes:
+        built.append(cls(*fields, *[built[i] for i in kids]))
+    return built[-1]
 
 
 def subexpr_at(e: Expr, path: Path) -> Expr:
@@ -518,21 +597,29 @@ def substitute(e: Expr, subst: Mapping[str, Expr]) -> Expr:
 # a dict to fill, so untraced substitutions pay nothing for them.
 
 
-@dataclass(frozen=True)
-class FromSkeleton:
+class FromSkeleton(Record):
     """Operator in the result corresponds to the one at `src` in the source."""
 
+    __slots__ = _compared = ("src",)
     src: Path
 
+    def __init__(self, src: Path) -> None:
+        object.__setattr__(self, "src", src)
 
-@dataclass(frozen=True)
-class FromCopy:
+
+class FromCopy(Record):
     """Operator inside the copy-th inserted replacement for `var`, at `src`
     relative to the replacement's root."""
 
+    __slots__ = _compared = ("var", "copy", "src")
     var: str
     copy: int
     src: Path
+
+    def __init__(self, var: str, copy: int, src: Path) -> None:
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "copy", copy)
+        object.__setattr__(self, "src", src)
 
 
 SigmaOrigin = Union[FromSkeleton, FromCopy]
@@ -634,8 +721,7 @@ def unfold(e: Expr) -> Expr:
     return _reduce(*redex)
 
 
-@dataclass(frozen=True)
-class HeadStep:
+class HeadStep(Record):
     """A head reduction step together with the induced correspondence of
     fixed-point operator positions.
 
@@ -649,11 +735,20 @@ class HeadStep:
     duplicated at the root.
     """
 
+    __slots__ = _compared = ("result", "sources", "head_path", "copy_roots", "sigma_kind")
     result: Expr
     sources: dict[Path, Path]
     head_path: Optional[Path]
     copy_roots: tuple[Path, ...]
     sigma_kind: Optional[str]
+
+    def __init__(self, result: Expr, sources: dict[Path, Path], head_path: Optional[Path],
+                 copy_roots: tuple[Path, ...], sigma_kind: Optional[str]) -> None:
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "head_path", head_path)
+        object.__setattr__(self, "copy_roots", copy_roots)
+        object.__setattr__(self, "sigma_kind", sigma_kind)
 
 
 def _spine_arg_sources(e: Expr, kept_args: int, sources: dict[Path, Path]) -> None:
@@ -827,26 +922,41 @@ def _check(e: Expr, want: SimpleType, env: dict[str, SimpleType], uni: _Unifier)
     uni.unify(_infer(e, env, uni, want), want, e)
 
 
+_TOO_DEEP = "formula nested too deeply to type-check"
+
+
 def infer_type(env: Mapping[str, SimpleType], e: Expr) -> SimpleType:
-    """The unique type of e under env (syntax-directed; raises on failure)."""
-    return _infer(e, dict(env), _Unifier())  # no metavariable: every type is known
+    """The unique type of e under env (syntax-directed; raises on failure).
+
+    A formula nested deeper than the type checker's recursion can follow is
+    an :class:`HflTypeError`.
+    """
+    try:
+        return _infer(e, dict(env), _Unifier())  # no metavariable: every type is known
+    except RecursionError:
+        raise HflTypeError(_TOO_DEEP) from None
 
 
 def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:
     """Infer types for the free variables of the given Omega-formulas.
 
     Known types may be supplied in env; the result extends it.  Raises
-    HflTypeError when a free variable's type is not fully determined.
+    HflTypeError when a free variable's type is not fully determined, or
+    when a formula is nested deeper than the type checker's recursion can
+    follow.
     """
     full: dict[str, SimpleType] = dict(env or {})
     uni = _Unifier({})
-    for phi in formulas:
-        _check(phi, PROP, full, uni)
-    for name, meta in uni.free.items():
-        ty = uni.resolve(meta)
-        if _has_meta(ty):
-            raise HflTypeError(f"cannot determine the type of free variable {name!r}")
-        full[name] = ty
+    try:
+        for phi in formulas:
+            _check(phi, PROP, full, uni)
+        for name, meta in uni.free.items():
+            ty = uni.resolve(meta)
+            if _has_meta(ty):
+                raise HflTypeError(f"cannot determine the type of free variable {name!r}")
+            full[name] = ty
+    except RecursionError:
+        raise HflTypeError(_TOO_DEEP) from None
     return full
 
 
@@ -885,15 +995,9 @@ def sequent_alpha_eq(a: Sequent, b: Sequent) -> bool:
 
 
 def check_sequent(seq: Sequent, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:
-    """Type-check every member formula at type O; returns the inferred env.
-
-    A formula nested deeper than the type checker's recursion can follow is
-    an :class:`HflTypeError`.
-    """
-    try:
-        return infer_env(seq.left + seq.right, env)
-    except RecursionError:
-        raise HflTypeError("formula nested too deeply to type-check") from None
+    """Type-check every member formula at type O; returns the inferred env
+    (see :func:`infer_env`)."""
+    return infer_env(seq.left + seq.right, env)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ small-instance oracle for the automata-based decision procedure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .kernel import (
@@ -39,6 +38,7 @@ from .syntax import (
     Mu,
     Nu,
     Path,
+    Record,
     Sequent,
     alpha_eq,
     sequent_to_str,
@@ -98,8 +98,7 @@ def fresh_counter(start: int = 0) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class AnnotatedFormula:
+class AnnotatedFormula(Record):
     """A formula whose fixed-point operators each carry a number sequence.
 
     notes has exactly the operator positions of formula as keys; stripping the
@@ -108,17 +107,26 @@ class AnnotatedFormula:
     keeps them for each sequent); they are computed when not given.
     """
 
+    __slots__ = ("formula", "notes", "positions")
+    _compared = ("formula", "notes")
     formula: Expr
     notes: Mapping[Path, Annotation]
-    positions: Optional[tuple[Path, ...]] = field(default=None, compare=False, repr=False)
+    positions: Optional[tuple[Path, ...]]
 
-    def __post_init__(self) -> None:
-        want = set(sigma_paths(self.formula) if self.positions is None else self.positions)
-        got = set(self.notes)
+    def __init__(self, formula: Expr, notes: Mapping[Path, Annotation],
+                 positions: Optional[tuple[Path, ...]] = None) -> None:
+        want = set(sigma_paths(formula) if positions is None else positions)
+        got = set(notes)
         if want != got:
             raise TraceError(
                 f"annotation keys {sorted(got)} do not match operator "
-                f"positions {sorted(want)} of {to_str(self.formula)!r}")
+                f"positions {sorted(want)} of {to_str(formula)!r}")
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "positions", positions)
+
+    def __reduce__(self):
+        return AnnotatedFormula, (self.formula, self.notes, self.positions)
 
 
 def annotate_root(formula: Expr, positions: Optional[tuple[Path, ...]] = None
@@ -137,8 +145,7 @@ def annotate_root(formula: Expr, positions: Optional[tuple[Path, ...]] = None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OccurrenceStep:
+class OccurrenceStep(Record):
     """How one premise occurrence descends from a conclusion occurrence.
 
     transport maps every operator position of the premise formula to the
@@ -149,12 +156,24 @@ class OccurrenceStep:
     a nu was unfolded.
     """
 
+    __slots__ = _compared = ("premise_pos", "conclusion_pos", "transport", "consumed_head",
+                             "copy_roots", "sigma_kind")
     premise_pos: OccPos
     conclusion_pos: OccPos
     transport: Mapping[Path, Path]
-    consumed_head: Optional[Path] = None
-    copy_roots: tuple[Path, ...] = ()
-    sigma_kind: Optional[str] = None
+    consumed_head: Optional[Path]
+    copy_roots: tuple[Path, ...]
+    sigma_kind: Optional[str]
+
+    def __init__(self, premise_pos: OccPos, conclusion_pos: OccPos, transport: Mapping[Path, Path],
+                 consumed_head: Optional[Path] = None, copy_roots: tuple[Path, ...] = (),
+                 sigma_kind: Optional[str] = None) -> None:
+        object.__setattr__(self, "premise_pos", premise_pos)
+        object.__setattr__(self, "conclusion_pos", conclusion_pos)
+        object.__setattr__(self, "transport", transport)
+        object.__setattr__(self, "consumed_head", consumed_head)
+        object.__setattr__(self, "copy_roots", copy_roots)
+        object.__setattr__(self, "sigma_kind", sigma_kind)
 
     def inverse(self) -> dict[Path, tuple[Path, ...]]:
         """Conclusion operator position -> premise positions descending from it."""
@@ -343,8 +362,7 @@ def _apply_step(tau: AnnotatedFormula, step: OccurrenceStep, fresh: Iterator[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Record):
     """The ultimately periodic word ``prefix · cycle^omega``.
 
     Over proof-node ids it is a path of a proof: :func:`hflcyc.gtc.contains`
@@ -352,14 +370,17 @@ class Lasso:
     the oracles of this module classify the traces along one.
     """
 
+    __slots__ = _compared = ("prefix", "cycle")
     prefix: tuple[str, ...]
     cycle: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.prefix, tuple) or not isinstance(self.cycle, tuple):
+    def __init__(self, prefix: tuple[str, ...], cycle: tuple[str, ...]) -> None:
+        if not isinstance(prefix, tuple) or not isinstance(cycle, tuple):
             raise TraceError("lasso parts must be tuples")
-        if not self.cycle:
+        if not cycle:
             raise TraceError("a lasso needs a nonempty cycle")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     @property
     def spine(self) -> tuple[str, ...]:
@@ -395,19 +416,24 @@ def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[StepsByOcc]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MuTrace:
+class MuTrace(Record):
+    __slots__ = _compared = ("p_prefix",)
     p_prefix: Annotation
 
+    def __init__(self, p_prefix: Annotation) -> None:
+        object.__setattr__(self, "p_prefix", p_prefix)
 
-@dataclass(frozen=True)
-class NuTrace:
+
+class NuTrace(Record):
+    __slots__ = _compared = ("p_prefix",)
     p_prefix: Annotation
 
+    def __init__(self, p_prefix: Annotation) -> None:
+        object.__setattr__(self, "p_prefix", p_prefix)
 
-@dataclass(frozen=True)
-class FiniteOrNotATrace:
-    pass
+
+class FiniteOrNotATrace(Record):
+    __slots__ = ()
 
 
 TraceClass = Union[MuTrace, NuTrace, FiniteOrNotATrace]

@@ -611,6 +611,33 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     assert repr(a) == repr(b) and repr(a).count("Var(name='p')") == 5000
 
 
+@pytest.mark.parametrize("build", [b for b, _ in LONG_CHAINS.values()], ids=LONG_CHAINS.keys())
+def test_typing_a_long_chain_is_a_type_error(build):
+    e = build()
+    with pytest.raises(HflTypeError, match="nested too deeply to type-check"):
+        infer_env([e])
+    with pytest.raises(HflTypeError, match="nested too deeply to type-check"):
+        infer_type({"p": PROP}, e)
+    with pytest.raises(HflTypeError, match="nested too deeply to type-check"):
+        check_sequent(Sequent((), (e,)))
+
+
+@pytest.mark.parametrize("build", [b for b, _ in LONG_CHAINS.values()], ids=LONG_CHAINS.keys())
+def test_a_long_chain_pickles_and_copies_to_itself(build):
+    e = build()
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(e) is e and copy.copy(e) is e
+    seq = Sequent((e,), (e,))
+    assert pickle.loads(pickle.dumps(seq)) is seq and copy.deepcopy(seq) is seq
+
+
+def test_a_shared_subformula_is_pickled_once():
+    e = Var("p")
+    for _ in range(64):  # 2**64 leaves as a tree, 65 distinct nodes
+        e = Or(e, e)
+    assert pickle.loads(pickle.dumps(e)) is e and copy.deepcopy(e) is e
+
+
 def test_replace_at_follows_a_long_path_without_recursion():
     chain = make_app(Var("f"), *[Var("p")] * 5000)
     assert replace_at(chain, (0,) * 5000, Var("g")) is make_app(Var("g"), *[Var("p")] * 5000)
