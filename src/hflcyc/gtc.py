@@ -222,10 +222,10 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     initial ones first, and ``decode[i]`` is the ``(node, side, index,
     mark)`` key of the state numbered ``i``.  So trimming and the decision
     hash small ints, not tuples.
-    Operator positions and occurrence steps are read from the pre-proof's
-    tables (:meth:`~hflcyc.kernel.PreProof.positions`,
-    :func:`~hflcyc.trace.node_steps`), so nodes with equal sequents share
-    them, whether the pre-proof was loaded or built in memory.  Raises
+    Each formula keeps its operator positions, and occurrence steps are read
+    from the pre-proof's table (:func:`~hflcyc.trace.node_steps`), so nodes
+    with equal sequents share both, whether the pre-proof was loaded or built
+    in memory.  Raises
     :class:`GtcError` when an open leaf has no back edge or a back edge
     targets a missing node.
     """

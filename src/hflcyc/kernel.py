@@ -23,7 +23,8 @@ Sequents and rules are interned when they are built
 proof was loaded or built in memory.  A pre-proof keeps the
 :class:`Inference` (premises, and the traced head step of a lambda or
 fixed-point rule) of each distinct (conclusion, rule) pair, so validation,
-the trace automaton and all nodes with that pair share one head step.
+the trace automaton and all nodes with that pair share one head step; each
+formula keeps its own operator positions (:func:`~hflcyc.syntax.sigma_paths`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import Any, ClassVar, Mapping, Optional, Union
 
 from .syntax import (
-    And, App, Eq, Expr, FromCopy, FromSkeleton, HeadStep, HflError, HflTypeError,
+    And, App, Eq, Expr, HeadStep, HflError, HflTypeError,
     Interned, Lam, Mu, Nu, Or, Path, Record, Sequent, Succ, Var, Zero, alpha_eq,
     check_sequent, count_occurrences, head_step, is_term_shaped, make_app, nat_pred,
     sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, substitute_traced,
@@ -269,12 +270,10 @@ class Subst(Rule):
         return (self.source,)
 
     def sources(self, conclusion, inference, branch):
-        subst = dict(self.mapping)
-
-        def skeleton(f):  # where f's operators are in f[subst]
-            return {o.src: p for p, o in substitute_traced(f, subst)[1].items()
-                    if isinstance(o, FromSkeleton)}
-        return tuple(tuple(((side, i), skeleton(f)) for i, f in enumerate(row))
+        # renaming keeps the tree's shape, so each operator of f is at the
+        # same path in f[mapping]; those inside substituted copies have none
+        return tuple(tuple(((side, i), {q: q for q in sigma_paths(f)})
+                           for i, f in enumerate(row))
                      for side, row in ((LEFT, self.source.left), (RIGHT, self.source.right)))
 
 
@@ -325,7 +324,7 @@ class Mono(Rule):
         def copy(image):  # where image y~'s operators are in phi[image/x]
             return {spine + o.src: p
                     for p, o in substitute_traced(self.formula, {self.var: image})[1].items()
-                    if isinstance(o, FromCopy) and o.copy == branch}
+                    if o.copy == branch}
         return (left[:-1] + ((_last(conclusion), copy(self.lower)),),
                 ((_FIRST, copy(self.upper)),) + right[1:])
 
@@ -607,7 +606,6 @@ class PreProof(Record):
     distinct sequent rather than once per node:
 
     - the :class:`Inference` of each (conclusion, rule) pair;
-    - the operator positions of each sequent (:meth:`positions`);
     - the occurrence steps of each (inference, branch) pair, in
       ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads.
 
@@ -617,13 +615,12 @@ class PreProof(Record):
     (:attr:`nodes`), are not compared, hashed or copied.
     """
 
-    __slots__ = ("tree", "back_edges", "_nodes", "_inferences", "_positions", "step_table")
+    __slots__ = ("tree", "back_edges", "_nodes", "_inferences", "step_table")
     _compared = ("tree", "back_edges")
     tree: DerivTree
     back_edges: Mapping[str, str]
     _nodes: Optional[dict[str, DerivTree]]
     _inferences: dict[tuple[int, int], Inference]
-    _positions: dict[int, dict[OccPos, tuple[Path, ...]]]
     step_table: dict[tuple[int, int], Any]
 
     def __init__(self, tree: DerivTree, back_edges: Optional[Mapping[str, str]] = None) -> None:
@@ -631,7 +628,6 @@ class PreProof(Record):
         object.__setattr__(self, "back_edges", {} if back_edges is None else back_edges)
         object.__setattr__(self, "_nodes", None)
         object.__setattr__(self, "_inferences", {})
-        object.__setattr__(self, "_positions", {})
         object.__setattr__(self, "step_table", {})
 
     @property
@@ -673,15 +669,11 @@ class PreProof(Record):
 
     def positions(self, node_id: str) -> dict[OccPos, tuple[Path, ...]]:
         """The operator positions of each formula of a node's sequent, by
-        position, computed once per sequent."""
+        position (each formula keeps its own, :func:`~hflcyc.syntax.sigma_paths`)."""
         seq = self.node(node_id).seq
-        got = self._positions.get(id(seq))
-        if got is None:
-            got = self._positions[id(seq)] = {
-                (side, index): sigma_paths(formula)
+        return {(side, index): sigma_paths(formula)
                 for side, row in ((LEFT, seq.left), (RIGHT, seq.right))
                 for index, formula in enumerate(row)}
-        return got
 
     def open_leaves(self) -> list[DerivTree]:
         return [n for n in self.tree.walk() if n.is_open()]

@@ -240,12 +240,14 @@ class IllTyped(HflTypeError):
 class Expr(Interned):
     """Base class of terms and formulas (interned: equal ones are one object).
 
-    ``free`` holds the node's free variables.  It is filled from the
-    children's when the node is made, so it is not a constructor field.
+    ``free`` holds the node's free variables, filled from the children's when
+    the node is made; ``sigmas`` its operator positions, None until
+    :func:`sigma_paths` fills them.  Neither is a constructor field.
     """
 
-    __slots__ = ("free",)
+    __slots__ = ("free", "sigmas")
     free: frozenset[str]
+    sigmas: Optional[tuple[Path, ...]]
 
     def _check(self) -> None:
         free = frozenset((self.name,)) if type(self) is Var else frozenset()
@@ -255,6 +257,7 @@ class Expr(Interned):
         if isinstance(self, BINDERS) and self.var in free:
             free = free - {self.var}
         object.__setattr__(self, "free", free)
+        object.__setattr__(self, "sigmas", None)
 
     def __reduce__(self):
         """Pickle and copy the distinct nodes below, as one flat list, so a
@@ -416,28 +419,31 @@ def replace_at(e: Expr, path: Path, sub: Expr) -> Expr:
 
 
 def sigma_paths(e: Expr) -> tuple[Path, ...]:
-    """Paths of every fixed-point operator in preorder, without recursion:
-    the walk follows each first child, and a second one waits on a stack."""
-    out: list[Path] = []
-    todo: list[tuple[Expr, Path]] = [(e, ())]
-    while todo:
-        e, path = todo.pop()
-        while True:
-            t = type(e)
-            if t is App:
-                todo.append((e.arg, path + (1,)))
-                e, path = e.fn, path + (0,)
-            elif t is Var or t is Zero:
-                break
-            elif t is Mu or t is Nu:
-                out.append(path)
-                e, path = e.body, path + (0,)
-            else:
-                kids = children(e)
-                if len(kids) == 2:
-                    todo.append((kids[1], path + (1,)))
-                e, path = kids[0], path + (0,)
-    return tuple(out)
+    """Paths of every fixed-point operator in preorder, found once per
+    formula and kept on it.  The walk needs no recursion: it follows each
+    first child, and a second one waits on a stack."""
+    if e.sigmas is None:
+        out: list[Path] = []
+        todo: list[tuple[Expr, Path]] = [(e, ())]
+        while todo:
+            node, path = todo.pop()
+            while True:
+                t = type(node)
+                if t is App:
+                    todo.append((node.arg, path + (1,)))
+                    node, path = node.fn, path + (0,)
+                elif t is Var or t is Zero:
+                    break
+                elif t is Mu or t is Nu:
+                    out.append(path)
+                    node, path = node.body, path + (0,)
+                else:
+                    kids = children(node)
+                    if len(kids) == 2:
+                        todo.append((kids[1], path + (1,)))
+                    node, path = kids[0], path + (0,)
+        object.__setattr__(e, "sigmas", tuple(out))
+    return e.sigmas
 
 
 def free_vars(e: Expr) -> frozenset[str]:
@@ -589,22 +595,12 @@ def substitute(e: Expr, subst: Mapping[str, Expr]) -> Expr:
 # is: a substitution is linear in the part of e it changes.  A binder is renamed
 # only when it would capture a free variable of a live replacement; the
 # renaming is itself a substitution by the same walk.  The trace/gtc machinery
-# also needs to know, for every fixed-point operator of e[subst], whether it
-# comes from the skeleton of e or sits inside the j-th substituted copy of some
-# replacement (occurrences numbered per variable in preorder).  Renaming
-# preserves tree structure, so a skeleton operator keeps its path and origins
-# are exact path correspondences.  The walk records them only when it is given
-# a dict to fill, so untraced substitutions pay nothing for them.
-
-
-class FromSkeleton(Record):
-    """Operator in the result corresponds to the one at `src` in the source."""
-
-    __slots__ = _compared = ("src",)
-    src: Path
-
-    def __init__(self, src: Path) -> None:
-        object.__setattr__(self, "src", src)
+# also needs to know, for every fixed-point operator of e[subst], where it comes
+# from.  Renaming preserves tree structure, so an operator outside the
+# substituted copies is e's operator at the same path; the walk records only
+# the others, each with the copy of the replacement it sits in (copies numbered
+# per variable in preorder).  It records them only when it is given a dict to
+# fill, so untraced substitutions pay nothing for them.
 
 
 class FromCopy(Record):
@@ -622,27 +618,22 @@ class FromCopy(Record):
         object.__setattr__(self, "src", src)
 
 
-SigmaOrigin = Union[FromSkeleton, FromCopy]
-
-
-def substitute_traced(e: Expr, subst: Mapping[str, Expr]) -> tuple[Expr, dict[Path, SigmaOrigin]]:
-    """substitute(e, subst) together with an origin for each fixed-point
-    operator position of the result."""
-    origins: dict[Path, SigmaOrigin] = {}
+def substitute_traced(e: Expr, subst: Mapping[str, Expr]) -> tuple[Expr, dict[Path, FromCopy]]:
+    """substitute(e, subst) together with the origin of each fixed-point
+    operator of the result that sits inside a substituted copy; every other
+    operator of the result is e's operator at the same path."""
+    origins: dict[Path, FromCopy] = {}
     return _substitute(e, subst, origins), origins
 
 
 def _substitute(e: Expr, subst: Mapping[str, Expr],
-                origins: Optional[dict[Path, SigmaOrigin]]) -> Expr:
+                origins: Optional[dict[Path, FromCopy]]) -> Expr:
     """The capture-avoiding substitution walk; fills `origins` unless None."""
     counters: dict[str, int] = {}
 
     def enter(e: Expr, sub: Mapping[str, Expr], path: Path):
         live = {x: r for x, r in sub.items() if x in e.free}
         if not live:
-            if origins is not None:
-                for p in sigma_paths(e):
-                    origins[path + p] = FromSkeleton(path + p)
             return e
         t = type(e)
         if t is Var:  # e.name is a live key
@@ -660,8 +651,6 @@ def _substitute(e: Expr, subst: Mapping[str, Expr],
             if var in avoid:
                 var = _fresh_variant(var, avoid | body.free)
                 body = _substitute(body, {e.var: Var(var)}, None)
-            if origins is not None and t is not Lam:
-                origins[path] = FromSkeleton(path)
             return var, [(body, live, path + (0,))]
         return None, [(kid, live, path + (i,)) for i, kid in enumerate(children(e))]
 
@@ -779,8 +768,9 @@ def head_step(e: Expr, kind) -> Optional[HeadStep]:
 
 def _head_step_traced(e: Expr, head: Expr, repl: Expr, rest: tuple[Expr, ...]) -> HeadStep:
     beta = isinstance(head, Lam)
-    origins: dict[Path, SigmaOrigin] = {}
-    result = make_app(_substitute(head.body, {head.var: repl}, origins), *rest)
+    origins: dict[Path, FromCopy] = {}
+    body = _substitute(head.body, {head.var: repl}, origins)
+    result = make_app(body, *rest)
     sources: dict[Path, Path] = {}
     _spine_arg_sources(e, len(rest), sources)
     core_prefix = (0,) * len(rest)
@@ -789,10 +779,11 @@ def _head_step_traced(e: Expr, head: Expr, repl: Expr, rest: tuple[Expr, ...]) -
     head_path = core_prefix + (0,) if beta else core_prefix
     repl_path = core_prefix + (1,) if beta else head_path
     copy_roots: list[Path] = []
-    for p, origin in origins.items():
+    for p in sigma_paths(body):
         rp = core_prefix + p
-        if isinstance(origin, FromSkeleton):
-            sources[rp] = head_path + (0,) + origin.src
+        origin = origins.get(p)
+        if origin is None:  # the head's body operator at the same path
+            sources[rp] = head_path + (0,) + p
         else:
             sources[rp] = repl_path + origin.src
             if not beta and origin.src == ():  # the root of a copy of the head
@@ -1143,7 +1134,15 @@ class _Parser:
             return Zero()
         if kind == "S":
             # S binds to the immediately following atom: S x, S (f y), S S x.
-            return Succ(self.atom())
+            # A run of S is read in a loop, so a long one takes no recursion.
+            depth = 1
+            while self.peek()[0] == "S":
+                self.next()
+                depth += 1
+            e = self.atom()
+            for _ in range(depth):
+                e = Succ(e)
+            return e
         if kind == "num":
             # S^n Z is n terms deep, and no recursive walk of a term goes
             # deeper than the interpreter's recursion limit

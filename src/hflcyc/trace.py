@@ -101,21 +101,17 @@ def fresh_counter(start: int = 0) -> Iterator[int]:
 class AnnotatedFormula(Record):
     """A formula whose fixed-point operators each carry a number sequence.
 
-    notes has exactly the operator positions of formula as keys; stripping the
-    annotations (taking .formula) recovers the plain formula.  positions are
-    the formula's operator positions when the caller has them (a pre-proof
-    keeps them for each sequent); they are computed when not given.
+    notes has exactly the operator positions of formula as keys (which the
+    formula keeps, :func:`~hflcyc.syntax.sigma_paths`); stripping the
+    annotations (taking .formula) recovers the plain formula.
     """
 
-    __slots__ = ("formula", "notes", "positions")
-    _compared = ("formula", "notes")
+    __slots__ = _compared = ("formula", "notes")
     formula: Expr
     notes: Mapping[Path, Annotation]
-    positions: Optional[tuple[Path, ...]]
 
-    def __init__(self, formula: Expr, notes: Mapping[Path, Annotation],
-                 positions: Optional[tuple[Path, ...]] = None) -> None:
-        want = set(sigma_paths(formula) if positions is None else positions)
+    def __init__(self, formula: Expr, notes: Mapping[Path, Annotation]) -> None:
+        want = set(sigma_paths(formula))
         got = set(notes)
         if want != got:
             raise TraceError(
@@ -123,21 +119,11 @@ class AnnotatedFormula(Record):
                 f"positions {sorted(want)} of {to_str(formula)!r}")
         object.__setattr__(self, "formula", formula)
         object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "positions", positions)
-
-    def __reduce__(self):
-        return AnnotatedFormula, (self.formula, self.notes, self.positions)
 
 
-def annotate_root(formula: Expr, positions: Optional[tuple[Path, ...]] = None
-                  ) -> AnnotatedFormula:
-    """The starting annotation: every operator carries the empty sequence.
-
-    ``positions`` are the formula's operator positions, when the caller has
-    them."""
-    if positions is None:
-        positions = sigma_paths(formula)
-    return AnnotatedFormula(formula, dict.fromkeys(positions, ()), positions)
+def annotate_root(formula: Expr) -> AnnotatedFormula:
+    """The starting annotation: every operator carries the empty sequence."""
+    return AnnotatedFormula(formula, dict.fromkeys(sigma_paths(formula), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +187,7 @@ def _start_position(pp: PreProof, start: OccurrenceRef) -> OccPos:
 
 
 def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
-                     inference: Optional[Inference] = None,
-                     sigmas: Optional[Mapping[OccPos, tuple[Path, ...]]] = None
-                     ) -> tuple[OccurrenceStep, ...]:
+                     inference: Optional[Inference] = None) -> tuple[OccurrenceStep, ...]:
     """All occurrence steps from a conclusion into one premise of a rule.
 
     There is exactly one step per premise occurrence that has a conclusion
@@ -215,10 +199,10 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
     :class:`KernelError` on schema violations or an out-of-range branch,
     and :class:`TraceError` when a transport does not fit the formulas.
 
-    ``inference`` is ``rule.inference(conclusion)`` and ``sigmas`` maps each
-    conclusion position to the operator positions of its formula, when the
-    caller has them; the steps are then built without a second head step or
-    operator walk of the conclusion.
+    ``inference`` is ``rule.inference(conclusion)``, when the caller has it;
+    the steps are then built without a second head step.  The operator
+    positions of both formulas are the ones each formula keeps
+    (:func:`~hflcyc.syntax.sigma_paths`).
     """
     if inference is None:
         inference = rule.inference(conclusion)
@@ -235,7 +219,7 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
             cpos, link = source
             cf = _formula_at(conclusion, cpos)
             ppaths = sigma_paths(pf)
-            cpaths = sigma_paths(cf) if sigmas is None else sigmas[cpos]
+            cpaths = sigma_paths(cf)
             if isinstance(link, HeadStep):
                 step = OccurrenceStep(ppos, cpos, link.sources, link.head_path,
                                       link.copy_roots, link.sigma_kind)
@@ -292,8 +276,7 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
     got = pp.step_table.get(key)
     if got is None:
         by_occ: dict[OccPos, list] = {}
-        for step in occurrence_steps(node.seq, node.rule, branch, inference=inference,
-                                     sigmas=pp.positions(node.id)):
+        for step in occurrence_steps(node.seq, node.rule, branch, inference=inference):
             by_occ.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
         got = pp.step_table[key] = {occ: tuple(v) for occ, v in by_occ.items()}
     return got
@@ -338,10 +321,8 @@ def annotate_step(tau: AnnotatedFormula, rule: Rule, branch: int,
 
 
 def _apply_step(tau: AnnotatedFormula, step: OccurrenceStep, fresh: Iterator[int],
-                premise_formula: Expr,
-                positions: Optional[tuple[Path, ...]] = None) -> AnnotatedFormula:
-    """The annotated premise occurrence that ``step`` makes of ``tau``;
-    ``positions`` are the premise formula's operator positions, if known."""
+                premise_formula: Expr) -> AnnotatedFormula:
+    """The annotated premise occurrence that ``step`` makes of ``tau``."""
     new_notes: dict[Path, Annotation] = {}
     if step.consumed_head is not None:
         k = next(fresh)
@@ -354,7 +335,7 @@ def _apply_step(tau: AnnotatedFormula, step: OccurrenceStep, fresh: Iterator[int
     else:
         for q, p in step.transport.items():
             new_notes[q] = tau.notes[p]
-    return AnnotatedFormula(premise_formula, new_notes, positions)
+    return AnnotatedFormula(premise_formula, new_notes)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +424,12 @@ TraceClass = Union[MuTrace, NuTrace, FiniteOrNotATrace]
 _AState = tuple[int, OccPos, Path]
 
 
+def _operators_of_kind(formula: Expr, kind: str) -> list[Path]:
+    """The positions of formula's mu operators (kind MU) or nu operators (NU)."""
+    want = Mu if kind == MU else Nu
+    return [p for p in sigma_paths(formula) if isinstance(subexpr_at(formula, p), want)]
+
+
 class _LassoGraph:
     """The finite abstraction: one tracked operator per state, stepping
     through the unrolled lasso with wrap-around."""
@@ -475,13 +462,10 @@ class _LassoGraph:
     def initial_states(self, positions: Sequence[int], kind: str,
                        side: str) -> list[_AState]:
         inits: list[_AState] = []
-        want = Mu if kind == MU else Nu
         for i in positions:
             seq = self.pp.node(self.spine[i]).seq
             for idx, f in enumerate(seq.left if side == LEFT else seq.right):
-                for p in sigma_paths(f):
-                    if isinstance(subexpr_at(f, p), want):
-                        inits.append((i, (side, idx), p))
+                inits += [(i, (side, idx), p) for p in _operators_of_kind(f, kind)]
         return inits
 
     def growing_witness(self, inits: Sequence[_AState], kind: str
@@ -581,9 +565,7 @@ def classify_lasso_trace(pp: PreProof, lasso: Lasso, start: OccurrenceRef) -> Tr
     formula = graph.node_formula(pos, occ)
     order = (MU, NU) if start.side == LEFT else (NU, MU)
     for kind in order:
-        want = Mu if kind == MU else Nu
-        inits = [(pos, occ, p) for p in sigma_paths(formula)
-                 if isinstance(subexpr_at(formula, p), want)]
+        inits = [(pos, occ, p) for p in _operators_of_kind(formula, kind)]
         witness = graph.growing_witness(inits, kind)
         if witness is not None:
             p_prefix = graph.replay(witness)
@@ -595,9 +577,9 @@ def lasso_good(pp: PreProof, lasso: Lasso) -> bool:
     """Whether some tail of the lasso path carries a left mu-trace or a right
     nu-trace (the per-path condition of the soundness gate)."""
     graph = _LassoGraph(pp, lasso)
-    cycle_positions = range(len(lasso.prefix), len(graph.spine))
+    on_cycle = range(len(lasso.prefix), len(graph.spine))
     for kind, side in ((MU, LEFT), (NU, RIGHT)):
-        inits = graph.initial_states(cycle_positions, kind, side)
+        inits = graph.initial_states(on_cycle, kind, side)
         if graph.growing_witness(inits, kind) is not None:
             return True
     return False
@@ -738,15 +720,14 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
     occ = _start_position(pp, start)
     fresh = fresh_counter()
     cur = pp.node(nodes[0])
-    af = annotate_root(_formula_at(cur.seq, occ), pp.positions(cur.id)[occ])
+    af = annotate_root(_formula_at(cur.seq, occ))
     out = [(cur.id, occ, af)]
     for nxt_id in itertools.islice(nodes, 1, None):
         if cur.is_open():  # back edge: copy everything
             if pp.back_edges.get(cur.id) != nxt_id:
                 raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
             cur = pp.node(nxt_id)
-            af = AnnotatedFormula(_formula_at(cur.seq, occ), dict(af.notes),
-                                  pp.positions(cur.id)[occ])
+            af = AnnotatedFormula(_formula_at(cur.seq, occ), dict(af.notes))
             out.append((nxt_id, occ, af))
             continue
         for branch, child in enumerate(cur.children):
@@ -760,7 +741,6 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
         step = min((s for s, _ in steps), key=lambda s: s.premise_pos)
         occ = step.premise_pos
         cur = child
-        af = _apply_step(af, step, fresh, _formula_at(cur.seq, occ),
-                         pp.positions(cur.id)[occ])
+        af = _apply_step(af, step, fresh, _formula_at(cur.seq, occ))
         out.append((nxt_id, occ, af))
     return out

@@ -44,7 +44,7 @@ from hflcyc.kernel import (
 )
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
 from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bounded
-from hflcyc.syntax import Eq, Or, Sequent, Zero, sigma_paths
+from hflcyc.syntax import Eq, Or, Sequent, Succ, Var, Zero, sigma_paths
 from hflcyc.trace import (
     Lasso,
     TraceError,
@@ -574,6 +574,16 @@ class TestCheckCyclicProof:
         # a numeral types in a loop, not one frame per S
         pp = loads_preproof('(node n0 (seq "|- 500 = 500") (rule EqR))')
         assert check_cyclic_proof(pp) == Accepted()
+
+    def test_long_successor_chain_loads_back(self):
+        # the parser reads a run of S in a loop, not one frame per S
+        chain = Var("x")
+        for _ in range(5000):
+            chain = Succ(chain)
+        pp = PreProof(DerivTree("n0", Sequent((), (Eq(chain, chain),)), EqR()))
+        loaded = loads_preproof(dumps_preproof(pp))
+        assert loaded.tree.seq is pp.tree.seq
+        assert check_cyclic_proof(loaded) == check_cyclic_proof(pp) == Accepted()
 
     def test_bad_trace_is_reported_with_lasso(self):
         res = check_cyclic_proof(self_loop_proof("mu"))

@@ -14,14 +14,18 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+import hflcyc.proofio  # noqa: F401  (so that every record class is defined)
+import hflcyc.semantics  # noqa: F401
 from hflcyc.gtc import Accepted, BuchiAutomaton, Rejected
 from hflcyc.kernel import (
     Axiom, DerivTree, Inference, OccurrenceRef, OrR, PreProof, ValidationIssue,
     validate_preproof,
 )
-from hflcyc.syntax import FIXPOINTS, FromCopy, FromSkeleton, head_step, parse_expr, parse_sequent
+from hflcyc.syntax import (
+    FIXPOINTS, PROP, FromCopy, Mu, Record, Var, head_step, parse_expr, parse_sequent,
+)
 from hflcyc.trace import (
-    AnnotatedFormula, FiniteOrNotATrace, Lasso, MuTrace, NuTrace, OccurrenceStep,
+    AnnotatedFormula, FiniteOrNotATrace, Lasso, MuTrace, NuTrace, OccurrenceStep, node_steps,
 )
 
 MU_X = parse_expr("mu X:O. X")
@@ -42,7 +46,6 @@ def _automaton(decode=()) -> BuchiAutomaton:
 
 # (build, repr at construction): build makes a fresh, equal value each call
 SAMPLES = {
-    "FromSkeleton": (lambda: FromSkeleton((0, 1)), "FromSkeleton(src=(0, 1))"),
     "FromCopy": (lambda: FromCopy("x", 2, ()), "FromCopy(var='x', copy=2, src=())"),
     "HeadStep": (
         lambda: head_step(UNFOLD, FIXPOINTS),
@@ -142,7 +145,7 @@ def test_values_of_different_classes_differ():
     assert MuTrace(()) != NuTrace(())
     assert Accepted() == Accepted() and FiniteOrNotATrace() == FiniteOrNotATrace()
     assert Accepted() != FiniteOrNotATrace()
-    assert FromSkeleton(()) != FromCopy("x", 0, ())
+    assert OccurrenceRef("x", "left", 0) != FromCopy("x", "left", 0)
     assert Lasso(("n0",), ("n1",)) != Lasso((), ("n0", "n1"))
 
 
@@ -150,13 +153,10 @@ def test_tables_and_caches_are_not_compared():
     auto = _automaton(decode=(None, ("n0", "right", 0, ())))
     assert auto == _automaton() and auto.decode == (None, ("n0", "right", 0, ()))
     assert "decode" not in repr(auto)
-    with_positions = AnnotatedFormula(MU_X, {(): (1, 2)}, ((),))
-    assert with_positions == SAMPLES["AnnotatedFormula"][0]()
-    assert with_positions.positions == ((),) and "positions" not in repr(with_positions)
     used, fresh = PreProof(_tree(), {"n1": "n0"}), PreProof(_tree(), {"n1": "n0"})
     validate_preproof(used)
-    used.positions("n0")
-    assert used._inferences and used._positions and used == fresh
+    node_steps(used, used.node("n0"), 0)
+    assert used._inferences and used.step_table and used == fresh
     assert repr(used) == repr(fresh)
 
 
@@ -179,7 +179,6 @@ def test_defaults():
     assert DerivTree("n0", LEAF_SEQ, None).children == ()
     assert PreProof(DerivTree("n0", LEAF_SEQ, Axiom())).back_edges == {}
     assert _automaton().decode == ()
-    assert AnnotatedFormula(MU_X, {(): ()}).positions is None
     step = OccurrenceStep(("left", 0), ("left", 1), {})
     assert (step.consumed_head, step.copy_roots, step.sigma_kind) == (None, (), None)
 
@@ -211,10 +210,8 @@ def test_copies_and_pickles_are_equal(name):
 
 def test_copies_keep_the_fields_that_are_not_compared():
     auto = _automaton(decode=(None, ("n0", "right", 0, ())))
-    annotated = AnnotatedFormula(MU_X, {(): (1,)}, ((),))
     for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         assert copy_of(auto).decode == auto.decode
-        assert copy_of(annotated).positions == ((),)
 
 
 def test_a_deep_tree_prints_without_recursion():
@@ -222,3 +219,32 @@ def test_a_deep_tree_prints_without_recursion():
     for k in range(1, 3000):
         tree = DerivTree(f"n{k}", LEAF_SEQ, OrR(), (tree,))
     assert repr(tree).count("DerivTree(") == 3000
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("hflcyc."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def test_every_record_class_has_a_sample():
+    # a record class added later fails here until SAMPLES covers it
+    assert {cls.__name__ for cls in _record_classes()} == set(SAMPLES)
+
+
+def _slots(value):
+    return [name for cls in type(value).__mro__ for name in cls.__dict__.get("__slots__", ())
+            if name != "__weakref__"]
+
+
+@pytest.mark.parametrize("build", [
+    *(build for build, _ in SAMPLES.values()),
+    lambda: Var("slot_check"),
+    lambda: Mu("slot_check", PROP, Var("slot_check")),
+], ids=[*SAMPLES, "Var", "Mu"])
+def test_every_slot_is_set(build):
+    # a formula's free variables and operator positions too
+    value = build()
+    for name in _slots(value):
+        assert hasattr(value, name), name

@@ -22,9 +22,10 @@ from hflcyc.syntax import (
     infer_type, make_app, numeral, numeral_value, parse, parse_expr,
     parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
     sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
-    type_to_str, unfold, FromSkeleton, FromCopy, sequent_to_str,
+    type_to_str, unfold, sequent_to_str,
 )
 from hflcyc.syntax import _BINARY, _INTERNED
+from hflcyc.trace import annotate_root
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -384,15 +385,16 @@ def test_substitution_avoids_capture_through_nested_rename():
 def test_traced_substitution_agrees_and_covers(e, x, r):
     out, origins = substitute_traced(e, {x: r})
     assert out == substitute(e, {x: r})
-    assert set(origins) == set(sigma_paths(out))
+    # the operators outside the copies are e's, at the same paths
+    assert set(sigma_paths(out)) - set(origins) == set(sigma_paths(e))
     n = count_occurrences(e, x)
-    copies = {o.copy for o in origins.values() if isinstance(o, FromCopy)}
+    copies = {o.copy for o in origins.values()}
     if sigma_paths(r) and x in free_vars(e):
         assert copies == set(range(n))
-    for p, o in origins.items():
-        node = subexpr_at(out, p)
-        if isinstance(o, FromSkeleton):
-            assert type(subexpr_at(e, o.src)) is type(node)
+    for p in sigma_paths(out):
+        node, o = subexpr_at(out, p), origins.get(p)
+        if o is None:
+            assert type(subexpr_at(e, p)) is type(node)
         else:
             assert subexpr_at(r, o.src) == node  # copies are verbatim
 
@@ -596,6 +598,10 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     assert free_vars(a) == {"p"}
     assert Sequent((a,), (b,)).free_vars() == {"p"}
     assert sigma_paths(a) == ((step,) * 5000,)
+    assert sigma_paths(a) is sigma_paths(a)  # found once, kept on the formula
+    assert annotate_root(a).notes == {(step,) * 5000: ()}
+    for again in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert again is a and sigma_paths(again) is sigma_paths(a)
     assert hash(a) == hash(b) and a == b
     renamed = build(Mu("y", PROP, Var("y")))
     assert canonical(a) is canonical(renamed) is not a
@@ -604,9 +610,11 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     assert free_vars(q) == {"q"} and sigma_paths(q) == sigma_paths(a)
     top = Nu("t", PROP, Var("t"))
     out, origins = substitute_traced(a, {"p": top})
-    assert out is substitute(a, {"p": top}) and len(origins) == 5001
-    assert origins[(step,) * 5000] == FromSkeleton((step,) * 5000)
-    assert {o.copy for o in origins.values() if isinstance(o, FromCopy)} == set(range(5000))
+    assert out is substitute(a, {"p": top}) and len(origins) == 5000
+    assert {o.copy for o in origins.values()} == set(range(5000))
+    # the one operator that is not a copy is a's, at the same path
+    (kept,) = set(sigma_paths(out)) - set(origins)
+    assert kept == (step,) * 5000 and subexpr_at(out, kept) is subexpr_at(a, kept)
     assert count_occurrences(a, "p") == 5000 and count_occurrences(a, "x") == 0
     assert repr(a) == repr(b) and repr(a).count("Var(name='p')") == 5000
 

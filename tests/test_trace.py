@@ -177,6 +177,21 @@ class TestOccurrenceSteps:
         # descends from it
         assert step.transport == {(0,): (0,)}
 
+    def test_subst_that_renames_a_binder_keeps_operator_paths(self):
+        from hflcyc.kernel import Subst
+
+        # x |-> (nu b:O. b) \/ y under \y: the binder is renamed, and the
+        # replacement brings a nu
+        source = ps("|- (\\y:O. mu a:O. a \\/ x \\/ y) p")
+        rule = Subst(source, (("x", pe("(nu b:O. b) \\/ y")),))
+        conclusion = ps("|- (\\y_2:O. mu a:O. a \\/ ((nu b:O. b) \\/ y) \\/ y_2) p")
+        assert rule.premises_of(conclusion) == (source,)
+        (step,) = occurrence_steps(conclusion, rule, 0)
+        # the identity on the source formula's operators; the inserted nu at
+        # (0, 0, 0, 0, 1, 0) has no preimage
+        assert sigma_paths(conclusion.right[0]) == ((0, 0), (0, 0, 0, 0, 1, 0))
+        assert step.transport == {(0, 0): (0, 0)}
+
     def test_mono_copy_indexing_matches_premise_order(self):
         from hflcyc.kernel import Mono
 
