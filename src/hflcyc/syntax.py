@@ -9,12 +9,14 @@ The term language is ``x | Z | S t`` and the formula language is
 Both layers share one expression datatype; the two application typing rules
 are disambiguated by type inference, not by a stored tag.  Alpha-equivalence
 (not syntactic equality) is the notion of identity every other module uses.
+No walk of a formula or a type recurses, except the parser, which refuses
+input nested too deeply, and substitution, which calls itself to rename a
+bound variable that would capture.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 import weakref
 from typing import Mapping, Optional, Union
 
@@ -179,16 +181,17 @@ def arrow(*types: SimpleType) -> SimpleType:
 
 
 def type_to_str(ty: SimpleType) -> str:
-    if isinstance(ty, NatType):
-        return "N"
-    if isinstance(ty, PropType):
-        return "O"
-    if isinstance(ty, Arrow):
-        left = type_to_str(ty.arg)
-        if isinstance(ty.arg, Arrow):
-            left = f"({left})"
-        return f"{left} -> {type_to_str(ty.result)}"
-    return "?"  # inference metavariable
+    """``A -> T``, an arrow argument in parentheses, written from an explicit
+    stack of types and text still to write."""
+    out, todo = [], [ty]
+    while todo:
+        ty = todo.pop()
+        if type(ty) is Arrow:
+            todo += ((ty.result, " -> ", ")", ty.arg, "(") if type(ty.arg) is Arrow
+                     else (ty.result, " -> ", ty.arg))
+        else:  # "?" is an inference metavariable
+            out.append(ty if type(ty) is str else "N" if ty is NAT else "O" if ty is PROP else "?")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -806,11 +809,24 @@ class _TMeta(SimpleType):
     id: int
 
 
+def _parts(ty: SimpleType) -> set[SimpleType]:
+    """The distinct types inside ty, ty among them, found in a loop."""
+    seen, todo = set(), [ty]
+    while todo:
+        ty = todo.pop()
+        if ty not in seen:
+            seen.add(ty)
+            if type(ty) is Arrow:
+                todo += (ty.arg, ty.result)
+    return seen
+
+
 class _Unifier:
     def __init__(self, free: Optional[dict[str, _TMeta]] = None) -> None:
         self.sol: dict[int, SimpleType] = {}
         self._next = 0
         self.free = free  # a metavariable per free variable met, or None: unbound
+        self.nats = 0  # how many metavariables have been solved to N
 
     def fresh(self) -> _TMeta:
         self._next += 1
@@ -823,34 +839,52 @@ class _Unifier:
         return self.free.get(name) or self.free.setdefault(name, self.fresh())
 
     def resolve(self, ty: SimpleType) -> SimpleType:
-        if not self.sol:  # nothing solved: a closed formula types with no copying
+        """ty with each solved metavariable replaced by its solution, built
+        from an explicit stack once each part's parts are done."""
+        sol = self.sol
+        while type(ty) is _TMeta and ty.id in sol:
+            ty = sol[ty.id]
+        if not sol or type(ty) is not Arrow:  # a closed formula types with no copying
             return ty
-        while isinstance(ty, _TMeta) and ty.id in self.sol:
-            ty = self.sol[ty.id]
-        if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.arg), self.resolve(ty.result))
-        return ty
+        done, todo = {}, [ty]
+        while todo:
+            t = todo[-1]
+            parts = ((t.arg, t.result) if type(t) is Arrow else
+                     (sol[t.id],) if type(t) is _TMeta and t.id in sol else ())
+            todo += [part for part in parts if part not in done]
+            if todo[-1] is t:
+                done[todo.pop()] = (Arrow(done[t.arg], done[t.result]) if len(parts) == 2
+                                    else done[parts[0]] if parts else t)
+        return done[ty]
 
     def unify(self, found: SimpleType, want: SimpleType, where: Expr) -> None:
         """Unify the two types, or raise naming both whole, as far as they
         are solved, however deep inside them they differ."""
-        if not self._unify(found, want):
+        if found is not want and not self._unify(found, want):
             raise IllTyped(where, type_to_str(self.resolve(want)),
                            type_to_str(self.resolve(found)))
 
     def _unify(self, found: SimpleType, want: SimpleType) -> bool:
-        found, want = self.resolve(found), self.resolve(want)
-        if found == want:
-            return True
-        if isinstance(found, _TMeta):
-            self.sol[found.id] = want
-            return True
-        if isinstance(want, _TMeta):
-            self.sol[want.id] = found
-            return True
-        if isinstance(found, Arrow) and isinstance(want, Arrow):
-            return self._unify(found.arg, want.arg) and self._unify(found.result, want.result)
-        return False
+        """Solve metavariables, arguments before results, so that the types
+        are equal, or return False.  The occurs check (Robinson, J. ACM 1965)
+        keeps a metavariable from a solution that holds it."""
+        pairs = [(found, want)]
+        while pairs:
+            found, want = pairs.pop()
+            found, want = self.resolve(found), self.resolve(want)
+            if found is want:
+                continue
+            meta, ty = (found, want) if type(found) is _TMeta else (want, found)
+            if type(meta) is _TMeta:
+                if meta in _parts(ty):
+                    return False
+                self.sol[meta.id] = ty
+                self.nats += ty is NAT
+            elif type(found) is Arrow and type(want) is Arrow:
+                pairs += ((found.result, want.result), (found.arg, want.arg))
+            else:
+                return False
+        return True
 
     def unify_if_possible(self, found: SimpleType, want: SimpleType) -> None:
         """Unify the two types when they unify; else leave the solution as it was."""
@@ -859,102 +893,93 @@ class _Unifier:
             self.sol = saved
 
 
-def _infer(e: Expr, env: dict[str, SimpleType], uni: _Unifier,
-           want: Optional[SimpleType] = None) -> SimpleType:
-    """The type of e, as far as ``uni`` has solved it.  ``want`` is the type
-    the context will require of e, if known: an application learns its result
-    type from it before it checks its argument, so an inferred free variable
-    is blamed at the same subterm as a declared one."""
-    if isinstance(e, Var):
-        return env.get(e.name) or uni.free_var(e.name)
-    if isinstance(e, Zero):
-        return NAT
-    if isinstance(e, Succ):
-        while isinstance(e, Succ):  # a numeral types in a loop, however long
-            e = e.arg
-        _check(e, NAT, env, uni)
-        return NAT
-    if isinstance(e, Eq):
-        _check(e.lhs, NAT, env, uni)
-        _check(e.rhs, NAT, env, uni)
-        return PROP
-    if isinstance(e, (Or, And)):
-        _check(e.lhs, PROP, env, uni)
-        _check(e.rhs, PROP, env, uni)
-        return PROP
-    if isinstance(e, Lam):
-        inner = {**env, e.var: e.var_type}
-        body_ty = _infer(e.body, inner, uni)
-        if isinstance(uni.resolve(body_ty), NatType):
-            raise HflTypeError(f"abstraction body {to_str(e.body)!r} has type N")
-        return Arrow(e.var_type, body_ty)
-    if isinstance(e, FIXPOINTS):
-        inner = {**env, e.var: e.var_type}
-        _check(e.body, e.var_type, inner, uni)
-        return e.var_type
-    if isinstance(e, App):
-        fn_ty = _infer(e.fn, env, uni)
-        arg_ty = _infer(e.arg, env, uni)
-        fn_ty = uni.resolve(fn_ty)
-        if isinstance(fn_ty, _TMeta):
-            fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
-            uni.unify(fn_ty, meta, e)
-        if not isinstance(fn_ty, Arrow):
-            raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
-        if want is not None:
-            uni.unify_if_possible(fn_ty.result, want)
-        uni.unify(arg_ty, fn_ty.arg, e.arg)
-        return fn_ty.result
-    raise TypeError(f"not an expression: {e!r}")
+def _infer(formulas, env: dict[str, SimpleType], uni: _Unifier,
+           want: Optional[SimpleType] = None) -> list[SimpleType]:
+    """Type the formulas, each at ``want`` if it is not None, else return
+    their types, as far as ``uni`` has solved them.
 
-
-def _check(e: Expr, want: SimpleType, env: dict[str, SimpleType], uni: _Unifier) -> None:
-    """Require e to have type ``want``."""
-    uni.unify(_infer(e, env, uni, want), want, e)
-
-
-_TOO_DEEP = "formula nested too deeply to type-check"
+    One walk from a stack of items ``(node, env, memo, want, start)``:
+    ``want`` is the type the context requires, or None; ``start`` is None
+    when the node is met, else ``uni.nats`` then.  On leaving a node, its
+    type is made from the types on ``out`` of its children that have no
+    ``want``, then unified with ``want`` or put on ``out``.  An application
+    first unifies its result type with ``want`` where it can, so an inferred
+    free variable is blamed at the same subterm as a declared one.  ``memo``
+    belongs to ``env``, so a node met again under the same env is typed once,
+    unless a metavariable was solved to N since: typing it again could then
+    find a body of type N.
+    """
+    memo: dict[Expr, tuple[int, SimpleType]] = {}
+    todo: list = [(phi, env, memo, want, None) for phi in reversed(formulas)]
+    out: list[SimpleType] = []
+    while todo:
+        e, env, memo, want, start = todo.pop()
+        cls = type(e)
+        if start is not None:
+            if cls is App:
+                fn_ty, arg_ty = out[-2:]
+                del out[-2:]
+                fn_ty = uni.resolve(fn_ty)
+                if type(fn_ty) is _TMeta:
+                    fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
+                    uni.unify(fn_ty, meta, e)
+                if type(fn_ty) is not Arrow:
+                    raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
+                if want is not None:
+                    uni.unify_if_possible(fn_ty.result, want)
+                uni.unify(arg_ty, fn_ty.arg, e.arg)
+                ty = fn_ty.result
+            elif cls is Lam:
+                if type(uni.resolve(out[-1])) is NatType:
+                    raise HflTypeError(f"abstraction body {to_str(e.body)!r} has type N")
+                ty = Arrow(e.var_type, out.pop())
+            else:
+                ty = e.var_type if cls is Mu or cls is Nu else NAT if cls is Succ else PROP
+            memo[e] = (start, ty)
+        elif cls is Var:
+            ty = env.get(e.name) or uni.free_var(e.name)
+        elif cls is Zero:
+            ty = NAT
+        elif (hit := memo.get(e)) and hit[0] == uni.nats:
+            ty = hit[1]
+        else:
+            todo.append((e, env, memo, want, uni.nats))
+            if cls is App:
+                todo += ((e.arg, env, memo, None, None), (e.fn, env, memo, None, None))
+            elif cls is Lam or cls is Mu or cls is Nu:
+                todo.append((e.body, {**env, e.var: e.var_type}, {},
+                             None if cls is Lam else e.var_type, None))
+            else:  # children raises on what is not an expression
+                kid_ty = NAT if cls is Succ or cls is Eq else PROP
+                todo += [(kid, env, memo, kid_ty, None) for kid in reversed(children(e))]
+            continue
+        if want is None:
+            out.append(ty)
+        else:
+            uni.unify(ty, want, e)
+    return out
 
 
 def infer_type(env: Mapping[str, SimpleType], e: Expr) -> SimpleType:
-    """The unique type of e under env (syntax-directed; raises on failure).
-
-    A formula nested deeper than the type checker's recursion can follow is
-    an :class:`HflTypeError`.
-    """
-    try:
-        return _infer(e, dict(env), _Unifier())  # no metavariable: every type is known
-    except RecursionError:
-        raise HflTypeError(_TOO_DEEP) from None
+    """The unique type of e under env (syntax-directed; raises on failure)."""
+    return _infer((e,), dict(env), _Unifier())[0]  # no metavariable: every type is known
 
 
 def infer_env(formulas, env: Optional[Mapping[str, SimpleType]] = None) -> dict[str, SimpleType]:
     """Infer types for the free variables of the given Omega-formulas.
 
     Known types may be supplied in env; the result extends it.  Raises
-    HflTypeError when a free variable's type is not fully determined, or
-    when a formula is nested deeper than the type checker's recursion can
-    follow.
+    HflTypeError when a free variable's type is not fully determined.
     """
     full: dict[str, SimpleType] = dict(env or {})
     uni = _Unifier({})
-    try:
-        for phi in formulas:
-            _check(phi, PROP, full, uni)
-        for name, meta in uni.free.items():
-            ty = uni.resolve(meta)
-            if _has_meta(ty):
-                raise HflTypeError(f"cannot determine the type of free variable {name!r}")
-            full[name] = ty
-    except RecursionError:
-        raise HflTypeError(_TOO_DEEP) from None
+    _infer(tuple(formulas), full, uni, PROP)
+    for name, meta in uni.free.items():
+        ty = uni.resolve(meta)
+        if any(type(part) is _TMeta for part in _parts(ty)):
+            raise HflTypeError(f"cannot determine the type of free variable {name!r}")
+        full[name] = ty
     return full
-
-
-def _has_meta(ty: SimpleType) -> bool:
-    if isinstance(ty, Arrow):
-        return _has_meta(ty.arg) or _has_meta(ty.result)
-    return isinstance(ty, _TMeta)
 
 
 # ---------------------------------------------------------------------------
@@ -1144,12 +1169,11 @@ class _Parser:
                 e = Succ(e)
             return e
         if kind == "num":
-            # S^n Z is n terms deep, and no recursive walk of a term goes
-            # deeper than the interpreter's recursion limit
-            limit = sys.getrecursionlimit()
+            # S^n Z is n + 1 nodes: a fixed bound on the work one literal makes
+            limit = 10_000
             if len(text.lstrip("0")) > len(str(limit)) or int(text) > limit:
                 raise HflSyntaxError(f"numeral larger than {limit}, "
-                                     "the deepest term the checker can walk",
+                                     "the most successors one literal may make",
                                      self.text, pos)
             return numeral(int(text))
         if kind == "ident":

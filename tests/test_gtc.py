@@ -1,6 +1,7 @@
 """Path/trace automata and the decision of the global trace condition."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,9 @@ from hflcyc.kernel import (
 )
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
 from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bounded
-from hflcyc.syntax import Eq, Or, Sequent, Succ, Var, Zero, sigma_paths
+from hflcyc.syntax import (
+    PROP, App, Eq, Lam, Or, Sequent, Succ, Var, Zero, numeral, sigma_paths, to_str,
+)
 from hflcyc.trace import (
     Lasso,
     TraceError,
@@ -547,33 +550,71 @@ class TestCheckCyclicProof:
         assert res.issues and res.lasso is None
 
     def test_formula_too_deep_to_type_check_is_structural(self):
-        # the type checker takes two frames per level of a right-nested
-        # disjunction, so this one is too deep
+        # deeper than the recursion limit: the type checker walks it in a
+        # loop, so the issue is the rule's own
         deep = Eq(Zero(), Zero())
         for _ in range(sys.getrecursionlimit()):
             deep = Or(Eq(Zero(), Zero()), deep)
         res = check_cyclic_proof(PreProof(DerivTree("n0", Sequent((), (deep,)), EqR())))
         assert isinstance(res, Rejected) and res.kind == "structural"
         assert [str(issue) for issue in res.issues] == [
-            "n0: ill-typed sequent: formula nested too deeply to type-check"]
+            f"n0: EqR: conclusion: expected t = t, found {to_str(deep)}"]
+
+    def test_deep_lambda_chain_is_ill_typed(self):
+        # its type is a 3,000-deep arrow, resolved and printed in loops
+        chain = Var("p")
+        for k in range(3000):
+            chain = Lam(f"x{k}", PROP, chain)
+        res = check_cyclic_proof(PreProof(DerivTree("n0", Sequent((), (chain,)), WkR())))
+        assert isinstance(res, Rejected) and res.kind == "structural"
+        assert [str(issue) for issue in res.issues] == [
+            f"n0: ill-typed sequent: ill-typed {to_str(chain)!r}: expected O, "
+            f"found {'O -> ' * 3000}?"]
+
+    def test_self_application_is_ill_typed(self):
+        # without the occurs check, f's type would have to hold itself
+        ff = App(Var("f"), Var("f"))
+        res = check_cyclic_proof(PreProof(DerivTree("n0", Sequent((ff,), (ff,)), Axiom())))
+        assert isinstance(res, Rejected) and res.kind == "structural"
+        assert [str(issue) for issue in res.issues] == [
+            "n0: ill-typed sequent: ill-typed 'f f': expected ?, found ? -> ?"]
+
+    def test_shared_subformula_is_checked_once_per_node(self):
+        # x \/ x, doubled 30 times: 2^30 leaves as a tree, 31 distinct nodes
+        shared = Var("x")
+        for _ in range(30):
+            shared = Or(shared, shared)
+        start = time.perf_counter()
+        pp = PreProof(DerivTree("n0", Sequent((shared,), (shared,)), Axiom()))
+        assert check_cyclic_proof(pp) == Accepted()
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("head,link", [("q (mu {}:O. {})", " Z"), ("(mu {}:O. {})", " \\\\/ p")],
                              ids=["application", "disjunction"])
     def test_back_edge_between_long_chains_is_structural(self, head, link):
-        # the parser reads these chains in a loop; the back-edge check
-        # compares the leaf with its target without recursion too
+        # the parser reads these chains in a loop; the type checker and the
+        # back-edge check walk them without recursion too, so the one issue
+        # is WkR's own: r's premise still holds the chain
         r, l = (head.format(v, v) + link * 1200 for v in "xy")
         pp = loads_preproof(f'(node r (seq "|- {r}") (rule WkR) (children l))\n'
                             f'(node l (seq "|- {l}") open)\n(back l r)\n')
         res = check_cyclic_proof(pp)
         assert isinstance(res, Rejected) and res.kind == "structural"
         assert [str(issue) for issue in res.issues] == [
-            f"{n}: ill-typed sequent: formula nested too deeply to type-check" for n in "rl"]
+            f"r: WkR: premise 0: expected |-, found {pp.node('l').seq}"]
 
     def test_large_numeral_is_accepted(self):
         # a numeral types in a loop, not one frame per S
         pp = loads_preproof('(node n0 (seq "|- 500 = 500") (rule EqR))')
         assert check_cyclic_proof(pp) == Accepted()
+
+    def test_numeral_past_the_recursion_limit_loads_back(self):
+        # the dump writes the numeral as 5000, which the parser reads back
+        n = numeral(5000)
+        pp = PreProof(DerivTree("n0", Sequent((), (Eq(n, n),)), EqR()))
+        loaded = loads_preproof(dumps_preproof(pp))
+        assert loaded.tree.seq is pp.tree.seq
+        assert check_cyclic_proof(loaded) == check_cyclic_proof(pp) == Accepted()
 
     def test_long_successor_chain_loads_back(self):
         # the parser reads a run of S in a loop, not one frame per S

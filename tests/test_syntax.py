@@ -5,13 +5,12 @@ import functools
 import gc
 import itertools
 import pickle
-import sys
 import time
 import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from hflcyc.syntax import (
     NAT, PROP, App, Arrow, Eq, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
@@ -24,7 +23,7 @@ from hflcyc.syntax import (
     sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
     type_to_str, unfold, sequent_to_str,
 )
-from hflcyc.syntax import _BINARY, _INTERNED
+from hflcyc.syntax import _BINARY, _INTERNED, _TMeta, _Unifier
 from hflcyc.trace import annotate_root
 
 # ---------------------------------------------------------------------------
@@ -151,10 +150,10 @@ def test_deep_nesting_is_a_syntax_error():
 
 
 def test_numeral_too_deep_to_walk_is_rejected_at_its_position():
-    # S^n Z has depth n: one past the recursion limit is too deep, and the
+    # S^n Z has n successors: one literal may make at most 10,000, and the
     # literal below would take 10^8 Succ nodes if it were built
     start = time.perf_counter()
-    for n in (sys.getrecursionlimit() + 1, 99999999):
+    for n in (10_001, 99999999):
         with pytest.raises(HflSyntaxError, match="numeral larger") as err:
             parse_sequent(f"|- Z = Z \\/ {n} = {n}")
         assert err.value.pos == 12
@@ -525,6 +524,113 @@ def test_infer_env():
         infer_env([App(Var("f"), Var("u"))])
 
 
+@pytest.mark.parametrize("text", ["f f", "g (f f)"])
+def test_self_application_fails_the_occurs_check(text):
+    # f's type would have to hold itself: ?f = ?f -> ?r
+    with pytest.raises(IllTyped) as err:
+        infer_env([parse_expr(text)])
+    assert to_str(err.value.subject) == "f f"
+    assert str(err.value) == "ill-typed 'f f': expected ?, found ? -> ?"
+
+
+def test_a_deep_arrow_type_is_resolved_and_printed_without_recursion():
+    chain = functools.reduce(lambda e, k: Lam(f"x{k}", PROP, e), range(3000), Var("p"))
+    deep = arrow(*[PROP] * 3001)
+    assert infer_type({"p": PROP}, chain) is deep
+    assert type_to_str(deep) == "O -> " * 3000 + "O"
+    assert infer_env([App(Var("f"), chain)], {"p": PROP}) == {"p": PROP, "f": Arrow(deep, PROP)}
+    with pytest.raises(IllTyped) as err:
+        infer_env([chain], {"p": PROP})
+    assert err.value.subject is chain and err.value.found == type_to_str(deep)
+
+
+@pytest.mark.parametrize("leaf,env", [("x", {"x": PROP}), ("x = Z", {"x": NAT})])
+def test_a_shared_subformula_is_typed_once(leaf, env):
+    # the leaf, doubled 30 times: 2^30 leaves as a tree, 31 distinct nodes
+    e = functools.reduce(lambda e, _: Or(e, e), range(30), parse_expr(leaf))
+    start = time.perf_counter()
+    assert infer_env([e]) == env
+    assert time.perf_counter() - start < 1
+
+
+def _reference_infer(e, env, uni, want=None):
+    """The recursive type checker the typing loop replaced, over the same
+    unifier: one Python frame per node of the formula's tree."""
+    if isinstance(e, Var):
+        return env.get(e.name) or uni.free_var(e.name)
+    if isinstance(e, Zero):
+        return NAT
+    if isinstance(e, Succ):
+        _reference_check(e.arg, NAT, env, uni)
+        return NAT
+    if isinstance(e, Eq):
+        _reference_check(e.lhs, NAT, env, uni)
+        _reference_check(e.rhs, NAT, env, uni)
+        return PROP
+    if isinstance(e, (Or, And)):
+        _reference_check(e.lhs, PROP, env, uni)
+        _reference_check(e.rhs, PROP, env, uni)
+        return PROP
+    if isinstance(e, Lam):
+        body_ty = _reference_infer(e.body, {**env, e.var: e.var_type}, uni)
+        if uni.resolve(body_ty) is NAT:
+            raise HflTypeError(f"abstraction body {to_str(e.body)!r} has type N")
+        return Arrow(e.var_type, body_ty)
+    if isinstance(e, FIXPOINTS):
+        _reference_check(e.body, e.var_type, {**env, e.var: e.var_type}, uni)
+        return e.var_type
+    fn_ty = _reference_infer(e.fn, env, uni)
+    arg_ty = _reference_infer(e.arg, env, uni)
+    fn_ty = uni.resolve(fn_ty)
+    if isinstance(fn_ty, _TMeta):
+        fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
+        uni.unify(fn_ty, meta, e)
+    if not isinstance(fn_ty, Arrow):
+        raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
+    if want is not None:
+        uni.unify_if_possible(fn_ty.result, want)
+    uni.unify(arg_ty, fn_ty.arg, e.arg)
+    return fn_ty.result
+
+
+def _reference_check(e, want, env, uni):
+    uni.unify(_reference_infer(e, env, uni, want), want, e)
+
+
+def _reference_infer_env(formulas):
+    full, uni = {}, _Unifier({})
+    for phi in formulas:
+        _reference_check(phi, PROP, full, uni)
+    for name, meta in uni.free.items():
+        ty = uni.resolve(meta)
+        if "?" in type_to_str(ty):
+            raise HflTypeError(f"cannot determine the type of free variable {name!r}")
+        full[name] = ty
+    return full
+
+
+def _typing_outcome(infer, formulas):
+    try:
+        return infer(formulas)
+    except HflTypeError as exc:
+        return type(exc), str(exc)
+
+
+# each list meets its first formula again, alone and inside a disjunction, so
+# that the loop takes nodes it has typed from its memo
+@settings(max_examples=120, deadline=None)
+@given(st.lists(exprs, min_size=1, max_size=3).map(lambda fs: [*fs, Or(fs[-1], fs[0]), fs[0]]))
+# a lambda met again after its body's free variable was found to have type N
+@example([parse_expr("g (\\y:O. a) \\/ a = Z \\/ g (\\y:O. a)")])
+@example([parse_expr("((\\y:O. x) p = Z) \\/ ((\\y:O. x) p = Z)")])
+def test_typing_loop_agrees_with_the_recursive_checker(formulas):
+    try:
+        expected = _typing_outcome(_reference_infer_env, formulas)
+    except RecursionError:
+        reject()
+    assert _typing_outcome(infer_env, formulas) == expected
+
+
 def test_an_undetermined_type_names_the_first_variable_met():
     # the types of f and u both stay open; the walk meets f first
     with pytest.raises(HflTypeError, match="free variable 'f'"):
@@ -617,17 +723,21 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     assert kept == (step,) * 5000 and subexpr_at(out, kept) is subexpr_at(a, kept)
     assert count_occurrences(a, "p") == 5000 and count_occurrences(a, "x") == 0
     assert repr(a) == repr(b) and repr(a).count("Var(name='p')") == 5000
+    if type(a) is Or:
+        assert infer_env([a]) == {"p": PROP} and infer_type({"p": PROP}, a) is PROP
+        assert check_sequent(Sequent((), (a,))) == {"p": PROP}
 
 
 @pytest.mark.parametrize("build", [b for b, _ in LONG_CHAINS.values()], ids=LONG_CHAINS.keys())
 def test_typing_a_long_chain_is_a_type_error(build):
-    e = build()
-    with pytest.raises(HflTypeError, match="nested too deeply to type-check"):
-        infer_env([e])
-    with pytest.raises(HflTypeError, match="nested too deeply to type-check"):
-        infer_type({"p": PROP}, e)
-    with pytest.raises(HflTypeError, match="nested too deeply to type-check"):
-        check_sequent(Sequent((), (e,)))
+    # the fault sits 5,000 links down: typing names it, not the chain's depth
+    e = build(Zero())
+    expected = "O" if type(e) is Or else "an arrow type"
+    for typing in (lambda: infer_env([e]), lambda: infer_type({"p": PROP}, e),
+                   lambda: check_sequent(Sequent((), (e,)))):
+        with pytest.raises(IllTyped) as err:
+            typing()
+        assert err.value.subject is Zero() and err.value.expected == expected
 
 
 @pytest.mark.parametrize("build", [b for b, _ in LONG_CHAINS.values()], ids=LONG_CHAINS.keys())
