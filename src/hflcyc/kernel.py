@@ -21,10 +21,11 @@ operators sit in that formula.  The trace machinery builds on these.
 Sequents and rules are interned when they are built
 (:class:`~hflcyc.syntax.Interned`), so equal ones are one object, whether a
 proof was loaded or built in memory.  A pre-proof keeps the
-:class:`Inference` (premises, and the traced head step of a lambda or
-fixed-point rule) of each distinct (conclusion, rule) pair, so validation,
-the trace automaton and all nodes with that pair share one head step; each
-formula keeps its own operator positions (:func:`~hflcyc.syntax.sigma_paths`).
+:class:`Inference` (premises, and the head step of a lambda or fixed-point
+rule with its operator sources) of each distinct (conclusion, rule) pair,
+so validation, the trace automaton and all nodes with that pair share one
+head step; each formula keeps its own operator positions
+(:func:`~hflcyc.syntax.sigma_paths`).
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from typing import Any, ClassVar, Mapping, Optional, Union
 from .syntax import (
     And, App, Eq, Expr, HeadStep, HflError, HflTypeError,
     Interned, Lam, Mu, Nu, Or, Path, Record, Sequent, Succ, Var, Zero, alpha_eq,
-    check_sequent, count_occurrences, head_step, is_term_shaped, make_app, nat_pred,
-    sequent_alpha_eq, sequent_to_str, sigma_paths, substitute, substitute_traced,
-    to_str,
+    check_sequent, head_step, is_term_shaped, make_app, nat_pred, sequent_alpha_eq,
+    sequent_to_str, sigma_paths, substitute, to_str, var_paths,
 )
 
 LEFT = "left"
@@ -46,8 +46,9 @@ RIGHT = "right"
 OccPos = tuple[str, int]
 
 # How a premise formula's operators sit in the conclusion formula it comes
-# from: a path to it inside that formula, the inference's head step, or an
-# explicit map from the premise formula's operator positions.
+# from: a path to it inside that formula, the inference's head step (whose
+# sources map the step's result operators), or an explicit map from the
+# premise formula's operator positions.
 Link = Union[Path, HeadStep, Mapping[Path, Path]]
 # Where one premise formula comes from: None when it is fresh.
 Source = Optional[tuple[OccPos, Link]]
@@ -105,8 +106,8 @@ _FIRST: OccPos = (RIGHT, 0)  # the position of a right rule's principal formula
 
 class Inference(Record):
     """A rule applied to one conclusion: its premises and, for the lambda and
-    fixed-point rules, the traced head step that reduces the principal
-    formula (None for every other rule)."""
+    fixed-point rules, the head step that reduces the principal formula
+    (None for every other rule)."""
 
     __slots__ = _compared = ("premises", "head_step")
     premises: tuple[Sequent, ...]
@@ -281,7 +282,8 @@ class Mono(Rule):
     """Gamma, phi[psi/x] |- phi[chi/x], Delta from k copies of
     Gamma, psi y~ |- chi y~, Delta (k = free occurrences of x in phi).
     Both principals keep their index, and premise k's psi and chi are the
-    k-th copies of psi and chi in phi[psi/x] and phi[chi/x]."""
+    copies of psi and chi in phi[psi/x] and phi[chi/x] at the k-th free
+    occurrence of x in phi, in preorder."""
 
     __slots__ = ("formula", "var", "lower", "upper", "names")
     formula: Expr  # phi
@@ -291,7 +293,7 @@ class Mono(Rule):
     names: tuple[str, ...]  # the fresh argument vector y~
 
     def premise_count(self) -> int:
-        return count_occurrences(self.formula, self.var)
+        return len(var_paths(self.formula, self.var))
 
     def premises_of(self, conclusion):
         want_l = substitute(self.formula, {self.var: self.lower})
@@ -320,11 +322,10 @@ class Mono(Rule):
     def sources(self, conclusion, inference, branch):
         left, right = super().sources(conclusion, inference, branch)
         spine = (0,) * len(self.names)
+        at = var_paths(self.formula, self.var)[branch]
 
-        def copy(image):  # where image y~'s operators are in phi[image/x]
-            return {spine + o.src: p
-                    for p, o in substitute_traced(self.formula, {self.var: image})[1].items()
-                    if o.copy == branch}
+        def copy(image):  # image y~'s operators sit in phi[image/x] below at
+            return {spine + q: at + q for q in sigma_paths(image)}
         return (left[:-1] + ((_last(conclusion), copy(self.lower)),),
                 ((_FIRST, copy(self.upper)),) + right[1:])
 

@@ -10,8 +10,7 @@ Both layers share one expression datatype; the two application typing rules
 are disambiguated by type inference, not by a stored tag.  Alpha-equivalence
 (not syntactic equality) is the notion of identity every other module uses.
 No walk of a formula or a type recurses, except the parser, which refuses
-input nested too deeply, and substitution, which calls itself to rename a
-bound variable that would capture.
+input nested too deeply.
 """
 
 from __future__ import annotations
@@ -503,30 +502,31 @@ def make_app(fn: Expr, *args: Expr) -> Expr:
 def _rebuild(e: Expr, ctx, enter) -> Expr:
     """Rebuild e from the bottom up, without recursion.
 
-    ``enter(node, ctx, path)`` is called on each node in preorder.  It returns
-    the node's result, or the rebuilt node's binder name (None for a node
-    that binds nothing) with one ``(child, ctx, path)`` item per child; the
-    children's results then become the rebuilt node's children.
+    ``enter(node, ctx)`` is called on each node in preorder.  It returns the
+    node's result, or the rebuilt node's binder name (None for a node that
+    binds nothing) with one ``(child, ctx)`` item per child; the children's
+    results then become the rebuilt node's children.
     """
     out: list[Expr] = []
-    todo: list[tuple] = [(e, ctx, ())]
+    todo: list[tuple] = [(e, ctx)]
     while todo:
-        e, ctx, path = todo.pop()
-        if path is None:  # e's children are rebuilt, last on out; ctx is e's binder name
+        e, ctx = todo.pop()
+        if e is None:  # ctx is a node and its binder name; its rebuilt children are last on out
+            e, var = ctx
             if isinstance(e, BINDERS):
-                out.append(type(e)(ctx, e.var_type, out.pop()))
+                out.append(type(e)(var, e.var_type, out.pop()))
             else:
                 n = len(children(e))
                 kids = tuple(out[len(out) - n:])
                 del out[len(out) - n:]
                 out.append(rebuild(e, kids))
             continue
-        step = enter(e, ctx, path)
+        step = enter(e, ctx)
         if isinstance(step, Expr):
             out.append(step)
         else:
             var, items = step
-            todo.append((e, var, None))
+            todo.append((None, (e, var)))
             todo += reversed(items)
     return out[0]
 
@@ -544,7 +544,7 @@ def canonical(e: Expr) -> Expr:
     one object.  Free variables are left untouched.
     """
 
-    def enter(e: Expr, ctx: tuple[Mapping[str, str], int], path: Path):
+    def enter(e: Expr, ctx: tuple[Mapping[str, str], int]):
         env, depth = ctx
         t = type(e)
         if t is Var:
@@ -553,8 +553,8 @@ def canonical(e: Expr) -> Expr:
             return e
         if t is Lam or t is Mu or t is Nu:
             fresh = _CANON + str(depth)
-            return fresh, [(e.body, ({**env, e.var: fresh}, depth + 1), path)]
-        return None, [(kid, ctx, path) for kid in children(e)]
+            return fresh, [(e.body, ({**env, e.var: fresh}, depth + 1))]
+        return None, [(kid, ctx) for kid in children(e)]
 
     return _rebuild(e, ({}, 0), enter)
 
@@ -587,91 +587,58 @@ def substitute(e: Expr, subst: Mapping[str, Expr]) -> Expr:
     Binders are renamed (deterministically) only when they would capture a
     free variable of a live replacement.
     """
-    return _substitute(e, subst, None)
 
-
-# --- the substitution walk ---------------------------------------------------
-#
-# substitute and substitute_traced are one walk, _substitute, run by _rebuild.
-# Each node carries its free variables, so the walk keeps, at each node, only
-# the substituted variables free there, and returns a node where none is as it
-# is: a substitution is linear in the part of e it changes.  A binder is renamed
-# only when it would capture a free variable of a live replacement; the
-# renaming is itself a substitution by the same walk.  The trace/gtc machinery
-# also needs to know, for every fixed-point operator of e[subst], where it comes
-# from.  Renaming preserves tree structure, so an operator outside the
-# substituted copies is e's operator at the same path; the walk records only
-# the others, each with the copy of the replacement it sits in (copies numbered
-# per variable in preorder).  It records them only when it is given a dict to
-# fill, so untraced substitutions pay nothing for them.
-
-
-class FromCopy(Record):
-    """Operator inside the copy-th inserted replacement for `var`, at `src`
-    relative to the replacement's root."""
-
-    __slots__ = _compared = ("var", "copy", "src")
-    var: str
-    copy: int
-    src: Path
-
-    def __init__(self, var: str, copy: int, src: Path) -> None:
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "copy", copy)
-        object.__setattr__(self, "src", src)
-
-
-def substitute_traced(e: Expr, subst: Mapping[str, Expr]) -> tuple[Expr, dict[Path, FromCopy]]:
-    """substitute(e, subst) together with the origin of each fixed-point
-    operator of the result that sits inside a substituted copy; every other
-    operator of the result is e's operator at the same path."""
-    origins: dict[Path, FromCopy] = {}
-    return _substitute(e, subst, origins), origins
-
-
-def _substitute(e: Expr, subst: Mapping[str, Expr],
-                origins: Optional[dict[Path, FromCopy]]) -> Expr:
-    """The capture-avoiding substitution walk; fills `origins` unless None."""
-    counters: dict[str, int] = {}
-
-    def enter(e: Expr, sub: Mapping[str, Expr], path: Path):
+    def enter(e: Expr, sub: Mapping[str, Expr]):
         live = {x: r for x, r in sub.items() if x in e.free}
         if not live:
             return e
         t = type(e)
         if t is Var:  # e.name is a live key
-            repl = live[e.name]
-            if origins is not None:
-                copy = counters.get(e.name, 0)
-                counters[e.name] = copy + 1
-                for p in sigma_paths(repl):
-                    origins[path + p] = FromCopy(e.name, copy, p)
-            return repl
+            return live[e.name]
         if t is Lam or t is Mu or t is Nu:
             # every live key is free in e, so none is e.var
             avoid = frozenset().union(*(r.free for r in live.values()))
-            var, body = e.var, e.body
+            var = e.var
             if var in avoid:
-                var = _fresh_variant(var, avoid | body.free)
-                body = _substitute(body, {e.var: Var(var)}, None)
-            return var, [(body, live, path + (0,))]
-        return None, [(kid, live, path + (i,)) for i, kid in enumerate(children(e))]
+                var = _fresh_variant(var, avoid | e.body.free)
+                live = {**live, e.var: Var(var)}
+            return var, [(e.body, live)]
+        return None, [(kid, live) for kid in children(e)]
 
     return _rebuild(e, subst, enter)
 
 
-def count_occurrences(e: Expr, x: str) -> int:
-    """Number of free occurrences of x in e (the Mono premise count)."""
-    n = 0
-    todo = [e]
+# --- the substitution walk ---------------------------------------------------
+#
+# substitute is one walk, run by _rebuild.  Each node carries its free
+# variables, so the walk keeps, at each node, only the substituted variables
+# free there, and returns a node where none is as it is: a substitution is
+# linear in the part of e it changes.  A binder that would capture a free
+# variable of a live replacement is renamed, and the walk goes on into its
+# body with the renaming added to the simultaneous substitution, so a nest of
+# renamed binders is still one walk.
+#
+# The trace/gtc machinery also needs to know, for every fixed-point operator
+# of e[x := r], where it comes from.  Substitution keeps the shape of the tree
+# above each replaced occurrence, so no walk records it: an operator of e
+# keeps its path, and the copy of r that replaces the occurrence of x at path
+# v (:func:`var_paths`) has r's operator at q at path v + q.
+
+
+def var_paths(e: Expr, x: str) -> tuple[Path, ...]:
+    """Paths of the free occurrences of x in e, in preorder; the walk enters
+    only the nodes where x is free."""
+    out: list[Path] = []
+    todo: list[tuple[Expr, Path]] = [(e, ())]
     while todo:
-        e = todo.pop()
+        e, path = todo.pop()
         if x in e.free:  # a binder of x has no free x
             if type(e) is Var:
-                n += 1
+                out.append(path)
             else:
-                todo += children(e)
-    return n
+                kids = children(e)
+                todo += [(kids[i], path + (i,)) for i in range(len(kids) - 1, -1, -1)]
+    return tuple(out)
 
 
 # --- head reduction steps ---------------------------------------------------
@@ -693,34 +660,18 @@ def _head_redex(e: Expr, kind) -> Optional[tuple[Expr, Expr, tuple[Expr, ...]]]:
     return head, head, args
 
 
-def _reduce(head: Expr, repl: Expr, rest: tuple[Expr, ...]) -> Expr:
-    return make_app(substitute(head.body, {head.var: repl}), *rest)
-
-
-def beta_head(e: Expr) -> Expr:
-    """One beta step on the head redex: (\\x. phi) psi psi_vec -> phi[psi/x] psi_vec."""
-    redex = _head_redex(e, Lam)
-    if redex is None:
-        raise HflError(f"no head beta-redex in {to_str(e)!r}")
-    return _reduce(*redex)
-
-
-def unfold(e: Expr) -> Expr:
-    """Unfold a fixed-point head: (sigma x. phi) psi_vec -> phi[sigma x. phi/x] psi_vec."""
-    redex = _head_redex(e, FIXPOINTS)
-    if redex is None:
-        raise HflError(f"head of {to_str(e)!r} is not a fixed-point")
-    return _reduce(*redex)
-
-
 class HeadStep(Record):
     """A head reduction step together with the induced correspondence of
     fixed-point operator positions.
 
     sources maps every sigma-path of `result` to the sigma-path of the source
-    expression it descends from.  For an unfold, the consumed operator sits at
-    `head_path` in the source; its descendants in the result are exactly the
-    roots of the substituted copies, listed in `copy_roots`, and sigma_kind
+    expression it descends from: first the operators of the arguments the
+    step keeps, then those of the reduced body in preorder.  The head's body
+    operators keep their paths below the kept arguments; each occurrence of
+    the head's variable becomes a copy of the replacement, with the
+    replacement's operators below it.  For an unfold, the consumed operator
+    sits at `head_path` in the source; its descendants in the result are
+    exactly the roots of the copies, listed in `copy_roots`, and sigma_kind
     is "mu" or "nu" as it is a least or a greatest fixed point.  For a beta
     step head_path and sigma_kind are None and copy_roots is empty: every
     result operator has a unique source and no operator is consumed or
@@ -743,21 +694,6 @@ class HeadStep(Record):
         object.__setattr__(self, "sigma_kind", sigma_kind)
 
 
-def _spine_arg_sources(e: Expr, kept_args: int, sources: dict[Path, Path]) -> None:
-    """Record identity sources for operators inside shared spine arguments.
-
-    The outermost kept_args applied arguments occupy identical paths in the
-    source and the result spine (the i-th argument from the outside sits at
-    (0,)*(i-1) + (1,) in both), so their operators map by the identity.
-    """
-    p: Path = ()
-    for _ in range(kept_args):
-        arg_path = p + (1,)
-        for q in sigma_paths(subexpr_at(e, arg_path)):
-            sources[arg_path + q] = arg_path + q
-        p = p + (0,)
-
-
 def head_step(e: Expr, kind) -> Optional[HeadStep]:
     """The head step of e with its sigma-position correspondence, when e's
     head redex is a ``kind`` (as for :func:`_head_redex`), else None.
@@ -766,34 +702,35 @@ def head_step(e: Expr, kind) -> Optional[HeadStep]:
     kernel turns None into its schema error and keeps the step.
     """
     redex = _head_redex(e, kind)
-    return None if redex is None else _head_step_traced(e, *redex)
-
-
-def _head_step_traced(e: Expr, head: Expr, repl: Expr, rest: tuple[Expr, ...]) -> HeadStep:
-    beta = isinstance(head, Lam)
-    origins: dict[Path, FromCopy] = {}
-    body = _substitute(head.body, {head.var: repl}, origins)
-    result = make_app(body, *rest)
+    if redex is None:
+        return None
+    head, repl, rest = redex
+    body = substitute(head.body, {head.var: repl})
+    # the outermost kept arguments sit at the same paths in e and the result
+    # (the i-th from the outside at (0,)*(i-1) + (1,)), so their operators
+    # map by the identity
     sources: dict[Path, Path] = {}
-    _spine_arg_sources(e, len(rest), sources)
-    core_prefix = (0,) * len(rest)
+    p: Path = ()
+    for arg in reversed(rest):
+        for q in sigma_paths(arg):
+            sources[p + (1,) + q] = p + (1,) + q
+        p = p + (0,)
     # a beta redex's head is applied to the replacement as well, as the
     # innermost argument; an unfolded head is the replacement itself
-    head_path = core_prefix + (0,) if beta else core_prefix
-    repl_path = core_prefix + (1,) if beta else head_path
-    copy_roots: list[Path] = []
-    for p in sigma_paths(body):
-        rp = core_prefix + p
-        origin = origins.get(p)
-        if origin is None:  # the head's body operator at the same path
-            sources[rp] = head_path + (0,) + p
-        else:
-            sources[rp] = repl_path + origin.src
-            if not beta and origin.src == ():  # the root of a copy of the head
-                copy_roots.append(rp)
+    beta = isinstance(head, Lam)
+    head_path = p + (0,) if beta else p
+    repl_path = p + (1,) if beta else head_path
+    # the copy of repl at each occurrence v of the variable has repl's
+    # operator q at v + q; every other operator is head.body's at its path
+    copies = var_paths(head.body, head.var)
+    in_copy = {v + q: q for v in copies for q in sigma_paths(repl)}
+    for q in sigma_paths(body):
+        src = in_copy.get(q)
+        sources[p + q] = head_path + (0,) + q if src is None else repl_path + src
+    result = make_app(body, *rest)
     if beta:
         return HeadStep(result, sources, None, (), None)
-    return HeadStep(result, sources, head_path, tuple(sorted(copy_roots)),
+    return HeadStep(result, sources, head_path, tuple(p + v for v in copies),
                     "mu" if isinstance(head, Mu) else "nu")
 
 
@@ -826,7 +763,9 @@ class _Unifier:
         self.sol: dict[int, SimpleType] = {}
         self._next = 0
         self.free = free  # a metavariable per free variable met, or None: unbound
-        self.nats = 0  # how many metavariables have been solved to N
+        # the metavariables that stand for an arrow's result, never N: a
+        # lambda body's type and an application's result type
+        self.props: set[_TMeta] = set()
 
     def fresh(self) -> _TMeta:
         self._next += 1
@@ -867,7 +806,8 @@ class _Unifier:
     def _unify(self, found: SimpleType, want: SimpleType) -> bool:
         """Solve metavariables, arguments before results, so that the types
         are equal, or return False.  The occurs check (Robinson, J. ACM 1965)
-        keeps a metavariable from a solution that holds it."""
+        keeps a metavariable from a solution that holds it, and one in
+        ``props`` is not solved to N."""
         pairs = [(found, want)]
         while pairs:
             found, want = pairs.pop()
@@ -876,10 +816,11 @@ class _Unifier:
                 continue
             meta, ty = (found, want) if type(found) is _TMeta else (want, found)
             if type(meta) is _TMeta:
-                if meta in _parts(ty):
+                if meta in _parts(ty) or (meta in self.props and ty is NAT):
                     return False
                 self.sol[meta.id] = ty
-                self.nats += ty is NAT
+                if meta in self.props and type(ty) is _TMeta:
+                    self.props.add(ty)
             elif type(found) is Arrow and type(want) is Arrow:
                 pairs += ((found.result, want.result), (found.arg, want.arg))
             else:
@@ -898,30 +839,30 @@ def _infer(formulas, env: dict[str, SimpleType], uni: _Unifier,
     """Type the formulas, each at ``want`` if it is not None, else return
     their types, as far as ``uni`` has solved them.
 
-    One walk from a stack of items ``(node, env, memo, want, start)``:
-    ``want`` is the type the context requires, or None; ``start`` is None
-    when the node is met, else ``uni.nats`` then.  On leaving a node, its
-    type is made from the types on ``out`` of its children that have no
-    ``want``, then unified with ``want`` or put on ``out``.  An application
-    first unifies its result type with ``want`` where it can, so an inferred
-    free variable is blamed at the same subterm as a declared one.  ``memo``
-    belongs to ``env``, so a node met again under the same env is typed once,
-    unless a metavariable was solved to N since: typing it again could then
-    find a body of type N.
+    One walk from a stack of items ``(node, env, memo, want, leaving)``:
+    ``want`` is the type the context requires, or None; ``leaving`` is False
+    when the node is met and True once its children are typed.  On leaving a
+    node, its type is made from the types on ``out`` of its children that
+    have no ``want``, then unified with ``want`` or put on ``out``.  An
+    application first unifies its result type with ``want`` where it can, so
+    an inferred free variable is blamed at the same subterm as a declared
+    one.  ``memo`` belongs to ``env``, so a node met again under the same env
+    is typed once.
     """
-    memo: dict[Expr, tuple[int, SimpleType]] = {}
-    todo: list = [(phi, env, memo, want, None) for phi in reversed(formulas)]
+    memo: dict[Expr, SimpleType] = {}
+    todo: list = [(phi, env, memo, want, False) for phi in reversed(formulas)]
     out: list[SimpleType] = []
     while todo:
-        e, env, memo, want, start = todo.pop()
+        e, env, memo, want, leaving = todo.pop()
         cls = type(e)
-        if start is not None:
+        if leaving:
             if cls is App:
                 fn_ty, arg_ty = out[-2:]
                 del out[-2:]
                 fn_ty = uni.resolve(fn_ty)
                 if type(fn_ty) is _TMeta:
                     fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
+                    uni.props.add(fn_ty.result)
                     uni.unify(fn_ty, meta, e)
                 if type(fn_ty) is not Arrow:
                     raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
@@ -930,28 +871,31 @@ def _infer(formulas, env: dict[str, SimpleType], uni: _Unifier,
                 uni.unify(arg_ty, fn_ty.arg, e.arg)
                 ty = fn_ty.result
             elif cls is Lam:
-                if type(uni.resolve(out[-1])) is NatType:
+                body_ty = uni.resolve(out[-1])
+                if body_ty is NAT:
                     raise HflTypeError(f"abstraction body {to_str(e.body)!r} has type N")
+                if type(body_ty) is _TMeta:
+                    uni.props.add(body_ty)
                 ty = Arrow(e.var_type, out.pop())
             else:
                 ty = e.var_type if cls is Mu or cls is Nu else NAT if cls is Succ else PROP
-            memo[e] = (start, ty)
+            memo[e] = ty
         elif cls is Var:
             ty = env.get(e.name) or uni.free_var(e.name)
         elif cls is Zero:
             ty = NAT
-        elif (hit := memo.get(e)) and hit[0] == uni.nats:
-            ty = hit[1]
+        elif e in memo:
+            ty = memo[e]
         else:
-            todo.append((e, env, memo, want, uni.nats))
+            todo.append((e, env, memo, want, True))
             if cls is App:
-                todo += ((e.arg, env, memo, None, None), (e.fn, env, memo, None, None))
+                todo += ((e.arg, env, memo, None, False), (e.fn, env, memo, None, False))
             elif cls is Lam or cls is Mu or cls is Nu:
                 todo.append((e.body, {**env, e.var: e.var_type}, {},
-                             None if cls is Lam else e.var_type, None))
+                             None if cls is Lam else e.var_type, False))
             else:  # children raises on what is not an expression
                 kid_ty = NAT if cls is Succ or cls is Eq else PROP
-                todo += [(kid, env, memo, kid_ty, None) for kid in reversed(children(e))]
+                todo += [(kid, env, memo, kid_ty, False) for kid in reversed(children(e))]
             continue
         if want is None:
             out.append(ty)

@@ -1,6 +1,7 @@
-"""Packaging: what ``pyproject.toml`` declares must exist, and the checker
-imports only what it needs."""
+"""Packaging: what ``pyproject.toml`` declares must exist, the checker
+imports only what it needs, and its functions do not call themselves."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -65,3 +66,41 @@ def test_checker_imports_load_neither_dataclasses_nor_inspect():
     out = _python("import sys, hflcyc.gtc, hflcyc.proofio; "
                   f"print(sorted(set({START_UP_UNNEEDED!r}) & set(sys.modules)))")
     assert out.strip() == "[]"
+
+
+# The checker's walks keep their work on explicit stacks, so a deep formula,
+# type or proof costs memory, not Python frames.  Only these call themselves:
+SELF_CALLS_ALLOWED = {
+    **{("syntax", f"_Parser.{name}"): "the parser refuses input nested too deeply"
+       for name in ("type_expr", "expr", "atom")},
+    ("proofio", "_write_form"): "a proof file's forms are at most 3 lists deep",
+}
+CHECKER_MODULES = ("syntax", "kernel", "trace", "gtc", "proofio")
+
+
+def _self_calls(module: str) -> set[tuple[str, str]]:
+    """(module, qualified name) of each function in the module that calls
+    itself by name, directly or from a function nested in it."""
+    tree = ast.parse((SRC / "hflcyc" / f"{module}.py").read_text())
+    found = set()
+    todo = [(node, "") for node in tree.body]
+    while todo:
+        node, prefix = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo += [(kid, f"{prefix}{node.name}.") for kid in node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                fn = call.func if isinstance(call, ast.Call) else None
+                if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
+                        and fn.value.id in ("self", "cls"):
+                    fn = ast.Name(fn.attr)  # a method calling itself
+                if isinstance(fn, ast.Name) and fn.id == node.name:
+                    found.add((module, prefix + node.name))
+            todo += [(kid, f"{prefix}{node.name}.") for kid in node.body]
+    return found
+
+
+def test_no_checker_function_calls_itself():
+    found = set().union(*map(_self_calls, CHECKER_MODULES))
+    assert found - set(SELF_CALLS_ALLOWED) == set()
+    assert set(SELF_CALLS_ALLOWED) <= found  # each exception is still needed

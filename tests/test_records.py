@@ -22,7 +22,7 @@ from hflcyc.kernel import (
     validate_preproof,
 )
 from hflcyc.syntax import (
-    FIXPOINTS, PROP, FromCopy, Mu, Record, Var, head_step, parse_expr, parse_sequent,
+    FIXPOINTS, PROP, Mu, Record, Var, head_step, parse_expr, parse_sequent,
 )
 from hflcyc.trace import (
     AnnotatedFormula, FiniteOrNotATrace, Lasso, MuTrace, NuTrace, OccurrenceStep, node_steps,
@@ -46,7 +46,6 @@ def _automaton(decode=()) -> BuchiAutomaton:
 
 # (build, repr at construction): build makes a fresh, equal value each call
 SAMPLES = {
-    "FromCopy": (lambda: FromCopy("x", 2, ()), "FromCopy(var='x', copy=2, src=())"),
     "HeadStep": (
         lambda: head_step(UNFOLD, FIXPOINTS),
         "HeadStep(result=Or(lhs=Mu(var='X', var_type=PropType(), body=Or(lhs=Var(name='X'), "
@@ -134,7 +133,7 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 
 def test_the_hash_is_the_hash_of_the_compared_fields():
-    assert hash(FromCopy("x", 2, ())) == hash(("x", 2, ()))
+    assert hash(OccurrenceRef("x", "left", 2)) == hash(("x", "left", 2))
     assert hash(Lasso(("n0",), ("n1",))) == hash((("n0",), ("n1",)))
     assert hash(MuTrace((1,))) == hash(((1,),))
     assert hash(Accepted()) == hash(()) == hash(FiniteOrNotATrace())
@@ -145,7 +144,6 @@ def test_values_of_different_classes_differ():
     assert MuTrace(()) != NuTrace(())
     assert Accepted() == Accepted() and FiniteOrNotATrace() == FiniteOrNotATrace()
     assert Accepted() != FiniteOrNotATrace()
-    assert OccurrenceRef("x", "left", 0) != FromCopy("x", "left", 0)
     assert Lasso(("n0",), ("n1",)) != Lasso((), ("n0", "n1"))
 
 

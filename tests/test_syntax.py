@@ -15,15 +15,16 @@ from hypothesis import example, given, reject, settings, strategies as st
 from hflcyc.syntax import (
     NAT, PROP, App, Arrow, Eq, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
     And, IllTyped, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
-    FIXPOINTS, app_spine, arrow, beta_head, canonical, check_sequent,
-    children, count_occurrences, derived_encodings, free_vars, head_step, infer_env,
+    BINDERS, FIXPOINTS, HeadStep, app_spine, arrow, canonical, check_sequent,
+    children, derived_encodings, free_vars, head_step, infer_env,
     is_term_shaped,
     infer_type, make_app, numeral, numeral_value, parse, parse_expr,
     parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
-    sigma_paths, subexpr_at, substitute, substitute_traced, to_str,
-    type_to_str, unfold, sequent_to_str,
+    sigma_paths, subexpr_at, substitute, to_str,
+    type_to_str, sequent_to_str, var_paths,
 )
-from hflcyc.syntax import _BINARY, _INTERNED, _TMeta, _Unifier
+from hflcyc.syntax import _BINARY, _INTERNED, _TMeta, _Unifier, _fresh_variant
+from hflcyc.kernel import Mono
 from hflcyc.trace import annotate_root
 
 # ---------------------------------------------------------------------------
@@ -379,31 +380,182 @@ def test_substitution_avoids_capture_through_nested_rename():
     assert alpha_eq(out, parse_expr("\\a:N. \\b:N. p y a b"))
 
 
+def test_substitution_renames_a_deep_nest_of_capturing_binders_in_one_walk():
+    # \y. \y_2. ... \y_2000. x \/ y \/ y_2 \/ ... \/ y_2000: each binder
+    # renamed to keep y free takes the name the next binder binds
+    names = ["y"] + [f"y_{k}" for k in range(2, 2001)]
+    e = functools.reduce(Or, map(Var, names), Var("x"))
+    for name in reversed(names):
+        e = Lam(name, PROP, e)
+    out = substitute(e, {"x": Var("y")})
+    assert free_vars(out) == {"y"}
+    assert alpha_eq(out, _naive_substitute(canonical(e), {"x": Var("y")}))
+
+
+# ---------------------------------------------------------------------------
+# the traced substitution walk, kept as a reference
+# ---------------------------------------------------------------------------
+
+def _traced_substitute(e, subst, origins, path=(), counters=None):
+    """e[subst] by a recursive traced walk, the reference for var_paths and
+    head_step: it records in ``origins``, by path, each operator of the
+    result that sits inside a substituted copy, as the variable, the copy's
+    number (the copies of each variable numbered in preorder) and the
+    operator's path in the replacement.  A binder that would capture is first
+    renamed in its body by a walk of its own."""
+    counters = {} if counters is None else counters
+    live = {x: r for x, r in subst.items() if x in free_vars(e)}
+    if not live:
+        return e
+    if isinstance(e, Var):
+        copy = counters[e.name] = counters.get(e.name, -1) + 1
+        for q in sigma_paths(live[e.name]):
+            origins[path + q] = (e.name, copy, q)
+        return live[e.name]
+    if isinstance(e, BINDERS):
+        avoid = frozenset().union(*(free_vars(r) for r in live.values()))
+        var, body = e.var, e.body
+        if var in avoid:
+            var = _fresh_variant(var, avoid | free_vars(body))
+            body = _traced_substitute(body, {e.var: Var(var)}, {})
+        body = _traced_substitute(body, live, origins, path + (0,), counters)
+        return type(e)(var, e.var_type, body)
+    return rebuild(e, tuple(_traced_substitute(kid, live, origins, path + (i,), counters)
+                            for i, kid in enumerate(children(e))))
+
+
+def _traced_head_step(e, kind):
+    """The head step by the traced walk: each operator of the reduced body is
+    the head body's at its path or, if the walk recorded it, the
+    replacement's at its recorded path."""
+    head, args = app_spine(e)
+    if not isinstance(head, kind) or (isinstance(head, Lam) and not args):
+        return None
+    beta = isinstance(head, Lam)
+    repl, rest = (args[0], args[1:]) if beta else (head, args)
+    origins = {}
+    body = _traced_substitute(head.body, {head.var: repl}, origins)
+    sources, p = {}, ()
+    for _ in rest:
+        for q in sigma_paths(subexpr_at(e, p + (1,))):
+            sources[p + (1,) + q] = p + (1,) + q
+        p += (0,)
+    head_path = p + (0,) if beta else p
+    repl_path = p + (1,) if beta else head_path
+    copy_roots = []
+    for q in sigma_paths(body):
+        origin = origins.get(q)
+        if origin is None:
+            sources[p + q] = head_path + (0,) + q
+        else:
+            sources[p + q] = repl_path + origin[2]
+            if not beta and origin[2] == ():
+                copy_roots.append(p + q)
+    result = make_app(body, *rest)
+    if beta:
+        return HeadStep(result, sources, None, (), None)
+    return HeadStep(result, sources, head_path, tuple(sorted(copy_roots)),
+                    "mu" if isinstance(head, Mu) else "nu")
+
+
+MARK = Nu("t", PROP, Var("t"))  # closed, with one operator, at its root
+
+
 @settings(max_examples=200)
-@given(exprs, st.sampled_from(NAMES), terms)
+@given(exprs, st.sampled_from(NAMES), st.one_of(terms, exprs))
 def test_traced_substitution_agrees_and_covers(e, x, r):
-    out, origins = substitute_traced(e, {x: r})
+    origins = {}
+    out = _traced_substitute(e, {x: r}, origins)
     assert out == substitute(e, {x: r})
     # the operators outside the copies are e's, at the same paths
     assert set(sigma_paths(out)) - set(origins) == set(sigma_paths(e))
-    n = count_occurrences(e, x)
-    copies = {o.copy for o in origins.values()}
-    if sigma_paths(r) and x in free_vars(e):
-        assert copies == set(range(n))
-    for p in sigma_paths(out):
-        node, o = subexpr_at(out, p), origins.get(p)
-        if o is None:
-            assert type(subexpr_at(e, p)) is type(node)
-        else:
-            assert subexpr_at(r, o.src) == node  # copies are verbatim
+    # copy k of r replaces the k-th free occurrence of x that var_paths lists
+    at = var_paths(e, x)
+    assert all(subexpr_at(e, v) is Var(x) for v in at)
+    for p, (_x, copy, q) in origins.items():
+        assert p == at[copy] + q
+        assert subexpr_at(out, p) is subexpr_at(r, q)  # copies are verbatim
+    # and the walk makes one copy for each of them, numbered in that order
+    marked = {}
+    _traced_substitute(e, {x: MARK}, marked)
+    assert tuple(marked) == at
+    assert [copy for _x, copy, _q in marked.values()] == list(range(len(at)))
+
+
+@st.composite
+def redexes(draw):
+    """A head redex of either kind, with up to two kept arguments: the
+    replacement may mention the head's bound names, so copies are renamed."""
+    args = draw(st.lists(st.sampled_from([Var("p"), MARK, parse_expr("mu X:O. nu Y:O. X")]),
+                         max_size=2))
+    x = draw(st.sampled_from(NAMES))
+    body = draw(exprs)
+    if draw(st.booleans()):
+        return make_app(Lam(x, draw(types), body), draw(exprs), *args), Lam
+    fix = draw(st.sampled_from(FIXPOINTS))
+    return make_app(fix(x, draw(types.filter(lambda t: t != NAT)), body), *args), FIXPOINTS
+
+
+@settings(max_examples=150)
+@given(redexes())
+def test_head_step_agrees_with_the_traced_walk(case):
+    e, kind = case
+    step, expected = head_step(e, kind), _traced_head_step(e, kind)
+    assert step.result == expected.result
+    assert list(step.sources.items()) == list(expected.sources.items())
+    assert step.copy_roots == expected.copy_roots
+    assert repr(step) == repr(expected)
+
+
+# phi has three free occurrences of w, in the second case one under a binder
+# (at the path given) that captures a free variable of psi and chi unless it
+# is renamed; psi and chi hold nested fixed points
+MONO_CASES = {
+    "three-copies": ("w Z \\/ ((mu X:N -> O. \\y:N. w y /\\ X (S y)) Z) \\/ (nu W:O. w (S Z) /\\ W)",
+                     "mu L:N -> O. \\n:N. (nu T:O. T) \\/ L (S n)",
+                     "\\n:N. nu U:O. (mu V:O. V) /\\ U \\/ n = Z", None),
+    "capture": ("(nu y:O. w Z /\\ y) \\/ w (S Z) \\/ (\\z:N. w z) Z",
+                "\\n:N. y n \\/ (mu M:O. nu y:O. M /\\ y)",
+                "\\n:N. nu K:O. (y n \\/ K)", (0, 0)),
+}
+
+
+@pytest.mark.parametrize("phi,lower,upper,renamed", MONO_CASES.values(), ids=MONO_CASES.keys())
+def test_mono_sources_agree_with_the_traced_walk(phi, lower, upper, renamed):
+    phi, lower, upper = parse_expr(phi), parse_expr(lower), parse_expr(upper)
+    rule = Mono(phi, "w", lower, upper, ("k",))
+    conclusion = Sequent((Var("ctx"), substitute(phi, {"w": lower})),
+                         (substitute(phi, {"w": upper}), Var("ctx")))
+    if renamed is not None:
+        for f in (conclusion.left[1], conclusion.right[0]):
+            assert subexpr_at(f, renamed).var != subexpr_at(phi, renamed).var
+    inference = rule.inference(conclusion)
+    assert len(inference.premises) == len(var_paths(phi, "w")) == 3
+    for branch in range(3):
+        left, right = rule.sources(conclusion, inference, branch)
+        for (pos, link), image in ((left[-1], lower), (right[0], upper)):
+            origins = {}
+            _traced_substitute(phi, {"w": image}, origins)
+            expected = {(0,) + q: p for p, (_w, copy, q) in origins.items() if copy == branch}
+            assert expected and list(link.items()) == list(expected.items())
 
 
 def _naive_substitute(e, subst):
     """e[subst] by replacing every occurrence of a name in subst, with no
-    renaming: right only when no binder of e has such a name."""
-    if isinstance(e, Var):
-        return subst.get(e.name, e)
-    return rebuild(e, tuple(_naive_substitute(k, subst) for k in children(e)))
+    renaming: right only when no binder of e has such a name.  Each distinct
+    node is rebuilt once its children are, from an explicit stack."""
+    done = {}
+    todo = [e]
+    while todo:
+        node = todo[-1]
+        waiting = [kid for kid in children(node) if kid not in done]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        done[node] = (subst.get(node.name, node) if isinstance(node, Var)
+                      else rebuild(node, tuple(done[kid] for kid in children(node))))
+    return done[e]
 
 
 @st.composite
@@ -436,14 +588,13 @@ def test_substitution_agrees_with_naive_substitution_on_canonical_forms(case):
     e, subst = case
     expected = _naive_substitute(canonical(e), subst)
     assert alpha_eq(substitute(e, subst), expected)
-    assert alpha_eq(substitute_traced(e, subst)[0], expected)
+    assert alpha_eq(_traced_substitute(e, subst, {}), expected)
 
 
 def test_head_steps():
     nu_loop = parse_expr("nu f:(O -> O) -> O. \\g:O -> O. g (f g)")
     idf = parse_expr("\\a:O. a")
     step = head_step(App(nu_loop, idf), Nu)
-    assert step.result == unfold(App(nu_loop, idf))
     assert step.result == parse_expr(
         "(\\g:O -> O. g ((nu f:(O -> O) -> O. \\g:O -> O. g (f g)) g)) (\\a:O. a)")
     assert step.head_path == (0,)
@@ -452,7 +603,8 @@ def test_head_steps():
     assert set(step.sources) == set(sigma_paths(step.result))
 
     step2 = head_step(step.result, Lam)
-    assert step2.result == beta_head(step.result)
+    assert step2.result == parse_expr(
+        "(\\a:O. a) ((nu f:(O -> O) -> O. \\g:O -> O. g (f g)) (\\a:O. a))")
     assert step2.head_path is None
     assert step2.sigma_kind is None
     assert set(step2.sources) == set(sigma_paths(step2.result))
@@ -470,9 +622,10 @@ def test_head_steps():
 @settings(max_examples=150)
 @given(exprs)
 def test_unfold_traced_total_on_sigma_heads(e):
-    wrapped = App(Nu("loop", Arrow(PROP, PROP), Lam("z", PROP, e)), Var("q"))
+    head = Nu("loop", Arrow(PROP, PROP), Lam("z", PROP, e))
+    wrapped = App(head, Var("q"))
     step = head_step(wrapped, FIXPOINTS)
-    assert step.result == unfold(wrapped)
+    assert step.result == App(substitute(head.body, {"loop": head}), Var("q"))
     assert set(step.sources) == set(sigma_paths(step.result))
     assert all(src in set(sigma_paths(wrapped)) for src in step.sources.values())
 
@@ -575,6 +728,8 @@ def _reference_infer(e, env, uni, want=None):
         body_ty = _reference_infer(e.body, {**env, e.var: e.var_type}, uni)
         if uni.resolve(body_ty) is NAT:
             raise HflTypeError(f"abstraction body {to_str(e.body)!r} has type N")
+        if isinstance(uni.resolve(body_ty), _TMeta):
+            uni.props.add(uni.resolve(body_ty))
         return Arrow(e.var_type, body_ty)
     if isinstance(e, FIXPOINTS):
         _reference_check(e.body, e.var_type, {**env, e.var: e.var_type}, uni)
@@ -584,6 +739,7 @@ def _reference_infer(e, env, uni, want=None):
     fn_ty = uni.resolve(fn_ty)
     if isinstance(fn_ty, _TMeta):
         fn_ty, meta = Arrow(arg_ty, uni.fresh()), fn_ty
+        uni.props.add(fn_ty.result)
         uni.unify(fn_ty, meta, e)
     if not isinstance(fn_ty, Arrow):
         raise IllTyped(e.fn, "an arrow type", type_to_str(fn_ty))
@@ -629,6 +785,19 @@ def test_typing_loop_agrees_with_the_recursive_checker(formulas):
     except RecursionError:
         reject()
     assert _typing_outcome(infer_env, formulas) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "(\\y:O. x) p = Z",
+    "((\\y:O. x) p = Z) \\/ ((\\y:O. x) p = Z)",
+    "x = Z \\/ (\\y:O. x) p = Z",
+    "f p = Z \\/ f p",
+])
+def test_an_arrow_result_is_never_n_whichever_is_typed_first(text):
+    # x is a lambda body, and f p an application's result: neither may be
+    # N, whether the lambda or the equation that asks for N is met first
+    with pytest.raises(HflTypeError):
+        infer_env([parse_expr(text)])
 
 
 def test_an_undetermined_type_names_the_first_variable_met():
@@ -715,13 +884,14 @@ def test_long_chains_are_walked_hashed_and_compared_without_recursion(build, ste
     q = substitute(a, {"p": Var("q")})
     assert free_vars(q) == {"q"} and sigma_paths(q) == sigma_paths(a)
     top = Nu("t", PROP, Var("t"))
-    out, origins = substitute_traced(a, {"p": top})
-    assert out is substitute(a, {"p": top}) and len(origins) == 5000
-    assert {o.copy for o in origins.values()} == set(range(5000))
-    # the one operator that is not a copy is a's, at the same path
-    (kept,) = set(sigma_paths(out)) - set(origins)
+    out, copies = substitute(a, {"p": top}), var_paths(a, "p")
+    assert len(copies) == 5000 and var_paths(a, "x") == ()
+    assert subexpr_at(out, copies[0]) is subexpr_at(out, copies[-1]) is top
+    # the copies' operators sit at var_paths, and the one other operator is
+    # a's, at the same path
+    (kept,) = set(sigma_paths(out)) - set(copies)
+    assert len(sigma_paths(out)) == 5001
     assert kept == (step,) * 5000 and subexpr_at(out, kept) is subexpr_at(a, kept)
-    assert count_occurrences(a, "p") == 5000 and count_occurrences(a, "x") == 0
     assert repr(a) == repr(b) and repr(a).count("Var(name='p')") == 5000
     if type(a) is Or:
         assert infer_env([a]) == {"p": PROP} and infer_type({"p": PROP}, a) is PROP
