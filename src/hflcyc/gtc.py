@@ -35,7 +35,6 @@ from .kernel import (
     OccurrenceRef,
     PreProof,
     ValidationIssue,
-    successors,
     validate_preproof,
 )
 from .syntax import (
@@ -49,6 +48,7 @@ from .syntax import (
     print_template,
 )
 from .trace import (
+    MAX_STATES,
     MU,
     NU,
     Lasso,
@@ -73,11 +73,6 @@ __all__ = [
     "render_lasso",
     "trim",
 ]
-
-MAX_STATES = 50_000
-"""The default cap on the segments, partial segments and loop elements that
-:func:`contains` stores."""
-
 
 class GtcError(HflError):
     """The trace condition of a pre-proof could not be decided."""
@@ -141,16 +136,19 @@ class BuchiAutomaton(Record):
 # ---------------------------------------------------------------------------
 
 
-def _require_back_edges(pp: PreProof) -> None:
+def _require_back_edges(pp: PreProof) -> dict[str, tuple[str, ...]]:
+    """The pre-proof's successor table, once every open leaf has a back edge
+    to a node."""
     nodes = pp.nodes
-    for node in nodes.values():
-        if node.is_open():
-            target = pp.back_edges.get(node.id)
-            if target is None:
-                raise GtcError(f"open leaf {node.id!r} has no back edge")
-            if target not in nodes:
-                raise GtcError(f"back edge {node.id!r} -> {target!r} "
-                               f"targets a missing node")
+    table = pp.successor_table
+    for node_id, out in table.items():
+        if out is None:
+            raise GtcError(f"open leaf {node_id!r} has no back edge")
+        # a child is always a node, so only a back edge can miss
+        if out and out[0] not in nodes:
+            raise GtcError(f"back edge {node_id!r} -> {out[0]!r} "
+                           f"targets a missing node")
+    return table
 
 
 def _companions(pp: PreProof) -> list[str]:
@@ -169,9 +167,9 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
     Raises :class:`GtcError` when an open leaf has no back edge or a back
     edge targets a missing node.
     """
-    _require_back_edges(pp)
-    ids = frozenset(pp.nodes)
-    transitions = frozenset((n, n, m) for n in ids for m in successors(pp, n))
+    table = _require_back_edges(pp)
+    ids = frozenset(table)
+    transitions = frozenset((n, n, m) for n, out in table.items() for m in out)
     return BuchiAutomaton(ids, ids, transitions, frozenset([pp.tree.id]), transitions)
 
 
@@ -229,7 +227,8 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     :class:`GtcError` when an open leaf has no back edge or a back edge
     targets a missing node.
     """
-    _require_back_edges(pp)
+    table = _require_back_edges(pp)
+    nodes = pp.nodes
 
     number: dict[_Key, int] = {}
     decode: list[_Key] = []
@@ -258,9 +257,9 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
 
     while queue:
         src, (node_id, side, index, mark) = queue.popleft()
-        node = pp.node(node_id)
-        if node.is_open():
-            emit(src, node_id, state((pp.back_edges[node_id], side, index, mark)))
+        node = nodes[node_id]
+        if node.rule is None:
+            emit(src, node_id, state((table[node_id][0], side, index, mark)))
             continue
         for branch, child in enumerate(node.children):
             for step, inv in node_steps(pp, node, branch).get((side, index), ()):
@@ -269,7 +268,7 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
                     emit(src, node_id, state((child.id, *step.premise_pos, q)), acc)
 
     return BuchiAutomaton(
-        frozenset(range(len(decode))), frozenset(pp.nodes), frozenset(transitions),
+        frozenset(range(len(decode))), frozenset(nodes), frozenset(transitions),
         initial, frozenset(accepting), tuple(decode))
 
 
@@ -498,34 +497,51 @@ class _Cap:
         self.used += 1
 
 
-def _segments(pp: PreProof, gens: Mapping[str, _Rows], identity: _Mat,
+_Partial = tuple[str, _Mat]
+"""A partial segment: the node it reached and its matrix."""
+
+
+def _segments(order: Mapping[str, list[str]], gens: Mapping[str, _Rows], identity: _Mat,
               companions: list[str], cap: _Cap) -> dict[Element, Word]:
     """Paths from a companion to the next, with a shortest word.
 
     Between two companions a path passes no back edge, so each search ends.
-    A partial segment is keyed by the node it reached and its matrix.
+    ``order`` holds each node's successors in the order the search takes
+    them.  Each partial segment keeps the one it was reached from, and a
+    word is spelled out only for a stored segment, so a segment of length L
+    costs L steps, not L²/2 copies.
     """
     stops = set(companions)
     segments: dict[Element, Word] = {}
     for c in companions:
         start = (c, identity)
-        words: dict[tuple[str, _Mat], Word] = {start: ()}
+        before: dict[_Partial, Optional[_Partial]] = {start: None}
         queue = deque([start])
         while queue:
             item = queue.popleft()
             n, m = item
             step = _mat_mul(m, gens[n])
-            for dst in sorted(successors(pp, n)):
+            for dst in order[n]:
                 if dst in stops:
                     seg = (c, dst, step)
                     if seg not in segments:
                         cap.take()
-                        segments[seg] = words[item] + (n,)
-                elif (dst, step) not in words:
+                        segments[seg] = _word(before, item)
+                elif (dst, step) not in before:
                     cap.take()
-                    words[(dst, step)] = words[item] + (n,)
+                    before[(dst, step)] = item
                     queue.append((dst, step))
     return segments
+
+
+def _word(before: Mapping[_Partial, Optional[_Partial]], item: _Partial) -> Word:
+    """The nodes a segment leaves, up to and including ``item``'s."""
+    back = []
+    while item is not None:
+        back.append(item[0])
+        item = before[item]
+    back.reverse()
+    return tuple(back)
 
 
 def _loops(segments: Mapping[Element, Word], cap: _Cap) -> dict[Element, Word]:
@@ -560,17 +576,18 @@ def _loops(segments: Mapping[Element, Word], cap: _Cap) -> dict[Element, Word]:
     return settled
 
 
-def _root_words(pp: PreProof, targets: list[str]) -> dict[str, Word]:
+def _root_words(order: Mapping[str, list[str]], root: str, targets: list[str]
+                ) -> dict[str, Word]:
     """A shortest path from the root to each target, as the nodes it leaves.
 
-    The breadth-first search takes successors in sorted order, as
-    :func:`_segments` does, so equal-length witnesses are chosen by node id.
+    The breadth-first search takes successors in ``order``, as
+    :func:`_segments` does.
     """
-    before: dict[str, Optional[str]] = {pp.tree.id: None}
-    queue = deque([pp.tree.id])
+    before: dict[str, Optional[str]] = {root: None}
+    queue = deque([root])
     while queue:
         n = queue.popleft()
-        for dst in sorted(successors(pp, n)):
+        for dst in order[n]:
             if dst not in before:
                 before[dst] = n
                 queue.append(dst)
@@ -618,12 +635,16 @@ def contains(pp: PreProof, trace: BuchiAutomaton, *, max_states: int = MAX_STATE
     the shortest v, and the end of u rotated into v while both end in the
     same node.  ``max_states`` caps the segments and partial segments and
     the loop elements together; going past it raises :class:`GtcUnknown`.
+    Raises :class:`GtcError` when an open leaf has no back edge or a back
+    edge targets a missing node.
     """
+    # successors in sorted order, so equal-length witnesses are chosen by node id
+    order = {n: sorted(out) for n, out in _require_back_edges(pp).items()}
     gens = _symbol_matrices(trace)
     cap = _Cap(max_states)
     companions = _companions(pp)
-    segments = _segments(pp, gens, _mat_identity(len(trace.states)), companions, cap)
-    prefix = _root_words(pp, companions)
+    segments = _segments(order, gens, _mat_identity(len(trace.states)), companions, cap)
+    prefix = _root_words(order, pp.tree.id, companions)
     found: Optional[tuple[Word, Word]] = None
     for (c, dst, m), v in _loops(segments, cap).items():
         if (c == dst and not any(r2 >> i & 1 for i, _r1, r2 in m)

@@ -601,71 +601,105 @@ class DerivTree(Record):
 class PreProof(Record):
     """A derivation tree plus a back-edge target for every open leaf.
 
-    Equal sequents and rules (equal as values, not merely alpha-equivalent,
-    since a report prints bound names) are one object, as they are interned.
-    A pre-proof keeps, for its whole life, the work a check does once per
-    distinct sequent rather than once per node:
+    ``back_edges`` is a copy of the mapping given, so a later edit to the
+    caller's dict changes nothing here.  Equal sequents and rules (equal as
+    values, not merely alpha-equivalent, since a report prints bound names)
+    are one object, as they are interned.
 
-    - the :class:`Inference` of each (conclusion, rule) pair;
+    Every stage reads the proof graph from one index, built at first use in
+    one preorder walk of the tree: each node by id (:attr:`nodes`) and its
+    successor ids (:attr:`successor_table`).  The successors of a closed
+    node are its children's ids in order, those of an open leaf are
+    ``(target,)`` for its back edge, and an open leaf without a back edge
+    has ``None``, for which :func:`successors` raises.  A duplicate node id
+    raises :class:`KernelError` when the index is built.
+
+    A pre-proof also keeps, for its whole life, the work a check does once
+    per distinct sequent rather than once per node:
+
+    - the :class:`Inference` of each (conclusion, rule) pair, keyed by the
+      interned sequent and rule themselves;
     - the occurrence steps of each (inference, branch) pair, in
-      ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads.
+      ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads,
+      keyed by the id of an inference that the first table holds.
 
-    The tables are keyed by the ids of sequents and rules that ``tree``
-    holds, or of an inference that the first table holds, so no id is
-    reused while the pre-proof lives.  They, and the node index
-    (:attr:`nodes`), are not compared, hashed or copied.
+    The index and the tables are not compared, hashed or copied.
     """
 
-    __slots__ = ("tree", "back_edges", "_nodes", "_inferences", "step_table")
+    __slots__ = ("tree", "back_edges", "_nodes", "_successors", "_inferences", "step_table")
     _compared = ("tree", "back_edges")
     tree: DerivTree
     back_edges: Mapping[str, str]
     _nodes: Optional[dict[str, DerivTree]]
-    _inferences: dict[tuple[int, int], Inference]
+    _successors: Optional[dict[str, Optional[tuple[str, ...]]]]
+    _inferences: dict[tuple[Sequent, Rule], Inference]
     step_table: dict[tuple[int, int], Any]
 
     def __init__(self, tree: DerivTree, back_edges: Optional[Mapping[str, str]] = None) -> None:
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "back_edges", {} if back_edges is None else back_edges)
+        object.__setattr__(self, "back_edges", {} if back_edges is None else dict(back_edges))
         object.__setattr__(self, "_nodes", None)
+        object.__setattr__(self, "_successors", None)
         object.__setattr__(self, "_inferences", {})
         object.__setattr__(self, "step_table", {})
 
+    def _index(self) -> None:
+        nodes: dict[str, DerivTree] = {}
+        table: dict[str, Optional[tuple[str, ...]]] = {}
+        back = self.back_edges
+        for node in self.tree.walk():
+            node_id = node.id
+            if node_id in nodes:
+                raise KernelError(f"duplicate node id {node_id!r}")
+            nodes[node_id] = node
+            if node.rule is not None:
+                table[node_id] = tuple([c.id for c in node.children])
+            else:
+                target = back.get(node_id)
+                table[node_id] = None if target is None else (target,)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_successors", table)
+
     @property
     def nodes(self) -> dict[str, DerivTree]:
-        """Every node by id, found on first use."""
-        out = self._nodes
-        if out is None:
-            out = {}
-            for node in self.tree.walk():
-                if node.id in out:
-                    raise KernelError(f"duplicate node id {node.id!r}")
-                out[node.id] = node
-            object.__setattr__(self, "_nodes", out)
-        return out
+        """Every node by id, in preorder."""
+        if self._nodes is None:
+            self._index()
+        return self._nodes
+
+    @property
+    def successor_table(self) -> dict[str, Optional[tuple[str, ...]]]:
+        """Every node's successor ids by node id, in preorder: None for an
+        open leaf without a back edge."""
+        if self._successors is None:
+            self._index()
+        return self._successors
 
     def node(self, node_id: str) -> DerivTree:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise KernelError(f"no node {node_id!r} in the pre-proof")
-        return node
+        try:
+            return self.nodes[node_id]
+        except KeyError:
+            raise KernelError(f"no node {node_id!r} in the pre-proof") from None
 
     def inference(self, node_id: str) -> Inference:
-        """The inference at a closed node, computed once per pre-proof for
-        each sequent and rule.
+        """The inference at a closed node (see :meth:`inference_at`).
+        Raises :class:`KernelError` for an open leaf."""
+        node = self.node(node_id)
+        if node.rule is None:
+            raise KernelError(f"node {node_id!r} is an open leaf")
+        return self.inference_at(node.seq, node.rule)
+
+    def inference_at(self, seq: Sequent, rule: Rule) -> Inference:
+        """The inference of ``rule`` at ``seq``, computed once per pre-proof
+        for each sequent and rule.
 
         Validation and the trace automaton both read it, so each head step
         is taken once per check.  Raises the rule's :class:`KernelError`
         when the rule does not apply; a failure is not kept.
         """
-        node = self.node(node_id)
-        rule, seq = node.rule, node.seq
-        if rule is None:
-            raise KernelError(f"node {node_id!r} is an open leaf")
-        key = (id(seq), id(rule))
-        got = self._inferences.get(key)
+        got = self._inferences.get((seq, rule))
         if got is None:
-            got = self._inferences[key] = rule.inference(seq)
+            got = self._inferences[(seq, rule)] = rule.inference(seq)
         return got
 
     def positions(self, node_id: str) -> dict[OccPos, tuple[Path, ...]]:
@@ -677,7 +711,8 @@ class PreProof(Record):
                 for index, formula in enumerate(row)}
 
     def open_leaves(self) -> list[DerivTree]:
-        return [n for n in self.tree.walk() if n.is_open()]
+        """The open leaves in preorder."""
+        return [n for n in self.nodes.values() if n.rule is None]
 
 
 class ValidationIssue(Record):
@@ -693,25 +728,16 @@ class ValidationIssue(Record):
         return f"{self.node}: {self.message}"
 
 
-def _error_once(memo: dict, key, check, error: type[HflError]) -> Optional[str]:
-    """The message of the ``error`` that ``check()`` raises, or None; run
-    once per key of ``memo``."""
-    if key not in memo:
-        try:
-            check()
-            memo[key] = None
-        except error as exc:
-            memo[key] = str(exc)
-    return memo[key]
+_UNSEEN = object()
 
 
 def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     """Check every inference, every sequent's typing, and every back edge.
 
-    Each sequent object is typed once, and each inference is compared once
-    with each tuple of child sequent objects; every failing node still gets
-    its own issue.  Returns all problems found (empty list = valid
-    pre-proof).
+    One walk over :attr:`PreProof.nodes`.  Each sequent object is typed
+    once, and each (conclusion, rule, child sequents) triple is checked
+    once; every failing node still gets its own issue.  Returns all problems
+    found (empty list = valid pre-proof).
     """
     issues: list[ValidationIssue] = []
     try:
@@ -719,11 +745,21 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     except KernelError as exc:
         return [ValidationIssue("<tree>", str(exc))]
 
-    typed: dict[int, Optional[str]] = {}
-    compared: dict[tuple[int, ...], Optional[str]] = {}
-    for node in pp.tree.walk():
+    typed: dict[Sequent, Optional[str]] = {}
+    compared: dict[tuple, Optional[str]] = {}
+    open_ids: set[str] = set()
+    for node in nodes.values():
         seq, rule = node.seq, node.rule
-        bad = _error_once(typed, id(seq), lambda: check_sequent(seq), HflTypeError)
+        if rule is None:
+            open_ids.add(node.id)
+        bad = typed.get(seq, _UNSEEN)
+        if bad is _UNSEEN:
+            try:
+                check_sequent(seq)
+                bad = None
+            except HflTypeError as exc:
+                bad = str(exc)
+            typed[seq] = bad
         if bad is not None:
             issues.append(ValidationIssue(node.id, f"ill-typed sequent: {bad}"))
             continue
@@ -731,19 +767,19 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
             if node.children:
                 issues.append(ValidationIssue(node.id, "open leaf with children"))
             continue
-        try:
-            inference = pp.inference(node.id)
-        except KernelError as exc:
-            issues.append(ValidationIssue(node.id, f"{rule.tag}: {exc}"))
-            continue
-        kids = [c.seq for c in node.children]
-        bad = _error_once(compared, (id(inference), *map(id, kids)),
-                          lambda: _check_premises(rule, inference.premises, kids),
-                          KernelError)
+        kids = tuple([c.seq for c in node.children])
+        key = (seq, rule, kids)
+        bad = compared.get(key, _UNSEEN)
+        if bad is _UNSEEN:
+            try:
+                _check_premises(rule, pp.inference_at(seq, rule).premises, kids)
+                bad = None
+            except KernelError as exc:
+                bad = str(exc)
+            compared[key] = bad
         if bad is not None:
             issues.append(ValidationIssue(node.id, f"{rule.tag}: {bad}"))
 
-    open_ids = {n.id for n in pp.open_leaves()}
     for leaf_id in open_ids:
         if leaf_id not in pp.back_edges:
             issues.append(ValidationIssue(leaf_id, "open leaf without back edge"))
@@ -769,11 +805,12 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
 def successors(pp: PreProof, node_id: str) -> tuple[str, ...]:
     """The nodes a path may step to next: children, or the back-edge target
     for an open leaf, or nothing for a closed leaf.  Raises
-    :class:`KernelError` for an open leaf without a back edge."""
-    node = pp.node(node_id)
-    if node.is_open():
-        target = pp.back_edges.get(node.id)
-        if target is None:
-            raise KernelError(f"open leaf {node.id!r} has no back edge")
-        return (target,)
-    return tuple(c.id for c in node.children)
+    :class:`KernelError` for a missing node or an open leaf without a back
+    edge."""
+    try:
+        out = pp.successor_table[node_id]
+    except KeyError:
+        raise KernelError(f"no node {node_id!r} in the pre-proof") from None
+    if out is None:
+        raise KernelError(f"open leaf {node_id!r} has no back edge")
+    return out

@@ -23,10 +23,13 @@ Formulas and sequents are quoted strings in the concrete syntax of the
 Reading costs one table lookup per repeated string: the text is split into
 tokens by one regular-expression pass, each distinct string literal is
 unescaped once, each distinct ``(seq "...")`` string is parsed once, and each
-distinct ``(rule ...)`` form is built once.  A malformed text raises
-:class:`ProofFormatError`; the line and column of the offending token are
-found only then.  These tables only save work: equal sequents and rules are
-one object because they are interned when they are built.
+distinct ``(rule ...)`` form is built once.  Each ``(node ...)`` form is
+checked in place, by its length and the heads of its entries, with no copy
+of its tail; a child id that is a plain atom passes with one type test.  A
+malformed text raises :class:`ProofFormatError`; the line and column of the
+offending token are found only then.  These tables only save work: equal
+sequents and rules are one object because they are interned when they are
+built.
 """
 
 from __future__ import annotations
@@ -261,7 +264,8 @@ def loads_preproof(text: str) -> PreProof:
             continue
         if head != "node":
             raise ProofFormatError(f"unknown top-level form {head!r}")
-        if len(form) < 3:
+        size = len(form)
+        if size < 3:
             raise ProofFormatError("(node ...) needs an id and a (seq ...) entry")
         node_id = _atom_param(form[1], "node id")
         if node_id in raw_nodes:
@@ -273,19 +277,22 @@ def loads_preproof(text: str) -> PreProof:
         seq = sequents.get(seq_form[1])
         if seq is None:
             seq = sequents[seq_form[1]] = parse_sequent(str(seq_form[1]))
-        rest = form[3:]
-        if rest == ["open"]:
+        if size == 4 and form[3] == "open":
             raw_nodes[node_id] = (seq, None, [])
             continue
-        if len(rest) not in (1, 2) or not isinstance(rest[0], list) or rest[0][:1] != ["rule"]:
+        rule_form = form[3] if size in (4, 5) else None
+        if not (isinstance(rule_form, list) and rule_form and rule_form[0] == "rule"):
             raise ProofFormatError(f"node {node_id}: expected (rule ...) or open")
-        rule_form = rest[0][1:]
         kids: list[str] = []
-        if len(rest) == 2:
-            if not (isinstance(rest[1], list) and rest[1][:1] == ["children"]):
+        if size == 5:
+            children = form[4]
+            if not (isinstance(children, list) and children and children[0] == "children"):
                 raise ProofFormatError(f"node {node_id}: expected (children ...)")
-            kids = [_atom_param(k, "child id") for k in rest[1][1:]]
-        raw_nodes[node_id] = (seq, rule_form, kids)
+            kids = children[1:]
+            for k in kids:
+                if type(k) is not str:  # a literal or a list
+                    _atom_param(k, "child id")
+        raw_nodes[node_id] = (seq, rule_form[1:], kids)
 
     if not raw_nodes:
         raise ProofFormatError("no (node ...) forms in input")
@@ -303,7 +310,13 @@ def loads_preproof(text: str) -> PreProof:
 
 def _form_key(form: list) -> tuple:
     """``form`` flat, without recursion: a list as its length, then its items,
-    and a string literal as a 1-tuple, so ``"x"`` stays apart from ``x``."""
+    and a string literal as a 1-tuple, so ``"x"`` stays apart from ``x``.
+    A form of plain atoms, as most rule forms are, is ``(len, *form)``."""
+    for x in form:
+        if type(x) is not str:
+            break
+    else:
+        return (len(form), *form)
     out: list = []
     todo = [form]
     while todo:
@@ -347,7 +360,7 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
         rule = None
         if rule_form is not None:
             key = _form_key(rule_form)
-            if rule_form[:1] == ["Subst"]:  # the source is the child's sequent
+            if rule_form and rule_form[0] == "Subst":  # the source is the child's sequent
                 key += tuple(id(c.seq) for c in children)
             if key not in rules:
                 rules[key] = rule_from_form(rule_form, [c.seq for c in children])

@@ -17,13 +17,21 @@ from __future__ import annotations
 
 import re
 import weakref
+from functools import partial
 from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Interned values
 # ---------------------------------------------------------------------------
 
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (cls, *args) -> obj
+_INTERNED: dict[tuple, weakref.ref] = {}  # (cls, *args) -> a weak reference to the object
+
+
+def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED) -> None:
+    """Drop ``key``'s entry when its object dies, unless an equal object made
+    since then holds the entry already."""
+    if table.get(key) is ref:
+        del table[key]
 
 
 class _Frozen:
@@ -77,23 +85,28 @@ class Interned(_Frozen):
     the live object made from equal arguments, or makes one, runs its
     :meth:`_check` and keeps it if that passes.  Interned arguments compare
     and hash by identity, so building a node never walks its children, and
-    ``==`` is ``is``.  The table holds its objects weakly.  Assigning or
-    deleting a field raises ``dataclasses.FrozenInstanceError``.
+    ``==`` is ``is``.  The table is a plain dict of weak references, so
+    finding or making a value runs no Python-level weakref code; each
+    reference's callback removes its entry when the value dies.  Assigning
+    or deleting a field raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ("__weakref__",)
 
     def __new__(cls, *args):
         key = (cls, *args)
-        obj = _INTERNED.get(key)
-        if obj is None:
-            if len(args) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
-            obj = object.__new__(cls)
-            for name, value in zip(cls.__slots__, args):
-                object.__setattr__(obj, name, value)
-            obj._check()
-            _INTERNED[key] = obj
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        if len(args) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, args):
+            object.__setattr__(obj, name, value)
+        obj._check()
+        _INTERNED[key] = weakref.ref(obj, partial(_forget, key))
         return obj
 
     def _check(self) -> None:

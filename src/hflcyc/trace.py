@@ -83,6 +83,11 @@ class ExplosionGuard(HflError):
 
 Annotation = tuple[int, ...]
 
+MAX_STATES = 50_000
+"""The default cap on stored work: the candidate back-edge sequences of
+:func:`enumerate_closed_walks`, and the segments, partial segments and loop
+elements that :func:`hflcyc.gtc.contains` stores."""
+
 # the sigma_kind values of syntax.HeadStep
 MU = "mu"
 NU = "nu"
@@ -268,10 +273,11 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
     They are computed once per (inference, branch) pair and kept in the
     pre-proof's ``step_table``; nodes with equal sequents and equal rules
     share one inference, as a pre-proof holds one object per sequent value
-    and per rule value.  Raises like :func:`occurrence_steps`; a failure is
-    not kept.
+    and per rule value.  Each occurrence's steps are in premise order, which
+    is also the order of their premise positions.  Raises like
+    :func:`occurrence_steps`; a failure is not kept.
     """
-    inference = pp.inference(node.id)
+    inference = pp.inference_at(node.seq, node.rule)
     key = (id(inference), branch)
     got = pp.step_table.get(key)
     if got is None:
@@ -385,10 +391,9 @@ def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[StepsByOcc]:
     """Steps for the i-th lasso edge; None means a back edge (pure copy)."""
     spine = lasso.spine
     cur = pp.node(spine[i])
-    nxt = spine[lasso.successor_index(i)]
     if cur.is_open():
         return None
-    branch = [c.id for c in cur.children].index(nxt)
+    branch = pp.successor_table[cur.id].index(spine[lasso.successor_index(i)])
     return node_steps(pp, cur, branch)
 
 
@@ -614,7 +619,7 @@ def _min_rotation(cycle: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def enumerate_closed_walks(pp: PreProof, max_back_edges: Optional[int] = None,
-                           cap: int = 50_000) -> list[tuple[str, ...]]:
+                           cap: int = MAX_STATES) -> list[tuple[str, ...]]:
     """All closed walks with at most max_back_edges back-edge traversals,
     up to rotation, as node cycles.
 
@@ -738,7 +743,7 @@ def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
         steps = node_steps(pp, cur, branch).get(occ)
         if not steps:
             break
-        step = min((s for s, _ in steps), key=lambda s: s.premise_pos)
+        step = steps[0][0]  # the first premise position (node_steps keeps them in order)
         occ = step.premise_pos
         cur = child
         af = _apply_step(af, step, fresh, _formula_at(cur.seq, occ))

@@ -56,9 +56,10 @@ from hflcyc.trace import (
     enumerate_simple_lassos,
     gtc_bruteforce,
     lasso_good,
+    node_steps,
 )
 
-from test_kernel import built_loop, pe, ps, unrolled_loop
+from test_kernel import built_loop, loop_proof, pe, ps, unrolled_loop
 from test_trace import (
     branching_loop_proof,
     figure_eight_proof,
@@ -721,6 +722,40 @@ def test_loaded_copy_checks_the_same(name, pp):
     # sequents and rules are interned, so the loaded copy holds the very
     # objects the built one holds and differs only in how it was made
     assert outcome(loads_preproof(dumps_preproof(pp))) == outcome(pp)
+
+
+# the index every stage reads: nodes, successors and open leaves
+INDEXED = ([("loop", loop_proof())]
+           + [(f"built_loop64_{fix}", built_loop(64, fix)) for fix in ("nu", "mu")]
+           + [("exr_chain1201", exr_chain_proof(1201))]
+           + DIFFERENTIAL)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+@pytest.mark.parametrize("name,pp", INDEXED, ids=[name for name, _ in INDEXED])
+def test_the_index_matches_the_tree(name, pp, loaded):
+    if loaded:
+        pp = loads_preproof(dumps_preproof(pp))
+    preorder = list(pp.tree.walk())
+    assert list(pp.nodes) == [n.id for n in preorder]
+    for n in preorder:
+        assert pp.node(n.id) is n
+        want = (pp.back_edges[n.id],) if n.is_open() else tuple(c.id for c in n.children)
+        assert kernel.successors(pp, n.id) == want
+    assert pp.open_leaves() == [n for n in preorder if n.is_open()]
+    with pytest.raises(KernelError, match="no node 'zz' in the pre-proof"):
+        kernel.successors(pp, "zz")
+
+
+@pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
+def test_an_occurrences_steps_come_in_premise_position_order(name, pp):
+    # replay_annotations follows the first step of an occurrence, the one
+    # into the first premise position
+    for node in pp.nodes.values():
+        for branch in range(len(node.children) if node.rule is not None else 0):
+            for steps in node_steps(pp, node, branch).values():
+                positions = [step.premise_pos for step, _ in steps]
+                assert positions == sorted(positions)
 
 
 # ---------------------------------------------------------------------------

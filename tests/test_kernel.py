@@ -401,6 +401,18 @@ class TestPreProofs:
         assert successors(pp, "n3") == ("n4",)
         assert successors(pp, "n4") == ("n0",)  # open leaf follows its back edge
 
+    def test_editing_the_back_edge_dict_afterwards_changes_nothing(self):
+        back = {"n4": "n0"}
+        pp = PreProof(loop_proof().tree, back)
+        assert successors(pp, "n4") == ("n0",)  # the index is built here
+        back["n4"] = "n1"
+        back["n2"] = "n0"
+        assert pp.back_edges == {"n4": "n0"}
+        assert successors(pp, "n4") == ("n0",) and successors(pp, "n2") == ("n3",)
+        assert validate_preproof(pp) == []
+        del back["n4"]
+        assert validate_preproof(pp) == [] and successors(pp, "n4") == ("n0",)
+
     def test_open_leaf_without_back_edge_has_no_successors(self):
         pp = PreProof(loop_proof().tree, {})
         with pytest.raises(KernelError, match="open leaf 'n4' has no back edge"):

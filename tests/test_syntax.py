@@ -991,6 +991,25 @@ class TestInterning:
         gc.collect()
         assert ref() is None
 
+    def test_a_dead_value_leaves_the_table_and_is_made_again(self):
+        def make():
+            return Or(Var("made_again"), Eq(Zero(), Zero()))
+
+        key = (Or, Var("made_again"), Eq(Zero(), Zero()))
+        first = make()
+        ref = _INTERNED[key]
+        forget = ref.__callback__  # a dead reference drops its callback
+        assert ref() is first
+        del first
+        gc.collect()
+        assert key not in _INTERNED
+        again = make()
+        assert _INTERNED[key]() is again and make() is again
+        # a late callback of the dead value's reference leaves the entry of
+        # the live one in place
+        forget(ref)
+        assert _INTERNED[key]() is again and make() is again
+
     @pytest.mark.parametrize("value", [parse_expr("mu X:O. X \\/ p"), arrow(NAT, PROP),
                                        parse_sequent("p |- nu t:O. t")],
                              ids=["formula", "type", "sequent"])
