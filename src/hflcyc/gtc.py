@@ -5,8 +5,11 @@ fixed-point operator position of one formula occurrence, as the brute-force
 oracle of :mod:`hflcyc.trace` does, and it accepts where the operator it
 follows is unfolded as a left mu or a right nu.  Every cycle of the proof
 graph passes a back edge, so every infinite path visits back-edge targets
-(companions) infinitely often, and the automaton starts at the operator
-positions of the companions.
+(companions) infinitely often, and the automaton starts at the companions.
+It starts only at their left mu and right nu operators: a rule keeps each
+premise formula on its conclusion's side, and a transport maps an operator
+to a copy of the same binder, so a run that follows a right mu or a left nu
+never takes an accepting step.
 
 The global trace condition holds when every infinite path of the proof has a
 tail that some run of the trace automaton follows, accepting infinitely
@@ -40,12 +43,16 @@ from .kernel import (
 from .syntax import (
     Expr,
     HflError,
+    Mu,
+    Nu,
     Path,
     Record,
     Template,
     annotation_label,
     fill_template,
     print_template,
+    sigma_paths,
+    subexpr_at,
 )
 from .trace import (
     MAX_STATES,
@@ -192,13 +199,15 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     """The trace automaton over proof-node symbols.
 
     Its initial states follow the operator positions ``p`` of the
-    occurrences of the companions.  A state moves only on its own node's
-    symbol: at a back edge to the same occurrence and position, and at a
-    rule to every premise position ``q`` that descends from ``p``, as the
-    rule's :meth:`~hflcyc.kernel.Rule.sources` say.  When the rule unfolds
-    ``p`` itself, these ``q`` are the substituted copies, and the transition
-    is accepting exactly when it unfolds a left mu or a right nu; every
-    other transition is not accepting.  An infinite path passes companions
+    occurrences of the companions where a good trace can start: the mu
+    operators of the left formulas and the nu operators of the right ones.
+    A state moves only on its own node's symbol: at a back edge to the same
+    occurrence and position, and at a rule to every premise position ``q``
+    that descends from ``p``, as the rule's
+    :meth:`~hflcyc.kernel.Rule.sources` say.  When the rule unfolds ``p``
+    itself, these ``q`` are the substituted copies, and the transition is
+    accepting exactly when it unfolds a left mu or a right nu; every other
+    transition is not accepting.  An infinite path passes companions
     infinitely often, so any good trace along it is followed from some
     visit to a companion on.
 
@@ -215,6 +224,18 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     passes through every accepting step, so it is an accepting one-operator
     run.  Hence there are at most Σ|operator positions| states over all
     occurrences, linear in the proof.
+
+    A run that starts at a right mu or a left nu can take no accepting step,
+    so none starts there.  Each premise formula a rule's
+    :meth:`~hflcyc.kernel.Rule.sources` names stays on its conclusion's side
+    (:func:`~hflcyc.trace.occurrence_steps` checks it), a back edge keeps
+    the occurrence, and a transport maps an operator to a copy of the same
+    binder.  So every state a run reaches follows an operator of the kind it
+    started at, on the side it started on, and the automaton is the part of
+    the one started at every operator position that can reach an accepting
+    transition, with the same language.  The acceptance test still asks
+    for a left mu or a right nu unfolding, so an accepting transition does
+    not rest on this argument.
 
     States are numbered as ints in the order the search discovers them, the
     initial ones first, and ``decode[i]`` is the ``(node, side, index,
@@ -250,9 +271,12 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
             accepting.add((src, sym, dst))
 
     for c in _companions(pp):
-        for (side, index), paths in pp.positions(c).items():
-            for p in paths:
-                state((c, side, index, p))
+        seq = nodes[c].seq
+        for side, row, want in ((LEFT, seq.left, Mu), (RIGHT, seq.right, Nu)):
+            for index, f in enumerate(row):
+                for p in sigma_paths(f):
+                    if type(subexpr_at(f, p)) is want:
+                        state((c, side, index, p))
     initial = frozenset(range(len(decode)))
 
     while queue:

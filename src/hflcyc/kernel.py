@@ -747,11 +747,8 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
 
     typed: dict[Sequent, Optional[str]] = {}
     compared: dict[tuple, Optional[str]] = {}
-    open_ids: set[str] = set()
     for node in nodes.values():
         seq, rule = node.seq, node.rule
-        if rule is None:
-            open_ids.add(node.id)
         bad = typed.get(seq, _UNSEEN)
         if bad is _UNSEEN:
             try:
@@ -780,11 +777,12 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
         if bad is not None:
             issues.append(ValidationIssue(node.id, f"{rule.tag}: {bad}"))
 
-    for leaf_id in open_ids:
-        if leaf_id not in pp.back_edges:
-            issues.append(ValidationIssue(leaf_id, "open leaf without back edge"))
+    for leaf in pp.open_leaves():
+        if leaf.id not in pp.back_edges:
+            issues.append(ValidationIssue(leaf.id, "open leaf without back edge"))
     for leaf_id, target_id in pp.back_edges.items():
-        if leaf_id not in open_ids:
+        source = nodes.get(leaf_id)
+        if source is None or source.rule is not None:
             issues.append(ValidationIssue(leaf_id, "back edge source is not an open leaf"))
             continue
         target = nodes.get(target_id)

@@ -202,7 +202,8 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
     formula to ``l + q``; a head step brings its sources, head path, copy
     roots and kind; an explicit map is the transport as it is.  Raises
     :class:`KernelError` on schema violations or an out-of-range branch,
-    and :class:`TraceError` when a transport does not fit the formulas.
+    and :class:`TraceError` when a transport does not fit the formulas or a
+    premise formula descends from the other side of the sequent.
 
     ``inference`` is ``rule.inference(conclusion)``, when the caller has it;
     the steps are then built without a second head step.  The operator
@@ -250,6 +251,12 @@ def _placed(link: Path, ppaths: tuple[Path, ...], cpaths: tuple[Path, ...]) -> d
 
 def _check_step(step: OccurrenceStep, pf: Expr, cf: Expr,
                 ppaths: tuple[Path, ...], cpaths: tuple[Path, ...]) -> None:
+    # the trace automaton starts only at left mu and right nu operators,
+    # which is sound because a premise formula keeps its conclusion's side
+    if step.premise_pos[0] != step.conclusion_pos[0]:
+        raise TraceError(
+            f"{step} moves a formula from side {step.conclusion_pos[0]!r} "
+            f"to side {step.premise_pos[0]!r}")
     if set(step.transport) != set(ppaths):
         raise TraceError(
             f"transport of {step} is not total on the premise formula "

@@ -1,5 +1,6 @@
 """Path/trace automata and the decision of the global trace condition."""
 
+import random
 import sys
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from hflcyc.gtc import (
 import hflcyc.kernel as kernel
 from hflcyc.kernel import (
     LEFT,
+    RIGHT,
     Axiom,
     Cut,
     DerivTree,
@@ -46,7 +48,8 @@ from hflcyc.kernel import (
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
 from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bounded
 from hflcyc.syntax import (
-    PROP, App, Eq, Lam, Or, Sequent, Succ, Var, Zero, numeral, sigma_paths, to_str,
+    PROP, App, Eq, Lam, Mu, Nu, Or, Sequent, Succ, Var, Zero, numeral, sigma_paths,
+    subexpr_at, to_str,
 )
 from hflcyc.trace import (
     Lasso,
@@ -70,6 +73,7 @@ from test_trace import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 GOLDEN_CYCLE = ("n0", "n1", "n2", "n3", "n4")
 
@@ -350,6 +354,17 @@ class TestPathAutomaton:
 # ---------------------------------------------------------------------------
 
 
+GOOD_START = {LEFT: Mu, RIGHT: Nu}
+"""The operator a good trace follows, by side: a run of the trace automaton
+follows only these."""
+
+
+def operator_at(pp: PreProof, node_id: str, side: str, index: int, mark) -> type:
+    """The kind, Mu or Nu, of the operator at ``mark`` of an occurrence."""
+    seq = pp.node(node_id).seq
+    return type(subexpr_at((seq.left if side == LEFT else seq.right)[index], mark))
+
+
 def reachable_state_bound(pp: PreProof) -> int:
     """One state per operator position of every occurrence."""
     total = 0
@@ -368,19 +383,26 @@ class TestTraceAutomaton:
 
     def test_golden_size_is_stable(self, golden):
         a = build_gtc_automaton(golden)
-        assert len(a.states) == 11
+        assert len(a.states) == 5
         assert len(a.accepting) == 1
+
+    @pytest.mark.parametrize("fix,states", [("nu", 257), ("mu", 0)])
+    def test_long_loop_tracks_only_its_right_nu(self, fix, states):
+        # 64 laps of the corpus loop: the right nu is followed around the
+        # cycle, one state per node; the mu variant has nothing to follow
+        assert len(build_gtc_automaton(built_loop(64, fix)).states) == states
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_star_ignores_every_symbol(self, name, pp):
         # no idle state reads every symbol: runs start at the companions'
-        # operator positions, and only there
+        # left mu and right nu operators, and only there
         a = build_gtc_automaton(pp)
         companions = set(pp.back_edges.values())
         assert a.initial == {q for q, key in enumerate(a.decode) if key[0] in companions}
         assert {a.decode[q] for q in a.initial} == {
             (c, side, index, p) for c in companions
-            for (side, index), paths in pp.positions(c).items() for p in paths}
+            for (side, index), paths in pp.positions(c).items() for p in paths
+            if operator_at(pp, c, side, index, p) is GOOD_START[side]}
 
     def test_accepting_transitions_by_fixture(self):
         # only left-mu / right-nu unfoldings of the followed operator accept:
@@ -404,6 +426,7 @@ class TestTraceAutomaton:
             seq = pp.node(node_id).seq
             row = seq.left if side == LEFT else seq.right
             assert mark in sigma_paths(row[index])
+            assert operator_at(pp, node_id, side, index, mark) is GOOD_START[side]
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +779,44 @@ def test_an_occurrences_steps_come_in_premise_position_order(name, pp):
             for steps in node_steps(pp, node, branch).values():
                 positions = [step.premise_pos for step, _ in steps]
                 assert positions == sorted(positions)
+
+
+def bench_family_proofs():
+    """(name, pre-proof) for each family of the benchmark at its first sizes."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from families import FAMILIES
+    sizes = {"figure_eight": (2, 3)}
+    return [(f"{family}{k}", make(k, random.Random(f"{family}:{k}")).pp)
+            for family, make in FAMILIES.items() for k in sizes.get(family, (1, 2, 3))]
+
+
+SIDE_KEEPING = DIFFERENTIAL + bench_family_proofs()
+
+
+@pytest.mark.parametrize("name,pp", SIDE_KEEPING, ids=[name for name, _ in SIDE_KEEPING])
+def test_steps_keep_the_side_and_kind_of_each_operator(name, pp):
+    # build_gtc_automaton starts runs only at left mu and right nu operators,
+    # and drops no accepting run, because every step keeps a formula on its
+    # side, a transport maps each operator to one of the same kind, and a
+    # back edge keeps the occurrence
+    assert validate_preproof(pp) == []
+
+    def kinds(node_id):
+        return {(pos, p, operator_at(pp, node_id, *pos, p))
+                for pos, paths in pp.positions(node_id).items() for p in paths}
+
+    for node in pp.nodes.values():
+        if node.rule is None:
+            assert kinds(node.id) == kinds(pp.back_edges[node.id])
+            continue
+        for branch, child in enumerate(node.children):
+            for occ, steps in node_steps(pp, node, branch).items():
+                for step, _inv in steps:
+                    assert step.premise_pos[0] == occ[0]
+                    for q, p in step.transport.items():
+                        assert (operator_at(pp, child.id, *step.premise_pos, q)
+                                is operator_at(pp, node.id, *occ, p))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,15 @@ class TestPreProofs:
         issues = validate_preproof(pp)
         assert any("without back edge" in str(i) for i in issues)
 
+    def test_open_leaves_without_back_edges_are_listed_in_preorder(self):
+        # in tree order, not in the hash order of their ids
+        k1 = DerivTree("k1", ps("r, p |- s"), None)
+        k0 = DerivTree("k0", ps("r, q |- s"), None)
+        root = DerivTree("root", ps("r, p \\/ q |- s"), OrL(), (k1, k0))
+        issues = validate_preproof(PreProof(root, {}))
+        assert [str(i) for i in issues] == ["k1: open leaf without back edge",
+                                            "k0: open leaf without back edge"]
+
     def test_back_edge_to_leaf_rejected(self):
         tree = loop_proof().tree
         issues = validate_preproof(PreProof(tree, {"n4": "n4"}))

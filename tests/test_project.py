@@ -37,9 +37,12 @@ def test_every_exported_name_exists():
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
-def _python(code: str) -> str:
-    """What ``code`` prints, run by a fresh interpreter that imports from src."""
+def _python(code: str, hash_seed: str | None = None) -> str:
+    """What ``code`` prints, run by a fresh interpreter that imports from src
+    (with ``PYTHONHASHSEED`` set to ``hash_seed``, when given)."""
     env = dict(os.environ)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -52,6 +55,38 @@ def test_checker_imports_leave_out_the_semantics_oracle():
     out = _python("import sys, hflcyc.gtc, hflcyc.proofio; "
                   "print('hflcyc.semantics' in sys.modules)")
     assert out.strip() == "False"
+
+
+# bench/run.py checks each pass in a worker with its own PYTHONHASHSEED, so a
+# verdict or report that followed the hash order of strings would vary
+# between passes
+CHECK_REPORTS = f"""
+import random, sys
+sys.path.insert(0, {str(ROOT / "bench")!r})
+from families import figure_eight, long_cycle_mu
+from hflcyc.gtc import check_cyclic_proof, counterexample_report
+from hflcyc.kernel import DerivTree, OrL, PreProof
+from hflcyc.proofio import loads_preproof
+from hflcyc.syntax import parse_sequent
+
+k0 = DerivTree("k0", parse_sequent("r, p |- s"), None)
+k1 = DerivTree("k1", parse_sequent("r, q |- s"), None)
+proofs = [PreProof(DerivTree("root", parse_sequent("r, p \\\\/ q |- s"), OrL(), (k0, k1)), {{}})]
+for case in (long_cycle_mu(4, random.Random(1)), figure_eight(2, random.Random(1))):
+    proofs.append(loads_preproof(case.text))
+for pp in proofs:
+    result = check_cyclic_proof(pp)
+    print(repr(result))
+    if getattr(result, "lasso", None) is not None:
+        print(counterexample_report(pp, result.lasso))
+"""
+
+
+def test_verdicts_and_reports_do_not_depend_on_the_hash_seed():
+    outs = [_python(CHECK_REPORTS, hash_seed) for hash_seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert "k0: open leaf without back edge; k1: open leaf without back edge" in outs[0]
+    assert outs[0].count("counterexample path:") == 2
 
 
 # A class decorated with @dataclass generates and execs its methods at

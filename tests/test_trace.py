@@ -22,12 +22,13 @@ from hflcyc.kernel import (
     OrL,
     OrR,
     PreProof,
+    Rule,
     WkL,
     WkR,
     validate_preproof,
 )
 from hflcyc.proofio import load_preproof
-from hflcyc.syntax import alpha_eq, sigma_paths
+from hflcyc.syntax import Sequent, alpha_eq, sigma_paths
 from hflcyc.trace import (
     ExplosionGuard,
     FiniteOrNotATrace,
@@ -147,6 +148,20 @@ class TestOccurrenceSteps:
         # premise 0's p has no operator, but the mu it is linked to has one
         with pytest.raises(TraceError, match="operator positions changed"):
             occurrence_steps(ps("p \\/ (mu a:O. a) |- r"), OtherBranchOrL(), 0)
+
+    def test_a_formula_must_keep_its_side(self):
+        class MoveLeftToRight(Rule):
+            # Gamma, phi |- Delta from Gamma |- phi, Delta, naming the left
+            # phi as the source of the right one
+            def premises_of(self, conclusion):
+                return (Sequent(conclusion.left[:-1], conclusion.left[-1:] + conclusion.right),)
+
+            def sources(self, conclusion, inference, branch):
+                left, right = super().sources(conclusion, inference, branch)
+                return left[:-1], left[-1:] + right
+
+        with pytest.raises(TraceError, match="from side 'left' to side 'right'"):
+            occurrence_steps(ps("mu a:O. a |- r"), MoveLeftToRight(), 0)
 
     def test_nu_unfold_head_and_copies(self):
         conclusion = ps("|- (nu f:(O->O)->O. \\g:O->O. g (f g)) (mu x:O->O. \\a:O. a)")
