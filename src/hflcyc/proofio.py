@@ -210,24 +210,43 @@ def rule_from_form(parts: list, child_sequents: list[Sequent]) -> Rule:
     return cls()
 
 
+def _readable(value, show, parse) -> Quoted:
+    """``show(value)``, once ``parse`` has read it back as ``value`` itself
+    (equal formulas and sequents are one object), or a ProofFormatError."""
+    text = show(value)
+    try:
+        again = parse(text)
+    except HflError as exc:
+        raise ProofFormatError(f"{text!r} does not parse back: {exc}") from None
+    if again is not value:
+        raise ProofFormatError(f"{text!r} parses back as something else")
+    return Quoted(text)
+
+
+def _formula(e: Expr) -> Quoted:
+    return _readable(e, to_str, parse_expr)
+
+
 def rule_to_form(rule: Rule) -> list:
+    """The body of the (rule ...) form of ``rule``; a formula parameter that
+    would not parse back as itself raises ProofFormatError."""
     parts: list = [rule.tag]
     if isinstance(rule, Cut):
-        parts.append(Quoted(to_str(rule.formula)))
+        parts.append(_formula(rule.formula))
     elif isinstance(rule, (ExL, ExR)):
         parts.append(str(rule.pos))
     elif isinstance(rule, Subst):
         for x, e in rule.mapping:
-            parts.append([x, Quoted(to_str(e))])
+            parts.append([x, _formula(e)])
     elif isinstance(rule, Mono):
-        parts += [Quoted(to_str(rule.formula)), rule.var,
-                  Quoted(to_str(rule.lower)), Quoted(to_str(rule.upper)),
+        parts += [_formula(rule.formula), rule.var,
+                  _formula(rule.lower), _formula(rule.upper),
                   list(rule.names)]
     elif isinstance(rule, EqL):
         parts += [rule.hole_l, rule.hole_r,
-                  Quoted(to_str(rule.lhs)), Quoted(to_str(rule.rhs)),
-                  ["left"] + [Quoted(to_str(g)) for g in rule.left_ctx],
-                  ["right"] + [Quoted(to_str(d)) for d in rule.right_ctx]]
+                  _formula(rule.lhs), _formula(rule.rhs),
+                  ["left"] + [_formula(g) for g in rule.left_ctx],
+                  ["right"] + [_formula(d) for d in rule.right_ctx]]
     elif isinstance(rule, Nat):
         parts.append(rule.var)
     return parts
@@ -370,14 +389,30 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
 
 
 def dumps_preproof(pp: PreProof) -> str:
+    """The text of ``pp`` in the grammar of this module, which
+    :func:`loads_preproof` reads back as the same proof.
+
+    Each distinct sequent and rule is printed once, and checked once to parse
+    back as itself; if one does not, a ProofFormatError names the first node
+    in preorder that holds it.
+    """
+    forms: dict[int, object] = {}  # id of each sequent and rule -> its entry
     lines = []
     for node in pp.tree.walk():
-        parts: list = ["node", node.id, ["seq", Quoted(sequent_to_str(node.seq))]]
-        if node.rule is None:
-            parts.append("open")
-        else:
-            parts.append(["rule"] + rule_to_form(node.rule))
-            parts.append(["children"] + [c.id for c in node.children])
+        try:
+            seq = forms.get(id(node.seq))
+            if seq is None:
+                seq = forms[id(node.seq)] = _readable(node.seq, sequent_to_str, parse_sequent)
+            parts: list = ["node", node.id, ["seq", seq]]
+            if node.rule is None:
+                parts.append("open")
+            else:
+                rule = forms.get(id(node.rule))
+                if rule is None:
+                    rule = forms[id(node.rule)] = ["rule"] + rule_to_form(node.rule)
+                parts += [rule, ["children"] + [c.id for c in node.children]]
+        except ProofFormatError as exc:
+            raise ProofFormatError(f"node {node.id}: {exc}") from None
         lines.append(_write_form(parts))
     for leaf_id in sorted(pp.back_edges):
         lines.append(_write_form(["back", leaf_id, pp.back_edges[leaf_id]]))

@@ -9,8 +9,9 @@ The term language is ``x | Z | S t`` and the formula language is
 Both layers share one expression datatype; the two application typing rules
 are disambiguated by type inference, not by a stored tag.  Alpha-equivalence
 (not syntactic equality) is the notion of identity every other module uses.
-No walk of a formula or a type recurses, except the parser, which refuses
-input nested too deeply.
+No walk of a formula or a type recurses, and neither does the parser: every
+walk keeps its work on an explicit stack, so any printed formula, however
+deeply nested, parses back.
 """
 
 from __future__ import annotations
@@ -1048,95 +1049,102 @@ class _Parser:
                 self.text, tok[2])
         return tok
 
-    def fail(self, message: str):
-        raise HflSyntaxError(message, self.text, self.peek()[2])
-
     # -- types --
-    def type_atom(self) -> SimpleType:
-        kind, text, pos = self.next()
-        if text == "(":
-            ty = self.type_expr()
-            self.expect(")", ")")
-            return ty
-        if kind == "ident" and text == "N":
-            return NAT
-        if kind == "ident" and text == "O":
-            return PROP
-        raise HflSyntaxError(f"expected a type, found {text!r}", self.text, pos)
-
     def type_expr(self) -> SimpleType:
-        left = self.type_atom()
-        if self.peek()[0] == "arrow":
-            tok = self.next()
-            try:
-                return Arrow(left, self.type_expr())
-            except HflTypeError as exc:
-                raise HflSyntaxError(str(exc), self.text, tok[2]) from None
-        return left
+        """A type, whose arrows nest to the right, read in one loop.  A stack
+        holds each open parenthesis (None) and each arrow's left operand and position."""
+        stack: list = []
+        while True:
+            _kind, text, pos = self.next()
+            if text == "(":
+                stack.append(None)
+                continue
+            if text not in ("N", "O"):
+                raise HflSyntaxError(f"expected a type, found {text!r}", self.text, pos)
+            ty = NAT if text == "N" else PROP
+            while self.peek()[0] != "arrow":
+                while stack and stack[-1] is not None:
+                    left, arrow_pos = stack.pop()
+                    try:
+                        ty = Arrow(left, ty)
+                    except HflTypeError as exc:
+                        raise HflSyntaxError(str(exc), self.text, arrow_pos) from None
+                if not stack:
+                    return ty
+                stack.pop()
+                self.expect(")", ")")
+            stack.append((ty, self.next()[2]))
 
     # -- expressions --
-    def expr(self, level: int = 0) -> Expr:
-        """A formula whose operators bind at least as tightly as ``level``,
-        read by precedence climbing over ``_BINARY``: an atom, then each
-        operator of precedence at least ``level`` that can take what is read
-        so far as its left operand, with its right operand read at its right
-        operand's level.  Application is juxtaposition with an atom."""
-        kind, _text, pos = self.peek()
-        if kind in _BINDER_KEYWORDS and level <= _BINDER_LEVEL:
-            self.next()
-            name = self.expect("ident", "a variable")[1]
-            self.expect(":", ":")
-            ty = self.type_expr()
-            self.expect(".", ".")
-            body = self.expr()  # extends as far as it can
-            try:
-                return _BINDER_KEYWORDS[kind](name, ty, body)
-            except HflTypeError as exc:
-                raise HflSyntaxError(str(exc), self.text, pos) from None
-        left, prec = self.atom(), _ATOM_LEVEL
+    def expr(self) -> Expr:
+        """A formula, read in one loop by precedence climbing over ``_BINARY``:
+        an operand at ``level`` is a binder (up to ``_BINDER_LEVEL``), whose body
+        extends as far as it can, or an atom and then each operator of precedence
+        at least ``level`` that takes what is read so far as its left operand.
+        Application is juxtaposition with an atom.  What waits for an operand is
+        on a stack with the level it was read at: an open parenthesis (None) with
+        the run of S before it, a binder, or an operator with its left operand."""
+        stack, level = [], 0
         while True:
-            kind, text, _pos = self.peek()
-            cls = App if kind in _ATOM_START or text == "(" else _INFIX.get(text)
-            if cls is None:
-                return left
-            _sep, op_prec, left_level, right_level = _BINARY[cls]
-            if op_prec < level or prec < left_level:
-                return left
-            if cls is not App:
-                self.next()
-            left, prec = cls(left, self.expr(right_level)), op_prec
-
-    def atom(self) -> Expr:
-        kind, text, pos = self.next()
-        if text == "(":
-            e = self.expr()
-            self.expect(")", ")")
-            return e
-        if kind == "Z":
-            return Zero()
-        if kind == "S":
-            # S binds to the immediately following atom: S x, S (f y), S S x.
-            # A run of S is read in a loop, so a long one takes no recursion.
-            depth = 1
-            while self.peek()[0] == "S":
-                self.next()
+            kind, text, pos = self.next()
+            if kind in _BINDER_KEYWORDS and level <= _BINDER_LEVEL:
+                name = self.expect("ident", "a variable")[1]
+                self.expect(":", ":")
+                ty = self.type_expr()
+                self.expect(".", ".")
+                stack.append((_BINDER_KEYWORDS[kind], (name, ty, pos), level))
+                level = 0
+                continue
+            depth = 0  # S binds to the immediately following atom: S x, S (f y), S S x
+            while kind == "S":
                 depth += 1
-            e = self.atom()
-            for _ in range(depth):
-                e = Succ(e)
-            return e
-        if kind == "num":
-            # S^n Z is n + 1 nodes: a fixed bound on the work one literal makes
-            limit = 10_000
-            if len(text.lstrip("0")) > len(str(limit)) or int(text) > limit:
-                raise HflSyntaxError(f"numeral larger than {limit}, "
-                                     "the most successors one literal may make",
+                kind, text, pos = self.next()
+            if text == "(":
+                stack.append((None, depth, level))
+                level = 0
+                continue
+            if kind == "Z":
+                left = Zero()
+            elif kind == "ident":
+                left = Var(text)
+            elif kind == "num":
+                # S^n Z is n + 1 nodes: a fixed bound on the work one literal makes
+                if len(text.lstrip("0")) > len("10000") or int(text) > 10_000:
+                    raise HflSyntaxError("numeral larger than 10000, the most successors "
+                                         "one literal may make", self.text, pos)
+                left = numeral(int(text))
+            else:
+                raise HflSyntaxError(f"expected an expression, found {text or 'end of input'!r}",
                                      self.text, pos)
-            return numeral(int(text))
-        if kind == "ident":
-            return Var(text)
-        raise HflSyntaxError(f"expected an expression, found {text or 'end of input'!r}",
-                             self.text, pos)
+            prec = _ATOM_LEVEL
+            while True:
+                while depth:
+                    left, depth = Succ(left), depth - 1
+                kind, text, _pos = self.peek()
+                cls = App if kind in _ATOM_START or text == "(" else _INFIX.get(text)
+                if cls is not None:
+                    _sep, op_prec, left_level, right_level = _BINARY[cls]
+                    if op_prec >= level and prec >= left_level:
+                        if cls is not App:
+                            self.next()
+                        stack.append((cls, left, level))
+                        level = right_level
+                        break
+                # no operator takes left: it is the operand the stack's top waits for
+                if not stack:
+                    return left
+                cls, arg, level = stack.pop()
+                if cls is None:
+                    self.expect(")", ")")
+                    depth, prec = arg, _ATOM_LEVEL
+                elif cls in _BINARY:
+                    left, prec = cls(arg, left), _BINARY[cls][1]
+                else:
+                    name, ty, pos = arg
+                    try:  # nothing takes a binder as its left operand: prec 0
+                        left, prec = cls(name, ty, left), 0
+                    except HflTypeError as exc:
+                        raise HflSyntaxError(str(exc), self.text, pos) from None
 
     # -- sequents --
     def formula_list(self, stop_kinds: tuple[str, ...]) -> tuple[Expr, ...]:
@@ -1155,38 +1163,32 @@ class _Parser:
         return Sequent(left, right)
 
 
-def _parse_all(text: str, rule):
-    p = _Parser(text)
-    try:
-        out = rule(p)
-    except RecursionError:
-        # a parenthesis takes 2 frames, a level of a right-nested \/ or /\
-        # chain 3 and a type arrow 1, so at the default recursion limit about
-        # 495 parentheses or a 331-level chain still parse; deeper input,
-        # formula or type, is refused here
-        raise HflSyntaxError("input nested too deeply", text, p.peek()[2]) from None
-    if p.peek()[0] != "eof":
-        p.fail(f"unexpected trailing input {p.peek()[1]!r}")
+def _parse_all(p: _Parser, rule):
+    out = rule(p)
+    kind, text, pos = p.peek()
+    if kind != "eof":
+        raise HflSyntaxError(f"unexpected trailing input {text!r}", p.text, pos)
     return out
 
 
 def parse_expr(text: str) -> Expr:
-    return _parse_all(text, _Parser.expr)
+    return _parse_all(_Parser(text), _Parser.expr)
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse_all(text, _Parser.sequent)
+    return _parse_all(_Parser(text), _Parser.sequent)
 
 
 def parse_type(text: str) -> SimpleType:
-    return _parse_all(text, _Parser.type_expr)
+    return _parse_all(_Parser(text), _Parser.type_expr)
 
 
 def parse(text: str) -> Union[Expr, Sequent]:
     """Parse a formula, a term, or (when a turnstile is present) a sequent."""
-    if any(t[0] == "turnstile" for t in _tokenize(text)):
-        return parse_sequent(text)
-    return parse_expr(text)
+    p = _Parser(text)
+    if any(t[0] == "turnstile" for t in p.toks):
+        return _parse_all(p, _Parser.sequent)
+    return _parse_all(p, _Parser.expr)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hflcyc.syntax import (
-    And, App, Eq, HflSyntaxError, Or, Sequent, Succ, Var, Zero, nat_pred, numeral,
+    And, App, Eq, Or, Sequent, Succ, Var, Zero, nat_pred, numeral,
     parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
 )
 from hflcyc.kernel import (
@@ -23,6 +23,7 @@ from hflcyc.proofio import (
 )
 from hflcyc.semantics import BoundedDomain, Valid, check_validity_bounded
 from hflcyc.trace import occurrence_steps
+from hflcyc.gtc import Accepted, check_cyclic_proof
 import hflcyc.kernel as kernel
 import hflcyc.proofio as proofio
 
@@ -867,10 +868,35 @@ class TestProofFiles:
         for node in (a, b):
             check_rule(node.seq, node.rule, [node.children[0].seq])
 
-    def test_deep_nesting_is_a_syntax_error(self):
-        seq = "|- " + "(" * 1000 + "p" + ")" * 1000
-        with pytest.raises(HflSyntaxError, match="nested too deeply"):
-            loads_preproof(f'(node n0 (seq "{seq}") (rule Axiom))')
+    def test_a_proof_over_a_deep_formula_loads_back_with_its_verdict(self):
+        # F |- F by Axiom, F printed as p \\/ (p \\/ ...) 340 levels deep
+        f = Var("p")
+        for _ in range(340):
+            f = Or(Var("p"), f)
+        pp = PreProof(DerivTree("n0", Sequent((f,), (f,)), Axiom()))
+        text = dumps_preproof(pp)
+        again = loads_preproof(text)
+        assert again.tree.seq is pp.tree.seq
+        assert dumps_preproof(again) == text
+        assert repr(check_cyclic_proof(again)) == repr(check_cyclic_proof(pp)) == "Accepted()"
+
+    @pytest.mark.parametrize("name", ["Z", "S", "mu"])
+    def test_a_sequent_that_would_load_back_as_another_is_not_dumped(self, name):
+        # Var("Z") prints as Z, which reads back as Zero(); S and mu do not parse
+        bad = Var(name)
+        pp = PreProof(DerivTree("n0", Sequent((bad,), (bad,)), Axiom()))
+        assert isinstance(check_cyclic_proof(pp), Accepted)
+        with pytest.raises(ProofFormatError, match=f"^node n0: '{name} [|]- {name}' "):
+            dumps_preproof(pp)
+
+    def test_a_rule_formula_that_would_load_back_as_another_is_not_dumped(self):
+        p, zero = Var("p"), Var("Z")
+        leaves = (DerivTree("a", Sequent((p,), (p, zero)), None),
+                  DerivTree("b", Sequent((p, zero), (p,)), None))
+        pp = PreProof(DerivTree("r", Sequent((p,), (p,)), Cut(zero), leaves))
+        with pytest.raises(ProofFormatError,
+                           match="^node r: 'Z' parses back as something else$"):
+            dumps_preproof(pp)
 
     def test_child_cycle_rejected(self):
         text = ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'

@@ -103,11 +103,10 @@ def test_checker_imports_load_neither_dataclasses_nor_inspect():
     assert out.strip() == "[]"
 
 
-# The checker's walks keep their work on explicit stacks, so a deep formula,
-# type or proof costs memory, not Python frames.  Only these call themselves:
+# The checker's walks, the parser's too, keep their work on explicit stacks,
+# so a deep formula, type or proof costs memory, not Python frames.  Only
+# this function calls itself:
 SELF_CALLS_ALLOWED = {
-    **{("syntax", f"_Parser.{name}"): "the parser refuses input nested too deeply"
-       for name in ("type_expr", "expr", "atom")},
     ("proofio", "_write_form"): "a proof file's forms are at most 3 lists deep",
 }
 CHECKER_MODULES = ("syntax", "kernel", "trace", "gtc", "proofio")

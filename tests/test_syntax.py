@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from hflcyc.syntax import (
-    NAT, PROP, App, Arrow, Eq, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
+    NAT, PROP, App, Arrow, Eq, HflError, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
     And, IllTyped, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
     BINDERS, FIXPOINTS, HeadStep, app_spine, arrow, canonical, check_sequent,
     children, derived_encodings, free_vars, head_step, infer_env,
@@ -23,7 +23,10 @@ from hflcyc.syntax import (
     sigma_paths, subexpr_at, substitute, to_str,
     type_to_str, sequent_to_str, var_paths,
 )
-from hflcyc.syntax import _BINARY, _INTERNED, _TMeta, _Unifier, _fresh_variant
+from hflcyc.syntax import (
+    _ATOM_LEVEL, _ATOM_START, _BINARY, _BINDER_KEYWORDS, _BINDER_LEVEL, _INFIX, _INTERNED,
+    _Parser, _TMeta, _Unifier, _fresh_variant,
+)
 from hflcyc.kernel import Mono
 from hflcyc.trace import annotate_root
 
@@ -137,6 +140,114 @@ def test_token_strings_parse_back_or_raise_a_syntax_error(tokens):
         assert show(parse_text(printed)) == printed
 
 
+class _RecursiveParser(_Parser):
+    """The recursive parser the parsing loops replaced, kept as their
+    reference: one Python frame or more per level of nesting."""
+
+    def type_atom(self):
+        kind, text, pos = self.next()
+        if text == "(":
+            ty = self.type_expr()
+            self.expect(")", ")")
+            return ty
+        if kind == "ident" and text == "N":
+            return NAT
+        if kind == "ident" and text == "O":
+            return PROP
+        raise HflSyntaxError(f"expected a type, found {text!r}", self.text, pos)
+
+    def type_expr(self):
+        left = self.type_atom()
+        if self.peek()[0] == "arrow":
+            tok = self.next()
+            try:
+                return Arrow(left, self.type_expr())
+            except HflTypeError as exc:
+                raise HflSyntaxError(str(exc), self.text, tok[2]) from None
+        return left
+
+    def expr(self, level=0):
+        kind, _text, pos = self.peek()
+        if kind in _BINDER_KEYWORDS and level <= _BINDER_LEVEL:
+            self.next()
+            name = self.expect("ident", "a variable")[1]
+            self.expect(":", ":")
+            ty = self.type_expr()
+            self.expect(".", ".")
+            body = self.expr()
+            try:
+                return _BINDER_KEYWORDS[kind](name, ty, body)
+            except HflTypeError as exc:
+                raise HflSyntaxError(str(exc), self.text, pos) from None
+        left, prec = self.atom(), _ATOM_LEVEL
+        while True:
+            kind, text, _pos = self.peek()
+            cls = App if kind in _ATOM_START or text == "(" else _INFIX.get(text)
+            if cls is None:
+                return left
+            _sep, op_prec, left_level, right_level = _BINARY[cls]
+            if op_prec < level or prec < left_level:
+                return left
+            if cls is not App:
+                self.next()
+            left, prec = cls(left, self.expr(right_level)), op_prec
+
+    def atom(self):
+        kind, text, pos = self.next()
+        if text == "(":
+            e = self.expr()
+            self.expect(")", ")")
+            return e
+        if kind == "Z":
+            return Zero()
+        if kind == "S":
+            depth = 1
+            while self.peek()[0] == "S":
+                self.next()
+                depth += 1
+            e = self.atom()
+            for _ in range(depth):
+                e = Succ(e)
+            return e
+        if kind == "num":
+            limit = 10_000
+            if len(text.lstrip("0")) > len(str(limit)) or int(text) > limit:
+                raise HflSyntaxError(f"numeral larger than {limit}, "
+                                     "the most successors one literal may make",
+                                     self.text, pos)
+            return numeral(int(text))
+        if kind == "ident":
+            return Var(text)
+        raise HflSyntaxError(f"expected an expression, found {text or 'end of input'!r}",
+                             self.text, pos)
+
+
+def _parse_outcome(parser, rule, text):
+    """What ``rule`` of ``parser`` makes of the whole ``text``: the object,
+    or the error's type, message and position."""
+    try:
+        p = parser(text)
+        out = rule(p)
+        kind, rest, pos = p.peek()
+        if kind != "eof":
+            raise HflSyntaxError(f"unexpected trailing input {rest!r}", text, pos)
+        return out
+    except HflError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(TOKENS), max_size=16))
+@example(["S", "S", "(", "f", "x", ")", "x"])  # a run of S takes one atom
+@example(["\\x:N.", "mu p:O.", "x", "=", "x", "=", "x"])  # the body ends where the binder does
+def test_parsing_loops_agree_with_the_recursive_parser(tokens):
+    text = " ".join(tokens)
+    for rule in ("expr", "sequent", "type_expr"):
+        for source in (text, f"{text} |- {text}"):
+            assert (_parse_outcome(_Parser, getattr(_Parser, rule), source)
+                    == _parse_outcome(_RecursiveParser, getattr(_RecursiveParser, rule), source))
+
+
 @pytest.mark.parametrize("outer,inner", list(itertools.product(_BINARY, repeat=2)),
                          ids=lambda cls: cls.__name__)
 def test_every_pair_of_operators_nests_both_ways(outer, inner):
@@ -145,9 +256,43 @@ def test_every_pair_of_operators_nests_both_ways(outer, inner):
         assert parse_expr(to_str(e)) == e
 
 
-def test_deep_nesting_is_a_syntax_error():
-    with pytest.raises(HflSyntaxError, match="nested too deeply"):
-        parse_sequent("|- " + "(" * 1000 + "p" + ")" * 1000)
+def _nest(inner, make, n):
+    for _ in range(n):
+        inner = make(inner)
+    return inner
+
+
+P, X, F = Var("p"), Var("x"), Var("f")
+BINDER_KINDS = ((Lam, "x", NAT), (Mu, "p", PROP), (Nu, "q", PROP))
+DEEP_FORMULAS = {
+    "or": lambda n: _nest(P, lambda e: Or(P, e), n),
+    "and": lambda n: _nest(P, lambda e: And(P, e), n),
+    "application": lambda n: _nest(X, lambda e: App(F, e), n),
+    "binders": lambda n: functools.reduce(
+        lambda e, i: BINDER_KINDS[i % 3][0](*BINDER_KINDS[i % 3][1:], e), range(n), P),
+}
+
+
+def test_a_hundred_thousand_parentheses_parse_back():
+    assert parse_sequent("|- " + "(" * 100_000 + "p" + ")" * 100_000) == sequent([], [P])
+
+
+@pytest.mark.parametrize("build", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
+def test_a_deep_formula_parses_back_as_itself(build):
+    # printed with one parenthesis level per node but for the binders
+    e = build(5_000)
+    assert parse_expr(to_str(e)) is e
+    seq = sequent([e], [e])
+    assert parse_sequent(sequent_to_str(seq)) is seq
+
+
+@pytest.mark.parametrize("make", [lambda ty: Arrow(ty, PROP), lambda ty: Arrow(NAT, ty)],
+                         ids=["left-nested", "right-nested"])
+def test_a_deep_arrow_type_parses_back_as_itself(make):
+    ty = _nest(PROP, make, 1_500)
+    assert parse_type(type_to_str(ty)) is ty
+    e = Lam("g", ty, Var("g"))
+    assert parse_expr(to_str(e)) is e
 
 
 def test_numeral_too_deep_to_walk_is_rejected_at_its_position():
