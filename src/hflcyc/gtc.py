@@ -20,6 +20,19 @@ condition fails exactly when some idempotent loop at a companion has no
 diagonal entry of value 2.  A failure is witnessed by an ultimately periodic
 counterexample path.
 
+The condition is a property of the proof's infinite unfolding, so
+:func:`check_gtc` decides it on the coarsest bisimulation quotient of the
+proof graph.  There a bud is transparent: it is identified with its
+companion, so a closed node steps straight to the node its child lands on.
+Two closed nodes are merged when they hold the same interned sequent and
+rule and their successors, branch by branch, are merged too.  The quotient
+is a pre-proof again, with new buds where its spanning tree meets a class
+already placed, and it shares the proof's inferences and occurrence steps.
+A counterexample of the quotient is lifted to the proof by taking the same
+branches from the root until the walk repeats.  So a cycle unrolled m
+times, whose laps repeat the same sequents and rules, is decided on the
+classes of one lap, whatever m.
+
 The symbol read on a transition is the *source* node of the path step.  The
 path and trace automata are both :class:`BuchiAutomaton` values, which
 :func:`trim` prunes and :func:`accepts_lasso` runs on one lasso.
@@ -35,6 +48,7 @@ from typing import Mapping, Optional, Union
 from .kernel import (
     LEFT,
     RIGHT,
+    DerivTree,
     OccurrenceRef,
     PreProof,
     ValidationIssue,
@@ -161,6 +175,187 @@ def _require_back_edges(pp: PreProof) -> dict[str, tuple[str, ...]]:
 def _companions(pp: PreProof) -> list[str]:
     """The back-edge targets, sorted: every cycle of the proof graph passes one."""
     return sorted(set(pp.back_edges.values()))
+
+
+# ---------------------------------------------------------------------------
+# the bisimulation quotient
+# ---------------------------------------------------------------------------
+
+
+def _refine(succ: list[tuple[int, ...]], block: list[int], count: int) -> int:
+    """Refine ``block``, in place, to the coarsest partition that is stable
+    under ``succ``; returns its number of blocks.
+
+    ``succ[s][a]`` is the successor of node ``s`` on branch ``a``, and
+    ``block[s]`` numbers the initial block of ``s``, below ``count``.
+
+    One round first splits each block by the blocks of its nodes'
+    successors, so each block's nodes have one arity after it.  That
+    settles most proofs in linear time: if the round splits nothing, the
+    partition is stable, and if it leaves no two nodes together, nothing is
+    left to split.  Otherwise Hopcroft's algorithm ("An n log n algorithm
+    for minimizing states in a finite automaton", 1971) goes on from it,
+    where rounds alone can take one per node: a splitter is a block and a
+    branch; a split block queues the smaller half of itself, or both halves
+    if it was queued already, so a node is in a queued splitter O(log n)
+    times per branch.
+    """
+    arity = max(map(len, succ))
+    columns = [[block[out[a]] if a < len(out) else -1 for out in succ] for a in range(arity)]
+    signatures: dict[tuple[int, ...], int] = {}
+    block[:] = [signatures.setdefault(key, len(signatures)) for key in zip(block, *columns)]
+    if len(signatures) in (count, len(succ)):
+        return len(signatures)
+    count = len(signatures)
+    into: list[dict[int, list[int]]] = [{} for _ in range(arity)]
+    for s, out in enumerate(succ):
+        for a, t in enumerate(out):
+            into[a].setdefault(t, []).append(s)
+    members: list[set[int]] = [set() for _ in range(count)]
+    for s, b in enumerate(block):
+        members[b].add(s)
+    # splitting by every block splits nothing, so one block may stay out
+    largest = max(range(count), key=lambda b: len(members[b]))
+    work = [(b, a) for b in range(count) if b != largest for a in range(arity)]
+    queued = set(work)
+    while work:
+        splitter = work.pop()
+        queued.discard(splitter)
+        b, a = splitter
+        inv = into[a]
+        hit: dict[int, list[int]] = {}
+        for t in members[b]:
+            for s in inv.get(t, ()):
+                hit.setdefault(block[s], []).append(s)
+        for x, movers in hit.items():
+            if len(movers) == len(members[x]):
+                continue
+            y = len(members)
+            moved = set(movers)
+            members[x] -= moved
+            members.append(moved)
+            for s in movers:
+                block[s] = y
+            for a2 in range(arity):
+                half = y if (x, a2) in queued or len(moved) <= len(members[x]) else x
+                work.append((half, a2))
+                queued.add((half, a2))
+    return len(members)
+
+
+def _quotient(pp: PreProof) -> Optional[PreProof]:
+    """The pre-proof of the coarsest bisimulation of ``pp``'s proof graph,
+    or None when it merges no two nodes.
+
+    Buds are transparent: each closed node steps on branch ``i`` to its
+    child, or, when the child is a bud, to the bud's target, as long as
+    every bud has a back edge to a closed node with children (otherwise
+    None: the proof is decided as it is presented, and the first stage
+    raises the :class:`GtcError` of a missing back edge or target).  Two closed nodes are bisimilar when
+    they have the same sequent object and the same rule object, so the same
+    head step and occurrence steps, and bisimilar successors branch by
+    branch; then every path from either reads the same labels and carries
+    the same traces.  The initial partition keys the interned objects, so
+    no formula is walked, and :func:`_refine` stabilises it.
+
+    The quotient is a depth-first spanning tree of the classes from the
+    root's.  A class node has the id, sequent and rule of its first member
+    in preorder.  An edge to a class already placed is a new bud, with the
+    target's sequent and a back edge to it, named after the child of the
+    class's first member on that branch (with a ``'`` added while the name
+    is taken).  The quotient shares ``pp``'s inferences and occurrence
+    steps, so each distinct head step is still taken once.
+    """
+    nodes, table = pp.nodes, pp.successor_table
+    closed = [n for n in nodes.values() if n.rule is not None]
+    labels: dict[tuple, int] = {}
+    block = [labels.setdefault((n.seq, n.rule), len(labels)) for n in closed]
+    if len(labels) == len(closed):
+        return None
+    number = {n.id: i for i, n in enumerate(closed)}
+    for leaf in pp.open_leaves():  # a bud lands on its target
+        out = table[leaf.id]
+        i = None if out is None else number.get(out[0])
+        if i is None or not closed[i].children:
+            return None
+        number[leaf.id] = i
+    land = number.__getitem__
+    succ = [tuple(map(land, table[n.id])) for n in closed]
+    count = _refine(succ, block, len(labels))
+    if count == len(closed):
+        return None
+
+    first = [-1] * count
+    for i in reversed(range(len(closed))):
+        first[block[i]] = i
+    taken = {closed[i].id for i in first}
+    back: dict[str, str] = {}
+    placed = {block[0]}
+    stack: list[list] = [[0, 0, []]]  # [first member, next branch, kids]
+    while True:
+        frame = stack[-1]
+        r, a, kids = frame
+        if a < len(succ[r]):
+            frame[1] = a + 1
+            t = block[succ[r][a]]
+            if t not in placed:
+                placed.add(t)
+                stack.append([first[t], 0, []])
+                continue
+            name = table[closed[r].id][a]
+            while name in taken:
+                name += "'"
+            taken.add(name)
+            target = closed[first[t]]
+            back[name] = target.id
+            kids.append(DerivTree(name, target.seq, None))
+            continue
+        stack.pop()
+        n = closed[r]
+        tree = DerivTree(n.id, n.seq, n.rule, tuple(kids))
+        if not stack:
+            break
+        stack[-1][2].append(tree)
+    quotient = PreProof(tree, back)
+    object.__setattr__(quotient, "_inferences", pp._inferences)
+    object.__setattr__(quotient, "step_table", pp.step_table)
+    return quotient
+
+
+def _lift(pp: PreProof, quotient: PreProof, lasso: Lasso) -> Lasso:
+    """The path of ``pp`` that takes the branches ``lasso`` takes in
+    ``quotient``, as a lasso.
+
+    From the root of ``pp`` it takes, at each closed node, the branch the
+    quotient path takes at its next closed node: a bud of the quotient is
+    no step, and a bud of ``pp`` is a step the quotient path does not take.
+    The walk is deterministic, so it stops when it is at the start of the
+    quotient cycle at a node of ``pp`` where it was at a start before; the
+    lasso is then rotated as :func:`contains` rotates its own, which also
+    moves its cycle back to where it first began.
+    """
+    qnodes, qtable = quotient.nodes, quotient.successor_table
+    spine = lasso.spine
+    moves = [qtable[x].index(spine[lasso.successor_index(i)])
+             for i, x in enumerate(spine) if qnodes[x].rule is not None]
+    on_cycle = sum(qnodes[x].rule is not None for x in lasso.prefix)
+    nodes, table = pp.nodes, pp.successor_table
+    out: list[str] = []
+    laps: dict[str, int] = {}  # where the walk was at each start of the cycle
+    at, k = pp.tree.id, 0
+    while True:
+        if k == on_cycle:
+            if at in laps:
+                break
+            laps[at] = len(out)
+        out.append(at)
+        at = table[at][moves[k]]
+        if nodes[at].rule is None:
+            out.append(at)
+            at = table[at][0]
+        k = k + 1 if k + 1 < len(moves) else on_cycle
+    start = laps[at]
+    return _rotated(tuple(out[:start]), tuple(out[start:]))
 
 
 def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
@@ -659,6 +854,9 @@ def contains(pp: PreProof, trace: BuchiAutomaton, *, max_states: int = MAX_STATE
     the shortest v, and the end of u rotated into v while both end in the
     same node.  ``max_states`` caps the segments and partial segments and
     the loop elements together; going past it raises :class:`GtcUnknown`.
+    :func:`check_gtc` calls it on the bisimulation quotient of the proof,
+    so there the cap counts the quotient's segments and loop elements, and
+    the lasso is a path of the quotient, which :func:`check_gtc` lifts.
     Raises :class:`GtcError` when an open leaf has no back edge or a back
     edge targets a missing node.
     """
@@ -677,10 +875,15 @@ def contains(pp: PreProof, trace: BuchiAutomaton, *, max_states: int = MAX_STATE
             found = (prefix[c], v)
     if found is None:
         return True, None
-    u, v = found
+    return False, _rotated(*found)
+
+
+def _rotated(u: Word, v: Word) -> Lasso:
+    """``u · v^omega``, with the end of ``u`` rotated into ``v`` while both
+    end in the same node."""
     while u and u[-1] == v[-1]:
         u, v = u[:-1], (u[-1],) + v[:-1]
-    return False, Lasso(u, v)
+    return Lasso(u, v)
 
 
 def check_gtc(pp: PreProof, *, max_states: int = MAX_STATES
@@ -692,11 +895,24 @@ def check_gtc(pp: PreProof, *, max_states: int = MAX_STATES
     nu-trace on any tail).  Raises :class:`GtcUnknown` when the state cap
     was exceeded — never a wrong boolean — and :class:`GtcError` when an
     open leaf has no back edge or a back edge targets a missing node.
+
+    The condition is decided on the coarsest bisimulation quotient of the
+    proof graph (:func:`_quotient`), in which each bud stands for its
+    companion, so a cycle unrolled m times is decided on one lap's classes.
+    When nothing merges, that is the proof itself.  A counterexample of the
+    quotient is lifted back to a lasso of the proof by following its
+    branches from the root (:func:`_lift`).  ``max_states`` caps the
+    quotient's segments, partial segments and loop elements.
     """
+    quotient = _quotient(pp)
+    decided = pp if quotient is None else quotient
     # the path automaton decides nothing; bench/worker.py times these four
     # calls as stages, looked up on this module by name and in this order
-    build_path_automaton(pp)
-    return contains(pp, trim(build_gtc_automaton(pp)), max_states=max_states)
+    build_path_automaton(decided)
+    ok, lasso = contains(decided, trim(build_gtc_automaton(decided)), max_states=max_states)
+    if lasso is None or quotient is None:
+        return ok, lasso
+    return ok, _lift(pp, quotient, lasso)
 
 
 class Accepted(Record):

@@ -63,8 +63,9 @@ class Quoted(str):
 # A token is a parenthesis, a string literal, a comment, an atom, or the
 # opening quote of an unterminated string.  Only blanks match none of these,
 # and findall skips them.
-_TOKEN_RE = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|;[^\n]*|[^ \t\r\n();"]+|"',
-                       re.DOTALL)
+_ATOM = r'[^ \t\r\n();"]+'
+_TOKEN_RE = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|;[^\n]*|' + _ATOM + '|"', re.DOTALL)
+_ATOM_RE = re.compile(_ATOM)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -227,9 +228,17 @@ def _formula(e: Expr) -> Quoted:
     return _readable(e, to_str, parse_expr)
 
 
+def _name(x: str, what: str) -> str:
+    """``x``, once it reads back as one bare atom, or a ProofFormatError."""
+    if not _ATOM_RE.fullmatch(x):
+        raise ProofFormatError(f"{what} {x!r} is not a bare name")
+    return x
+
+
 def rule_to_form(rule: Rule) -> list:
     """The body of the (rule ...) form of ``rule``; a formula parameter that
-    would not parse back as itself raises ProofFormatError."""
+    would not parse back as itself, or a name parameter that is not one bare
+    atom, raises ProofFormatError."""
     parts: list = [rule.tag]
     if isinstance(rule, Cut):
         parts.append(_formula(rule.formula))
@@ -237,18 +246,18 @@ def rule_to_form(rule: Rule) -> list:
         parts.append(str(rule.pos))
     elif isinstance(rule, Subst):
         for x, e in rule.mapping:
-            parts.append([x, _formula(e)])
+            parts.append([_name(x, "Subst variable"), _formula(e)])
     elif isinstance(rule, Mono):
-        parts += [_formula(rule.formula), rule.var,
+        parts += [_formula(rule.formula), _name(rule.var, "Mono variable"),
                   _formula(rule.lower), _formula(rule.upper),
-                  list(rule.names)]
+                  [_name(y, "Mono fresh name") for y in rule.names]]
     elif isinstance(rule, EqL):
-        parts += [rule.hole_l, rule.hole_r,
+        parts += [_name(rule.hole_l, "EqL hole"), _name(rule.hole_r, "EqL hole"),
                   _formula(rule.lhs), _formula(rule.rhs),
                   ["left"] + [_formula(g) for g in rule.left_ctx],
                   ["right"] + [_formula(d) for d in rule.right_ctx]]
     elif isinstance(rule, Nat):
-        parts.append(rule.var)
+        parts.append(_name(rule.var, "Nat variable"))
     return parts
 
 
@@ -394,11 +403,13 @@ def dumps_preproof(pp: PreProof) -> str:
 
     Each distinct sequent and rule is printed once, and checked once to parse
     back as itself; if one does not, a ProofFormatError names the first node
-    in preorder that holds it.
+    in preorder that holds it.  So does a node id, a back-edge end or a name
+    parameter of a rule that is not one bare atom of the grammar.
     """
     forms: dict[int, object] = {}  # id of each sequent and rule -> its entry
     lines = []
     for node in pp.tree.walk():
+        _name(node.id, "node id")
         try:
             seq = forms.get(id(node.seq))
             if seq is None:
@@ -415,7 +426,8 @@ def dumps_preproof(pp: PreProof) -> str:
             raise ProofFormatError(f"node {node.id}: {exc}") from None
         lines.append(_write_form(parts))
     for leaf_id in sorted(pp.back_edges):
-        lines.append(_write_form(["back", leaf_id, pp.back_edges[leaf_id]]))
+        target = _name(pp.back_edges[leaf_id], f"node {leaf_id}: back-edge target")
+        lines.append(_write_form(["back", _name(leaf_id, "back-edge source"), target]))
     return "\n".join(lines) + "\n"
 
 

@@ -1248,13 +1248,16 @@ def print_template(e: Expr) -> Template:
             out.append("Z")
             continue
         if isinstance(e, Succ):
-            n = numeral_value(e)
-            if n is not None:
+            # the whole chain of S at once, so it is walked once
+            n, bottom = 0, e
+            while isinstance(bottom, Succ):
+                n += 1
+                bottom = bottom.arg
+            if isinstance(bottom, Zero):
                 out.append(str(n))
                 continue
             # the parser reads S S x, so a chain of S takes no parentheses
-            arg_level = 4 if isinstance(e.arg, Succ) else 5
-            prec, parts = 4, ["S ", (e.arg, arg_level, path + (0,))]
+            prec, parts = 4, ["S " * n, (bottom, 5, path + (0,) * n)]
         elif isinstance(e, BINDERS):
             binding = f" {e.var}:{type_to_str(e.var_type)}. "
             body = (e.body, 0, path + (0,))

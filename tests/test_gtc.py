@@ -887,3 +887,151 @@ class TestReporting:
         report = counterexample_report(pp, res.lasso)
         assert len(built) == len({id(e) for e in built}) == 4
         assert report == counterexample_report(loads_preproof(dumps_preproof(pp)), res.lasso)
+
+
+# ---------------------------------------------------------------------------
+# the bisimulation quotient: a presentation's laps cost nothing
+# ---------------------------------------------------------------------------
+
+
+def unroll(pp: PreProof, leaf: str) -> tuple[PreProof, dict[str, str]]:
+    """``pp`` with the bud ``leaf`` replaced by a copy of its companion's
+    subtree, whose own buds point back where the buds they copy point, and
+    the map from each copied node's id to its copy's.
+
+    The infinite unfolding from the root is unchanged.
+    """
+    companion = pp.node(pp.back_edges[leaf])
+    suffix = f"'{len(pp.nodes)}"
+    copies = {n.id: n.id + suffix for n in companion.walk()}
+    assert not set(copies.values()) & set(pp.nodes)
+
+    def copy(n: DerivTree) -> DerivTree:
+        return DerivTree(copies[n.id], n.seq, n.rule, tuple(map(copy, n.children)))
+
+    def rebuild(n: DerivTree) -> DerivTree:
+        if n.id == leaf:
+            return copy(companion)
+        return DerivTree(n.id, n.seq, n.rule, tuple(map(rebuild, n.children)))
+
+    back = {k: v for k, v in pp.back_edges.items() if k != leaf}
+    back.update({copies[k]: v for k, v in pp.back_edges.items() if k in copies})
+    return PreProof(rebuild(pp.tree), back), copies
+
+
+def classes(pp: PreProof) -> int:
+    """The closed nodes of the graph check_gtc decides: the classes of the
+    coarsest bisimulation."""
+    decided = gtc._quotient(pp) or pp
+    return sum(n.rule is not None for n in decided.nodes.values())
+
+
+def assert_real_witness(pp: PreProof, lasso: Lasso) -> None:
+    spine = lasso.spine
+    assert spine[0] == pp.tree.id
+    for i, n in enumerate(spine):
+        assert spine[lasso.successor_index(i)] in kernel.successors(pp, n)
+    assert not lasso_good(pp, lasso)
+
+
+UNROLLED = DIFFERENTIAL + bench_family_proofs()
+
+
+@pytest.mark.parametrize("name,pp", UNROLLED, ids=[name for name, _ in UNROLLED])
+def test_unrolling_keeps_the_verdict_and_the_classes(name, pp):
+    ok, lasso = check_gtc(pp)
+    if lasso is not None:
+        assert_real_witness(pp, lasso)
+    want = classes(pp)
+    for leaf in sorted(pp.back_edges):
+        unrolled, at = pp, leaf
+        for _times in range(3):
+            unrolled, copies = unroll(unrolled, at)
+            assert validate_preproof(unrolled) == []
+            got, witness = check_gtc(unrolled)
+            assert got == ok
+            if witness is not None:
+                assert_real_witness(unrolled, witness)
+            assert classes(unrolled) == want
+            # unroll next at the copy of the bud, or at the first bud copied
+            at = copies.get(at) or next(
+                (c for c in copies.values() if c in unrolled.back_edges), None)
+            if at is None:
+                break
+
+
+def moore_classes(succ: list[tuple[int, ...]], labels: list[int]) -> set[frozenset[int]]:
+    """The coarsest stable partition by rounds: each round splits every block
+    by the blocks of its nodes' successors, until one splits nothing."""
+    block = list(labels)
+    while True:
+        keys: dict = {}
+        block2 = [keys.setdefault((block[s], tuple(block[t] for t in out)), len(keys))
+                  for s, out in enumerate(succ)]
+        if len(keys) == len(set(block)):
+            break
+        block = block2
+    parts: dict[int, set[int]] = {}
+    for s, b in enumerate(block):
+        parts.setdefault(b, set()).add(s)
+    return {frozenset(p) for p in parts.values()}
+
+
+def test_refinement_agrees_with_rounds():
+    # small random graphs of up to 3 labels and arities 0 to 2, arities
+    # mixed within a label
+    rng = random.Random(0)
+    for _ in range(3000):
+        n = rng.randrange(1, 12)
+        succ = [tuple(rng.randrange(n) for _ in range(rng.randrange(3))) for _ in range(n)]
+        labels = [rng.randrange(1 + rng.randrange(3)) for _ in range(n)]
+        block = [sorted(set(labels)).index(x) for x in labels]
+        count = gtc._refine(succ, block, len(set(labels)))
+        parts: dict[int, set[int]] = {}
+        for s, b in enumerate(block):
+            parts.setdefault(b, set()).add(s)
+        assert count == len(parts)
+        assert {frozenset(p) for p in parts.values()} == moore_classes(succ, labels)
+
+
+def lap_chain(laps: int) -> PreProof:
+    """A cycle of exchanges on ``|- 0 = 0, 1 = 1, 2 = 2``: ``laps - 1`` laps
+    of two ``ExR(0)``, then one of two ``ExR(1)``, then a back edge.
+
+    Every lap but the last repeats the same sequents and rules, so no two
+    nodes are bisimilar, and rounds of splitting separate one more lap from
+    the end in each round.  It has no fixed point, so its one cycle is its
+    witness.
+    """
+    rules = [ExR(0), ExR(0)] * (laps - 1) + [ExR(1), ExR(1)]
+    return unfolding_loop("|- 0 = 0, 1 = 1, 2 = 2", rules, "n0")
+
+
+def test_refinement_is_not_quadratic_on_a_repeating_cycle():
+    pp = lap_chain(1000)
+    assert validate_preproof(pp) == []
+    start = time.perf_counter()
+    ok, lasso = check_gtc(pp)
+    assert time.perf_counter() - start < 1
+    assert gtc._quotient(pp) is None
+    assert (ok, lasso) == (False, Lasso((), tuple(f"n{i}" for i in range(2001))))
+
+
+def test_the_decided_graph_does_not_grow_with_laps(monkeypatch):
+    # long_cycle(m) has 4m + 1 nodes over 4 sequents; the trace automaton is
+    # built on its 4 classes and one bud, whatever m
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from families import long_cycle
+    built = []
+    real = gtc.build_gtc_automaton
+
+    def counted(pp):
+        out = real(pp)
+        built.append((len(pp.nodes), len(out.states)))
+        return out
+
+    monkeypatch.setattr(gtc, "build_gtc_automaton", counted)
+    for m in (1, 8, 64):
+        assert check_cyclic_proof(long_cycle(m, random.Random(m)).pp) == Accepted()
+    assert built == [(5, 5)] * 3

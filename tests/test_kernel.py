@@ -898,6 +898,18 @@ class TestProofFiles:
                            match="^node r: 'Z' parses back as something else$"):
             dumps_preproof(pp)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda leaf: PreProof(DerivTree("a b", ps("|- p"), WkR(), (leaf,)), {"l": "a b"}),
+         "^node id 'a b' is not a bare name$"),
+        (lambda leaf: PreProof(DerivTree("r", ps("|-"), Nat("x y"), (leaf,)), {"l": "r"}),
+         "^node r: Nat variable 'x y' is not a bare name$"),
+    ], ids=["node_id", "nat_variable"])
+    def test_a_name_that_is_not_one_atom_is_not_dumped(self, build, message):
+        # written as it is, the name would load as two atoms or fail to load
+        pp = build(DerivTree("l", ps("|-"), None))
+        with pytest.raises(ProofFormatError, match=message):
+            dumps_preproof(pp)
+
     def test_child_cycle_rejected(self):
         text = ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'
                 '(node n1 (seq "p |- p") (rule WkL) (children n0))\n')

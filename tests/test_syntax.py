@@ -313,6 +313,29 @@ def test_numerals_print_as_decimals():
     assert numeral_value(Succ(Var("x"))) is None
 
 
+def _best_time(f, repeat: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_a_successor_chain_prints_in_linear_time():
+    # the chain is walked once at its top, not once per S: a quadratic
+    # printer takes 16 times as long at 4n
+    def chain(n):
+        e = Var("x")
+        for _ in range(n):
+            e = Succ(e)
+        return e
+
+    short, long = chain(1000), chain(4000)
+    assert to_str(long) == "S " * 4000 + "x"
+    assert _best_time(lambda: to_str(long)) < 8 * _best_time(lambda: to_str(short))
+
+
 def test_reserved_words():
     with pytest.raises(HflSyntaxError):
         parse_expr("mu mu:O. x")
