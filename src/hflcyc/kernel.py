@@ -597,6 +597,48 @@ class DerivTree(Record):
             yield node
             stack.extend(reversed(node.children))
 
+    # Value operations on a deep tree run from explicit stacks: the ones
+    # Record inherits from tuples recurse once per level.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if (b.__class__ is not a.__class__ or a.id != b.id or a.seq != b.seq
+                    or a.rule != b.rule or len(a.children) != len(b.children)):
+                return False
+            todo += zip(a.children, b.children)
+        return True
+
+    def __hash__(self) -> int:
+        """The hash of the fields, each child's hash standing for the child."""
+        hashes: dict[int, int] = {}
+        for node in reversed(list(self.walk())):  # each child before its parent
+            hashes[id(node)] = hash((node.id, node.seq, node.rule,
+                                     tuple([hashes[id(c)] for c in node.children])))
+        return hashes[id(self)]
+
+    def __reduce__(self):
+        """Pickle and copy the nodes as one flat list, each after its
+        children (see :func:`_tree_from_nodes`)."""
+        return _tree_from_nodes, (tuple([(n.id, n.seq, n.rule, len(n.children))
+                                         for n in reversed(list(self.walk()))]),)
+
+
+def _tree_from_nodes(nodes: tuple[tuple[str, Sequent, Optional[Rule], int], ...]) -> DerivTree:
+    """The tree whose preorder, reversed, lists ``nodes`` as (id, sequent,
+    rule, number of children): a node's last child comes first."""
+    built: list[DerivTree] = []  # finished subtrees, the first child on top
+    for node_id, seq, rule, count in nodes:
+        first = len(built) - count
+        children, built[first:] = tuple(reversed(built[first:])), []
+        built.append(DerivTree(node_id, seq, rule, children))
+    return built[0]
+
 
 class PreProof(Record):
     """A derivation tree plus a back-edge target for every open leaf.

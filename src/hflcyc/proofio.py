@@ -3,10 +3,20 @@
 File grammar (one form per line by convention, but whitespace is free):
 
     ; comment until end of line
-    (node <id> (seq "<Gamma |- Delta>") (rule <Tag> <params...>) (children <id>*))
-    (node <id> (seq "<Gamma |- Delta>") open)
+    (seq <name> "<Gamma |- Delta>")          a sequent table entry
+    (rule <name> <Tag> <params...>)          a rule table entry
+    (node <id> <seq-name> <rule-name> <child-id>*)
+    (node <id> <seq-name> open)
     (back <open-leaf-id> <target-id>)
 
+A node names its sequent and rule by table entries above it.  The inline
+shape, with no tables, reads too:
+
+    (node <id> (seq "<Gamma |- Delta>") (rule <Tag> <params...>) (children <id>*))
+    (node <id> (seq "<Gamma |- Delta>") open)
+
+Sequent names, rule names and node ids are three separate name spaces, and
+a node whose sequent name is followed by ``open`` alone is an open leaf.
 The root is the unique node that is nobody's child.  Rule parameters:
 
     Cut    "<formula>"
@@ -19,17 +29,20 @@ The root is the unique node that is nobody's child.  Rule parameters:
 
 Formulas and sequents are quoted strings in the concrete syntax of the
 `syntax` module; backslash and double quote are escaped with a backslash.
+:func:`dumps_preproof` writes the tables, then one short line per node, so a
+text grows with its distinct sequents and rules, and by a few names per node.
 
-Reading costs one table lookup per repeated string: the text is split into
+Reading costs one table lookup per repeated object: the text is split into
 tokens by one regular-expression pass, each distinct string literal is
-unescaped once, each distinct ``(seq "...")`` string is parsed once, and each
-distinct ``(rule ...)`` form is built once.  Each ``(node ...)`` form is
-checked in place, by its length and the heads of its entries, with no copy
-of its tail; a child id that is a plain atom passes with one type test.  A
-malformed text raises :class:`ProofFormatError`; the line and column of the
-offending token are found only then.  These tables only save work: equal
-sequents and rules are one object because they are interned when they are
-built.
+unescaped once, each distinct sequent string is parsed once, and each rule
+table entry, or distinct inline ``(rule ...)`` form, is built once (a
+``Subst`` once per child sequent).  A node line is checked in place, by its
+length and the types of its entries, and resolves its names with one dict
+lookup each.  The tree is built in one walk from the root and one pass back
+up.  A malformed text raises :class:`ProofFormatError`; the line and column
+of the offending token are found only then.  These tables only save work:
+equal sequents and rules are one object because they are interned when they
+are built.
 """
 
 from __future__ import annotations
@@ -60,11 +73,14 @@ class Quoted(str):
     """A string literal, as opposed to a bare atom."""
 
 
-# A token is a parenthesis, a string literal, a comment, an atom, or the
-# opening quote of an unterminated string.  Only blanks match none of these,
-# and findall skips them.
+# A token is a flat form, a parenthesis, a string literal, a comment, an
+# atom, or the opening quote of an unterminated string.  Only blanks match
+# none of these, and findall skips them.  A flat form is a parenthesised list
+# of atoms that hold no whitespace of any kind, which str.split cuts apart.
 _ATOM = r'[^ \t\r\n();"]+'
-_TOKEN_RE = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|;[^\n]*|' + _ATOM + '|"', re.DOTALL)
+_FLAT = r'\([ \t\r\n]*(?:[^\s();"]+(?:[ \t\r\n]+[^\s();"]+)*[ \t\r\n]*)?\)'
+_TOKEN_RE = re.compile(_FLAT + r'|[()]|"[^"\\]*(?:\\.[^"\\]*)*"|;[^\n]*|' + _ATOM + '|"',
+                       re.DOTALL)
 _ATOM_RE = re.compile(_ATOM)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
@@ -81,9 +97,9 @@ def _read_forms(text: str) -> list:
     """The forms of ``text``: a parenthesised form is a list, an atom a str,
     and a string literal a :class:`Quoted`.
 
-    Tokens come from one ``findall``; each distinct string-literal token is
-    unescaped once, and equal literals read as one object.  A line and column
-    are computed only for an error.
+    Tokens come from one ``findall``, a flat form of atoms being one token;
+    each distinct string-literal token is unescaped once, and equal literals
+    read as one object.  A line and column are computed only for an error.
     """
     tokens = _TOKEN_RE.findall(text)
     strings: dict[str, Quoted] = {}
@@ -92,11 +108,16 @@ def _read_forms(text: str) -> list:
     it = iter(tokens)
     for tok in it:
         first = tok[0]
-        if first == "(":
-            new: list = []
-            top.append(new)
-            stack.append(top)
-            top = new
+        if first not in '()";':  # an atom; a comment matches no branch
+            top.append(tok)
+        elif first == "(":
+            if tok == "(":
+                new: list = []
+                top.append(new)
+                stack.append(top)
+                top = new
+            else:
+                top.append(tok[1:-1].split())
         elif first == ")":
             if not stack:
                 raise ProofFormatError(_where(text, tokens, it, "unbalanced ')'"))
@@ -108,8 +129,6 @@ def _read_forms(text: str) -> list:
                     raise ProofFormatError(_where(text, tokens, it, "unterminated string literal"))
                 quoted = strings[tok] = _unquote(tok)
             top.append(quoted)
-        elif first != ";":
-            top.append(tok)
     if stack:
         raise ProofFormatError("unbalanced '(' at end of input")
     return forms
@@ -269,58 +288,90 @@ def rule_to_form(rule: Rule) -> list:
 def loads_preproof(text: str) -> PreProof:
     """The pre-proof written in ``text``, in the grammar of this module.
 
-    The text is read in one pass (see :func:`_read_forms`).  Each distinct
-    ``(seq "...")`` string is unescaped and parsed once, because parsing is
-    the dearest part of a load, and each distinct ``(rule ...)`` form is built
-    once.
+    The text is read in one pass (see :func:`_read_forms`).  A node names its
+    sequent and rule in the tables above it, or writes them inline; each
+    distinct sequent string is unescaped and parsed once, because parsing is
+    the dearest part of a load, and each rule table entry or distinct inline
+    ``(rule ...)`` form is built once (a ``Subst`` once per child sequent).
     Raises :class:`ProofFormatError` or the parser's :class:`HflError`.
     """
-    raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]] = {}
+    raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]] = {}
     back: dict[str, str] = {}
-    sequents: dict[Quoted, Sequent] = {}
+    sequents: dict[Quoted, Sequent] = {}  # each distinct sequent string, parsed
+    seq_names: dict[str, Sequent] = {}
+    rule_names: dict[str, tuple] = {}  # name -> (rule key, rule body)
     for form in _read_forms(text):
         if not (isinstance(form, list) and form):
             raise ProofFormatError(f"expected a (node ...) or (back ...) form, got {form!r}")
         head = form[0]
-        if head == "back":
-            if len(form) != 3:
+        size = len(form)
+        if head == "node":
+            if size < 3:
+                raise ProofFormatError("(node ...) needs an id and a (seq ...) entry")
+            node_id = form[1]
+            if type(node_id) is not str:  # a literal or a list
+                _atom_param(node_id, "node id")
+            if node_id in raw_nodes:
+                raise ProofFormatError(f"duplicate node id {node_id!r}")
+            ref = form[2]
+            named = type(ref) is str  # a sequent name, then a rule name and the children
+            if named:
+                seq = seq_names.get(ref)
+                if seq is None:
+                    raise ProofFormatError(f"node {node_id}: unknown sequent name {ref!r}")
+            elif (isinstance(ref, list) and len(ref) == 2 and ref[0] == "seq"
+                    and isinstance(ref[1], Quoted)):
+                seq = sequents.get(ref[1])
+                if seq is None:
+                    seq = sequents[ref[1]] = parse_sequent(str(ref[1]))
+            else:
+                raise ProofFormatError(
+                    f'node {node_id}: expected (seq "...") or a sequent name')
+            if size == 4 and form[3] == "open":
+                raw_nodes[node_id] = (seq, None, [])
+                continue
+            if named:
+                if size == 3:
+                    raise ProofFormatError(f"node {node_id}: expected a rule name or open")
+                rule = rule_names.get(form[3]) if type(form[3]) is str else None
+                if rule is None:
+                    raise ProofFormatError(f"node {node_id}: unknown rule name {form[3]!r}")
+                kids = form[4:]
+            else:
+                ref = form[3] if size in (4, 5) else None
+                if not (isinstance(ref, list) and ref and ref[0] == "rule"):
+                    raise ProofFormatError(f"node {node_id}: expected (rule ...) or open")
+                rule = (None, ref[1:])
+                kids = []
+                if size == 5:
+                    children = form[4]
+                    if not (isinstance(children, list) and children and children[0] == "children"):
+                        raise ProofFormatError(f"node {node_id}: expected (children ...)")
+                    kids = children[1:]
+            for k in kids:
+                if type(k) is not str:  # a literal or a list
+                    _atom_param(k, "child id")
+            raw_nodes[node_id] = (seq, rule, kids)
+        elif head == "seq":
+            name = _table_name(form, seq_names, "sequent")
+            if size != 3 or not isinstance(form[2], Quoted):
+                raise ProofFormatError(f"sequent {name}: (seq {name} ...) takes one quoted sequent")
+            seq = sequents.get(form[2])
+            if seq is None:
+                seq = sequents[form[2]] = parse_sequent(str(form[2]))
+            seq_names[name] = seq
+        elif head == "rule":
+            name = _table_name(form, rule_names, "rule")
+            rule_names[name] = ((name,), form[2:])
+        elif head == "back":
+            if size != 3:
                 raise ProofFormatError("(back ...) takes a leaf id and a target id")
             leaf_id = _atom_param(form[1], "leaf id")
             if leaf_id in back:
                 raise ProofFormatError(f"duplicate (back ...) form for leaf {leaf_id!r}")
             back[leaf_id] = _atom_param(form[2], "target id")
-            continue
-        if head != "node":
+        else:
             raise ProofFormatError(f"unknown top-level form {head!r}")
-        size = len(form)
-        if size < 3:
-            raise ProofFormatError("(node ...) needs an id and a (seq ...) entry")
-        node_id = _atom_param(form[1], "node id")
-        if node_id in raw_nodes:
-            raise ProofFormatError(f"duplicate node id {node_id!r}")
-        seq_form = form[2]
-        if not (isinstance(seq_form, list) and len(seq_form) == 2 and seq_form[0] == "seq"
-                and isinstance(seq_form[1], Quoted)):
-            raise ProofFormatError(f"node {node_id}: expected (seq \"...\")")
-        seq = sequents.get(seq_form[1])
-        if seq is None:
-            seq = sequents[seq_form[1]] = parse_sequent(str(seq_form[1]))
-        if size == 4 and form[3] == "open":
-            raw_nodes[node_id] = (seq, None, [])
-            continue
-        rule_form = form[3] if size in (4, 5) else None
-        if not (isinstance(rule_form, list) and rule_form and rule_form[0] == "rule"):
-            raise ProofFormatError(f"node {node_id}: expected (rule ...) or open")
-        kids: list[str] = []
-        if size == 5:
-            children = form[4]
-            if not (isinstance(children, list) and children and children[0] == "children"):
-                raise ProofFormatError(f"node {node_id}: expected (children ...)")
-            kids = children[1:]
-            for k in kids:
-                if type(k) is not str:  # a literal or a list
-                    _atom_param(k, "child id")
-        raw_nodes[node_id] = (seq, rule_form[1:], kids)
 
     if not raw_nodes:
         raise ProofFormatError("no (node ...) forms in input")
@@ -334,6 +385,15 @@ def loads_preproof(text: str) -> PreProof:
     if orphans:
         raise ProofFormatError(f"nodes not reachable from the root: {sorted(orphans)}")
     return PreProof(tree, back)
+
+
+def _table_name(form: list, table: dict, what: str) -> str:
+    """The name that a (seq ...) or (rule ...) table form defines, once it is
+    a bare atom that ``table`` does not hold yet."""
+    name = _atom_param(form[1] if len(form) > 1 else None, f"{what} name")
+    if name in table:
+        raise ProofFormatError(f"duplicate {what} name {name!r}")
+    return name
 
 
 def _form_key(form: list) -> tuple:
@@ -357,78 +417,104 @@ def _form_key(form: list) -> tuple:
     return tuple(out)
 
 
-def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[list], list[str]]],
+def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]],
                 root: str) -> tuple[DerivTree, set[str]]:
     """The tree below ``root``, built without recursion, and the ids in it.
 
-    Each node is entered, then left after its children in order, so errors
-    come in the order of a recursive build.
+    One walk from the root, last child first, lists the nodes; reversed, the
+    list is the postorder, in which each node is built from its children
+    and rules are built from the leaf up.  A node reached twice is its own
+    ancestor or is listed as a child twice.  A node's rule is ``None``
+    (open) or a pair of a key and a rule body; the key is the table name's
+    1-tuple, or ``None`` for an inline form, which :func:`_form_key` keys.
     """
-    built: list[DerivTree] = []  # finished subtrees whose parent is pending
-    rules: dict[tuple, Rule] = {}  # one object per distinct (rule ...) form
-    path: set[str] = set()
+    order: list[str] = []
     seen: set[str] = set()
-    stack = [(root, False)]
+    stack = [root]
     while stack:
-        node_id, leaving = stack.pop()
-        if not leaving:
-            if node_id not in raw_nodes:
-                raise ProofFormatError(f"child id {node_id!r} has no (node ...) form")
-            if node_id in path:
+        node_id = stack.pop()
+        if node_id in seen:
+            if _below(raw_nodes, node_id):
                 raise ProofFormatError(f"node {node_id!r} is its own ancestor")
-            path.add(node_id)
-            seen.add(node_id)
-            stack.append((node_id, True))
-            stack.extend((k, False) for k in reversed(raw_nodes[node_id][2]))
-            continue
-        path.discard(node_id)
-        seq, rule_form, kids = raw_nodes[node_id]
+            raise ProofFormatError(f"node {node_id!r} is listed as a child twice")
+        entry = raw_nodes.get(node_id)
+        if entry is None:
+            raise ProofFormatError(f"child id {node_id!r} has no (node ...) form")
+        seen.add(node_id)
+        order.append(node_id)
+        stack += entry[2]
+
+    built: list[DerivTree] = []  # finished subtrees whose parent is pending
+    rules: dict[tuple, Rule] = {}  # one object per table entry or inline form
+    for node_id in reversed(order):
+        seq, entry, kids = raw_nodes[node_id]
         first = len(built) - len(kids)
         children, built[first:] = tuple(built[first:]), []
         rule = None
-        if rule_form is not None:
-            key = _form_key(rule_form)
-            if rule_form and rule_form[0] == "Subst":  # the source is the child's sequent
+        if entry is not None:
+            key, parts = entry
+            if key is None:
+                key = _form_key(parts)
+            if parts and parts[0] == "Subst":  # the source is the child's sequent
                 key += tuple(id(c.seq) for c in children)
-            if key not in rules:
-                rules[key] = rule_from_form(rule_form, [c.seq for c in children])
-            rule = rules[key]
+            rule = rules.get(key)
+            if rule is None:
+                rule = rules[key] = rule_from_form(parts, [c.seq for c in children])
         built.append(DerivTree(node_id, seq, rule, children))
     return built[0], seen
+
+
+def _below(raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]],
+           node_id: str) -> bool:
+    """Whether ``node_id`` is among its own descendants."""
+    todo, seen = list(raw_nodes[node_id][2]), set()
+    while todo:
+        k = todo.pop()
+        if k == node_id:
+            return True
+        if k not in seen and k in raw_nodes:
+            seen.add(k)
+            todo += raw_nodes[k][2]
+    return False
 
 
 def dumps_preproof(pp: PreProof) -> str:
     """The text of ``pp`` in the grammar of this module, which
     :func:`loads_preproof` reads back as the same proof.
 
-    Each distinct sequent and rule is printed once, and checked once to parse
-    back as itself; if one does not, a ProofFormatError names the first node
-    in preorder that holds it.  So does a node id, a back-edge end or a name
-    parameter of a rule that is not one bare atom of the grammar.
+    The text is a table of the distinct sequents and rules, named ``s0, s1,
+    ...`` and ``r0, r1, ...`` in the preorder of their first node, then one
+    ``(node ...)`` line per node in preorder and one ``(back ...)`` line per
+    back edge.  Each table entry is checked once to parse back as itself; if
+    one does not, a ProofFormatError names the first node that holds it.  So
+    does a node id, a back-edge end or a name parameter of a rule that is not
+    one bare atom of the grammar.
     """
-    forms: dict[int, object] = {}  # id of each sequent and rule -> its entry
-    lines = []
+    seq_names: dict[int, str] = {}  # id of each sequent -> its table name
+    rule_names: dict[int, str] = {}  # id of each rule -> its table name
+    table, lines = [], []
     for node in pp.tree.walk():
         _name(node.id, "node id")
         try:
-            seq = forms.get(id(node.seq))
+            seq = seq_names.get(id(node.seq))
             if seq is None:
-                seq = forms[id(node.seq)] = _readable(node.seq, sequent_to_str, parse_sequent)
-            parts: list = ["node", node.id, ["seq", seq]]
+                seq = seq_names[id(node.seq)] = f"s{len(seq_names)}"
+                table.append(_write_form(
+                    ["seq", seq, _readable(node.seq, sequent_to_str, parse_sequent)]))
             if node.rule is None:
-                parts.append("open")
-            else:
-                rule = forms.get(id(node.rule))
-                if rule is None:
-                    rule = forms[id(node.rule)] = ["rule"] + rule_to_form(node.rule)
-                parts += [rule, ["children"] + [c.id for c in node.children]]
+                lines.append(_write_form(["node", node.id, seq, "open"]))
+                continue
+            rule = rule_names.get(id(node.rule))
+            if rule is None:
+                rule = rule_names[id(node.rule)] = f"r{len(rule_names)}"
+                table.append(_write_form(["rule", rule] + rule_to_form(node.rule)))
         except ProofFormatError as exc:
             raise ProofFormatError(f"node {node.id}: {exc}") from None
-        lines.append(_write_form(parts))
+        lines.append(_write_form(["node", node.id, seq, rule] + [c.id for c in node.children]))
     for leaf_id in sorted(pp.back_edges):
         target = _name(pp.back_edges[leaf_id], f"node {leaf_id}: back-edge target")
         lines.append(_write_form(["back", _name(leaf_id, "back-edge source"), target]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(table + lines) + "\n"
 
 
 def load_preproof(path) -> PreProof:

@@ -1,5 +1,7 @@
 """Path/trace automata and the decision of the global trace condition."""
 
+import copy
+import pickle
 import random
 import sys
 import time
@@ -669,6 +671,17 @@ class TestCheckCyclicProof:
         assert len(again.nodes) == 1202
         assert dumps_preproof(again) == text
 
+    def test_a_chain_compares_hashes_and_copies_without_recursion(self):
+        pp, again = exr_chain_proof(5000), exr_chain_proof(5000)
+        assert pp.tree is not again.tree
+        assert pp == again and hash(pp.tree) == hash(again.tree)
+        assert pp != exr_chain_proof(4999)
+        for copied in (pickle.loads(pickle.dumps(pp)), copy.deepcopy(pp)):
+            assert copied == pp and copied.tree is not pp.tree
+            assert copied.back_edges == pp.back_edges
+            assert [n.id for n in copied.tree.walk()] == [f"c{i}" for i in range(5001)]
+        assert loads_preproof(dumps_preproof(pp)) == pp
+
     @pytest.mark.parametrize("validate", [True, False])
     def test_each_head_step_is_taken_once(self, monkeypatch, validate):
         # validation and the trace automaton share each node's inference,
@@ -866,7 +879,7 @@ class TestReporting:
         # three laps of the loop with nu f read as mu f: a rejected cycle of
         # 13 nodes over four shared sequents, one formula each
         text = (dumps_preproof(unrolled_loop(3))
-                .replace("nu f", "mu f").replace("(rule NuR)", "(rule MuR)"))
+                .replace("nu f", "mu f").replace("(rule r0 NuR)", "(rule r0 MuR)"))
         pp = loads_preproof(text)
         res = check_cyclic_proof(pp)
         assert isinstance(res, Rejected) and len(res.lasso.cycle) == 13

@@ -755,6 +755,13 @@ class TestProofFiles:
         assert again == r'(a "x\"y\\zq")'
         assert proofio._read_forms(again) == forms
 
+    def test_an_atom_may_hold_whitespace_that_separates_nothing(self):
+        # a list of atoms is one token, cut apart by str.split, only where
+        # that gives the same atoms as the grammar does
+        text = "(a\u00a0b c\fd) (e \r\n f ()) ( ) (x\u2003y)"
+        assert proofio._read_forms(text) == [["a\u00a0b", "c\fd"], ["e", "f", []], [],
+                                             ["x\u2003y"]]
+
     def test_comments_and_whitespace(self):
         text = ('; a comment\n(node n0\n  (seq "p |- p")\n'
                 '  (rule Axiom) (children))\n')
@@ -825,6 +832,31 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") (rule Nat x y))', "Nat takes one variable parameter"),
         ('(node n0 (seq "p |- p") (rule Axiom x))', "Axiom takes no parameters"),
         ('(node n0 (seq "p |- p") (rule Cut p))', "Cut formula must be a quoted formula"),
+        # the table forms
+        ('(seq s0 "p |- p")\n(node n0 s1 open)', "node n0: unknown sequent name 's1'"),
+        ('(seq s0 "p |- p")\n(rule r0 Axiom)\n(node n0 s0 r1)', "node n0: unknown rule name 'r1'"),
+        # a name is defined above its first use, and a literal names nothing
+        ('(node n0 s0 open)\n(seq s0 "p |- p")', "node n0: unknown sequent name 's0'"),
+        ('(seq s0 "p |- p")\n(rule r0 Axiom)\n(node n0 s0 "r0")',
+         "node n0: unknown rule name 'r0'"),
+        ('(seq s0 "p |- p")\n(node n0 s0)', "node n0: expected a rule name or open"),
+        ('(seq s0 "p |- p")\n(seq s0 "q |- q")', "duplicate sequent name 's0'"),
+        ('(rule r0 Axiom)\n(rule r0 WkL)', "duplicate rule name 'r0'"),
+        ('(seq s0 p)', "sequent s0: (seq s0 ...) takes one quoted sequent"),
+        ('(seq s0)', "sequent s0: (seq s0 ...) takes one quoted sequent"),
+        ('(seq s0 "p |- p" "q |- q")', "sequent s0: (seq s0 ...) takes one quoted sequent"),
+        ('(seq "s0" "p |- p")', "sequent name must be a bare name"),
+        ('(rule)', "rule name must be a bare name"),
+        ('(seq s0 "p |- p")\n(rule r0)\n(node n0 s0 r0)', "empty (rule) form"),
+        ('(seq s0 "p |- p")\n(rule r0 Subst (x "Z"))\n(node n0 s0 r0)',
+         "Subst requires exactly one child"),
+        # a node reached twice from the root, though no node is its own ancestor
+        ('(node n0 (seq "p |- p") (rule OrL) (children a b))\n'
+         '(node a (seq "p |- p") (rule WkL) (children c))\n'
+         '(node b (seq "p |- p") (rule WkL) (children c))\n'
+         '(node c (seq "p |- p") open)', "node 'c' is listed as a child twice"),
+        ('(node n0 (seq "p |- p") (rule OrL) (children a a))\n'
+         '(node a (seq "p |- p") open)', "node 'a' is listed as a child twice"),
     ])
     def test_format_errors(self, bad, hint):
         with pytest.raises(ProofFormatError) as err:
@@ -854,6 +886,27 @@ class TestProofFiles:
         assert len(pp.nodes) == 21
         assert calls == [["LamR"], ["MuR"]]
         assert len({id(n.rule) for n in pp.tree.walk() if not n.is_open()}) == 2
+
+    def test_a_dump_writes_each_distinct_sequent_once(self):
+        pp = unrolled_loop(64)
+        text = dumps_preproof(pp)
+        assert len(text) < 10_000
+        seqs = {n.seq for n in pp.tree.walk()}
+        assert len(seqs) == 4
+        for seq in seqs:
+            assert text.count(proofio._quote(sequent_to_str(seq))) == 1
+        assert text.count("(node ") == len(pp.nodes) == 257
+
+    def test_an_inline_text_loads_and_dumps_to_tables(self):
+        # the corpus file has no tables: each node writes its sequent and rule
+        text = (CORPUS / "higher_order_loop.hflp").read_text(encoding="utf-8")
+        assert "(seq s" not in text
+        pp = loads_preproof(text)
+        dumped = dumps_preproof(pp)
+        assert dumped.count("(seq ") == 4 and dumped.count("(rule ") == 3
+        again = loads_preproof(dumped)
+        assert again == pp and dumps_preproof(again) == dumped
+        assert repr(check_cyclic_proof(again)) == repr(check_cyclic_proof(pp)) == "Accepted()"
 
     def test_one_subst_form_is_built_once_per_child_sequent(self):
         text = (r'(node r (seq "p (S Z) \\/ p (S Z) |- S Z = S Z") (rule OrL) (children a b))'

@@ -190,6 +190,10 @@ def test_keywords_name_the_fields():
 
 
 RECORDS_TO_COPY = {
+    # two children, so that a copy keeps their order
+    "DerivTree": lambda: DerivTree("n0", ROOT_SEQ, OrR(), (
+        DerivTree("n1", LEAF_SEQ, None),
+        DerivTree("n2", ROOT_SEQ, OrR(), (DerivTree("n3", LEAF_SEQ, None),)))),
     "Lasso": lambda: Lasso(("n0",), ("n1", "n2")),
     "Rejected": lambda: Rejected("structural", issues=(ValidationIssue("n0", "bad"),),
                                  lasso=Lasso((), ("n0",)), detail="n0: bad"),
