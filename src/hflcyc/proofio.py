@@ -3,46 +3,62 @@
 File grammar (one form per line by convention, but whitespace is free):
 
     ; comment until end of line
-    (seq <name> "<Gamma |- Delta>")          a sequent table entry
-    (rule <name> <Tag> <params...>)          a rule table entry
+    (type <name> <arg-type> <result-type>)          an arrow type table entry
+    (form <name> <Tag> <field>*)                    a formula table entry
+    (seq <name> <formula>* |- <formula>*)           a sequent table entry
+    (rule <name> <Tag> <params...>)                 a rule table entry
     (node <id> <seq-name> <rule-name> <child-id>*)
     (node <id> <seq-name> open)
     (back <open-leaf-id> <target-id>)
 
-A node names its sequent and rule by table entries above it.  The inline
-shape, with no tables, reads too:
+An entry names only entries above it.  Types, formulas, sequents, rules and
+nodes are five separate name spaces; the types ``N`` and ``O`` are defined
+from the start.  A formula entry is one node of the formula syntax, its tag
+the class name and its fields those of the class, in order:
+
+    Var x     Zero     Succ f     Eq f f     Or f f     And f f     App f f
+    Lam x T f     Mu x T f     Nu x T f
+
+where ``x`` is a variable, which must be a name that the formula grammar
+reads as that variable (so not ``Z``, ``S``, ``mu`` or ``nu``), ``T`` a type
+name and ``f`` a formula name.  Rule parameters:
+
+    Cut    <formula>
+    ExL    <position>            ExR <position>
+    Subst  (<var> <formula>)*    -- the premise itself is the child's sequent
+    Mono   <formula> <var> <lower> <upper> (<fresh-name>*)
+    EqL    <hole-l> <hole-r> <lhs> <rhs> (left <formula>*) (right <formula>*)
+    Nat    <var>
+    all other tags take no parameters.
+
+A node whose sequent name is followed by ``open`` alone is an open leaf.  The
+root is the unique node that is nobody's child.  A formula may also be a
+quoted string in the concrete syntax of the `syntax` module (backslash and
+double quote escaped with a backslash), and a sequent entry one quoted
+sequent, ``(seq <name> "<Gamma |- Delta>")``.  The inline shape, with no
+tables, reads too:
 
     (node <id> (seq "<Gamma |- Delta>") (rule <Tag> <params...>) (children <id>*))
     (node <id> (seq "<Gamma |- Delta>") open)
 
-Sequent names, rule names and node ids are three separate name spaces, and
-a node whose sequent name is followed by ``open`` alone is an open leaf.
-The root is the unique node that is nobody's child.  Rule parameters:
-
-    Cut    "<formula>"
-    ExL    <position>            ExR <position>
-    Subst  (<var> "<expr>")*     -- the premise itself is the child's sequent
-    Mono   "<formula>" <var> "<lower>" "<upper>" (<fresh-name>*)
-    EqL    <hole-l> <hole-r> "<lhs>" "<rhs>" (left "<formula>"*) (right "<formula>"*)
-    Nat    <var>
-    all other tags take no parameters.
-
-Formulas and sequents are quoted strings in the concrete syntax of the
-`syntax` module; backslash and double quote are escaped with a backslash.
 :func:`dumps_preproof` writes the tables, then one short line per node, so a
-text grows with its distinct sequents and rules, and by a few names per node.
+text grows with its distinct types, formula nodes, sequents and rules, and
+by a few names per node.  It writes no formula text.
 
 Reading costs one table lookup per repeated object: the text is split into
-tokens by one regular-expression pass, each distinct string literal is
-unescaped once, each distinct sequent string is parsed once, and each rule
-table entry, or distinct inline ``(rule ...)`` form, is built once (a
-``Subst`` once per child sequent).  A node line is checked in place, by its
-length and the types of its entries, and resolves its names with one dict
-lookup each.  The tree is built in one walk from the root and one pass back
-up.  A malformed text raises :class:`ProofFormatError`; the line and column
-of the offending token are found only then.  These tables only save work:
-equal sequents and rules are one object because they are interned when they
-are built.
+tokens by one regular-expression pass, and a table entry or node line, being
+a list of atoms, is one token that ``str.split`` cuts apart.  Each formula or
+type entry is one constructor call over the entries it names, each sequent
+entry one more, and each rule table entry, or distinct inline ``(rule ...)``
+form, is built once (a ``Subst`` once per child sequent).  A quoted string
+is unescaped once per distinct literal and a quoted sequent parsed once.  A
+node line is checked in place, by its length and the types of its entries,
+and resolves its names with one dict lookup each.  The tree is built in one
+walk from the root and one pass back up.  A malformed text raises
+:class:`ProofFormatError`; the line and column of the offending token are
+found only then.  The tables only save work: a loaded proof holds the same
+objects as one built in memory, since every value is interned when it is
+built.
 """
 
 from __future__ import annotations
@@ -53,7 +69,9 @@ from operator import length_hint
 from typing import Iterator, Optional
 
 from .syntax import (
-    Expr, HflError, Sequent, line_column, parse_expr, parse_sequent, sequent_to_str, to_str,
+    BINDERS, NAT, PROP, And, App, Arrow, Eq, Expr, HflError, HflTypeError, Interned, Lam, Mu,
+    Nu, Or, Sequent, SimpleType, Succ, Var, Zero, line_column, parse_expr,
+    parse_sequent, to_str,
 )
 from .kernel import (
     RULES, Cut, DerivTree, EqL, ExL, ExR, Mono, Nat, PreProof, Rule, Subst,
@@ -160,6 +178,8 @@ def _write_form(form) -> str:
 
 
 def _expr_param(x, what: str) -> Expr:
+    if isinstance(x, Expr):  # a formula name, which the loader has looked up
+        return x
     if not isinstance(x, Quoted):
         raise ProofFormatError(f"{what} must be a quoted formula, got {x!r}")
     return parse_expr(str(x))
@@ -230,23 +250,6 @@ def rule_from_form(parts: list, child_sequents: list[Sequent]) -> Rule:
     return cls()
 
 
-def _readable(value, show, parse) -> Quoted:
-    """``show(value)``, once ``parse`` has read it back as ``value`` itself
-    (equal formulas and sequents are one object), or a ProofFormatError."""
-    text = show(value)
-    try:
-        again = parse(text)
-    except HflError as exc:
-        raise ProofFormatError(f"{text!r} does not parse back: {exc}") from None
-    if again is not value:
-        raise ProofFormatError(f"{text!r} parses back as something else")
-    return Quoted(text)
-
-
-def _formula(e: Expr) -> Quoted:
-    return _readable(e, to_str, parse_expr)
-
-
 def _name(x: str, what: str) -> str:
     """``x``, once it reads back as one bare atom, or a ProofFormatError."""
     if not _ATOM_RE.fullmatch(x):
@@ -254,30 +257,143 @@ def _name(x: str, what: str) -> str:
     return x
 
 
-def rule_to_form(rule: Rule) -> list:
-    """The body of the (rule ...) form of ``rule``; a formula parameter that
-    would not parse back as itself, or a name parameter that is not one bare
-    atom, raises ProofFormatError."""
+def rule_to_form(rule: Rule, formula=lambda e: Quoted(to_str(e))) -> list:
+    """The body of the (rule ...) form of ``rule``, with each formula
+    parameter as ``formula`` gives it, by default a quoted formula.  A name
+    parameter that is not one bare atom raises ProofFormatError."""
     parts: list = [rule.tag]
     if isinstance(rule, Cut):
-        parts.append(_formula(rule.formula))
+        parts.append(formula(rule.formula))
     elif isinstance(rule, (ExL, ExR)):
         parts.append(str(rule.pos))
     elif isinstance(rule, Subst):
         for x, e in rule.mapping:
-            parts.append([_name(x, "Subst variable"), _formula(e)])
+            parts.append([_name(x, "Subst variable"), formula(e)])
     elif isinstance(rule, Mono):
-        parts += [_formula(rule.formula), _name(rule.var, "Mono variable"),
-                  _formula(rule.lower), _formula(rule.upper),
+        parts += [formula(rule.formula), _name(rule.var, "Mono variable"),
+                  formula(rule.lower), formula(rule.upper),
                   [_name(y, "Mono fresh name") for y in rule.names]]
     elif isinstance(rule, EqL):
         parts += [_name(rule.hole_l, "EqL hole"), _name(rule.hole_r, "EqL hole"),
-                  _formula(rule.lhs), _formula(rule.rhs),
-                  ["left"] + [_formula(g) for g in rule.left_ctx],
-                  ["right"] + [_formula(d) for d in rule.right_ctx]]
+                  formula(rule.lhs), formula(rule.rhs),
+                  ["left"] + [formula(g) for g in rule.left_ctx],
+                  ["right"] + [formula(d) for d in rule.right_ctx]]
     elif isinstance(rule, Nat):
         parts.append(_name(rule.var, "Nat variable"))
     return parts
+
+
+# ---------------------------------------------------------------------------
+# type and formula tables
+# ---------------------------------------------------------------------------
+
+_FORMULA_TAGS = {cls.__name__: cls for cls in (Var, Zero, Succ, Eq, Or, And, Lam, App, Mu, Nu)}
+# the names that the formula grammar reads as a variable: its identifiers,
+# less its keywords
+_VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_KEYWORDS = frozenset(("Z", "S", "mu", "nu"))
+
+
+def _variable(x, where: str = "") -> str:
+    """``x``, once the formula grammar reads it as the variable ``x``, or a
+    ProofFormatError that starts with ``where``."""
+    if type(x) is not str or not _VARIABLE_RE.fullmatch(x) or x in _KEYWORDS:
+        raise ProofFormatError(f"{where}{x!r} is not a variable name of the formula grammar")
+    return x
+
+
+def _lookup(table: dict, x, what: str, where: str):
+    """The entry of ``table`` that the atom ``x`` names, or a ProofFormatError."""
+    value = table.get(x) if type(x) is str else None
+    if value is None:
+        raise ProofFormatError(f"{where}: unknown {what} name {x!r}")
+    return value
+
+
+def _formula_entry(form: list, forms: dict[str, Expr], types: dict[str, SimpleType]) -> Expr:
+    """The formula node of the entry ``(form name Tag field...)``, built by one
+    constructor call over the entries it names."""
+    where = f"formula {form[1]}"
+    tag = form[2] if len(form) > 2 else None
+    cls = _FORMULA_TAGS.get(tag) if type(tag) is str else None
+    if cls is None:
+        raise ProofFormatError(f"{where}: unknown formula tag {tag!r}")
+    fields = form[3:]
+    if len(fields) != len(cls.__slots__):
+        raise ProofFormatError(f"{where}: {tag} takes {' '.join(cls.__slots__) or 'no fields'}")
+    if cls is Var:
+        return Var(_variable(fields[0], where + ": "))
+    if cls in BINDERS:
+        var, ty, body = fields
+        try:
+            return cls(_variable(var, where + ": "), _lookup(types, ty, "type", where),
+                       _lookup(forms, body, "formula", where))
+        except HflTypeError as exc:  # a fixed point of type N
+            raise ProofFormatError(f"{where}: {exc}") from None
+    return cls(*[_lookup(forms, x, "formula", where) for x in fields])
+
+
+def _sequent_entry(form: list, forms: dict[str, Expr]) -> Sequent:
+    """The sequent of the entry ``(seq name formula* |- formula*)``."""
+    where = f"sequent {form[1]}"
+    items = form[2:]
+    cut = items.index("|-") if "|-" in items else -1
+    if cut < 0 or type(items[cut]) is not str or "|-" in items[cut + 1:]:
+        raise ProofFormatError(f"{where}: (seq {form[1]} ...) takes one quoted sequent, "
+                               "or formula names around one |-")
+    return Sequent(tuple([_lookup(forms, x, "formula", where) for x in items[:cut]]),
+                   tuple([_lookup(forms, x, "formula", where) for x in items[cut + 1:]]))
+
+
+def _rule_formulas(form: list, forms: dict[str, Expr]) -> list:
+    """The body of the entry ``(rule name Tag params...)``, with each atom in
+    the place of a formula parameter replaced by the formula it names;
+    :func:`rule_from_form` judges the rest."""
+    parts, tag = form[2:], form[2] if len(form) > 2 else None
+    if tag == "Cut":
+        places = [(parts, 1)]
+    elif tag == "Mono":
+        places = [(parts, 1), (parts, 3), (parts, 4)]
+    elif tag == "EqL":
+        places = [(parts, 3), (parts, 4)] + [
+            (ctx, i) for ctx in parts[5:7] if type(ctx) is list for i in range(1, len(ctx))]
+    elif tag == "Subst":
+        places = [(pair, 1) for pair in parts[1:] if type(pair) is list]
+    else:
+        return parts
+    for row, i in places:
+        if i < len(row) and type(row[i]) is str:
+            row[i] = _lookup(forms, row[i], "formula", f"rule {form[1]}")
+    return parts
+
+
+def _table_entries(e, names: dict, types: list[str], forms: list[str]) -> str:
+    """The table name of the formula or type ``e``, once each distinct type
+    and formula node below it has an entry in ``types`` or ``forms``, named
+    in ``names``, after the entries it names: the order of
+    :func:`syntax._postorder`.  A variable that the formula grammar would
+    not read back as itself, or a type that is not N, O or an arrow,
+    raises ProofFormatError."""
+    todo = [(e, False)]
+    while todo:
+        x, ready = todo.pop()
+        if x in names:
+            continue
+        if not isinstance(x, (Expr, Arrow)):
+            raise ProofFormatError(f"{x!r} is not a type of the grammar")
+        fields = [getattr(x, slot) for slot in x.__slots__]
+        if not ready:
+            todo.append((x, True))
+            todo += [(v, False) for v in fields if isinstance(v, Interned)]
+            continue
+        words = [names[v] if isinstance(v, Interned) else _variable(v) for v in fields]
+        if type(x) is Arrow:
+            names[x] = f"t{len(types)}"
+            types.append(" ".join(["(type", names[x], *words]) + ")")
+        else:
+            names[x] = f"f{len(forms)}"
+            forms.append(" ".join(["(form", names[x], type(x).__name__, *words]) + ")")
+    return names[e]
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +404,22 @@ def rule_to_form(rule: Rule) -> list:
 def loads_preproof(text: str) -> PreProof:
     """The pre-proof written in ``text``, in the grammar of this module.
 
-    The text is read in one pass (see :func:`_read_forms`).  A node names its
-    sequent and rule in the tables above it, or writes them inline; each
-    distinct sequent string is unescaped and parsed once, because parsing is
-    the dearest part of a load, and each rule table entry or distinct inline
-    ``(rule ...)`` form is built once (a ``Subst`` once per child sequent).
-    Raises :class:`ProofFormatError` or the parser's :class:`HflError`.
+    The text is read in one pass (see :func:`_read_forms`).  Each type and
+    formula entry is one constructor call, which interns the node, so the
+    loaded proof holds the same objects as one built in memory; a sequent
+    entry is one more call over formula entries, or, written as a quoted
+    string, is unescaped and parsed once.  A node names its sequent and rule
+    in the tables above it, or writes them inline, and each rule table entry
+    or distinct inline ``(rule ...)`` form is built once (a ``Subst`` once
+    per child sequent).  A name must be defined above its use and defined
+    once.  Raises :class:`ProofFormatError`, or the parser's
+    :class:`HflError` for a quoted sequent.
     """
     raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]] = {}
     back: dict[str, str] = {}
     sequents: dict[Quoted, Sequent] = {}  # each distinct sequent string, parsed
+    types: dict[str, SimpleType] = {"N": NAT, "O": PROP}
+    forms: dict[str, Expr] = {}
     seq_names: dict[str, Sequent] = {}
     rule_names: dict[str, tuple] = {}  # name -> (rule key, rule body)
     for form in _read_forms(text):
@@ -352,17 +474,28 @@ def loads_preproof(text: str) -> PreProof:
                 if type(k) is not str:  # a literal or a list
                     _atom_param(k, "child id")
             raw_nodes[node_id] = (seq, rule, kids)
+        elif head == "form":
+            forms[_table_name(form, forms, "formula")] = _formula_entry(form, forms, types)
         elif head == "seq":
             name = _table_name(form, seq_names, "sequent")
-            if size != 3 or not isinstance(form[2], Quoted):
-                raise ProofFormatError(f"sequent {name}: (seq {name} ...) takes one quoted sequent")
-            seq = sequents.get(form[2])
-            if seq is None:
-                seq = sequents[form[2]] = parse_sequent(str(form[2]))
-            seq_names[name] = seq
+            if size == 3 and isinstance(form[2], Quoted):
+                seq = sequents.get(form[2])
+                if seq is None:
+                    seq = sequents[form[2]] = parse_sequent(str(form[2]))
+                seq_names[name] = seq
+            else:
+                seq_names[name] = _sequent_entry(form, forms)
         elif head == "rule":
             name = _table_name(form, rule_names, "rule")
-            rule_names[name] = ((name,), form[2:])
+            rule_names[name] = ((name,), _rule_formulas(form, forms))
+        elif head == "type":
+            name = _table_name(form, types, "type")
+            if size != 4:
+                raise ProofFormatError(f"type {name}: (type {name} ...) takes two type names")
+            try:
+                types[name] = Arrow(*[_lookup(types, x, "type", f"type {name}") for x in form[2:]])
+            except HflTypeError as exc:  # an arrow to N
+                raise ProofFormatError(f"type {name}: {exc}") from None
         elif head == "back":
             if size != 3:
                 raise ProofFormatError("(back ...) takes a leaf id and a target id")
@@ -388,8 +521,8 @@ def loads_preproof(text: str) -> PreProof:
 
 
 def _table_name(form: list, table: dict, what: str) -> str:
-    """The name that a (seq ...) or (rule ...) table form defines, once it is
-    a bare atom that ``table`` does not hold yet."""
+    """The name that a table form defines, once it is a bare atom that
+    ``table`` does not hold yet."""
     name = _atom_param(form[1] if len(form) > 1 else None, f"{what} name")
     if name in table:
         raise ProofFormatError(f"duplicate {what} name {name!r}")
@@ -459,7 +592,11 @@ def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]]
                 key += tuple(id(c.seq) for c in children)
             rule = rules.get(key)
             if rule is None:
-                rule = rules[key] = rule_from_form(parts, [c.seq for c in children])
+                try:
+                    rule = rules[key] = rule_from_form(parts, [c.seq for c in children])
+                except HflError as exc:
+                    where = f"node {node_id}: " + ("" if entry[0] is None else f"rule {entry[0][0]}: ")
+                    raise ProofFormatError(where + str(exc)) from None
         built.append(DerivTree(node_id, seq, rule, children))
     return built[0], seen
 
@@ -482,39 +619,53 @@ def dumps_preproof(pp: PreProof) -> str:
     """The text of ``pp`` in the grammar of this module, which
     :func:`loads_preproof` reads back as the same proof.
 
-    The text is a table of the distinct sequents and rules, named ``s0, s1,
-    ...`` and ``r0, r1, ...`` in the preorder of their first node, then one
-    ``(node ...)`` line per node in preorder and one ``(back ...)`` line per
-    back edge.  Each table entry is checked once to parse back as itself; if
-    one does not, a ProofFormatError names the first node that holds it.  So
-    does a node id, a back-edge end or a name parameter of a rule that is not
-    one bare atom of the grammar.
+    The text is a table of the distinct arrow types and formula nodes, named
+    ``t0, t1, ...`` and ``f0, f1, ...`` in postorder; then a table of the
+    distinct sequents and rules, named ``s0, s1, ...`` and ``r0, r1, ...`` in
+    the preorder of their first node; then one ``(node ...)`` line per node
+    in preorder and one ``(back ...)`` line per back edge.  So a text is
+    linear in the distinct objects of the proof, whatever their size as
+    trees, and holds no formula text.  A ProofFormatError names the first
+    node that holds a variable the formula grammar would not read back as
+    itself, or a ``Subst`` whose source is not its one child's sequent,
+    which a load takes as the source.  So does a node id, a back-edge end or
+    a name parameter of a rule that is not one bare atom of the grammar.
     """
-    seq_names: dict[int, str] = {}  # id of each sequent -> its table name
-    rule_names: dict[int, str] = {}  # id of each rule -> its table name
+    names: dict = {NAT: "N", PROP: "O"}  # each type and formula node -> its table name
+    seq_names: dict[Sequent, str] = {}
+    rule_names: dict[Rule, str] = {}
+    types: list[str] = []
+    forms: list[str] = []
     table, lines = [], []
+
+    def formula(e: Expr) -> str:
+        return _table_entries(e, names, types, forms)
+
     for node in pp.tree.walk():
         _name(node.id, "node id")
+        seq, rule = node.seq, node.rule
         try:
-            seq = seq_names.get(id(node.seq))
-            if seq is None:
-                seq = seq_names[id(node.seq)] = f"s{len(seq_names)}"
-                table.append(_write_form(
-                    ["seq", seq, _readable(node.seq, sequent_to_str, parse_sequent)]))
-            if node.rule is None:
-                lines.append(_write_form(["node", node.id, seq, "open"]))
-                continue
-            rule = rule_names.get(id(node.rule))
+            if seq not in seq_names:
+                left, right = [formula(f) for f in seq.left], [formula(f) for f in seq.right]
+                seq_names[seq] = f"s{len(seq_names)}"
+                table.append(" ".join(["(seq", seq_names[seq], *left, "|-", *right]) + ")")
             if rule is None:
-                rule = rule_names[id(node.rule)] = f"r{len(rule_names)}"
-                table.append(_write_form(["rule", rule] + rule_to_form(node.rule)))
+                lines.append(f"(node {node.id} {seq_names[seq]} open)")
+                continue
+            if type(rule) is Subst and [c.seq for c in node.children] != [rule.source]:
+                raise ProofFormatError("the Subst source is not the sequent of its one child")
+            if rule not in rule_names:
+                parts = rule_to_form(rule, formula)
+                rule_names[rule] = f"r{len(rule_names)}"
+                table.append(_write_form(["rule", rule_names[rule], *parts]))
         except ProofFormatError as exc:
             raise ProofFormatError(f"node {node.id}: {exc}") from None
-        lines.append(_write_form(["node", node.id, seq, rule] + [c.id for c in node.children]))
+        lines.append(" ".join(["(node", node.id, seq_names[seq], rule_names[rule],
+                               *[c.id for c in node.children]]) + ")")
     for leaf_id in sorted(pp.back_edges):
         target = _name(pp.back_edges[leaf_id], f"node {leaf_id}: back-edge target")
-        lines.append(_write_form(["back", _name(leaf_id, "back-edge source"), target]))
-    return "\n".join(table + lines) + "\n"
+        lines.append(f"(back {_name(leaf_id, 'back-edge source')} {target})")
+    return "\n".join(types + forms + table + lines) + "\n"
 
 
 def load_preproof(path) -> PreProof:

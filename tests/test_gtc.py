@@ -879,7 +879,7 @@ class TestReporting:
         # three laps of the loop with nu f read as mu f: a rejected cycle of
         # 13 nodes over four shared sequents, one formula each
         text = (dumps_preproof(unrolled_loop(3))
-                .replace("nu f", "mu f").replace("(rule r0 NuR)", "(rule r0 MuR)"))
+                .replace("Nu f ", "Mu f ").replace("(rule r0 NuR)", "(rule r0 MuR)"))
         pp = loads_preproof(text)
         res = check_cyclic_proof(pp)
         assert isinstance(res, Rejected) and len(res.lasso.cycle) == 13

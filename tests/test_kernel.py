@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hflcyc.syntax import (
-    And, App, Eq, Or, Sequent, Succ, Var, Zero, nat_pred, numeral,
+    PROP, And, App, Eq, Lam, Or, Sequent, Succ, Var, Zero, children, nat_pred, numeral,
     parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
 )
 from hflcyc.kernel import (
@@ -386,6 +386,38 @@ def built_loop(laps: int, fix: str = "nu") -> PreProof:
     return PreProof(tree, {f"m{len(rules)}": "m0"})
 
 
+def string_table(pp: PreProof) -> str:
+    """``pp`` in the table shape that writes each sequent and rule formula as
+    a quoted string, with no type or formula table; the reader still reads
+    it."""
+    seqs, rules, table, lines = {}, {}, [], []
+    for node in pp.tree.walk():
+        if node.seq not in seqs:
+            seqs[node.seq] = f"s{len(seqs)}"
+            table.append(f"(seq {seqs[node.seq]} {proofio._quote(sequent_to_str(node.seq))})")
+        if node.rule is None:
+            lines.append(f"(node {node.id} {seqs[node.seq]} open)")
+            continue
+        if node.rule not in rules:
+            rules[node.rule] = f"r{len(rules)}"
+            table.append(proofio._write_form(["rule", rules[node.rule], *rule_to_form(node.rule)]))
+        lines.append(" ".join(["(node", node.id, seqs[node.seq], rules[node.rule],
+                               *[c.id for c in node.children]]) + ")")
+    lines += [f"(back {leaf} {target})" for leaf, target in sorted(pp.back_edges.items())]
+    return "\n".join(table + lines) + "\n"
+
+
+def formula_nodes(seqs) -> set:
+    """The distinct formula nodes of ``seqs``."""
+    seen, todo = set(), [f for seq in seqs for f in seq.left + seq.right]
+    while todo:
+        e = todo.pop()
+        if e not in seen:
+            seen.add(e)
+            todo += children(e)
+    return seen
+
+
 class TestPreProofs:
     def test_golden_loop_proof_validates(self):
         assert validate_preproof(loop_proof()) == []
@@ -574,7 +606,7 @@ class TestSharing:
         assert len({id(n.seq) for n in again.tree.walk()}) == 4
 
     def test_each_distinct_sequent_is_parsed_and_typed_once(self, monkeypatch):
-        text = dumps_preproof(unrolled_loop(3))
+        text = string_table(unrolled_loop(3))
         parsed, typed = [], []
         real_parse, real_check = proofio.parse_sequent, kernel.check_sequent
         monkeypatch.setattr(proofio, "parse_sequent",
@@ -585,6 +617,23 @@ class TestSharing:
         assert validate_preproof(pp) == []
         assert len(parsed) == len(set(parsed)) == 4
         assert len(typed) == len({id(seq) for seq in typed}) == 4
+
+    def test_each_formula_entry_is_built_once(self, monkeypatch):
+        # the loop's four sequents hold 17 distinct formula nodes; the
+        # tables build each once and parse nothing
+        pp = unrolled_loop(3)
+        text = dumps_preproof(pp)
+        built = []
+        real = proofio._formula_entry
+        monkeypatch.setattr(proofio, "_formula_entry",
+                            lambda form, *tables: built.append(form[1]) or real(form, *tables))
+        monkeypatch.setattr(proofio, "parse_sequent", None)
+        monkeypatch.setattr(proofio, "parse_expr", None)
+        again = loads_preproof(text)
+        assert len(built) == len(set(built)) == len(formula_nodes(
+            {n.seq for n in pp.tree.walk()})) == 17
+        assert [n.seq for n in again.tree.walk()] == [n.seq for n in pp.tree.walk()]
+        assert validate_preproof(again) == []
 
     def test_one_ill_typed_sequent_is_reported_at_each_node(self):
         # x used both as a natural and as a proposition, at two nodes
@@ -848,6 +897,7 @@ class TestProofFiles:
         ('(seq "s0" "p |- p")', "sequent name must be a bare name"),
         ('(rule)', "rule name must be a bare name"),
         ('(seq s0 "p |- p")\n(rule r0)\n(node n0 s0 r0)', "empty (rule) form"),
+        ('(seq s0 "p |- p")\n(rule r0)\n(node n0 s0 r0)', "node n0: rule r0: empty (rule) form"),
         ('(seq s0 "p |- p")\n(rule r0 Subst (x "Z"))\n(node n0 s0 r0)',
          "Subst requires exactly one child"),
         # a node reached twice from the root, though no node is its own ancestor
@@ -857,6 +907,32 @@ class TestProofFiles:
          '(node c (seq "p |- p") open)', "node 'c' is listed as a child twice"),
         ('(node n0 (seq "p |- p") (rule OrL) (children a a))\n'
          '(node a (seq "p |- p") open)', "node 'a' is listed as a child twice"),
+        # the type and formula tables: a name is defined once, above its use
+        ('(form f0 Succ f1)\n(form f1 Zero)', "formula f0: unknown formula name 'f1'"),
+        ('(form f0 Var x)\n(form f1 Lam x t0 f0)', "formula f1: unknown type name 't0'"),
+        ('(type t0 t1 O)', "type t0: unknown type name 't1'"),
+        ('(form f0 Zero)\n(seq s0 |- f1)', "sequent s0: unknown formula name 'f1'"),
+        ('(rule r0 Cut f0)\n(form f0 Zero)', "rule r0: unknown formula name 'f0'"),
+        ('(form f0 Succ "f0")', "formula f0: unknown formula name 'f0'"),
+        ('(form f0 Zero)\n(form f0 Zero)', "duplicate formula name 'f0'"),
+        ('(type t0 O O)\n(type t0 N O)', "duplicate type name 't0'"),
+        ('(type O N O)', "duplicate type name 'O'"),
+        ('(form f0 Zro)', "formula f0: unknown formula tag 'Zro'"),
+        ('(form f0)', "formula f0: unknown formula tag None"),
+        ('(form f0 Var x y)', "formula f0: Var takes name"),
+        ('(form f0 Zero)\n(form f1 Or f0)', "formula f1: Or takes lhs rhs"),
+        ('(form f0 Zero x)', "formula f0: Zero takes no fields"),
+        ('(type t0 O)', "type t0: (type t0 ...) takes two type names"),
+        ('(form f0 Var X)\n(form f1 Mu X N f0)',
+         "formula f1: fixed-point binder cannot have type N"),
+        ('(type t0 O N)', "type t0: arrow result must be a proposition type, not N"),
+        ('(form f0 Var Z)', "formula f0: 'Z' is not a variable name of the formula grammar"),
+        ('(form f0 Zero)\n(form f1 Nu mu O f0)',
+         "formula f1: 'mu' is not a variable name of the formula grammar"),
+        ('(form f0 Zero)\n(seq s0 f0 f0)', "sequent s0: (seq s0 ...) takes one quoted sequent, "
+                                           "or formula names around one |-"),
+        ('(form f0 Zero)\n(seq s0 f0 |- f0 |- f0)', "sequent s0: (seq s0 ...) takes one"),
+        ('(form f0 Zero)\n(seq s0 f0 "|-" f0)', "sequent s0: (seq s0 ...) takes one"),
     ])
     def test_format_errors(self, bad, hint):
         with pytest.raises(ProofFormatError) as err:
@@ -865,7 +941,7 @@ class TestProofFiles:
 
     def test_each_distinct_string_is_unescaped_once(self, monkeypatch):
         # five laps: 21 nodes over the loop's four sequent strings
-        text = dumps_preproof(unrolled_loop(5))
+        text = string_table(unrolled_loop(5))
         calls = []
         real = proofio._unquote
         monkeypatch.setattr(proofio, "_unquote", lambda tok: calls.append(tok) or real(tok))
@@ -893,9 +969,23 @@ class TestProofFiles:
         assert len(text) < 10_000
         seqs = {n.seq for n in pp.tree.walk()}
         assert len(seqs) == 4
-        for seq in seqs:
-            assert text.count(proofio._quote(sequent_to_str(seq))) == 1
+        assert text.count("(seq ") == len(seqs)
+        assert text.count("(form ") == len(formula_nodes(seqs)) == 17
+        assert '"' not in text
         assert text.count("(node ") == len(pp.nodes) == 257
+
+    def test_shared_formulas_dump_linearly(self):
+        # F_64 = F_63 \\/ F_63: 2**64 leaves as a tree, 65 distinct nodes
+        f = Var("x")
+        for _ in range(64):
+            f = Or(f, f)
+        pp = PreProof(DerivTree("n0", Sequent((f,), (f,)), Axiom()))
+        text = dumps_preproof(pp)
+        assert len(text) < 3_000
+        again = loads_preproof(text)
+        assert again.tree.seq is pp.tree.seq
+        assert isinstance(check_cyclic_proof(again), Accepted)
+        assert dumps_preproof(again) == text
 
     def test_an_inline_text_loads_and_dumps_to_tables(self):
         # the corpus file has no tables: each node writes its sequent and rule
@@ -939,7 +1029,8 @@ class TestProofFiles:
         bad = Var(name)
         pp = PreProof(DerivTree("n0", Sequent((bad,), (bad,)), Axiom()))
         assert isinstance(check_cyclic_proof(pp), Accepted)
-        with pytest.raises(ProofFormatError, match=f"^node n0: '{name} [|]- {name}' "):
+        with pytest.raises(ProofFormatError,
+                           match=f"^node n0: '{name}' is not a variable name of the formula grammar$"):
             dumps_preproof(pp)
 
     def test_a_rule_formula_that_would_load_back_as_another_is_not_dumped(self):
@@ -948,7 +1039,7 @@ class TestProofFiles:
                   DerivTree("b", Sequent((p, zero), (p,)), None))
         pp = PreProof(DerivTree("r", Sequent((p,), (p,)), Cut(zero), leaves))
         with pytest.raises(ProofFormatError,
-                           match="^node r: 'Z' parses back as something else$"):
+                           match="^node r: 'Z' is not a variable name of the formula grammar$"):
             dumps_preproof(pp)
 
     @pytest.mark.parametrize("build,message", [
@@ -961,6 +1052,25 @@ class TestProofFiles:
         # written as it is, the name would load as two atoms or fail to load
         pp = build(DerivTree("l", ps("|-"), None))
         with pytest.raises(ProofFormatError, match=message):
+            dumps_preproof(pp)
+
+    @pytest.mark.parametrize("name", ["Z", "S", "mu", "nu"])
+    def test_a_keyword_binds_no_variable_in_a_dump(self, name):
+        bad = Lam(name, PROP, Var("p"))
+        pp = PreProof(DerivTree("n0", Sequent((bad,), (bad,)), Axiom()))
+        with pytest.raises(ProofFormatError,
+                           match=f"^node n0: '{name}' is not a variable name of the formula grammar$"):
+            dumps_preproof(pp)
+
+    def test_a_subst_whose_source_is_not_its_child_sequent_is_not_dumped(self):
+        # the loader takes the child's sequent as the source, so the text
+        # would load as another proof
+        rule = Subst(ps("p x |- x = x"), (("x", pe("S Z")),))
+        leaf = DerivTree("a", ps("p x |- S Z = x"), None)
+        pp = PreProof(DerivTree("r", ps("p (S Z) |- S Z = S Z"), rule, (leaf,)), {"a": "r"})
+        assert len(validate_preproof(pp)) == 2
+        with pytest.raises(ProofFormatError,
+                           match="^node r: the Subst source is not the sequent of its one child$"):
             dumps_preproof(pp)
 
     def test_child_cycle_rejected(self):
