@@ -33,6 +33,12 @@ branches from the root until the walk repeats.  So a cycle unrolled m
 times, whose laps repeat the same sequents and rules, is decided on the
 classes of one lap, whatever m.
 
+:func:`counterexample_report` explains a failure by replaying the
+annotations along one lap of the counterexample, for each occurrence of the
+cycle's first node.  The threads share one index map per distinct step and
+one printer table, so a lap over a few sequents costs a few steps and a few
+printed subformulas, plus one join per line.
+
 The symbol read on a transition is the *source* node of the path step.  The
 path and trace automata are both :class:`BuchiAutomaton` values, which
 :func:`trim` prunes and :func:`accepts_lasso` runs on one lasso.
@@ -55,16 +61,13 @@ from .kernel import (
     validate_preproof,
 )
 from .syntax import (
-    Expr,
     HflError,
     Mu,
     Nu,
     Path,
     Record,
-    Template,
-    annotation_label,
     fill_template,
-    print_template,
+    print_templates,
     sigma_paths,
     subexpr_at,
 )
@@ -74,7 +77,7 @@ from .trace import (
     NU,
     Lasso,
     node_steps,
-    replay_annotations,
+    thread_rows,
 )
 
 __all__ = [
@@ -983,32 +986,25 @@ def counterexample_report(pp: PreProof, lasso: Lasso) -> str:
     node, by the annotated replay of one full lap (plus re-entry), showing
     where each candidate thread stops or fails to grow.
 
-    Each distinct formula of the replay is printed once, as a
-    :func:`~hflcyc.syntax.print_template`, and each distinct annotation is
-    labelled once; a line fills its formula's template with its labels.  So
-    a long lap over a few sequents prints a few formulas.
+    The threads share their index maps (:func:`~hflcyc.trace.thread_rows`),
+    and the distinct formulas they reach are printed together, with one
+    table (:func:`~hflcyc.syntax.print_templates`).  A line is one join of
+    its formula's template pieces and its row's labels.
     """
     lines = [f"counterexample path: {render_lasso(lasso)}"]
     start_node = lasso.cycle[0]
     lap = lasso.cycle + (lasso.cycle[0],)
-    templates: dict[Expr, Template] = {}
-    labels: dict[tuple[int, ...], str] = {}
-
-    def label(note: tuple[int, ...]) -> str:
-        text = labels.get(note)
-        if text is None:
-            text = labels[note] = annotation_label(note)
-        return text
-
+    maps: dict = {}
+    threads = []
     for side, index in pp.positions(start_node):
         ref = OccurrenceRef(start_node, side, index)
-        lines.append(f"thread from {start_node} {side}:{index}:")
-        entries = replay_annotations(pp, lap, ref)
-        for node_id, occ, af in entries:
-            template = templates.get(af.formula)
-            if template is None:
-                template = templates[af.formula] = print_template(af.formula)
-            text = fill_template(template, {p: label(n) for p, n in af.notes.items()})
+        threads.append((ref, list(thread_rows(pp, lap, ref, maps))))
+    formulas = dict.fromkeys(entry[2] for _, entries in threads for entry in entries)
+    templates = dict(zip(formulas, print_templates(formulas)))
+    for ref, entries in threads:
+        lines.append(f"thread from {start_node} {ref.side}:{ref.index}:")
+        for node_id, occ, formula, row, _ in entries:
+            text = fill_template(templates[formula], [label for _, label in row])
             lines.append(f"  {node_id}  {occ[0]}:{occ[1]}  {text}")
         if len(entries) < len(lap):
             lines.append("  (thread ends: occurrence has no successor)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import weakref
 from functools import partial
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Interned values
@@ -1202,12 +1202,13 @@ def to_str(e: Expr, notes: Optional[Mapping[Path, tuple[int, ...]]] = None) -> s
     """The concrete syntax of e.  With ``notes``, the fixed-point operator at
     each path p carries ``notes[p]`` in braces (nothing when it is empty).
 
-    This fills a :func:`print_template` with each note's
-    :func:`annotation_label`; a caller that prints one formula under many
-    annotations keeps its template and fills that instead.
+    This fills e's :func:`print_template`, so a subformula that e holds
+    many times is laid out once and its text copied where it recurs.
     """
-    labels = None if notes is None else {p: annotation_label(n) for p, n in notes.items()}
-    return fill_template(print_template(e), labels)
+    pieces = print_template(e)
+    if notes is None:
+        return "".join(pieces)
+    return fill_template(pieces, [annotation_label(notes[p]) for p in sigma_paths(e)])
 
 
 def annotation_label(note: tuple[int, ...]) -> str:
@@ -1215,80 +1216,99 @@ def annotation_label(note: tuple[int, ...]) -> str:
     return "{" + ".".join(map(str, note)) + "}" if note else ""
 
 
-Template = tuple[tuple[str, ...], tuple[Path, ...]]
+Template = tuple[str, ...]
 """A printed formula with a gap after each fixed-point keyword, where its
-annotation goes: the text pieces around the gaps, and the operator path of
-each gap, in order."""
+annotation goes, as the text pieces around the gaps.  Both the gaps and
+:func:`sigma_paths` are in preorder, so the i-th gap is the operator at the
+i-th sigma-path."""
+
+
+_DONE = object()  # the bottom of the printer's stack
 
 
 def print_template(e: Expr) -> Template:
-    """The concrete syntax of e with a gap for each fixed-point annotation,
-    printed in one walk without recursion."""
-    pieces: list[str] = []
-    paths: list[Path] = []
+    """The concrete syntax of e with a gap for each fixed-point annotation."""
+    return print_templates((e,))[0]
+
+
+def print_templates(formulas: Iterable[Expr]) -> list[Template]:
+    """The :func:`print_template` of each formula, printed without recursion
+    and with one table for all of them: each distinct node is laid out once
+    (:func:`_layout`), and met again it copies the span of text and gaps it
+    printed the first time.  So the work is one layout per distinct node
+    plus the size of the output, even on a deep term that shares nothing."""
     out: list[str] = []
-    # pending work, last first: text, a gap (a 1-tuple of its path), or an
-    # (expression, level, path) triple
-    todo: list = [(e, 0, ())]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        if len(item) == 1:
-            pieces.append("".join(out))
-            out = []
-            paths.append(item[0])
-            continue
-        e, level, path = item
-        if isinstance(e, Var):
-            out.append(e.name)
-            continue
-        if isinstance(e, Zero):
-            out.append("Z")
-            continue
-        if isinstance(e, Succ):
-            # the whole chain of S at once, so it is walked once
-            n, bottom = 0, e
-            while isinstance(bottom, Succ):
-                n += 1
-                bottom = bottom.arg
-            if isinstance(bottom, Zero):
-                out.append(str(n))
-                continue
-            # the parser reads S S x, so a chain of S takes no parentheses
-            prec, parts = 4, ["S " * n, (bottom, 5, path + (0,) * n)]
-        elif isinstance(e, BINDERS):
-            binding = f" {e.var}:{type_to_str(e.var_type)}. "
-            body = (e.body, 0, path + (0,))
-            prec = 0
-            if isinstance(e, FIXPOINTS):
-                parts = ["mu" if isinstance(e, Mu) else "nu", (path,), binding, body]
+    gaps: list[int] = []  # the index in out of each gap
+    spans: dict[Expr, tuple[int, int, int, int, int]] = {}  # precedence, out and gaps spans
+    templates = []
+    for e in formulas:
+        start, first_gap = len(out), len(gaps)
+        # last first: text, a gap (None), a node and its level, or the end
+        # of a node's first print (precedence, start in out and gaps, node);
+        # a for loop, as CPython 3.11 warms up a while loop only over calls
+        todo: list = [_DONE, (e, 0)]
+        for item in iter(todo.pop, _DONE):
+            if item.__class__ is str:
+                out.append(item)
+            elif item is None:
+                gaps.append(len(out))
+            elif len(item) == 4:
+                prec, at, gap, node = item
+                spans[node] = (prec, at, len(out), gap, len(gaps))
+            elif item[0].__class__ is Var:
+                out.append(item[0].name)
+            elif item[0].__class__ is Zero:
+                out.append("Z")
             else:
-                parts = ["\\" + binding[1:], body]
-        elif type(e) in _BINARY:
-            sep, prec, left, right = _BINARY[type(e)]
-            lhs, rhs = children(e)
-            parts = [(lhs, left, path + (0,)), sep, (rhs, right, path + (1,))]
-        else:
-            raise TypeError(f"not an expression: {e!r}")
-        if prec < level:
-            parts = ["(", *parts, ")"]
-        todo.extend(reversed(parts))
-    pieces.append("".join(out))
-    return tuple(pieces), tuple(paths)
+                node, level = item
+                span = spans.get(node)
+                prec, parts = _layout(node) if span is None else (span[0], ())
+                if prec < level:
+                    out.append("(")
+                    todo.append(")")
+                if span is None:
+                    todo.append((prec, len(out), len(gaps), node))
+                    todo += reversed(parts)
+                    continue
+                _, at, end, gap, gap_end = span
+                shift = len(out) - at
+                gaps += [g + shift for g in gaps[gap:gap_end]]
+                out += out[at:end]
+        cuts = gaps[first_gap:]
+        templates.append(tuple(["".join(out[a:b])
+                                for a, b in zip([start, *cuts], [*cuts, len(out)])]))
+    return templates
 
 
-def fill_template(template: Template, labels: Optional[Mapping[Path, str]]) -> str:
-    """The text of a template with the gap at each path p filled by
-    ``labels[p]``, or with every gap empty when ``labels`` is None."""
-    pieces, paths = template
-    if labels is None:
-        return "".join(pieces)
-    out = [pieces[0]]
-    for path, piece in zip(paths, pieces[1:]):
-        out.append(labels[path])
-        out.append(piece)
+def _layout(e: Expr) -> tuple[int, list]:
+    """A node's precedence and its parts: text, None for the gap after a
+    fixed-point keyword, or a child and the level it prints at.  A chain of
+    S is laid out at its top: a decimal over Z, else S S ... and no
+    parentheses, as the parser reads S S x."""
+    if isinstance(e, Succ):
+        n, bottom = 0, e
+        while True:  # a backward jump, which warms up (see print_templates)
+            if not isinstance(bottom, Succ):
+                break
+            n, bottom = n + 1, bottom.arg
+        return (5, [str(n)]) if isinstance(bottom, Zero) else (4, ["S " * n, (bottom, 5)])
+    if isinstance(e, BINDERS):
+        binding = f" {e.var}:{type_to_str(e.var_type)}. "
+        if isinstance(e, FIXPOINTS):
+            return 0, ["mu" if isinstance(e, Mu) else "nu", None, binding, (e.body, 0)]
+        return 0, ["\\" + binding[1:], (e.body, 0)]
+    if type(e) in _BINARY:
+        sep, prec, left, right = _BINARY[type(e)]
+        lhs, rhs = children(e)
+        return prec, [(lhs, left), sep, (rhs, right)]
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def fill_template(template: Template, labels: Iterable[str]) -> str:
+    """The text of a template with its gaps filled by ``labels``, in order."""
+    out = [template[0]]
+    for label, piece in zip(labels, template[1:]):
+        out += (label, piece)
     return "".join(out)
 
 

@@ -70,6 +70,7 @@ __all__ = [
     "occurrence_steps",
     "render_annotated",
     "replay_annotations",
+    "thread_rows",
 ]
 
 
@@ -116,14 +117,19 @@ class AnnotatedFormula(Record):
     notes: Mapping[Path, Annotation]
 
     def __init__(self, formula: Expr, notes: Mapping[Path, Annotation]) -> None:
-        want = set(sigma_paths(formula))
-        got = set(notes)
-        if want != got:
-            raise TraceError(
-                f"annotation keys {sorted(got)} do not match operator "
-                f"positions {sorted(want)} of {to_str(formula)!r}")
+        _require_positions(formula, notes)
         object.__setattr__(self, "formula", formula)
         object.__setattr__(self, "notes", notes)
+
+
+def _require_positions(formula: Expr, keys) -> None:
+    """Raise unless ``keys`` are exactly the operator positions of formula."""
+    want = set(sigma_paths(formula))
+    got = set(keys)
+    if want != got:
+        raise TraceError(
+            f"annotation keys {sorted(got)} do not match operator "
+            f"positions {sorted(want)} of {to_str(formula)!r}")
 
 
 def annotate_root(formula: Expr) -> AnnotatedFormula:
@@ -719,40 +725,88 @@ def render_annotated(af: AnnotatedFormula) -> str:
     return to_str(af.formula, af.notes)
 
 
-def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
-                       ) -> list[tuple[str, OccPos, AnnotatedFormula]]:
-    """Follow one occurrence thread along consecutive nodes, annotating as it
-    goes; at a branching successor the first one (in sequent order) is taken.
-    Stops early if the occurrence has no successor.  Returns one entry per
-    node reached.  Raises :class:`TraceError` when ``start`` is not an
-    occurrence of the path's first node, or two consecutive nodes are not an
-    edge of the proof graph."""
+def _index_map(pp: PreProof, node: DerivTree, branch: int, child: DerivTree, occ: OccPos):
+    """How the first step of ``occ`` from ``node`` into ``child``, premise
+    ``branch``, moves a thread's row, or ``()`` when ``occ`` has no successor
+    there: the premise position and formula (whose positions must be the
+    transport's keys), each premise position's source index in the row (past
+    its end for a copy of the unfolded operator), the unfolded operator's
+    index or None, and the transport's keys in their order."""
+    steps = node_steps(pp, node, branch).get(occ)
+    if not steps:
+        return ()
+    step = steps[0][0]  # the first premise position (node_steps keeps them in order)
+    formula = _formula_at(child.seq, step.premise_pos)
+    _require_positions(formula, step.transport)
+    above = {p: i for i, p in enumerate(sigma_paths(_formula_at(node.seq, occ)))}
+    source = tuple([len(above) if q in step.copy_roots else above[step.transport[q]]
+                    for q in sigma_paths(formula)])
+    head = None if step.consumed_head is None else above[step.consumed_head]
+    return step.premise_pos, formula, source, head, tuple(step.transport)
+
+
+def thread_rows(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef, maps: dict
+                ) -> Iterator[tuple[str, OccPos, Expr, list, tuple[Path, ...]]]:
+    """The walk of :func:`replay_annotations`.  For each node reached it
+    yields the id, the occurrence, its formula, the row (a note and its label
+    per operator position, in :func:`~hflcyc.syntax.sigma_paths` order) and
+    the order of the replay's notes.
+
+    Edges are checked as the thread reaches them.  A step moves the row by
+    an :func:`_index_map`, kept in ``maps`` by (sequent, rule, branch,
+    occurrence, child sequent), so callers that share ``maps`` build each
+    once; an unfolding draws its fresh number as :func:`annotate_step` does.
+    A back edge keeps the row.
+    """
     if not nodes or nodes[0] != start.node:
         raise TraceError("the path must begin at the start occurrence's node")
     occ = _start_position(pp, start)
     fresh = fresh_counter()
     cur = pp.node(nodes[0])
-    af = annotate_root(_formula_at(cur.seq, occ))
-    out = [(cur.id, occ, af)]
+    formula = _formula_at(cur.seq, occ)
+    keys = sigma_paths(formula)
+    row = [((), "")] * len(keys)
+    yield cur.id, occ, formula, row, keys
+    table = pp.successor_table
     for nxt_id in itertools.islice(nodes, 1, None):
-        if cur.is_open():  # back edge: copy everything
-            if pp.back_edges.get(cur.id) != nxt_id:
-                raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
-            cur = pp.node(nxt_id)
-            af = AnnotatedFormula(_formula_at(cur.seq, occ), dict(af.notes))
-            out.append((nxt_id, occ, af))
-            continue
-        for branch, child in enumerate(cur.children):
-            if child.id == nxt_id:
-                break
-        else:
+        out = table[cur.id]
+        if out is None or nxt_id not in out:
             raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
-        steps = node_steps(pp, cur, branch).get(occ)
-        if not steps:
-            break
-        step = steps[0][0]  # the first premise position (node_steps keeps them in order)
-        occ = step.premise_pos
-        cur = child
-        af = _apply_step(af, step, fresh, _formula_at(cur.seq, occ))
-        out.append((nxt_id, occ, af))
+        if cur.is_open():  # back edge: the row stays
+            cur = pp.node(nxt_id)
+            bud, formula = formula, _formula_at(cur.seq, occ)
+            if formula is not bud:
+                _require_positions(formula, sigma_paths(bud))
+        else:
+            branch = out.index(nxt_id)
+            child = cur.children[branch]
+            key = (cur.seq, cur.rule, branch, occ, child.seq)
+            index_map = maps.get(key)
+            if index_map is None:
+                index_map = maps[key] = _index_map(pp, cur, branch, child, occ)
+            if not index_map:
+                break
+            occ, formula, source, head, keys = index_map
+            if head is not None:  # the copies extend the unfolded operator's note
+                k = next(fresh)
+                note, label = row[head]
+                row = [*row, (note + (k,), f"{label[:-1]}.{k}}}" if label else f"{{{k}}}")]
+            row = [row[i] for i in source]
+            cur = child
+        yield nxt_id, occ, formula, row, keys
+
+
+def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef
+                       ) -> list[tuple[str, OccPos, AnnotatedFormula]]:
+    """Follow one occurrence thread along consecutive nodes, annotating as it
+    goes; at a branching successor the first one (in sequent order) is taken.
+    Stops early if the occurrence has no successor.  Returns one entry per
+    node reached, the :func:`thread_rows` row as an annotated formula.
+    Raises :class:`TraceError` when ``start`` is not an occurrence of the
+    path's first node, or two consecutive nodes are not an edge of the proof
+    graph."""
+    out = []
+    for node_id, occ, formula, row, keys in thread_rows(pp, nodes, start, {}):
+        notes = dict(zip(sigma_paths(formula), [note for note, _ in row]))
+        out.append((node_id, occ, AnnotatedFormula(formula, {p: notes[p] for p in keys})))
     return out

@@ -25,6 +25,8 @@ from hflcyc.gtc import (
     trim,
 )
 import hflcyc.kernel as kernel
+import hflcyc.syntax as syntax
+import hflcyc.trace as trace
 from hflcyc.kernel import (
     LEFT,
     RIGHT,
@@ -39,6 +41,7 @@ from hflcyc.kernel import (
     MuR,
     NuL,
     NuR,
+    OccurrenceRef,
     OrL,
     OrR,
     PreProof,
@@ -54,6 +57,7 @@ from hflcyc.syntax import (
     subexpr_at, to_str,
 )
 from hflcyc.trace import (
+    AnnotatedFormula,
     Lasso,
     TraceError,
     _tree_paths,
@@ -62,6 +66,7 @@ from hflcyc.trace import (
     gtc_bruteforce,
     lasso_good,
     node_steps,
+    replay_annotations,
 )
 
 from test_kernel import built_loop, loop_proof, pe, ps, unrolled_loop
@@ -794,14 +799,16 @@ def test_an_occurrences_steps_come_in_premise_position_order(name, pp):
                 assert positions == sorted(positions)
 
 
-def bench_family_proofs():
-    """(name, pre-proof) for each family of the benchmark at its first sizes."""
+def bench_family_proofs(rejected_only: bool = False):
+    """(name, pre-proof) for each family of the benchmark at its first sizes,
+    or for those the benchmark expects to be rejected."""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
     from families import FAMILIES
     sizes = {"figure_eight": (2, 3)}
-    return [(f"{family}{k}", make(k, random.Random(f"{family}:{k}")).pp)
-            for family, make in FAMILIES.items() for k in sizes.get(family, (1, 2, 3))]
+    cases = [(f"{family}{k}", make(k, random.Random(f"{family}:{k}")))
+             for family, make in FAMILIES.items() for k in sizes.get(family, (1, 2, 3))]
+    return [(name, case.pp) for name, case in cases if not (rejected_only and case.valid)]
 
 
 SIDE_KEEPING = DIFFERENTIAL + bench_family_proofs()
@@ -884,8 +891,8 @@ class TestReporting:
         res = check_cyclic_proof(pp)
         assert isinstance(res, Rejected) and len(res.lasso.cycle) == 13
         built = []
-        real = gtc.print_template
-        monkeypatch.setattr(gtc, "print_template", lambda e: built.append(e) or real(e))
+        real = gtc.print_templates
+        monkeypatch.setattr(gtc, "print_templates", lambda fs: built.extend(fs) or real(fs))
         report = counterexample_report(pp, res.lasso)
         assert len(report.splitlines()) == 1 + 1 + 14
         assert len(built) == len({id(e) for e in built}) == 4
@@ -895,11 +902,88 @@ class TestReporting:
         res = check_cyclic_proof(pp)
         assert isinstance(res, Rejected) and len(res.lasso.cycle) == 13
         built = []
-        real = gtc.print_template
-        monkeypatch.setattr(gtc, "print_template", lambda e: built.append(e) or real(e))
+        real = gtc.print_templates
+        monkeypatch.setattr(gtc, "print_templates", lambda fs: built.extend(fs) or real(fs))
         report = counterexample_report(pp, res.lasso)
         assert len(built) == len({id(e) for e in built}) == 4
         assert report == counterexample_report(loads_preproof(dumps_preproof(pp)), res.lasso)
+
+    def test_report_work_does_not_grow_with_laps(self, monkeypatch):
+        counts: dict[str, int] = {}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((trace, "occurrence_steps"), (trace, "_index_map"),
+                             (syntax, "_layout"), (AnnotatedFormula, "__init__")):
+            counting(module, name)
+        seen = []
+        for laps in (3, 12):
+            # a fresh proof, so that its occurrence steps are not kept from the check
+            lasso = check_cyclic_proof(built_loop(laps, "mu")).lasso
+            pp = built_loop(laps, "mu")
+            counts.clear()
+            report = counterexample_report(pp, lasso)
+            assert len(report.splitlines()) == 2 + 4 * laps + 2  # the bud, and back
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["occurrence_steps"] == seen[0]["_index_map"] == 4
+        assert "__init__" not in seen[0]  # no AnnotatedFormula
+
+    def test_report_and_replay_check_the_child_formulas_positions(self):
+        # not validated: NuR's premise is nu t:O. t, but the child holds Z = Z
+        bud = DerivTree("n1", ps("|- Z = Z"), None)
+        pp = PreProof(DerivTree("n0", ps("|- nu t:O. t"), NuR(), (bud,)), {"n1": "n0"})
+        message = "annotation keys [()] do not match operator positions [] of 'Z = Z'"
+        with pytest.raises(TraceError) as err:
+            replay_annotations(pp, ("n0", "n1", "n0"), OccurrenceRef("n0", "right", 0))
+        assert str(err.value) == message
+        with pytest.raises(TraceError) as err:
+            counterexample_report(pp, Lasso((), ("n0", "n1")))
+        assert str(err.value) == message
+
+    def test_a_back_edge_checks_the_companions_positions(self):
+        # not validated: the bud holds Z = Z where its companion holds nu t:O. t
+        bud = DerivTree("b", ps("|- Z = Z"), None)
+        pp = PreProof(DerivTree("r", ps("|- nu t:O. t"), NuR(), (bud,)), {"b": "r"})
+        with pytest.raises(TraceError) as err:
+            replay_annotations(pp, ("b", "r"), OccurrenceRef("b", "right", 0))
+        assert str(err.value) == ("annotation keys [] do not match operator positions "
+                                  "[()] of 'nu t:O. t'")
+
+
+def rejected_proofs():
+    """(name, pre-proof) for each rejected fixture, differential proof and
+    bench family proof, each a fresh copy."""
+    proofs = rejected_fixtures() + [(name, copy.copy(pp)) for name, pp in DIFFERENTIAL
+                                    if isinstance(check_cyclic_proof(copy.copy(pp)), Rejected)]
+    return proofs + bench_family_proofs(rejected_only=True)
+
+
+REJECTED = rejected_proofs()
+
+
+@pytest.mark.parametrize("name,pp", REJECTED, ids=[name for name, _ in REJECTED])
+def test_the_report_prints_the_replay(name, pp):
+    # the report and replay_annotations walk each thread with one walker
+    res = check_cyclic_proof(pp)
+    assert isinstance(res, Rejected) and res.lasso is not None
+    start = res.lasso.cycle[0]
+    lap = res.lasso.cycle + (start,)
+    want = [f"counterexample path: {render_lasso(res.lasso)}"]
+    for side, index in pp.positions(start):
+        want.append(f"thread from {start} {side}:{index}:")
+        entries = replay_annotations(pp, lap, OccurrenceRef(start, side, index))
+        want += [f"  {node}  {occ[0]}:{occ[1]}  {to_str(af.formula, af.notes)}"
+                 for node, occ, af in entries]
+        if len(entries) < len(lap):
+            want.append("  (thread ends: occurrence has no successor)")
+    assert counterexample_report(pp, res.lasso) == "\n".join(want)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,15 @@ from hflcyc.syntax import (
     children, derived_encodings, free_vars, head_step, infer_env,
     is_term_shaped,
     infer_type, make_app, numeral, numeral_value, parse, parse_expr,
-    parse_sequent, parse_type, rebuild, replace_at, sequent, sequent_alpha_eq,
-    sigma_paths, subexpr_at, substitute, to_str,
+    parse_sequent, parse_type, print_template, print_templates, rebuild, replace_at, sequent,
+    sequent_alpha_eq, sigma_paths, subexpr_at, substitute, to_str,
     type_to_str, sequent_to_str, var_paths,
 )
 from hflcyc.syntax import (
     _ATOM_LEVEL, _ATOM_START, _BINARY, _BINDER_KEYWORDS, _BINDER_LEVEL, _INFIX, _INTERNED,
     _Parser, _TMeta, _Unifier, _fresh_variant,
 )
+import hflcyc.syntax as syntax
 from hflcyc.kernel import Mono
 from hflcyc.trace import annotate_root
 
@@ -334,6 +335,41 @@ def test_a_successor_chain_prints_in_linear_time():
     short, long = chain(1000), chain(4000)
     assert to_str(long) == "S " * 4000 + "x"
     assert _best_time(lambda: to_str(long)) < 8 * _best_time(lambda: to_str(short))
+
+
+@pytest.mark.parametrize("build", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
+def test_a_deep_formula_prints_in_linear_time(build):
+    # nothing below the top is shared but the leaves, so the printer copies
+    # little; a table of each node's whole text is quadratic here
+    short, long = build(1000), build(4000)
+    assert _best_time(lambda: to_str(long)) < 8 * _best_time(lambda: to_str(short))
+
+
+def test_a_shared_subformula_is_laid_out_once(monkeypatch):
+    # H_n = H_(n-1) \/ H_(n-1) holds 4,096 copies of nu t:O. t as a tree
+    h, text = Nu("t", PROP, Var("t")), "nu t:O. t"
+    for n in range(12):
+        h, text = Or(h, h), f"({text}) \\/ ({text})" if n == 0 else f"{text} \\/ ({text})"
+    calls = []
+    real = syntax.type_to_str
+    monkeypatch.setattr(syntax, "type_to_str", lambda ty: calls.append(ty) or real(ty))
+    assert to_str(h) == text
+    assert len(calls) <= 2
+    assert text.count("nu t:O. t") == 4096
+
+
+def test_templates_printed_together_share_their_table(monkeypatch):
+    f = parse_expr("(mu f:N -> O. \\x:N. f (S x)) Z")
+    g = parse_expr("(mu f:N -> O. \\x:N. f (S x)) Z \\/ (nu a:O. a) /\\ (mu f:N -> O. \\x:N. f (S x)) Z")
+    laid = []
+    real = syntax._layout
+    monkeypatch.setattr(syntax, "_layout", lambda e: laid.append(e) or real(e))
+    both = print_templates([f, g])
+    assert len(laid) == len(set(laid))
+    monkeypatch.undo()
+    assert both == [print_template(f), print_template(g)]
+    assert both[1] == ("(mu", " f:N -> O. \\x:N. f (S x)) Z \\/ (nu", " a:O. a) /\\ (mu",
+                       " f:N -> O. \\x:N. f (S x)) Z")
 
 
 def test_reserved_words():
