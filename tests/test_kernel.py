@@ -498,6 +498,15 @@ class TestPreProofs:
         issues = validate_preproof(PreProof(pp.tree, dict(pp.back_edges, n1="n0")))
         assert any("not an open leaf" in str(i) for i in issues)
 
+    def test_back_edge_messages_have_their_exact_text(self):
+        # a back edge that leaves the closed root, and a bud whose sequent
+        # differs from its companion's
+        leaf = DerivTree("n1", ps("|- mu t:O. t"), None)
+        root = DerivTree("n0", ps("|- nu t:O. t"), NuR(), (leaf,))
+        issues = [str(i) for i in validate_preproof(PreProof(root, {"n0": "n0", "n1": "n0"}))]
+        assert "n0: back edge source is not an open leaf" in issues
+        assert "n1: back edge target sequent differs: |- nu t:O. t vs |- mu t:O. t" in issues
+
     def test_bad_inference_located(self):
         kid = DerivTree("kid", ps("p |- r"), None)
         root = DerivTree("root", ps("p, q |- r"), CtrL(), (kid,))
@@ -938,6 +947,17 @@ class TestProofFiles:
         with pytest.raises(ProofFormatError) as err:
             loads_preproof(bad)
         assert hint in str(err.value)
+
+    @pytest.mark.parametrize("bad,message", [
+        ('(seq s0 "p |- p")\n(rule r0 WkL)\n(node n0 s0 r0 n1)',
+         "child id 'n1' has no (node ...) form"),
+        ('(type t0 O O)\n(form f0 Zero)\n(seq s0 |- f0)\n(rule r0 Axiom)',
+         "no (node ...) forms in input"),
+    ])
+    def test_tree_errors_have_their_exact_text(self, bad, message):
+        with pytest.raises(ProofFormatError) as err:
+            loads_preproof(bad)
+        assert str(err.value) == message
 
     def test_each_distinct_string_is_unescaped_once(self, monkeypatch):
         # five laps: 21 nodes over the loop's four sequent strings
