@@ -54,9 +54,9 @@ from typing import Mapping, Optional, Union
 from .kernel import (
     LEFT,
     RIGHT,
-    DerivTree,
     OccurrenceRef,
     PreProof,
+    Row,
     ValidationIssue,
     validate_preproof,
 )
@@ -163,13 +163,13 @@ class BuchiAutomaton(Record):
 def _require_back_edges(pp: PreProof) -> dict[str, tuple[str, ...]]:
     """The pre-proof's successor table, once every open leaf has a back edge
     to a node."""
-    nodes = pp.nodes
+    rows = pp.rows
     table = pp.successor_table
     for node_id, out in table.items():
         if out is None:
             raise GtcError(f"open leaf {node_id!r} has no back edge")
         # a child is always a node, so only a back edge can miss
-        if out and out[0] not in nodes:
+        if out and out[0] not in rows:
             raise GtcError(f"back edge {node_id!r} -> {out[0]!r} "
                            f"targets a missing node")
     return table
@@ -269,21 +269,28 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
     is taken).  The quotient shares ``pp``'s inferences and occurrence
     steps, so each distinct head step is still taken once.
     """
-    nodes, table = pp.nodes, pp.successor_table
-    closed = [n for n in nodes.values() if n.rule is not None]
+    rows, back = pp.rows, pp.back_edges
+    closed: list[str] = []
+    number: dict[str, int] = {}  # a closed node's index in closed, a bud's target's
     labels: dict[tuple, int] = {}
-    block = [labels.setdefault((n.seq, n.rule), len(labels)) for n in closed]
+    block: list[int] = []
+    buds: list[str] = []
+    for node_id, (seq, rule, _) in rows.items():
+        if rule is None:
+            buds.append(node_id)
+        else:
+            number[node_id] = len(closed)
+            closed.append(node_id)
+            block.append(labels.setdefault((seq, rule), len(labels)))
     if len(labels) == len(closed):
         return None
-    number = {n.id: i for i, n in enumerate(closed)}
-    for leaf in pp.open_leaves():  # a bud lands on its target
-        out = table[leaf.id]
-        i = None if out is None else number.get(out[0])
-        if i is None or not closed[i].children:
+    for node_id in buds:  # a bud lands on its target
+        i = number.get(back.get(node_id))
+        if i is None or not rows[closed[i]][2]:
             return None
-        number[leaf.id] = i
+        number[node_id] = i
     land = number.__getitem__
-    succ = [tuple(map(land, table[n.id])) for n in closed]
+    succ = [tuple(map(land, rows[node_id][2])) for node_id in closed]
     count = _refine(succ, block, len(labels))
     if count == len(closed):
         return None
@@ -291,8 +298,9 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
     first = [-1] * count
     for i in reversed(range(len(closed))):
         first[block[i]] = i
-    taken = {closed[i].id for i in first}
-    back: dict[str, str] = {}
+    taken = {closed[i] for i in first}
+    qrows: dict[str, Row] = {closed[0]: rows[closed[0]]}  # in preorder; kids set on leaving
+    qback: dict[str, str] = {}
     placed = {block[0]}
     stack: list[list] = [[0, 0, []]]  # [first member, next branch, kids]
     while True:
@@ -301,25 +309,27 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
         if a < len(succ[r]):
             frame[1] = a + 1
             t = block[succ[r][a]]
+            target = closed[first[t]]
             if t not in placed:
                 placed.add(t)
                 stack.append([first[t], 0, []])
+                qrows[target] = rows[target]
+                kids.append(target)
                 continue
-            name = table[closed[r].id][a]
+            name = rows[closed[r]][2][a]
             while name in taken:
                 name += "'"
             taken.add(name)
-            target = closed[first[t]]
-            back[name] = target.id
-            kids.append(DerivTree(name, target.seq, None))
+            qback[name] = target
+            qrows[name] = (rows[target][0], None, ())
+            kids.append(name)
             continue
         stack.pop()
-        n = closed[r]
-        tree = DerivTree(n.id, n.seq, n.rule, tuple(kids))
+        seq, rule, _ = qrows[closed[r]]
+        qrows[closed[r]] = (seq, rule, tuple(kids))
         if not stack:
             break
-        stack[-1][2].append(tree)
-    quotient = PreProof(tree, back)
+    quotient = PreProof.from_rows(closed[0], qrows, qback)
     object.__setattr__(quotient, "_inferences", pp._inferences)
     object.__setattr__(quotient, "step_table", pp.step_table)
     return quotient
@@ -337,15 +347,15 @@ def _lift(pp: PreProof, quotient: PreProof, lasso: Lasso) -> Lasso:
     lasso is then rotated as :func:`contains` rotates its own, which also
     moves its cycle back to where it first began.
     """
-    qnodes, qtable = quotient.nodes, quotient.successor_table
+    qrows, qtable = quotient.rows, quotient.successor_table
     spine = lasso.spine
     moves = [qtable[x].index(spine[lasso.successor_index(i)])
-             for i, x in enumerate(spine) if qnodes[x].rule is not None]
-    on_cycle = sum(qnodes[x].rule is not None for x in lasso.prefix)
-    nodes, table = pp.nodes, pp.successor_table
+             for i, x in enumerate(spine) if qrows[x][1] is not None]
+    on_cycle = sum(qrows[x][1] is not None for x in lasso.prefix)
+    rows, table = pp.rows, pp.successor_table
     out: list[str] = []
     laps: dict[str, int] = {}  # where the walk was at each start of the cycle
-    at, k = pp.tree.id, 0
+    at, k = pp.root, 0
     while True:
         if k == on_cycle:
             if at in laps:
@@ -353,7 +363,7 @@ def _lift(pp: PreProof, quotient: PreProof, lasso: Lasso) -> Lasso:
             laps[at] = len(out)
         out.append(at)
         at = table[at][moves[k]]
-        if nodes[at].rule is None:
+        if rows[at][1] is None:
             out.append(at)
             at = table[at][0]
         k = k + 1 if k + 1 < len(moves) else on_cycle
@@ -375,7 +385,7 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
     table = _require_back_edges(pp)
     ids = frozenset(table)
     transitions = frozenset((n, n, m) for n, out in table.items() for m in out)
-    return BuchiAutomaton(ids, ids, transitions, frozenset([pp.tree.id]), transitions)
+    return BuchiAutomaton(ids, ids, transitions, frozenset([pp.root]), transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +457,7 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     targets a missing node.
     """
     table = _require_back_edges(pp)
-    nodes = pp.nodes
+    rows = pp.rows
 
     number: dict[_Key, int] = {}
     decode: list[_Key] = []
@@ -469,7 +479,7 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
             accepting.add((src, sym, dst))
 
     for c in _companions(pp):
-        seq = nodes[c].seq
+        seq = rows[c][0]
         for side, row, want in ((LEFT, seq.left, Mu), (RIGHT, seq.right, Nu)):
             for index, f in enumerate(row):
                 for p in sigma_paths(f):
@@ -479,18 +489,18 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
 
     while queue:
         src, (node_id, side, index, mark) = queue.popleft()
-        node = nodes[node_id]
-        if node.rule is None:
-            emit(src, node_id, state((table[node_id][0], side, index, mark)))
+        out = table[node_id]
+        if rows[node_id][1] is None:
+            emit(src, node_id, state((out[0], side, index, mark)))
             continue
-        for branch, child in enumerate(node.children):
-            for step, inv in node_steps(pp, node, branch).get((side, index), ()):
+        for branch, child in enumerate(out):
+            for step, inv in node_steps(pp, node_id, branch).get((side, index), ()):
                 acc = mark == step.consumed_head and _good_unfold(side, step.sigma_kind)
                 for q in inv.get(mark, ()):
-                    emit(src, node_id, state((child.id, *step.premise_pos, q)), acc)
+                    emit(src, node_id, state((child, *step.premise_pos, q)), acc)
 
     return BuchiAutomaton(
-        frozenset(range(len(decode))), frozenset(nodes), frozenset(transitions),
+        frozenset(range(len(decode))), frozenset(rows), frozenset(transitions),
         initial, frozenset(accepting), tuple(decode))
 
 
@@ -869,7 +879,7 @@ def contains(pp: PreProof, trace: BuchiAutomaton, *, max_states: int = MAX_STATE
     cap = _Cap(max_states)
     companions = _companions(pp)
     segments = _segments(order, gens, _mat_identity(len(trace.states)), companions, cap)
-    prefix = _root_words(order, pp.tree.id, companions)
+    prefix = _root_words(order, pp.root, companions)
     found: Optional[tuple[Word, Word]] = None
     for (c, dst, m), v in _loops(segments, cap).items():
         if (c == dst and not any(r2 >> i & 1 for i, _r1, r2 in m)

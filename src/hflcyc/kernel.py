@@ -30,6 +30,7 @@ head step; each formula keeps its own operator positions
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, ClassVar, Mapping, Optional, Union
 
 from .syntax import (
@@ -640,6 +641,11 @@ def _tree_from_nodes(nodes: tuple[tuple[str, Sequent, Optional[Rule], int], ...]
     return built[0]
 
 
+# A node of a pre-proof's table: its sequent, its rule (None for an open
+# leaf) and its child ids.
+Row = tuple[Sequent, Optional[Rule], tuple[str, ...]]
+
+
 class PreProof(Record):
     """A derivation tree plus a back-edge target for every open leaf.
 
@@ -648,13 +654,23 @@ class PreProof(Record):
     values, not merely alpha-equivalent, since a report prints bound names)
     are one object, as they are interned.
 
-    Every stage reads the proof graph from one index, built at first use in
-    one preorder walk of the tree: each node by id (:attr:`nodes`) and its
-    successor ids (:attr:`successor_table`).  The successors of a closed
-    node are its children's ids in order, those of an open leaf are
-    ``(target,)`` for its back edge, and an open leaf without a back edge
-    has ``None``, for which :func:`successors` raises.  A duplicate node id
-    raises :class:`KernelError` when the index is built.
+    Every stage reads the proof as its node table, :attr:`rows`: for each
+    node id in preorder, the node's sequent, its rule (None for an open
+    leaf) and its child ids as given, and :attr:`root`, the root's id.  The
+    successor ids of each node (:attr:`successor_table`) follow from the
+    rows and the back edges: those of a closed node are its child ids in
+    order, those of an open leaf ``(target,)`` for its back edge, and an
+    open leaf without a back edge has ``None``, for which
+    :func:`successors` raises.
+
+    There are two ways in.  ``PreProof(tree, back_edges)``, for a proof
+    built in memory, derives the rows in one preorder walk of the tree at
+    first use; a duplicate node id raises :class:`KernelError` then.
+    :meth:`from_rows`, for a loaded proof or a quotient, takes the rows as
+    they are, and builds no tree: :attr:`tree`, :attr:`nodes` and
+    :meth:`node` make the :class:`DerivTree` objects on first use, in one
+    pass from the leaves up.  Either way the pre-proof compares, hashes,
+    prints, copies and pickles as its tree and back edges.
 
     A pre-proof also keeps, for its whole life, the work a check does once
     per distinct sequent rather than once per node:
@@ -665,48 +681,94 @@ class PreProof(Record):
       ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads,
       keyed by the id of an inference that the first table holds.
 
-    The index and the tables are not compared, hashed or copied.
+    The rows, the nodes and the tables are not compared, hashed or copied.
     """
 
-    __slots__ = ("tree", "back_edges", "_nodes", "_successors", "_inferences", "step_table")
+    __slots__ = ("_tree", "back_edges", "root", "_rows", "_nodes", "_successors",
+                 "_inferences", "step_table")
     _compared = ("tree", "back_edges")
-    tree: DerivTree
+    _tree: Optional[DerivTree]
     back_edges: Mapping[str, str]
+    root: str
+    _rows: Optional[dict[str, Row]]
     _nodes: Optional[dict[str, DerivTree]]
     _successors: Optional[dict[str, Optional[tuple[str, ...]]]]
     _inferences: dict[tuple[Sequent, Rule], Inference]
     step_table: dict[tuple[int, int], Any]
 
     def __init__(self, tree: DerivTree, back_edges: Optional[Mapping[str, str]] = None) -> None:
-        object.__setattr__(self, "tree", tree)
+        self._start(tree, tree.id, None, back_edges)
+
+    @classmethod
+    def from_rows(cls, root: str, rows: dict[str, Row],
+                  back_edges: Optional[Mapping[str, str]] = None) -> PreProof:
+        """The pre-proof whose node table is ``rows``, kept as it is.
+
+        ``rows`` must be a tree from ``root`` in preorder, each node once:
+        :func:`~hflcyc.proofio.loads_preproof` checks that of a text, and
+        the quotient of :mod:`hflcyc.gtc` makes it so.  It is not checked
+        here.
+        """
+        pp = cls.__new__(cls)
+        pp._start(None, root, rows, back_edges)
+        return pp
+
+    def _start(self, tree: Optional[DerivTree], root: str, rows: Optional[dict[str, Row]],
+               back_edges: Optional[Mapping[str, str]]) -> None:
+        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "back_edges", {} if back_edges is None else dict(back_edges))
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_nodes", None)
         object.__setattr__(self, "_successors", None)
         object.__setattr__(self, "_inferences", {})
         object.__setattr__(self, "step_table", {})
 
     def _index(self) -> None:
+        """The rows and the nodes of a tree built in memory, in one walk."""
         nodes: dict[str, DerivTree] = {}
-        table: dict[str, Optional[tuple[str, ...]]] = {}
-        back = self.back_edges
-        for node in self.tree.walk():
+        rows: dict[str, Row] = {}
+        for node in self._tree.walk():
             node_id = node.id
             if node_id in nodes:
                 raise KernelError(f"duplicate node id {node_id!r}")
             nodes[node_id] = node
-            if node.rule is not None:
-                table[node_id] = tuple([c.id for c in node.children])
-            else:
-                target = back.get(node_id)
-                table[node_id] = None if target is None else (target,)
+            rows[node_id] = (node.seq, node.rule, tuple([c.id for c in node.children]))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_successors", table)
+
+    def _build_nodes(self) -> None:
+        """The nodes of a row-built pre-proof, each built after its children."""
+        rows = self._rows
+        built: dict[str, DerivTree] = {}
+        for node_id in reversed(rows):  # in preorder a node's children follow it
+            seq, rule, kids = rows[node_id]
+            built[node_id] = DerivTree(node_id, seq, rule, tuple([built[k] for k in kids]))
+        object.__setattr__(self, "_nodes", {node_id: built[node_id] for node_id in rows})
+        object.__setattr__(self, "_tree", built[self.root])
+
+    @property
+    def rows(self) -> dict[str, Row]:
+        """Every node's (sequent, rule, child ids) by node id, in preorder."""
+        if self._rows is None:
+            self._index()
+        return self._rows
+
+    @property
+    def tree(self) -> DerivTree:
+        """The derivation tree; a row-built pre-proof makes it on first use."""
+        if self._tree is None:
+            self._build_nodes()
+        return self._tree
 
     @property
     def nodes(self) -> dict[str, DerivTree]:
         """Every node by id, in preorder."""
         if self._nodes is None:
-            self._index()
+            if self._tree is None:
+                self._build_nodes()
+            else:
+                self._index()
         return self._nodes
 
     @property
@@ -714,8 +776,23 @@ class PreProof(Record):
         """Every node's successor ids by node id, in preorder: None for an
         open leaf without a back edge."""
         if self._successors is None:
-            self._index()
+            back = self.back_edges
+            table: dict[str, Optional[tuple[str, ...]]] = {}
+            for node_id, (_, rule, kids) in self.rows.items():
+                if rule is not None:
+                    table[node_id] = kids
+                else:
+                    target = back.get(node_id)
+                    table[node_id] = None if target is None else (target,)
+            object.__setattr__(self, "_successors", table)
         return self._successors
+
+    def row(self, node_id: str) -> Row:
+        """The (sequent, rule, child ids) of a node."""
+        try:
+            return self.rows[node_id]
+        except KeyError:
+            raise KernelError(f"no node {node_id!r} in the pre-proof") from None
 
     def node(self, node_id: str) -> DerivTree:
         try:
@@ -726,10 +803,10 @@ class PreProof(Record):
     def inference(self, node_id: str) -> Inference:
         """The inference at a closed node (see :meth:`inference_at`).
         Raises :class:`KernelError` for an open leaf."""
-        node = self.node(node_id)
-        if node.rule is None:
+        seq, rule, _ = self.row(node_id)
+        if rule is None:
             raise KernelError(f"node {node_id!r} is an open leaf")
-        return self.inference_at(node.seq, node.rule)
+        return self.inference_at(seq, rule)
 
     def inference_at(self, seq: Sequent, rule: Rule) -> Inference:
         """The inference of ``rule`` at ``seq``, computed once per pre-proof
@@ -747,7 +824,7 @@ class PreProof(Record):
     def positions(self, node_id: str) -> dict[OccPos, tuple[Path, ...]]:
         """The operator positions of each formula of a node's sequent, by
         position (each formula keeps its own, :func:`~hflcyc.syntax.sigma_paths`)."""
-        seq = self.node(node_id).seq
+        seq = self.row(node_id)[0]
         return {(side, index): sigma_paths(formula)
                 for side, row in ((LEFT, seq.left), (RIGHT, seq.right))
                 for index, formula in enumerate(row)}
@@ -771,26 +848,30 @@ class ValidationIssue(Record):
 
 
 _UNSEEN = object()
+_SEQUENT = itemgetter(0)  # of a row
 
 
 def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     """Check every inference, every sequent's typing, and every back edge.
 
-    One walk over :attr:`PreProof.nodes`.  Each sequent object is typed
+    One pass over :attr:`PreProof.rows`.  Each sequent object is typed
     once, and each (conclusion, rule, child sequents) triple is checked
     once; every failing node still gets its own issue.  Returns all problems
     found (empty list = valid pre-proof).
     """
     issues: list[ValidationIssue] = []
     try:
-        nodes = pp.nodes
+        rows = pp.rows
     except KernelError as exc:
         return [ValidationIssue("<tree>", str(exc))]
 
+    back = pp.back_edges
+    unbacked: list[str] = []  # the open leaves without a back edge
     typed: dict[Sequent, Optional[str]] = {}
     compared: dict[tuple, Optional[str]] = {}
-    for node in nodes.values():
-        seq, rule = node.seq, node.rule
+    for node_id, (seq, rule, kids) in rows.items():
+        if rule is None and node_id not in back:
+            unbacked.append(node_id)
         bad = typed.get(seq, _UNSEEN)
         if bad is _UNSEEN:
             try:
@@ -800,45 +881,44 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
                 bad = str(exc)
             typed[seq] = bad
         if bad is not None:
-            issues.append(ValidationIssue(node.id, f"ill-typed sequent: {bad}"))
+            issues.append(ValidationIssue(node_id, f"ill-typed sequent: {bad}"))
             continue
         if rule is None:
-            if node.children:
-                issues.append(ValidationIssue(node.id, "open leaf with children"))
+            if kids:
+                issues.append(ValidationIssue(node_id, "open leaf with children"))
             continue
-        kids = tuple([c.seq for c in node.children])
-        key = (seq, rule, kids)
+        premises = tuple(map(_SEQUENT, map(rows.__getitem__, kids)))
+        key = (seq, rule, premises)
         bad = compared.get(key, _UNSEEN)
         if bad is _UNSEEN:
             try:
-                _check_premises(rule, pp.inference_at(seq, rule).premises, kids)
+                _check_premises(rule, pp.inference_at(seq, rule).premises, premises)
                 bad = None
             except KernelError as exc:
                 bad = str(exc)
             compared[key] = bad
         if bad is not None:
-            issues.append(ValidationIssue(node.id, f"{rule.tag}: {bad}"))
+            issues.append(ValidationIssue(node_id, f"{rule.tag}: {bad}"))
 
-    for leaf in pp.open_leaves():
-        if leaf.id not in pp.back_edges:
-            issues.append(ValidationIssue(leaf.id, "open leaf without back edge"))
-    for leaf_id, target_id in pp.back_edges.items():
-        source = nodes.get(leaf_id)
-        if source is None or source.rule is not None:
+    for node_id in unbacked:
+        issues.append(ValidationIssue(node_id, "open leaf without back edge"))
+    for leaf_id, target_id in back.items():
+        source = rows.get(leaf_id)
+        if source is None or source[1] is not None:
             issues.append(ValidationIssue(leaf_id, "back edge source is not an open leaf"))
             continue
-        target = nodes.get(target_id)
+        target = rows.get(target_id)
         if target is None:
             issues.append(ValidationIssue(leaf_id, f"back edge target {target_id!r} does not exist"))
             continue
-        if not target.children:
+        if not target[2]:
             issues.append(ValidationIssue(leaf_id, f"back edge target {target_id!r} is a leaf"))
             continue
-        if not sequent_alpha_eq(nodes[leaf_id].seq, target.seq):
+        if not sequent_alpha_eq(source[0], target[0]):
             issues.append(ValidationIssue(
                 leaf_id,
-                f"back edge target sequent differs: {sequent_to_str(target.seq)}"
-                f" vs {sequent_to_str(nodes[leaf_id].seq)}"))
+                f"back edge target sequent differs: {sequent_to_str(target[0])}"
+                f" vs {sequent_to_str(source[0])}"))
     return issues
 
 

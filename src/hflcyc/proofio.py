@@ -53,12 +53,15 @@ entry one more, and each rule table entry, or distinct inline ``(rule ...)``
 form, is built once (a ``Subst`` once per child sequent).  A quoted string
 is unescaped once per distinct literal and a quoted sequent parsed once.  A
 node line is checked in place, by its length and the types of its entries,
-and resolves its names with one dict lookup each.  The tree is built in one
-walk from the root and one pass back up.  A malformed text raises
-:class:`ProofFormatError`; the line and column of the offending token are
-found only then.  The tables only save work: a loaded proof holds the same
-objects as one built in memory, since every value is interned when it is
-built.
+and resolves its names with one dict lookup each, which gives the node's
+row: its sequent, rule and child ids.  One walk from the root checks that
+the rows form a tree and puts them in preorder, and the pre-proof is that
+node table (:meth:`~hflcyc.kernel.PreProof.from_rows`); no derivation tree
+is built.  A malformed text raises :class:`ProofFormatError`; the line and
+column of the offending token, or which fault of a node table comes first,
+are found only then.  The tables only save work: a loaded proof holds the
+same objects as one built in memory, since every value is interned when it
+is built.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from operator import length_hint
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .syntax import (
     BINDERS, NAT, PROP, And, App, Arrow, Eq, Expr, HflError, HflTypeError, Interned, Lam, Mu,
@@ -74,7 +77,7 @@ from .syntax import (
     parse_sequent, to_str,
 )
 from .kernel import (
-    RULES, Cut, DerivTree, EqL, ExL, ExR, Mono, Nat, PreProof, Rule, Subst,
+    RULES, Cut, EqL, ExL, ExR, Mono, Nat, PreProof, Row, Rule, Subst,
 )
 
 
@@ -94,9 +97,14 @@ class Quoted(str):
 # A token is a flat form, a parenthesis, a string literal, a comment, an
 # atom, or the opening quote of an unterminated string.  Only blanks match
 # none of these, and findall skips them.  A flat form is a parenthesised list
-# of atoms that hold no whitespace of any kind, which str.split cuts apart.
+# of atoms that hold no whitespace of any kind, which str.split cuts apart:
+# between its parentheses it has no parenthesis, quote or semicolon, and no
+# whitespace but the blanks, which are space, tab, CR and LF.
 _ATOM = r'[^ \t\r\n();"]+'
-_FLAT = r'\([ \t\r\n]*(?:[^\s();"]+(?:[ \t\r\n]+[^\s();"]+)*[ \t\r\n]*)?\)'
+# the characters that str.isspace and the pattern \s take for whitespace,
+# but the blanks do not include
+_OTHER_SPACE = "\x0b\x0c\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
+_FLAT = r'\([^();"' + _OTHER_SPACE + r']*\)'
 _TOKEN_RE = re.compile(_FLAT + r'|[()]|"[^"\\]*(?:\\.[^"\\]*)*"|;[^\n]*|' + _ATOM + '|"',
                        re.DOTALL)
 _ATOM_RE = re.compile(_ATOM)
@@ -294,55 +302,64 @@ _VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _KEYWORDS = frozenset(("Z", "S", "mu", "nu"))
 
 
-def _variable(x, where: str = "") -> str:
+_ENTRY_KINDS = {"type": "type", "form": "formula", "seq": "sequent", "rule": "rule"}
+
+
+def _entry_name(form: list) -> str:
+    """The entry that a table form defines, as its errors name it."""
+    return f"{_ENTRY_KINDS[form[0]]} {form[1]}"
+
+
+def _variable(x, form: Optional[list] = None) -> str:
     """``x``, once the formula grammar reads it as the variable ``x``, or a
-    ProofFormatError that starts with ``where``."""
+    ProofFormatError that names the entry ``form``, if given."""
     if type(x) is not str or not _VARIABLE_RE.fullmatch(x) or x in _KEYWORDS:
+        where = "" if form is None else f"{_entry_name(form)}: "
         raise ProofFormatError(f"{where}{x!r} is not a variable name of the formula grammar")
     return x
 
 
-def _lookup(table: dict, x, what: str, where: str):
-    """The entry of ``table`` that the atom ``x`` names, or a ProofFormatError."""
+def _lookup(table: dict, x, what: str, form: list):
+    """The entry of ``table`` that the atom ``x`` names, or a ProofFormatError
+    that names the entry ``form``."""
     value = table.get(x) if type(x) is str else None
     if value is None:
-        raise ProofFormatError(f"{where}: unknown {what} name {x!r}")
+        raise ProofFormatError(f"{_entry_name(form)}: unknown {what} name {x!r}")
     return value
 
 
 def _formula_entry(form: list, forms: dict[str, Expr], types: dict[str, SimpleType]) -> Expr:
     """The formula node of the entry ``(form name Tag field...)``, built by one
     constructor call over the entries it names."""
-    where = f"formula {form[1]}"
     tag = form[2] if len(form) > 2 else None
     cls = _FORMULA_TAGS.get(tag) if type(tag) is str else None
     if cls is None:
-        raise ProofFormatError(f"{where}: unknown formula tag {tag!r}")
+        raise ProofFormatError(f"{_entry_name(form)}: unknown formula tag {tag!r}")
     fields = form[3:]
     if len(fields) != len(cls.__slots__):
-        raise ProofFormatError(f"{where}: {tag} takes {' '.join(cls.__slots__) or 'no fields'}")
+        raise ProofFormatError(
+            f"{_entry_name(form)}: {tag} takes {' '.join(cls.__slots__) or 'no fields'}")
     if cls is Var:
-        return Var(_variable(fields[0], where + ": "))
+        return Var(_variable(fields[0], form))
     if cls in BINDERS:
         var, ty, body = fields
         try:
-            return cls(_variable(var, where + ": "), _lookup(types, ty, "type", where),
-                       _lookup(forms, body, "formula", where))
+            return cls(_variable(var, form), _lookup(types, ty, "type", form),
+                       _lookup(forms, body, "formula", form))
         except HflTypeError as exc:  # a fixed point of type N
-            raise ProofFormatError(f"{where}: {exc}") from None
-    return cls(*[_lookup(forms, x, "formula", where) for x in fields])
+            raise ProofFormatError(f"{_entry_name(form)}: {exc}") from None
+    return cls(*[_lookup(forms, x, "formula", form) for x in fields])
 
 
 def _sequent_entry(form: list, forms: dict[str, Expr]) -> Sequent:
     """The sequent of the entry ``(seq name formula* |- formula*)``."""
-    where = f"sequent {form[1]}"
     items = form[2:]
     cut = items.index("|-") if "|-" in items else -1
     if cut < 0 or type(items[cut]) is not str or "|-" in items[cut + 1:]:
-        raise ProofFormatError(f"{where}: (seq {form[1]} ...) takes one quoted sequent, "
+        raise ProofFormatError(f"{_entry_name(form)}: (seq {form[1]} ...) takes one quoted sequent, "
                                "or formula names around one |-")
-    return Sequent(tuple([_lookup(forms, x, "formula", where) for x in items[:cut]]),
-                   tuple([_lookup(forms, x, "formula", where) for x in items[cut + 1:]]))
+    return Sequent(tuple([_lookup(forms, x, "formula", form) for x in items[:cut]]),
+                   tuple([_lookup(forms, x, "formula", form) for x in items[cut + 1:]]))
 
 
 def _rule_formulas(form: list, forms: dict[str, Expr]) -> list:
@@ -363,7 +380,7 @@ def _rule_formulas(form: list, forms: dict[str, Expr]) -> list:
         return parts
     for row, i in places:
         if i < len(row) and type(row[i]) is str:
-            row[i] = _lookup(forms, row[i], "formula", f"rule {form[1]}")
+            row[i] = _lookup(forms, row[i], "formula", form)
     return parts
 
 
@@ -412,16 +429,24 @@ def loads_preproof(text: str) -> PreProof:
     in the tables above it, or writes them inline, and each rule table entry
     or distinct inline ``(rule ...)`` form is built once (a ``Subst`` once
     per child sequent).  A name must be defined above its use and defined
-    once.  Raises :class:`ProofFormatError`, or the parser's
-    :class:`HflError` for a quoted sequent.
+    once.
+
+    Each node line becomes a row of the node table.  A dump lists the nodes
+    in preorder, root first, so one walk from the first node, which builds
+    only the ``Subst`` rules, checks that the rows form a tree and returns
+    them in that order; only a text that fails it is judged in full, by the
+    root that no node lists as a child and by :func:`_tree_error`.  Raises
+    :class:`ProofFormatError`, or the parser's :class:`HflError` for a
+    quoted sequent.
     """
-    raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]] = {}
+    table: dict[str, _Entry] = {}  # each node line, in the order of the text
     back: dict[str, str] = {}
     sequents: dict[Quoted, Sequent] = {}  # each distinct sequent string, parsed
     types: dict[str, SimpleType] = {"N": NAT, "O": PROP}
     forms: dict[str, Expr] = {}
     seq_names: dict[str, Sequent] = {}
-    rule_names: dict[str, tuple] = {}  # name -> (rule key, rule body)
+    rule_names: dict[str, Union[Rule, tuple]] = {}  # see _rule_or_body
+    inline_rules: dict[tuple, Union[Rule, tuple]] = {}  # by _form_key
     for form in _read_forms(text):
         if not (isinstance(form, list) and form):
             raise ProofFormatError(f"expected a (node ...) or (back ...) form, got {form!r}")
@@ -433,7 +458,7 @@ def loads_preproof(text: str) -> PreProof:
             node_id = form[1]
             if type(node_id) is not str:  # a literal or a list
                 _atom_param(node_id, "node id")
-            if node_id in raw_nodes:
+            if node_id in table:
                 raise ProofFormatError(f"duplicate node id {node_id!r}")
             ref = form[2]
             named = type(ref) is str  # a sequent name, then a rule name and the children
@@ -450,7 +475,7 @@ def loads_preproof(text: str) -> PreProof:
                 raise ProofFormatError(
                     f'node {node_id}: expected (seq "...") or a sequent name')
             if size == 4 and form[3] == "open":
-                raw_nodes[node_id] = (seq, None, [])
+                table[node_id] = (seq, None, ())
                 continue
             if named:
                 if size == 3:
@@ -458,23 +483,29 @@ def loads_preproof(text: str) -> PreProof:
                 rule = rule_names.get(form[3]) if type(form[3]) is str else None
                 if rule is None:
                     raise ProofFormatError(f"node {node_id}: unknown rule name {form[3]!r}")
-                kids = form[4:]
+                kids = tuple(form[4:])
             else:
                 ref = form[3] if size in (4, 5) else None
                 if not (isinstance(ref, list) and ref and ref[0] == "rule"):
                     raise ProofFormatError(f"node {node_id}: expected (rule ...) or open")
-                rule = (None, ref[1:])
-                kids = []
+                parts = ref[1:]
+                key = _form_key(parts)
+                rule = inline_rules.get(key)
+                if rule is None:
+                    rule = inline_rules[key] = _rule_or_body(None, parts)
+                kids = ()
                 if size == 5:
                     children = form[4]
                     if not (isinstance(children, list) and children and children[0] == "children"):
                         raise ProofFormatError(f"node {node_id}: expected (children ...)")
-                    kids = children[1:]
+                    kids = tuple(children[1:])
             for k in kids:
                 if type(k) is not str:  # a literal or a list
                     _atom_param(k, "child id")
-            raw_nodes[node_id] = (seq, rule, kids)
+            table[node_id] = (seq, rule, kids)
         elif head == "form":
+            if size < 2:  # the entry names itself in its errors
+                _table_name(form, forms, "formula")
             forms[_table_name(form, forms, "formula")] = _formula_entry(form, forms, types)
         elif head == "seq":
             name = _table_name(form, seq_names, "sequent")
@@ -487,13 +518,13 @@ def loads_preproof(text: str) -> PreProof:
                 seq_names[name] = _sequent_entry(form, forms)
         elif head == "rule":
             name = _table_name(form, rule_names, "rule")
-            rule_names[name] = ((name,), _rule_formulas(form, forms))
+            rule_names[name] = _rule_or_body((name,), _rule_formulas(form, forms))
         elif head == "type":
             name = _table_name(form, types, "type")
             if size != 4:
                 raise ProofFormatError(f"type {name}: (type {name} ...) takes two type names")
             try:
-                types[name] = Arrow(*[_lookup(types, x, "type", f"type {name}") for x in form[2:]])
+                types[name] = Arrow(*[_lookup(types, x, "type", form) for x in form[2:]])
             except HflTypeError as exc:  # an arrow to N
                 raise ProofFormatError(f"type {name}: {exc}") from None
         elif head == "back":
@@ -506,24 +537,30 @@ def loads_preproof(text: str) -> PreProof:
         else:
             raise ProofFormatError(f"unknown top-level form {head!r}")
 
-    if not raw_nodes:
+    if not table:
         raise ProofFormatError("no (node ...) forms in input")
-    referenced = {k for (_, _, kids) in raw_nodes.values() for k in kids}
-    roots = [i for i in raw_nodes if i not in referenced]
-    if len(roots) != 1:
-        raise ProofFormatError(f"expected exactly one root node, found {sorted(roots)}")
-
-    tree, seen = _build_tree(raw_nodes, roots[0])
-    orphans = raw_nodes.keys() - seen
-    if orphans:
-        raise ProofFormatError(f"nodes not reachable from the root: {sorted(orphans)}")
-    return PreProof(tree, back)
+    # a dump lists the root first; any other text is judged in full
+    root = next(iter(table))
+    rows = _rows(table, root)
+    if rows is None:
+        referenced = {k for (_, _, kids) in table.values() for k in kids}
+        roots = [i for i in table if i not in referenced]
+        if len(roots) != 1:
+            raise ProofFormatError(f"expected exactly one root node, found {sorted(roots)}")
+        if roots[0] != root:
+            root = roots[0]
+            rows = _rows(table, root)
+        if rows is None:
+            raise _tree_error(table, root)
+    return PreProof.from_rows(root, rows, back)
 
 
 def _table_name(form: list, table: dict, what: str) -> str:
     """The name that a table form defines, once it is a bare atom that
     ``table`` does not hold yet."""
-    name = _atom_param(form[1] if len(form) > 1 else None, f"{what} name")
+    name = form[1] if len(form) > 1 else None
+    if type(name) is not str:  # a literal, a list or nothing
+        _atom_param(name, f"{what} name")
     if name in table:
         raise ProofFormatError(f"duplicate {what} name {name!r}")
     return name
@@ -550,68 +587,101 @@ def _form_key(form: list) -> tuple:
     return tuple(out)
 
 
-def _build_tree(raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]],
-                root: str) -> tuple[DerivTree, set[str]]:
-    """The tree below ``root``, built without recursion, and the ids in it.
+# A node line: its sequent, and its rule (see _rule_or_body) or None for an
+# open leaf, and its child ids.
+_Entry = tuple[Sequent, Union[Rule, tuple, None], tuple[str, ...]]
 
-    One walk from the root, last child first, lists the nodes; reversed, the
-    list is the postorder, in which each node is built from its children
-    and rules are built from the leaf up.  A node reached twice is its own
-    ancestor or is listed as a child twice.  A node's rule is ``None``
-    (open) or a pair of a key and a rule body; the key is the table name's
-    1-tuple, or ``None`` for an inline form, which :func:`_form_key` keys.
+
+def _rule_or_body(key: Optional[tuple], parts: list) -> Union[Rule, tuple]:
+    """The rule whose body is ``parts``, or ``(key, parts)`` when it needs the
+    node: a ``Subst``, whose source is its child's sequent, or a rule that
+    does not build, which :func:`_tree_error` reports at its first node.  The
+    key is a table name's 1-tuple, or ``None`` for an inline form."""
+    if parts[:1] != ["Subst"]:
+        try:
+            return rule_from_form(parts, [])
+        except HflError:
+            pass
+    return key, parts
+
+
+def _rows(table: dict[str, _Entry], root: str) -> Optional[dict[str, Row]]:
+    """The node table of the tree below ``root``, in preorder, or None unless
+    the node lines form that tree and every rule builds.
+
+    One walk from the root, without recursion, takes each node line as its
+    row, once it has a rule: a ``Subst`` is built once per rule body and
+    child sequent.
     """
+    rows: dict[str, Row] = {}
+    built: dict[tuple, Rule] = {}
+    stack: list = [None, root]  # None stops the walk when the tree is done
+    for node_id in iter(stack.pop, None):
+        entry = table.get(node_id)
+        if entry is None or node_id in rows:
+            return None
+        if type(entry[1]) is tuple:
+            seq, (key, parts), kids = entry
+            below = [table.get(k) for k in kids]
+            if None in below:
+                return None
+            premises = [e[0] for e in below]
+            key = (_form_key(parts) if key is None else key) + tuple(map(id, premises))
+            rule = built.get(key)
+            if rule is None:
+                try:
+                    rule = built[key] = rule_from_form(parts, premises)
+                except HflError:
+                    return None
+            entry = (seq, rule, kids)
+        rows[node_id] = entry
+        stack += reversed(entry[2])
+    return rows if len(rows) == len(table) else None
+
+
+def _tree_error(table: dict[str, _Entry], root: str) -> ProofFormatError:
+    """The error of node lines that do not form a tree below ``root``, hold
+    a rule that does not build, or leave a node out: the first node reached
+    twice, or child with no ``(node ...)`` form, in a walk from the root
+    that takes the last child first; else the first rule that does not
+    build, from the leaves up; else the nodes that the walk left out."""
     order: list[str] = []
     seen: set[str] = set()
     stack = [root]
     while stack:
         node_id = stack.pop()
         if node_id in seen:
-            if _below(raw_nodes, node_id):
-                raise ProofFormatError(f"node {node_id!r} is its own ancestor")
-            raise ProofFormatError(f"node {node_id!r} is listed as a child twice")
-        entry = raw_nodes.get(node_id)
+            if _below(table, node_id):
+                return ProofFormatError(f"node {node_id!r} is its own ancestor")
+            return ProofFormatError(f"node {node_id!r} is listed as a child twice")
+        entry = table.get(node_id)
         if entry is None:
-            raise ProofFormatError(f"child id {node_id!r} has no (node ...) form")
+            return ProofFormatError(f"child id {node_id!r} has no (node ...) form")
         seen.add(node_id)
         order.append(node_id)
         stack += entry[2]
-
-    built: list[DerivTree] = []  # finished subtrees whose parent is pending
-    rules: dict[tuple, Rule] = {}  # one object per table entry or inline form
     for node_id in reversed(order):
-        seq, entry, kids = raw_nodes[node_id]
-        first = len(built) - len(kids)
-        children, built[first:] = tuple(built[first:]), []
-        rule = None
-        if entry is not None:
-            key, parts = entry
-            if key is None:
-                key = _form_key(parts)
-            if parts and parts[0] == "Subst":  # the source is the child's sequent
-                key += tuple(id(c.seq) for c in children)
-            rule = rules.get(key)
-            if rule is None:
-                try:
-                    rule = rules[key] = rule_from_form(parts, [c.seq for c in children])
-                except HflError as exc:
-                    where = f"node {node_id}: " + ("" if entry[0] is None else f"rule {entry[0][0]}: ")
-                    raise ProofFormatError(where + str(exc)) from None
-        built.append(DerivTree(node_id, seq, rule, children))
-    return built[0], seen
+        _, rule, kids = table[node_id]
+        if type(rule) is tuple:
+            key, parts = rule
+            try:
+                rule_from_form(parts, [table[k][0] for k in kids])
+            except HflError as exc:
+                where = f"node {node_id}: " + ("" if key is None else f"rule {key[0]}: ")
+                return ProofFormatError(where + str(exc))
+    return ProofFormatError(f"nodes not reachable from the root: {sorted(table.keys() - seen)}")
 
 
-def _below(raw_nodes: dict[str, tuple[Sequent, Optional[tuple], list[str]]],
-           node_id: str) -> bool:
+def _below(table: dict[str, _Entry], node_id: str) -> bool:
     """Whether ``node_id`` is among its own descendants."""
-    todo, seen = list(raw_nodes[node_id][2]), set()
+    todo, seen = list(table[node_id][2]), set()
     while todo:
         k = todo.pop()
         if k == node_id:
             return True
-        if k not in seen and k in raw_nodes:
+        if k not in seen and k in table:
             seen.add(k)
-            todo += raw_nodes[k][2]
+            todo += table[k][2]
     return False
 
 

@@ -22,7 +22,6 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 from .kernel import (
     LEFT,
     RIGHT,
-    DerivTree,
     Inference,
     KernelError,
     OccPos,
@@ -193,7 +192,7 @@ def _start_position(pp: PreProof, start: OccurrenceRef) -> OccPos:
     if start.side not in (LEFT, RIGHT):
         raise TraceError(f"side {start.side!r} of {start} is neither {LEFT!r} nor {RIGHT!r}")
     pos = (start.side, start.index)
-    _formula_at(pp.node(start.node).seq, pos)
+    _formula_at(pp.row(start.node)[0], pos)
     return pos
 
 
@@ -280,8 +279,9 @@ StepsByOcc = Mapping[OccPos, tuple[tuple[OccurrenceStep, dict[Path, tuple[Path, 
 occurrence."""
 
 
-def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
-    """The occurrence steps from a closed node of ``pp`` into one premise.
+def node_steps(pp: PreProof, node_id: str, branch: int) -> StepsByOcc:
+    """The occurrence steps from a closed node of ``pp``, read from its row,
+    into one premise.
 
     They are computed once per (inference, branch) pair and kept in the
     pre-proof's ``step_table``; nodes with equal sequents and equal rules
@@ -290,12 +290,13 @@ def node_steps(pp: PreProof, node: DerivTree, branch: int) -> StepsByOcc:
     is also the order of their premise positions.  Raises like
     :func:`occurrence_steps`; a failure is not kept.
     """
-    inference = pp.inference_at(node.seq, node.rule)
+    seq, rule, _ = pp.rows[node_id]
+    inference = pp.inference_at(seq, rule)
     key = (id(inference), branch)
     got = pp.step_table.get(key)
     if got is None:
         by_occ: dict[OccPos, list] = {}
-        for step in occurrence_steps(node.seq, node.rule, branch, inference=inference):
+        for step in occurrence_steps(seq, rule, branch, inference=inference):
             by_occ.setdefault(step.conclusion_pos, []).append((step, step.inverse()))
         got = pp.step_table[key] = {occ: tuple(v) for occ, v in by_occ.items()}
     return got
@@ -403,11 +404,10 @@ def _check_lasso(pp: PreProof, lasso: Lasso) -> None:
 def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[StepsByOcc]:
     """Steps for the i-th lasso edge; None means a back edge (pure copy)."""
     spine = lasso.spine
-    cur = pp.node(spine[i])
-    if cur.is_open():
+    if pp.row(spine[i])[1] is None:
         return None
-    branch = pp.successor_table[cur.id].index(spine[lasso.successor_index(i)])
-    return node_steps(pp, cur, branch)
+    branch = pp.successor_table[spine[i]].index(spine[lasso.successor_index(i)])
+    return node_steps(pp, spine[i], branch)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ class _LassoGraph:
         self._edges = [_edge_steps(pp, lasso, i) for i in range(len(self.spine))]
 
     def node_formula(self, i: int, occ: OccPos) -> Expr:
-        return _formula_at(self.pp.node(self.spine[i]).seq, occ)
+        return _formula_at(self.pp.row(self.spine[i])[0], occ)
 
     def successors_of(self, state: _AState) -> list[tuple[_AState, bool, Optional[str]]]:
         """(next state, grows, kind-of-grow) triples."""
@@ -481,7 +481,7 @@ class _LassoGraph:
                        side: str) -> list[_AState]:
         inits: list[_AState] = []
         for i in positions:
-            seq = self.pp.node(self.spine[i]).seq
+            seq = self.pp.row(self.spine[i])[0]
             for idx, f in enumerate(seq.left if side == LEFT else seq.right):
                 inits += [(i, (side, idx), p) for p in _operators_of_kind(f, kind)]
         return inits
@@ -610,12 +610,11 @@ def lasso_good(pp: PreProof, lasso: Lasso) -> bool:
 
 def _tree_paths(pp: PreProof) -> dict[str, tuple[str, ...]]:
     """Node id -> the (unique) tree path from the root down to it."""
-    out: dict[str, tuple[str, ...]] = {}
-    stack = [(pp.tree, ())]
-    while stack:
-        node, above = stack.pop()
-        out[node.id] = path = above + (node.id,)
-        stack.extend((c, path) for c in reversed(node.children))
+    out = {pp.root: (pp.root,)}
+    for node_id, (_, _, kids) in pp.rows.items():  # a parent's path comes first
+        path = out[node_id]
+        for k in kids:
+            out[k] = path + (k,)
     return out
 
 
@@ -725,20 +724,21 @@ def render_annotated(af: AnnotatedFormula) -> str:
     return to_str(af.formula, af.notes)
 
 
-def _index_map(pp: PreProof, node: DerivTree, branch: int, child: DerivTree, occ: OccPos):
-    """How the first step of ``occ`` from ``node`` into ``child``, premise
-    ``branch``, moves a thread's row, or ``()`` when ``occ`` has no successor
+def _index_map(pp: PreProof, node_id: str, branch: int, occ: OccPos):
+    """How the first step of ``occ`` from a closed node into its child on
+    premise ``branch`` moves a thread's row, or ``()`` when ``occ`` has no successor
     there: the premise position and formula (whose positions must be the
     transport's keys), each premise position's source index in the row (past
     its end for a copy of the unfolded operator), the unfolded operator's
     index or None, and the transport's keys in their order."""
-    steps = node_steps(pp, node, branch).get(occ)
+    steps = node_steps(pp, node_id, branch).get(occ)
     if not steps:
         return ()
     step = steps[0][0]  # the first premise position (node_steps keeps them in order)
-    formula = _formula_at(child.seq, step.premise_pos)
+    seq, _, kids = pp.rows[node_id]
+    formula = _formula_at(pp.rows[kids[branch]][0], step.premise_pos)
     _require_positions(formula, step.transport)
-    above = {p: i for i, p in enumerate(sigma_paths(_formula_at(node.seq, occ)))}
+    above = {p: i for i, p in enumerate(sigma_paths(_formula_at(seq, occ)))}
     source = tuple([len(above) if q in step.copy_roots else above[step.transport[q]]
                     for q in sigma_paths(formula)])
     head = None if step.consumed_head is None else above[step.consumed_head]
@@ -762,28 +762,28 @@ def thread_rows(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef, maps: 
         raise TraceError("the path must begin at the start occurrence's node")
     occ = _start_position(pp, start)
     fresh = fresh_counter()
-    cur = pp.node(nodes[0])
-    formula = _formula_at(cur.seq, occ)
+    cur = nodes[0]
+    rows = pp.rows
+    formula = _formula_at(rows[cur][0], occ)
     keys = sigma_paths(formula)
     row = [((), "")] * len(keys)
-    yield cur.id, occ, formula, row, keys
+    yield cur, occ, formula, row, keys
     table = pp.successor_table
-    for nxt_id in itertools.islice(nodes, 1, None):
-        out = table[cur.id]
-        if out is None or nxt_id not in out:
-            raise TraceError(f"{cur.id} -> {nxt_id} is not an edge")
-        if cur.is_open():  # back edge: the row stays
-            cur = pp.node(nxt_id)
-            bud, formula = formula, _formula_at(cur.seq, occ)
+    for nxt in itertools.islice(nodes, 1, None):
+        out = table[cur]
+        if out is None or nxt not in out:
+            raise TraceError(f"{cur} -> {nxt} is not an edge")
+        seq, rule, _ = rows[cur]
+        if rule is None:  # back edge: the row stays
+            bud, formula = formula, _formula_at(pp.row(nxt)[0], occ)
             if formula is not bud:
                 _require_positions(formula, sigma_paths(bud))
         else:
-            branch = out.index(nxt_id)
-            child = cur.children[branch]
-            key = (cur.seq, cur.rule, branch, occ, child.seq)
+            branch = out.index(nxt)
+            key = (seq, rule, branch, occ, rows[nxt][0])
             index_map = maps.get(key)
             if index_map is None:
-                index_map = maps[key] = _index_map(pp, cur, branch, child, occ)
+                index_map = maps[key] = _index_map(pp, cur, branch, occ)
             if not index_map:
                 break
             occ, formula, source, head, keys = index_map
@@ -792,8 +792,8 @@ def thread_rows(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef, maps: 
                 note, label = row[head]
                 row = [*row, (note + (k,), f"{label[:-1]}.{k}}}" if label else f"{{{k}}}")]
             row = [row[i] for i in source]
-            cur = child
-        yield nxt_id, occ, formula, row, keys
+        cur = nxt
+        yield nxt, occ, formula, row, keys
 
 
 def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef

@@ -3,11 +3,13 @@
 import copy
 import pickle
 import random
+import re
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hflcyc.gtc as gtc
 from hflcyc.gtc import (
@@ -53,7 +55,7 @@ from hflcyc.kernel import (
 from hflcyc.proofio import dumps_preproof, load_preproof, loads_preproof
 from hflcyc.semantics import BoundedDomain, Invalid, Valid, check_validity_bounded
 from hflcyc.syntax import (
-    PROP, App, Eq, Lam, Mu, Nu, Or, Sequent, Succ, Var, Zero, numeral, sigma_paths,
+    PROP, App, Eq, HflError, Lam, Mu, Nu, Or, Sequent, Succ, Var, Zero, numeral, sigma_paths,
     subexpr_at, to_str,
 )
 from hflcyc.trace import (
@@ -788,13 +790,30 @@ def test_the_index_matches_the_tree(name, pp, loaded):
         kernel.successors(pp, "zz")
 
 
+def test_a_check_of_a_loaded_proof_builds_no_tree(monkeypatch):
+    # the loader, validation, the quotient, the decision, the lift and the
+    # report read the node table; only pp.tree makes the derivation tree
+    built = built_loop(64, "mu")
+    pp = loads_preproof(dumps_preproof(built))
+    made = []
+    real = DerivTree.__init__
+    monkeypatch.setattr(DerivTree, "__init__",
+                        lambda self, *args: made.append(args[0]) or real(self, *args))
+    result = check_cyclic_proof(pp)
+    assert isinstance(result, Rejected) and result.lasso is not None
+    counterexample_report(pp, result.lasso)
+    assert made == []
+    assert pp.tree == built.tree
+    assert len(made) == len(pp.nodes) == 257
+
+
 @pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
 def test_an_occurrences_steps_come_in_premise_position_order(name, pp):
     # replay_annotations follows the first step of an occurrence, the one
     # into the first premise position
     for node in pp.nodes.values():
         for branch in range(len(node.children) if node.rule is not None else 0):
-            for steps in node_steps(pp, node, branch).values():
+            for steps in node_steps(pp, node.id, branch).values():
                 positions = [step.premise_pos for step, _ in steps]
                 assert positions == sorted(positions)
 
@@ -814,6 +833,67 @@ def bench_family_proofs(rejected_only: bool = False):
 SIDE_KEEPING = DIFFERENTIAL + bench_family_proofs()
 
 
+def _smallest_dumps() -> list[str]:
+    """The dump of the smallest proof of each benchmark family, and the
+    corpus loop's text."""
+    first: dict[str, PreProof] = {}
+    for name, pp in bench_family_proofs():
+        first.setdefault(name.rstrip("0123456789"), pp)
+    return ([dumps_preproof(pp) for pp in first.values()]
+            + [(CORPUS / "higher_order_loop.hflp").read_text(encoding="utf-8")])
+
+
+MUTATED = _smallest_dumps()
+_TOKEN = r'\(|\)|[^\s()]+'
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    """A dump with one line dropped, repeated or swapped with another, or
+    one token of a line swapped, deleted, doubled or replaced by a token of
+    the text."""
+    text = draw(st.sampled_from(MUTATED))
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["drop", "repeat", "swap", "swap token", "delete token",
+                               "double token", "replace token"]))
+    if op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(j, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = re.findall(_TOKEN, lines[i])
+        a = draw(st.integers(0, len(tokens) - 1))
+        b = draw(st.integers(0, len(tokens) - 1))
+        if op == "swap token":
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+        elif op == "delete token":
+            del tokens[a]
+        elif op == "double token":
+            tokens.insert(a, tokens[a])
+        else:
+            tokens[a] = draw(st.sampled_from(sorted(set(re.findall(_TOKEN, text)))))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_texts())
+def test_a_mutated_dump_ends_in_a_verdict_or_a_typed_error(text):
+    # bad input gets a verdict, GtcUnknown or an HflError, never another
+    # exception; the cap keeps each check short
+    try:
+        pp = loads_preproof(text)
+        result = check_cyclic_proof(pp, max_states=2000)
+        if isinstance(result, Rejected) and result.lasso is not None:
+            counterexample_report(pp, result.lasso)
+    except HflError:  # GtcUnknown too
+        pass
+
+
 @pytest.mark.parametrize("name,pp", SIDE_KEEPING, ids=[name for name, _ in SIDE_KEEPING])
 def test_steps_keep_the_side_and_kind_of_each_operator(name, pp):
     # build_gtc_automaton starts runs only at left mu and right nu operators,
@@ -831,7 +911,7 @@ def test_steps_keep_the_side_and_kind_of_each_operator(name, pp):
             assert kinds(node.id) == kinds(pp.back_edges[node.id])
             continue
         for branch, child in enumerate(node.children):
-            for occ, steps in node_steps(pp, node, branch).items():
+            for occ, steps in node_steps(pp, node.id, branch).items():
                 for step, _inv in steps:
                     assert step.premise_pos[0] == occ[0]
                     for q, p in step.transport.items():

@@ -1,11 +1,13 @@
 """Tests for the sequent-calculus kernel: rule schemas, rule sources,
 pre-proof validation, and the proof file format."""
 
+import re
 import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hflcyc.syntax import (
     PROP, And, App, Eq, Lam, Or, Sequent, Succ, Var, Zero, children, nat_pred, numeral,
@@ -820,6 +822,22 @@ class TestProofFiles:
         assert proofio._read_forms(text) == [["a\u00a0b", "c\fd"], ["e", "f", []], [],
                                              ["x\u2003y"]]
 
+    def test_a_flat_form_holds_no_whitespace_but_blanks(self):
+        # the flat-form pattern lists the whitespace of str.split and \s
+        # that is not a blank (space, tab, CR, LF), so a whitespace
+        # character that a later Python adds fails here
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        want = [c for c in chars if c.isspace() and c not in " \t\r\n"]
+        assert re.findall(f"[{proofio._OTHER_SPACE}]", chars) == want
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+    @given(st.text(st.sampled_from(list('()";\\ab \t\r\n\f\xa0\u2003')), max_size=30))
+    def test_the_tokens_are_those_of_the_atom_grammar(self, text):
+        # the flat-form pattern as the grammar states it, the reference
+        flat = (r'\([ \t\r\n]*(?:[^\s();"]+(?:[ \t\r\n]+[^\s();"]+)*[ \t\r\n]*)?\)')
+        grammar = re.compile(proofio._TOKEN_RE.pattern.replace(proofio._FLAT, flat, 1), re.DOTALL)
+        assert proofio._TOKEN_RE.findall(text) == grammar.findall(text)
+
     def test_comments_and_whitespace(self):
         text = ('; a comment\n(node n0\n  (seq "p |- p")\n'
                 '  (rule Axiom) (children))\n')
@@ -927,6 +945,8 @@ class TestProofFiles:
         ('(type t0 O O)\n(type t0 N O)', "duplicate type name 't0'"),
         ('(type O N O)', "duplicate type name 'O'"),
         ('(form f0 Zro)', "formula f0: unknown formula tag 'Zro'"),
+        # a swapped parenthesis leaves a formula entry with no name
+        ('(form) f0 Zero', "formula name must be a bare name, got None"),
         ('(form f0)', "formula f0: unknown formula tag None"),
         ('(form f0 Var x y)', "formula f0: Var takes name"),
         ('(form f0 Zero)\n(form f1 Or f0)', "formula f1: Or takes lhs rhs"),
@@ -971,8 +991,8 @@ class TestProofFiles:
         assert len({id(n.seq) for n in pp.tree.walk()}) == 4
 
     def test_each_distinct_rule_form_is_built_once(self, monkeypatch):
-        # five laps of the mu loop: 20 closed nodes over two rule forms,
-        # built from the leaf up
+        # five laps of the mu loop: 20 closed nodes over two rule forms, each
+        # built at its table entry, in the order of the table
         text = dumps_preproof(built_loop(5, "mu"))
         calls = []
         real = proofio.rule_from_form
@@ -980,7 +1000,7 @@ class TestProofFiles:
                             lambda parts, kids: calls.append(parts) or real(parts, kids))
         pp = loads_preproof(text)
         assert len(pp.nodes) == 21
-        assert calls == [["LamR"], ["MuR"]]
+        assert calls == [["MuR"], ["LamR"]]
         assert len({id(n.rule) for n in pp.tree.walk() if not n.is_open()}) == 2
 
     def test_a_dump_writes_each_distinct_sequent_once(self):

@@ -14,13 +14,13 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-import hflcyc.proofio  # noqa: F401  (so that every record class is defined)
-import hflcyc.semantics  # noqa: F401
+import hflcyc.semantics  # noqa: F401  (so that every record class is defined)
 from hflcyc.gtc import Accepted, BuchiAutomaton, Rejected
 from hflcyc.kernel import (
     Axiom, DerivTree, Inference, OccurrenceRef, OrR, PreProof, ValidationIssue,
     validate_preproof,
 )
+from hflcyc.proofio import dumps_preproof, loads_preproof
 from hflcyc.syntax import (
     FIXPOINTS, PROP, Mu, Record, Var, head_step, parse_expr, parse_sequent,
 )
@@ -36,6 +36,11 @@ ROOT_SEQ = parse_sequent("|- p \\/ q")
 
 def _tree() -> DerivTree:
     return DerivTree("n0", ROOT_SEQ, OrR(), (DerivTree("n1", LEAF_SEQ, None),))
+
+
+def _loaded() -> PreProof:
+    """A pre-proof made from its node table, as a load makes it."""
+    return loads_preproof(dumps_preproof(PreProof(_tree(), {"n1": "n0"})))
 
 
 def _automaton(decode=()) -> BuchiAutomaton:
@@ -67,6 +72,12 @@ SAMPLES = {
         lambda: PreProof(DerivTree("n0", LEAF_SEQ, None), {"n0": "n0"}),
         "PreProof(tree=DerivTree(id='n0', seq=Sequent(left=(), right=(Var(name='p'), "
         "Var(name='q'))), rule=None, children=()), back_edges={'n0': 'n0'})"),
+    "PreProof, loaded": (
+        _loaded,
+        "PreProof(tree=DerivTree(id='n0', seq=Sequent(left=(), right=(Or(lhs=Var(name='p'), "
+        "rhs=Var(name='q')),)), rule=OrR(), children=(DerivTree(id='n1', "
+        "seq=Sequent(left=(), right=(Var(name='p'), Var(name='q'))), rule=None, "
+        "children=()),)), back_edges={'n1': 'n0'})"),
     "ValidationIssue": (lambda: ValidationIssue("n1", "open leaf without back edge"),
                         "ValidationIssue(node='n1', message='open leaf without back edge')"),
     "AnnotatedFormula": (
@@ -94,14 +105,18 @@ SAMPLES = {
 }
 
 # the records with a dict field: equal ones compare equal, but hashing raises
-UNHASHABLE = {"HeadStep", "PreProof", "AnnotatedFormula", "OccurrenceStep"}
+UNHASHABLE = {"HeadStep", "PreProof", "PreProof, loaded", "AnnotatedFormula", "OccurrenceStep"}
+
+
+def _class_name(sample: str) -> str:
+    return sample.partition(",")[0]
 
 
 @pytest.mark.parametrize("name", SAMPLES)
 def test_repr_is_the_dataclass_text(name):
     build, text = SAMPLES[name]
     value = build()
-    assert type(value).__name__ == name
+    assert type(value).__name__ == _class_name(name)
     assert repr(value) == text
 
 
@@ -153,7 +168,7 @@ def test_tables_and_caches_are_not_compared():
     assert "decode" not in repr(auto)
     used, fresh = PreProof(_tree(), {"n1": "n0"}), PreProof(_tree(), {"n1": "n0"})
     validate_preproof(used)
-    node_steps(used, used.node("n0"), 0)
+    node_steps(used, "n0", 0)
     assert used._inferences and used.step_table and used == fresh
     assert repr(used) == repr(fresh)
 
@@ -163,6 +178,19 @@ def test_hashing_a_pre_proof_hashes_its_back_edge_dict():
         hash(PreProof(_tree()))
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(PreProof(_tree(), {"n1": "n0"}))
+
+
+def test_a_loaded_pre_proof_is_the_value_of_the_built_one():
+    built = PreProof(_tree(), {"n1": "n0"})
+    for loaded in (_loaded(), _loaded()):
+        assert loaded == built and built == loaded
+        assert repr(loaded) == repr(built)
+        for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            copied = copy_of(loaded)
+            assert type(copied) is PreProof and copied == built and repr(copied) == repr(built)
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(loaded)
+    assert _loaded() != PreProof(_tree(), {"n1": "n1"})
 
 
 def test_pre_proof_nodes_are_found_once():
@@ -232,7 +260,7 @@ def _record_classes(cls=Record):
 
 def test_every_record_class_has_a_sample():
     # a record class added later fails here until SAMPLES covers it
-    assert {cls.__name__ for cls in _record_classes()} == set(SAMPLES)
+    assert {cls.__name__ for cls in _record_classes()} == set(map(_class_name, SAMPLES))
 
 
 def _slots(value):
