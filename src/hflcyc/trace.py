@@ -287,14 +287,15 @@ def node_steps(pp: PreProof, node_id: str, branch: int) -> StepsByOcc:
     pre-proof's ``step_table``; nodes with equal sequents and equal rules
     share one inference, as a pre-proof holds one object per sequent value
     and per rule value.  Each occurrence's steps are in premise order, which
-    is also the order of their premise positions.  Raises like
+    is also the order of their premise positions.  Raises
+    :class:`KernelError` for a missing node or an open leaf, and like
     :func:`occurrence_steps`; a failure is not kept.
     """
-    seq, rule, _ = pp.rows[node_id]
-    inference = pp.inference_at(seq, rule)
+    inference = pp.inference(node_id)
     key = (id(inference), branch)
     got = pp.step_table.get(key)
     if got is None:
+        seq, rule, _ = pp.rows[node_id]
         by_occ: dict[OccPos, list] = {}
         for step in occurrence_steps(seq, rule, branch, inference=inference):
             by_occ.setdefault(step.conclusion_pos, []).append((step, step.inverse()))

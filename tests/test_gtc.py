@@ -807,6 +807,14 @@ def test_a_check_of_a_loaded_proof_builds_no_tree(monkeypatch):
     assert len(made) == len(pp.nodes) == 257
 
 
+def test_node_steps_name_a_missing_node_or_an_open_leaf():
+    pp = loop_proof()
+    with pytest.raises(KernelError, match="no node 'zz' in the pre-proof"):
+        node_steps(pp, "zz", 0)
+    with pytest.raises(KernelError, match="node 'n4' is an open leaf"):
+        node_steps(pp, "n4", 0)
+
+
 @pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
 def test_an_occurrences_steps_come_in_premise_position_order(name, pp):
     # replay_annotations follows the first step of an occurrence, the one
