@@ -356,8 +356,8 @@ def _sequent_entry(form: list, forms: dict[str, Expr]) -> Sequent:
     items = form[2:]
     cut = items.index("|-") if "|-" in items else -1
     if cut < 0 or type(items[cut]) is not str or "|-" in items[cut + 1:]:
-        raise ProofFormatError(f"{_entry_name(form)}: (seq {form[1]} ...) takes one quoted sequent, "
-                               "or formula names around one |-")
+        raise ProofFormatError(f"{_entry_name(form)}: (seq {form[1]} ...) takes one quoted "
+                               "sequent, or formula names around one |-")
     return Sequent(tuple([_lookup(forms, x, "formula", form) for x in items[:cut]]),
                    tuple([_lookup(forms, x, "formula", form) for x in items[cut + 1:]]))
 

@@ -770,18 +770,18 @@ def thread_rows(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef, maps: 
     row = [((), "")] * len(keys)
     yield cur, occ, formula, row, keys
     table = pp.successor_table
-    for nxt in itertools.islice(nodes, 1, None):
+    for nxt_id in itertools.islice(nodes, 1, None):
         out = table[cur]
-        if out is None or nxt not in out:
-            raise TraceError(f"{cur} -> {nxt} is not an edge")
+        if out is None or nxt_id not in out:
+            raise TraceError(f"{cur} -> {nxt_id} is not an edge")
         seq, rule, _ = rows[cur]
         if rule is None:  # back edge: the row stays
-            bud, formula = formula, _formula_at(pp.row(nxt)[0], occ)
+            bud, formula = formula, _formula_at(pp.row(nxt_id)[0], occ)
             if formula is not bud:
                 _require_positions(formula, sigma_paths(bud))
         else:
-            branch = out.index(nxt)
-            key = (seq, rule, branch, occ, rows[nxt][0])
+            branch = out.index(nxt_id)
+            key = (seq, rule, branch, occ, rows[nxt_id][0])
             index_map = maps.get(key)
             if index_map is None:
                 index_map = maps[key] = _index_map(pp, cur, branch, occ)
@@ -793,8 +793,8 @@ def thread_rows(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef, maps: 
                 note, label = row[head]
                 row = [*row, (note + (k,), f"{label[:-1]}.{k}}}" if label else f"{{{k}}}")]
             row = [row[i] for i in source]
-        cur = nxt
-        yield nxt, occ, formula, row, keys
+        cur = nxt_id
+        yield nxt_id, occ, formula, row, keys
 
 
 def replay_annotations(pp: PreProof, nodes: Sequence[str], start: OccurrenceRef

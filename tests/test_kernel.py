@@ -838,6 +838,13 @@ class TestProofFiles:
         grammar = re.compile(proofio._TOKEN_RE.pattern.replace(proofio._FLAT, flat, 1), re.DOTALL)
         assert proofio._TOKEN_RE.findall(text) == grammar.findall(text)
 
+    def test_a_text_may_list_a_child_before_its_parent(self):
+        text = ('(seq s0 "p |- p")\n(rule r0 WkL)\n(node c s0 open)\n(node a s0 r0 c)\n'
+                '(node n0 s0 r0 a)\n(back c a)')
+        pp = loads_preproof(text)
+        assert list(pp.rows) == ["n0", "a", "c"] and pp.root == "n0"
+        assert loads_preproof(dumps_preproof(pp)) == pp
+
     def test_comments_and_whitespace(self):
         text = ('; a comment\n(node n0\n  (seq "p |- p")\n'
                 '  (rule Axiom) (children))\n')
@@ -968,11 +975,25 @@ class TestProofFiles:
             loads_preproof(bad)
         assert hint in str(err.value)
 
+    TREE = ('(seq s0 "p |- p")\n(rule rw WkL)\n(rule ro OrL)\n(rule rb Cut "q \\\\/ ")\n'
+            '(rule rn Nat "x")\n')
+
     @pytest.mark.parametrize("bad,message", [
         ('(seq s0 "p |- p")\n(rule r0 WkL)\n(node n0 s0 r0 n1)',
          "child id 'n1' has no (node ...) form"),
         ('(type t0 O O)\n(form f0 Zero)\n(seq s0 |- f0)\n(rule r0 Axiom)',
          "no (node ...) forms in input"),
+        # of several faults, the first in a walk from the root that takes
+        # the last child first; then the first bad rule from the leaves up;
+        # then unreachable nodes
+        (TREE + '(node n0 s0 ro a b)\n(node a s0 rw zz)\n(node b s0 ro c c)\n(node c s0 open)',
+         "node 'c' is listed as a child twice"),
+        (TREE + '(node n0 s0 ro a b)\n(node a s0 rb a1)\n(node a1 s0 rn)\n(node b s0 rn)',
+         "node a1: rule rn: Nat variable must be a bare name, got 'x'"),
+        (TREE + '(node n0 s0 rb a)\n(node a s0 open)\n(node z s0 rw y)\n(node y s0 rw z)',
+         "node n0: rule rb: expected an expression, found 'end of input' (line 1, column 6)"),
+        (TREE + '(node a s0 rn)\n(node n0 s0 ro a b)\n(node b s0 ro c c)\n(node c s0 open)',
+         "node 'c' is listed as a child twice"),
     ])
     def test_tree_errors_have_their_exact_text(self, bad, message):
         with pytest.raises(ProofFormatError) as err:
