@@ -30,7 +30,6 @@ head step; each formula keeps its own operator positions
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, ClassVar, Mapping, Optional, Union
 
 from .syntax import (
@@ -848,7 +847,6 @@ class ValidationIssue(Record):
 
 
 _UNSEEN = object()
-_SEQUENT = itemgetter(0)  # of a row
 
 
 def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
@@ -887,7 +885,7 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
             if kids:
                 issues.append(ValidationIssue(node_id, "open leaf with children"))
             continue
-        premises = tuple(map(_SEQUENT, map(rows.__getitem__, kids)))
+        premises = tuple([rows[k][0] for k in kids])
         key = (seq, rule, premises)
         bad = compared.get(key, _UNSEEN)
         if bad is _UNSEEN:
