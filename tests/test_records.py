@@ -181,16 +181,16 @@ def test_hashing_a_pre_proof_hashes_its_back_edge_dict():
 
 
 def test_a_loaded_pre_proof_is_the_value_of_the_built_one():
+    # each copy of a fresh load, before anything has made its tree
     built = PreProof(_tree(), {"n1": "n0"})
-    for loaded in (_loaded(), _loaded()):
-        assert loaded == built and built == loaded
-        assert repr(loaded) == repr(built)
-        for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-            copied = copy_of(loaded)
-            assert type(copied) is PreProof and copied == built and repr(copied) == repr(built)
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(loaded)
-    assert _loaded() != PreProof(_tree(), {"n1": "n1"})
+    for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        copied = copy_of(_loaded())
+        assert type(copied) is PreProof and copied == built and repr(copied) == repr(built)
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(_loaded())
+    loaded = _loaded()
+    assert loaded == built and built == loaded and repr(loaded) == repr(built)
+    assert loaded != PreProof(_tree(), {"n1": "n1"})
 
 
 def test_pre_proof_nodes_are_found_once():
