@@ -2,7 +2,7 @@
 
 The trace automaton reads proof-node ids.  Each of its states follows one
 fixed-point operator position of one formula occurrence, as the brute-force
-oracle of :mod:`hflcyc.trace` does, and it accepts where the operator it
+oracle of :mod:`hflcyc.oracles` does, and it accepts where the operator it
 follows is unfolded as a left mu or a right nu.  Every cycle of the proof
 graph passes a back edge, so every infinite path visits back-edge targets
 (companions) infinitely often, and the automaton starts at the companions.

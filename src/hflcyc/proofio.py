@@ -700,6 +700,10 @@ def dumps_preproof(pp: PreProof) -> str:
     itself, or a ``Subst`` whose source is not its one child's sequent,
     which a load takes as the source.  So does a node id, a back-edge end or
     a name parameter of a rule that is not one bare atom of the grammar.
+
+    The nodes are read from the node table (:attr:`PreProof.rows`), so a
+    dump builds no derivation tree; a tree that holds a node id twice raises
+    :class:`~hflcyc.kernel.KernelError` naming that id.
     """
     names: dict = {NAT: "N", PROP: "O"}  # each type and formula node -> its table name
     seq_names: dict[Sequent, str] = {}
@@ -711,27 +715,26 @@ def dumps_preproof(pp: PreProof) -> str:
     def formula(e: Expr) -> str:
         return _table_entries(e, names, types, forms)
 
-    for node in pp.tree.walk():
-        _name(node.id, "node id")
-        seq, rule = node.seq, node.rule
+    rows = pp.rows
+    for node_id, (seq, rule, kids) in rows.items():
+        _name(node_id, "node id")
         try:
             if seq not in seq_names:
                 left, right = [formula(f) for f in seq.left], [formula(f) for f in seq.right]
                 seq_names[seq] = f"s{len(seq_names)}"
                 table.append(" ".join(["(seq", seq_names[seq], *left, "|-", *right]) + ")")
             if rule is None:
-                lines.append(f"(node {node.id} {seq_names[seq]} open)")
+                lines.append(f"(node {node_id} {seq_names[seq]} open)")
                 continue
-            if type(rule) is Subst and [c.seq for c in node.children] != [rule.source]:
+            if type(rule) is Subst and [rows[k][0] for k in kids] != [rule.source]:
                 raise ProofFormatError("the Subst source is not the sequent of its one child")
             if rule not in rule_names:
                 parts = rule_to_form(rule, formula)
                 rule_names[rule] = f"r{len(rule_names)}"
                 table.append(_write_form(["rule", rule_names[rule], *parts]))
         except ProofFormatError as exc:
-            raise ProofFormatError(f"node {node.id}: {exc}") from None
-        lines.append(" ".join(["(node", node.id, seq_names[seq], rule_names[rule],
-                               *[c.id for c in node.children]]) + ")")
+            raise ProofFormatError(f"node {node_id}: {exc}") from None
+        lines.append(" ".join(["(node", node_id, seq_names[seq], rule_names[rule], *kids]) + ")")
     for leaf_id in sorted(pp.back_edges):
         target = _name(pp.back_edges[leaf_id], f"node {leaf_id}: back-edge target")
         lines.append(f"(back {_name(leaf_id, 'back-edge source')} {target})")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import weakref
 from functools import partial
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 # ---------------------------------------------------------------------------
 # Interned values
@@ -420,20 +420,6 @@ def subexpr_at(e: Expr, path: Path) -> Expr:
     return e
 
 
-def replace_at(e: Expr, path: Path, sub: Expr) -> Expr:
-    """e with the subexpression at path replaced by sub: the walk goes down
-    the path, then rebuilds the nodes above sub from the bottom up."""
-    above: list[Expr] = []
-    for i in path:
-        above.append(e)
-        e = children(e)[i]
-    for e, i in zip(reversed(above), reversed(path)):
-        kids = list(children(e))
-        kids[i] = sub
-        sub = rebuild(e, tuple(kids))
-    return sub
-
-
 def sigma_paths(e: Expr) -> tuple[Path, ...]:
     """Paths of every fixed-point operator in preorder, found once per
     formula and kept on it.  The walk needs no recursion: it follows each
@@ -482,15 +468,6 @@ def numeral(n: int) -> Expr:
     for _ in range(n):
         e = Succ(e)
     return e
-
-
-def numeral_value(e: Expr) -> Optional[int]:
-    """n when e is S^n Z, else None."""
-    n = 0
-    while isinstance(e, Succ):
-        n += 1
-        e = e.arg
-    return n if isinstance(e, Zero) else None
 
 
 def app_spine(e: Expr) -> tuple[Expr, tuple[Expr, ...]]:
@@ -1183,14 +1160,6 @@ def parse_type(text: str) -> SimpleType:
     return _parse_all(_Parser(text), _Parser.type_expr)
 
 
-def parse(text: str) -> Union[Expr, Sequent]:
-    """Parse a formula, a term, or (when a turnstile is present) a sequent."""
-    p = _Parser(text)
-    if any(t[0] == "turnstile" for t in p.toks):
-        return _parse_all(p, _Parser.sequent)
-    return _parse_all(p, _Parser.expr)
-
-
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
@@ -1321,25 +1290,8 @@ def sequent_to_str(seq: Sequent) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Derived encodings
+# The encodings that the Nat rule builds
 # ---------------------------------------------------------------------------
-
-
-def top_prop() -> Expr:
-    return Nu("t", PROP, Var("t"))
-
-
-def bot_prop() -> Expr:
-    return Mu("b", PROP, Var("b"))
-
-
-def top_ty(ty: SimpleType) -> Expr:
-    """The greatest element of type ty, as the formula nu x:ty. x."""
-    return Nu("t", ty, Var("t"))
-
-
-def bot_ty(ty: SimpleType) -> Expr:
-    return Mu("b", ty, Var("b"))
 
 
 def exists_nat(x: str, phi: Expr) -> Expr:
@@ -1351,91 +1303,8 @@ def exists_nat(x: str, phi: Expr) -> Expr:
     return App(Mu(e, arrow(NAT, PROP), Lam(y, NAT, Or(body, App(Var(e), Succ(Var(y)))))), Zero())
 
 
-def forall_nat(x: str, phi: Expr) -> Expr:
-    """forall x:N. phi  :=  (nu A:N->O. \\y:N. phi[y/x] /\\ A (S y)) Z."""
-    avoid = free_vars(phi) - {x}
-    y = _fresh_variant(x, avoid)
-    a = _fresh_variant("A", avoid | {y})
-    body = substitute(phi, {x: Var(y)})
-    return App(Nu(a, arrow(NAT, PROP), Lam(y, NAT, And(body, App(Var(a), Succ(Var(y)))))), Zero())
-
-
-def exists_ty(x: str, ty: SimpleType, phi: Expr) -> Expr:
-    """exists x:T. phi  :=  (\\x:T. phi) top_T (by monotonicity)."""
-    return App(Lam(x, ty, phi), top_ty(ty))
-
-
-def forall_ty(x: str, ty: SimpleType, phi: Expr) -> Expr:
-    return App(Lam(x, ty, phi), bot_ty(ty))
-
-
-def forall_combinator() -> Expr:
-    """nu X. \\p:N->O. \\x:N. p x /\\ X p (S x)."""
-    pno = arrow(NAT, PROP)
-    return Nu("X", arrow(pno, NAT, PROP),
-              Lam("p", pno, Lam("x", NAT,
-                  And(App(Var("p"), Var("x")),
-                      make_app(Var("X"), Var("p"), Succ(Var("x")))))))
-
-
 def nat_pred() -> Expr:
     """N := mu X. \\x:N. (x = Z) \\/ exists x'. (x = S x' /\\ X x')."""
     step = exists_nat("x'", And(Eq(Var("x"), Succ(Var("x'"))), App(Var("X"), Var("x'"))))
     return Mu("X", arrow(NAT, PROP),
               Lam("x", NAT, Or(Eq(Var("x"), Zero()), step)))
-
-
-def sum_pred() -> Expr:
-    """sum x y z  <=>  x + y = z, by the standard inductive definition."""
-    rec = exists_nat("x'", exists_nat("z'", And(
-        Eq(Var("x"), Succ(Var("x'"))),
-        And(make_app(Var("sum"), Var("x'"), Var("y"), Var("z'")),
-            Eq(Var("z"), Succ(Var("z'")))))))
-    return Mu("sum", arrow(NAT, NAT, NAT, PROP),
-              Lam("x", NAT, Lam("y", NAT, Lam("z", NAT,
-                  Or(And(Eq(Var("x"), Zero()), Eq(Var("y"), Var("z"))), rec)))))
-
-
-def lt(s: Expr, t: Expr) -> Expr:
-    """s < t  :=  (mu X. \\y:N. (S y = t) \\/ X (S y)) s."""
-    avoid = free_vars(s) | free_vars(t)
-    y = _fresh_variant("y", avoid)
-    x = _fresh_variant("X", avoid | {y})
-    return App(Mu(x, arrow(NAT, PROP),
-                  Lam(y, NAT, Or(Eq(Succ(Var(y)), t), App(Var(x), Succ(Var(y)))))), s)
-
-
-def neq(s: Expr, t: Expr) -> Expr:
-    return Or(lt(s, t), lt(t, s))
-
-
-def leq_pred() -> Expr:
-    """leq := mu Y. \\n:N. \\m:N. (n = m) \\/ Y (S n) m."""
-    return Mu("Y", arrow(NAT, NAT, PROP),
-              Lam("n", NAT, Lam("m", NAT,
-                  Or(Eq(Var("n"), Var("m")),
-                     make_app(Var("Y"), Succ(Var("n")), Var("m"))))))
-
-
-def leq(s: Expr, t: Expr) -> Expr:
-    return make_app(leq_pred(), s, t)
-
-
-def derived_encodings() -> dict[str, object]:
-    """The standard encodings, closed formulas directly and families as callables."""
-    return {
-        "top": top_prop(),
-        "bot": bot_prop(),
-        "top_T": top_ty,
-        "bot_T": bot_ty,
-        "forall": forall_combinator(),
-        "exists": exists_nat,
-        "exists_T": exists_ty,
-        "forall_nat": forall_nat,
-        "forall_T": forall_ty,
-        "nat": nat_pred(),
-        "sum": sum_pred(),
-        "lt": lt,
-        "neq": neq,
-        "leq": leq_pred(),
-    }

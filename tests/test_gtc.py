@@ -58,18 +58,18 @@ from hflcyc.syntax import (
     PROP, App, Eq, HflError, Lam, Mu, Nu, Or, Sequent, Succ, Var, Zero, numeral, sigma_paths,
     subexpr_at, to_str,
 )
-from hflcyc.trace import (
+from hflcyc.oracles import (
     AnnotatedFormula,
-    Lasso,
-    TraceError,
     _tree_paths,
+    annotate_root,
+    annotate_step,
     enumerate_closed_walks,
     enumerate_simple_lassos,
     gtc_bruteforce,
     lasso_good,
-    node_steps,
     replay_annotations,
 )
+from hflcyc.trace import Lasso, TraceError, fresh_counter, node_steps, occurrence_steps
 
 from test_kernel import built_loop, loop_proof, pe, ps, unrolled_loop
 from test_trace import (
@@ -807,6 +807,17 @@ def test_a_check_of_a_loaded_proof_builds_no_tree(monkeypatch):
     assert len(made) == len(pp.nodes) == 257
 
 
+def test_a_dump_of_a_loaded_proof_builds_no_tree(monkeypatch):
+    text = dumps_preproof(built_loop(64, "mu"))
+    pp = loads_preproof(text)
+    made = []
+    real = DerivTree.__init__
+    monkeypatch.setattr(DerivTree, "__init__",
+                        lambda self, *args: made.append(args[0]) or real(self, *args))
+    assert dumps_preproof(pp) == text
+    assert made == []
+
+
 def test_node_steps_name_a_missing_node_or_an_open_leaf():
     pp = loop_proof()
     with pytest.raises(KernelError, match="no node 'zz' in the pre-proof"):
@@ -1072,6 +1083,47 @@ def test_the_report_prints_the_replay(name, pp):
         if len(entries) < len(lap):
             want.append("  (thread ends: occurrence has no successor)")
     assert counterexample_report(pp, res.lasso) == "\n".join(want)
+
+
+def _chained_steps(pp: PreProof, lap: tuple[str, ...], start: OccurrenceRef):
+    """The thread of ``start`` along ``lap``, one annotate_step per edge with
+    one fresh-number supply: the first premise position where the occurrence
+    splits, the notes copied across a back edge, and no entry past a node
+    where the occurrence has no successor."""
+    def formula(seq, occ):
+        return (seq.left if occ[0] == LEFT else seq.right)[occ[1]]
+
+    occ = (start.side, start.index)
+    fresh = fresh_counter()
+    af = annotate_root(formula(pp.row(start.node)[0], occ))
+    out = [(start.node, occ, af)]
+    for cur, nxt in zip(lap, lap[1:]):
+        seq, rule, kids = pp.rows[cur]
+        if rule is None:
+            af = AnnotatedFormula(formula(pp.row(nxt)[0], occ), dict(af.notes))
+        else:
+            branch = kids.index(nxt)
+            targets = sorted(step.premise_pos for step in occurrence_steps(seq, rule, branch)
+                             if step.conclusion_pos == occ)
+            if not targets:
+                break
+            af = annotate_step(af, rule, branch, fresh, conclusion=seq, pos=occ,
+                               target=targets[0])
+            occ = targets[0]
+        out.append((nxt, occ, af))
+    return out
+
+
+@pytest.mark.parametrize("name,pp", REJECTED, ids=[name for name, _ in REJECTED])
+def test_the_row_walk_agrees_with_annotating_one_step_at_a_time(name, pp):
+    # the report's rows (thread_rows, through replay_annotations) against the
+    # paper's annotated formulas, pushed through one inference at a time
+    res = check_cyclic_proof(pp)
+    start = res.lasso.cycle[0]
+    lap = res.lasso.cycle + (start,)
+    for side, index in pp.positions(start):
+        ref = OccurrenceRef(start, side, index)
+        assert replay_annotations(pp, lap, ref) == _chained_steps(pp, lap, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1134,6 +1134,13 @@ class TestProofFiles:
                            match="^node r: the Subst source is not the sequent of its one child$"):
             dumps_preproof(pp)
 
+    def test_a_tree_that_holds_a_node_id_twice_is_not_dumped(self):
+        # written, its two lines for the id would not load back
+        leaf = DerivTree("dup", ps("p |- r"), None)
+        pp = PreProof(DerivTree("dup", ps("p, q |- r"), WkL(), (leaf,)), {})
+        with pytest.raises(KernelError, match="^duplicate node id 'dup'$"):
+            dumps_preproof(pp)
+
     def test_child_cycle_rejected(self):
         text = ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'
                 '(node n1 (seq "p |- p") (rule WkL) (children n0))\n')

@@ -50,11 +50,28 @@ def _python(code: str, hash_seed: str | None = None) -> str:
 
 
 def test_checker_imports_leave_out_the_semantics_oracle():
-    # what a benchmark worker imports: the bounded semantics is a test
-    # oracle and must stay off the checker's start-up path
+    # what a benchmark worker imports: the bounded semantics, the trace
+    # oracles and the encodings serve tests and must stay off the checker's
+    # start-up path
     out = _python("import sys, hflcyc.gtc, hflcyc.proofio; "
-                  "print('hflcyc.semantics' in sys.modules)")
+                  "print(sorted({'hflcyc.semantics', 'hflcyc.oracles', 'hflcyc.encodings'}"
+                  " & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
+def test_trace_forwards_three_oracles_on_first_use():
+    out = _python("import sys, hflcyc.trace; print('hflcyc.oracles' in sys.modules)")
     assert out.strip() == "False"
+    import hflcyc.oracles
+    import hflcyc.trace
+    from hflcyc.trace import gtc_bruteforce
+    assert gtc_bruteforce is hflcyc.oracles.gtc_bruteforce
+    forwarded = {"enumerate_simple_lassos", "gtc_bruteforce", "lasso_good"}
+    for name in forwarded:
+        assert getattr(hflcyc.trace, name) is getattr(hflcyc.oracles, name)
+    for name in set(hflcyc.oracles.__all__) - forwarded:
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(hflcyc.trace, name)
 
 
 # bench/run.py checks each pass in a worker with its own PYTHONHASHSEED, so a
@@ -109,7 +126,8 @@ def test_checker_imports_load_neither_dataclasses_nor_inspect():
 SELF_CALLS_ALLOWED = {
     ("proofio", "_write_form"): "a proof file's forms are at most 3 lists deep",
 }
-CHECKER_MODULES = ("syntax", "kernel", "trace", "gtc", "proofio")
+# the checker's modules, and the oracles and encodings that tests run
+WALKED_MODULES = ("syntax", "kernel", "trace", "gtc", "proofio", "oracles", "encodings")
 
 
 def _self_calls(module: str) -> set[tuple[str, str]]:
@@ -135,6 +153,6 @@ def _self_calls(module: str) -> set[tuple[str, str]]:
 
 
 def test_no_checker_function_calls_itself():
-    found = set().union(*map(_self_calls, CHECKER_MODULES))
+    found = set().union(*map(_self_calls, WALKED_MODULES))
     assert found - set(SELF_CALLS_ALLOWED) == set()
     assert set(SELF_CALLS_ALLOWED) <= found  # each exception is still needed

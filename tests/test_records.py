@@ -24,9 +24,8 @@ from hflcyc.proofio import dumps_preproof, loads_preproof
 from hflcyc.syntax import (
     FIXPOINTS, PROP, Mu, Record, Var, head_step, parse_expr, parse_sequent,
 )
-from hflcyc.trace import (
-    AnnotatedFormula, FiniteOrNotATrace, Lasso, MuTrace, NuTrace, OccurrenceStep, node_steps,
-)
+from hflcyc.oracles import AnnotatedFormula, FiniteOrNotATrace, MuTrace, NuTrace
+from hflcyc.trace import Lasso, OccurrenceStep, node_steps
 
 MU_X = parse_expr("mu X:O. X")
 UNFOLD = parse_expr("mu X:O. X \\/ p")

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hflcyc.encodings import derived_encodings, forall_nat
 from hflcyc.syntax import (
     And, App, Eq, HflError, Lam, Mu, Nu, Or, Succ, Var, Zero,
-    FIXPOINTS, NAT, PROP, arrow, derived_encodings, exists_nat, forall_nat,
+    FIXPOINTS, NAT, PROP, arrow, exists_nat,
     head_step, make_app, numeral, parse_expr, sequent,
 )
 from hflcyc.semantics import (

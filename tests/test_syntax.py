@@ -13,13 +13,13 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from hflcyc.syntax import (
-    NAT, PROP, App, Arrow, Eq, HflError, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
-    And, IllTyped, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
+    NAT, PROP, App, Arrow, Eq, Expr, HflError, HflSyntaxError, HflTypeError, Lam, Mu, Nu, Or,
+    And, IllTyped, Path, Sequent, Succ, UnboundVariable, Var, Zero, alpha_eq,
     BINDERS, FIXPOINTS, HeadStep, app_spine, arrow, canonical, check_sequent,
-    children, derived_encodings, free_vars, head_step, infer_env,
+    children, free_vars, head_step, infer_env,
     is_term_shaped,
-    infer_type, make_app, numeral, numeral_value, parse, parse_expr,
-    parse_sequent, parse_type, print_template, print_templates, rebuild, replace_at, sequent,
+    infer_type, make_app, numeral, parse_expr,
+    parse_sequent, parse_type, print_template, print_templates, rebuild, sequent,
     sequent_alpha_eq, sigma_paths, subexpr_at, substitute, to_str,
     type_to_str, sequent_to_str, var_paths,
 )
@@ -28,8 +28,9 @@ from hflcyc.syntax import (
     _Parser, _TMeta, _Unifier, _fresh_variant,
 )
 import hflcyc.syntax as syntax
+from hflcyc.encodings import derived_encodings
 from hflcyc.kernel import Mono
-from hflcyc.trace import annotate_root
+from hflcyc.oracles import annotate_root
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -101,7 +102,6 @@ def test_parse_comments_and_unicode_turnstile():
     assert seq == sequent([App(Var("p"), Var("x")), Var("q")], [Var("r")])
     assert parse_sequent("p ⊢ q") == sequent([Var("p")], [Var("q")])
     assert parse_sequent("|-") == sequent()
-    assert isinstance(parse("p |- q"), Sequent)
 
 
 def test_parse_errors_are_positioned():
@@ -310,8 +310,6 @@ def test_numeral_too_deep_to_walk_is_rejected_at_its_position():
 def test_numerals_print_as_decimals():
     assert to_str(numeral(4)) == "4"
     assert to_str(Succ(Var("x"))) == "S x"
-    assert numeral_value(numeral(7)) == 7
-    assert numeral_value(Succ(Var("x"))) is None
 
 
 def _best_time(f, repeat: int = 5) -> float:
@@ -430,6 +428,20 @@ def _swap_names(e, x, y):
     if isinstance(e, (Lam, Mu, Nu)):
         return type(e)(swap.get(e.var, e.var), e.var_type, kids[0])
     return e if not kids else type(e)(*kids)
+
+
+def replace_at(e: Expr, path: Path, sub: Expr) -> Expr:
+    """e with the subexpression at path replaced by sub: the walk goes down
+    the path, then rebuilds the nodes above sub from the bottom up."""
+    above: list[Expr] = []
+    for i in path:
+        above.append(e)
+        e = children(e)[i]
+    for e, i in zip(reversed(above), reversed(path)):
+        kids = list(children(e))
+        kids[i] = sub
+        sub = rebuild(e, tuple(kids))
+    return sub
 
 
 @st.composite

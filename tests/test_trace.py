@@ -29,25 +29,22 @@ from hflcyc.kernel import (
 )
 from hflcyc.proofio import load_preproof
 from hflcyc.syntax import Sequent, alpha_eq, sigma_paths
-from hflcyc.trace import (
+from hflcyc.oracles import (
     ExplosionGuard,
     FiniteOrNotATrace,
-    Lasso,
     MuTrace,
     NuTrace,
-    TraceError,
     annotate_root,
     annotate_step,
     classify_lasso_trace,
     enumerate_closed_walks,
     enumerate_simple_lassos,
-    fresh_counter,
     gtc_bruteforce,
     lasso_good,
-    occurrence_steps,
     render_annotated,
     replay_annotations,
 )
+from hflcyc.trace import Lasso, TraceError, fresh_counter, occurrence_steps
 
 from test_kernel import FIXTURES, pe, ps
 
