@@ -30,7 +30,8 @@ head step; each formula keeps its own operator positions
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Mapping, Optional, Union
+import sys
+from typing import Any, Callable, ClassVar, Mapping, Optional, Union
 
 from .syntax import (
     And, App, Eq, Expr, HeadStep, HflError, HflTypeError,
@@ -98,6 +99,30 @@ def _last(seq: Sequent) -> OccPos:
 
 _FIRST: OccPos = (RIGHT, 0)  # the position of a right rule's principal formula
 
+# The kinds of a rule parameter (:attr:`Rule.params`).  LEFT and RIGHT are
+# contexts, which the proof format writes after that word; SOURCE and PAIRS
+# are Subst's: the premise's sequent and (variable, formula) pairs.
+FORMULA, POSITION, NAME, NAMES, SOURCE, PAIRS = (
+    "formula", "position", "name", "names", "source", "pairs")
+
+
+def _tuple_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, tuple) and all(map(test, v))
+
+
+# each kind's test of a value, and what a value of the kind is
+_KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    FORMULA: (lambda v: isinstance(v, Expr), "an Expr"),
+    POSITION: (lambda v: type(v) is int and 0 <= v <= sys.maxsize, "an int from 0 to sys.maxsize"),
+    NAME: (lambda v: isinstance(v, str), "a str"),
+    NAMES: (_tuple_of(lambda y: isinstance(y, str)), "a tuple of str"),
+    LEFT: (_tuple_of(lambda f: isinstance(f, Expr)), "a tuple of Exprs"),
+    RIGHT: (_tuple_of(lambda f: isinstance(f, Expr)), "a tuple of Exprs"),
+    SOURCE: (lambda v: isinstance(v, Sequent), "a Sequent"),
+    PAIRS: (_tuple_of(lambda p: isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                      and isinstance(p[1], Expr)), "a tuple of (str, Expr) pairs"),
+}
+
 
 # ---------------------------------------------------------------------------
 # rules
@@ -126,14 +151,25 @@ class Rule(Interned):
 
     A rule is interned: its parameters are the fields its class lists in
     ``__slots__``, and a rule without parameters is one object per class.
+    ``params`` declares them once, in ``__slots__`` order: each field's kind
+    and the name its errors use after the tag.  Building a rule with a field
+    of another kind raises :class:`KernelError`, and the proof format reads
+    and writes the fields by the same declaration.
     """
 
     __slots__ = ()
     tag: ClassVar[str]
+    params: ClassVar[tuple[tuple[str, str], ...]] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.tag = cls.__name__
+
+    def _check(self) -> None:
+        for field, (kind, what) in zip(self.__slots__, self.params):
+            test, text = _KINDS[kind]
+            if not test(getattr(self, field)):
+                raise KernelError(f"{self.tag} {what} must be {text}")
 
     def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
         raise NotImplementedError
@@ -167,6 +203,7 @@ class Axiom(Rule):
 
 class Cut(Rule):
     __slots__ = ("formula",)
+    params = ((FORMULA, "formula"),)
     formula: Expr
 
     def premises_of(self, conclusion):
@@ -221,6 +258,7 @@ class CtrR(Rule):
 
 class ExL(Rule):
     __slots__ = ("pos",)
+    params = ((POSITION, "position"),)
     pos: int  # index of the earlier of the two swapped formulas
 
     def premises_of(self, conclusion):
@@ -239,6 +277,7 @@ class ExL(Rule):
 
 class ExR(Rule):
     __slots__ = ("pos",)
+    params = ((POSITION, "position"),)
     pos: int
 
     def premises_of(self, conclusion):
@@ -259,6 +298,7 @@ class Subst(Rule):
     """conclusion = source[mapping]; the premise is the source sequent."""
 
     __slots__ = ("source", "mapping")
+    params = ((SOURCE, "source"), (PAIRS, "mapping"))
     source: Sequent
     mapping: tuple[tuple[str, Expr], ...]
 
@@ -286,6 +326,8 @@ class Mono(Rule):
     occurrence of x in phi, in preorder."""
 
     __slots__ = ("formula", "var", "lower", "upper", "names")
+    params = ((FORMULA, "formula"), (NAME, "variable"), (FORMULA, "lower bound"),
+              (FORMULA, "upper bound"), (NAMES, "fresh name"))
     formula: Expr  # phi
     var: str
     lower: Expr  # psi
@@ -337,6 +379,8 @@ class EqL(Rule):
     """
 
     __slots__ = ("hole_l", "hole_r", "lhs", "rhs", "left_ctx", "right_ctx")
+    params = ((NAME, "hole"), (NAME, "hole"), (FORMULA, "lhs"), (FORMULA, "rhs"),
+              (LEFT, "left context"), (RIGHT, "right context"))
     hole_l: str  # template variable filled with lhs in the conclusion
     hole_r: str  # template variable filled with rhs in the conclusion
     lhs: Expr
@@ -492,6 +536,7 @@ class Nat(Rule):
     """Gamma |- Delta from Gamma, N x |- Delta (x a natural-number variable)."""
 
     __slots__ = ("var",)
+    params = ((NAME, "variable"),)
     var: str
 
     def premises_of(self, conclusion):

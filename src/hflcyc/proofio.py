@@ -21,7 +21,8 @@ the class name and its fields those of the class, in order:
 
 where ``x`` is a variable, which must be a name that the formula grammar
 reads as that variable (so not ``Z``, ``S``, ``mu`` or ``nu``), ``T`` a type
-name and ``f`` a formula name.  Rule parameters:
+name and ``f`` a formula name.  Rule parameters, in the order that each
+rule class declares them (:attr:`~hflcyc.kernel.Rule.params`):
 
     Cut    <formula>
     ExL    <position>            ExR <position>
@@ -30,6 +31,8 @@ name and ``f`` a formula name.  Rule parameters:
     EqL    <hole-l> <hole-r> <lhs> <rhs> (left <formula>*) (right <formula>*)
     Nat    <var>
     all other tags take no parameters.
+
+A position is at most 19 ASCII digits; a var, hole or fresh name is a bare atom.
 
 A node whose sequent name is followed by ``open`` alone is an open leaf.  The
 root is the unique node that is nobody's child.  A formula may also be a
@@ -77,7 +80,8 @@ from .syntax import (
     parse_sequent, to_str,
 )
 from .kernel import (
-    RULES, Cut, EqL, ExL, ExR, Mono, Nat, PreProof, Row, Rule, Subst,
+    FORMULA, LEFT, NAME, NAMES, PAIRS, POSITION, RIGHT, RULES, SOURCE, PreProof, Row, Rule,
+    Subst,
 )
 
 
@@ -185,6 +189,33 @@ def _write_form(form) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _atom_param(x, what: str) -> str:
+    if not isinstance(x, str) or isinstance(x, Quoted):
+        raise ProofFormatError(f"{what} must be a bare name, got {x!r}")
+    return x
+
+
+# What each rule with parameters takes, for a form of another shape.
+_USAGE = {
+    "Cut": "Cut takes one formula parameter", "Nat": "Nat takes one variable parameter",
+    "ExL": "ExL takes one position parameter", "ExR": "ExR takes one position parameter",
+    "Subst": 'Subst parameters are (<var> "<expr>") pairs',
+    "Mono": 'Mono takes "<formula>" <var> "<lower>" "<upper>" (<name>*)',
+    "EqL": 'EqL takes <hole-l> <hole-r> "<lhs>" "<rhs>" (left ...) (right ...)',
+}
+_DIGITS = 19  # a position's most digits: those of 2**63 - 1, past any sequent's end
+
+
+def _fits(kind: str, x) -> bool:
+    """Whether the form ``x`` has the shape of a parameter of ``kind``; its
+    atoms are judged when it is read."""
+    if kind == POSITION:  # ASCII digits: str.isdigit alone also accepts "²"
+        return type(x) is str and x.isascii() and x.isdigit()
+    if kind == NAMES:
+        return isinstance(x, list)
+    return kind not in (LEFT, RIGHT) or x[:1] == [kind]  # a str's slice is a str
+
+
 def _expr_param(x, what: str) -> Expr:
     if isinstance(x, Expr):  # a formula name, which the loader has looked up
         return x
@@ -193,69 +224,49 @@ def _expr_param(x, what: str) -> Expr:
     return parse_expr(str(x))
 
 
-def _atom_param(x, what: str) -> str:
-    if not isinstance(x, str) or isinstance(x, Quoted) or isinstance(x, list):
-        raise ProofFormatError(f"{what} must be a bare name, got {x!r}")
-    return x
+def _param(kind: str, x, what: str):
+    """The parameter of ``kind`` that the form ``x``, of its shape, writes."""
+    if kind == FORMULA:
+        return _expr_param(x, what)
+    if kind == NAME:
+        return _atom_param(x, what)
+    if kind == NAMES:
+        return tuple(_atom_param(y, what) for y in x)
+    if kind == POSITION:
+        if len(x) > _DIGITS:  # int() refuses more than 4,300 digits
+            raise ProofFormatError(f"{what} has more than {_DIGITS} digits")
+        return int(x)
+    return tuple(_expr_param(f, what) for f in x[1:])  # LEFT or RIGHT
 
 
 def rule_from_form(parts: list, child_sequents: list[Sequent]) -> Rule:
-    """Build a Rule from the body of a (rule Tag params...) form."""
+    """Build a Rule from the body of a (rule Tag params...) form, reading the
+    parameters its class declares (:attr:`~hflcyc.kernel.Rule.params`): a
+    SOURCE is the one child's sequent, and PAIRS are all the arguments, each
+    judged as it is read."""
     if not parts:
         raise ProofFormatError("empty (rule) form")
     tag = _atom_param(parts[0], "rule tag")
     cls = RULES.get(tag)
     if cls is None:
         raise ProofFormatError(f"unknown rule tag {tag!r}")
-    args = parts[1:]
-
-    if cls is Cut:
-        if len(args) != 1:
-            raise ProofFormatError("Cut takes one formula parameter")
-        return Cut(_expr_param(args[0], "Cut formula"))
-    if cls in (ExL, ExR):
-        # a bare atom of ASCII digits: str.isdigit alone also accepts "²"
-        if (len(args) != 1 or isinstance(args[0], (list, Quoted))
-                or not (args[0].isascii() and args[0].isdigit())):
-            raise ProofFormatError(f"{tag} takes one position parameter")
-        return cls(int(args[0]))
-    if cls is Subst:
+    args, params, values = parts[1:], cls.params, []
+    usage = _USAGE.get(tag, f"{tag} takes no parameters")
+    if params[:1] and params[0][0] == SOURCE:
         if len(child_sequents) != 1:
-            raise ProofFormatError("Subst requires exactly one child node")
-        mapping = []
+            raise ProofFormatError(f"{tag} requires exactly one child node")
+        params, values = params[1:], [child_sequents[0]]
+    if params[:1] and params[0][0] == PAIRS:
+        pairs = []
         for pair in args:
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise ProofFormatError("Subst parameters are (<var> \"<expr>\") pairs")
-            mapping.append((_atom_param(pair[0], "Subst variable"),
-                            _expr_param(pair[1], "Subst replacement")))
-        return Subst(child_sequents[0], tuple(mapping))
-    if cls is Mono:
-        if len(args) != 5 or not isinstance(args[4], list):
-            raise ProofFormatError(
-                'Mono takes "<formula>" <var> "<lower>" "<upper>" (<name>*)')
-        return Mono(_expr_param(args[0], "Mono formula"),
-                    _atom_param(args[1], "Mono variable"),
-                    _expr_param(args[2], "Mono lower bound"),
-                    _expr_param(args[3], "Mono upper bound"),
-                    tuple(_atom_param(y, "Mono fresh name") for y in args[4]))
-    if cls is EqL:
-        # a string's slice is a string, so only a list passes these checks
-        if len(args) != 6 or args[4][:1] != ["left"] or args[5][:1] != ["right"]:
-            raise ProofFormatError(
-                'EqL takes <hole-l> <hole-r> "<lhs>" "<rhs>" (left ...) (right ...)')
-        return EqL(_atom_param(args[0], "EqL hole"),
-                   _atom_param(args[1], "EqL hole"),
-                   _expr_param(args[2], "EqL lhs"),
-                   _expr_param(args[3], "EqL rhs"),
-                   tuple(_expr_param(g, "EqL left context") for g in args[4][1:]),
-                   tuple(_expr_param(d, "EqL right context") for d in args[5][1:]))
-    if cls is Nat:
-        if len(args) != 1:
-            raise ProofFormatError("Nat takes one variable parameter")
-        return Nat(_atom_param(args[0], "Nat variable"))
-    if args:
-        raise ProofFormatError(f"{tag} takes no parameters")
-    return cls()
+                raise ProofFormatError(usage)
+            pairs.append((_atom_param(pair[0], f"{tag} variable"),
+                          _expr_param(pair[1], f"{tag} replacement")))
+        return cls(*values, tuple(pairs))
+    if len(args) != len(params) or not all(_fits(k, x) for (k, _), x in zip(params, args)):
+        raise ProofFormatError(usage)
+    return cls(*[_param(kind, x, f"{tag} {what}") for (kind, what), x in zip(params, args)])
 
 
 def _name(x: str, what: str) -> str:
@@ -266,28 +277,25 @@ def _name(x: str, what: str) -> str:
 
 
 def rule_to_form(rule: Rule, formula=lambda e: Quoted(to_str(e))) -> list:
-    """The body of the (rule ...) form of ``rule``, with each formula
-    parameter as ``formula`` gives it, by default a quoted formula.  A name
-    parameter that is not one bare atom raises ProofFormatError."""
+    """The body of the (rule ...) form of ``rule``: its parameters as its
+    class declares them, a SOURCE left out, each formula as ``formula``
+    gives it, by default a quoted formula.  A name parameter that is not
+    one bare atom raises ProofFormatError."""
     parts: list = [rule.tag]
-    if isinstance(rule, Cut):
-        parts.append(formula(rule.formula))
-    elif isinstance(rule, (ExL, ExR)):
-        parts.append(str(rule.pos))
-    elif isinstance(rule, Subst):
-        for x, e in rule.mapping:
-            parts.append([_name(x, "Subst variable"), formula(e)])
-    elif isinstance(rule, Mono):
-        parts += [formula(rule.formula), _name(rule.var, "Mono variable"),
-                  formula(rule.lower), formula(rule.upper),
-                  [_name(y, "Mono fresh name") for y in rule.names]]
-    elif isinstance(rule, EqL):
-        parts += [_name(rule.hole_l, "EqL hole"), _name(rule.hole_r, "EqL hole"),
-                  formula(rule.lhs), formula(rule.rhs),
-                  ["left"] + [formula(g) for g in rule.left_ctx],
-                  ["right"] + [formula(d) for d in rule.right_ctx]]
-    elif isinstance(rule, Nat):
-        parts.append(_name(rule.var, "Nat variable"))
+    for field, (kind, what) in zip(rule.__slots__, rule.params):
+        x, what = getattr(rule, field), f"{rule.tag} {what}"
+        if kind == FORMULA:
+            parts.append(formula(x))
+        elif kind == NAME:
+            parts.append(_name(x, what))
+        elif kind == NAMES:
+            parts.append([_name(y, what) for y in x])
+        elif kind == POSITION:
+            parts.append(str(x))
+        elif kind in (LEFT, RIGHT):
+            parts.append([kind] + [formula(f) for f in x])
+        elif kind == PAIRS:
+            parts += [[_name(y, f"{rule.tag} variable"), formula(e)] for y, e in x]
     return parts
 
 
@@ -364,20 +372,20 @@ def _sequent_entry(form: list, forms: dict[str, Expr]) -> Sequent:
 
 def _rule_formulas(form: list, forms: dict[str, Expr]) -> list:
     """The body of the entry ``(rule name Tag params...)``, with each atom in
-    the place of a formula parameter replaced by the formula it names;
-    :func:`rule_from_form` judges the rest."""
-    parts, tag = form[2:], form[2] if len(form) > 2 else None
-    if tag == "Cut":
-        places = [(parts, 1)]
-    elif tag == "Mono":
-        places = [(parts, 1), (parts, 3), (parts, 4)]
-    elif tag == "EqL":
-        places = [(parts, 3), (parts, 4)] + [
-            (ctx, i) for ctx in parts[5:7] if type(ctx) is list for i in range(1, len(ctx))]
-    elif tag == "Subst":
-        places = [(pair, 1) for pair in parts[1:] if type(pair) is list]
-    else:
-        return parts
+    the place of a formula parameter, as the rule class declares them,
+    replaced by the formula it names; :func:`rule_from_form` judges the rest."""
+    parts = form[2:]
+    cls = RULES.get(parts[0]) if parts and isinstance(parts[0], str) else None
+    kinds = [kind for kind, _ in cls.params if kind != SOURCE] if cls else []
+    places = []
+    for i, kind in enumerate(kinds, 1):
+        x = parts[i] if i < len(parts) else None
+        if kind == FORMULA:
+            places.append((parts, i))
+        elif kind in (LEFT, RIGHT) and type(x) is list:
+            places += [(x, j) for j in range(1, len(x))]
+        elif kind == PAIRS:
+            places += [(pair, 1) for pair in parts[i:] if type(pair) is list]
     for row, i in places:
         if i < len(row) and type(row[i]) is str:
             row[i] = _lookup(forms, row[i], "formula", form)
@@ -597,12 +605,10 @@ def _rule_or_body(key: Optional[tuple], parts: list) -> Union[Rule, tuple]:
     node: a ``Subst``, whose source is its child's sequent, or a rule that
     does not build, which :func:`_tree_error` reports at its first node.  The
     key is a table name's 1-tuple, or ``None`` for an inline form."""
-    if parts[:1] != ["Subst"]:
-        try:
-            return rule_from_form(parts, [])
-        except HflError:
-            pass
-    return key, parts
+    try:
+        return rule_from_form(parts, [])
+    except HflError:
+        return key, parts
 
 
 def _rows(table: dict[str, _Entry], root: str) -> Optional[dict[str, Row]]:

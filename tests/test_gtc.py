@@ -32,6 +32,7 @@ import hflcyc.trace as trace
 from hflcyc.kernel import (
     LEFT,
     RIGHT,
+    AndR,
     Axiom,
     Cut,
     DerivTree,
@@ -1252,6 +1253,54 @@ def test_refinement_is_not_quadratic_on_a_repeating_cycle():
     assert time.perf_counter() - start < 1
     assert gtc._quotient(pp) is None
     assert (ok, lasso) == (False, Lasso((), tuple(f"n{i}" for i in range(2001))))
+
+
+def test_a_new_bud_whose_name_is_taken_gets_a_prime():
+    # the bud n1 lands on n2, so the root's first edge places n2's class; the
+    # root's second edge, to n2 itself, is then a new bud named after n2,
+    # which the class already has
+    seq = ps("q |- p, p")
+    rows = {"n0": (ps("q \\/ q |- p, p"), OrL(), ("n1", "n2")), "n1": (seq, None, ()),
+            "n2": (seq, ExR(0), ("n3",)), "n3": (seq, ExR(0), ("n4",)), "n4": (seq, None, ())}
+    pp = PreProof.from_rows("n0", rows, {"n1": "n2", "n4": "n3"})
+    assert validate_preproof(pp) == []
+    quotient = gtc._quotient(pp)
+    assert {k: (rule and rule.tag, kids) for k, (_, rule, kids) in quotient.rows.items()} == {
+        "n0": ("OrL", ("n2", "n2'")), "n2": ("ExR", ("n3",)), "n3": (None, ()), "n2'": (None, ())}
+    assert quotient.back_edges == {"n3": "n2", "n2'": "n2"}
+    ok, lasso = check_gtc(pp)
+    assert not ok
+    assert_real_witness(pp, lasso)
+
+
+@pytest.mark.parametrize("back,error", [
+    ({"a2": "b"}, None),
+    ({"a2": "zz"}, "back edge 'a2' -> 'zz' targets a missing node"),
+    ({}, "open leaf 'a2' has no back edge"),
+], ids=["leaf-target", "missing-target", "no-back-edge"])
+def test_a_bud_that_lands_on_no_inner_node_leaves_the_proof_unmerged(back, error):
+    # a and a1 are bisimilar, but the bud a2 lands on no closed node with
+    # children: the proof is decided as it is presented
+    seq = ps("|- p, p")
+    rows = {"n0": (ps("|- p /\\ Z = Z, p"), AndR(), ("a", "b")), "a": (seq, ExR(0), ("a1",)),
+            "a1": (seq, ExR(0), ("a2",)), "a2": (seq, None, ()), "b": (ps("|- Z = Z, p"), EqR(), ())}
+    pp = PreProof.from_rows("n0", rows, back)
+    assert gtc._quotient(pp) is None
+    if error is None:
+        assert check_gtc(pp) == (True, None)  # every path ends at b
+    else:
+        with pytest.raises(GtcError, match=f"^{re.escape(error)}$"):
+            check_gtc(pp)
+
+
+def test_a_closure_element_found_again_shorter_is_settled_once():
+    # (A, C) is found over B first (1 + 5 steps), then over D (2 + 1): the
+    # shorter word is kept, and the older heap entry is skipped when popped
+    one = ((0, 1, 0),)  # one state to itself, through no accepting step
+    segments = {("A", "B", one): ("a",), ("B", "C", one): ("b",) * 5,
+                ("A", "D", one): ("c", "c"), ("D", "C", one): ("d",)}
+    closure = gtc._loops(segments, gtc._Cap(100))
+    assert closure == {**segments, ("A", "C", one): ("c", "c", "d")}
 
 
 def test_the_decided_graph_does_not_grow_with_laps(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from hflcyc.syntax import (
     PROP, And, App, Eq, Lam, Or, Sequent, Succ, Var, Zero, children, nat_pred, numeral,
-    parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str,
+    parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str, _TMeta,
 )
 from hflcyc.kernel import (
     LEFT, RIGHT, RULES, Axiom, AndL, AndR, CtrL, CtrR, Cut, DerivTree, EqL,
@@ -409,6 +409,24 @@ def string_table(pp: PreProof) -> str:
     return "\n".join(table + lines) + "\n"
 
 
+def inline_text(pp: PreProof) -> str:
+    """``pp`` in the inline shape, with no tables: each node writes its
+    sequent as a quoted string and its rule as a ``(rule ...)`` form."""
+    lines = []
+    for node_id, (seq, rule, kids) in pp.rows.items():
+        head = ["node", node_id, ["seq", proofio.Quoted(sequent_to_str(seq))]]
+        tail = ["open"] if rule is None else [["rule", *rule_to_form(rule)], ["children", *kids]]
+        lines.append(proofio._write_form(head + tail))
+    lines += [f"(back {leaf} {target})" for leaf, target in sorted(pp.back_edges.items())]
+    return "\n".join(lines) + "\n"
+
+
+def fixture_proof(conclusion: Sequent, rule, premises) -> PreProof:
+    """One inference: the rule at the root, over an open leaf per premise."""
+    leaves = tuple(DerivTree(f"c{i}", seq, None) for i, seq in enumerate(premises))
+    return PreProof(DerivTree("n0", conclusion, rule, leaves))
+
+
 def formula_nodes(seqs) -> set:
     """The distinct formula nodes of ``seqs``."""
     seen, todo = set(), [f for seq in seqs for f in seq.left + seq.right]
@@ -526,6 +544,18 @@ class TestPreProofs:
         root = DerivTree("dup", ps("p, q |- r"), WkL(), (k,))
         issues = validate_preproof(PreProof(root, {}))
         assert any("duplicate" in i.message for i in issues)
+
+    def test_a_missing_node_is_named(self):
+        with pytest.raises(KernelError, match="^no node 'zz' in the pre-proof$"):
+            loop_proof().node("zz")
+
+    def test_trees_that_share_a_subtree_compare_without_entering_it(self):
+        class Unwalkable:
+            """A child that a walk into the shared subtree would fail on."""
+
+        shared = DerivTree("c", ps("p |- p"), WkL(), (Unwalkable(),))
+        a, b = (DerivTree("r", ps("p, q |- p"), WkL(), (shared,)) for _ in range(2))
+        assert a is not b and a == b
 
     def test_an_open_leaf_has_no_inference(self):
         pp = loop_proof()
@@ -764,6 +794,49 @@ class TestInterning:
         assert repr(rule) == "Cut(formula=Var(name='p'))"
 
 
+class TestRuleParameters:
+    """Each rule declares its parameters once: the kernel checks their kinds
+    when a rule is built, and the proof format reads and writes them."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ExR("1"), "ExR position must be an int from 0 to sys.maxsize"),
+        (lambda: ExL(-1), "ExL position must be an int from 0 to sys.maxsize"),
+        (lambda: ExL(True), "ExL position must be an int from 0 to sys.maxsize"),
+        (lambda: ExR(10 ** 5000), "ExR position must be an int from 0 to sys.maxsize"),
+        (lambda: Nat(3), "Nat variable must be a str"),
+        (lambda: Cut("p"), "Cut formula must be an Expr"),
+        (lambda: EqL("h1", "h2", pe("S Z"), pe("t"), "p h1", ()),
+         "EqL left context must be a tuple of Exprs"),
+        (lambda: Mono(pe("w"), "w", pe("x"), pe("y"), "u"), "Mono fresh name must be a tuple of str"),
+        (lambda: Subst(pe("p"), ()), "Subst source must be a Sequent"),
+        (lambda: Subst(ps("|- p"), (("x",),)), "Subst mapping must be a tuple of (str, Expr) pairs"),
+    ], ids=["ExR-str", "ExL-negative", "ExL-bool", "ExR-huge", "Nat-int", "Cut-str",
+            "EqL-str-context", "Mono-str-names", "Subst-source", "Subst-mapping"])
+    def test_a_parameter_of_another_kind_is_refused_when_the_rule_is_built(self, build, message):
+        with pytest.raises(KernelError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_every_field_is_declared(self):
+        for cls in RULES.values():
+            assert len(cls.params) == len(cls.__slots__), cls.tag
+
+    def test_the_format_lists_every_rule_with_parameters(self):
+        block = proofio.__doc__.split("Rule parameters")[1].split("all other tags")[0]
+        assert {word for word in block.split() if word in RULES} == {
+            tag for tag, cls in RULES.items() if cls.params}
+
+    @pytest.mark.parametrize("label,conclusion,rule,premises", FIXTURES, ids=[f[0] for f in FIXTURES])
+    def test_every_rule_round_trips_in_each_file_shape(self, label, conclusion, rule, premises):
+        pp = fixture_proof(conclusion, rule, premises)
+        text = dumps_preproof(pp)
+        again = loads_preproof(text)
+        assert again == pp and again.tree.rule is rule
+        assert dumps_preproof(again) == text
+        for shape in (inline_text, string_table):
+            again = loads_preproof(shape(pp))
+            assert again == pp and again.tree.rule is rule and dumps_preproof(again) == text
+
+
 class TestProofFiles:
     @pytest.mark.parametrize("label,conclusion,rule,premises",
                              [f for f in FIXTURES if f[1].left or f[1].right],
@@ -915,6 +988,11 @@ class TestProofFiles:
         ('(node n0 (seq "p |- p") (rule Nat x y))', "Nat takes one variable parameter"),
         ('(node n0 (seq "p |- p") (rule Axiom x))', "Axiom takes no parameters"),
         ('(node n0 (seq "p |- p") (rule Cut p))', "Cut formula must be a quoted formula"),
+        ('(node "n0" (seq "p |- p") (rule Axiom))', "node id must be a bare name, got 'n0'"),
+        ('(node n0 (seq "p |- p") (rule WkL) (children "n1"))',
+         "child id must be a bare name, got 'n1'"),
+        ('(seq s0 "p |- p")\n(rule r0 WkL)\n(node n0 s0 r0 (n1))',
+         "child id must be a bare name, got ['n1']"),
         # the table forms
         ('(seq s0 "p |- p")\n(node n0 s1 open)', "node n0: unknown sequent name 's1'"),
         ('(seq s0 "p |- p")\n(rule r0 Axiom)\n(node n0 s0 r1)', "node n0: unknown rule name 'r1'"),
@@ -994,6 +1072,14 @@ class TestProofFiles:
          "node n0: rule rb: expected an expression, found 'end of input' (line 1, column 6)"),
         (TREE + '(node a s0 rn)\n(node n0 s0 ro a b)\n(node b s0 ro c c)\n(node c s0 open)',
          "node 'c' is listed as a child twice"),
+        # a position past int()'s 4,300 digits, in each shape
+        ('(node n0 (seq "|- p, p") (rule ExR ' + "0" * 5000 + ') (children n1))\n'
+         '(node n1 (seq "|- p, p") open)', "node n0: ExR position has more than 19 digits"),
+        ('(seq s0 "|- p, p")\n(rule r0 ExR ' + "9" * 5000 + ')\n(node n0 s0 r0 n1)\n(node n1 s0 open)',
+         "node n0: rule r0: ExR position has more than 19 digits"),
+        # a Subst over a child that has no (node ...) form
+        ('(node n0 (seq "p |- p") (rule Subst (x "Z")) (children n1))',
+         "child id 'n1' has no (node ...) form"),
     ])
     def test_tree_errors_have_their_exact_text(self, bad, message):
         with pytest.raises(ProofFormatError) as err:
@@ -1113,6 +1199,14 @@ class TestProofFiles:
         # written as it is, the name would load as two atoms or fail to load
         pp = build(DerivTree("l", ps("|-"), None))
         with pytest.raises(ProofFormatError, match=message):
+            dumps_preproof(pp)
+
+    def test_a_type_outside_the_grammar_is_not_dumped(self):
+        # a metavariable of type inference is a simple type with no name in a file
+        bad = Lam("x", _TMeta(1), Var("x"))
+        pp = PreProof(DerivTree("n0", Sequent((bad,), (bad,)), Axiom()))
+        with pytest.raises(ProofFormatError,
+                           match=r"^node n0: _TMeta\(id=1\) is not a type of the grammar$"):
             dumps_preproof(pp)
 
     @pytest.mark.parametrize("name", ["Z", "S", "mu", "nu"])

@@ -106,6 +106,33 @@ def test_verdicts_and_reports_do_not_depend_on_the_hash_seed():
     assert outs[0].count("counterexample path:") == 2
 
 
+HYPOTHESIS_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_by_name(tmp_path):
+    # To report a failure, Hypothesis's plugin imports libcst, which warns on
+    # import; under this project's warning filters that warning must not
+    # become an error, which aborts the run with INTERNALERROR
+    (tmp_path / "test_probe.py").write_text(HYPOTHESIS_PROBE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "FAILED test_probe.py::test_fails" in run.stdout
+    assert "1 failed, 1 passed" in run.stdout
+
+
 # A class decorated with @dataclass generates and execs its methods at
 # import, and the dataclasses module pulls in inspect, ast, dis and tokenize:
 # together most of the checker's start-up time that the library controls.

@@ -902,6 +902,18 @@ def test_self_application_fails_the_occurs_check(text):
     assert str(err.value) == "ill-typed 'f f': expected ?, found ? -> ?"
 
 
+@pytest.mark.parametrize("text,subject", [
+    ("|- g y \\/ g (f x) \\/ y = Z", "y"),
+    ("|- y = Z \\/ g y \\/ g (f x)", "f x"),
+])
+def test_a_type_solved_to_an_application_result_is_never_N(text, subject):
+    # g's argument type is y's, and f x's result type is solved to it; a
+    # result type is never N, so neither is y's, whichever is met first
+    with pytest.raises(IllTyped) as err:
+        check_sequent(parse_sequent(text))
+    assert str(err.value) == f"ill-typed '{subject}': expected N, found ?"
+
+
 def test_a_deep_arrow_type_is_resolved_and_printed_without_recursion():
     chain = functools.reduce(lambda e, k: Lam(f"x{k}", PROP, e), range(3000), Var("p"))
     deep = arrow(*[PROP] * 3001)

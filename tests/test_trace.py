@@ -146,6 +146,20 @@ class TestOccurrenceSteps:
         with pytest.raises(TraceError, match="operator positions changed"):
             occurrence_steps(ps("p \\/ (mu a:O. a) |- r"), OtherBranchOrL(), 0)
 
+    @pytest.mark.parametrize("transport,message", [
+        ({}, "transport of .* is not total on the premise formula 'mu a:O. a'"),
+        ({(): (7,)}, r"transport image \(7,\) is not an operator position of 'mu a:O. a'"),
+    ], ids=["partial", "off-the-formula"])
+    def test_an_explicit_map_must_cover_the_premise_and_land_on_operators(self, transport, message):
+        class MappedWkR(WkR):
+            # each copy names its operators by an explicit map
+            def sources(self, conclusion, inference, branch):
+                left, right = super().sources(conclusion, inference, branch)
+                return left, tuple((pos, transport) for pos, _ in right)
+
+        with pytest.raises(TraceError, match=message):
+            occurrence_steps(ps("|- p, mu a:O. a"), MappedWkR(), 0)
+
     def test_a_formula_must_keep_its_side(self):
         class MoveLeftToRight(Rule):
             # Gamma, phi |- Delta from Gamma |- phi, Delta, naming the left
