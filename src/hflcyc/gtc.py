@@ -411,9 +411,9 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     operators of the left formulas and the nu operators of the right ones.
     A state moves only on its own node's symbol: at a back edge to the same
     occurrence and position, and at a rule to every premise position ``q``
-    that descends from ``p``, as the rule's
-    :meth:`~hflcyc.kernel.Rule.sources` say.  When the rule unfolds ``p``
-    itself, these ``q`` are the substituted copies, and the transition is
+    that descends from ``p``, as the links of the rule's
+    :meth:`~hflcyc.kernel.Rule.premise_rows` say.  When the rule unfolds
+    ``p`` itself, these ``q`` are the substituted copies, and the transition is
     accepting exactly when it unfolds a left mu or a right nu; every other
     transition is not accepting.  An infinite path passes companions
     infinitely often, so any good trace along it is followed from some
@@ -434,8 +434,8 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     occurrences, linear in the proof.
 
     A run that starts at a right mu or a left nu can take no accepting step,
-    so none starts there.  Each premise formula a rule's
-    :meth:`~hflcyc.kernel.Rule.sources` names stays on its conclusion's side
+    so none starts there.  Each premise formula that a rule's
+    :meth:`~hflcyc.kernel.Rule.premise_rows` links stays on its conclusion's side
     (:func:`~hflcyc.trace.occurrence_steps` checks it), a back edge keeps
     the occurrence, and a transport maps an operator to a copy of the same
     binder.  So every state a run reaches follows an operator of the kind it

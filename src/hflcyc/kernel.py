@@ -14,16 +14,16 @@ Conventions, fixed once for the whole code base:
   - Cut's premises are ordered [Gamma |- phi, Delta ;  Gamma, phi |- Delta];
   - rules never weaken or contract implicitly.
 
-Each rule also says, next to its premises, where every premise formula and
-its fixed-point operators come from (:meth:`Rule.sources`): the conclusion
-formula it descends from, if any (a cut formula is fresh), and how its
-operators sit in that formula.  The trace machinery builds on these.
+Each rule states its premises once (:meth:`Rule.premise_rows`): every
+premise formula comes with its source, the conclusion formula it descends
+from, if any (a cut formula is fresh), and how its fixed-point operators sit
+in that formula.  The trace machinery builds on these links.
 Sequents and rules are interned when they are built
 (:class:`~hflcyc.syntax.Interned`), so equal ones are one object, whether a
 proof was loaded or built in memory.  A pre-proof keeps the
-:class:`Inference` (premises, and the head step of a lambda or fixed-point
-rule with its operator sources) of each distinct (conclusion, rule) pair,
-so validation, the trace automaton and all nodes with that pair share one
+:class:`Inference` (premises and their sources, among them the head step of
+a lambda or fixed-point rule) of each distinct (conclusion, rule) pair, so
+validation, the trace automaton and all nodes with that pair share one
 head step; each formula keeps its own operator positions
 (:func:`~hflcyc.syntax.sigma_paths`).
 """
@@ -36,7 +36,7 @@ from typing import Any, Callable, ClassVar, Mapping, Optional, Union
 from .syntax import (
     And, App, Eq, Expr, HeadStep, HflError, HflTypeError,
     Interned, Lam, Mu, Nu, Or, Path, Record, Sequent, Succ, Var, Zero, alpha_eq,
-    check_sequent, head_step, is_term_shaped, make_app, nat_pred, sequent_alpha_eq,
+    check_sequent, children, head_step, is_term_shaped, make_app, nat_pred, sequent_alpha_eq,
     sequent_to_str, sigma_paths, substitute, to_str, var_paths,
 )
 
@@ -47,13 +47,16 @@ RIGHT = "right"
 OccPos = tuple[str, int]
 
 # How a premise formula's operators sit in the conclusion formula it comes
-# from: a path to it inside that formula, the inference's head step (whose
+# from: a path to it inside that formula, the head step that made it (whose
 # sources map the step's result operators), or an explicit map from the
 # premise formula's operator positions.
 Link = Union[Path, HeadStep, Mapping[Path, Path]]
 # Where one premise formula comes from: None when it is fresh.
 Source = Optional[tuple[OccPos, Link]]
 Sources = tuple[tuple[Source, ...], tuple[Source, ...]]
+# A premise formula with its source, and a premise as its two rows of them.
+Item = tuple[Expr, Source]
+Rows = tuple[tuple[Item, ...], tuple[Item, ...]]
 
 
 class KernelError(HflError):
@@ -130,31 +133,31 @@ _KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
 
 
 class Inference(Record):
-    """A rule applied to one conclusion: its premises and, for the lambda and
-    fixed-point rules, the head step that reduces the principal formula
-    (None for every other rule)."""
+    """A rule applied to one conclusion: its premises and, for each premise,
+    where each of its formulas comes from, as its left row and its right
+    row of :data:`Source` values (see :meth:`Rule.premise_rows`)."""
 
-    __slots__ = _compared = ("premises", "head_step")
+    __slots__ = _compared = ("premises", "sources")
     premises: tuple[Sequent, ...]
-    head_step: Optional[HeadStep]
+    sources: tuple[Sources, ...]
 
-    def __init__(self, premises: tuple[Sequent, ...], head_step: Optional[HeadStep] = None) -> None:
+    def __init__(self, premises: tuple[Sequent, ...], sources: tuple[Sources, ...]) -> None:
         object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "head_step", head_step)
+        object.__setattr__(self, "sources", sources)
 
 
 class Rule(Interned):
-    """Base class; subclasses define premise reconstruction and, when a
-    premise formula is not a copy of the conclusion formula at its position,
-    where it comes from.  A rule's tag, its name in the proof format, is its
-    class name.
+    """Base class; a subclass states its premises once, in
+    :meth:`premise_rows`, each premise formula with its source.  A rule's
+    tag, its name in the proof format, is its class name.
 
     A rule is interned: its parameters are the fields its class lists in
     ``__slots__``, and a rule without parameters is one object per class.
     ``params`` declares them once, in ``__slots__`` order: each field's kind
     and the name its errors use after the tag.  Building a rule with a field
-    of another kind raises :class:`KernelError`, and the proof format reads
-    and writes the fields by the same declaration.
+    of another kind raises :class:`KernelError`, before the intern table is
+    read, so a value equal to a right one (``True == 1``) is refused too;
+    the proof format reads and writes the fields by the same declaration.
     """
 
     __slots__ = ()
@@ -165,36 +168,54 @@ class Rule(Interned):
         super().__init_subclass__(**kwargs)
         cls.tag = cls.__name__
 
-    def _check(self) -> None:
-        for field, (kind, what) in zip(self.__slots__, self.params):
+    def __new__(cls, *args):
+        for value, (kind, what) in zip(args, cls.params):
             test, text = _KINDS[kind]
-            if not test(getattr(self, field)):
-                raise KernelError(f"{self.tag} {what} must be {text}")
+            if not test(value):
+                raise KernelError(f"{cls.tag} {what} must be {text}")
+        return super().__new__(cls, *args)
 
-    def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
+    def premise_rows(self, conclusion: Sequent) -> tuple[Rows, ...]:
+        """Each premise as its left row and its right row of (formula,
+        source) items.  A source is None for a fresh formula (a cut
+        formula, Nat's ``N x``), or the conclusion position and the
+        :data:`Link` of the formula it descends from: a path link is ``()``
+        for a copy and ``(b,)`` for a formula's immediate subformula ``b``.
+
+        A copy, a subformula and a head step are computed from their link
+        (:func:`_copies`, :func:`_part`, :class:`~hflcyc.syntax.HeadStep`),
+        so a premise formula and its link cannot disagree.  Raises
+        :class:`SchemaMismatch` or :class:`SideConditionViolated` when the
+        rule does not apply to the conclusion.
+        """
         raise NotImplementedError
 
     def inference(self, conclusion: Sequent) -> Inference:
-        """The premises for the conclusion, with the head step if any."""
-        return Inference(self.premises_of(conclusion))
+        """The premises for the conclusion, with their sources."""
+        rows = self.premise_rows(conclusion)
+        return Inference(
+            tuple([Sequent(tuple([f for f, _ in left]), tuple([f for f, _ in right]))
+                   for left, right in rows]),
+            tuple([(tuple([s for _, s in left]), tuple([s for _, s in right]))
+                   for left, right in rows]))
 
-    def sources(self, conclusion: Sequent, inference: Inference, branch: int) -> Sources:
-        """Where each formula of premise ``branch`` comes from, as its left
-        row and its right row: None for a fresh formula (a cut formula), or
-        the conclusion position and the :data:`Link` of the formula it
-        descends from.  A path link is ``()`` for a copy and ``(b,)`` for a
-        formula's immediate subformula ``b``.
+    def premises_of(self, conclusion: Sequent) -> tuple[Sequent, ...]:
+        return self.inference(conclusion).premises
 
-        ``inference`` is ``self.inference(conclusion)`` and ``branch`` one of
-        its premises.  By default each premise formula is a copy of the
-        conclusion formula at its position.
-        """
-        return (tuple(((LEFT, i), ()) for i in range(len(conclusion.left))),
-                tuple(((RIGHT, j), ()) for j in range(len(conclusion.right))))
+
+def _copies(conclusion: Sequent) -> Rows:
+    """Every formula of the conclusion as a copy of itself."""
+    return (tuple([(f, ((LEFT, i), ())) for i, f in enumerate(conclusion.left)]),
+            tuple([(f, ((RIGHT, j), ())) for j, f in enumerate(conclusion.right)]))
+
+
+def _part(phi: Expr, pos: OccPos, b: int) -> Item:
+    """Immediate subformula ``b`` of ``phi``, the formula at ``pos``."""
+    return children(phi)[b], (pos, (b,))
 
 
 class Axiom(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         if (len(conclusion.left) != 1 or len(conclusion.right) != 1
                 or not alpha_eq(conclusion.left[0], conclusion.right[0])):
             raise SchemaMismatch(None, "phi |- phi", sequent_to_str(conclusion))
@@ -206,54 +227,38 @@ class Cut(Rule):
     params = ((FORMULA, "formula"),)
     formula: Expr
 
-    def premises_of(self, conclusion):
-        phi = self.formula
-        return (Sequent(conclusion.left, (phi,) + conclusion.right),
-                Sequent(conclusion.left + (phi,), conclusion.right))
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return (left, (None,) + right) if branch == 0 else (left + (None,), right)
+    def premise_rows(self, conclusion):
+        left, right = _copies(conclusion)
+        cut = (self.formula, None)  # fresh
+        return (left, (cut,) + right), (left + (cut,), right)
 
 
 class WkL(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         _need_left(conclusion, "Gamma, phi |-")
-        return (Sequent(conclusion.left[:-1], conclusion.right),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left[:-1], right
+        left, right = _copies(conclusion)
+        return ((left[:-1], right),)
 
 
 class WkR(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         _need_right(conclusion, "|- phi, Delta")
-        return (Sequent(conclusion.left, conclusion.right[1:]),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left, right[1:]
+        left, right = _copies(conclusion)
+        return ((left, right[1:]),)
 
 
 class CtrL(Rule):
-    def premises_of(self, conclusion):
-        phi = _need_left(conclusion, "Gamma, phi |-")
-        return (Sequent(conclusion.left + (phi,), conclusion.right),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left + left[-1:], right  # both copies descend from phi
+    def premise_rows(self, conclusion):
+        _need_left(conclusion, "Gamma, phi |-")
+        left, right = _copies(conclusion)
+        return ((left + left[-1:], right),)  # both copies descend from phi
 
 
 class CtrR(Rule):
-    def premises_of(self, conclusion):
-        phi = _need_right(conclusion, "|- phi, Delta")
-        return (Sequent(conclusion.left, (phi,) + conclusion.right),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left, right[:1] + right
+    def premise_rows(self, conclusion):
+        _need_right(conclusion, "|- phi, Delta")
+        left, right = _copies(conclusion)
+        return ((left, right[:1] + right),)
 
 
 class ExL(Rule):
@@ -261,18 +266,13 @@ class ExL(Rule):
     params = ((POSITION, "position"),)
     pos: int  # index of the earlier of the two swapped formulas
 
-    def premises_of(self, conclusion):
-        left = list(conclusion.left)
-        if not 0 <= self.pos < len(left) - 1:
-            raise SchemaMismatch(None, f"at least {self.pos + 2} left formulas",
-                                 sequent_to_str(conclusion))
-        left[self.pos], left[self.pos + 1] = left[self.pos + 1], left[self.pos]
-        return (Sequent(tuple(left), conclusion.right),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
+    def premise_rows(self, conclusion):
         p = self.pos
-        return left[:p] + (left[p + 1], left[p]) + left[p + 2:], right
+        if not 0 <= p < len(conclusion.left) - 1:
+            raise SchemaMismatch(None, f"at least {p + 2} left formulas",
+                                 sequent_to_str(conclusion))
+        left, right = _copies(conclusion)
+        return ((left[:p] + (left[p + 1], left[p]) + left[p + 2:], right),)
 
 
 class ExR(Rule):
@@ -280,18 +280,13 @@ class ExR(Rule):
     params = ((POSITION, "position"),)
     pos: int
 
-    def premises_of(self, conclusion):
-        right = list(conclusion.right)
-        if not 0 <= self.pos < len(right) - 1:
-            raise SchemaMismatch(None, f"at least {self.pos + 2} right formulas",
-                                 sequent_to_str(conclusion))
-        right[self.pos], right[self.pos + 1] = right[self.pos + 1], right[self.pos]
-        return (Sequent(conclusion.left, tuple(right)),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
+    def premise_rows(self, conclusion):
         p = self.pos
-        return left, right[:p] + (right[p + 1], right[p]) + right[p + 2:]
+        if not 0 <= p < len(conclusion.right) - 1:
+            raise SchemaMismatch(None, f"at least {p + 2} right formulas",
+                                 sequent_to_str(conclusion))
+        left, right = _copies(conclusion)
+        return ((left, right[:p] + (right[p + 1], right[p]) + right[p + 2:]),)
 
 
 class Subst(Rule):
@@ -302,20 +297,17 @@ class Subst(Rule):
     source: Sequent
     mapping: tuple[tuple[str, Expr], ...]
 
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         subst = dict(self.mapping)
         want = Sequent(tuple(substitute(f, subst) for f in self.source.left),
                        tuple(substitute(f, subst) for f in self.source.right))
         if not sequent_alpha_eq(want, conclusion):
             raise SchemaMismatch(None, sequent_to_str(want), sequent_to_str(conclusion))
-        return (self.source,)
-
-    def sources(self, conclusion, inference, branch):
         # renaming keeps the tree's shape, so each operator of f is at the
         # same path in f[mapping]; those inside substituted copies have none
-        return tuple(tuple(((side, i), {q: q for q in sigma_paths(f)})
-                           for i, f in enumerate(row))
-                     for side, row in ((LEFT, self.source.left), (RIGHT, self.source.right)))
+        return (tuple(tuple([(f, ((side, i), {q: q for q in sigma_paths(f)}))
+                             for i, f in enumerate(row)])
+                      for side, row in ((LEFT, self.source.left), (RIGHT, self.source.right))),)
 
 
 class Mono(Rule):
@@ -334,10 +326,7 @@ class Mono(Rule):
     upper: Expr  # chi
     names: tuple[str, ...]  # the fresh argument vector y~
 
-    def premise_count(self) -> int:
-        return len(var_paths(self.formula, self.var))
-
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         want_l = substitute(self.formula, {self.var: self.lower})
         want_r = substitute(self.formula, {self.var: self.upper})
         got_l = _need_left(conclusion, f"Gamma, {to_str(want_l)} |-")
@@ -348,28 +337,23 @@ class Mono(Rule):
             raise SchemaMismatch(None, to_str(want_r), to_str(got_r))
         if len(set(self.names)) != len(self.names):
             raise SideConditionViolated(f"argument names {self.names} are not distinct")
-        ctx_l, ctx_r = conclusion.left[:-1], conclusion.right[1:]
         used: set[str] = set()
-        for f in ctx_l + (self.lower, self.upper) + ctx_r:
+        for f in conclusion.left[:-1] + (self.lower, self.upper) + conclusion.right[1:]:
             used |= f.free
         clash = used & set(self.names)
         if clash:
             raise SideConditionViolated(
                 f"names {sorted(clash)} are not fresh for the context and psi/chi")
         args = tuple(Var(y) for y in self.names)
-        prem = Sequent(ctx_l + (make_app(self.lower, *args),),
-                       (make_app(self.upper, *args),) + ctx_r)
-        return (prem,) * self.premise_count()
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
+        lower, upper = make_app(self.lower, *args), make_app(self.upper, *args)
         spine = (0,) * len(self.names)
-        at = var_paths(self.formula, self.var)[branch]
+        left, right = _copies(conclusion)
 
-        def copy(image):  # image y~'s operators sit in phi[image/x] below at
+        def copy(image, at):  # image y~'s operators sit in phi[image/x] below at
             return {spine + q: at + q for q in sigma_paths(image)}
-        return (left[:-1] + ((_last(conclusion), copy(self.lower)),),
-                ((_FIRST, copy(self.upper)),) + right[1:])
+        return tuple((left[:-1] + ((lower, (_last(conclusion), copy(self.lower, at))),),
+                      ((upper, (_FIRST, copy(self.upper, at))),) + right[1:])
+                     for at in var_paths(self.formula, self.var))
 
 
 class EqL(Rule):
@@ -388,7 +372,7 @@ class EqL(Rule):
     left_ctx: tuple[Expr, ...]
     right_ctx: tuple[Expr, ...]
 
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         if self.hole_l == self.hole_r:
             raise SideConditionViolated("the two template variables must differ")
         for u in (self.lhs, self.rhs):
@@ -400,17 +384,15 @@ class EqL(Rule):
                        tuple(substitute(d, down) for d in self.right_ctx))
         if not sequent_alpha_eq(want, conclusion):
             raise SchemaMismatch(None, sequent_to_str(want), sequent_to_str(conclusion))
+        # swapping terms keeps every operator at its path; s = t is dropped
         up = {self.hole_l: self.rhs, self.hole_r: self.lhs}
-        return (Sequent(tuple(substitute(g, up) for g in self.left_ctx),
-                        tuple(substitute(d, up) for d in self.right_ctx)),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left[:-1], right  # s = t has no premise image
+        return ((tuple([(substitute(g, up), ((LEFT, i), ())) for i, g in enumerate(self.left_ctx)]),
+                 tuple([(substitute(d, up), ((RIGHT, j), ()))
+                        for j, d in enumerate(self.right_ctx)])),)
 
 
 class EqR(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         phi = _need_right(conclusion, "|- t = t, Delta")
         if not (isinstance(phi, Eq) and alpha_eq(phi.lhs, phi.rhs)):
             raise SchemaMismatch(None, "t = t", to_str(phi))
@@ -418,54 +400,40 @@ class EqR(Rule):
 
 
 class OrL(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi \\/ psi |-")
         if not isinstance(phi, Or):
             raise SchemaMismatch(None, "phi \\/ psi", to_str(phi))
-        return (Sequent(conclusion.left[:-1] + (phi.lhs,), conclusion.right),
-                Sequent(conclusion.left[:-1] + (phi.rhs,), conclusion.right))
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left[:-1] + ((_last(conclusion), (branch,)),), right
+        left, right = _copies(conclusion)
+        return tuple((left[:-1] + (_part(phi, _last(conclusion), b),), right) for b in (0, 1))
 
 
 class OrR(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         phi = _need_right(conclusion, "|- phi \\/ psi, Delta")
         if not isinstance(phi, Or):
             raise SchemaMismatch(None, "phi \\/ psi", to_str(phi))
-        return (Sequent(conclusion.left, (phi.lhs, phi.rhs) + conclusion.right[1:]),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left, ((_FIRST, (0,)), (_FIRST, (1,))) + right[1:]
+        left, right = _copies(conclusion)
+        return ((left, (_part(phi, _FIRST, 0), _part(phi, _FIRST, 1)) + right[1:]),)
 
 
 class AndL(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         phi = _need_left(conclusion, "Gamma, phi /\\ psi |-")
         if not isinstance(phi, And):
             raise SchemaMismatch(None, "phi /\\ psi", to_str(phi))
-        return (Sequent(conclusion.left[:-1] + (phi.lhs, phi.rhs), conclusion.right),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
+        left, right = _copies(conclusion)
         principal = _last(conclusion)
-        return left[:-1] + ((principal, (0,)), (principal, (1,))), right
+        return ((left[:-1] + (_part(phi, principal, 0), _part(phi, principal, 1)), right),)
 
 
 class AndR(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         phi = _need_right(conclusion, "|- phi /\\ psi, Delta")
         if not isinstance(phi, And):
             raise SchemaMismatch(None, "phi /\\ psi", to_str(phi))
-        return (Sequent(conclusion.left, (phi.lhs,) + conclusion.right[1:]),
-                Sequent(conclusion.left, (phi.rhs,) + conclusion.right[1:]))
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left, ((_FIRST, (branch,)),) + right[1:]
+        left, right = _copies(conclusion)
+        return tuple((left, (_part(phi, _FIRST, b),) + right[1:]) for b in (0, 1))
 
 
 _REDEX_SHAPES = {Lam: "(\\x. phi) psi psi_vec", Mu: "(mu x. phi) psi_vec",
@@ -475,31 +443,21 @@ _REDEX_SHAPES = {Lam: "(\\x. phi) psi psi_vec", Mu: "(mu x. phi) psi_vec",
 class HeadStepRule(Rule):
     """Shared shape of the lambda and fixed-point left and right rules: the
     premise replaces the principal formula, on ``side``, by one head step on
-    its ``kind`` redex."""
+    its ``kind`` redex, which is also the step's link."""
 
     side: ClassVar[str]
     kind: ClassVar[type]
 
-    def inference(self, conclusion):
+    def premise_rows(self, conclusion):
         principal = (_need_left(conclusion, "a principal left formula") if self.side == LEFT
                      else _need_right(conclusion, "a principal right formula"))
         step = head_step(principal, self.kind)
         if step is None:
             raise SchemaMismatch(None, _REDEX_SHAPES[self.kind], to_str(principal))
+        left, right = _copies(conclusion)
         if self.side == LEFT:
-            premise = Sequent(conclusion.left[:-1] + (step.result,), conclusion.right)
-        else:
-            premise = Sequent(conclusion.left, (step.result,) + conclusion.right[1:])
-        return Inference((premise,), step)
-
-    def premises_of(self, conclusion):
-        return self.inference(conclusion).premises
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        if self.side == LEFT:
-            return left[:-1] + ((_last(conclusion), inference.head_step),), right
-        return left, ((_FIRST, inference.head_step),) + right[1:]
+            return ((left[:-1] + ((step.result, (_last(conclusion), step)),), right),)
+        return ((left, ((step.result, (_FIRST, step)),) + right[1:]),)
 
 
 class LamL(HeadStepRule):
@@ -539,17 +497,13 @@ class Nat(Rule):
     params = ((NAME, "variable"),)
     var: str
 
-    def premises_of(self, conclusion):
-        return (Sequent(conclusion.left + (App(nat_pred(), Var(self.var)),),
-                        conclusion.right),)
-
-    def sources(self, conclusion, inference, branch):
-        left, right = super().sources(conclusion, inference, branch)
-        return left + (None,), right  # N x is fresh
+    def premise_rows(self, conclusion):
+        left, right = _copies(conclusion)
+        return ((left + ((App(nat_pred(), Var(self.var)), None),), right),)  # N x is fresh
 
 
 class P1(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         ok = (len(conclusion.left) == 1 and not conclusion.right
               and isinstance(conclusion.left[0], Eq)
               and isinstance(conclusion.left[0].lhs, Succ)
@@ -561,15 +515,16 @@ class P1(Rule):
 
 
 class P2(Rule):
-    def premises_of(self, conclusion):
+    def premise_rows(self, conclusion):
         phi = _need_left(conclusion, "Gamma, S s = S t |-")
         ok = (isinstance(phi, Eq) and isinstance(phi.lhs, Succ)
               and isinstance(phi.rhs, Succ)
               and is_term_shaped(phi.lhs) and is_term_shaped(phi.rhs))
         if not ok:
             raise SchemaMismatch(None, "S s = S t", to_str(phi))
-        return (Sequent(conclusion.left[:-1] + (Eq(phi.lhs.arg, phi.rhs.arg),),
-                        conclusion.right),)
+        left, right = _copies(conclusion)
+        # s = t keeps the operators of S s = S t (terms have none) at their paths
+        return ((left[:-1] + ((Eq(phi.lhs.arg, phi.rhs.arg), (_last(conclusion), ())),), right),)
 
 
 RULE_CLASSES: tuple[type[Rule], ...] = (

@@ -5,9 +5,9 @@ Every fixed-point operator of a formula carries a finite sequence of natural
 numbers.  When a principal operator is unfolded, the copies substituted for
 its bound variable extend the consumed operator's sequence by a fresh number;
 all other rules copy sequences to the premise formulas that descend from
-each operator (:meth:`hflcyc.kernel.Rule.sources`).  A trace along an
-infinite path is classified by whether some sequence chain on a mu (resp.
-nu) operator grows forever.
+each operator (the links of :meth:`hflcyc.kernel.Rule.premise_rows`).  A
+trace along an infinite path is classified by whether some sequence chain on
+a mu (resp. nu) operator grows forever.
 
 The classifier works on lassos (ultimately periodic paths), of the one
 :class:`~hflcyc.trace.Lasso` type, which the decision procedure of
@@ -18,10 +18,10 @@ procedure, and :func:`annotate_step` as one for the row walk of
 
 What the oracles share with the checker, they cannot check: both read a
 node's occurrence steps from :func:`hflcyc.trace.node_steps`, and so from
-:meth:`hflcyc.kernel.Rule.sources`.  A wrong trace link there fools the
-checker and these oracles alike; only the bounded semantics of
-:mod:`hflcyc.semantics`, or an oracle that finds trace links without
-``Rule.sources``, can catch it.
+the links of :meth:`hflcyc.kernel.Rule.premise_rows`.  A wrong trace link
+there fools the checker and these oracles alike; only the bounded
+semantics of :mod:`hflcyc.semantics` (``tests/test_soundness_lemma.py``),
+or an oracle that finds trace links another way, can catch it.
 """
 
 from __future__ import annotations

@@ -270,8 +270,12 @@ class Expr(Interned):
         for kid in children(self):
             if not kid.free <= free:  # else share the sets already made
                 free = free | kid.free if free else kid.free
-        if isinstance(self, BINDERS) and self.var in free:
-            free = free - {self.var}
+        if isinstance(self, BINDERS):
+            if not isinstance(self.var_type, SimpleType):
+                raise HflTypeError(f"{type(self).__name__} var_type must be a SimpleType, "
+                                   f"got {self.var_type!r}")
+            if self.var in free:
+                free = free - {self.var}
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "sigmas", None)
 

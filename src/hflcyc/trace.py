@@ -4,7 +4,7 @@ Every fixed-point operator of a formula carries a finite sequence of natural
 numbers.  When a principal operator is unfolded, the copies substituted for
 its bound variable extend the consumed operator's sequence by a fresh number;
 all other rules copy sequences to the premise formulas that descend from
-each operator (:meth:`hflcyc.kernel.Rule.sources`).
+each operator (the links of :meth:`hflcyc.kernel.Rule.premise_rows`).
 
 This module holds what a check runs of that: the occurrence steps of each
 inference (:func:`occurrence_steps`, kept per pre-proof by
@@ -149,16 +149,17 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
 
     There is exactly one step per premise occurrence that has a conclusion
     ancestor (fresh premise formulas - cut formulas, (Nat)'s instance - have
-    none), in premise order, built from :meth:`~hflcyc.kernel.Rule.sources`.
-    A path link ``l`` sends each operator position ``q`` of the premise
-    formula to ``l + q``; a head step brings its sources, head path, copy
-    roots and kind; an explicit map is the transport as it is.  Raises
+    none), in premise order, built from ``inference.sources[branch]`` (see
+    :meth:`~hflcyc.kernel.Rule.premise_rows`).  A path link ``l`` sends
+    each operator position ``q`` of the premise formula to ``l + q``; a
+    head step brings its sources, head path, copy roots and kind; an
+    explicit map is the transport as it is.  Raises
     :class:`KernelError` on schema violations or an out-of-range branch,
     and :class:`TraceError` when a transport does not fit the formulas or a
     premise formula descends from the other side of the sequent.
 
     ``inference`` is ``rule.inference(conclusion)``, when the caller has it;
-    the steps are then built without a second head step.  The operator
+    the steps are then built without rebuilding the premises.  The operator
     positions of both formulas are the ones each formula keeps
     (:func:`~hflcyc.syntax.sigma_paths`).
     """
@@ -167,10 +168,10 @@ def occurrence_steps(conclusion: Sequent, rule: Rule, branch: int, *,
     if not 0 <= branch < len(inference.premises):
         raise KernelError(f"premise index {branch} out of range for {rule.tag}")
     premise = inference.premises[branch]
-    rows = rule.sources(conclusion, inference, branch)
     steps: list[OccurrenceStep] = []
-    for side, row, sources in zip((LEFT, RIGHT), (premise.left, premise.right), rows):
-        for index, (pf, source) in enumerate(zip(row, sources, strict=True)):
+    for side, row, sources in zip((LEFT, RIGHT), (premise.left, premise.right),
+                                  inference.sources[branch]):
+        for index, (pf, source) in enumerate(zip(row, sources)):
             if source is None:
                 continue
             ppos = (side, index)

@@ -247,22 +247,22 @@ class TestRuleSchemas:
 
 def _ancestors(conclusion, rule, branch):
     """Each premise position's conclusion position (None when fresh), read
-    from ``rule.sources``."""
-    left, right = rule.sources(conclusion, rule.inference(conclusion), branch)
+    from the inference's sources."""
+    left, right = rule.inference(conclusion).sources[branch]
     return {(side, i): None if source is None else source[0]
             for side, row in ((LEFT, left), (RIGHT, right))
             for i, source in enumerate(row)}
 
 
 class TestOccurrenceMaps:
-    """Rule.sources: where each premise formula comes from."""
+    """Inference.sources: where each premise formula comes from."""
 
     @pytest.mark.parametrize("label,conclusion,rule,premises",
                              [f for f in FIXTURES if f[3]],
                              ids=[f[0] for f in FIXTURES if f[3]])
     def test_total_on_premise_positions(self, label, conclusion, rule, premises):
         for k, prem in enumerate(premises):
-            left, right = rule.sources(conclusion, rule.inference(conclusion), k)
+            left, right = rule.inference(conclusion).sources[k]
             assert len(left) == len(prem.left) and len(right) == len(prem.right)
             for source in left + right:
                 if source is None:
@@ -273,13 +273,13 @@ class TestOccurrenceMaps:
 
     def test_andl_principal(self):
         conclusion = ps("r, p /\\ q |- s")
-        left, _ = AndL().sources(conclusion, AndL().inference(conclusion), 0)
+        left, _ = AndL().inference(conclusion).sources[0]
         # both conjuncts descend from p /\ q, as its two subformulas
         assert left == (((LEFT, 0), ()), ((LEFT, 1), (0,)), ((LEFT, 1), (1,)))
 
     def test_orr_principal(self):
         conclusion = ps("r |- p \\/ q, s")
-        _, right = OrR().sources(conclusion, OrR().inference(conclusion), 0)
+        _, right = OrR().inference(conclusion).sources[0]
         assert right == (((RIGHT, 0), (0,)), ((RIGHT, 0), (1,)), ((RIGHT, 1), ()))
 
     def test_cut_formula_is_fresh(self):
@@ -815,6 +815,19 @@ class TestRuleParameters:
     def test_a_parameter_of_another_kind_is_refused_when_the_rule_is_built(self, build, message):
         with pytest.raises(KernelError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+    def test_a_value_equal_to_a_live_position_is_refused(self, value):
+        # True == 1 == 1.0, with equal hashes: the kinds are checked before
+        # the intern table is read, so a live ExL(1) is not handed out
+        live = ExL(1)
+        with pytest.raises(KernelError, match="^ExL position must be an int from 0 to sys.maxsize$"):
+            ExL(value)
+        assert ExL(1) is live
+
+    def test_an_unhashable_parameter_is_refused_by_its_kind(self):
+        with pytest.raises(KernelError, match="^EqL left context must be a tuple of Exprs$"):
+            EqL("h1", "h2", pe("x"), pe("y"), [pe("p")], ())
 
     def test_every_field_is_declared(self):
         for cls in RULES.values():

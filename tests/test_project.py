@@ -183,3 +183,15 @@ def test_no_checker_function_calls_itself():
     found = set().union(*map(_self_calls, WALKED_MODULES))
     assert found - set(SELF_CALLS_ALLOWED) == set()
     assert set(SELF_CALLS_ALLOWED) <= found  # each exception is still needed
+
+
+def test_each_rule_states_its_premises_once():
+    # a rule gives each premise formula with its trace link in premise_rows;
+    # the base class derives the premises and the inference from that, so no
+    # second table of links can disagree with the premises
+    from hflcyc import kernel
+    for cls in kernel.RULE_CLASSES:
+        assert not hasattr(cls, "sources"), cls.tag
+        for name in ("premises_of", "inference"):
+            assert getattr(cls, name) is getattr(kernel.Rule, name), f"{cls.tag}.{name}"
+        assert cls.premise_rows is not kernel.Rule.premise_rows, cls.tag

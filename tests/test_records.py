@@ -56,9 +56,9 @@ SAMPLES = {
         "rhs=Var(name='p'))), rhs=Var(name='p')), sources={(0,): ()}, head_path=(), "
         "copy_roots=((0,),), sigma_kind='mu')"),
     "Inference": (
-        lambda: Inference((LEAF_SEQ,)),
+        lambda: OrR().inference(ROOT_SEQ),
         "Inference(premises=(Sequent(left=(), right=(Var(name='p'), Var(name='q'))),), "
-        "head_step=None)"),
+        "sources=(((), ((('right', 0), (0,)), (('right', 0), (1,)))),))"),
     "OccurrenceRef": (lambda: OccurrenceRef("n0", "left", 1),
                       "OccurrenceRef(node='n0', side='left', index=1)"),
     "DerivTree": (
@@ -200,7 +200,7 @@ def test_pre_proof_nodes_are_found_once():
 
 def test_defaults():
     assert repr(Rejected("structural")) == "Rejected(kind='structural', issues=(), lasso=None, detail='')"
-    assert Inference(()).head_step is None
+    assert Axiom().inference(parse_sequent("p |- p")) == Inference((), ())
     assert DerivTree("n0", LEAF_SEQ, None).children == ()
     assert PreProof(DerivTree("n0", LEAF_SEQ, Axiom())).back_edges == {}
     assert _automaton().decode == ()

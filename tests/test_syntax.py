@@ -5,6 +5,7 @@ import functools
 import gc
 import itertools
 import pickle
+import re
 import time
 import weakref
 from dataclasses import FrozenInstanceError
@@ -748,7 +749,7 @@ def test_mono_sources_agree_with_the_traced_walk(phi, lower, upper, renamed):
     inference = rule.inference(conclusion)
     assert len(inference.premises) == len(var_paths(phi, "w")) == 3
     for branch in range(3):
-        left, right = rule.sources(conclusion, inference, branch)
+        left, right = inference.sources[branch]
         for (pos, link), image in ((left[-1], lower), (right[0], upper)):
             origins = {}
             _traced_substitute(phi, {"w": image}, origins)
@@ -875,6 +876,15 @@ def test_infer_type_rejections():
     with pytest.raises(HflTypeError):
         # fixed-point body type mismatch
         infer_type({}, Mu("X", PROP, Lam("y", NAT, Var("X"))))
+
+
+@pytest.mark.parametrize("binder", [Lam, Mu, Nu])
+def test_a_binder_type_that_is_not_a_type_is_refused(binder):
+    # a dump writes a binder's var_type as a type name, so a string there
+    # would load back as another formula
+    with pytest.raises(HflTypeError, match="^" + re.escape(
+            f"{binder.__name__} var_type must be a SimpleType, got 'N'") + "$"):
+        binder("x", "N", Var("x"))
 
 
 def test_infer_env():

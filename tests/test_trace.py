@@ -28,7 +28,7 @@ from hflcyc.kernel import (
     validate_preproof,
 )
 from hflcyc.proofio import load_preproof
-from hflcyc.syntax import Sequent, alpha_eq, sigma_paths
+from hflcyc.syntax import alpha_eq, sigma_paths
 from hflcyc.oracles import (
     ExplosionGuard,
     FiniteOrNotATrace,
@@ -91,7 +91,7 @@ class TestOccurrenceSteps:
     def test_one_step_per_descendant_occurrence(self, label, conclusion, rule, premises):
         inference = rule.inference(conclusion)
         for branch, premise in enumerate(premises):
-            left, right = rule.sources(conclusion, inference, branch)
+            left, right = inference.sources[branch]
             sources = {(side, i): source for side, row in ((LEFT, left), (RIGHT, right))
                        for i, source in enumerate(row)}
             steps = occurrence_steps(conclusion, rule, branch)
@@ -138,9 +138,13 @@ class TestOccurrenceSteps:
 
     def test_a_link_must_place_every_operator_below_it(self):
         class OtherBranchOrL(OrL):
-            def sources(self, conclusion, inference, branch):
-                left, right = super().sources(conclusion, inference, branch)
-                return left[:-1] + ((left[-1][0], (1 - branch,)),), right
+            # each disjunct linked to the other one
+            def premise_rows(self, conclusion):
+                rows = []
+                for branch, (left, right) in enumerate(super().premise_rows(conclusion)):
+                    f, (pos, _) = left[-1]
+                    rows.append((left[:-1] + ((f, (pos, (1 - branch,))),), right))
+                return tuple(rows)
 
         # premise 0's p has no operator, but the mu it is linked to has one
         with pytest.raises(TraceError, match="operator positions changed"):
@@ -153,9 +157,9 @@ class TestOccurrenceSteps:
     def test_an_explicit_map_must_cover_the_premise_and_land_on_operators(self, transport, message):
         class MappedWkR(WkR):
             # each copy names its operators by an explicit map
-            def sources(self, conclusion, inference, branch):
-                left, right = super().sources(conclusion, inference, branch)
-                return left, tuple((pos, transport) for pos, _ in right)
+            def premise_rows(self, conclusion):
+                ((left, right),) = super().premise_rows(conclusion)
+                return ((left, tuple((f, (pos, transport)) for f, (pos, _) in right)),)
 
         with pytest.raises(TraceError, match=message):
             occurrence_steps(ps("|- p, mu a:O. a"), MappedWkR(), 0)
@@ -164,12 +168,10 @@ class TestOccurrenceSteps:
         class MoveLeftToRight(Rule):
             # Gamma, phi |- Delta from Gamma |- phi, Delta, naming the left
             # phi as the source of the right one
-            def premises_of(self, conclusion):
-                return (Sequent(conclusion.left[:-1], conclusion.left[-1:] + conclusion.right),)
-
-            def sources(self, conclusion, inference, branch):
-                left, right = super().sources(conclusion, inference, branch)
-                return left[:-1], left[-1:] + right
+            def premise_rows(self, conclusion):
+                left = tuple((f, ((LEFT, i), ())) for i, f in enumerate(conclusion.left))
+                right = tuple((f, ((RIGHT, j), ())) for j, f in enumerate(conclusion.right))
+                return ((left[:-1], left[-1:] + right),)
 
         with pytest.raises(TraceError, match="from side 'left' to side 'right'"):
             occurrence_steps(ps("mu a:O. a |- r"), MoveLeftToRight(), 0)
@@ -195,13 +197,13 @@ class TestOccurrenceSteps:
     def test_subst_drops_substituted_operators(self):
         from hflcyc.kernel import Subst
 
-        source = ps("|- (mu a:O. a) \\/ x")
+        source = ps("|- (mu a:O. a) \\/ (nu c:O. c) \\/ x")
         rule = Subst(source, (("x", pe("nu b:O. b")),))
-        conclusion = ps("|- (mu a:O. a) \\/ (nu b:O. b)")
+        conclusion = ps("|- (mu a:O. a) \\/ (nu c:O. c) \\/ (nu b:O. b)")
         (step,) = occurrence_steps(conclusion, rule, 0)
-        # the nu at (1,) is introduced by the substitution: no premise operator
-        # descends from it
-        assert step.transport == {(0,): (0,)}
+        # each operator of the source stays where it is; the nu at (1,) is
+        # introduced by the substitution: no premise operator descends from it
+        assert step.transport == {(0, 0): (0, 0), (0, 1): (0, 1)}
 
     def test_subst_that_renames_a_binder_keeps_operator_paths(self):
         from hflcyc.kernel import Subst
@@ -263,8 +265,8 @@ class TestOccurrenceSteps:
 
     def test_premises_rebuilt_once(self, monkeypatch):
         calls = []
-        rebuild = WkR.premises_of
-        monkeypatch.setattr(WkR, "premises_of",
+        rebuild = WkR.premise_rows
+        monkeypatch.setattr(WkR, "premise_rows",
                             lambda rule, seq: calls.append(seq) or rebuild(rule, seq))
         occurrence_steps(ps("p |- p, q"), WkR(), 0)
         assert len(calls) == 1
