@@ -571,7 +571,12 @@ class OccurrenceRef(Record):
 
 
 class DerivTree(Record):
-    """A finite derivation tree node.  rule None marks an open leaf."""
+    """A node of a derivation tree, with its subtree: rule None marks an
+    open leaf.  It is what an in-memory builder makes and what the
+    :attr:`PreProof.tree`, :attr:`PreProof.nodes` and :meth:`PreProof.node`
+    views return.  A pre-proof's value is its rows, so a tree compares and
+    hashes by identity.  It prints from an explicit stack, but a copy or
+    pickle of it recurses once per level: copy its pre-proof instead."""
 
     __slots__ = _compared = ("id", "seq", "rule", "children")
     id: str
@@ -586,8 +591,8 @@ class DerivTree(Record):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "children", children)
 
-    def is_open(self) -> bool:
-        return self.rule is None
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def walk(self):
         """Every node of the tree in preorder."""
@@ -597,48 +602,6 @@ class DerivTree(Record):
             yield node
             stack.extend(reversed(node.children))
 
-    # Value operations on a deep tree run from explicit stacks: the ones
-    # Record inherits from tuples recurse once per level.
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if (b.__class__ is not a.__class__ or a.id != b.id or a.seq != b.seq
-                    or a.rule != b.rule or len(a.children) != len(b.children)):
-                return False
-            todo += zip(a.children, b.children)
-        return True
-
-    def __hash__(self) -> int:
-        """The hash of the fields, each child's hash standing for the child."""
-        hashes: dict[int, int] = {}
-        for node in reversed(list(self.walk())):  # each child before its parent
-            hashes[id(node)] = hash((node.id, node.seq, node.rule,
-                                     tuple([hashes[id(c)] for c in node.children])))
-        return hashes[id(self)]
-
-    def __reduce__(self):
-        """Pickle and copy the nodes as one flat list, each after its
-        children (see :func:`_tree_from_nodes`)."""
-        return _tree_from_nodes, (tuple([(n.id, n.seq, n.rule, len(n.children))
-                                         for n in reversed(list(self.walk()))]),)
-
-
-def _tree_from_nodes(nodes: tuple[tuple[str, Sequent, Optional[Rule], int], ...]) -> DerivTree:
-    """The tree whose preorder, reversed, lists ``nodes`` as (id, sequent,
-    rule, number of children): a node's last child comes first."""
-    built: list[DerivTree] = []  # finished subtrees, the first child on top
-    for node_id, seq, rule, count in nodes:
-        first = len(built) - count
-        children, built[first:] = tuple(reversed(built[first:])), []
-        built.append(DerivTree(node_id, seq, rule, children))
-    return built[0]
-
 
 # A node of a pre-proof's table: its sequent, its rule (None for an open
 # leaf) and its child ids.
@@ -646,30 +609,30 @@ Row = tuple[Sequent, Optional[Rule], tuple[str, ...]]
 
 
 class PreProof(Record):
-    """A derivation tree plus a back-edge target for every open leaf.
+    """A derivation tree plus a back-edge target for every open leaf, as
+    its node table.
 
-    ``back_edges`` is a copy of the mapping given, so a later edit to the
-    caller's dict changes nothing here.  Equal sequents and rules (equal as
-    values, not merely alpha-equivalent, since a report prints bound names)
-    are one object, as they are interned.
+    Its value is ``(root, rows, back_edges)``: ``==`` and ``repr`` read
+    them, and a copy or pickle rebuilds them with :meth:`from_rows`.
+    :attr:`rows` holds, for each node id in preorder, the node's sequent,
+    its rule (None for an open leaf) and its child ids as given, and
+    :attr:`root` is the root's id.  Hashing raises ``TypeError`` for the
+    dicts.  ``back_edges`` is a copy of the mapping given, so a later edit
+    to the caller's dict changes nothing here.  Equal sequents and rules
+    (equal as values, not merely alpha-equivalent, since a report prints
+    bound names) are one object, as they are interned.
 
-    Every stage reads the proof as its node table, :attr:`rows`: for each
-    node id in preorder, the node's sequent, its rule (None for an open
-    leaf) and its child ids as given, and :attr:`root`, the root's id.  The
-    successor ids of each node (:attr:`successor_table`) follow from the
+    The successor ids of each node (:attr:`successor_table`) follow from the
     rows and the back edges: those of a closed node are its child ids in
     order, those of an open leaf ``(target,)`` for its back edge, and an
     open leaf without a back edge has ``None``, for which
     :func:`successors` raises.
 
-    There are two ways in.  ``PreProof(tree, back_edges)``, for a proof
-    built in memory, derives the rows in one preorder walk of the tree at
-    first use; a duplicate node id raises :class:`KernelError` then.
-    :meth:`from_rows`, for a loaded proof or a quotient, takes the rows as
-    they are, and builds no tree: :attr:`tree`, :attr:`nodes` and
-    :meth:`node` make the :class:`DerivTree` objects on first use, in one
-    pass from the leaves up.  Either way the pre-proof compares, hashes,
-    prints, copies and pickles as its tree and back edges.
+    ``PreProof(tree, back_edges)`` makes the rows in one preorder walk of
+    a tree built in memory, and keeps the tree; a repeated node id raises
+    :class:`KernelError`.  A pre-proof made by :meth:`from_rows` makes the
+    :class:`DerivTree` views (:attr:`tree`, :attr:`nodes`, :meth:`node`)
+    on first use, in one pass from the leaves up; a check reads none.
 
     A pre-proof also keeps, for its whole life, the work a check does once
     per distinct sequent rather than once per node:
@@ -680,78 +643,70 @@ class PreProof(Record):
       ``step_table``, which :func:`hflcyc.trace.node_steps` fills and reads,
       keyed by the id of an inference that the first table holds.
 
-    The rows, the nodes and the tables are not compared, hashed or copied.
+    The views and the tables are not compared or copied.
     """
 
-    __slots__ = ("_tree", "back_edges", "root", "_rows", "_nodes", "_successors",
+    __slots__ = ("root", "rows", "back_edges", "_tree", "_nodes", "_successors",
                  "_inferences", "step_table")
-    _compared = ("tree", "back_edges")
-    _tree: Optional[DerivTree]
-    back_edges: Mapping[str, str]
+    _compared = ("root", "rows", "back_edges")
     root: str
-    _rows: Optional[dict[str, Row]]
+    rows: dict[str, Row]
+    back_edges: Mapping[str, str]
+    _tree: Optional[DerivTree]
     _nodes: Optional[dict[str, DerivTree]]
     _successors: Optional[dict[str, Optional[tuple[str, ...]]]]
     _inferences: dict[tuple[Sequent, Rule], Inference]
     step_table: dict[tuple[int, int], Any]
 
     def __init__(self, tree: DerivTree, back_edges: Optional[Mapping[str, str]] = None) -> None:
-        self._start(tree, tree.id, None, back_edges)
-
-    @classmethod
-    def from_rows(cls, root: str, rows: dict[str, Row],
-                  back_edges: Optional[Mapping[str, str]] = None) -> PreProof:
-        """The pre-proof whose node table is ``rows``, kept as it is.
-
-        ``rows`` must be a tree from ``root`` in preorder, each node once:
-        :func:`~hflcyc.proofio.loads_preproof` checks that of a text, and
-        the quotient of :mod:`hflcyc.gtc` makes it so.  It is not checked
-        here.
-        """
-        pp = cls.__new__(cls)
-        pp._start(None, root, rows, back_edges)
-        return pp
-
-    def _start(self, tree: Optional[DerivTree], root: str, rows: Optional[dict[str, Row]],
-               back_edges: Optional[Mapping[str, str]]) -> None:
-        object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "back_edges", {} if back_edges is None else dict(back_edges))
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_nodes", None)
-        object.__setattr__(self, "_successors", None)
-        object.__setattr__(self, "_inferences", {})
-        object.__setattr__(self, "step_table", {})
-
-    def _index(self) -> None:
-        """The rows and the nodes of a tree built in memory, in one walk."""
         nodes: dict[str, DerivTree] = {}
         rows: dict[str, Row] = {}
-        for node in self._tree.walk():
+        for node in tree.walk():
             node_id = node.id
             if node_id in nodes:
                 raise KernelError(f"duplicate node id {node_id!r}")
             nodes[node_id] = node
             rows[node_id] = (node.seq, node.rule, tuple([c.id for c in node.children]))
-        object.__setattr__(self, "_rows", rows)
+        self._start(tree.id, rows, back_edges, tree, nodes)
+
+    @classmethod
+    def from_rows(cls, root: str, rows: dict[str, Row],
+                  back_edges: Optional[Mapping[str, str]] = None) -> PreProof:
+        """The pre-proof whose node table is ``rows``, kept as it is; a copy
+        or pickle of any pre-proof is made here too.
+
+        ``rows`` must be a tree from ``root`` in preorder, each node once:
+        :func:`~hflcyc.proofio.loads_preproof` checks that of a text,
+        ``PreProof(tree)`` and the quotient of :mod:`hflcyc.gtc` make it
+        so.  It is not checked here.
+        """
+        pp = cls.__new__(cls)
+        pp._start(root, rows, back_edges, None, None)
+        return pp
+
+    def _start(self, root: str, rows: dict[str, Row], back_edges: Optional[Mapping[str, str]],
+               tree: Optional[DerivTree], nodes: Optional[dict[str, DerivTree]]) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "back_edges", {} if back_edges is None else dict(back_edges))
+        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_successors", None)
+        object.__setattr__(self, "_inferences", {})
+        object.__setattr__(self, "step_table", {})
+
+    def __reduce__(self):
+        return PreProof.from_rows, (self.root, self.rows, self.back_edges)
 
     def _build_nodes(self) -> None:
         """The nodes of a row-built pre-proof, each built after its children."""
-        rows = self._rows
+        rows = self.rows
         built: dict[str, DerivTree] = {}
         for node_id in reversed(rows):  # in preorder a node's children follow it
             seq, rule, kids = rows[node_id]
             built[node_id] = DerivTree(node_id, seq, rule, tuple([built[k] for k in kids]))
         object.__setattr__(self, "_nodes", {node_id: built[node_id] for node_id in rows})
         object.__setattr__(self, "_tree", built[self.root])
-
-    @property
-    def rows(self) -> dict[str, Row]:
-        """Every node's (sequent, rule, child ids) by node id, in preorder."""
-        if self._rows is None:
-            self._index()
-        return self._rows
 
     @property
     def tree(self) -> DerivTree:
@@ -764,10 +719,7 @@ class PreProof(Record):
     def nodes(self) -> dict[str, DerivTree]:
         """Every node by id, in preorder."""
         if self._nodes is None:
-            if self._tree is None:
-                self._build_nodes()
-            else:
-                self._index()
+            self._build_nodes()
         return self._nodes
 
     @property
@@ -828,10 +780,6 @@ class PreProof(Record):
                 for side, row in ((LEFT, seq.left), (RIGHT, seq.right))
                 for index, formula in enumerate(row)}
 
-    def open_leaves(self) -> list[DerivTree]:
-        """The open leaves in preorder."""
-        return [n for n in self.nodes.values() if n.rule is None]
-
 
 class ValidationIssue(Record):
     __slots__ = _compared = ("node", "message")
@@ -858,11 +806,7 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     found (empty list = valid pre-proof).
     """
     issues: list[ValidationIssue] = []
-    try:
-        rows = pp.rows
-    except KernelError as exc:
-        return [ValidationIssue("<tree>", str(exc))]
-
+    rows = pp.rows
     back = pp.back_edges
     unbacked: list[str] = []  # the open leaves without a back edge
     typed: dict[Sequent, Optional[str]] = {}

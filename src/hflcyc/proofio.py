@@ -708,8 +708,7 @@ def dumps_preproof(pp: PreProof) -> str:
     a name parameter of a rule that is not one bare atom of the grammar.
 
     The nodes are read from the node table (:attr:`PreProof.rows`), so a
-    dump builds no derivation tree; a tree that holds a node id twice raises
-    :class:`~hflcyc.kernel.KernelError` naming that id.
+    dump builds no derivation tree.
     """
     names: dict = {NAT: "N", PROP: "O"}  # each type and formula node -> its table name
     seq_names: dict[Sequent, str] = {}

@@ -90,13 +90,30 @@ class Interned(_Frozen):
     finding or making a value runs no Python-level weakref code; each
     reference's callback removes its entry when the value dies.  Assigning
     or deleting a field raises ``dataclasses.FrozenInstanceError``.
+
+    ``kinds`` declares, in ``__slots__`` order, the class of each field's
+    values (``object`` where a class declares none; a sequent's
+    :meth:`_check` tests its rows).  A value is made only from fields of
+    their kinds, so an argument of another kind, an unhashable one too,
+    raises :class:`HflTypeError` naming the class and the field.  No kind
+    of a formula, type or sequent holds a number, so a wrong argument equal
+    to a right one (``True == 1``) cannot find a value in the table.
     """
 
     __slots__ = ("__weakref__",)
+    kinds: tuple[type, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" in cls.__dict__ and "kinds" not in cls.__dict__:
+            cls.kinds = (object,) * len(cls.__slots__)  # fields of any kind
 
     def __new__(cls, *args):
         key = (cls, *args)
-        ref = _INTERNED.get(key)
+        try:
+            ref = _INTERNED.get(key)
+        except TypeError:  # an unhashable field, which a check below refuses
+            ref = None
         if ref is not None:
             obj = ref()
             if obj is not None:
@@ -104,17 +121,25 @@ class Interned(_Frozen):
         if len(args) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
         obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, args):
+        for name, value, kind in zip(cls.__slots__, args, cls.kinds):
+            if not isinstance(value, kind):
+                raise _kind_error(cls, name, value, kind.__name__)
             object.__setattr__(obj, name, value)
         obj._check()
         _INTERNED[key] = weakref.ref(obj, partial(_forget, key))
         return obj
 
     def _check(self) -> None:
-        """Raise if the fields do not make a value of this class."""
+        """Raise if the fields do not make a value of this class; their
+        kinds have been checked."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _kind_error(cls: type, name: str, value, kind: str) -> HflTypeError:
+    article = "an" if kind[0] in "AEIOU" else "a"
+    return HflTypeError(f"{cls.__name__} {name} must be {article} {kind}, got {value!r}")
 
 
 class Record(_Frozen):
@@ -171,6 +196,7 @@ class PropType(SimpleType):
 
 class Arrow(SimpleType):
     __slots__ = ("arg", "result")
+    kinds = (SimpleType, SimpleType)
     arg: SimpleType
     result: SimpleType
 
@@ -270,12 +296,8 @@ class Expr(Interned):
         for kid in children(self):
             if not kid.free <= free:  # else share the sets already made
                 free = free | kid.free if free else kid.free
-        if isinstance(self, BINDERS):
-            if not isinstance(self.var_type, SimpleType):
-                raise HflTypeError(f"{type(self).__name__} var_type must be a SimpleType, "
-                                   f"got {self.var_type!r}")
-            if self.var in free:
-                free = free - {self.var}
+        if isinstance(self, BINDERS) and self.var in free:
+            free = free - {self.var}
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "sigmas", None)
 
@@ -290,6 +312,7 @@ class Expr(Interned):
 
 class Var(Expr):
     __slots__ = ("name",)
+    kinds = (str,)
     name: str
 
 
@@ -299,29 +322,34 @@ class Zero(Expr):
 
 class Succ(Expr):
     __slots__ = ("arg",)
+    kinds = (Expr,)
     arg: Expr
 
 
 class Eq(Expr):
     __slots__ = ("lhs", "rhs")
+    kinds = (Expr, Expr)
     lhs: Expr
     rhs: Expr
 
 
 class Or(Expr):
     __slots__ = ("lhs", "rhs")
+    kinds = (Expr, Expr)
     lhs: Expr
     rhs: Expr
 
 
 class And(Expr):
     __slots__ = ("lhs", "rhs")
+    kinds = (Expr, Expr)
     lhs: Expr
     rhs: Expr
 
 
 class Lam(Expr):
     __slots__ = ("var", "var_type", "body")
+    kinds = (str, SimpleType, Expr)
     var: str
     var_type: SimpleType
     body: Expr
@@ -329,6 +357,7 @@ class Lam(Expr):
 
 class App(Expr):
     __slots__ = ("fn", "arg")
+    kinds = (Expr, Expr)
     fn: Expr
     arg: Expr
 
@@ -341,6 +370,7 @@ def _check_fixpoint(self) -> None:
 
 class Mu(Expr):
     __slots__ = ("var", "var_type", "body")
+    kinds = (str, SimpleType, Expr)
     var: str
     var_type: SimpleType
     body: Expr
@@ -349,6 +379,7 @@ class Mu(Expr):
 
 class Nu(Expr):
     __slots__ = ("var", "var_type", "body")
+    kinds = (str, SimpleType, Expr)
     var: str
     var_type: SimpleType
     body: Expr
@@ -932,6 +963,14 @@ class Sequent(Interned):
     __slots__ = ("left", "right")
     left: tuple[Expr, ...]
     right: tuple[Expr, ...]
+
+    def _check(self) -> None:
+        for name, row in (("left", self.left), ("right", self.right)):
+            if not isinstance(row, tuple):
+                raise _kind_error(Sequent, name, row, "tuple of Exprs")
+            for f in row:
+                if not isinstance(f, Expr):
+                    raise _kind_error(Sequent, name, row, "tuple of Exprs")
 
     def __str__(self) -> str:
         return sequent_to_str(self)

@@ -682,7 +682,7 @@ class TestCheckCyclicProof:
     def test_a_chain_compares_hashes_and_copies_without_recursion(self):
         pp, again = exr_chain_proof(5000), exr_chain_proof(5000)
         assert pp.tree is not again.tree
-        assert pp == again and hash(pp.tree) == hash(again.tree)
+        assert pp == again
         assert pp != exr_chain_proof(4999)
         for copied in (pickle.loads(pickle.dumps(pp)), copy.deepcopy(pp)):
             assert copied == pp and copied.tree is not pp.tree
@@ -784,9 +784,10 @@ def test_the_index_matches_the_tree(name, pp, loaded):
     assert list(pp.nodes) == [n.id for n in preorder]
     for n in preorder:
         assert pp.node(n.id) is n
-        want = (pp.back_edges[n.id],) if n.is_open() else tuple(c.id for c in n.children)
+        want = (pp.back_edges[n.id],) if n.rule is None else tuple(c.id for c in n.children)
         assert kernel.successors(pp, n.id) == want
-    assert pp.open_leaves() == [n for n in preorder if n.is_open()]
+    assert ([node_id for node_id, (_, rule, _) in pp.rows.items() if rule is None]
+            == [n.id for n in preorder if n.rule is None])
     with pytest.raises(KernelError, match="no node 'zz' in the pre-proof"):
         kernel.successors(pp, "zz")
 
@@ -804,8 +805,26 @@ def test_a_check_of_a_loaded_proof_builds_no_tree(monkeypatch):
     assert isinstance(result, Rejected) and result.lasso is not None
     counterexample_report(pp, result.lasso)
     assert made == []
-    assert pp.tree == built.tree
-    assert len(made) == len(pp.nodes) == 257
+    assert pp == built
+    assert len(pp.nodes) == len(made) == 257
+
+
+def test_the_value_operations_of_a_loaded_proof_build_no_tree():
+    # a pre-proof's value is its node table, so a loaded one compares,
+    # prints, copies and pickles without making a derivation tree
+    built = built_loop(64, "mu")
+    text = dumps_preproof(built)
+    pp, again = loads_preproof(text), loads_preproof(text)
+    copies = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+              "pickle": lambda v: pickle.loads(pickle.dumps(v))}
+    assert pp == built and built == pp and pp == again and repr(pp) == repr(built)
+    for name, copy_of in copies.items():
+        copied = copy_of(pp)
+        assert type(copied) is PreProof and copied == pp and repr(copied) == repr(pp), name
+        assert copied._tree is None and copied._nodes is None, name
+        assert dumps_preproof(copied) == text, name
+    for value in (pp, again):
+        assert value._tree is None and value._nodes is None
 
 
 def test_a_dump_of_a_loaded_proof_builds_no_tree(monkeypatch):

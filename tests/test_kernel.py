@@ -542,20 +542,12 @@ class TestPreProofs:
     def test_duplicate_ids_rejected(self):
         k = DerivTree("dup", ps("p |- r"), None)
         root = DerivTree("dup", ps("p, q |- r"), WkL(), (k,))
-        issues = validate_preproof(PreProof(root, {}))
-        assert any("duplicate" in i.message for i in issues)
+        with pytest.raises(KernelError, match="^duplicate node id 'dup'$"):
+            PreProof(root, {})
 
     def test_a_missing_node_is_named(self):
         with pytest.raises(KernelError, match="^no node 'zz' in the pre-proof$"):
             loop_proof().node("zz")
-
-    def test_trees_that_share_a_subtree_compare_without_entering_it(self):
-        class Unwalkable:
-            """A child that a walk into the shared subtree would fail on."""
-
-        shared = DerivTree("c", ps("p |- p"), WkL(), (Unwalkable(),))
-        a, b = (DerivTree("r", ps("p, q |- p"), WkL(), (shared,)) for _ in range(2))
-        assert a is not b and a == b
 
     def test_an_open_leaf_has_no_inference(self):
         pp = loop_proof()
@@ -721,7 +713,7 @@ class TestSharing:
         pp = built_loop(3, fix)
         loaded = loads_preproof(dumps_preproof(pp))
         for proof in (pp, loaded):
-            closed = [n for n in proof.tree.walk() if not n.is_open()]
+            closed = [n for n in proof.tree.walk() if n.rule is not None]
             assert len(closed) == 12
             assert len({id(n.rule) for n in closed}) == count
         assert PreProof(loaded.tree, loaded.back_edges).tree is loaded.tree
@@ -1121,7 +1113,7 @@ class TestProofFiles:
         pp = loads_preproof(text)
         assert len(pp.nodes) == 21
         assert calls == [["MuR"], ["LamR"]]
-        assert len({id(n.rule) for n in pp.tree.walk() if not n.is_open()}) == 2
+        assert len({id(n.rule) for n in pp.tree.walk() if n.rule is not None}) == 2
 
     def test_a_dump_writes_each_distinct_sequent_once(self):
         pp = unrolled_loop(64)
@@ -1242,11 +1234,11 @@ class TestProofFiles:
             dumps_preproof(pp)
 
     def test_a_tree_that_holds_a_node_id_twice_is_not_dumped(self):
-        # written, its two lines for the id would not load back
+        # written, its two lines for the id would not load back; no
+        # pre-proof is made of it, so there is nothing to dump
         leaf = DerivTree("dup", ps("p |- r"), None)
-        pp = PreProof(DerivTree("dup", ps("p, q |- r"), WkL(), (leaf,)), {})
         with pytest.raises(KernelError, match="^duplicate node id 'dup'$"):
-            dumps_preproof(pp)
+            PreProof(DerivTree("dup", ps("p, q |- r"), WkL(), (leaf,)), {})
 
     def test_child_cycle_rejected(self):
         text = ('(node n0 (seq "p |- p") (rule WkL) (children n1))\n'

@@ -887,6 +887,28 @@ def test_a_binder_type_that_is_not_a_type_is_refused(binder):
         binder("x", "N", Var("x"))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Var(3), "Var name must be a str, got 3"),
+    (lambda: Lam(1, NAT, Var("p")), "Lam var must be a str, got 1"),
+    (lambda: Arrow(NAT, "O"), "Arrow result must be a SimpleType, got 'O'"),
+    (lambda: Sequent(("p",), ()), "Sequent left must be a tuple of Exprs, got ('p',)"),
+    (lambda: Or(Var("p"), "q"), "Or rhs must be an Expr, got 'q'"),
+    (lambda: Succ(None), "Succ arg must be an Expr, got None"),
+    (lambda: Mu("x", PROP, 3), "Mu body must be an Expr, got 3"),
+    (lambda: Eq(Var("p"), True), "Eq rhs must be an Expr, got True"),
+    # unhashable, so the intern table cannot be read with them
+    (lambda: Lam("x", NAT, [Var("p")]), "Lam body must be an Expr, got [Var(name='p')]"),
+    (lambda: Sequent([Var("p")], ()),
+     "Sequent left must be a tuple of Exprs, got [Var(name='p')]"),
+], ids=["Var-int", "Lam-var-int", "Arrow-str", "Sequent-str", "Or-str", "Succ-None",
+        "Mu-int", "Eq-bool", "Lam-list", "Sequent-list"])
+def test_a_field_of_another_kind_is_refused(build, message):
+    # each field's kind is checked before a value is made, so a wrong one
+    # is named where it is built, not by a later printer or type check
+    with pytest.raises(HflTypeError, match="^" + re.escape(message) + "$"):
+        build()
+
+
 def test_infer_env():
     env = infer_env([parse_expr("p x \\/ x = Z")])
     assert env == {"p": Arrow(NAT, PROP), "x": NAT}
