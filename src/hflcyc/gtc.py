@@ -119,40 +119,27 @@ class BuchiAutomaton(Record):
 
     A run is accepting when it takes accepting transitions, ``(src, symbol,
     dst)`` triples, infinitely often.  The trace automaton numbers its states
-    as ints and ``decode[i]`` is the ``(node, side, index, mark)`` key of
-    state ``i``; the path automaton's states are node ids and it has no
-    ``decode``; ``decode`` is not compared or printed.
+    as ints; the path automaton's states are node ids.
     """
 
-    __slots__ = ("states", "alphabet", "transitions", "initial", "accepting", "decode")
-    _compared = ("states", "alphabet", "transitions", "initial", "accepting")
+    __slots__ = ("states", "alphabet", "transitions", "initial", "accepting")
     states: frozenset
     alphabet: frozenset
     transitions: frozenset
     initial: frozenset
     accepting: frozenset
-    decode: tuple
 
-    def __init__(self, states: frozenset, alphabet: frozenset, transitions: frozenset,
-                 initial: frozenset, accepting: frozenset, decode: tuple = ()) -> None:
-        if not initial <= states:
+    def _check(self) -> None:
+        states, alphabet, transitions = self.states, self.alphabet, self.transitions
+        if not self.initial <= states:
             raise GtcError("initial states must be states")
-        if not accepting <= transitions:
+        if not self.accepting <= transitions:
             raise GtcError("accepting transitions must be transitions")
         for src, sym, dst in transitions:
             if src not in states or dst not in states:
                 raise GtcError("transition endpoint is not a state")
             if sym not in alphabet:
                 raise GtcError("transition symbol is not in the alphabet")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "decode", decode)
-
-    def __reduce__(self):
-        return BuchiAutomaton, (*self._values(), self.decode)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +433,8 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     not rest on this argument.
 
     States are numbered as ints in the order the search discovers them, the
-    initial ones first, and ``decode[i]`` is the ``(node, side, index,
-    mark)`` key of the state numbered ``i``.  So trimming and the decision
-    hash small ints, not tuples.
+    initial ones first, so trimming and the decision hash small ints, not
+    tuples; :func:`_trace_automaton` gives each number's key as well.
     Each formula keeps its operator positions, and occurrence steps are read
     from the pre-proof's table (:func:`~hflcyc.trace.node_steps`), so nodes
     with equal sequents share both, whether the pre-proof was loaded or built
@@ -456,11 +442,17 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     :class:`GtcError` when an open leaf has no back edge or a back edge
     targets a missing node.
     """
+    return _trace_automaton(pp)[0]
+
+
+def _trace_automaton(pp: PreProof) -> tuple[BuchiAutomaton, list[_Key]]:
+    """The automaton of :func:`build_gtc_automaton`, and the key of the
+    state numbered ``i`` at index ``i``."""
     table = _require_back_edges(pp)
     rows = pp.rows
 
     number: dict[_Key, int] = {}
-    decode: list[_Key] = []
+    keys: list[_Key] = []
     queue: deque[tuple[int, _Key]] = deque()
     transitions: set[tuple[int, str, int]] = set()
     accepting: set[tuple[int, str, int]] = set()
@@ -468,8 +460,8 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     def state(key: _Key) -> int:
         q = number.get(key)
         if q is None:
-            q = number[key] = len(decode)
-            decode.append(key)
+            q = number[key] = len(keys)
+            keys.append(key)
             queue.append((q, key))
         return q
 
@@ -485,7 +477,7 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
                 for p in sigma_paths(f):
                     if type(subexpr_at(f, p)) is want:
                         state((c, side, index, p))
-    initial = frozenset(range(len(decode)))
+    initial = frozenset(range(len(keys)))
 
     while queue:
         src, (node_id, side, index, mark) = queue.popleft()
@@ -499,9 +491,8 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
                 for q in inv.get(mark, ()):
                     emit(src, node_id, state((child, *step.premise_pos, q)), acc)
 
-    return BuchiAutomaton(
-        frozenset(range(len(decode))), frozenset(rows), frozenset(transitions),
-        initial, frozenset(accepting), tuple(decode))
+    return BuchiAutomaton(frozenset(range(len(keys))), frozenset(rows), frozenset(transitions),
+                          initial, frozenset(accepting)), keys
 
 
 # ---------------------------------------------------------------------------
@@ -941,18 +932,12 @@ class Rejected(Record):
     (with a counterexample lasso).
     """
 
-    __slots__ = _compared = ("kind", "issues", "lasso", "detail")
+    __slots__ = ("kind", "issues", "lasso", "detail")
+    _defaults = ((), None, "")
     kind: str
     issues: tuple[ValidationIssue, ...]
     lasso: Optional[Lasso]
     detail: str
-
-    def __init__(self, kind: str, issues: tuple[ValidationIssue, ...] = (),
-                 lasso: Optional[Lasso] = None, detail: str = "") -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "issues", issues)
-        object.__setattr__(self, "lasso", lasso)
-        object.__setattr__(self, "detail", detail)
 
 
 CheckResult = Union[Accepted, Rejected]

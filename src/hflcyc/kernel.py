@@ -137,13 +137,9 @@ class Inference(Record):
     where each of its formulas comes from, as its left row and its right
     row of :data:`Source` values (see :meth:`Rule.premise_rows`)."""
 
-    __slots__ = _compared = ("premises", "sources")
+    __slots__ = ("premises", "sources")
     premises: tuple[Sequent, ...]
     sources: tuple[Sources, ...]
-
-    def __init__(self, premises: tuple[Sequent, ...], sources: tuple[Sources, ...]) -> None:
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "sources", sources)
 
 
 class Rule(Interned):
@@ -559,15 +555,10 @@ def _check_premises(rule: Rule, expected: tuple[Sequent, ...],
 class OccurrenceRef(Record):
     """A formula occurrence in a named proof node."""
 
-    __slots__ = _compared = ("node", "side", "index")
+    __slots__ = ("node", "side", "index")
     node: str
     side: str  # LEFT or RIGHT
     index: int
-
-    def __init__(self, node: str, side: str, index: int) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "index", index)
 
 
 class DerivTree(Record):
@@ -578,18 +569,12 @@ class DerivTree(Record):
     hashes by identity.  It prints from an explicit stack, but a copy or
     pickle of it recurses once per level: copy its pre-proof instead."""
 
-    __slots__ = _compared = ("id", "seq", "rule", "children")
+    __slots__ = ("id", "seq", "rule", "children")
+    _defaults = ((),)
     id: str
     seq: Sequent
     rule: Optional[Rule]
     children: tuple[DerivTree, ...]
-
-    def __init__(self, id: str, seq: Sequent, rule: Optional[Rule],
-                 children: tuple[DerivTree, ...] = ()) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "children", children)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -782,13 +767,9 @@ class PreProof(Record):
 
 
 class ValidationIssue(Record):
-    __slots__ = _compared = ("node", "message")
+    __slots__ = ("node", "message")
     node: str
     message: str
-
-    def __init__(self, node: str, message: str) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.node}: {self.message}"

@@ -108,14 +108,12 @@ class AnnotatedFormula(Record):
     annotations (taking .formula) recovers the plain formula.
     """
 
-    __slots__ = _compared = ("formula", "notes")
+    __slots__ = ("formula", "notes")
     formula: Expr
     notes: Mapping[Path, Annotation]
 
-    def __init__(self, formula: Expr, notes: Mapping[Path, Annotation]) -> None:
-        _require_positions(formula, notes)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "notes", notes)
+    def _check(self) -> None:
+        _require_positions(self.formula, self.notes)
 
 
 def annotate_root(formula: Expr) -> AnnotatedFormula:
@@ -208,19 +206,13 @@ def _edge_steps(pp: PreProof, lasso: Lasso, i: int) -> Optional[StepsByOcc]:
 
 
 class MuTrace(Record):
-    __slots__ = _compared = ("p_prefix",)
+    __slots__ = ("p_prefix",)
     p_prefix: Annotation
-
-    def __init__(self, p_prefix: Annotation) -> None:
-        object.__setattr__(self, "p_prefix", p_prefix)
 
 
 class NuTrace(Record):
-    __slots__ = _compared = ("p_prefix",)
+    __slots__ = ("p_prefix",)
     p_prefix: Annotation
-
-    def __init__(self, p_prefix: Annotation) -> None:
-        object.__setattr__(self, "p_prefix", p_prefix)
 
 
 class FiniteOrNotATrace(Record):

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Optional
 # ---------------------------------------------------------------------------
 
 _INTERNED: dict[tuple, weakref.ref] = {}  # (cls, *args) -> a weak reference to the object
+_setattr = object.__setattr__  # how a constructor sets a field of a frozen value
 
 
 def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED) -> None:
@@ -36,10 +37,24 @@ def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED) -> None:
 
 
 class _Frozen:
-    """What interned values and records share: fields that are set once,
-    when the object is made, and the dataclass ``repr``."""
+    """What interned values and records share: the fields in ``_compared``
+    (by default the class's ``__slots__``), set once and then checked by
+    ``_check``, their dataclass ``repr``, and a copy or pickle that calls the
+    class with them."""
 
     __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" in cls.__dict__ and "_compared" not in cls.__dict__:
+            cls._compared = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __repr__(self) -> str:
         """``Cls(field=value, ...)``, written from an explicit stack of
@@ -53,9 +68,8 @@ class _Frozen:
             if is_text:
                 out.append(value)
             elif isinstance(value, _Frozen):
-                names = value.__slots__ if isinstance(value, Interned) else value._compared
                 pieces = [(True, f"{type(value).__qualname__}(")]
-                for k, name in enumerate(names):
+                for k, name in enumerate(value._compared):
                     pieces += [(True, f"{', ' if k else ''}{name}="), (False, getattr(value, name))]
                 todo += reversed(pieces + [(True, ")")])
             elif type(value) is tuple:
@@ -106,7 +120,7 @@ class Interned(_Frozen):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__slots__" in cls.__dict__ and "kinds" not in cls.__dict__:
-            cls.kinds = (object,) * len(cls.__slots__)  # fields of any kind
+            cls.kinds = (object,) * len(cls._compared)  # fields of any kind
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -118,13 +132,13 @@ class Interned(_Frozen):
             obj = ref()
             if obj is not None:
                 return obj
-        if len(args) != len(cls.__slots__):
-            raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+        if len(args) != len(cls._compared):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._compared}")
         obj = object.__new__(cls)
-        for name, value, kind in zip(cls.__slots__, args, cls.kinds):
+        for name, value, kind in zip(cls._compared, args, cls.kinds):
             if not isinstance(value, kind):
                 raise _kind_error(cls, name, value, kind.__name__)
-            object.__setattr__(obj, name, value)
+            _setattr(obj, name, value)
         obj._check()
         _INTERNED[key] = weakref.ref(obj, partial(_forget, key))
         return obj
@@ -132,9 +146,6 @@ class Interned(_Frozen):
     def _check(self) -> None:
         """Raise if the fields do not make a value of this class; their
         kinds have been checked."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _kind_error(cls: type, name: str, value, kind: str) -> HflTypeError:
@@ -147,18 +158,33 @@ class Record(_Frozen):
     they are of one class and their compared fields are equal, as for a
     frozen dataclass, and the hash is the hash of those fields.
 
-    A subclass lists its fields in ``__slots__`` and, in ``_compared``,
-    those that ``==``, the hash and ``repr`` read; the others are tables or
-    caches.  Its ``__init__`` sets each field with ``object.__setattr__``.
-    A copy or pickle calls the class with the compared fields, so a class
-    whose ``__init__`` takes another field also overrides ``__reduce__``.
+    ``cls(*fields, **named)`` sets the fields, by position or by name, and
+    the missing last ones from the class's ``_defaults``; a missing, extra
+    or repeated field raises ``TypeError``.  A class with other slots,
+    tables or caches, has its own ``__init__`` and ``__reduce__``.
     """
 
     __slots__ = ()
-    _compared: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    _check = None  # a record whose fields need a check defines it
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
+    def __init__(self, /, *fields, **named) -> None:
+        names = self._compared
+        if named or len(fields) != len(names):
+            defaults = self._defaults
+            missing = len(names) - len(fields)
+            if not named and 0 < missing <= len(defaults):
+                fields += defaults[len(defaults) - missing:]
+            else:
+                given = dict(zip(names[len(names) - len(defaults):], defaults))
+                given.update(zip(names, fields), **named)
+                if missing < 0 or len(given) < len(names) or not named.keys() <= set(names[len(fields):]):
+                    raise TypeError(f"{type(self).__name__} takes the fields {names}")
+                fields = [given[name] for name in names]
+        for name, value in zip(names, fields):
+            _setattr(self, name, value)
+        if self._check is not None:
+            self._check()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -167,9 +193,6 @@ class Record(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 # ---------------------------------------------------------------------------
@@ -704,20 +727,12 @@ class HeadStep(Record):
     duplicated at the root.
     """
 
-    __slots__ = _compared = ("result", "sources", "head_path", "copy_roots", "sigma_kind")
+    __slots__ = ("result", "sources", "head_path", "copy_roots", "sigma_kind")
     result: Expr
     sources: dict[Path, Path]
     head_path: Optional[Path]
     copy_roots: tuple[Path, ...]
     sigma_kind: Optional[str]
-
-    def __init__(self, result: Expr, sources: dict[Path, Path], head_path: Optional[Path],
-                 copy_roots: tuple[Path, ...], sigma_kind: Optional[str]) -> None:
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "head_path", head_path)
-        object.__setattr__(self, "copy_roots", copy_roots)
-        object.__setattr__(self, "sigma_kind", sigma_kind)
 
 
 def head_step(e: Expr, kind) -> Optional[HeadStep]:
@@ -966,11 +981,8 @@ class Sequent(Interned):
 
     def _check(self) -> None:
         for name, row in (("left", self.left), ("right", self.right)):
-            if not isinstance(row, tuple):
+            if not isinstance(row, tuple) or not all([isinstance(f, Expr) for f in row]):
                 raise _kind_error(Sequent, name, row, "tuple of Exprs")
-            for f in row:
-                if not isinstance(f, Expr):
-                    raise _kind_error(Sequent, name, row, "tuple of Exprs")
 
     def __str__(self) -> str:
         return sequent_to_str(self)

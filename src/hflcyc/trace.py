@@ -99,24 +99,15 @@ class OccurrenceStep(Record):
     a nu was unfolded.
     """
 
-    __slots__ = _compared = ("premise_pos", "conclusion_pos", "transport", "consumed_head",
-                             "copy_roots", "sigma_kind")
+    __slots__ = ("premise_pos", "conclusion_pos", "transport", "consumed_head", "copy_roots",
+                 "sigma_kind")
+    _defaults = (None, (), None)
     premise_pos: OccPos
     conclusion_pos: OccPos
     transport: Mapping[Path, Path]
     consumed_head: Optional[Path]
     copy_roots: tuple[Path, ...]
     sigma_kind: Optional[str]
-
-    def __init__(self, premise_pos: OccPos, conclusion_pos: OccPos, transport: Mapping[Path, Path],
-                 consumed_head: Optional[Path] = None, copy_roots: tuple[Path, ...] = (),
-                 sigma_kind: Optional[str] = None) -> None:
-        object.__setattr__(self, "premise_pos", premise_pos)
-        object.__setattr__(self, "conclusion_pos", conclusion_pos)
-        object.__setattr__(self, "transport", transport)
-        object.__setattr__(self, "consumed_head", consumed_head)
-        object.__setattr__(self, "copy_roots", copy_roots)
-        object.__setattr__(self, "sigma_kind", sigma_kind)
 
     def inverse(self) -> dict[Path, tuple[Path, ...]]:
         """Conclusion operator position -> premise positions descending from it."""
@@ -264,17 +255,15 @@ class Lasso(Record):
     the oracles of :mod:`hflcyc.oracles` classify the traces along one.
     """
 
-    __slots__ = _compared = ("prefix", "cycle")
+    __slots__ = ("prefix", "cycle")
     prefix: tuple[str, ...]
     cycle: tuple[str, ...]
 
-    def __init__(self, prefix: tuple[str, ...], cycle: tuple[str, ...]) -> None:
-        if not isinstance(prefix, tuple) or not isinstance(cycle, tuple):
+    def _check(self) -> None:
+        if not isinstance(self.prefix, tuple) or not isinstance(self.cycle, tuple):
             raise TraceError("lasso parts must be tuples")
-        if not cycle:
+        if not self.cycle:
             raise TraceError("a lasso needs a nonempty cycle")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
 
     @property
     def spine(self) -> tuple[str, ...]:

@@ -406,10 +406,10 @@ class TestTraceAutomaton:
     def test_star_ignores_every_symbol(self, name, pp):
         # no idle state reads every symbol: runs start at the companions'
         # left mu and right nu operators, and only there
-        a = build_gtc_automaton(pp)
+        a, keys = gtc._trace_automaton(pp)
         companions = set(pp.back_edges.values())
-        assert a.initial == {q for q, key in enumerate(a.decode) if key[0] in companions}
-        assert {a.decode[q] for q in a.initial} == {
+        assert a.initial == {q for q, key in enumerate(keys) if key[0] in companions}
+        assert {keys[q] for q in a.initial} == {
             (c, side, index, p) for c in companions
             for (side, index), paths in pp.positions(c).items() for p in paths
             if operator_at(pp, c, side, index, p) is GOOD_START[side]}
@@ -423,16 +423,16 @@ class TestTraceAutomaton:
         assert len(build_gtc_automaton(left_mu_loop_proof()).accepting) == 1
 
     def test_sigma_free_proof_has_no_tracked_states(self):
-        a = build_gtc_automaton(sigma_free_loop_proof())
+        a, keys = gtc._trace_automaton(sigma_free_loop_proof())
         assert a.states == frozenset()
-        assert a.decode == ()
+        assert keys == []
         assert not a.accepting
 
     @pytest.mark.parametrize("name,pp", FIXTURES, ids=FIXTURE_IDS)
     def test_tracked_states_are_well_formed(self, name, pp):
-        a = build_gtc_automaton(pp)
-        assert a.states == frozenset(range(len(a.decode)))
-        for node_id, side, index, mark in a.decode:
+        a, keys = gtc._trace_automaton(pp)
+        assert a.states == frozenset(range(len(keys)))
+        for node_id, side, index, mark in keys:
             seq = pp.node(node_id).seq
             row = seq.left if side == LEFT else seq.right
             assert mark in sigma_paths(row[index])
@@ -754,11 +754,11 @@ DIFFERENTIAL = (all_fixtures()
 def outcome(pp: PreProof):
     """Verdict, trace automaton and counterexample report of one check."""
     res = check_cyclic_proof(pp)
-    aut = build_gtc_automaton(pp)
+    aut, keys = gtc._trace_automaton(pp)
     report = None
     if isinstance(res, Rejected) and res.lasso is not None:
         report = counterexample_report(pp, res.lasso)
-    return res, aut.states, aut.transitions, aut.accepting, aut.decode, report
+    return res, aut.states, aut.transitions, aut.accepting, keys, report
 
 
 @pytest.mark.parametrize("name,pp", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])

@@ -7,10 +7,10 @@ from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hflcyc.syntax import (
-    PROP, And, App, Eq, Lam, Or, Sequent, Succ, Var, Zero, children, nat_pred, numeral,
+    PROP, And, App, Eq, HflError, Lam, Or, Sequent, Succ, Var, Zero, children, nat_pred, numeral,
     parse_expr, parse_sequent, sequent, sequent_alpha_eq, sequent_to_str, _TMeta,
 )
 from hflcyc.kernel import (
@@ -28,6 +28,7 @@ from hflcyc.trace import occurrence_steps
 from hflcyc.gtc import Accepted, check_cyclic_proof
 import hflcyc.kernel as kernel
 import hflcyc.proofio as proofio
+import hflcyc.syntax as syntax
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -840,6 +841,52 @@ class TestRuleParameters:
         for shape in (inline_text, string_table):
             again = loads_preproof(shape(pp))
             assert again == pp and again.tree.rule is rule and dumps_preproof(again) == text
+
+
+def _interned_classes(cls=syntax.Interned):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _interned_classes(sub)
+
+
+# every interned value of the object language, and every rule
+BUILT = ([cls for cls in _interned_classes() if cls.__module__ == "hflcyc.syntax"
+          and not cls.__name__.startswith("_") and cls not in (syntax.Expr, syntax.SimpleType)]
+         + list(kernel.RULE_CLASSES))
+
+# a value of every kind a field may be given, right or wrong: str (a
+# keyword too), int, bool, float, None, list, tuples of formulas and of
+# names, formulas, types, sequents and (name, formula) pairs
+FIELD_POOL = ("x", "Z", "", 0, 1, -1, True, 1.5, None, [pe("p")], (), (pe("p"), pe("q x")),
+              ("u", "v"), pe("p"), pe("mu X:O. X"), pe("S Z"), syntax.NAT, syntax.PROP,
+              syntax.Arrow(syntax.NAT, syntax.PROP), ps("p |- q"), ps("|- nu t:O. t"),
+              ("x", pe("S Z")), (("x", pe("S Z")),))
+
+
+def _declared_kinds(cls) -> list:
+    """Each field's test of a value of the kind its class declares."""
+    if cls is Sequent:
+        return [kernel._KINDS[LEFT][0]] * 2
+    if issubclass(cls, kernel.Rule):
+        return [kernel._KINDS[kind][0] for kind, _ in cls.params]
+    return [lambda value, kind=kind: isinstance(value, kind) for kind in cls.kinds]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(BUILT).flatmap(lambda cls: st.tuples(
+    st.just(cls), st.tuples(*[st.sampled_from(FIELD_POOL)] * len(cls._compared)))))
+def test_a_value_is_built_only_from_fields_of_its_kinds(case):
+    # a field of another kind raises HflError, never another exception, and
+    # a value built holds fields of their kinds, equal to those given and of
+    # their classes (a live ExL(1) is not ExL(True))
+    cls, fields = case
+    try:
+        value = cls(*fields)
+    except HflError:
+        return
+    for name, field, of_kind in zip(cls._compared, fields, _declared_kinds(cls)):
+        held = getattr(value, name)
+        assert held == field and type(held) is type(field) and of_kind(held), (cls.__name__, name)
 
 
 class TestProofFiles:

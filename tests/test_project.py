@@ -136,8 +136,8 @@ def test_a_failing_hypothesis_test_is_reported_by_name(tmp_path):
 # A class decorated with @dataclass generates and execs its methods at
 # import, and the dataclasses module pulls in inspect, ast, dis and tokenize:
 # together most of the checker's start-up time that the library controls.
-# The checker's records are hand-written (syntax.Record), so a worker
-# imports none of these.
+# The checker's records share one constructor (syntax.Record), which sets
+# the fields their __slots__ list, so a worker imports none of these.
 START_UP_UNNEEDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 

@@ -6,7 +6,9 @@ Each record compares, hashes and prints by its fields, as a frozen
 dataclass would, except the fields that are tables or caches, which stay out
 of ``==``, the hash and ``repr``.  A derivation tree prints so too, but
 compares and hashes by identity: a pre-proof's value is its node table.
-Assigning or deleting a field raises ``FrozenInstanceError``.
+Assigning or deleting a field raises ``FrozenInstanceError``.  Every record
+but a pre-proof is built by one constructor, ``Record``'s, from its fields
+by position or by name.
 """
 
 import copy
@@ -43,10 +45,10 @@ def _loaded() -> PreProof:
     return loads_preproof(dumps_preproof(PreProof(_tree(), {"n1": "n0"})))
 
 
-def _automaton(decode=()) -> BuchiAutomaton:
+def _automaton() -> BuchiAutomaton:
     edges = frozenset({(0, 7, 1), (1, 7, 0)})
     return BuchiAutomaton(frozenset({0, 1}), frozenset({7}), edges, frozenset({0}),
-                          frozenset({(1, 7, 0)}), decode)
+                          frozenset({(1, 7, 0)}))
 
 
 # (build, repr at construction): build makes a fresh, equal value each call
@@ -151,7 +153,6 @@ def test_the_hash_is_the_hash_of_the_compared_fields():
     assert hash(Lasso(("n0",), ("n1",))) == hash((("n0",), ("n1",)))
     assert hash(MuTrace((1,))) == hash(((1,),))
     assert hash(Accepted()) == hash(()) == hash(FiniteOrNotATrace())
-    assert hash(_automaton()) == hash(_automaton(decode=("a", "b")))
 
 
 def test_a_tree_is_equal_only_to_itself():
@@ -168,9 +169,6 @@ def test_values_of_different_classes_differ():
 
 
 def test_tables_and_caches_are_not_compared():
-    auto = _automaton(decode=(None, ("n0", "right", 0, ())))
-    assert auto == _automaton() and auto.decode == (None, ("n0", "right", 0, ()))
-    assert "decode" not in repr(auto)
     used, fresh = PreProof(_tree(), {"n1": "n0"}), PreProof(_tree(), {"n1": "n0"})
     validate_preproof(used)
     node_steps(used, "n0", 0)
@@ -209,9 +207,26 @@ def test_defaults():
     assert Axiom().inference(parse_sequent("p |- p")) == Inference((), ())
     assert DerivTree("n0", LEAF_SEQ, None).children == ()
     assert PreProof(DerivTree("n0", LEAF_SEQ, Axiom())).back_edges == {}
-    assert _automaton().decode == ()
     step = OccurrenceStep(("left", 0), ("left", 1), {})
     assert (step.consumed_head, step.copy_roots, step.sigma_kind) == (None, (), None)
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("hflcyc."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+RECORD_CLASSES = sorted(_record_classes(), key=lambda cls: cls.__name__)
+
+
+def _arguments(cls) -> tuple[dict, int]:
+    """The arguments that build the class's sample, by name, and how many
+    of the last ones have defaults."""
+    if cls is PreProof:
+        return {"tree": _tree(), "back_edges": {"n1": "n0"}}, 1
+    return dict(zip(cls._compared, SAMPLES[cls.__name__][0]()._values())), len(cls._defaults)
 
 
 def test_keywords_name_the_fields():
@@ -219,6 +234,41 @@ def test_keywords_name_the_fields():
     assert OccurrenceStep(premise_pos=("right", 0), conclusion_pos=("right", 0), transport={},
                           consumed_head=None, copy_roots=(), sigma_kind=None) == OccurrenceStep(
         ("right", 0), ("right", 0), {})
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_names_and_defaults_build_the_value_positions_build(cls):
+    # the first fields by position and the others by name, in any order,
+    # or the last ones left to their defaults
+    named, defaults = _arguments(cls)
+    fields = list(named.values())
+    value = cls(*fields)._values()
+    for k in range(len(fields) + 1):
+        assert cls(*fields[:k], **dict(reversed(list(named.items())[k:])))._values() == value
+    required = fields[:len(fields) - defaults]
+    assert cls(*required)._values() == cls(*required, *cls._defaults)._values()
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_missing_extra_unknown_or_repeated_field_is_refused(cls):
+    named, defaults = _arguments(cls)
+    fields = list(named.values())
+    calls = [(fields + [None], {}), (fields, {"unknown": None}), (fields, {"self": None})]
+    if fields:
+        calls += [(fields[:len(fields) - defaults - 1], {}), (fields, {next(iter(named)): fields[0]})]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\b") as err:
+            cls(*args, **kwargs)
+        # PreProof's own __init__ raises Python's TypeError, which names it too
+        assert cls is PreProof or str(err.value) == f"{cls.__name__} takes the fields {cls._compared}"
+
+
+def test_only_a_pre_proof_has_its_own_constructor_or_reduce():
+    # every other record is built by Record.__init__ from the fields its
+    # __slots__ lists, checked in _check, and copied by the shared __reduce__
+    own = {cls.__name__ for cls in _record_classes()
+           for name in ("__new__", "__init__", "__reduce__") if name in vars(cls)}
+    assert own == {"PreProof"}
 
 
 RECORDS_TO_COPY = {
@@ -238,24 +288,11 @@ def test_copies_and_pickles_are_equal(name):
         assert repr(copied) == repr(value)
 
 
-def test_copies_keep_the_fields_that_are_not_compared():
-    auto = _automaton(decode=(None, ("n0", "right", 0, ())))
-    for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        assert copy_of(auto).decode == auto.decode
-
-
 def test_a_deep_tree_prints_without_recursion():
     tree = DerivTree("n0", LEAF_SEQ, None)
     for k in range(1, 3000):
         tree = DerivTree(f"n{k}", LEAF_SEQ, OrR(), (tree,))
     assert repr(tree).count("DerivTree(") == 3000
-
-
-def _record_classes(cls=Record):
-    for sub in cls.__subclasses__():
-        if sub.__module__.startswith("hflcyc."):
-            yield sub
-        yield from _record_classes(sub)
 
 
 def test_every_record_class_has_a_sample():
