@@ -149,13 +149,16 @@ class BuchiAutomaton(Record):
 
 def _require_back_edges(pp: PreProof) -> dict[str, tuple[str, ...]]:
     """The pre-proof's successor table, once every open leaf has a back edge
-    to a node."""
+    to a node and every back edge leaves an open leaf."""
     rows = pp.rows
+    for node_id in pp.back_edges:
+        if node_id not in rows or rows[node_id][1] is not None:
+            raise GtcError(f"back edge source {node_id!r} is not an open leaf")
     table = pp.successor_table
     for node_id, out in table.items():
         if out is None:
             raise GtcError(f"open leaf {node_id!r} has no back edge")
-        # a child is always a node, so only a back edge can miss
+        # the kernel makes every child a node, so only a back edge can miss
         if out and out[0] not in rows:
             raise GtcError(f"back edge {node_id!r} -> {out[0]!r} "
                            f"targets a missing node")
@@ -239,14 +242,15 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
 
     Buds are transparent: each closed node steps on branch ``i`` to its
     child, or, when the child is a bud, to the bud's target, as long as
-    every bud has a back edge to a closed node with children (otherwise
-    None: the proof is decided as it is presented, and the first stage
-    raises the :class:`GtcError` of a missing back edge or target).  Two closed nodes are bisimilar when
-    they have the same sequent object and the same rule object, so the same
-    head step and occurrence steps, and bisimilar successors branch by
-    branch; then every path from either reads the same labels and carries
-    the same traces.  The initial partition keys the interned objects, so
-    no formula is walked, and :func:`_refine` stabilises it.
+    the buds, and only they, have back edges, each to a closed node with
+    children (otherwise None: the proof is decided as it is presented, and
+    the first stage raises the :class:`GtcError` of the edge).  Two closed
+    nodes are bisimilar when they have the same sequent object and the same
+    rule object, so the same head step and occurrence steps, and bisimilar
+    successors branch by branch; then every path from either reads the same
+    labels and carries the same traces.  The initial partition keys the
+    interned objects, so no formula is walked, and :func:`_refine`
+    stabilises it.
 
     The quotient is a depth-first spanning tree of the classes from the
     root's.  A class node has the id, sequent and rule of its first member
@@ -269,7 +273,7 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
             number[node_id] = len(closed)
             closed.append(node_id)
             block.append(labels.setdefault((seq, rule), len(labels)))
-    if len(labels) == len(closed):
+    if len(labels) == len(closed) or len(back) > len(buds):
         return None
     for node_id in buds:  # a bud lands on its target
         i = number.get(back.get(node_id))
@@ -897,8 +901,8 @@ def check_gtc(pp: PreProof, *, max_states: int = MAX_STATES
     Returns ``(True, None)`` when it does, else ``(False, lasso)`` with an
     ultimately periodic counterexample path (no left mu-trace / right
     nu-trace on any tail).  Raises :class:`GtcUnknown` when the state cap
-    was exceeded — never a wrong boolean — and :class:`GtcError` when an
-    open leaf has no back edge or a back edge targets a missing node.
+    was exceeded — never a wrong boolean — and :class:`GtcError` when a
+    back edge is missing, leaves no open leaf or targets a missing node.
 
     The condition is decided on the coarsest bisimulation quotient of the
     proof graph (:func:`_quotient`), in which each bud stands for its

@@ -593,6 +593,31 @@ class DerivTree(Record):
 Row = tuple[Sequent, Optional[Rule], tuple[str, ...]]
 
 
+def _preorder(root: str, rows: Mapping[str, Row]) -> dict[str, Row]:
+    """``rows`` in preorder from ``root``, in one walk without recursion.
+    Raises :class:`KernelError` for a row that is not (Sequent, Rule or
+    None, tuple of child ids), a root or child id with no row, a node
+    reached twice, or a row never reached."""
+    out: dict[str, Row] = {}
+    stack: list = [None, root]  # None stops the walk when the tree is done
+    for node_id in iter(stack.pop, None):
+        row = rows.get(node_id) if isinstance(node_id, str) else None
+        if row is None:
+            raise KernelError(f"no node {node_id!r} in the pre-proof")
+        if node_id in out:
+            raise KernelError(f"node {node_id!r} is reached twice")
+        if not (type(row) is tuple and len(row) == 3 and type(row[0]) is Sequent
+                and type(row[2]) is tuple and (row[1] is None or isinstance(row[1], Rule))):
+            raise KernelError(f"node {node_id!r}: a row is (Sequent, Rule or None, "
+                              f"tuple of child ids), got {row!r}")
+        out[node_id] = row
+        stack += reversed(row[2])
+    if len(out) < len(rows):
+        left_out = sorted(rows.keys() - out, key=str)
+        raise KernelError(f"nodes not reachable from the root: {left_out}")
+    return out
+
+
 class PreProof(Record):
     """A derivation tree plus a back-edge target for every open leaf, as
     its node table.
@@ -600,10 +625,10 @@ class PreProof(Record):
     Its value is ``(root, rows, back_edges)``: ``==`` and ``repr`` read
     them, and a copy or pickle rebuilds them with :meth:`from_rows`.
     :attr:`rows` holds, for each node id in preorder, the node's sequent,
-    its rule (None for an open leaf) and its child ids as given, and
-    :attr:`root` is the root's id.  Hashing raises ``TypeError`` for the
-    dicts.  ``back_edges`` is a copy of the mapping given, so a later edit
-    to the caller's dict changes nothing here.  Equal sequents and rules
+    its rule (None for an open leaf) and its child ids, and :attr:`root`
+    is the root's id.  Hashing raises ``TypeError`` for the dicts.
+    ``back_edges`` is a copy of the mapping given, so a later edit to the
+    caller's dict changes nothing here.  Equal sequents and rules
     (equal as values, not merely alpha-equivalent, since a report prints
     bound names) are one object, as they are interned.
 
@@ -613,8 +638,9 @@ class PreProof(Record):
     open leaf without a back edge has ``None``, for which
     :func:`successors` raises.
 
-    ``PreProof(tree, back_edges)`` makes the rows in one preorder walk of
-    a tree built in memory, and keeps the tree; a repeated node id raises
+    Every pre-proof's rows are checked and put in preorder by
+    :func:`_preorder`.  ``PreProof(tree, back_edges)`` takes them from a
+    tree built in memory, and keeps the tree; a repeated node id raises
     :class:`KernelError`.  A pre-proof made by :meth:`from_rows` makes the
     :class:`DerivTree` views (:attr:`tree`, :attr:`nodes`, :meth:`node`)
     on first use, in one pass from the leaves up; a check reads none.
@@ -657,14 +683,10 @@ class PreProof(Record):
     @classmethod
     def from_rows(cls, root: str, rows: dict[str, Row],
                   back_edges: Optional[Mapping[str, str]] = None) -> PreProof:
-        """The pre-proof whose node table is ``rows``, kept as it is; a copy
-        or pickle of any pre-proof is made here too.
-
-        ``rows`` must be a tree from ``root`` in preorder, each node once:
-        :func:`~hflcyc.proofio.loads_preproof` checks that of a text,
-        ``PreProof(tree)`` and the quotient of :mod:`hflcyc.gtc` make it
-        so.  It is not checked here.
-        """
+        """The pre-proof whose node table is ``rows``, in any order, put in
+        preorder from ``root`` by :func:`_preorder`, which raises
+        :class:`KernelError` unless they form a tree; a copy or pickle of
+        any pre-proof is made here too."""
         pp = cls.__new__(cls)
         pp._start(root, rows, back_edges, None, None)
         return pp
@@ -672,7 +694,7 @@ class PreProof(Record):
     def _start(self, root: str, rows: dict[str, Row], back_edges: Optional[Mapping[str, str]],
                tree: Optional[DerivTree], nodes: Optional[dict[str, DerivTree]]) -> None:
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _preorder(root, rows))
         object.__setattr__(self, "back_edges", {} if back_edges is None else dict(back_edges))
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_nodes", nodes)

@@ -57,12 +57,12 @@ form, is built once (a ``Subst`` once per child sequent).  A quoted string
 is unescaped once per distinct literal and a quoted sequent parsed once.  A
 node line is checked in place, by its length and the types of its entries,
 and resolves its names with one dict lookup each, which gives the node's
-row: its sequent, rule and child ids.  One walk from the root checks that
-the rows form a tree and puts them in preorder, and the pre-proof is that
-node table (:meth:`~hflcyc.kernel.PreProof.from_rows`); no derivation tree
-is built.  A malformed text raises :class:`ProofFormatError`; the line and
-column of the offending token, or which fault of a node table comes first,
-are found only then.  The tables only save work: a loaded proof holds the
+row: its sequent, rule and child ids.  The kernel's one walk from the root
+(:meth:`~hflcyc.kernel.PreProof.from_rows`) checks that the rows form a
+tree and puts them in preorder; no derivation tree is built.  A malformed
+text raises :class:`ProofFormatError`; the line and column of the
+offending token, or which fault of a node table comes first, are found
+only then.  The tables only save work: a loaded proof holds the
 same objects as one built in memory, since every value is interned when it
 is built.
 """
@@ -80,8 +80,8 @@ from .syntax import (
     parse_sequent, to_str,
 )
 from .kernel import (
-    FORMULA, LEFT, NAME, NAMES, PAIRS, POSITION, RIGHT, RULES, SOURCE, PreProof, Row, Rule,
-    Subst,
+    FORMULA, LEFT, NAME, NAMES, PAIRS, POSITION, RIGHT, RULES, SOURCE, KernelError, PreProof,
+    Rule, Subst,
 )
 
 
@@ -439,15 +439,16 @@ def loads_preproof(text: str) -> PreProof:
     per child sequent).  A name must be defined above its use and defined
     once.
 
-    Each node line becomes a row of the node table.  A dump lists the nodes
-    in preorder, root first, so one walk from the first node, which builds
-    only the ``Subst`` rules, checks that the rows form a tree and returns
-    them in that order; only a text that fails it is judged in full, by the
-    root that no node lists as a child and by :func:`_tree_error`.  Raises
-    :class:`ProofFormatError`, or the parser's :class:`HflError` for a
-    quoted sequent.
+    Each node line becomes a row of the node table, once the rules that
+    need their node (a ``Subst``) are built.  A dump lists the root first,
+    so :meth:`~hflcyc.kernel.PreProof.from_rows` from the first node checks
+    the table and orders it; only a text that it refuses is judged in full,
+    by the root that no node lists as a child and by :func:`_tree_error`.
+    Raises :class:`ProofFormatError`, or the parser's :class:`HflError` for
+    a quoted sequent.
     """
     table: dict[str, _Entry] = {}  # each node line, in the order of the text
+    waiting: list[str] = []  # the nodes whose rule needs the node (see _rule_or_body)
     back: dict[str, str] = {}
     sequents: dict[Quoted, Sequent] = {}  # each distinct sequent string, parsed
     types: dict[str, SimpleType] = {"N": NAT, "O": PROP}
@@ -511,6 +512,8 @@ def loads_preproof(text: str) -> PreProof:
                 if type(k) is not str:  # a literal or a list
                     _atom_param(k, "child id")
             table[node_id] = (seq, rule, kids)
+            if type(rule) is tuple:
+                waiting.append(node_id)
         elif head == "form":
             if size < 2:  # the entry names itself in its errors
                 _table_name(form, forms, "formula")
@@ -547,20 +550,33 @@ def loads_preproof(text: str) -> PreProof:
 
     if not table:
         raise ProofFormatError("no (node ...) forms in input")
+    built: dict[tuple, Rule] = {}  # a Subst once per rule body and child sequents
+    for node_id in waiting:  # a rule left unbuilt fails from_rows; _tree_error names it
+        seq, (key, parts), kids = table[node_id]
+        try:
+            premises = [table[k][0] for k in kids]
+            key = (_form_key(parts) if key is None else key) + tuple(map(id, premises))
+            rule = built.get(key)
+            if rule is None:
+                rule = built[key] = rule_from_form(parts, premises)
+        except (KeyError, HflError):
+            continue
+        table[node_id] = (seq, rule, kids)
     # a dump lists the root first; any other text is judged in full
     root = next(iter(table))
-    rows = _rows(table, root)
-    if rows is None:
+    try:
+        return PreProof.from_rows(root, table, back)
+    except KernelError:
         referenced = {k for (_, _, kids) in table.values() for k in kids}
         roots = [i for i in table if i not in referenced]
-        if len(roots) != 1:
-            raise ProofFormatError(f"expected exactly one root node, found {sorted(roots)}")
-        if roots[0] != root:
-            root = roots[0]
-            rows = _rows(table, root)
-        if rows is None:
-            raise _tree_error(table, root)
-    return PreProof.from_rows(root, rows, back)
+    if len(roots) != 1:
+        raise ProofFormatError(f"expected exactly one root node, found {sorted(roots)}")
+    if roots[0] != root:
+        try:
+            return PreProof.from_rows(roots[0], table, back)
+        except KernelError:
+            pass
+    raise _tree_error(table, roots[0])
 
 
 def _table_name(form: list, table: dict, what: str) -> str:
@@ -609,40 +625,6 @@ def _rule_or_body(key: Optional[tuple], parts: list) -> Union[Rule, tuple]:
         return rule_from_form(parts, [])
     except HflError:
         return key, parts
-
-
-def _rows(table: dict[str, _Entry], root: str) -> Optional[dict[str, Row]]:
-    """The node table of the tree below ``root``, in preorder, or None unless
-    the node lines form that tree and every rule builds.
-
-    One walk from the root, without recursion, takes each node line as its
-    row, once it has a rule: a ``Subst`` is built once per rule body and
-    child sequent.
-    """
-    rows: dict[str, Row] = {}
-    built: dict[tuple, Rule] = {}
-    stack: list = [None, root]  # None stops the walk when the tree is done
-    for node_id in iter(stack.pop, None):
-        entry = table.get(node_id)
-        if entry is None or node_id in rows:
-            return None
-        if type(entry[1]) is tuple:
-            seq, (key, parts), kids = entry
-            below = [table.get(k) for k in kids]
-            if None in below:
-                return None
-            premises = [e[0] for e in below]
-            key = (_form_key(parts) if key is None else key) + tuple(map(id, premises))
-            rule = built.get(key)
-            if rule is None:
-                try:
-                    rule = built[key] = rule_from_form(parts, premises)
-                except HflError:
-                    return None
-            entry = (seq, rule, kids)
-        rows[node_id] = entry
-        stack += reversed(entry[2])
-    return rows if len(rows) == len(table) else None
 
 
 def _tree_error(table: dict[str, _Entry], root: str) -> ProofFormatError:

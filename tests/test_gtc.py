@@ -72,7 +72,7 @@ from hflcyc.oracles import (
 )
 from hflcyc.trace import Lasso, TraceError, fresh_counter, node_steps, occurrence_steps
 
-from test_kernel import built_loop, loop_proof, pe, ps, unrolled_loop
+from test_kernel import built_loop, loop_proof, pe, ps, tree_preorder, unrolled_loop
 from test_trace import (
     branching_loop_proof,
     figure_eight_proof,
@@ -1310,6 +1310,60 @@ def test_a_bud_that_lands_on_no_inner_node_leaves_the_proof_unmerged(back, error
     else:
         with pytest.raises(GtcError, match=f"^{re.escape(error)}$"):
             check_gtc(pp)
+
+
+@pytest.mark.parametrize("merges", [True, False], ids=["merging", "unmerged"])
+def test_a_back_edge_that_leaves_a_closed_node_is_refused(merges, golden):
+    # long_cycle(2)'s two laps merge, and the quotient has no edge from n1
+    # to drop; the corpus loop merges nothing and is decided as it is
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from families import long_cycle
+    pp = long_cycle(2, random.Random(2)).pp if merges else golden
+    assert (gtc._quotient(pp) is not None) == merges and pp.rows["n1"][1] is not None
+    for source in ("n1", "zz"):
+        bad = PreProof.from_rows(pp.root, pp.rows, {**pp.back_edges, source: pp.root})
+        assert gtc._quotient(bad) is None
+        error = f"back edge source {source!r} is not an open leaf"
+        with pytest.raises(GtcError, match=f"^{error}$"):
+            check_gtc(bad)
+        assert f"{source}: back edge source is not an open leaf" in map(str, validate_preproof(bad))
+        assert check_cyclic_proof(bad).kind == "structural"
+
+
+def bench_cases(seed: int) -> list[tuple[str, PreProof]]:
+    """(name, pre-proof) for each proof of every benchmark workload at ``seed``."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from run import WORKLOADS, make_cases
+    return [(f"{workload}:{case.name}", case.pp)
+            for workload in WORKLOADS for case in make_cases(workload, seed)]
+
+
+PREORDER = (all_fixtures() + [(name, pp) for name, pp, *_ in alternation_probes()]
+            + bench_cases(1))
+
+
+@pytest.mark.parametrize("name,pp", PREORDER, ids=[name for name, _ in PREORDER])
+def test_every_way_to_make_a_proof_keeps_its_rows_in_preorder(name, pp):
+    # a pre-proof's rows are its nodes in preorder from its root, however it
+    # is made: the invariant that the report's and the dump's node order rest on
+    made = {
+        "tree": PreProof(pp.tree, pp.back_edges),
+        "rows-reversed": PreProof.from_rows(pp.root, dict(reversed(pp.rows.items())),
+                                            pp.back_edges),
+        "load": loads_preproof(dumps_preproof(pp)),
+        "copy": copy.copy(pp),
+        "deepcopy": copy.deepcopy(pp),
+        "pickle": pickle.loads(pickle.dumps(pp)),
+    }
+    order = tree_preorder(pp.root, pp.rows)
+    assert list(pp.rows) == order
+    for how, again in made.items():
+        assert list(again.rows) == order and again == pp, how
+    quotient = gtc._quotient(pp)
+    if quotient is not None:
+        assert list(quotient.rows) == tree_preorder(quotient.root, quotient.rows)
 
 
 def test_a_closure_element_found_again_shorter_is_settled_once():

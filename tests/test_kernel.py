@@ -439,6 +439,39 @@ def formula_nodes(seqs) -> set:
     return seen
 
 
+NU = ps("|- nu t:O. t")
+
+
+def nu_loop_rows(**changed) -> dict:
+    """The rows of a two-node ``NuR`` loop, n0 over the bud n1, with
+    ``changed`` rows put in or replaced."""
+    return {"n0": (NU, NuR(), ("n1",)), "n1": (NU, None, ()), **changed}
+
+
+def _bad_row(row) -> str:
+    return f"node 'n1': a row is (Sequent, Rule or None, tuple of child ids), got {row!r}"
+
+
+# (root, rows, the KernelError's text) for tables that are no tree
+MALFORMED_ROWS = [pytest.param(*case, id=name) for name, *case in [
+    ("missing-child", "n0", {"n0": (NU, NuR(), ("n1",))}, "no node 'n1' in the pre-proof"),
+    ("missing-root", "r", nu_loop_rows(), "no node 'r' in the pre-proof"),
+    ("root-as-list", ["n0"], nu_loop_rows(), "no node ['n0'] in the pre-proof"),
+    ("kid-as-int", "n0", nu_loop_rows(n0=(NU, NuR(), ("n1", 3))), "no node 3 in the pre-proof"),
+    ("short-row", "n0", nu_loop_rows(n1=(NU, None)), _bad_row((NU, None))),
+    ("rule-as-str", "n0", nu_loop_rows(n1=(NU, "NuR", ())), _bad_row((NU, "NuR", ()))),
+    ("seq-as-str", "n0", nu_loop_rows(n1=("x", None, ())), _bad_row(("x", None, ()))),
+    ("row-as-list", "n0", nu_loop_rows(n1=[NU, None, ()]), _bad_row([NU, None, ()])),
+    ("kids-as-list", "n0", nu_loop_rows(n1=(NU, None, ["n2"])), _bad_row((NU, None, ["n2"]))),
+    ("child-of-two-nodes", "n0",
+     nu_loop_rows(n0=(NU, NuR(), ("n1", "n2")), n2=(NU, NuR(), ("n1",))),
+     "node 'n1' is reached twice"),
+    ("cycle", "n0", nu_loop_rows(n1=(NU, NuR(), ("n0",))), "node 'n0' is reached twice"),
+    ("unreached-row", "n0", nu_loop_rows(n2=(NU, None, ())),
+     "nodes not reachable from the root: ['n2']"),
+]]
+
+
 class TestPreProofs:
     def test_golden_loop_proof_validates(self):
         assert validate_preproof(loop_proof()) == []
@@ -545,6 +578,36 @@ class TestPreProofs:
         root = DerivTree("dup", ps("p, q |- r"), WkL(), (k,))
         with pytest.raises(KernelError, match="^duplicate node id 'dup'$"):
             PreProof(root, {})
+        # a node met twice, as a child of two nodes, repeats its id too
+        bud = DerivTree("n1", NU, None)
+        tree = DerivTree("n0", ps("|- (nu t:O. t) /\\ (nu t:O. t)"), AndR(), (bud, bud))
+        with pytest.raises(KernelError, match="^duplicate node id 'n1'$"):
+            PreProof(tree, {"n1": "n0"})
+
+    @pytest.mark.parametrize("root,rows,error", MALFORMED_ROWS)
+    def test_a_table_that_is_no_tree_is_refused_when_made(self, root, rows, error):
+        # each of these reached validation at the parent and escaped as a
+        # bare KeyError, ValueError or AttributeError, or as a wrong verdict
+        with pytest.raises(KernelError, match=f"^{re.escape(error)}$"):
+            PreProof.from_rows(root, rows, {"n1": "n0"})
+
+    @pytest.mark.parametrize("seq,rule", [(NU, "NuR"), ("x", NuR()), (NU, (NuR(),))],
+                             ids=["rule-as-str", "seq-as-str", "rule-in-a-tuple"])
+    def test_a_tree_node_of_another_kind_is_refused_when_made(self, seq, rule):
+        tree = DerivTree("n0", seq, rule, (DerivTree("n1", NU, None),))
+        with pytest.raises(KernelError, match="^node 'n0': a row is "):
+            PreProof(tree, {"n1": "n0"})
+
+    def test_rows_out_of_preorder_come_back_in_preorder(self):
+        ordered = PreProof.from_rows("n0", nu_loop_rows(), {"n1": "n0"})
+        pp = PreProof.from_rows("n0", dict(reversed(nu_loop_rows().items())), {"n1": "n0"})
+        assert list(pp.rows) == list(ordered.rows) == ["n0", "n1"]
+        assert list(pp.rows.items()) == list(ordered.rows.items()) and pp == ordered
+        text = dumps_preproof(pp)
+        assert text == dumps_preproof(ordered)
+        assert [line.split()[1] for line in text.splitlines() if line.startswith("(node")] == [
+            "n0", "n1"]
+        assert list(loads_preproof(text).rows) == ["n0", "n1"]
 
     def test_a_missing_node_is_named(self):
         with pytest.raises(KernelError, match="^no node 'zz' in the pre-proof$"):
@@ -568,6 +631,63 @@ class TestPreProofs:
         root = DerivTree("root", ps("r, p \\/ q |- s"), OrL(), (k0, k1))
         issues = validate_preproof(PreProof(root, {"k0": "root"}))
         assert len(issues) >= 2  # bad inference and missing back edge
+
+
+# row tables drawn from a small pool: ids a-d with z unknown, and rows of
+# the right shape and of wrong ones
+ROW_IDS = ("a", "b", "c", "d", "z")
+GOOD_ROWS = st.tuples(st.sampled_from((NU, ps("p |- p"))), st.sampled_from((None, NuR(), Axiom())),
+                      st.lists(st.sampled_from(ROW_IDS), max_size=3).map(tuple))
+BAD_ROWS = st.sampled_from(((NU, None), (NU, None, (), ()), [NU, None, ()], ("x", None, ()),
+                            (NU, "NuR", ()), (NU, None, ["a"]), (NU, None, ("a", 3)), None))
+
+
+@st.composite
+def row_tables(draw) -> tuple:
+    """A root and a row table: a tree over some of a-d, its rows in any
+    order, with up to two rows then put in or replaced by drawn ones."""
+    ids = draw(st.permutations(ROW_IDS[:4]))[:draw(st.integers(1, 4))]
+    kids: dict = {node_id: [] for node_id in ids}
+    for k, node_id in enumerate(ids[1:], 1):
+        kids[draw(st.sampled_from(ids[:k]))].append(node_id)
+    rows = dict(draw(st.permutations(
+        [(i, (NU, draw(st.sampled_from((None, NuR()))), tuple(kids[i]))) for i in ids])))
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.sampled_from(ROW_IDS[:4]))] = draw(st.one_of(GOOD_ROWS, BAD_ROWS))
+    return draw(st.sampled_from((ids[0],) + ROW_IDS)), rows
+
+
+def tree_preorder(root, rows) -> list:
+    """The preorder of the tree that ``rows`` form from ``root``, by
+    recursion, or None unless every row is well formed and met exactly once."""
+    order: list = []
+
+    def visit(node_id) -> bool:
+        row = rows.get(node_id) if isinstance(node_id, str) else None
+        if (node_id in order or not isinstance(row, tuple) or len(row) != 3
+                or not isinstance(row[0], Sequent) or type(row[2]) is not tuple
+                or not (row[1] is None or isinstance(row[1], kernel.Rule))):
+            return False
+        order.append(node_id)
+        return all(visit(k) for k in row[2])
+
+    return order if visit(root) and len(order) == len(rows) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_tables())
+def test_rows_become_a_preproof_in_preorder_or_a_kernel_error(table):
+    # from_rows takes every row table that is a tree, whatever its order,
+    # and returns it in preorder; it refuses any other with a KernelError
+    root, rows = table
+    want = tree_preorder(root, rows)
+    try:
+        pp = PreProof.from_rows(root, rows)
+    except KernelError:
+        assert want is None
+        return
+    assert list(pp.rows) == want and pp.root == root
+    assert all(pp.rows[k] is rows[k] for k in rows)
 
 
 class TestSharing:
