@@ -148,20 +148,13 @@ class BuchiAutomaton(Record):
 
 
 def _require_back_edges(pp: PreProof) -> dict[str, tuple[str, ...]]:
-    """The pre-proof's successor table, once every open leaf has a back edge
-    to a node and every back edge leaves an open leaf."""
-    rows = pp.rows
-    for node_id in pp.back_edges:
-        if node_id not in rows or rows[node_id][1] is not None:
-            raise GtcError(f"back edge source {node_id!r} is not an open leaf")
+    """The pre-proof's successor table, once every open leaf has a back
+    edge; the kernel has checked every back edge that there is, but a
+    partial pre-proof may still lack some."""
     table = pp.successor_table
     for node_id, out in table.items():
         if out is None:
             raise GtcError(f"open leaf {node_id!r} has no back edge")
-        # the kernel makes every child a node, so only a back edge can miss
-        if out and out[0] not in rows:
-            raise GtcError(f"back edge {node_id!r} -> {out[0]!r} "
-                           f"targets a missing node")
     return table
 
 
@@ -242,9 +235,9 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
 
     Buds are transparent: each closed node steps on branch ``i`` to its
     child, or, when the child is a bud, to the bud's target, as long as
-    the buds, and only they, have back edges, each to a closed node with
-    children (otherwise None: the proof is decided as it is presented, and
-    the first stage raises the :class:`GtcError` of the edge).  Two closed
+    every bud has a back edge to a closed node with children (otherwise
+    None: the proof is decided as it is presented, and the first stage
+    raises the :class:`GtcError` of a missing edge).  Two closed
     nodes are bisimilar when they have the same sequent object and the same
     rule object, so the same head step and occurrence steps, and bisimilar
     successors branch by branch; then every path from either reads the same
@@ -273,7 +266,7 @@ def _quotient(pp: PreProof) -> Optional[PreProof]:
             number[node_id] = len(closed)
             closed.append(node_id)
             block.append(labels.setdefault((seq, rule), len(labels)))
-    if len(labels) == len(closed) or len(back) > len(buds):
+    if len(labels) == len(closed):
         return None
     for node_id in buds:  # a bud lands on its target
         i = number.get(back.get(node_id))
@@ -370,8 +363,7 @@ def build_path_automaton(pp: PreProof) -> BuchiAutomaton:
     transitions, so a closed proof tree yields the empty language.
     :func:`check_gtc` decides on the proof graph itself; it builds this
     automaton only as the stage that ``bench/worker.py`` times by name.
-    Raises :class:`GtcError` when an open leaf has no back edge or a back
-    edge targets a missing node.
+    Raises :class:`GtcError` when an open leaf has no back edge.
     """
     table = _require_back_edges(pp)
     ids = frozenset(table)
@@ -443,8 +435,7 @@ def build_gtc_automaton(pp: PreProof) -> BuchiAutomaton:
     from the pre-proof's table (:func:`~hflcyc.trace.node_steps`), so nodes
     with equal sequents share both, whether the pre-proof was loaded or built
     in memory.  Raises
-    :class:`GtcError` when an open leaf has no back edge or a back edge
-    targets a missing node.
+    :class:`GtcError` when an open leaf has no back edge.
     """
     return _trace_automaton(pp)[0]
 
@@ -865,8 +856,7 @@ def contains(pp: PreProof, trace: BuchiAutomaton, *, max_states: int = MAX_STATE
     :func:`check_gtc` calls it on the bisimulation quotient of the proof,
     so there the cap counts the quotient's segments and loop elements, and
     the lasso is a path of the quotient, which :func:`check_gtc` lifts.
-    Raises :class:`GtcError` when an open leaf has no back edge or a back
-    edge targets a missing node.
+    Raises :class:`GtcError` when an open leaf has no back edge.
     """
     # successors in sorted order, so equal-length witnesses are chosen by node id
     order = {n: sorted(out) for n, out in _require_back_edges(pp).items()}
@@ -901,8 +891,9 @@ def check_gtc(pp: PreProof, *, max_states: int = MAX_STATES
     Returns ``(True, None)`` when it does, else ``(False, lasso)`` with an
     ultimately periodic counterexample path (no left mu-trace / right
     nu-trace on any tail).  Raises :class:`GtcUnknown` when the state cap
-    was exceeded — never a wrong boolean — and :class:`GtcError` when a
-    back edge is missing, leaves no open leaf or targets a missing node.
+    was exceeded — never a wrong boolean — and :class:`GtcError` when an
+    open leaf has no back edge (:class:`~hflcyc.kernel.PreProof` refuses
+    a back edge that leaves no open leaf or reaches no node).
 
     The condition is decided on the coarsest bisimulation quotient of the
     proof graph (:func:`_quotient`), in which each bud stands for its

@@ -593,12 +593,17 @@ class DerivTree(Record):
 Row = tuple[Sequent, Optional[Rule], tuple[str, ...]]
 
 
-def _preorder(root: str, rows: Mapping[str, Row]) -> dict[str, Row]:
-    """``rows`` in preorder from ``root``, in one walk without recursion.
-    Raises :class:`KernelError` for a row that is not (Sequent, Rule or
-    None, tuple of child ids), a root or child id with no row, a node
-    reached twice, or a row never reached."""
+def _preorder(root: str, rows: Mapping[str, Row], back_edges: Mapping[str, str]
+              ) -> tuple[dict[str, Row], dict[str, Optional[tuple[str, ...]]]]:
+    """``rows`` in preorder from ``root``, and the successor table, in one
+    walk without recursion.  Raises :class:`KernelError` for a row that is
+    not (Sequent, Rule or None, tuple of child ids), a root or child id with
+    no row, a node reached twice or a row never reached; then for an open
+    leaf with children; then for a back edge that leaves no open leaf or
+    reaches no node."""
     out: dict[str, Row] = {}
+    table: dict[str, Optional[tuple[str, ...]]] = {}
+    crowded: list[str] = []  # the open leaves with children
     stack: list = [None, root]  # None stops the walk when the tree is done
     for node_id in iter(stack.pop, None):
         row = rows.get(node_id) if isinstance(node_id, str) else None
@@ -611,11 +616,26 @@ def _preorder(root: str, rows: Mapping[str, Row]) -> dict[str, Row]:
             raise KernelError(f"node {node_id!r}: a row is (Sequent, Rule or None, "
                               f"tuple of child ids), got {row!r}")
         out[node_id] = row
-        stack += reversed(row[2])
+        _, rule, kids = row
+        if rule is not None:
+            table[node_id] = kids
+        else:
+            table[node_id] = None
+            if kids:
+                crowded.append(node_id)
+        stack += reversed(kids)
     if len(out) < len(rows):
         left_out = sorted(rows.keys() - out, key=str)
         raise KernelError(f"nodes not reachable from the root: {left_out}")
-    return out
+    if crowded:
+        raise KernelError(f"node {crowded[0]!r}: open leaf with children")
+    for source, target in back_edges.items():
+        if table.get(source, ()) is not None:
+            raise KernelError(f"back edge source {source!r} is not an open leaf")
+        if not (isinstance(target, str) and target in out):
+            raise KernelError(f"back edge {source!r} -> {target!r} targets a missing node")
+        table[source] = (target,)
+    return out, table
 
 
 class PreProof(Record):
@@ -632,18 +652,20 @@ class PreProof(Record):
     (equal as values, not merely alpha-equivalent, since a report prints
     bound names) are one object, as they are interned.
 
-    The successor ids of each node (:attr:`successor_table`) follow from the
-    rows and the back edges: those of a closed node are its child ids in
-    order, those of an open leaf ``(target,)`` for its back edge, and an
-    open leaf without a back edge has ``None``, for which
-    :func:`successors` raises.
-
-    Every pre-proof's rows are checked and put in preorder by
-    :func:`_preorder`.  ``PreProof(tree, back_edges)`` takes them from a
-    tree built in memory, and keeps the tree; a repeated node id raises
-    :class:`KernelError`.  A pre-proof made by :meth:`from_rows` makes the
-    :class:`DerivTree` views (:attr:`tree`, :attr:`nodes`, :meth:`node`)
-    on first use, in one pass from the leaves up; a check reads none.
+    Every pre-proof is made by :func:`_preorder`, which raises
+    :class:`KernelError` unless the rows form a finite tree whose open
+    leaves have no children, and each back edge leaves an open leaf for a
+    node.  An open leaf may lack a back edge, so a partial proof is a
+    value, which validation and the trace condition refuse.  The same walk
+    makes :attr:`successor_table`, each node's successor ids in preorder:
+    a closed node's child ids, an open leaf's ``(target,)``, or ``None``
+    for an open leaf without a back edge, for which :func:`successors`
+    raises.  ``PreProof(tree, back_edges)`` takes the rows from a tree
+    built in memory, and keeps the tree; a repeated node id, or a tree node
+    that is not a :class:`DerivTree`, raises :class:`KernelError`.  A
+    pre-proof made by :meth:`from_rows` makes the :class:`DerivTree` views
+    (:attr:`tree`, :attr:`nodes`, :meth:`node`) on first use, in one pass
+    from the leaves up; a check reads none.
 
     A pre-proof also keeps, for its whole life, the work a check does once
     per distinct sequent rather than once per node:
@@ -657,27 +679,28 @@ class PreProof(Record):
     The views and the tables are not compared or copied.
     """
 
-    __slots__ = ("root", "rows", "back_edges", "_tree", "_nodes", "_successors",
+    __slots__ = ("root", "rows", "back_edges", "successor_table", "_tree", "_nodes",
                  "_inferences", "step_table")
     _compared = ("root", "rows", "back_edges")
     root: str
     rows: dict[str, Row]
     back_edges: Mapping[str, str]
+    successor_table: dict[str, Optional[tuple[str, ...]]]
     _tree: Optional[DerivTree]
     _nodes: Optional[dict[str, DerivTree]]
-    _successors: Optional[dict[str, Optional[tuple[str, ...]]]]
     _inferences: dict[tuple[Sequent, Rule], Inference]
     step_table: dict[tuple[int, int], Any]
 
     def __init__(self, tree: DerivTree, back_edges: Optional[Mapping[str, str]] = None) -> None:
         nodes: dict[str, DerivTree] = {}
-        rows: dict[str, Row] = {}
-        for node in tree.walk():
-            node_id = node.id
-            if node_id in nodes:
-                raise KernelError(f"duplicate node id {node_id!r}")
-            nodes[node_id] = node
-            rows[node_id] = (node.seq, node.rule, tuple([c.id for c in node.children]))
+        for node in DerivTree.walk(tree):  # a node is checked before its children are read
+            if not isinstance(node, DerivTree):
+                raise KernelError(f"tree node {node!r} is not a DerivTree")
+            if node.id in nodes:
+                raise KernelError(f"duplicate node id {node.id!r}")
+            nodes[node.id] = node
+        rows = {node_id: (node.seq, node.rule, tuple([c.id for c in node.children]))
+                for node_id, node in nodes.items()}
         self._start(tree.id, rows, back_edges, tree, nodes)
 
     @classmethod
@@ -685,20 +708,22 @@ class PreProof(Record):
                   back_edges: Optional[Mapping[str, str]] = None) -> PreProof:
         """The pre-proof whose node table is ``rows``, in any order, put in
         preorder from ``root`` by :func:`_preorder`, which raises
-        :class:`KernelError` unless they form a tree; a copy or pickle of
-        any pre-proof is made here too."""
+        :class:`KernelError` unless they and ``back_edges`` form a
+        pre-proof; a copy or pickle of any pre-proof is made here too."""
         pp = cls.__new__(cls)
         pp._start(root, rows, back_edges, None, None)
         return pp
 
     def _start(self, root: str, rows: dict[str, Row], back_edges: Optional[Mapping[str, str]],
                tree: Optional[DerivTree], nodes: Optional[dict[str, DerivTree]]) -> None:
+        back = {} if back_edges is None else dict(back_edges)
+        rows, table = _preorder(root, rows, back)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "rows", _preorder(root, rows))
-        object.__setattr__(self, "back_edges", {} if back_edges is None else dict(back_edges))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "back_edges", back)
+        object.__setattr__(self, "successor_table", table)
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_successors", None)
         object.__setattr__(self, "_inferences", {})
         object.__setattr__(self, "step_table", {})
 
@@ -729,33 +754,17 @@ class PreProof(Record):
             self._build_nodes()
         return self._nodes
 
-    @property
-    def successor_table(self) -> dict[str, Optional[tuple[str, ...]]]:
-        """Every node's successor ids by node id, in preorder: None for an
-        open leaf without a back edge."""
-        if self._successors is None:
-            back = self.back_edges
-            table: dict[str, Optional[tuple[str, ...]]] = {}
-            for node_id, (_, rule, kids) in self.rows.items():
-                if rule is not None:
-                    table[node_id] = kids
-                else:
-                    target = back.get(node_id)
-                    table[node_id] = None if target is None else (target,)
-            object.__setattr__(self, "_successors", table)
-        return self._successors
-
     def row(self, node_id: str) -> Row:
         """The (sequent, rule, child ids) of a node."""
         try:
             return self.rows[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError for an unhashable id
             raise KernelError(f"no node {node_id!r} in the pre-proof") from None
 
     def node(self, node_id: str) -> DerivTree:
         try:
             return self.nodes[node_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise KernelError(f"no node {node_id!r} in the pre-proof") from None
 
     def inference(self, node_id: str) -> Inference:
@@ -803,6 +812,8 @@ _UNSEEN = object()
 def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     """Check every inference, every sequent's typing, and every back edge.
 
+    Each back edge leaves an open leaf for a node (:class:`PreProof`); an
+    open leaf without one, a leaf target or a differing sequent is an issue.
     One pass over :attr:`PreProof.rows`.  Each sequent object is typed
     once, and each (conclusion, rule, child sequents) triple is checked
     once; every failing node still gets its own issue.  Returns all problems
@@ -810,13 +821,9 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
     """
     issues: list[ValidationIssue] = []
     rows = pp.rows
-    back = pp.back_edges
-    unbacked: list[str] = []  # the open leaves without a back edge
     typed: dict[Sequent, Optional[str]] = {}
     compared: dict[tuple, Optional[str]] = {}
     for node_id, (seq, rule, kids) in rows.items():
-        if rule is None and node_id not in back:
-            unbacked.append(node_id)
         bad = typed.get(seq, _UNSEEN)
         if bad is _UNSEEN:
             try:
@@ -829,8 +836,6 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
             issues.append(ValidationIssue(node_id, f"ill-typed sequent: {bad}"))
             continue
         if rule is None:
-            if kids:
-                issues.append(ValidationIssue(node_id, "open leaf with children"))
             continue
         premises = tuple([rows[k][0] for k in kids])
         key = (seq, rule, premises)
@@ -845,21 +850,14 @@ def validate_preproof(pp: PreProof) -> list[ValidationIssue]:
         if bad is not None:
             issues.append(ValidationIssue(node_id, f"{rule.tag}: {bad}"))
 
-    for node_id in unbacked:
-        issues.append(ValidationIssue(node_id, "open leaf without back edge"))
-    for leaf_id, target_id in back.items():
-        source = rows.get(leaf_id)
-        if source is None or source[1] is not None:
-            issues.append(ValidationIssue(leaf_id, "back edge source is not an open leaf"))
-            continue
-        target = rows.get(target_id)
-        if target is None:
-            issues.append(ValidationIssue(leaf_id, f"back edge target {target_id!r} does not exist"))
-            continue
+    for node_id, out in pp.successor_table.items():
+        if out is None:
+            issues.append(ValidationIssue(node_id, "open leaf without back edge"))
+    for leaf_id, target_id in pp.back_edges.items():
+        source, target = rows[leaf_id], rows[target_id]
         if not target[2]:
             issues.append(ValidationIssue(leaf_id, f"back edge target {target_id!r} is a leaf"))
-            continue
-        if not sequent_alpha_eq(source[0], target[0]):
+        elif not sequent_alpha_eq(source[0], target[0]):
             issues.append(ValidationIssue(
                 leaf_id,
                 f"back edge target sequent differs: {sequent_to_str(target[0])}"
@@ -874,7 +872,7 @@ def successors(pp: PreProof, node_id: str) -> tuple[str, ...]:
     edge."""
     try:
         out = pp.successor_table[node_id]
-    except KeyError:
+    except (KeyError, TypeError):
         raise KernelError(f"no node {node_id!r} in the pre-proof") from None
     if out is None:
         raise KernelError(f"open leaf {node_id!r} has no back edge")

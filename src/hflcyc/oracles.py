@@ -422,14 +422,10 @@ def enumerate_closed_walks(pp: PreProof, max_back_edges: Optional[int] = None,
     Since tree edges only descend, every closed walk is a cyclic sequence of
     back edges joined by the unique tree paths between them; composite cycles
     (several back edges) are needed because a path may alternate between
-    loops.  Walks that merely repeat a shorter walk are dropped.  Raises
-    TraceError when a back edge names a missing node.
+    loops.  Walks that merely repeat a shorter walk are dropped.
     """
     paths = _tree_paths(pp)
     backs = sorted(pp.back_edges.items())
-    for leaf, target in backs:
-        if leaf not in paths or target not in paths:
-            raise TraceError(f"back edge {leaf!r} -> {target!r} names a missing node")
     if max_back_edges is None:
         max_back_edges = len(backs) + 1
 

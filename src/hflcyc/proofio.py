@@ -58,13 +58,13 @@ is unescaped once per distinct literal and a quoted sequent parsed once.  A
 node line is checked in place, by its length and the types of its entries,
 and resolves its names with one dict lookup each, which gives the node's
 row: its sequent, rule and child ids.  The kernel's one walk from the root
-(:meth:`~hflcyc.kernel.PreProof.from_rows`) checks that the rows form a
-tree and puts them in preorder; no derivation tree is built.  A malformed
+(:meth:`~hflcyc.kernel.PreProof.from_rows`) checks the rows and back edges
+and puts the rows in preorder; no derivation tree is built.  A malformed
 text raises :class:`ProofFormatError`; the line and column of the
 offending token, or which fault of a node table comes first, are found
-only then.  The tables only save work: a loaded proof holds the
-same objects as one built in memory, since every value is interned when it
-is built.
+only then, and a bad ``(back ...)`` line gets the kernel's text.  The
+tables only save work: a loaded proof holds the same objects as one built
+in memory, since every value is interned when it is built.
 """
 
 from __future__ import annotations
@@ -442,8 +442,10 @@ def loads_preproof(text: str) -> PreProof:
     Each node line becomes a row of the node table, once the rules that
     need their node (a ``Subst``) are built.  A dump lists the root first,
     so :meth:`~hflcyc.kernel.PreProof.from_rows` from the first node checks
-    the table and orders it; only a text that it refuses is judged in full,
-    by the root that no node lists as a child and by :func:`_tree_error`.
+    the table and its back edges; only a text that it refuses is judged in
+    full: by the root that no node lists as a child, then by
+    :func:`_tree_error`, then by the kernel's text for nodes never reached
+    or a bad ``(back ...)`` line.
     Raises :class:`ProofFormatError`, or the parser's :class:`HflError` for
     a quoted sequent.
     """
@@ -566,7 +568,8 @@ def loads_preproof(text: str) -> PreProof:
     root = next(iter(table))
     try:
         return PreProof.from_rows(root, table, back)
-    except KernelError:
+    except KernelError as exc:
+        error = exc
         referenced = {k for (_, _, kids) in table.values() for k in kids}
         roots = [i for i in table if i not in referenced]
     if len(roots) != 1:
@@ -574,9 +577,9 @@ def loads_preproof(text: str) -> PreProof:
     if roots[0] != root:
         try:
             return PreProof.from_rows(roots[0], table, back)
-        except KernelError:
-            pass
-    raise _tree_error(table, roots[0])
+        except KernelError as exc:
+            error = exc
+    raise _tree_error(table, roots[0]) or ProofFormatError(str(error))
 
 
 def _table_name(form: list, table: dict, what: str) -> str:
@@ -627,12 +630,13 @@ def _rule_or_body(key: Optional[tuple], parts: list) -> Union[Rule, tuple]:
         return key, parts
 
 
-def _tree_error(table: dict[str, _Entry], root: str) -> ProofFormatError:
-    """The error of node lines that do not form a tree below ``root``, hold
-    a rule that does not build, or leave a node out: the first node reached
-    twice, or child with no ``(node ...)`` form, in a walk from the root
-    that takes the last child first; else the first rule that does not
-    build, from the leaves up; else the nodes that the walk left out."""
+def _tree_error(table: dict[str, _Entry], root: str) -> Optional[ProofFormatError]:
+    """The error of node lines that do not form a tree below ``root`` or
+    hold a rule that does not build: the first node reached twice, or
+    child with no ``(node ...)`` form, in a walk from the root that takes
+    the last child first; else the first rule that does not build, from the
+    leaves up.  Else None: the fault, the nodes that the walk left out or
+    a bad back edge, is the one that the kernel's error names."""
     order: list[str] = []
     seen: set[str] = set()
     stack = [root]
@@ -657,7 +661,7 @@ def _tree_error(table: dict[str, _Entry], root: str) -> ProofFormatError:
             except HflError as exc:
                 where = f"node {node_id}: " + ("" if key is None else f"rule {key[0]}: ")
                 return ProofFormatError(where + str(exc))
-    return ProofFormatError(f"nodes not reachable from the root: {sorted(table.keys() - seen)}")
+    return None
 
 
 def _below(table: dict[str, _Entry], node_id: str) -> bool:

@@ -562,10 +562,6 @@ class TestCheckGtc:
         with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
             check_gtc(PreProof(golden.tree, {}))
 
-    def test_dangling_back_edge_target_is_named(self, golden):
-        with pytest.raises(GtcError, match="'n4' -> 'zz' targets a missing node"):
-            check_gtc(PreProof(golden.tree, {"n4": "zz"}))
-
     @pytest.mark.parametrize("build", [build_path_automaton, build_gtc_automaton])
     def test_builders_name_the_open_leaf(self, golden, build):
         with pytest.raises(GtcError, match="open leaf 'n4' has no back edge"):
@@ -1294,9 +1290,8 @@ def test_a_new_bud_whose_name_is_taken_gets_a_prime():
 
 @pytest.mark.parametrize("back,error", [
     ({"a2": "b"}, None),
-    ({"a2": "zz"}, "back edge 'a2' -> 'zz' targets a missing node"),
     ({}, "open leaf 'a2' has no back edge"),
-], ids=["leaf-target", "missing-target", "no-back-edge"])
+], ids=["leaf-target", "no-back-edge"])
 def test_a_bud_that_lands_on_no_inner_node_leaves_the_proof_unmerged(back, error):
     # a and a1 are bisimilar, but the bud a2 lands on no closed node with
     # children: the proof is decided as it is presented
@@ -1310,25 +1305,6 @@ def test_a_bud_that_lands_on_no_inner_node_leaves_the_proof_unmerged(back, error
     else:
         with pytest.raises(GtcError, match=f"^{re.escape(error)}$"):
             check_gtc(pp)
-
-
-@pytest.mark.parametrize("merges", [True, False], ids=["merging", "unmerged"])
-def test_a_back_edge_that_leaves_a_closed_node_is_refused(merges, golden):
-    # long_cycle(2)'s two laps merge, and the quotient has no edge from n1
-    # to drop; the corpus loop merges nothing and is decided as it is
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))
-    from families import long_cycle
-    pp = long_cycle(2, random.Random(2)).pp if merges else golden
-    assert (gtc._quotient(pp) is not None) == merges and pp.rows["n1"][1] is not None
-    for source in ("n1", "zz"):
-        bad = PreProof.from_rows(pp.root, pp.rows, {**pp.back_edges, source: pp.root})
-        assert gtc._quotient(bad) is None
-        error = f"back edge source {source!r} is not an open leaf"
-        with pytest.raises(GtcError, match=f"^{error}$"):
-            check_gtc(bad)
-        assert f"{source}: back edge source is not an open leaf" in map(str, validate_preproof(bad))
-        assert check_cyclic_proof(bad).kind == "structural"
 
 
 def bench_cases(seed: int) -> list[tuple[str, PreProof]]:

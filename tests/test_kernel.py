@@ -471,6 +471,33 @@ MALFORMED_ROWS = [pytest.param(*case, id=name) for name, *case in [
      "nodes not reachable from the root: ['n2']"),
 ]]
 
+BUD = DerivTree("n1", NU, None)
+
+# (rows, back edges, the KernelError's text) for tables that form a tree
+# but no pre-proof: an open leaf with children is named before a back edge,
+# and a fault of the tree before both (MALFORMED_ROWS' missing-child and
+# cycle, whose back edge leaves no open leaf)
+BAD_BACK_EDGES = [pytest.param(*case, id=name) for name, *case in [
+    ("closed-source", nu_loop_rows(), {"n1": "n0", "n0": "n0"},
+     "back edge source 'n0' is not an open leaf"),
+    ("missing-source", nu_loop_rows(), {"zz": "n0"}, "back edge source 'zz' is not an open leaf"),
+    ("source-as-int", nu_loop_rows(), {3: "n0"}, "back edge source 3 is not an open leaf"),
+    ("missing-target", nu_loop_rows(), {"n1": "zz"}, "back edge 'n1' -> 'zz' targets a missing node"),
+    ("target-as-int", nu_loop_rows(), {"n1": 3}, "back edge 'n1' -> 3 targets a missing node"),
+    ("target-as-list", nu_loop_rows(), {"n1": ["n0"]},
+     "back edge 'n1' -> ['n0'] targets a missing node"),
+    ("open-leaf-with-children", nu_loop_rows(n0=(NU, None, ("n1",))), {"n1": "n0"},
+     "node 'n0': open leaf with children"),
+    ("open-leaf-then-back-edge", nu_loop_rows(n0=(NU, None, ("n1",))), {"n1": "zz"},
+     "node 'n0': open leaf with children"),
+]]
+
+
+def tree_of(rows: dict, node_id: str) -> DerivTree:
+    """The derivation tree that ``rows`` form below ``node_id``."""
+    seq, rule, kids = rows[node_id]
+    return DerivTree(node_id, seq, rule, tuple(tree_of(rows, k) for k in kids))
+
 
 class TestPreProofs:
     def test_golden_loop_proof_validates(self):
@@ -537,28 +564,17 @@ class TestPreProofs:
         issues = validate_preproof(PreProof(tree, {"n4": "n4"}))
         assert any("is a leaf" in str(i) for i in issues)
 
-    def test_back_edge_to_missing_node(self):
-        tree = loop_proof().tree
-        issues = validate_preproof(PreProof(tree, {"n4": "nowhere"}))
-        assert any("does not exist" in str(i) for i in issues)
-
     def test_back_edge_sequent_mismatch(self):
         pp = loop_proof()
         issues = validate_preproof(PreProof(pp.tree, {"n4": "n1"}))
         assert any("sequent differs" in str(i) for i in issues)
 
-    def test_back_edge_source_must_be_open(self):
-        pp = loop_proof()
-        issues = validate_preproof(PreProof(pp.tree, dict(pp.back_edges, n1="n0")))
-        assert any("not an open leaf" in str(i) for i in issues)
-
     def test_back_edge_messages_have_their_exact_text(self):
-        # a back edge that leaves the closed root, and a bud whose sequent
-        # differs from its companion's
+        # a bud whose sequent differs from its companion's; the other faults
+        # of a back edge are refused when the pre-proof is made
         leaf = DerivTree("n1", ps("|- mu t:O. t"), None)
         root = DerivTree("n0", ps("|- nu t:O. t"), NuR(), (leaf,))
-        issues = [str(i) for i in validate_preproof(PreProof(root, {"n0": "n0", "n1": "n0"}))]
-        assert "n0: back edge source is not an open leaf" in issues
+        issues = [str(i) for i in validate_preproof(PreProof(root, {"n1": "n0"}))]
         assert "n1: back edge target sequent differs: |- nu t:O. t vs |- mu t:O. t" in issues
 
     def test_bad_inference_located(self):
@@ -591,11 +607,29 @@ class TestPreProofs:
         with pytest.raises(KernelError, match=f"^{re.escape(error)}$"):
             PreProof.from_rows(root, rows, {"n1": "n0"})
 
-    @pytest.mark.parametrize("seq,rule", [(NU, "NuR"), ("x", NuR()), (NU, (NuR(),))],
-                             ids=["rule-as-str", "seq-as-str", "rule-in-a-tuple"])
-    def test_a_tree_node_of_another_kind_is_refused_when_made(self, seq, rule):
-        tree = DerivTree("n0", seq, rule, (DerivTree("n1", NU, None),))
-        with pytest.raises(KernelError, match="^node 'n0': a row is "):
+    @pytest.mark.parametrize("rows,back,error", BAD_BACK_EDGES)
+    @pytest.mark.parametrize("made", ["rows", "tree"])
+    def test_a_bad_back_edge_or_open_leaf_is_refused_when_made(self, made, rows, back, error):
+        # each of these used to reach the later checks, and gave a
+        # ValidationIssue, a GtcError, a TraceError or a bare TypeError
+        with pytest.raises(KernelError, match=f"^{re.escape(error)}$"):
+            if made == "rows":
+                PreProof.from_rows("n0", rows, back)
+            else:
+                PreProof(tree_of(rows, "n0"), back)
+
+    @pytest.mark.parametrize("tree,error", [
+        (DerivTree("n0", NU, "NuR", (BUD,)), "node 'n0': a row is "),
+        (DerivTree("n0", "x", NuR(), (BUD,)), "node 'n0': a row is "),
+        (DerivTree("n0", NU, (NuR(),), (BUD,)), "node 'n0': a row is "),
+        (DerivTree("n0", NU, NuR(), ("n1",)), "tree node 'n1' is not a DerivTree"),
+        (DerivTree("n0", NU, NuR(), (None,)), "tree node None is not a DerivTree"),
+        (DerivTree("n0", NU, NuR(), (3,)), "tree node 3 is not a DerivTree"),
+        ("n0", "tree node 'n0' is not a DerivTree"),
+    ], ids=["rule-as-str", "seq-as-str", "rule-in-a-tuple", "child-as-str", "child-as-none",
+            "child-as-int", "tree-as-str"])
+    def test_a_tree_node_of_another_kind_is_refused_when_made(self, tree, error):
+        with pytest.raises(KernelError, match=f"^{re.escape(error)}"):
             PreProof(tree, {"n1": "n0"})
 
     def test_rows_out_of_preorder_come_back_in_preorder(self):
@@ -609,21 +643,18 @@ class TestPreProofs:
             "n0", "n1"]
         assert list(loads_preproof(text).rows) == ["n0", "n1"]
 
-    def test_a_missing_node_is_named(self):
-        with pytest.raises(KernelError, match="^no node 'zz' in the pre-proof$"):
-            loop_proof().node("zz")
+    @pytest.mark.parametrize("node_id", ["zz", ["n0"]], ids=["missing", "unhashable"])
+    def test_a_missing_node_is_named(self, node_id):
+        pp = loop_proof()
+        error = f"^{re.escape(f'no node {node_id!r} in the pre-proof')}$"
+        for look in (pp.row, pp.node, pp.inference, pp.positions, lambda n: successors(pp, n)):
+            with pytest.raises(KernelError, match=error):
+                look(node_id)
 
     def test_an_open_leaf_has_no_inference(self):
         pp = loop_proof()
         with pytest.raises(KernelError, match="node 'n4' is an open leaf"):
             pp.inference("n4")
-
-    def test_an_open_leaf_with_children_is_reported(self):
-        kid = DerivTree("kid", ps("p |- p"), Axiom())
-        root = DerivTree("root", ps("p |- p"), None, (kid,))
-        issues = validate_preproof(PreProof(root, {}))
-        assert [str(i) for i in issues] == ["root: open leaf with children",
-                                            "root: open leaf without back edge"]
 
     def test_all_issues_listed(self):
         k0 = DerivTree("k0", ps("p |- s"), None)
@@ -642,24 +673,36 @@ BAD_ROWS = st.sampled_from(((NU, None), (NU, None, (), ()), [NU, None, ()], ("x"
                             (NU, "NuR", ()), (NU, None, ["a"]), (NU, None, ("a", 3)), None))
 
 
+# back-edge ends: the ids, z unknown, and ends of another kind
+BACK_SOURCES = st.sampled_from(ROW_IDS + (3,))
+BACK_TARGETS = st.sampled_from(ROW_IDS + (3, ["a"]))
+
+
 @st.composite
 def row_tables(draw) -> tuple:
-    """A root and a row table: a tree over some of a-d, its rows in any
-    order, with up to two rows then put in or replaced by drawn ones."""
+    """A root, a row table and back edges: a tree over some of a-d, its
+    rows in any order, with up to two rows then put in or replaced by
+    drawn ones; back edges from some of the tree's open leaves to its
+    nodes, with up to one then put in or replaced by a drawn one."""
     ids = draw(st.permutations(ROW_IDS[:4]))[:draw(st.integers(1, 4))]
     kids: dict = {node_id: [] for node_id in ids}
     for k, node_id in enumerate(ids[1:], 1):
         kids[draw(st.sampled_from(ids[:k]))].append(node_id)
     rows = dict(draw(st.permutations(
         [(i, (NU, draw(st.sampled_from((None, NuR()))), tuple(kids[i]))) for i in ids])))
+    back = {i: draw(st.sampled_from(ids))
+            for i in ids if rows[i][1] is None and draw(st.booleans())}
+    back.update(draw(st.dictionaries(BACK_SOURCES, BACK_TARGETS, max_size=1)))
     for _ in range(draw(st.integers(0, 2))):
         rows[draw(st.sampled_from(ROW_IDS[:4]))] = draw(st.one_of(GOOD_ROWS, BAD_ROWS))
-    return draw(st.sampled_from((ids[0],) + ROW_IDS)), rows
+    return draw(st.sampled_from((ids[0],) + ROW_IDS)), rows, back
 
 
-def tree_preorder(root, rows) -> list:
-    """The preorder of the tree that ``rows`` form from ``root``, by
-    recursion, or None unless every row is well formed and met exactly once."""
+def tree_preorder(root, rows, back=None) -> list:
+    """The preorder of the pre-proof that ``rows`` and ``back`` form from
+    ``root``, by recursion, or None unless every row is well formed and met
+    exactly once, no open leaf has children, and every back edge leaves an
+    open leaf for a node."""
     order: list = []
 
     def visit(node_id) -> bool:
@@ -671,23 +714,34 @@ def tree_preorder(root, rows) -> list:
         order.append(node_id)
         return all(visit(k) for k in row[2])
 
-    return order if visit(root) and len(order) == len(rows) else None
+    if not (visit(root) and len(order) == len(rows)):
+        return None
+    open_leaves = [k for k in order if rows[k][1] is None]
+    if any(rows[k][2] for k in open_leaves):
+        return None
+    if any(s not in open_leaves or t not in order for s, t in (back or {}).items()):
+        return None
+    return order
 
 
 @settings(max_examples=400, deadline=None)
 @given(row_tables())
 def test_rows_become_a_preproof_in_preorder_or_a_kernel_error(table):
-    # from_rows takes every row table that is a tree, whatever its order,
-    # and returns it in preorder; it refuses any other with a KernelError
-    root, rows = table
-    want = tree_preorder(root, rows)
+    # from_rows takes every row table and back edges that form a pre-proof,
+    # whatever the rows' order, and returns the rows in preorder with the
+    # successor table; it refuses any other with a KernelError
+    root, rows, back = table
+    want = tree_preorder(root, rows, back)
     try:
-        pp = PreProof.from_rows(root, rows)
+        pp = PreProof.from_rows(root, rows, back)
     except KernelError:
         assert want is None
         return
     assert list(pp.rows) == want and pp.root == root
     assert all(pp.rows[k] is rows[k] for k in rows)
+    table = {k: kids if rule is not None else (back[k],) if k in back else None
+             for k, (_, rule, kids) in rows.items()}
+    assert pp.successor_table == table and list(pp.successor_table) == want
 
 
 class TestSharing:
@@ -1225,6 +1279,8 @@ class TestProofFiles:
             loads_preproof(bad)
         assert hint in str(err.value)
 
+    NU_LOOP = ('(node n0 (seq "|- nu t:O. t") (rule NuR) (children n1))\n'
+               '(node n1 (seq "|- nu t:O. t") open)\n')
     TREE = ('(seq s0 "p |- p")\n(rule rw WkL)\n(rule ro OrL)\n(rule rb Cut "q \\\\/ ")\n'
             '(rule rn Nat "x")\n')
 
@@ -1252,6 +1308,13 @@ class TestProofFiles:
         # a Subst over a child that has no (node ...) form
         ('(node n0 (seq "p |- p") (rule Subst (x "Z")) (children n1))',
          "child id 'n1' has no (node ...) form"),
+        # a bad (back ...) line gets the kernel's text, after any fault of the tree
+        (NU_LOOP + '(back n1 n0)\n(back n0 n0)', "back edge source 'n0' is not an open leaf"),
+        (NU_LOOP + '(back n1 zz)', "back edge 'n1' -> 'zz' targets a missing node"),
+        ('(node n1 (seq "|- nu t:O. t") open)\n(node n0 (seq "|- nu t:O. t") (rule NuR) '
+         '(children n1))\n(back n1 zz)', "back edge 'n1' -> 'zz' targets a missing node"),
+        (NU_LOOP.replace("(children n1)", "(children n1 n2)") + '(back n1 zz)',
+         "child id 'n2' has no (node ...) form"),
     ])
     def test_tree_errors_have_their_exact_text(self, bad, message):
         with pytest.raises(ProofFormatError) as err:

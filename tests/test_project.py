@@ -195,3 +195,20 @@ def test_each_rule_states_its_premises_once():
         for name in ("premises_of", "inference"):
             assert getattr(cls, name) is getattr(kernel.Rule, name), f"{cls.tag}.{name}"
         assert cls.premise_rows is not kernel.Rule.premise_rows, cls.tag
+
+
+# A pre-proof's shape is judged once, where it is made (kernel._preorder):
+# no later stage keeps a second copy of these checks, or of their texts
+SHAPE_FAULTS = ("is not an open leaf", "targets a missing node", "open leaf with children")
+
+
+def _strings(path: Path) -> str:
+    """Every string constant of a module, the pieces of an f-string too."""
+    return "\n".join(node.value for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def test_a_preproofs_shape_is_judged_only_where_it_is_made():
+    strings = {path.stem: _strings(path) for path in (SRC / "hflcyc").glob("*.py")}
+    found = {text: sorted(m for m, s in strings.items() if text in s) for text in SHAPE_FAULTS}
+    assert found == {text: ["kernel"] for text in SHAPE_FAULTS}
